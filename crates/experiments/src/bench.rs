@@ -7,11 +7,15 @@
 //!   other generated artifacts (regenerated wholesale, never appended);
 //! - [`TRAJECTORY_PATH`] (top-level `BENCH_sweep.json`) — the **append-only
 //!   trajectory**, one entry per recorded run, kept in version control so
-//!   every PR shows its events/sec delta against history.
+//!   every PR shows its throughput delta against history.
 //!
 //! `repro bench-check` is the gate over that trajectory: it compares the
-//! last entry's serial events/sec against the previous one and fails when
-//! the drop exceeds a configurable threshold.
+//! last entry's scenarios per wall second (`scenarios / serial_wall_s`)
+//! against the previous one and fails when the drop exceeds a configurable
+//! threshold. Each workload runs a fixed scenario list, so that rate is
+//! fixed work over wall time; events/sec rides along in every entry as
+//! information only, because removing events from the simulator lowers it
+//! while making the same scenarios finish sooner.
 //!
 //! The trajectory carries more than one *workload* — the classic
 //! `bench-sweep` timing and the population-scale `scale` run both append
@@ -117,24 +121,28 @@ pub fn workload_of(entry: &Value) -> &str {
     }
 }
 
-/// Reads the serial events/sec figure out of one trajectory entry.
-pub fn events_per_sec(entry: &Value) -> Option<f64> {
-    let Value::Object(fields) = entry else { return None };
-    let v = fields.iter().find(|(k, _)| k == "serial_events_per_sec").map(|(_, v)| v)?;
-    match v {
-        Value::Float(f) => Some(*f),
-        Value::UInt(u) => Some(*u as f64),
-        Value::Int(i) => Some(*i as f64),
-        _ => None,
-    }
+/// Reads the gated figure out of one trajectory entry: scenarios finished
+/// per wall second of the serial pass.
+pub fn scenarios_per_sec(entry: &Value) -> Option<f64> {
+    let number = |key: &str| {
+        let Value::Object(fields) = entry else { return None };
+        match fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)? {
+            Value::Float(f) => Some(*f),
+            Value::UInt(u) => Some(*u as f64),
+            Value::Int(i) => Some(*i as f64),
+            _ => None,
+        }
+    };
+    let (scenarios, wall_s) = (number("scenarios")?, number("serial_wall_s")?);
+    (wall_s > 0.0).then(|| scenarios / wall_s)
 }
 
 /// The comparison `bench-check` makes: last entry against the one before.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BenchDelta {
-    /// Serial events/sec of the previous entry.
+    /// Scenarios per wall second of the previous entry.
     pub previous: f64,
-    /// Serial events/sec of the latest entry.
+    /// Scenarios per wall second of the latest entry.
     pub latest: f64,
 }
 
@@ -158,17 +166,17 @@ impl BenchDelta {
 /// entry of the *same workload*. `Ok(None)` means there is nothing to
 /// compare yet (fewer than two entries, or no earlier entry shares the
 /// latest entry's workload); `Err` means the comparable pair exists but an
-/// entry lacks the events/sec field.
+/// entry lacks `scenarios` or a positive `serial_wall_s`.
 pub fn check(entries: &[Value]) -> Result<Option<BenchDelta>, String> {
     let Some((last, earlier)) = entries.split_last() else { return Ok(None) };
     let workload = workload_of(last);
     let Some(prev) = earlier.iter().rev().find(|e| workload_of(e) == workload) else {
         return Ok(None);
     };
-    let latest = events_per_sec(last)
-        .ok_or_else(|| "latest entry lacks serial_events_per_sec".to_owned())?;
-    let previous = events_per_sec(prev)
-        .ok_or_else(|| "previous entry lacks serial_events_per_sec".to_owned())?;
+    let latest = scenarios_per_sec(last)
+        .ok_or_else(|| "latest entry lacks scenarios / serial_wall_s".to_owned())?;
+    let previous = scenarios_per_sec(prev)
+        .ok_or_else(|| "previous entry lacks scenarios / serial_wall_s".to_owned())?;
     Ok(Some(BenchDelta { previous, latest }))
 }
 
@@ -176,15 +184,18 @@ pub fn check(entries: &[Value]) -> Result<Option<BenchDelta>, String> {
 mod tests {
     use super::*;
 
-    fn entry(eps: f64) -> Value {
-        Value::Object(vec![("serial_events_per_sec".to_owned(), Value::Float(eps))])
+    /// An entry whose serial pass finished `rate` scenarios in one second.
+    fn entry(rate: f64) -> Value {
+        Value::Object(vec![
+            ("scenarios".to_owned(), Value::UInt(rate as u64)),
+            ("serial_wall_s".to_owned(), Value::Float(1.0)),
+        ])
     }
 
-    fn tagged(workload: &str, eps: f64) -> Value {
-        Value::Object(vec![
-            ("workload".to_owned(), Value::Str(workload.to_owned())),
-            ("serial_events_per_sec".to_owned(), Value::Float(eps)),
-        ])
+    fn tagged(workload: &str, rate: f64) -> Value {
+        let Value::Object(mut fields) = entry(rate) else { unreachable!() };
+        fields.push(("workload".to_owned(), Value::Str(workload.to_owned())));
+        Value::Object(fields)
     }
 
     #[test]
@@ -260,11 +271,42 @@ mod tests {
     }
 
     #[test]
-    fn integral_rates_parse_too() {
+    fn integral_fields_parse_too() {
         // A print-parse round trip turns integral floats into integers.
-        let int_entry =
-            Value::Object(vec![("serial_events_per_sec".to_owned(), Value::UInt(2_000_000))]);
-        assert_eq!(events_per_sec(&int_entry), Some(2_000_000.0));
+        let int_entry = Value::Object(vec![
+            ("scenarios".to_owned(), Value::UInt(22)),
+            ("serial_wall_s".to_owned(), Value::UInt(4)),
+        ]);
+        assert_eq!(scenarios_per_sec(&int_entry), Some(5.5));
+    }
+
+    #[test]
+    fn removing_events_is_not_a_regression() {
+        // Same 22 scenarios, a third fewer events, a fifth less wall:
+        // events/sec falls 17 % yet the run got faster — the gate reads
+        // wall time per scenario and never looks at the event fields.
+        let run = |events: u64, wall_s: f64| {
+            Value::Object(vec![
+                ("scenarios".to_owned(), Value::UInt(22)),
+                ("events".to_owned(), Value::UInt(events)),
+                ("serial_wall_s".to_owned(), Value::Float(wall_s)),
+                ("serial_events_per_sec".to_owned(), Value::Float(events as f64 / wall_s)),
+            ])
+        };
+        let delta = check(&[run(9_000_000, 4.0), run(6_000_000, 3.2)]).unwrap().unwrap();
+        assert!((delta.delta_pct() - 25.0).abs() < 1e-9, "{delta:?}");
+        assert!(!delta.regressed(0.0));
+    }
+
+    #[test]
+    fn entries_without_a_positive_wall_time_are_an_error() {
+        let no_wall = Value::Object(vec![("scenarios".to_owned(), Value::UInt(22))]);
+        assert!(check(&[entry(10.0), no_wall]).is_err());
+        let zero_wall = Value::Object(vec![
+            ("scenarios".to_owned(), Value::UInt(22)),
+            ("serial_wall_s".to_owned(), Value::Float(0.0)),
+        ]);
+        assert!(check(&[entry(10.0), zero_wall]).is_err());
     }
 
     #[test]
@@ -278,7 +320,7 @@ mod tests {
         assert_eq!(append_entry(&path, entry(2e6)).unwrap(), 2);
         let loaded = load_trajectory(&path).unwrap();
         assert_eq!(loaded.len(), 2);
-        assert_eq!(events_per_sec(&loaded[1]), Some(2e6));
+        assert_eq!(scenarios_per_sec(&loaded[1]), scenarios_per_sec(&entry(2e6)));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -31,7 +31,7 @@
 //! churn with heavy-tailed sizes, up to 10k concurrent flows per variant —
 //! and writes `results/scale.json` with population fairness / FCT metrics.
 //! A plain (non-`--resume`) `repro scale` run also appends a
-//! `workload: "scale"` events/sec entry to the `BENCH_sweep.json`
+//! `workload: "scale"` timing entry to the `BENCH_sweep.json`
 //! trajectory, so `bench-check` gates scale-run performance separately from
 //! the classic bench-sweep timing. `scale-smoke` is its tiny CI-sized
 //! sibling (fat-tree *and* AS-graph topologies at 120 flows).
@@ -46,9 +46,10 @@
 //!   bypass the sweep cache (a cache hit executes nothing to profile).
 //! - `repro bench-check [--trajectory <path>] [--threshold-pct <pct>]
 //!   [--min-entries <n>]` compares the last two entries of the perf
-//!   trajectory and exits non-zero when serial events/sec regressed more
-//!   than the threshold (default 20%); below `--min-entries` entries the
-//!   gate passes without comparing.
+//!   trajectory and exits non-zero when scenarios per wall second
+//!   (`scenarios / serial_wall_s`) regressed more than the threshold
+//!   (default 20%); below `--min-entries` entries the gate passes without
+//!   comparing.
 //! - `repro hunt [--budget <evals>] [--objective goodput|fairness|oracle]
 //!   [--variant <name>] [--seed <n>] [--jobs N]` runs the adversarial
 //!   schedule search ([`experiments::hunt`]): seeded hill-climbing over
@@ -355,7 +356,7 @@ fn run_figures(figures: Vec<FigureGrid>, ctx: &ExecCtx, opts: &SweepOptions) -> 
     (ok, stats)
 }
 
-/// Appends a `workload: "scale"` events/sec entry to the perf trajectory
+/// Appends a `workload: "scale"` timing entry to the perf trajectory
 /// after a pure `repro scale` run, so `bench-check` gates scale-run
 /// performance. Skipped when any scenario came from the cache — a
 /// cache-satisfied run measures deserialization, not simulation.
@@ -372,9 +373,9 @@ fn append_scale_bench(cli: &Cli, stats: &SweepStats) {
         scenarios: stats.scenarios,
         events: stats.events,
         // One measured pass at `--jobs N`: the serial fields carry the
-        // measurement (that is what the gate reads) and the parallel
-        // fields record the worker count it ran with. Comparable entries
-        // therefore assume a consistent --jobs, which CI pins.
+        // measurement (the gate reads `scenarios / serial_wall_s`) and the
+        // parallel fields record the worker count it ran with. Comparable
+        // entries therefore assume a consistent --jobs, which CI pins.
         serial_wall_s: stats.wall_s,
         serial_events_per_sec: stats.events_per_sec,
         parallel_jobs: cli.jobs as u64,
@@ -385,8 +386,9 @@ fn append_scale_bench(cli: &Cli, stats: &SweepStats) {
     let trajectory = Path::new(bench::TRAJECTORY_PATH);
     match bench::append_entry(trajectory, serde::Serialize::to_value(&entry)) {
         Ok(len) => eprintln!(
-            "[scale] trajectory entry {len} ({:.0} events/sec) appended -> {}",
-            stats.events_per_sec,
+            "[scale] trajectory entry {len} ({} scenarios in {:.2}s) appended -> {}",
+            stats.scenarios,
+            stats.wall_s,
             trajectory.display()
         ),
         Err(e) => {
@@ -584,7 +586,7 @@ fn run_bench_check(cli: &Cli) -> i32 {
         Ok(Some(delta)) => {
             let workload = entries.last().map(bench::workload_of).unwrap_or(bench::SWEEP_WORKLOAD);
             println!(
-                "bench-check: [{workload}] serial events/sec {:.0} -> {:.0} ({:+.1}%), \
+                "bench-check: [{workload}] scenarios per wall-second {:.3} -> {:.3} ({:+.1}%), \
                  threshold -{:.1}%",
                 delta.previous,
                 delta.latest,
@@ -593,7 +595,8 @@ fn run_bench_check(cli: &Cli) -> i32 {
             );
             if delta.regressed(cli.threshold_pct) {
                 eprintln!(
-                    "error: bench-check: events/sec regressed {:.1}% (> {:.1}% allowed)",
+                    "error: bench-check: scenarios per wall-second regressed {:.1}% (> {:.1}% \
+                     allowed)",
                     -delta.delta_pct(),
                     cli.threshold_pct
                 );
@@ -791,7 +794,7 @@ fn main() {
     let mut ok = true;
     if !figures.is_empty() {
         // A pure `repro scale` run doubles as the scale perf measurement:
-        // its events/sec lands in the trajectory (workload-tagged, so
+        // its wall time lands in the trajectory (workload-tagged, so
         // bench-check compares it only against other scale runs). Mixed
         // selections are not recorded — the timing would not be comparable.
         let scale_only = figures.iter().all(|g| g.selector == "scale");

@@ -96,10 +96,12 @@ fn bench_check_gates_on_the_regression_threshold() {
     let traj = dir.join("traj.json");
     let traj_s = traj.to_str().expect("utf-8 temp path");
 
-    // >20% regression: fail with the default threshold, pass at 40%.
+    // The gate reads scenarios / serial_wall_s. 22 scenarios in 7 s, then
+    // in 10 s, is a 30% regression: fail with the default threshold, pass
+    // at 40%.
     fs::write(
         &traj,
-        r#"[{"serial_events_per_sec": 1000000.0}, {"serial_events_per_sec": 700000.0}]"#,
+        r#"[{"scenarios": 22, "serial_wall_s": 7.0}, {"scenarios": 22, "serial_wall_s": 10.0}]"#,
     )
     .expect("write trajectory");
     let fail = repro(&dir, &["bench-check", "--trajectory", traj_s]);
@@ -111,17 +113,21 @@ fn bench_check_gates_on_the_regression_threshold() {
     let loose = repro(&dir, &["bench-check", "--trajectory", traj_s, "--threshold-pct", "40"]);
     assert!(loose.status.success(), "a 30% regression passes a 40% threshold");
 
-    // Small regression and speedup both pass.
+    // A speedup passes — also one bought by dispatching fewer events, which
+    // reads as a 33% drop in the events/sec the entry still carries.
     fs::write(
         &traj,
-        r#"[{"serial_events_per_sec": 1000000.0}, {"serial_events_per_sec": 1950000.0}]"#,
+        r#"[{"scenarios": 22, "events": 9000000, "serial_wall_s": 5.0,
+             "serial_events_per_sec": 1800000.0},
+            {"scenarios": 22, "events": 4800000, "serial_wall_s": 4.0,
+             "serial_events_per_sec": 1200000.0}]"#,
     )
     .expect("write trajectory");
     let faster = repro(&dir, &["bench-check", "--trajectory", traj_s]);
     assert!(faster.status.success(), "a speedup must pass");
 
     // A single entry has nothing to compare against: pass, not crash.
-    fs::write(&traj, r#"[{"serial_events_per_sec": 1000000.0}]"#).expect("write trajectory");
+    fs::write(&traj, r#"[{"scenarios": 22, "serial_wall_s": 5.0}]"#).expect("write trajectory");
     let single = repro(&dir, &["bench-check", "--trajectory", traj_s]);
     assert!(single.status.success(), "one entry: nothing to compare, pass");
 

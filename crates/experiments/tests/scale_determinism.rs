@@ -101,7 +101,10 @@ fn pure_scale_runs_append_a_workload_tagged_trajectory_entry() {
 
     let trajectory = fs::read_to_string(dir.join("BENCH_sweep.json")).expect("trajectory written");
     assert!(trajectory.contains("\"workload\": \"scale\""), "{trajectory}");
-    assert!(trajectory.contains("\"serial_events_per_sec\""), "{trajectory}");
+    // What the gate reads, and the events/sec that rides along.
+    for key in ["\"scenarios\"", "\"serial_wall_s\"", "\"serial_events_per_sec\""] {
+        assert!(trajectory.contains(key), "{key} missing:\n{trajectory}");
+    }
 
     // A second run appends (entry 2) rather than overwriting.
     let (_, stderr) = repro(&dir, &["scale", "--quick", "--jobs", "2", "--no-cache"]);

@@ -3,6 +3,11 @@
 //!
 //! Events at the same instant are dispatched in insertion order (FIFO), which
 //! makes simulations reproducible regardless of heap internals.
+//!
+//! A `seq` may be reserved ahead of the push ([`EventQueue::reserve_seq`],
+//! then [`EventQueue::schedule_reserved`] — or never): an event needed only
+//! sometimes still holds its place in the order, so leaving it out moves no
+//! other event's [`EventKey`]. The virtual `LinkReady` is built on this.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -79,6 +84,9 @@ impl EventKind {
     }
 }
 
+/// Dispatch-order key of an event: instant, then tie-break sequence number.
+pub type EventKey = (SimTime, u64);
+
 #[derive(Debug)]
 struct Scheduled {
     at: SimTime,
@@ -124,6 +132,7 @@ impl Ord for Scheduled {
 pub struct EventQueue {
     heap: BinaryHeap<Scheduled>,
     next_seq: u64,
+    last_popped_seq: u64,
     peak_len: usize,
 }
 
@@ -135,8 +144,18 @@ impl EventQueue {
 
     /// Schedules `kind` to fire at instant `at`.
     pub fn schedule(&mut self, at: SimTime, kind: EventKind) {
-        let seq = self.next_seq;
+        let seq = self.reserve_seq();
+        self.schedule_reserved((at, seq), kind);
+    }
+
+    /// Takes the next tie-break `seq` without pushing anything.
+    pub fn reserve_seq(&mut self) -> u64 {
         self.next_seq += 1;
+        self.next_seq - 1
+    }
+
+    /// Pushes `kind` under a key whose `seq` was reserved earlier.
+    pub fn schedule_reserved(&mut self, (at, seq): EventKey, kind: EventKind) {
         self.heap.push(Scheduled { at, seq, kind });
         if self.heap.len() > self.peak_len {
             self.peak_len = self.heap.len();
@@ -145,7 +164,14 @@ impl EventQueue {
 
     /// Removes and returns the earliest event, or `None` if empty.
     pub fn pop(&mut self) -> Option<(SimTime, EventKind)> {
-        self.heap.pop().map(|s| (s.at, s.kind))
+        let s = self.heap.pop()?;
+        self.last_popped_seq = s.seq;
+        Some((s.at, s.kind))
+    }
+
+    /// `seq` of the event popped last (0 before the first pop).
+    pub fn last_popped_seq(&self) -> u64 {
+        self.last_popped_seq
     }
 
     /// The instant of the earliest pending event, if any.
@@ -182,6 +208,15 @@ impl EventQueue {
     /// conservation check in [`crate::oracle`]; O(pending events).
     pub fn pending_arrivals(&self) -> usize {
         self.heap.iter().filter(|s| matches!(s.kind, EventKind::Arrive { .. })).count()
+    }
+
+    /// Links with a pending [`EventKind::LinkReady`] (for the lost-wake-up
+    /// law of [`crate::oracle`]); O(pending events).
+    pub fn pending_link_ready(&self) -> impl Iterator<Item = LinkId> + '_ {
+        self.heap.iter().filter_map(|s| match s.kind {
+            EventKind::LinkReady { link } => Some(link),
+            _ => None,
+        })
     }
 }
 

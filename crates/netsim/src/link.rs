@@ -3,8 +3,9 @@
 //! A link serializes packets at `bandwidth_bps`, then propagates them with a
 //! fixed delay (plus optional random jitter, an extension used to inject
 //! reordering on a single path in tests and examples). Packets that arrive
-//! while the transmitter is busy wait in the link's output queue.
+//! during a serialization wait in the link's output queue.
 
+use crate::event::EventKey;
 use crate::ids::NodeId;
 use crate::impair::{ImpairPipeline, ImpairStats, StageConfig};
 use crate::queue::{LinkQueue, QueuePolicy};
@@ -153,8 +154,10 @@ pub struct Link {
     pub queue_high: Option<LinkQueue>,
     /// Weighted-round-robin service counter.
     pub wrr_credit: u32,
-    /// True while a packet is being serialized.
-    pub busy: bool,
+    /// Event-order key of the `LinkReady` ending the serialization in
+    /// progress, until that poll has run — as a real event or, elided,
+    /// inside [`Link::settle`]. `None` when idle.
+    pub(crate) tx_end: Option<EventKey>,
     /// Packets handed to the wire (post-queue).
     pub transmitted: u64,
     /// Packets dropped by the random-loss process (not queue drops).
@@ -183,7 +186,7 @@ impl Link {
             queue,
             queue_high,
             wrr_credit: 0,
-            busy: false,
+            tx_end: None,
             transmitted: 0,
             random_losses: 0,
             up: true,
@@ -195,6 +198,24 @@ impl Link {
     /// Total packets waiting on this link (both classes).
     pub fn queued(&self) -> usize {
         self.queue.len() + self.queue_high.as_ref().map_or(0, LinkQueue::len)
+    }
+
+    /// True if the transmitter is free at dispatch cursor `cursor` (clock,
+    /// `seq` of the event being dispatched). A serialization ending strictly
+    /// below the cursor is over: its `LinkReady`, kept out of the heap
+    /// because nothing waited, would have been dispatched by now. All it did
+    /// was poll two empty queues if the link was up — which advances the WRR
+    /// credit — so that poll runs here. Call before changing `up` or
+    /// enqueueing, so it sees the link as it was at its own instant.
+    pub(crate) fn settle(&mut self, cursor: EventKey) -> bool {
+        if self.tx_end.is_some_and(|end| end < cursor) {
+            self.tx_end = None;
+            if self.up {
+                let polled = self.dequeue_next();
+                debug_assert!(polled.is_none(), "a waiting packet puts the poll in the heap");
+            }
+        }
+        self.tx_end.is_none()
     }
 
     /// Picks the next packet to serialize, honouring the DiffServ

@@ -1,5 +1,5 @@
-//! Sim-core invariant oracle: packet conservation and event-time
-//! monotonicity.
+//! Sim-core invariant oracle: packet conservation, event-time
+//! monotonicity and no lost link wake-ups.
 //!
 //! The simulator keeps exact counters for every way a packet can leave the
 //! system (delivery, the four drop classes) and for every way one can enter
@@ -16,9 +16,12 @@
 //! [`check`] verifies that equation plus the event core's monotonic-clock
 //! invariant (an event must never fire at an instant earlier than the
 //! current clock; the dispatch loop counts such regressions instead of
-//! panicking). The adversary's `oracle` objective minimizes the negated
-//! violation count, i.e. it actively searches the impairment/admin-schedule
-//! space for scenarios that unbalance the books.
+//! panicking) and its wake-up law: a link's end-of-serialization
+//! `LinkReady` is pushed only once a packet waits for it, so between events
+//! every up link that holds packets must have one pending — otherwise the
+//! queue is never served again. The adversary's `oracle` objective
+//! minimizes the negated violation count, i.e. it actively searches the
+//! impairment/admin-schedule space for scenarios that break a law.
 //!
 //! # Examples
 //!
@@ -60,6 +63,9 @@ pub struct Snapshot {
     pub in_flight: u64,
     /// Events popped at an instant earlier than the clock.
     pub time_regressions: u64,
+    /// Links that are up and hold waiting packets with no `LinkReady`
+    /// pending to serve them.
+    pub stalled_links: u64,
 }
 
 impl Snapshot {
@@ -95,6 +101,12 @@ pub enum Violation {
         /// How many events fired at an instant earlier than the clock.
         count: u64,
     },
+    /// A wake-up was lost: packets wait on an up link that nothing will
+    /// ever poll.
+    StalledLink {
+        /// How many links are stalled.
+        count: u64,
+    },
 }
 
 impl Violation {
@@ -106,6 +118,9 @@ impl Violation {
             }
             Violation::TimeRegression { count } => {
                 format!("event clock moved backwards {count} time(s)")
+            }
+            Violation::StalledLink { count } => {
+                format!("{count} up link(s) hold packets with no LinkReady pending")
             }
         }
     }
@@ -120,6 +135,9 @@ pub fn check(s: &Snapshot) -> Vec<Violation> {
     }
     if s.time_regressions > 0 {
         violations.push(Violation::TimeRegression { count: s.time_regressions });
+    }
+    if s.stalled_links > 0 {
+        violations.push(Violation::StalledLink { count: s.stalled_links });
     }
     violations
 }
@@ -199,7 +217,20 @@ mod tests {
         sim.run_until(SimTime::from_secs_f64(0.4));
         let snap = sim.invariant_snapshot();
         assert!(snap.impair_drops > 0, "down link drops arrivals: {snap:?}");
-        assert_eq!(check(&snap), Vec::new(), "{snap:?}");
+        assert!(snap.queued > 0, "the queue is parked behind the down link: {snap:?}");
+        assert_eq!(check(&snap), Vec::new(), "parked on a down link is not stalled: {snap:?}");
+    }
+
+    #[test]
+    fn seeded_stalled_link_is_detected() {
+        let mut sim = traffic_sim(3, &[]);
+        sim.run_until(SimTime::from_secs_f64(0.35));
+        let mut snap = sim.invariant_snapshot();
+        assert_eq!(snap.stalled_links, 0, "every backlogged link has its wake-up pending");
+        snap.stalled_links = 2;
+        let violations = check(&snap);
+        assert_eq!(violations, vec![Violation::StalledLink { count: 2 }]);
+        assert!(violations[0].describe().contains("no LinkReady pending"));
     }
 
     #[test]

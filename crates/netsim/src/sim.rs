@@ -6,7 +6,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::agent::{Agent, AgentAction, AgentCtx};
-use crate::event::{EventKind, EventQueue};
+use crate::event::{EventKey, EventKind, EventQueue};
 use crate::ids::{AgentId, FlowId, LinkId, NodeId};
 use crate::impair::{AdminEntry, Fate, ImpairPipeline, ImpairStats, LinkAdmin, StageConfig};
 use crate::link::{Link, LinkConfig};
@@ -115,6 +115,7 @@ impl SimBuilder {
             links,
             agents: Vec::new(),
             agent_meta: Vec::new(),
+            actions: Vec::new(),
             graph,
             routing,
             rng: SmallRng::seed_from_u64(self.seed),
@@ -153,6 +154,8 @@ pub struct Simulator {
     links: Vec<Link>,
     agents: Vec<Option<Box<dyn Agent>>>,
     agent_meta: Vec<AgentMeta>,
+    /// Scratch buffer agents' actions are collected in (see `call_agent`).
+    actions: Vec<AgentAction>,
     graph: Graph,
     routing: Routing,
     rng: SmallRng,
@@ -321,6 +324,11 @@ impl Simulator {
     /// point the simulator is not mid-dispatch — i.e. whenever the caller
     /// can invoke it.
     pub fn invariant_snapshot(&self) -> crate::oracle::Snapshot {
+        let mut woken = vec![false; self.links.len()];
+        for link in self.events.pending_link_ready() {
+            woken[link.index()] = true;
+        }
+        let stalled = self.links.iter().zip(woken).filter(|(l, w)| l.up && l.queued() > 0 && !w);
         crate::oracle::Snapshot {
             injected: self.stats.injected,
             duplicated: self.stats.impair_dups,
@@ -332,6 +340,7 @@ impl Simulator {
             queued: self.links.iter().map(|l| l.queued() as u64).sum(),
             in_flight: self.events.pending_arrivals() as u64,
             time_regressions: self.stats.time_regressions,
+            stalled_links: stalled.count() as u64,
         }
     }
 
@@ -462,21 +471,9 @@ impl Simulator {
     /// sets the clock to `deadline`.
     pub fn run_until(&mut self, deadline: SimTime) {
         self.start();
-        while let Some(t) = self.events.peek_time() {
-            if t > deadline {
-                break;
-            }
+        while self.events.peek_time().is_some_and(|t| t <= deadline) {
             let (at, kind) = self.events.pop().expect("peeked event exists");
-            if at < self.now {
-                // Time must not go backwards. Count instead of panicking so
-                // the invariant oracle can report it (and the adversary can
-                // hunt for it); the clock clamps at its current value.
-                self.stats.time_regressions += 1;
-            } else {
-                self.now = at;
-            }
-            self.stats.events += 1;
-            self.dispatch_profiled(kind);
+            self.step(at, kind);
         }
         if deadline > self.now {
             self.now = deadline;
@@ -496,15 +493,23 @@ impl Simulator {
     pub fn run_to_quiescence(&mut self) -> SimTime {
         self.start();
         while let Some((at, kind)) = self.events.pop() {
-            if at < self.now {
-                self.stats.time_regressions += 1;
-            } else {
-                self.now = at;
-            }
-            self.stats.events += 1;
-            self.dispatch_profiled(kind);
+            self.step(at, kind);
         }
         self.now
+    }
+
+    /// Advances the clock to a popped event and dispatches it. Time must not
+    /// go backwards: a regression is counted instead of panicking, so the
+    /// invariant oracle can report it (and the adversary can hunt for it),
+    /// and the clock clamps at its current value.
+    fn step(&mut self, at: SimTime, kind: EventKind) {
+        if at < self.now {
+            self.stats.time_regressions += 1;
+        } else {
+            self.now = at;
+        }
+        self.stats.events += 1;
+        self.dispatch_profiled(kind);
     }
 
     /// Dispatches one event, reporting to the profiler when it is enabled:
@@ -534,7 +539,7 @@ impl Simulator {
                 }
             }
             EventKind::LinkReady { link } => {
-                self.links[link.index()].busy = false;
+                self.links[link.index()].tx_end = None;
                 self.link_try_transmit(link);
             }
             EventKind::Timer { agent, generation } => {
@@ -597,7 +602,9 @@ impl Simulator {
     /// any) completes its serialization. `Up` restarts service.
     fn link_admin(&mut self, id: LinkId, action: LinkAdmin) {
         let now_ns = self.now.as_nanos();
+        let cursor = self.cursor();
         let link = &mut self.links[id.index()];
+        let free = link.settle(cursor);
         match action {
             LinkAdmin::Down => {
                 if link.up {
@@ -612,7 +619,7 @@ impl Simulator {
                 if !link.up {
                     link.up = true;
                     obs::span(now_ns, "admin.up", || format!("link={}", id.index()));
-                    if !link.busy && link.queued() > 0 {
+                    if free && link.queued() > 0 {
                         self.link_try_transmit(id);
                     }
                 }
@@ -670,13 +677,18 @@ impl Simulator {
                 if will_fit { TraceEventKind::Enqueued(id) } else { TraceEventKind::QueueDrop(id) };
             self.trace_packet(&packet, kind);
         }
+        let cursor = self.cursor();
         let link = &mut self.links[id.index()];
+        let free = link.settle(cursor);
         let queue =
             if use_high { link.queue_high.as_mut().expect("high queue") } else { &mut link.queue };
         match queue.enqueue(packet, uniform) {
             EnqueueOutcome::Enqueued => {
-                if !link.busy {
+                if free {
                     self.link_try_transmit(id);
+                } else if link.queued() == 1 {
+                    // First to wait behind a serialization: wake-up needed.
+                    self.schedule_link_ready(id);
                 }
             }
             EnqueueOutcome::Dropped => {
@@ -685,33 +697,43 @@ impl Simulator {
         }
     }
 
+    /// Where dispatch stands in the event order. Anything keyed strictly
+    /// below has been dispatched — or would have been, had it been pushed.
+    fn cursor(&self) -> EventKey {
+        (self.now, self.events.last_popped_seq())
+    }
+
+    /// Pushes the `LinkReady` ending the serialization in progress on `id`
+    /// under its reserved key — only once a packet is waiting for it.
+    fn schedule_link_ready(&mut self, id: LinkId) {
+        let end = self.links[id.index()].tx_end.expect("a serialization is in progress");
+        self.events.schedule_reserved(end, EventKind::LinkReady { link: id });
+    }
+
     fn link_try_transmit(&mut self, id: LinkId) {
         let link = &mut self.links[id.index()];
-        debug_assert!(!link.busy);
+        debug_assert!(link.tx_end.is_none());
         if !link.up {
             return;
         }
         let Some(packet) = link.dequeue_next() else { return };
-        if self.tracer.is_some() {
-            let p = packet.clone();
-            self.trace_packet(&p, TraceEventKind::LinkTx(id));
-        }
+        self.trace_packet(&packet, TraceEventKind::LinkTx(id));
         let link = &mut self.links[id.index()];
         let tx = link.config.transmission_time(packet.size_bytes);
         let delay = link.config.delay;
         let to = link.to;
         let jitter = link.config.jitter;
-        link.busy = true;
         link.transmitted += 1;
         // The impairment pipeline sits between the queue and propagation:
         // the packet has paid its serialization time either way, so an
-        // impairment drop is wire loss, not a shorter busy period.
+        // impairment drop is wire loss, not a shorter serialization.
         let Link { impair, impair_stats, .. } = link;
         let fate = match impair.as_mut() {
             Some(pipe) => pipe.process(tx, impair_stats),
             None => Fate::Deliver { extra_delay: SimDuration::ZERO, duplicate: false },
         };
-        self.events.schedule(self.now + tx, EventKind::LinkReady { link: id });
+        // The poll takes its place in the event order here, pushed or not.
+        link.tx_end = Some((self.now + tx, self.events.reserve_seq()));
         match fate {
             Fate::Dropped => {
                 self.stats.impair_drops += 1;
@@ -738,6 +760,9 @@ impl Simulator {
                 }
             }
         }
+        if self.links[id.index()].queued() > 0 {
+            self.schedule_link_ready(id);
+        }
     }
 
     fn call_agent(&mut self, id: AgentId, call: AgentCall) {
@@ -752,7 +777,9 @@ impl Simulator {
         if obs::enabled() {
             obs::set_current_flow(Some(flow.index() as u64));
         }
-        let mut actions: Vec<AgentAction> = Vec::new();
+        // One buffer serves every callback; a callback nested in the drain
+        // below (an agent sending to its own node) starts from an empty one.
+        let mut actions = std::mem::take(&mut self.actions);
         {
             let rng = &mut self.rng;
             let mut draw = move || rng.gen::<f64>();
@@ -772,9 +799,10 @@ impl Simulator {
             }
         }
         self.agents[id.index()] = Some(agent);
-        for action in actions {
+        for action in actions.drain(..) {
             self.apply_action(id, node, flow, action);
         }
+        self.actions = actions;
         if obs::enabled() {
             obs::set_current_flow(None);
         }
@@ -951,6 +979,194 @@ mod tests {
         let tx = sim.add_agent(a, flow, Box::new(Blaster { dst: c, count: 5, acked: Vec::new() }));
         let rx = sim.add_agent(c, flow, Box::new(Echo { peer: a, received: Vec::new() }));
         (sim, tx, rx, a, c)
+    }
+
+    /// Sends one data packet at each instant of `at` (ascending; zero means
+    /// from `on_start`), arming the timer for the next one *after* sending.
+    struct SendAt {
+        dst: NodeId,
+        at: Vec<SimTime>,
+        next: usize,
+    }
+
+    impl SendAt {
+        fn boxed(dst: NodeId, at_us: &[u64]) -> Box<Self> {
+            let at = at_us.iter().map(|&us| SimTime::from_nanos(us * 1_000)).collect();
+            Box::new(SendAt { dst, at, next: 0 })
+        }
+
+        fn step(&mut self, ctx: &mut AgentCtx<'_>) {
+            while self.at.get(self.next).is_some_and(|&t| t <= ctx.now) {
+                let seq = self.next as u64;
+                self.next += 1;
+                ctx.send(
+                    self.dst,
+                    DATA_PACKET_BYTES,
+                    PacketKind::Data(DataHeader {
+                        seq,
+                        is_retransmit: false,
+                        tx_count: 1,
+                        timestamp: ctx.now,
+                    }),
+                );
+            }
+            if let Some(&t) = self.at.get(self.next) {
+                ctx.set_timer(t);
+            }
+        }
+    }
+
+    impl Agent for SendAt {
+        fn on_start(&mut self, ctx: &mut AgentCtx<'_>) {
+            self.step(ctx);
+        }
+        fn on_packet(&mut self, _p: Packet, _ctx: &mut AgentCtx<'_>) {}
+        fn on_timer(&mut self, ctx: &mut AgentCtx<'_>) {
+            self.step(ctx);
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    fn pending_link_ready(sim: &Simulator) -> Vec<LinkId> {
+        sim.events.pending_link_ready().collect()
+    }
+
+    /// One 10 Mbit/s link `a → c`: a 1000-byte packet serializes in 800 µs.
+    fn one_link_sim(config: LinkConfig) -> (Simulator, NodeId, NodeId) {
+        let mut b = SimBuilder::new(1);
+        let a = b.add_node();
+        let c = b.add_node();
+        b.add_link(a, c, config);
+        (b.build(), a, c)
+    }
+
+    const TX_END: SimTime = SimTime::from_nanos(800_000);
+
+    fn violations(sim: &Simulator) -> Vec<crate::oracle::Violation> {
+        crate::oracle::check(&sim.invariant_snapshot())
+    }
+
+    #[test]
+    fn send_ordered_after_the_reserved_poll_finds_the_link_free() {
+        let (mut sim, a, c) = one_link_sim(LinkConfig::mbps_ms(10.0, 10, 100));
+        // The timer for 800 µs is armed after the first send, so it draws a
+        // later `seq` than the poll that send reserved: poll first, then send.
+        sim.add_agent(a, FlowId::from_raw(0), SendAt::boxed(c, &[0, 800]));
+        sim.run_until(SimTime::from_nanos(799_999));
+        assert_eq!(sim.links[0].tx_end, Some((TX_END, 0)), "key reserved at the first transmit");
+        assert!(pending_link_ready(&sim).is_empty(), "nothing waits, nothing is pushed");
+        sim.run_until(TX_END);
+        assert_eq!(sim.links[0].transmitted, 2, "second packet went straight to the wire");
+        assert_eq!(sim.stats.events, 1, "the timer alone: no LinkReady was dispatched");
+        assert!(pending_link_ready(&sim).is_empty());
+    }
+
+    #[test]
+    fn send_ordered_before_the_reserved_poll_waits_for_it() {
+        let (mut sim, a, c) = one_link_sim(LinkConfig::mbps_ms(10.0, 10, 100));
+        // The first agent arms its 800 µs timer in `on_start`, before the
+        // second agent's send reserves the poll: same instant, send first.
+        sim.add_agent(a, FlowId::from_raw(0), SendAt::boxed(c, &[800]));
+        sim.add_agent(a, FlowId::from_raw(1), SendAt::boxed(c, &[0]));
+        sim.run_until(SimTime::from_nanos(799_999));
+        assert_eq!(sim.links[0].tx_end, Some((TX_END, 1)));
+        assert!(pending_link_ready(&sim).is_empty());
+        sim.run_until(TX_END);
+        assert_eq!(sim.links[0].transmitted, 2);
+        assert_eq!(sim.stats.events, 2, "the timer, then the poll its packet had pushed");
+        assert_eq!(violations(&sim), Vec::new());
+    }
+
+    #[test]
+    fn zero_transmission_time_keeps_fifo_order_and_instants() {
+        let mut b = SimBuilder::new(1);
+        let a = b.add_node();
+        let c = b.add_node();
+        let instant = LinkConfig::new(1e18, SimDuration::from_millis(10), 100);
+        assert_eq!(instant.transmission_time(DATA_PACKET_BYTES), SimDuration::ZERO);
+        b.add_duplex(a, c, instant);
+        let mut sim = b.build();
+        let flow = FlowId::from_raw(0);
+        let tx = sim.add_agent(a, flow, Box::new(Blaster { dst: c, count: 5, acked: Vec::new() }));
+        let rx = sim.add_agent(c, flow, Box::new(Echo { peer: a, received: Vec::new() }));
+        sim.start();
+        // A serialization that ends "now" is still not over for the event
+        // that started it: the other four packets wait for its poll.
+        assert_eq!((sim.links[0].transmitted, sim.links[0].queued()), (1, 4));
+        sim.run_until(SimTime::from_secs_f64(0.1));
+        assert_eq!(
+            sim.agent(rx).as_any().downcast_ref::<Echo>().unwrap().received,
+            [0, 1, 2, 3, 4]
+        );
+        let acked = &sim.agent(tx).as_any().downcast_ref::<Blaster>().unwrap().acked;
+        let rtt = SimTime::from_nanos(20_000_000);
+        assert_eq!(*acked, [(1, rtt), (2, rtt), (3, rtt), (4, rtt), (5, rtt)]);
+        // Ten arrivals and, per direction, four polls with a packet waiting;
+        // the fifth found nothing and was never pushed.
+        assert_eq!(sim.stats.events, 18);
+    }
+
+    #[test]
+    fn link_up_before_or_after_an_elided_poll_sees_the_poll_it_would_have() {
+        // A lone packet at t = 0 (its 800 µs poll is elided), the link taken
+        // down at 100 µs, a second packet at 2 ms. Whether the poll ran on
+        // an up link — and so advanced the WRR credit — depends on where
+        // `Up` falls relative to it, down to the tie-break at 800 µs.
+        let wrr = crate::link::DiffservScheduler::WeightedRoundRobin { hi: 5, lo: 5 };
+        let credit_after = |up_at_us: u64, scheduled_mid_run: bool| {
+            let config = LinkConfig::mbps_ms(10.0, 10, 100).with_diffserv(0.5, wrr);
+            let (mut sim, a, c) = one_link_sim(config);
+            sim.add_agent(a, FlowId::from_raw(0), SendAt::boxed(c, &[0, 2_000]));
+            let link = LinkId::from_raw(0);
+            let up_at = SimTime::from_nanos(up_at_us * 1_000);
+            sim.schedule_link_admin(SimTime::from_nanos(100_000), link, LinkAdmin::Down);
+            if scheduled_mid_run {
+                sim.run_until(SimTime::from_nanos(400_000));
+            }
+            sim.schedule_link_admin(up_at, link, LinkAdmin::Up);
+            sim.run_until(SimTime::from_secs_f64(0.1));
+            assert_eq!(sim.links[0].transmitted, 2);
+            assert_eq!(sim.stats.events, 5, "timer, down, up, two arrivals — no LinkReady");
+            sim.links[0].wrr_credit
+        };
+        // Two transmissions advance the credit twice; the poll adds a third
+        // only if the link was up again by then.
+        assert_eq!(credit_after(500, false), 3, "up before the poll");
+        assert_eq!(credit_after(1_000, false), 2, "up after the poll");
+        assert_eq!(credit_after(800, false), 3, "same instant, Up scheduled first");
+        assert_eq!(credit_after(800, true), 2, "same instant, Up scheduled behind the poll");
+    }
+
+    #[test]
+    fn packets_sent_from_on_start_queue_behind_the_first() {
+        let (mut sim, _, rx, _, _) = two_node_sim(1);
+        sim.start();
+        // Nothing has been popped, so the serialization begun inside
+        // `on_start` cannot look finished to the sends that follow it.
+        assert_eq!((sim.links[0].transmitted, sim.links[0].queued()), (1, 4));
+        assert_eq!(sim.links[0].tx_end, Some((TX_END, 0)));
+        assert_eq!(pending_link_ready(&sim), vec![LinkId::from_raw(0)]);
+        assert_eq!(violations(&sim), Vec::new());
+        sim.run_until(SimTime::from_secs_f64(1.0));
+        assert_eq!(sim.agent(rx).as_any().downcast_ref::<Echo>().unwrap().received.len(), 5);
+        // Ten arrivals and the four polls that had a packet waiting; the
+        // fifth, and all five on the ACK path, were never pushed.
+        assert_eq!(sim.stats.events, 14);
+    }
+
+    #[test]
+    fn oracle_reports_a_lost_wake_up() {
+        let (mut sim, _, _, _, _) = two_node_sim(1);
+        sim.start();
+        // Steal the `LinkReady` four queued packets are waiting for.
+        assert!(matches!(sim.events.pop(), Some((TX_END, EventKind::LinkReady { .. }))));
+        assert_eq!(sim.invariant_snapshot().stalled_links, 1);
+        assert_eq!(violations(&sim), vec![crate::oracle::Violation::StalledLink { count: 1 }]);
     }
 
     #[test]
