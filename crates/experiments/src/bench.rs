@@ -23,11 +23,19 @@
 //! entries of the same workload (entries written before the field existed
 //! count as `bench-sweep`), so a scale entry landing after a bench-sweep
 //! entry never produces a bogus cross-workload delta.
+//!
+//! Nor across *machines*: every entry records where it was measured
+//! ([`machine`]: logical cores + CPU model), and the gate pairs the latest
+//! entry only with an earlier one from the same machine (entries written
+//! before the field existed match only each other), so a CI runner's entry
+//! is never read against a developer box's.
 
 use std::fs;
 use std::path::Path;
 
 use serde::Value;
+
+use crate::sweep::decode;
 
 /// The append-only perf trajectory, at the repository top level.
 pub const TRAJECTORY_PATH: &str = "BENCH_sweep.json";
@@ -49,6 +57,9 @@ pub struct BenchEntry {
     /// Which workload produced the entry ([`SWEEP_WORKLOAD`] or
     /// [`SCALE_WORKLOAD`]); the gate never compares across workloads.
     pub workload: String,
+    /// Where the entry was measured (see [`machine`]); the gate never
+    /// compares across machines.
+    pub machine: String,
     /// Scenarios in the benchmark workload.
     pub scenarios: u64,
     /// Events dispatched by the serial pass.
@@ -71,6 +82,7 @@ impl serde::Serialize for BenchEntry {
     fn to_value(&self) -> Value {
         Value::Object(vec![
             ("workload".to_owned(), Value::Str(self.workload.clone())),
+            ("machine".to_owned(), Value::Str(self.machine.clone())),
             ("scenarios".to_owned(), Value::UInt(self.scenarios)),
             ("events".to_owned(), Value::UInt(self.events)),
             ("serial_jobs".to_owned(), Value::UInt(1)),
@@ -111,14 +123,36 @@ pub fn append_entry(path: &Path, entry: Value) -> Result<usize, String> {
     Ok(len)
 }
 
+/// The machine fingerprint of this process: logical cores and CPU model as
+/// `/proc/cpuinfo` lists them, `"unknown"` where that is unreadable.
+pub fn machine() -> String {
+    fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|text| parse_cpuinfo(&text))
+        .unwrap_or_else(|| "unknown".to_owned())
+}
+
+/// `"<logical cores> x <model name>"` out of `/proc/cpuinfo` text.
+fn parse_cpuinfo(text: &str) -> Option<String> {
+    fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
+        let (k, v) = line.split_once(':')?;
+        (k.trim() == key).then(|| v.trim())
+    }
+    let cores = text.lines().filter(|l| field(l, "processor").is_some()).count();
+    let model = text.lines().find_map(|l| field(l, "model name"))?;
+    (cores > 0).then(|| format!("{cores} x {model}"))
+}
+
 /// Reads the workload tag of a trajectory entry. Entries written before
 /// the field existed are classic bench-sweep runs.
 pub fn workload_of(entry: &Value) -> &str {
-    let Value::Object(fields) = entry else { return SWEEP_WORKLOAD };
-    match fields.iter().find(|(k, _)| k == "workload").map(|(_, v)| v) {
-        Some(Value::Str(s)) => s.as_str(),
-        _ => SWEEP_WORKLOAD,
-    }
+    decode::get(entry, "workload").and_then(decode::as_str).unwrap_or(SWEEP_WORKLOAD)
+}
+
+/// Reads the machine fingerprint of a trajectory entry; `None` for entries
+/// written before the field existed, which match only each other.
+pub fn machine_of(entry: &Value) -> Option<&str> {
+    decode::get(entry, "machine").and_then(decode::as_str)
 }
 
 /// Reads the gated figure out of one trajectory entry: scenarios finished
@@ -163,14 +197,15 @@ impl BenchDelta {
 }
 
 /// Compares the last entry of a trajectory against the most recent earlier
-/// entry of the *same workload*. `Ok(None)` means there is nothing to
-/// compare yet (fewer than two entries, or no earlier entry shares the
-/// latest entry's workload); `Err` means the comparable pair exists but an
-/// entry lacks `scenarios` or a positive `serial_wall_s`.
+/// entry of the *same workload and machine*. `Ok(None)` means there is
+/// nothing to compare yet (fewer than two entries, or no earlier entry
+/// shares the latest entry's workload and machine); `Err` means the
+/// comparable pair exists but an entry lacks `scenarios` or a positive
+/// `serial_wall_s`.
 pub fn check(entries: &[Value]) -> Result<Option<BenchDelta>, String> {
     let Some((last, earlier)) = entries.split_last() else { return Ok(None) };
-    let workload = workload_of(last);
-    let Some(prev) = earlier.iter().rev().find(|e| workload_of(e) == workload) else {
+    let same = (workload_of(last), machine_of(last));
+    let Some(prev) = earlier.iter().rev().find(|e| (workload_of(e), machine_of(e)) == same) else {
         return Ok(None);
     };
     let latest = scenarios_per_sec(last)
@@ -263,6 +298,61 @@ mod tests {
     fn a_first_of_its_workload_entry_has_nothing_to_compare() {
         let t = [entry(1_000_000.0), entry(990_000.0), tagged(SCALE_WORKLOAD, 50_000.0)];
         assert_eq!(check(&t).unwrap(), None, "no earlier scale entry to compare against");
+    }
+
+    fn on(machine: &str, rate: f64) -> Value {
+        let Value::Object(mut fields) = entry(rate) else { unreachable!() };
+        fields.push(("machine".to_owned(), Value::Str(machine.to_owned())));
+        Value::Object(fields)
+    }
+
+    #[test]
+    fn the_gate_only_compares_entries_of_the_same_machine() {
+        // A CI runner's entry after two from a developer box: nothing to
+        // compare, however slow the runner is.
+        let t = [on("2 x dev", 8.0), on("2 x dev", 9.0), on("4 x ci", 1.0)];
+        assert_eq!(check(&t).unwrap(), None);
+
+        // The next dev entry skips the runner's and pairs with the last dev one.
+        let t = [on("2 x dev", 8.0), on("4 x ci", 100.0), on("2 x dev", 4.0)];
+        let delta = check(&t).unwrap().unwrap();
+        assert_eq!((delta.previous, delta.latest), (8.0, 4.0));
+        assert!(delta.regressed(20.0));
+
+        // Entries from before the field existed match only each other.
+        assert_eq!(check(&[entry(8.0), on("2 x dev", 1.0)]).unwrap(), None);
+        assert_eq!(check(&[on("2 x dev", 8.0), entry(1.0)]).unwrap(), None);
+        let t = [entry(8.0), on("2 x dev", 100.0), entry(4.0)];
+        assert_eq!(check(&t).unwrap().unwrap().previous, 8.0);
+
+        // Machine and workload must both match.
+        let Value::Object(mut fields) = on("2 x dev", 8.0) else { unreachable!() };
+        fields.push(("workload".to_owned(), Value::Str(SCALE_WORKLOAD.to_owned())));
+        assert_eq!(check(&[Value::Object(fields), on("2 x dev", 1.0)]).unwrap(), None);
+    }
+
+    #[test]
+    fn machine_is_cores_and_model_or_unknown() {
+        let cpuinfo = "processor\t: 0\nmodel name\t: Fast CPU @ 2.10GHz\nflags\t: fpu\n\n\
+                       processor\t: 1\nmodel name\t: Fast CPU @ 2.10GHz\n";
+        assert_eq!(parse_cpuinfo(cpuinfo).as_deref(), Some("2 x Fast CPU @ 2.10GHz"));
+        assert_eq!(parse_cpuinfo("processor\t: 0\nBogoMIPS\t: 50.00\n"), None, "no model line");
+        assert_eq!(parse_cpuinfo(""), None);
+        assert!(!machine().is_empty());
+        let e = BenchEntry {
+            workload: SWEEP_WORKLOAD.to_owned(),
+            machine: machine(),
+            scenarios: 1,
+            events: 1,
+            serial_wall_s: 1.0,
+            serial_events_per_sec: 1.0,
+            parallel_jobs: 2,
+            parallel_wall_s: 1.0,
+            parallel_events_per_sec: 1.0,
+            speedup: 1.0,
+        };
+        let v = serde::Serialize::to_value(&e);
+        assert_eq!(machine_of(&v), Some(machine().as_str()), "the entry carries it");
     }
 
     #[test]

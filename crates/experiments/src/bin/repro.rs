@@ -370,6 +370,7 @@ fn append_scale_bench(cli: &Cli, stats: &SweepStats) {
     }
     let entry = bench::BenchEntry {
         workload: bench::SCALE_WORKLOAD.to_owned(),
+        machine: bench::machine(),
         scenarios: stats.scenarios,
         events: stats.events,
         // One measured pass at `--jobs N`: the serial fields carry the
@@ -427,6 +428,7 @@ fn run_bench_sweep(cli: &Cli, ctx: &ExecCtx) {
     let speedup = if parallel.wall_s > 0.0 { serial.wall_s / parallel.wall_s } else { 0.0 };
     let entry = bench::BenchEntry {
         workload: bench::SWEEP_WORKLOAD.to_owned(),
+        machine: bench::machine(),
         scenarios: specs.len() as u64,
         events: serial.events_executed,
         serial_wall_s: serial.wall_s,
@@ -576,7 +578,8 @@ fn run_bench_check(cli: &Cli) -> i32 {
         Ok(None) => {
             let workload = entries.last().map(bench::workload_of).unwrap_or(bench::SWEEP_WORKLOAD);
             println!(
-                "bench-check: {} has {} entr{} but no earlier {workload:?} entry to compare — pass",
+                "bench-check: {} has {} entr{} but no earlier {workload:?} entry from the same \
+                 machine to compare — pass",
                 path.display(),
                 entries.len(),
                 if entries.len() == 1 { "y" } else { "ies" }

@@ -8,10 +8,10 @@
 //! deterministic parts of the run-health block — without re-executing
 //! anything.
 //!
-//! Robustness policy: anything unreadable (missing file, parse error, salt
-//! or hash mismatch from an older code version) is a cache miss, never an
-//! error. Writes go through a temp file + rename so a crashed run cannot
-//! leave a torn entry behind.
+//! Robustness policy: anything unreadable (missing file, parse error, salt,
+//! hash or [`WORK_REV`](crate::sweep::spec::WORK_REV) mismatch from an older
+//! code version) is a cache miss, never an error. Writes go through a temp
+//! file + rename so a crashed run cannot leave a torn entry behind.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -20,7 +20,7 @@ use netsim::telemetry::SessionStats;
 use serde::Value;
 
 use crate::sweep::decode;
-use crate::sweep::spec::{ScenarioSpec, CODE_SALT};
+use crate::sweep::spec::{ScenarioSpec, CODE_SALT, WORK_REV};
 
 /// How a sweep interacts with the cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,7 +77,7 @@ impl Cache {
     }
 
     /// Loads the cached run for `spec`, or `None` on any kind of miss
-    /// (absent, unparsable, wrong salt, wrong hash).
+    /// (absent, unparsable, wrong salt, wrong hash, wrong work revision).
     pub fn load(&self, spec: &ScenarioSpec) -> Option<CachedRun> {
         let text = fs::read_to_string(self.entry_path(spec)).ok()?;
         let v = serde_json::from_str(&text).ok()?;
@@ -85,6 +85,9 @@ impl Cache {
             return None;
         }
         if decode::get(&v, "spec_hash").and_then(decode::as_str) != Some(spec.hash_hex().as_str()) {
+            return None;
+        }
+        if decode::get(&v, "work_rev").and_then(decode::as_u64) != Some(WORK_REV) {
             return None;
         }
         let outcome = decode::get(&v, "outcome")?.clone();
@@ -130,6 +133,7 @@ impl Cache {
         let entry = Value::Object(vec![
             ("salt".to_owned(), Value::Str(CODE_SALT.to_owned())),
             ("spec_hash".to_owned(), Value::Str(spec.hash_hex())),
+            ("work_rev".to_owned(), Value::UInt(WORK_REV)),
             ("spec".to_owned(), Value::Str(spec.label())),
             ("outcome".to_owned(), run.outcome.clone()),
             (
@@ -242,7 +246,7 @@ mod tests {
     }
 
     #[test]
-    fn wrong_salt_or_hash_is_a_miss() {
+    fn wrong_salt_revision_or_hash_is_a_miss() {
         let dir = scratch("salt");
         let cache = Cache::new(&dir);
         let (s, r) = (spec(), run());
@@ -253,6 +257,18 @@ mod tests {
         assert!(cache.load(&s).is_none(), "stale salt must miss");
 
         cache.store(&s, &r);
+        let entry = fs::read_to_string(&path).unwrap();
+        let rev = format!("\"work_rev\": {WORK_REV}");
+        assert!(entry.contains(&rev), "entry carries the revision: {entry}");
+        fs::write(&path, entry.replace(&rev, "\"work_rev\": 1")).unwrap();
+        assert!(cache.load(&s).is_none(), "older work revision must miss");
+        fs::write(&path, entry.replace(&format!("{rev},"), "")).unwrap();
+        assert!(cache.load(&s).is_none(), "entry from before the revision existed must miss");
+        // The revision is not hashed: the value `spec()` had before it existed.
+        assert_eq!(s.hash_hex(), "eb3e5d5de30246ce");
+
+        cache.store(&s, &r);
+        assert!(cache.load(&s).is_some(), "re-executed once, then a hit again");
         let other = ScenarioSpec { base_seed: 9, ..s.clone() };
         assert!(cache.load(&other).is_none(), "different spec must miss");
         fs::remove_dir_all(&dir).ok();

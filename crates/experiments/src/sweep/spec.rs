@@ -25,6 +25,15 @@ use workload::TopologyModel;
 /// behavior) so stale cache entries stop matching.
 pub const CODE_SALT: &str = "tcp-pr-sweep-v1";
 
+/// Revision of what a cached run *records*, written into every cache entry
+/// and checked on load (absent or different ⇒ miss, re-execute once). Bump
+/// it when a run-health or outcome field derived from simulator internals
+/// changes meaning (`events_processed`, `peak_event_heap`, the scale suite's
+/// `bytes_per_flow`). Unlike [`CODE_SALT`] it is **not** part of
+/// [`ScenarioSpec::content_hash`]: a bump re-seeds nothing and moves no
+/// figure.
+pub const WORK_REV: u64 = 2;
+
 /// Which topology a fairness scenario runs on, with the figure's bandwidth
 /// override (None = the topology's default).
 #[derive(Debug, Clone, Copy, PartialEq)]

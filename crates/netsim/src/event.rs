@@ -8,9 +8,15 @@
 //! then [`EventQueue::schedule_reserved`] — or never): an event needed only
 //! sometimes still holds its place in the order, so leaving it out moves no
 //! other event's [`EventKey`]. The virtual `LinkReady` is built on this.
+//!
+//! The heap orders 24-byte `(at, seq, slot)` keys; the [`EventKind`]
+//! payloads (an `Arrive` carries a whole `Packet`) sit still in a slab,
+//! written once on push and read once on pop. Vacant slots hold the free
+//! list themselves, so the slab never outgrows [`EventQueue::peak_len`].
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::mem;
 
 use crate::ids::{AgentId, LinkId, NodeId};
 use crate::packet::Packet;
@@ -87,31 +93,40 @@ impl EventKind {
 /// Dispatch-order key of an event: instant, then tie-break sequence number.
 pub type EventKey = (SimTime, u64);
 
-#[derive(Debug)]
-struct Scheduled {
+/// What the heap sifts: the dispatch key plus where the payload waits.
+#[derive(Debug, Clone, Copy)]
+struct Key {
     at: SimTime,
     seq: u64,
-    kind: EventKind,
+    slot: u32,
 }
 
-impl PartialEq for Scheduled {
+impl PartialEq for Key {
     fn eq(&self, other: &Self) -> bool {
         self.at == other.at && self.seq == other.seq
     }
 }
-impl Eq for Scheduled {}
+impl Eq for Key {}
 
-impl PartialOrd for Scheduled {
+impl PartialOrd for Key {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl Ord for Scheduled {
+impl Ord for Key {
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap; invert so the earliest (time, seq) pops first.
         (other.at, other.seq).cmp(&(self.at, self.seq))
     }
+}
+
+/// One slab entry: a pending payload, or a link of the free list.
+#[derive(Debug)]
+enum Slot {
+    Full(EventKind),
+    /// Vacant; holds the next vacant slot, if any.
+    Free(Option<u32>),
 }
 
 /// Deterministic future-event list.
@@ -130,7 +145,10 @@ impl Ord for Scheduled {
 /// ```
 #[derive(Debug, Default)]
 pub struct EventQueue {
-    heap: BinaryHeap<Scheduled>,
+    heap: BinaryHeap<Key>,
+    slab: Vec<Slot>,
+    /// Head of the free list threaded through the vacant slots.
+    free: Option<u32>,
     next_seq: u64,
     last_popped_seq: u64,
     peak_len: usize,
@@ -156,7 +174,23 @@ impl EventQueue {
 
     /// Pushes `kind` under a key whose `seq` was reserved earlier.
     pub fn schedule_reserved(&mut self, (at, seq): EventKey, kind: EventKind) {
-        self.heap.push(Scheduled { at, seq, kind });
+        let slot = match self.free {
+            Some(slot) => {
+                let Slot::Free(next) =
+                    mem::replace(&mut self.slab[slot as usize], Slot::Full(kind))
+                else {
+                    unreachable!("free list points at a full slot")
+                };
+                self.free = next;
+                slot
+            }
+            None => {
+                let slot = u32::try_from(self.slab.len()).expect("over u32::MAX pending events");
+                self.slab.push(Slot::Full(kind));
+                slot
+            }
+        };
+        self.heap.push(Key { at, seq, slot });
         if self.heap.len() > self.peak_len {
             self.peak_len = self.heap.len();
         }
@@ -164,9 +198,15 @@ impl EventQueue {
 
     /// Removes and returns the earliest event, or `None` if empty.
     pub fn pop(&mut self) -> Option<(SimTime, EventKind)> {
-        let s = self.heap.pop()?;
-        self.last_popped_seq = s.seq;
-        Some((s.at, s.kind))
+        let key = self.heap.pop()?;
+        let Slot::Full(kind) =
+            mem::replace(&mut self.slab[key.slot as usize], Slot::Free(self.free))
+        else {
+            unreachable!("heap key points at a vacant slot")
+        };
+        self.free = Some(key.slot);
+        self.last_popped_seq = key.seq;
+        Some((key.at, kind))
     }
 
     /// `seq` of the event popped last (0 before the first pop).
@@ -195,26 +235,27 @@ impl EventQueue {
         self.peak_len
     }
 
-    /// In-memory footprint of one scheduled event record, bytes. Lets
-    /// harnesses convert [`EventQueue::peak_len`] (surfaced as
-    /// `peak_event_heap` in run health) into a byte figure, e.g. for
-    /// per-flow memory accounting at population scale.
+    /// In-memory footprint of one pending event, bytes: its heap key plus
+    /// its slab slot — what the event costs in memory, not the key alone
+    /// that sifts. Lets harnesses convert [`EventQueue::peak_len`]
+    /// (surfaced as `peak_event_heap` in run health) into a byte figure,
+    /// e.g. for per-flow memory accounting at population scale.
     pub fn record_bytes() -> usize {
-        std::mem::size_of::<Scheduled>()
+        mem::size_of::<Key>() + mem::size_of::<Slot>()
     }
 
     /// Number of pending [`EventKind::Arrive`] events — packets currently
     /// in flight between a link's transmitter and its far end. Used by the
-    /// conservation check in [`crate::oracle`]; O(pending events).
+    /// conservation check in [`crate::oracle`]; O(peak pending events).
     pub fn pending_arrivals(&self) -> usize {
-        self.heap.iter().filter(|s| matches!(s.kind, EventKind::Arrive { .. })).count()
+        self.slab.iter().filter(|s| matches!(s, Slot::Full(EventKind::Arrive { .. }))).count()
     }
 
     /// Links with a pending [`EventKind::LinkReady`] (for the lost-wake-up
-    /// law of [`crate::oracle`]); O(pending events).
+    /// law of [`crate::oracle`]); O(peak pending events).
     pub fn pending_link_ready(&self) -> impl Iterator<Item = LinkId> + '_ {
-        self.heap.iter().filter_map(|s| match s.kind {
-            EventKind::LinkReady { link } => Some(link),
+        self.slab.iter().filter_map(|s| match s {
+            Slot::Full(EventKind::LinkReady { link }) => Some(*link),
             _ => None,
         })
     }
@@ -302,5 +343,67 @@ mod tests {
         q.schedule(SimTime::from_nanos(4), bp());
         assert_eq!(q.peak_len(), 3, "peak is the high-water mark, not current len");
         assert_eq!(q.len(), 2);
+    }
+
+    #[test]
+    fn slots_are_recycled_never_leaked() {
+        // Saw-tooth occupancy with ties, late and never-used reserved seqs:
+        // however the run goes, the slab holds exactly the high-water mark.
+        let mut q = EventQueue::new();
+        let mut x = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut reserved = Vec::new();
+        for step in 0..5_000u64 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let at = SimTime::from_nanos(step / 8 + x % 4);
+            // Grow for 250 steps, drain for 250: every slot is reused often.
+            let pop_from = if (step / 250) % 2 == 0 { 6 } else { 3 };
+            match x % 8 {
+                r if r >= pop_from => {
+                    q.pop();
+                }
+                0 => reserved.push((at, q.reserve_seq())),
+                1 => {
+                    if let Some(key) = reserved.pop() {
+                        q.schedule_reserved(key, bp());
+                    }
+                }
+                _ => q.schedule(at, EventKind::LinkReady { link: LinkId::from_raw(step as u32) }),
+            }
+            assert_eq!(q.slab.len(), q.peak_len());
+            let full = q.slab.iter().filter(|s| matches!(s, Slot::Full(_))).count();
+            assert_eq!(full, q.len());
+        }
+        assert!((20..500).contains(&q.peak_len()), "churn, not growth: {}", q.peak_len());
+        while q.pop().is_some() {}
+        assert_eq!(q.slab.len(), q.peak_len());
+        let mut free = 0;
+        let mut next = q.free;
+        while let Some(slot) = next {
+            let Slot::Free(n) = q.slab[slot as usize] else { panic!("full slot on the free list") };
+            next = n;
+            free += 1;
+        }
+        assert_eq!(free, q.slab.len(), "every slot is back on the free list");
+    }
+
+    #[test]
+    fn default_is_a_valid_empty_queue() {
+        let mut q = EventQueue::default();
+        assert!(q.is_empty() && q.pop().is_none() && q.peek_time().is_none());
+        assert_eq!((q.peak_len(), q.last_popped_seq(), q.reserve_seq()), (0, 0, 0));
+        q.schedule(SimTime::from_nanos(2), bp());
+        q.schedule(SimTime::from_nanos(1), bp());
+        assert_eq!(q.pop().map(|(t, _)| t.as_nanos()), Some(1));
+        assert_eq!(q.last_popped_seq(), 2);
+    }
+
+    #[test]
+    fn record_bytes_is_key_plus_slot() {
+        assert_eq!(mem::size_of::<Key>(), 24, "what sifts");
+        // The free-list link rides in `EventKind`'s spare tag values.
+        assert_eq!(mem::size_of::<Slot>(), mem::size_of::<EventKind>());
+        assert_eq!(EventQueue::record_bytes(), 24 + mem::size_of::<EventKind>());
     }
 }

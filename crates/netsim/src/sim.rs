@@ -545,11 +545,15 @@ impl Simulator {
             EventKind::Timer { agent, generation } => {
                 if self.agent_meta[agent.index()].timer_generation == generation {
                     self.call_agent(agent, AgentCall::Timer);
+                } else {
+                    obs::count("timer.stale", 1);
                 }
             }
             EventKind::AuxTimer { agent, generation } => {
                 if self.agent_meta[agent.index()].aux_timer_generation == generation {
                     self.call_agent(agent, AgentCall::AuxTimer);
+                } else {
+                    obs::count("aux_timer.stale", 1);
                 }
             }
             EventKind::InstallRoute { src, dst, route } => {

@@ -1,0 +1,197 @@
+//! Model-based equivalence test of `netsim::event::EventQueue`.
+//!
+//! The queue heaps small keys over a slab of payloads; the reference here is
+//! the layout it replaced — one `BinaryHeap` of whole `(at, seq, payload)`
+//! records. Random interleavings of `schedule`, `reserve_seq` with a late or
+//! never-coming `schedule_reserved`, and `pop` must be indistinguishable
+//! through the public API after every step.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+use proptest::prelude::*;
+
+use netsim::event::{EventKind, EventQueue};
+use netsim::ids::{AgentId, FlowId, LinkId, NodeId};
+use netsim::packet::{AckHeader, Packet, PacketKind};
+use netsim::time::SimTime;
+
+/// What a payload is reduced to for comparison; `u32` identifies the push.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Tag {
+    Arrive(u32),
+    LinkReady(u32),
+    Timer(u32),
+}
+
+impl Tag {
+    /// One in three pushes of each kind, so both oracle scans see a mix.
+    fn new(id: u32) -> Tag {
+        match id % 3 {
+            0 => Tag::Arrive(id),
+            1 => Tag::LinkReady(id),
+            _ => Tag::Timer(id),
+        }
+    }
+
+    fn event(self) -> EventKind {
+        match self {
+            // An ACK with a SACK block: the payload owns heap memory, so a
+            // slot handed out twice or dropped early would show.
+            Tag::Arrive(id) => EventKind::Arrive {
+                node: NodeId::from_raw(id),
+                packet: Packet {
+                    uid: u64::from(id),
+                    flow: FlowId::from_raw(0),
+                    src: NodeId::from_raw(0),
+                    dst: NodeId::from_raw(1),
+                    size_bytes: 40,
+                    kind: PacketKind::Ack(AckHeader {
+                        cum_ack: 0,
+                        sack: vec![(u64::from(id), u64::from(id) + 1)],
+                        dsack: None,
+                        echo_timestamp: SimTime::ZERO,
+                        echo_tx_count: 1,
+                        dup: false,
+                    }),
+                    injected_at: SimTime::ZERO,
+                    hops: 0,
+                    route: None,
+                },
+            },
+            Tag::LinkReady(id) => EventKind::LinkReady { link: LinkId::from_raw(id) },
+            Tag::Timer(id) => {
+                EventKind::Timer { agent: AgentId::from_raw(id), generation: u64::from(id) }
+            }
+        }
+    }
+
+    fn of(kind: &EventKind) -> Tag {
+        match kind {
+            EventKind::Arrive { node, packet } => {
+                let id = node.index() as u32;
+                let sack = &packet.kind.as_ack().expect("only ACKs are scheduled").sack;
+                assert_eq!(
+                    (packet.uid, &sack[..]),
+                    (u64::from(id), &[(u64::from(id), u64::from(id) + 1)][..])
+                );
+                Tag::Arrive(id)
+            }
+            EventKind::LinkReady { link } => Tag::LinkReady(link.index() as u32),
+            EventKind::Timer { agent, generation } => {
+                assert_eq!(*generation, agent.index() as u64);
+                Tag::Timer(agent.index() as u32)
+            }
+            other => panic!("never scheduled: {other:?}"),
+        }
+    }
+}
+
+/// The replaced layout: whole records in the heap. `seq` is unique, so the
+/// derived order on the tuple is the `(at, seq)` order.
+#[derive(Default)]
+struct Model {
+    heap: BinaryHeap<Reverse<(u64, u64, Tag)>>,
+    next_seq: u64,
+    last_popped_seq: u64,
+    peak_len: usize,
+}
+
+impl Model {
+    fn reserve_seq(&mut self) -> u64 {
+        self.next_seq += 1;
+        self.next_seq - 1
+    }
+
+    fn schedule_reserved(&mut self, at: u64, seq: u64, tag: Tag) {
+        self.heap.push(Reverse((at, seq, tag)));
+        self.peak_len = self.peak_len.max(self.heap.len());
+    }
+
+    fn pop(&mut self) -> Option<(u64, Tag)> {
+        let Reverse((at, seq, tag)) = self.heap.pop()?;
+        self.last_popped_seq = seq;
+        Some((at, tag))
+    }
+
+    fn pending(&self) -> impl Iterator<Item = Tag> + '_ {
+        self.heap.iter().map(|Reverse((_, _, tag))| *tag)
+    }
+}
+
+proptest! {
+    /// Every observable of the queue equals the model's after every step.
+    #[test]
+    fn slab_queue_matches_whole_record_heap(
+        ops in proptest::collection::vec((0u8..16, 0u64..3), 400..2500),
+        period in 16usize..200,
+    ) {
+        let mut q = EventQueue::default();
+        let mut m = Model::default();
+        // Reserved keys not yet pushed, as (at, seq); some never are.
+        let mut reserved: Vec<(u64, u64)> = Vec::new();
+        let mut clock = 0u64;
+        let mut pushes = 0u32;
+        for (i, (op, dt)) in ops.into_iter().enumerate() {
+            // Few distinct instants: nearly every push ties with another.
+            let at = clock + dt;
+            // Fill for `period` steps, drain for the next: occupancy saws
+            // between empty and its peak, so every slot is reused many times.
+            let pop_from = if (i / period) % 2 == 0 { 11 } else { 5 };
+            match op {
+                op if op >= pop_from => {
+                    let got = q.pop().map(|(t, kind)| (t.as_nanos(), Tag::of(&kind)));
+                    prop_assert_eq!(got, m.pop());
+                    if let Some((t, _)) = got {
+                        clock = t;
+                    }
+                }
+                0 => {
+                    let seq = q.reserve_seq();
+                    prop_assert_eq!(seq, m.reserve_seq());
+                    reserved.push((at, seq));
+                }
+                // Late: other events were pushed and popped since the reserve,
+                // and `at` may already lie behind the clock.
+                1 | 2 if !reserved.is_empty() => {
+                    let (at, seq) = reserved.swap_remove(usize::from(op) % reserved.len());
+                    let tag = Tag::new(pushes);
+                    pushes += 1;
+                    q.schedule_reserved((SimTime::from_nanos(at), seq), tag.event());
+                    m.schedule_reserved(at, seq, tag);
+                }
+                _ => {
+                    let tag = Tag::new(pushes);
+                    pushes += 1;
+                    q.schedule(SimTime::from_nanos(at), tag.event());
+                    let seq = m.reserve_seq();
+                    m.schedule_reserved(at, seq, tag);
+                }
+            }
+            prop_assert_eq!(q.len(), m.heap.len());
+            prop_assert_eq!(q.is_empty(), m.heap.is_empty());
+            prop_assert_eq!(q.peek_time().map(SimTime::as_nanos), m.heap.peek().map(|r| r.0.0));
+            prop_assert_eq!(q.last_popped_seq(), m.last_popped_seq);
+            prop_assert_eq!(q.peak_len(), m.peak_len);
+            prop_assert_eq!(
+                q.pending_arrivals(),
+                m.pending().filter(|t| matches!(t, Tag::Arrive(_))).count()
+            );
+            let mut woken: Vec<usize> = q.pending_link_ready().map(|l| l.index()).collect();
+            let mut expect: Vec<usize> = m
+                .pending()
+                .filter_map(|t| if let Tag::LinkReady(id) = t { Some(id as usize) } else { None })
+                .collect();
+            woken.sort_unstable();
+            expect.sort_unstable();
+            prop_assert_eq!(woken, expect);
+        }
+        // Slots were reused, not appended: far more pushes than the peak.
+        prop_assert!(pushes as usize > 3 * q.peak_len(), "{pushes} pushes, peak {}", q.peak_len());
+        // Drain: the tail of the pop sequence agrees too.
+        while let Some((t, kind)) = q.pop() {
+            prop_assert_eq!(Some((t.as_nanos(), Tag::of(&kind))), m.pop());
+        }
+        prop_assert!(m.pop().is_none());
+    }
+}
