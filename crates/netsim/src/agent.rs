@@ -52,6 +52,10 @@ impl<'a> AgentCtx<'a> {
 
     /// Arms the agent's single timer to fire at `at` (replacing any pending
     /// timer). Timers strictly in the past fire at the current instant.
+    ///
+    /// Re-arming on every ACK is cheap: the deadline takes its place in the
+    /// event order here, but enters the queue only if it falls before the
+    /// pop the timer already has pending (DESIGN.md §2 "One pop per timer").
     pub fn set_timer(&mut self, at: SimTime) {
         self.actions.push(AgentAction::SetTimer(at));
     }

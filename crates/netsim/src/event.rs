@@ -41,7 +41,9 @@ pub enum EventKind {
     Timer {
         /// The agent whose timer fires.
         agent: AgentId,
-        /// Timer generation; lets the simulator discard superseded timers.
+        /// The tie-break `seq` this pop was reserved under when its deadline
+        /// was armed; with the instant it is the key the simulator matches
+        /// against the agent's timer slot to tell the live pop from orphans.
         generation: u64,
     },
     /// An agent's auxiliary timer fires (second, independent timer slot —
@@ -49,7 +51,7 @@ pub enum EventKind {
     AuxTimer {
         /// The agent whose auxiliary timer fires.
         agent: AgentId,
-        /// Auxiliary-timer generation; superseded timers are discarded.
+        /// Reserved `seq` of this pop, as for [`EventKind::Timer`].
         generation: u64,
     },
     /// A scheduled routing change takes effect (models route flaps and
@@ -256,6 +258,16 @@ impl EventQueue {
     pub fn pending_link_ready(&self) -> impl Iterator<Item = LinkId> + '_ {
         self.slab.iter().filter_map(|s| match s {
             Slot::Full(EventKind::LinkReady { link }) => Some(*link),
+            _ => None,
+        })
+    }
+
+    /// The `generation` of every pending timer pop, main or auxiliary (for
+    /// the lost-timer law of [`crate::oracle`]); O(peak pending events).
+    pub fn pending_timers(&self) -> impl Iterator<Item = u64> + '_ {
+        self.slab.iter().filter_map(|s| match s {
+            Slot::Full(EventKind::Timer { generation, .. })
+            | Slot::Full(EventKind::AuxTimer { generation, .. }) => Some(*generation),
             _ => None,
         })
     }

@@ -1,5 +1,5 @@
 //! Sim-core invariant oracle: packet conservation, event-time
-//! monotonicity and no lost link wake-ups.
+//! monotonicity and no lost wake-ups, of links or of timers.
 //!
 //! The simulator keeps exact counters for every way a packet can leave the
 //! system (delivery, the four drop classes) and for every way one can enter
@@ -19,7 +19,12 @@
 //! panicking) and its wake-up law: a link's end-of-serialization
 //! `LinkReady` is pushed only once a packet waits for it, so between events
 //! every up link that holds packets must have one pending — otherwise the
-//! queue is never served again. The adversary's `oracle` objective
+//! queue is never served again. Timers obey the same law: an armed deadline
+//! is pushed only if it falls below the pop its slot already has pending,
+//! so between events every armed timer must have a pop in the queue keyed
+//! at or below its deadline — otherwise the callback never runs (and a
+//! `pending` pop that is not in the queue would swallow the next arm).
+//! The adversary's `oracle` objective
 //! minimizes the negated violation count, i.e. it actively searches the
 //! impairment/admin-schedule space for scenarios that break a law.
 //!
@@ -66,6 +71,10 @@ pub struct Snapshot {
     /// Links that are up and hold waiting packets with no `LinkReady`
     /// pending to serve them.
     pub stalled_links: u64,
+    /// Timer slots (main and auxiliary, every agent) that are armed with
+    /// no pop pending at or below the deadline, or whose pending pop is
+    /// not in the queue.
+    pub lost_timers: u64,
 }
 
 impl Snapshot {
@@ -107,6 +116,11 @@ pub enum Violation {
         /// How many links are stalled.
         count: u64,
     },
+    /// A timer's wake-up was lost: its callback will never run.
+    LostTimer {
+        /// How many timer slots lost their pop.
+        count: u64,
+    },
 }
 
 impl Violation {
@@ -121,6 +135,9 @@ impl Violation {
             }
             Violation::StalledLink { count } => {
                 format!("{count} up link(s) hold packets with no LinkReady pending")
+            }
+            Violation::LostTimer { count } => {
+                format!("{count} timer(s) have no pop pending at or below the armed deadline")
             }
         }
     }
@@ -138,6 +155,9 @@ pub fn check(s: &Snapshot) -> Vec<Violation> {
     }
     if s.stalled_links > 0 {
         violations.push(Violation::StalledLink { count: s.stalled_links });
+    }
+    if s.lost_timers > 0 {
+        violations.push(Violation::LostTimer { count: s.lost_timers });
     }
     violations
 }

@@ -1,6 +1,6 @@
 //! The simulator: topology construction, event dispatch, agent hosting.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -137,12 +137,98 @@ impl SimBuilder {
     }
 }
 
+/// Which of an agent's two timers; indexes `AgentMeta::timers` and
+/// [`TIMER_KEYS`].
+#[derive(Debug, Clone, Copy)]
+enum TimerId {
+    Main,
+    Aux,
+}
+
+/// Profiler keys per [`TimerId`]: arm lead time, then the pops that did not
+/// fire (`event.timer` / `event.aux_timer` less these two is the fires).
+const TIMER_KEYS: [[&str; 3]; 2] = [
+    ["timer.lead_ns", "timer.deferred", "timer.stale"],
+    ["aux_timer.lead_ns", "aux_timer.deferred", "aux_timer.stale"],
+];
+
+impl TimerId {
+    fn event(self, agent: AgentId, generation: u64) -> EventKind {
+        match self {
+            TimerId::Main => EventKind::Timer { agent, generation },
+            TimerId::Aux => EventKind::AuxTimer { agent, generation },
+        }
+    }
+}
+
+/// What a timer pop turned out to be (see [`TimerSlot::pop`]).
+#[derive(Debug, PartialEq, Eq)]
+enum TimerPop {
+    /// The armed deadline: run the callback.
+    Fire,
+    /// The deadline moved later while this pop waited: push its reserved key.
+    Defer(EventKey),
+    /// An orphan, or the pop of a cancelled timer: nothing to do.
+    Stale,
+}
+
+/// One agent timer with at most one useful pop in the queue (DESIGN.md §2
+/// "One pop per timer"). Every arm takes its key `(fire_at, seq)` exactly
+/// where an eager push would, so the callback keeps its place in the event
+/// order; the key is pushed only if it falls below the pop already waiting.
+/// Invariant between events: `armed ⇒ pending ≤ armed`, and `pending` is
+/// in the queue.
+#[derive(Debug, Default)]
+struct TimerSlot {
+    /// Key the callback is due at, if the timer is armed.
+    armed: Option<EventKey>,
+    /// Key of the pop in the queue that will look at `armed` next.
+    pending: Option<EventKey>,
+}
+
+impl TimerSlot {
+    /// Arms the timer for `key`; true if the caller must push a pop under it.
+    fn arm(&mut self, key: EventKey) -> bool {
+        self.armed = Some(key);
+        let push = self.pending.is_none_or(|pending| key < pending);
+        if push {
+            // A pop left waiting above `key` is an orphan from here on.
+            self.pending = Some(key);
+        }
+        push
+    }
+
+    /// Classifies the pop dispatched under `key` and moves the slot on.
+    fn pop(&mut self, key: EventKey) -> TimerPop {
+        if self.pending != Some(key) {
+            return TimerPop::Stale;
+        }
+        if self.armed == Some(key) {
+            *self = TimerSlot::default();
+            return TimerPop::Fire;
+        }
+        self.pending = self.armed;
+        self.armed.map_or(TimerPop::Stale, TimerPop::Defer)
+    }
+
+    /// True if the wake-up is lost; `queued` holds the `seq` of every
+    /// timer pop in the queue.
+    fn lost(&self, queued: &HashSet<u64>) -> bool {
+        match self.pending {
+            Some(pending) => {
+                !queued.contains(&pending.1) || self.armed.is_some_and(|armed| pending > armed)
+            }
+            None => self.armed.is_some(),
+        }
+    }
+}
+
 #[derive(Debug)]
 struct AgentMeta {
     node: NodeId,
     flow: FlowId,
-    timer_generation: u64,
-    aux_timer_generation: u64,
+    /// Indexed by [`TimerId`].
+    timers: [TimerSlot; 2],
 }
 
 /// A deterministic packet-level discrete-event network simulator.
@@ -329,6 +415,8 @@ impl Simulator {
             woken[link.index()] = true;
         }
         let stalled = self.links.iter().zip(woken).filter(|(l, w)| l.up && l.queued() > 0 && !w);
+        let queued: HashSet<u64> = self.events.pending_timers().collect();
+        let lost = self.agent_meta.iter().flat_map(|m| &m.timers).filter(|t| t.lost(&queued));
         crate::oracle::Snapshot {
             injected: self.stats.injected,
             duplicated: self.stats.impair_dups,
@@ -341,6 +429,7 @@ impl Simulator {
             in_flight: self.events.pending_arrivals() as u64,
             time_regressions: self.stats.time_regressions,
             stalled_links: stalled.count() as u64,
+            lost_timers: lost.count() as u64,
         }
     }
 
@@ -435,12 +524,7 @@ impl Simulator {
         let prev = self.node_agents[node.index()].insert(flow, id);
         assert!(prev.is_none(), "flow {flow} already has an agent at {node}");
         self.agents.push(Some(agent));
-        self.agent_meta.push(AgentMeta {
-            node,
-            flow,
-            timer_generation: 0,
-            aux_timer_generation: 0,
-        });
+        self.agent_meta.push(AgentMeta { node, flow, timers: Default::default() });
         id
     }
 
@@ -543,18 +627,10 @@ impl Simulator {
                 self.link_try_transmit(link);
             }
             EventKind::Timer { agent, generation } => {
-                if self.agent_meta[agent.index()].timer_generation == generation {
-                    self.call_agent(agent, AgentCall::Timer);
-                } else {
-                    obs::count("timer.stale", 1);
-                }
+                self.timer_pop(agent, TimerId::Main, generation);
             }
             EventKind::AuxTimer { agent, generation } => {
-                if self.agent_meta[agent.index()].aux_timer_generation == generation {
-                    self.call_agent(agent, AgentCall::AuxTimer);
-                } else {
-                    obs::count("aux_timer.stale", 1);
-                }
+                self.timer_pop(agent, TimerId::Aux, generation);
             }
             EventKind::InstallRoute { src, dst, route } => {
                 self.routing.set_multipath(src, dst, *route);
@@ -798,8 +874,8 @@ impl Simulator {
             match call {
                 AgentCall::Start => agent.on_start(&mut ctx),
                 AgentCall::Packet(p) => agent.on_packet(p, &mut ctx),
-                AgentCall::Timer => agent.on_timer(&mut ctx),
-                AgentCall::AuxTimer => agent.on_aux_timer(&mut ctx),
+                AgentCall::Timer(TimerId::Main) => agent.on_timer(&mut ctx),
+                AgentCall::Timer(TimerId::Aux) => agent.on_aux_timer(&mut ctx),
             }
         }
         self.agents[id.index()] = Some(agent);
@@ -817,32 +893,38 @@ impl Simulator {
             AgentAction::Send { dst, size_bytes, kind } => {
                 self.inject(node, flow, dst, size_bytes, kind);
             }
-            AgentAction::SetTimer(at) => {
-                let meta = &mut self.agent_meta[id.index()];
-                meta.timer_generation += 1;
-                let fire_at = at.max(self.now);
-                obs::observe("timer.lead_ns", fire_at.saturating_since(self.now).as_nanos());
-                self.events.schedule(
-                    fire_at,
-                    EventKind::Timer { agent: id, generation: meta.timer_generation },
-                );
+            AgentAction::SetTimer(at) => self.arm_timer(id, TimerId::Main, at),
+            AgentAction::CancelTimer => self.timer_slot(id, TimerId::Main).armed = None,
+            AgentAction::SetAuxTimer(at) => self.arm_timer(id, TimerId::Aux, at),
+            AgentAction::CancelAuxTimer => self.timer_slot(id, TimerId::Aux).armed = None,
+        }
+    }
+
+    fn timer_slot(&mut self, agent: AgentId, timer: TimerId) -> &mut TimerSlot {
+        &mut self.agent_meta[agent.index()].timers[timer as usize]
+    }
+
+    fn arm_timer(&mut self, agent: AgentId, timer: TimerId, at: SimTime) {
+        let fire_at = at.max(self.now);
+        let lead_ns = fire_at.saturating_since(self.now).as_nanos();
+        obs::observe(TIMER_KEYS[timer as usize][0], lead_ns);
+        // The deadline takes its place in the event order here, pushed or not.
+        let key = (fire_at, self.events.reserve_seq());
+        if self.timer_slot(agent, timer).arm(key) {
+            self.events.schedule_reserved(key, timer.event(agent, key.1));
+        }
+    }
+
+    fn timer_pop(&mut self, agent: AgentId, timer: TimerId, seq: u64) {
+        let [_, deferred, stale] = TIMER_KEYS[timer as usize];
+        let key = (self.now, seq);
+        match self.timer_slot(agent, timer).pop(key) {
+            TimerPop::Fire => self.call_agent(agent, AgentCall::Timer(timer)),
+            TimerPop::Defer(key) => {
+                obs::count(deferred, 1);
+                self.events.schedule_reserved(key, timer.event(agent, key.1));
             }
-            AgentAction::CancelTimer => {
-                self.agent_meta[id.index()].timer_generation += 1;
-            }
-            AgentAction::SetAuxTimer(at) => {
-                let meta = &mut self.agent_meta[id.index()];
-                meta.aux_timer_generation += 1;
-                let fire_at = at.max(self.now);
-                obs::observe("aux_timer.lead_ns", fire_at.saturating_since(self.now).as_nanos());
-                self.events.schedule(
-                    fire_at,
-                    EventKind::AuxTimer { agent: id, generation: meta.aux_timer_generation },
-                );
-            }
-            AgentAction::CancelAuxTimer => {
-                self.agent_meta[id.index()].aux_timer_generation += 1;
-            }
+            TimerPop::Stale => obs::count(stale, 1),
         }
     }
 
@@ -893,8 +975,7 @@ impl Drop for Simulator {
 enum AgentCall {
     Start,
     Packet(Packet),
-    Timer,
-    AuxTimer,
+    Timer(TimerId),
 }
 
 #[cfg(test)]
@@ -1417,6 +1498,138 @@ mod tests {
         assert_eq!(agent.aux_fired, 1);
     }
 
+    fn key(at_ns: u64, seq: u64) -> EventKey {
+        (SimTime::from_nanos(at_ns), seq)
+    }
+
+    #[test]
+    fn timer_slot_pushes_only_below_the_pending_pop() {
+        let mut slot = TimerSlot::default();
+        assert!(slot.arm(key(10, 0)), "nothing pending: push");
+        assert!(!slot.arm(key(20, 1)), "later than the pending pop: ride on it");
+        assert!(!slot.arm(key(10, 2)), "same instant, later seq: still above it");
+        assert_eq!((slot.armed, slot.pending), (Some(key(10, 2)), Some(key(10, 0))));
+        assert!(slot.arm(key(5, 3)), "earlier: push, orphaning the old pop");
+        assert_eq!((slot.armed, slot.pending), (Some(key(5, 3)), Some(key(5, 3))));
+        assert!(!slot.arm(key(5, 3)), "a pop is already pending at that very key");
+    }
+
+    #[test]
+    fn timer_slot_pop_fires_defers_or_discards() {
+        let mut slot = TimerSlot::default();
+        // The pending pop is the armed deadline: fire, and the slot is empty.
+        slot.arm(key(10, 0));
+        assert_eq!(slot.pop(key(10, 0)), TimerPop::Fire);
+        assert_eq!((slot.armed, slot.pending), (None, None));
+        // The deadline moved later (twice) behind the pop: one re-push, under
+        // the key the last arm reserved, and that one fires.
+        slot.arm(key(10, 1));
+        slot.arm(key(30, 2));
+        slot.arm(key(20, 3));
+        assert_eq!(slot.pop(key(10, 1)), TimerPop::Defer(key(20, 3)));
+        assert_eq!(slot.pending, Some(key(20, 3)));
+        assert_eq!(slot.pop(key(20, 3)), TimerPop::Fire);
+        // The deadline moved earlier: the old pop is an orphan, and leaves
+        // whatever was armed since alone.
+        slot.arm(key(50, 4));
+        slot.arm(key(40, 5));
+        assert_eq!(slot.pop(key(40, 5)), TimerPop::Fire);
+        slot.arm(key(60, 6));
+        assert_eq!(slot.pop(key(50, 4)), TimerPop::Stale);
+        assert_eq!((slot.armed, slot.pending), (Some(key(60, 6)), Some(key(60, 6))));
+        // Cancelled: the pop finds nothing and clears `pending`, so the
+        // next arm pushes again.
+        slot.armed = None;
+        assert_eq!(slot.pop(key(60, 6)), TimerPop::Stale);
+        assert_eq!((slot.armed, slot.pending), (None, None));
+        assert!(slot.arm(key(70, 7)));
+        // Cancelled and re-armed before the pop came: it rides on that pop.
+        slot.armed = None;
+        assert!(!slot.arm(key(80, 8)));
+        assert_eq!(slot.pop(key(70, 7)), TimerPop::Defer(key(80, 8)));
+    }
+
+    #[test]
+    fn timer_slot_knows_a_lost_wake_up() {
+        let lost = |armed, pending, queued: &[u64]| {
+            TimerSlot { armed, pending }.lost(&queued.iter().copied().collect())
+        };
+        assert!(!lost(None, None, &[]), "idle");
+        assert!(!lost(Some(key(10, 0)), Some(key(10, 0)), &[0]), "pushed");
+        assert!(!lost(Some(key(20, 1)), Some(key(10, 0)), &[0]), "riding on an earlier pop");
+        assert!(!lost(None, Some(key(10, 0)), &[0]), "cancelled, pop still to come");
+        assert!(lost(Some(key(10, 0)), None, &[0]), "armed, nothing pending");
+        assert!(lost(Some(key(10, 1)), Some(key(20, 0)), &[0]), "pending above the deadline");
+        assert!(lost(Some(key(20, 1)), Some(key(10, 0)), &[1]), "pending pop not queued");
+        assert!(lost(None, Some(key(10, 0)), &[]), "a phantom pop would swallow an arm");
+    }
+
+    /// Arms the main timer for each of `arm_ms` in turn from `on_start`;
+    /// records when it fires.
+    struct ArmOnStart {
+        arm_ms: Vec<u64>,
+        fired: Vec<SimTime>,
+    }
+
+    impl Agent for ArmOnStart {
+        fn on_start(&mut self, ctx: &mut AgentCtx<'_>) {
+            for &ms in &self.arm_ms {
+                ctx.set_timer(ctx.now + SimDuration::from_millis(ms));
+            }
+        }
+        fn on_packet(&mut self, _p: Packet, _ctx: &mut AgentCtx<'_>) {}
+        fn on_timer(&mut self, ctx: &mut AgentCtx<'_>) {
+            self.fired.push(ctx.now);
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    fn arm_on_start_sim(arm_ms: &[u64]) -> (Simulator, AgentId) {
+        let mut b = SimBuilder::new(0);
+        let a = b.add_node();
+        let mut sim = b.build();
+        let agent = ArmOnStart { arm_ms: arm_ms.to_vec(), fired: Vec::new() };
+        let id = sim.add_agent(a, FlowId::from_raw(0), Box::new(agent));
+        (sim, id)
+    }
+
+    #[test]
+    fn re_armed_timer_keeps_one_pop_in_the_queue() {
+        // Four arms, each later than the first: one pop pushed, one re-push
+        // when it comes, then the fire — where eager pushing popped four.
+        let (mut sim, id) = arm_on_start_sim(&[10, 40, 20, 30]);
+        sim.start();
+        assert_eq!(sim.events.len(), 1);
+        sim.run_until(SimTime::from_secs_f64(1.0));
+        let fired = &sim.agent(id).as_any().downcast_ref::<ArmOnStart>().unwrap().fired;
+        assert_eq!(*fired, [SimTime::from_nanos(30_000_000)]);
+        assert_eq!((sim.stats.events, sim.event_heap_peak()), (2, 1));
+        // Moving the deadline earlier has to push: the old pop is orphaned.
+        let (mut sim, id) = arm_on_start_sim(&[30, 10]);
+        sim.run_until(SimTime::from_secs_f64(1.0));
+        let fired = &sim.agent(id).as_any().downcast_ref::<ArmOnStart>().unwrap().fired;
+        assert_eq!(*fired, [SimTime::from_nanos(10_000_000)]);
+        assert_eq!((sim.stats.events, sim.event_heap_peak()), (2, 2));
+    }
+
+    #[test]
+    fn oracle_reports_a_lost_timer() {
+        let (mut sim, _) = arm_on_start_sim(&[10, 20]);
+        sim.start();
+        assert_eq!(violations(&sim), Vec::new(), "armed for 20 ms behind the 10 ms pop");
+        // Steal the pop the armed deadline is riding on.
+        assert!(matches!(sim.events.pop(), Some((_, EventKind::Timer { generation: 0, .. }))));
+        assert_eq!(sim.invariant_snapshot().lost_timers, 1);
+        let found = violations(&sim);
+        assert_eq!(found, vec![crate::oracle::Violation::LostTimer { count: 1 }]);
+        assert!(found[0].describe().contains("no pop pending"));
+    }
+
     #[test]
     fn scheduled_route_pin_switches_paths_mid_run() {
         // Diamond with two equal paths; pin to path 0, then flap to path 1
@@ -1576,11 +1789,18 @@ mod tests {
         {
             let (mut sim, _, _, _, _) = two_node_sim(1);
             sim.run_until(SimTime::from_secs_f64(1.0));
+            // One deadline moved later three times, one moved earlier: four
+            // pops for the two callbacks, the other two accounted for.
+            arm_on_start_sim(&[10, 40, 20, 30]).0.run_until(SimTime::from_secs_f64(1.0));
+            arm_on_start_sim(&[30, 10]).0.run_until(SimTime::from_secs_f64(1.0));
         }
         let report = obs::take();
         obs::disable();
+        let timer_pops =
+            ["event.timer", "timer.deferred", "timer.stale"].map(|k| report.counters[k]);
+        assert_eq!(timer_pops, [4, 1, 1], "fires = pops - deferred - stale = 2");
         assert!(report.counters.get("event.arrive").copied().unwrap_or(0) > 0);
-        assert_eq!(report.counters.get("sim.completed").copied(), Some(1));
+        assert_eq!(report.counters.get("sim.completed").copied(), Some(3));
         assert!(report.sim_histograms.get("event.heap_depth").map_or(0, |h| h.total()) > 0);
         assert!(report.gauges.get("event.heap_peak").copied().unwrap_or(0) > 0);
     }

@@ -5,7 +5,7 @@
 //! [`attach_flow`] helper wires a sender/receiver pair onto a topology.
 
 use std::any::Any;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 use netsim::agent::{Agent, AgentCtx};
 use netsim::ids::{AgentId, FlowId, NodeId};
@@ -62,6 +62,50 @@ impl Default for FlowOptions {
     }
 }
 
+/// How many times each segment has been sent, in state bounded by the
+/// window: dense counts from the cumulative ACK upward, pruned as it
+/// advances. A pruned segment counts 1 unless `sparse` says otherwise.
+#[derive(Debug, Default)]
+struct TxCounts {
+    /// Segment `dense[0]` counts: the cumulative ACK, or one past the
+    /// highest segment sent if the ACK ran ahead of that.
+    base: u64,
+    /// Counts of `base..`; zero for a number skipped so far.
+    dense: VecDeque<u32>,
+    /// Pruned segments whose count is not 1 (retransmitted, or skipped),
+    /// and whatever is sent below `base` afterwards.
+    sparse: HashMap<u64, u32>,
+}
+
+impl TxCounts {
+    /// Counts one more transmission of `seq` and returns the new count.
+    fn bump(&mut self, seq: u64) -> u32 {
+        let count = match seq.checked_sub(self.base) {
+            Some(i) => {
+                let i = usize::try_from(i).expect("segment is within a window of the ACK point");
+                if i >= self.dense.len() {
+                    self.dense.resize(i + 1, 0);
+                }
+                &mut self.dense[i]
+            }
+            None => self.sparse.entry(seq).or_insert(1),
+        };
+        *count += 1;
+        *count
+    }
+
+    /// Forgets the segments below `cum_ack` that were sent exactly once.
+    fn prune(&mut self, cum_ack: u64) {
+        while self.base < cum_ack {
+            let Some(count) = self.dense.pop_front() else { break };
+            if count != 1 {
+                self.sparse.insert(self.base, count);
+            }
+            self.base += 1;
+        }
+    }
+}
+
 /// A sender endpoint: hosts a [`TcpSenderAlgo`] on a node.
 #[derive(Debug)]
 pub struct SenderHost<S> {
@@ -70,7 +114,7 @@ pub struct SenderHost<S> {
     mss: u32,
     start_at: SimTime,
     started: bool,
-    tx_counts: HashMap<u64, u32>,
+    tx_counts: TxCounts,
     stats: SenderStats,
     trace_cwnd: bool,
     cwnd_trace: Vec<(SimTime, f64)>,
@@ -87,7 +131,7 @@ impl<S: TcpSenderAlgo> SenderHost<S> {
             mss: opts.mss,
             start_at: opts.start_at,
             started: false,
-            tx_counts: HashMap::new(),
+            tx_counts: TxCounts::default(),
             stats: SenderStats::default(),
             trace_cwnd: opts.trace_cwnd,
             cwnd_trace: Vec::new(),
@@ -171,8 +215,7 @@ impl<S: TcpSenderAlgo> SenderHost<S> {
     }
 
     fn send_segment(&mut self, ctx: &mut AgentCtx<'_>, t: Transmission) {
-        let count = self.tx_counts.entry(t.seq).or_insert(0);
-        *count += 1;
+        let tx_count = self.tx_counts.bump(t.seq);
         self.stats.segments_sent += 1;
         if t.is_retransmit {
             self.stats.retransmits += 1;
@@ -183,7 +226,7 @@ impl<S: TcpSenderAlgo> SenderHost<S> {
             PacketKind::Data(DataHeader {
                 seq: t.seq,
                 is_retransmit: t.is_retransmit,
-                tx_count: *count,
+                tx_count,
                 timestamp: ctx.now,
             }),
         );
@@ -206,6 +249,7 @@ impl<S: TcpSenderAlgo + 'static> Agent for SenderHost<S> {
         }
         self.stats.acks_received += 1;
         self.stats.last_cum_ack = self.stats.last_cum_ack.max(h.cum_ack);
+        self.tx_counts.prune(self.stats.last_cum_ack);
         let ack = AckEvent {
             cum_ack: h.cum_ack,
             sack: h.sack,
@@ -442,6 +486,64 @@ mod tests {
 
     fn fixed(window: usize) -> FixedWindowSender {
         FixedWindowSender::new(window, SimDuration::from_secs(2))
+    }
+
+    proptest::proptest! {
+        /// Every send returns what a map that never forgets would return.
+        #[test]
+        fn tx_counts_match_a_map_of_every_segment_ever_sent(
+            ops in proptest::collection::vec((0u8..10, 0u64..40), 200..1500),
+        ) {
+            let mut counts = TxCounts::default();
+            let mut reference: HashMap<u64, u32> = HashMap::new();
+            let (mut cum_ack, mut next) = (0u64, 0u64);
+            for (op, k) in ops {
+                let seq = match op {
+                    // In order, at the ACK point (a retransmission, usually),
+                    // anywhere in the window, far above it, below it.
+                    0..=3 => next,
+                    4 => cum_ack,
+                    5 => cum_ack + k % (next - cum_ack.min(next) + 1),
+                    6 => cum_ack.max(next) + k * 7,
+                    7 => cum_ack.saturating_sub(k + 1),
+                    // The ACK advances — now and then over numbers never sent.
+                    _ => {
+                        cum_ack += if k == 0 { 50 } else { k % 8 };
+                        counts.prune(cum_ack);
+                        continue;
+                    }
+                };
+                next = next.max(seq + 1);
+                let expected = reference.entry(seq).or_insert(0);
+                *expected += 1;
+                proptest::prop_assert_eq!(counts.bump(seq), *expected, "segment {}", seq);
+            }
+        }
+    }
+
+    #[test]
+    fn tx_counts_stay_bounded_by_window_and_retransmissions() {
+        let mut counts = TxCounts::default();
+        let (window, mut retransmitted) = (64u64, 0usize);
+        for seq in 0..100_000u64 {
+            assert_eq!(counts.bump(seq), 1);
+            if seq >= window {
+                let acked = seq - window;
+                // One segment in a thousand was lost and goes out again
+                // just before the ACK passes it.
+                if acked % 1000 == 0 {
+                    assert_eq!(counts.bump(acked), 2);
+                    retransmitted += 1;
+                }
+                counts.prune(acked + 1);
+            }
+            let tracked = counts.dense.len() + counts.sparse.len();
+            assert!(tracked <= window as usize + retransmitted);
+        }
+        assert_eq!((counts.dense.len(), counts.sparse.len()), (window as usize, 100));
+        // Below the ACK point a forgotten segment counts once, a
+        // remembered one what it had.
+        assert_eq!((counts.bump(1_001), counts.bump(1_000)), (2, 3));
     }
 
     #[test]
