@@ -112,26 +112,27 @@ impl PacketBook {
     }
 
     /// Acknowledges every outstanding packet below `cum_ack`, returning the
-    /// removed `(seq, record)` pairs in ascending order. Also drops them from
-    /// `memorize` (Table 1's ACK handler) and from `to-be-sent` (a
-    /// retransmission that became unnecessary).
-    pub fn ack_below(&mut self, cum_ack: u64) -> Vec<(u64, PacketRecord)> {
-        let mut acked = Vec::new();
-        while let Some((&seq, _)) = self.to_be_ack.first_key_value() {
-            if seq >= cum_ack {
+    /// record of the lowest one removed and how many were removed (`None` if
+    /// the ACK covered nothing outstanding). Also drops them from `memorize`
+    /// (Table 1's ACK handler) and from `to-be-sent` (a retransmission that
+    /// became unnecessary).
+    pub fn ack_below(&mut self, cum_ack: u64) -> Option<(PacketRecord, usize)> {
+        let mut acked = None;
+        while let Some(entry) = self.to_be_ack.first_entry() {
+            if *entry.key() >= cum_ack {
                 break;
             }
-            let record = self.to_be_ack.remove(&seq).expect("checked above");
+            let (seq, record) = entry.remove_entry();
             self.send_index.remove(&(record.sent_at, seq));
             if record.in_memorize {
                 self.memorize_count -= 1;
             }
-            acked.push((seq, record));
+            let (_, count) = acked.get_or_insert((record, 0));
+            *count += 1;
         }
         // Retransmissions that were queued but are now acknowledged.
-        let stale: Vec<u64> = self.to_be_sent.range(..cum_ack).copied().collect();
-        for seq in stale {
-            self.to_be_sent.remove(&seq);
+        while self.to_be_sent.first().is_some_and(|&seq| seq < cum_ack) {
+            self.to_be_sent.pop_first();
         }
         acked
     }
@@ -280,11 +281,11 @@ mod tests {
         for i in 0..5 {
             book.send_next(t(i), 5.0);
         }
-        let acked = book.ack_below(3);
-        let seqs: Vec<u64> = acked.iter().map(|(s, _)| *s).collect();
-        assert_eq!(seqs, vec![0, 1, 2]);
+        let (first, count) = book.ack_below(3).expect("three packets below 3");
+        assert_eq!((first.sent_at, count), (t(0), 3));
+        assert_eq!(book.first_outstanding(), Some(3));
         assert_eq!(book.outstanding(), 2);
-        assert_eq!(acked[1].1.sent_at, t(1));
+        assert_eq!(book.ack_below(3), None, "nothing left below 3");
         book.check_invariants();
     }
 
@@ -297,7 +298,8 @@ mod tests {
         book.mark_dropped(0);
         assert_eq!(book.pending_retransmits(), 1);
         // The "lost" packet's original arrives after all: ACK covers it.
-        book.ack_below(2);
+        let (first, count) = book.ack_below(2).expect("packet 1 is outstanding");
+        assert_eq!((first.sent_at, count), (t(1), 1), "the dropped packet 0 is not counted");
         assert_eq!(book.pending_retransmits(), 0, "stale retransmit cancelled");
         book.check_invariants();
     }
@@ -335,7 +337,8 @@ mod tests {
         // Deadlines are untouched: the flight re-expires on its own clock.
         assert_eq!(book.earliest_deadline(d(100)), Some(t(100)));
         // An ACK removes from memorize.
-        book.ack_below(1);
+        let (first, count) = book.ack_below(1).expect("packet 0 is outstanding");
+        assert!(first.in_memorize && count == 1);
         assert_eq!(book.memorize_len(), 3);
         // A drop removes from memorize too.
         let rec = book.mark_dropped(2);

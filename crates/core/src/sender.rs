@@ -312,11 +312,10 @@ impl TcpSenderAlgo for TcpPrSender {
     fn on_ack(&mut self, ack: &AckEvent, now: SimTime, out: &mut SenderOutput) {
         // TCP-PR ignores duplicate ACKs and SACK information entirely; only
         // the cumulative point matters.
-        let acked = self.book.ack_below(ack.cum_ack);
-        if acked.is_empty() {
+        let Some((trigger, acked)) = self.book.ack_below(ack.cum_ack) else {
             self.arm_timer(now, out);
             return;
-        }
+        };
         // Progress ends any extreme-loss episode and the current drop burst.
         if self.backoff.take().is_some() {
             self.paused_until = None;
@@ -331,11 +330,10 @@ impl TcpSenderAlgo for TcpPrSender {
         // the hole-wait into the sample and make `ewrtt` (and with it
         // `mxrtt = β·ewrtt`) diverge geometrically under loss. A trigger
         // that was ever retransmitted is ambiguous (Karn) and not sampled.
-        let (_, trigger) = acked.first().expect("non-empty");
         if !trigger.retransmitted {
             self.ewrtt.on_sample(now.saturating_since(trigger.sent_at), self.cwnd);
         }
-        for (_seq, _record) in &acked {
+        for _ in 0..acked {
             self.stats.acked_segments += 1;
             if self.mode == Mode::SlowStart && self.cwnd + 1.0 <= self.ssthr {
                 self.cwnd += 1.0;

@@ -375,6 +375,10 @@ impl Agent for ReceiverHost {
     fn on_packet(&mut self, packet: Packet, ctx: &mut AgentCtx<'_>) {
         let PacketKind::Data(h) = &packet.kind else { return };
         let ack = self.rx.on_data(h.seq);
+        if obs::enabled() {
+            obs::observe("receiver.buffered", self.rx.buffered() as u64);
+            obs::observe("receiver.runs", self.rx.runs() as u64);
+        }
         let header = AckHeader {
             cum_ack: ack.cum_ack,
             sack: ack.sack,

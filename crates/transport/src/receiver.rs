@@ -5,8 +5,17 @@
 //! acknowledges every data segment (ns-2 `TCPSink` style, no delayed ACKs),
 //! optionally attaches SACK blocks (RFC 2018) and reports duplicate
 //! arrivals via DSACK (RFC 2883).
+//!
+//! The reorder buffer is kept as runs, not segments: a map from each run's
+//! first segment to one past its last. Under persistent reordering the
+//! buffer is never empty, but it is a handful of runs whose size the
+//! displacement bounds (Istrate, PAPERS.md), and the runs *are* the SACK
+//! blocks — so an arrival costs a predecessor lookup, at most one join on
+//! either side and a walk over the blocks it reports, whatever the number
+//! of segments buffered. `tests/receiver_model.rs` holds every ACK to the
+//! per-segment set this replaced.
 
-use std::collections::BTreeSet;
+use std::collections::BTreeMap;
 
 /// Receiver feature switches.
 #[derive(Debug, Clone, Copy)]
@@ -97,8 +106,11 @@ impl ReceiverStats {
 pub struct TcpReceiver {
     cfg: ReceiverConfig,
     rcv_nxt: u64,
-    /// Out-of-order segments above `rcv_nxt`.
-    ooo: BTreeSet<u64>,
+    /// The reorder buffer as half-open runs `start → end`: disjoint,
+    /// non-adjacent and all above `rcv_nxt`.
+    runs: BTreeMap<u64, u64>,
+    /// Segments in `runs` (the sum of the run lengths).
+    buffered: usize,
     stats: ReceiverStats,
     max_seen: Option<u64>,
 }
@@ -109,7 +121,8 @@ impl TcpReceiver {
         TcpReceiver {
             cfg,
             rcv_nxt: 0,
-            ooo: BTreeSet::new(),
+            runs: BTreeMap::new(),
+            buffered: 0,
             stats: ReceiverStats::default(),
             max_seen: None,
         }
@@ -122,7 +135,13 @@ impl TcpReceiver {
 
     /// Number of segments currently buffered out of order.
     pub fn buffered(&self) -> usize {
-        self.ooo.len()
+        self.buffered
+    }
+
+    /// Number of disjoint runs the buffered segments form, which is also the
+    /// number of holes ahead of `rcv_nxt` (never more than `buffered()`).
+    pub fn runs(&self) -> usize {
+        self.runs.len()
     }
 
     /// Arrival statistics.
@@ -136,7 +155,12 @@ impl TcpReceiver {
         let old_nxt = self.rcv_nxt;
         let mut dsack = None;
 
-        let is_duplicate = seq < self.rcv_nxt || self.ooo.contains(&seq);
+        // The run at or below `seq`: the only one that can hold it or end
+        // exactly where it begins.
+        let prev = self.runs.range(..=seq).next_back().map(|(&start, &end)| (start, end));
+        // The run holding `seq` once this arrival is processed, if any.
+        let mut hit = prev.filter(|&(_, end)| seq < end);
+        let is_duplicate = seq < self.rcv_nxt || hit.is_some();
         if is_duplicate {
             self.stats.duplicates += 1;
             if self.cfg.dsack {
@@ -156,47 +180,39 @@ impl TcpReceiver {
             }
             if seq == self.rcv_nxt {
                 self.rcv_nxt += 1;
-                while self.ooo.remove(&self.rcv_nxt) {
-                    self.rcv_nxt += 1;
+                if let Some(end) = self.runs.remove(&self.rcv_nxt) {
+                    self.buffered -= (end - self.rcv_nxt) as usize;
+                    self.rcv_nxt = end;
                 }
             } else {
-                self.ooo.insert(seq);
+                self.buffered += 1;
+                let end = self.runs.remove(&(seq + 1)).unwrap_or(seq + 1);
+                let start = match prev {
+                    Some((start, prev_end)) if prev_end == seq => start,
+                    _ => seq,
+                };
+                self.runs.insert(start, end);
+                hit = Some((start, end));
             }
         }
 
-        let sack = if self.cfg.sack { self.sack_blocks(seq) } else { Vec::new() };
+        let sack = if self.cfg.sack { self.sack_blocks(hit) } else { Vec::new() };
         AckDescriptor { cum_ack: self.rcv_nxt, sack, dsack, dup: self.rcv_nxt == old_nxt }
     }
 
-    /// Builds SACK blocks from the out-of-order buffer: the block containing
-    /// the triggering segment first (RFC 2018), then the remaining blocks
-    /// from highest to lowest.
-    fn sack_blocks(&self, trigger: u64) -> Vec<(u64, u64)> {
-        if self.ooo.is_empty() {
+    /// Builds SACK blocks from the out-of-order buffer: `hit`, the block
+    /// containing the triggering segment, first (RFC 2018), then the
+    /// remaining blocks from highest to lowest.
+    fn sack_blocks(&self, hit: Option<(u64, u64)>) -> Vec<(u64, u64)> {
+        // Nothing buffered is the in-order path: spare it the iterators.
+        if self.runs.is_empty() {
             return Vec::new();
         }
-        let mut ranges: Vec<(u64, u64)> = Vec::new();
-        let mut iter = self.ooo.iter().copied();
-        let first = iter.next().expect("non-empty");
-        let mut cur = (first, first + 1);
-        for s in iter {
-            if s == cur.1 {
-                cur.1 = s + 1;
-            } else {
-                ranges.push(cur);
-                cur = (s, s + 1);
-            }
-        }
-        ranges.push(cur);
-
-        // Most recent (triggering) block first, rest highest-first.
-        ranges.sort_by_key(|r| std::cmp::Reverse(r.0));
-        if let Some(pos) = ranges.iter().position(|r| r.0 <= trigger && trigger < r.1) {
-            let hit = ranges.remove(pos);
-            ranges.insert(0, hit);
-        }
-        ranges.truncate(self.cfg.max_sack_blocks);
-        ranges
+        let rest = self.runs.iter().rev().map(|(&start, &end)| (start, end));
+        hit.into_iter()
+            .chain(rest.filter(|&run| Some(run) != hit))
+            .take(self.cfg.max_sack_blocks)
+            .collect()
     }
 }
 
