@@ -1,17 +1,11 @@
 //! Ablation studies over TCP-PR's design choices (DESIGN.md §2):
 //! the `memorize` list, extreme-loss handling, and the send-time window
-//! snapshot. Each ablation runs the same single-flow dumbbell workload and
-//! reports throughput plus the sender's event counters, so the contribution
-//! of each mechanism is visible in isolation.
+//! snapshot. Each ablation runs the same single-flow dumbbell workload
+//! ([`ScenarioKind::Ablation`](crate::sweep::ScenarioKind) through
+//! [`crate::cell`]) and reports throughput plus the sender's event counters,
+//! so the contribution of each mechanism is visible in isolation.
 
-use netsim::ids::FlowId;
-use netsim::time::SimTime;
-use tcp_pr::{TcpPrConfig, TcpPrSender};
-use transport::host::{attach_flow, receiver_host, sender_host, FlowOptions};
-
-use crate::metrics::mbps;
-use crate::runner::MeasurePlan;
-use crate::topologies::{dumbbell, DumbbellConfig};
+use tcp_pr::TcpPrConfig;
 
 /// Which mechanism is removed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize)]
@@ -58,106 +52,5 @@ impl Ablation {
             Ablation::HalveFromCurrent => cfg.ablate_halve_current = true,
         }
         cfg
-    }
-}
-
-/// Outcome of one ablation run.
-#[derive(Debug, Clone, serde::Serialize)]
-pub struct AblationResult {
-    /// Which mechanism was removed.
-    pub ablation: Ablation,
-    /// Goodput over the measurement window, Mbps.
-    pub mbps: f64,
-    /// Window halvings.
-    pub window_halvings: u64,
-    /// Extreme-loss episodes.
-    pub extreme_loss_events: u64,
-    /// Segments retransmitted.
-    pub retransmits: u64,
-}
-
-/// Runs one ablation on a single-flow congested dumbbell.
-pub fn run_ablation(ablation: Ablation, plan: MeasurePlan, seed: u64) -> AblationResult {
-    let mut d = dumbbell(seed, DumbbellConfig::default());
-    let h = attach_flow(
-        &mut d.sim,
-        FlowId::from_raw(0),
-        d.src,
-        d.dst,
-        TcpPrSender::new(ablation.config()),
-        FlowOptions::default(),
-    );
-    d.sim.run_until(SimTime::ZERO + plan.warmup);
-    let before = receiver_host(&d.sim, h.receiver).received_unique_bytes();
-    d.sim.run_until(SimTime::ZERO + plan.total());
-    let delivered = receiver_host(&d.sim, h.receiver).received_unique_bytes() - before;
-    let host = sender_host::<TcpPrSender>(&d.sim, h.sender);
-    AblationResult {
-        ablation,
-        mbps: mbps(delivered, plan.window.as_secs_f64()),
-        window_halvings: host.algo().stats().window_halvings,
-        extreme_loss_events: host.algo().stats().extreme_loss_events,
-        retransmits: host.stats().retransmits,
-    }
-}
-
-/// Runs all ablations and renders a comparison table.
-pub fn run_all(plan: MeasurePlan, seed: u64) -> Vec<AblationResult> {
-    Ablation::ALL.iter().map(|&a| run_ablation(a, plan, seed)).collect()
-}
-
-/// Text table over ablation results.
-pub fn format_table(results: &[AblationResult]) -> String {
-    let mut s = String::from("TCP-PR ablations (single flow, congested dumbbell)\n");
-    s.push_str("variant                   | Mbps   | halvings | extreme-loss | rtx\n");
-    for r in results {
-        s.push_str(&format!(
-            "{:25} | {:6.2} | {:8} | {:12} | {}\n",
-            r.ablation.label(),
-            r.mbps,
-            r.window_halvings,
-            r.extreme_loss_events,
-            r.retransmits
-        ));
-    }
-    s
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn memorize_prevents_per_packet_halvings() {
-        let plan = MeasurePlan::quick();
-        let full = run_ablation(Ablation::None, plan, 3);
-        let no_mem = run_ablation(Ablation::NoMemorize, plan, 3);
-        assert!(
-            no_mem.window_halvings > full.window_halvings,
-            "without memorize every drop halves: {} vs {}",
-            no_mem.window_halvings,
-            full.window_halvings
-        );
-        assert!(
-            no_mem.mbps <= full.mbps * 1.05,
-            "removing memorize must not help: {} vs {}",
-            no_mem.mbps,
-            full.mbps
-        );
-    }
-
-    #[test]
-    fn ablation_table_renders() {
-        let plan = MeasurePlan::quick();
-        let rows = run_all(plan, 5);
-        assert_eq!(rows.len(), 4);
-        let t = format_table(&rows);
-        assert!(t.contains("full algorithm"));
-        assert!(t.contains("no memorize"));
-        // The full algorithm should be the best or tied.
-        let full = rows[0].mbps;
-        for r in &rows[1..] {
-            assert!(r.mbps <= full * 1.15, "{}: {} vs full {}", r.ablation.label(), r.mbps, full);
-        }
     }
 }

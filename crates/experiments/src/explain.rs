@@ -28,12 +28,11 @@ use std::path::{Path, PathBuf};
 
 use serde::{Serialize, Value};
 
-use crate::hunt::{candidate_from_value, run_hunt_cell, Candidate, Objective};
-use crate::stress::StressConfig;
+use crate::cell;
+use crate::hunt::{candidate_from_value, Candidate, Objective};
 use crate::sweep::decode::{as_f64, as_str, as_u64, get};
 use crate::sweep::{
-    run_sweep, CachePolicy, ExecCtx, ForensicCtx, PlanSpec, ScenarioKind, ScenarioSpec,
-    SweepOptions, DEFAULT_CACHE_DIR,
+    run_sweep, CachePolicy, ExecCtx, ForensicCtx, ScenarioSpec, SweepOptions, DEFAULT_CACHE_DIR,
 };
 use crate::variants::Variant;
 
@@ -107,10 +106,7 @@ impl CounterexampleDoc {
     /// Rebuilds the exact [`ScenarioSpec`] the hunt pinned, and verifies
     /// its content hash against the stored one.
     pub fn spec(&self) -> Result<ScenarioSpec, String> {
-        let spec = ScenarioSpec::new(ScenarioKind::Hunt { variant: self.variant }, PlanSpec::Smoke)
-            .with_impairments(self.candidate.impairments.clone())
-            .with_schedule(self.candidate.schedule.clone());
-        let spec = ScenarioSpec { base_seed: self.base_seed, ..spec };
+        let spec = self.candidate.spec(self.variant, self.base_seed);
         if spec.hash_hex() != self.content_hash {
             return Err(format!(
                 "content hash mismatch: document says {}, rebuilt spec hashes to {} — \
@@ -297,29 +293,12 @@ pub fn run_replay(path: &Path) -> Result<ReplayReport, String> {
         .and_then(Objective::from_name)
         .ok_or_else(|| "counterexample lacks a recognized \"objective\"".to_owned())?;
 
-    let baseline = Candidate::baseline();
-    let base_spec = ScenarioSpec::new(ScenarioKind::Hunt { variant: doc.variant }, PlanSpec::Smoke)
-        .with_impairments(baseline.impairments.clone())
-        .with_schedule(baseline.schedule.clone());
-    let base_spec = ScenarioSpec { base_seed: doc.base_seed, ..base_spec };
-
-    let plan = PlanSpec::Smoke.plan();
-    let base_cell = run_hunt_cell(
-        doc.variant,
-        &baseline.impairments,
-        &baseline.schedule,
-        StressConfig::default(),
-        plan,
-        base_spec.sim_seed(),
-    );
-    let cell = run_hunt_cell(
-        doc.variant,
-        &doc.candidate.impairments,
-        &doc.candidate.schedule,
-        StressConfig::default(),
-        plan,
-        spec.sim_seed(),
-    );
+    let base_spec = Candidate::baseline().spec(doc.variant, doc.base_seed);
+    let run = |spec: &ScenarioSpec| {
+        let (plan, seed) = (spec.plan.plan(), spec.sim_seed());
+        cell::run_kind(&spec.kind, &spec.impairments, &spec.schedule, plan, seed)
+    };
+    let (base_cell, cell) = (run(&base_spec), run(&spec));
 
     let baseline_value = objective.value(&base_cell);
     let threshold = objective.threshold(baseline_value);
@@ -330,6 +309,7 @@ pub fn run_replay(path: &Path) -> Result<ReplayReport, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::{PlanSpec, ScenarioKind};
 
     const DOC: &str = r#"{
       "kind": "hunt",

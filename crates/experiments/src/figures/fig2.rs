@@ -6,13 +6,7 @@
 //! parking-lot topologies. The reproduction criterion is that both protocol
 //! means sit near 1 across the sweep.
 
-use netsim::trace::TraceSink;
-
-use crate::figures::fairness::{
-    run_fairness_with, FairnessParams, FairnessResult, FairnessTelemetry, FairnessTopology,
-};
-use crate::runner::MeasurePlan;
-use crate::topologies::{DumbbellConfig, ParkingLotConfig};
+use crate::figures::fairness::FairnessResult;
 
 /// The flow counts swept by the paper's Figure 2.
 pub const FLOW_COUNTS: [usize; 6] = [2, 4, 8, 16, 32, 64];
@@ -24,44 +18,6 @@ pub struct Fig2Series {
     pub topology: String,
     /// One fairness result per flow count.
     pub rows: Vec<FairnessResult>,
-}
-
-/// Runs Figure 2 for both topologies.
-pub fn run_figure2(plan: MeasurePlan, seed: u64, flow_counts: &[usize]) -> Vec<Fig2Series> {
-    run_figure2_with(plan, seed, flow_counts, None)
-}
-
-/// [`run_figure2`] with an optional trace sink. The sink, if given, is
-/// attached to the *first* run of the sweep (dumbbell, smallest flow
-/// count) and streams the complete packet trace of that run's first
-/// TCP-PR flow; tracing every run of the sweep would dwarf the results.
-pub fn run_figure2_with(
-    plan: MeasurePlan,
-    seed: u64,
-    flow_counts: &[usize],
-    mut trace_sink: Option<Box<dyn TraceSink>>,
-) -> Vec<Fig2Series> {
-    let params = FairnessParams { plan, seed, ..FairnessParams::default() };
-    let topologies = [
-        FairnessTopology::Dumbbell(DumbbellConfig::default()),
-        FairnessTopology::ParkingLot(ParkingLotConfig::default()),
-    ];
-    topologies
-        .iter()
-        .map(|t| Fig2Series {
-            topology: t.label().to_owned(),
-            rows: flow_counts
-                .iter()
-                .map(|&n| {
-                    let telemetry = FairnessTelemetry {
-                        trace_sink: trace_sink.take(),
-                        ..FairnessTelemetry::default()
-                    };
-                    run_fairness_with(*t, n, &params, telemetry)
-                })
-                .collect(),
-        })
-        .collect()
 }
 
 /// Renders a series as the paper-style text table.
@@ -79,36 +35,4 @@ pub fn format_table(series: &[Fig2Series]) -> String {
         s.push('\n');
     }
     s
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn figure2_quick_sweep_is_fair() {
-        let series = run_figure2(MeasurePlan::quick(), 23, &[2, 4]);
-        assert_eq!(series.len(), 2);
-        for set in &series {
-            for row in &set.rows {
-                // Shape criterion: both means near 1 (loose band for the
-                // quick plan).
-                assert!(
-                    row.mean_pr > 0.4 && row.mean_pr < 1.6,
-                    "{}: mean_pr = {}",
-                    set.topology,
-                    row.mean_pr
-                );
-                assert!(
-                    row.mean_sack > 0.4 && row.mean_sack < 1.6,
-                    "{}: mean_sack = {}",
-                    set.topology,
-                    row.mean_sack
-                );
-            }
-        }
-        let table = format_table(&series);
-        assert!(table.contains("dumbbell"));
-        assert!(table.contains("parking-lot"));
-    }
 }

@@ -7,10 +7,6 @@
 //! reproduction criterion: TCP-PR's and TCP-SACK's CoV are of similar
 //! magnitude at comparable loss rates.
 
-use crate::figures::fairness::{run_fairness, FairnessParams, FairnessTopology};
-use crate::runner::MeasurePlan;
-use crate::topologies::{DumbbellConfig, ParkingLotConfig};
-
 /// One (loss rate, CoV) sample of Figure 3.
 #[derive(Debug, Clone, serde::Serialize)]
 pub struct Fig3Point {
@@ -29,46 +25,6 @@ pub struct Fig3Point {
     pub cov_sack: f64,
 }
 
-/// Runs the Figure 3 sweep on one topology family.
-///
-/// `bandwidths` are bottleneck rates in Mbps (smaller ⇒ more loss);
-/// `seeds` gives the paper's "ten simulations" scatter.
-pub fn run_figure3(
-    dumbbell_topology: bool,
-    bandwidths: &[f64],
-    seeds: &[u64],
-    n_flows: usize,
-    plan: MeasurePlan,
-) -> Vec<Fig3Point> {
-    let mut points = Vec::new();
-    for &bw in bandwidths {
-        for &seed in seeds {
-            let topology = if dumbbell_topology {
-                FairnessTopology::Dumbbell(DumbbellConfig {
-                    bottleneck_mbps: bw,
-                    ..DumbbellConfig::default()
-                })
-            } else {
-                FairnessTopology::ParkingLot(ParkingLotConfig {
-                    backbone_mbps: bw,
-                    ..ParkingLotConfig::default()
-                })
-            };
-            let params = FairnessParams { plan, seed, ..FairnessParams::default() };
-            let r = run_fairness(topology, n_flows, &params);
-            points.push(Fig3Point {
-                topology: r.topology.clone(),
-                bandwidth_mbps: bw,
-                seed,
-                loss_rate_pct: r.loss_rate_pct,
-                cov_pr: r.cov_pr,
-                cov_sack: r.cov_sack,
-            });
-        }
-    }
-    points
-}
-
 /// Renders the points as a text table sorted by loss rate.
 pub fn format_table(points: &[Fig3Point]) -> String {
     let mut sorted: Vec<&Fig3Point> = points.iter().collect();
@@ -82,32 +38,4 @@ pub fn format_table(points: &[Fig3Point]) -> String {
         ));
     }
     s
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn loss_increases_as_bandwidth_shrinks() {
-        let pts = run_figure3(true, &[5.0, 1.0], &[3], 8, MeasurePlan::quick());
-        assert_eq!(pts.len(), 2);
-        assert!(
-            pts[1].loss_rate_pct > pts[0].loss_rate_pct,
-            "1 Mbps ({}) must lose more than 5 Mbps ({})",
-            pts[1].loss_rate_pct,
-            pts[0].loss_rate_pct
-        );
-    }
-
-    #[test]
-    fn covs_are_finite_and_comparable() {
-        let pts = run_figure3(true, &[2.0], &[3, 5], 8, MeasurePlan::quick());
-        for p in &pts {
-            assert!(p.cov_pr.is_finite() && p.cov_sack.is_finite());
-            assert!(p.cov_pr >= 0.0 && p.cov_sack >= 0.0);
-        }
-        let table = format_table(&pts);
-        assert!(table.contains("CoV"));
-    }
 }

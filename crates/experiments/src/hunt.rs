@@ -37,20 +37,12 @@ use rand::rngs::SmallRng;
 use rand::Rng;
 use serde::{Serialize, Value};
 
-use netsim::impair::{AdminEntry, LinkAdmin};
-use netsim::time::{SimDuration, SimTime};
-use transport::host::{attach_flow, receiver_host, sender_host, FlowOptions};
-use transport::sender::TcpSenderAlgo;
-
-use crate::metrics::{jain_fairness, mbps};
-use crate::runner::MeasurePlan;
-use crate::stress::{self, StressConfig};
-use crate::sweep::spec::AdminWindowSpec;
+use crate::cell::{self, Capture, CellReport, Metric};
+use crate::sweep::spec::{profile_name, AdminWindowSpec};
 use crate::sweep::{
     run_sweep, CachePolicy, ExecCtx, ImpairmentSpec, PlanSpec, ScenarioKind, ScenarioSpec,
     SweepOptions,
 };
-use crate::topologies::dumbbell;
 use crate::variants::Variant;
 
 /// Probability quantum: every mutated probability is a multiple of this.
@@ -124,13 +116,15 @@ impl Candidate {
 
     /// Human profile string: stage and window tags joined, or `baseline`.
     pub fn profile(&self) -> String {
-        let mut parts: Vec<&str> = self.impairments.iter().map(ImpairmentSpec::tag).collect();
-        parts.extend(self.schedule.iter().map(AdminWindowSpec::tag));
-        if parts.is_empty() {
-            "baseline".to_owned()
-        } else {
-            parts.join("+")
-        }
+        profile_name(&self.impairments, &self.schedule)
+    }
+
+    /// The smoke-plan hunt cell that runs this candidate against `variant`.
+    pub(crate) fn spec(&self, variant: Variant, base_seed: u64) -> ScenarioSpec {
+        let spec = ScenarioSpec::new(ScenarioKind::Hunt { variant }, PlanSpec::Smoke)
+            .with_impairments(self.impairments.clone())
+            .with_schedule(self.schedule.clone());
+        ScenarioSpec { base_seed, ..spec }
     }
 }
 
@@ -434,283 +428,20 @@ fn weakened_windows(w: &AdminWindowSpec) -> Vec<AdminWindowSpec> {
 }
 
 // ---------------------------------------------------------------------------
-// Cell execution
+// Forensic payload (the cell itself runs through `crate::cell`)
 // ---------------------------------------------------------------------------
 
-/// Outcome of one hunt cell: the hunted variant against a SACK rival on the
-/// stress dumbbell, with the sim-core invariant oracle consulted at the end.
-#[derive(Debug, Clone, serde::Serialize)]
-pub struct HuntCellResult {
-    /// Protocol under test (flow 0).
-    pub variant: Variant,
-    /// Candidate profile string.
-    pub profile: String,
-    /// Hunted flow's goodput over the measurement window, Mbps.
-    pub mbps: f64,
-    /// The SACK rival's goodput, Mbps.
-    pub rival_mbps: f64,
-    /// Jain fairness over (hunted, rival); 0 when both starve.
-    pub jain: f64,
-    /// Hunted-flow retransmissions.
-    pub retransmits: u64,
-    /// Packets destroyed by the impairment pipeline and down links.
-    pub impair_drops: u64,
-    /// Up → down transitions of the bottleneck.
-    pub link_flaps: u64,
-    /// Invariant violations reported by `netsim::oracle::check`.
-    pub oracle_violations: u64,
-    /// Events dispatched at instants earlier than the clock.
-    pub time_regressions: u64,
-}
-
-fn at_ms(t: u64) -> SimTime {
-    SimTime::ZERO + SimDuration::from_millis(t)
-}
-
-/// The two [`AdminEntry`]s realizing one window: enter at `at_ms`, restore
-/// at `at_ms + dur_ms`.
-fn window_entries(w: &AdminWindowSpec, default_delay: SimDuration) -> [AdminEntry; 2] {
-    match *w {
-        AdminWindowSpec::Down { at_ms: at, dur_ms } => [
-            AdminEntry { at: at_ms(at), action: LinkAdmin::Down },
-            AdminEntry { at: at_ms(at + dur_ms), action: LinkAdmin::Up },
-        ],
-        AdminWindowSpec::Delay { at_ms: at, dur_ms, delay_ms } => [
-            AdminEntry {
-                at: at_ms(at),
-                action: LinkAdmin::SetDelay { delay: SimDuration::from_millis(delay_ms) },
-            },
-            AdminEntry {
-                at: at_ms(at + dur_ms),
-                action: LinkAdmin::SetDelay { delay: default_delay },
-            },
-        ],
-    }
-}
-
-/// Packet-trace capacity of a forensic hunt cell. A 4 s smoke cell on the
-/// stress dumbbell generates well under 200k lifecycle events, so the
-/// default `KeepFirst` buffer keeps everything; if a pathological candidate
-/// overflows it anyway, the overflow is reported (`dropped_trace_records`),
-/// never silent.
-const FORENSIC_TRACE_CAP: usize = 262_144;
-/// Span retention cap while a forensic cell runs (vs. [`obs::MAX_SPANS`]
-/// for plain profiling): CC state machines under adversarial schedules emit
-/// far more than 4096 decisions in 4 s.
-const FORENSIC_SPAN_CAP: usize = 65_536;
-/// Sampling period of the forensic time series.
-const FORENSIC_SAMPLE_MS: u64 = 100;
-
-/// Raw observability captured alongside a forensic hunt cell.
-pub(crate) struct CaptureOut {
-    /// Packet lifecycle events from the in-sim tracer.
-    pub trace: Vec<netsim::trace::TraceRecord>,
-    /// Lifecycle events the trace buffer could not retain.
-    pub dropped_trace: u64,
-    /// CC / admin spans drained from the executing thread.
-    pub spans: Vec<obs::SpanRecord>,
-    /// Spans not retained because [`FORENSIC_SPAN_CAP`] was reached.
-    pub spans_dropped: u64,
-    /// Sampled cwnd / srtt / rto / goodput / queue-depth series.
-    pub series: Vec<netsim::telemetry::TimeSeries>,
-}
-
-/// Runs one hunt cell: `variant` (flow 0) and a TCP-SACK rival (flow 1)
-/// share the stress dumbbell with its on-off cross traffic (flow 2), under
-/// the candidate's impairment pipeline and admin windows.
-pub fn run_hunt_cell(
-    variant: Variant,
-    impairments: &[ImpairmentSpec],
-    schedule: &[AdminWindowSpec],
-    cfg: StressConfig,
-    plan: MeasurePlan,
-    seed: u64,
-) -> HuntCellResult {
-    run_cell_impl(variant, impairments, schedule, cfg, plan, seed, false).0
-}
-
-/// The shared cell body. With `forensic` set, the cell additionally enables
-/// full packet tracing, raises the span-retention cap, and drives the sim
-/// through a [`netsim::telemetry::Sampler`] so cwnd / srtt / rto / receive
-/// progress are captured as time series — all without perturbing the
-/// simulation itself (probes only read state on the sample grid), so the
-/// scalar [`HuntCellResult`] is identical either way.
-fn run_cell_impl(
-    variant: Variant,
-    impairments: &[ImpairmentSpec],
-    schedule: &[AdminWindowSpec],
-    cfg: StressConfig,
-    plan: MeasurePlan,
-    seed: u64,
-    forensic: bool,
-) -> (HuntCellResult, Option<CaptureOut>) {
-    let mut d = dumbbell(seed, cfg.dumbbell);
-    let until = SimTime::ZERO + plan.total();
-
-    let stages = stress::to_stages(impairments);
-    if !stages.is_empty() {
-        d.sim.set_link_impairments(d.bottleneck, &stages);
-    }
-    for imp in impairments {
-        if let Some(entries) = stress::to_schedule(imp, &cfg, until) {
-            d.sim.apply_admin_schedule(d.bottleneck, &entries);
-        }
-    }
-    let default_delay = SimDuration::from_millis(cfg.dumbbell.bottleneck_delay_ms);
-    for w in schedule {
-        d.sim.apply_admin_schedule(d.bottleneck, &window_entries(w, default_delay));
-    }
-
-    let cross_flow = netsim::ids::FlowId::from_raw(2);
-    d.sim.add_agent(
-        d.src,
-        cross_flow,
-        Box::new(netsim::traffic::OnOffSource::new(
-            d.dst,
-            cfg.cross_rate_bps,
-            cfg.cross_packet_bytes,
-            cfg.cross_on,
-            cfg.cross_off,
-            SimTime::ZERO,
-        )),
-    );
-    d.sim.add_agent(d.dst, cross_flow, Box::new(netsim::traffic::CbrSink::new()));
-
-    if forensic {
-        d.sim.enable_trace(&[], FORENSIC_TRACE_CAP);
-    }
-
-    let hunted = attach_flow(
-        &mut d.sim,
-        netsim::ids::FlowId::from_raw(0),
-        d.src,
-        d.dst,
-        variant.build(),
-        FlowOptions::default(),
-    );
-    let rival = attach_flow(
-        &mut d.sim,
-        netsim::ids::FlowId::from_raw(1),
-        d.src,
-        d.dst,
-        Variant::Sack.build(),
-        FlowOptions::default(),
-    );
-
-    let mut sampler = None;
-    let mut prev_span_cap = None;
-    if forensic {
-        // Start from a clean thread-local profile so the drained spans
-        // belong to this cell only, and retain more spans than the plain
-        // profiling cap allows.
-        let _ = obs::take();
-        prev_span_cap = Some(obs::set_span_capacity(FORENSIC_SPAN_CAP));
-        let mut s = netsim::telemetry::Sampler::new(SimDuration::from_millis(FORENSIC_SAMPLE_MS));
-        s.add_probe(
-            "cwnd:hunted",
-            transport::telemetry::cwnd_probe::<Box<dyn TcpSenderAlgo>>(hunted.sender),
-        );
-        s.add_probe(
-            "srtt:hunted",
-            transport::telemetry::srtt_probe::<Box<dyn TcpSenderAlgo>>(hunted.sender),
-        );
-        s.add_probe(
-            "rto:hunted",
-            transport::telemetry::rto_probe::<Box<dyn TcpSenderAlgo>>(hunted.sender),
-        );
-        s.add_probe(
-            "cwnd:rival",
-            transport::telemetry::cwnd_probe::<Box<dyn TcpSenderAlgo>>(rival.sender),
-        );
-        let hunted_receiver = hunted.receiver;
-        s.add_probe(
-            "recv_bytes:hunted",
-            Box::new(move |sim: &netsim::sim::Simulator| {
-                receiver_host(sim, hunted_receiver).received_unique_bytes() as f64
-            }),
-        );
-        s.add_link_queue_depth(d.bottleneck);
-        sampler = Some(s);
-    }
-
-    let warmup_end = SimTime::ZERO + plan.warmup;
-    match sampler.as_mut() {
-        Some(s) => s.advance(&mut d.sim, warmup_end),
-        None => d.sim.run_until(warmup_end),
-    }
-    let before_hunted = receiver_host(&d.sim, hunted.receiver).received_unique_bytes();
-    let before_rival = receiver_host(&d.sim, rival.receiver).received_unique_bytes();
-    match sampler.as_mut() {
-        Some(s) => s.advance(&mut d.sim, until),
-        None => d.sim.run_until(until),
-    }
-    let hunted_bytes =
-        receiver_host(&d.sim, hunted.receiver).received_unique_bytes() - before_hunted;
-    let rival_bytes = receiver_host(&d.sim, rival.receiver).received_unique_bytes() - before_rival;
-
-    let window_s = plan.window.as_secs_f64();
-    let hunted_mbps = mbps(hunted_bytes, window_s);
-    let rival_mbps = mbps(rival_bytes, window_s);
-    let jain = if hunted_mbps + rival_mbps > 0.0 {
-        jain_fairness(&[hunted_mbps, rival_mbps])
-    } else {
-        0.0
-    };
-
-    let snap = d.sim.invariant_snapshot();
-    let violations = netsim::oracle::check(&snap);
-    let tx = sender_host::<Box<dyn TcpSenderAlgo>>(&d.sim, hunted.sender).stats();
-    let totals = d.sim.impair_totals();
-    let cell = HuntCellResult {
-        variant,
-        profile: Candidate { impairments: impairments.to_vec(), schedule: schedule.to_vec() }
-            .profile(),
-        mbps: hunted_mbps,
-        rival_mbps,
-        jain,
-        retransmits: tx.retransmits,
-        impair_drops: totals.drops(),
-        link_flaps: totals.flaps,
-        oracle_violations: violations.len() as u64,
-        time_regressions: snap.time_regressions,
-    };
-    let capture = sampler.map(|s| {
-        let report = obs::take();
-        if let Some(prev) = prev_span_cap {
-            obs::set_span_capacity(prev);
-        }
-        CaptureOut {
-            trace: d.sim.trace_records(),
-            dropped_trace: d.sim.dropped_trace_records(),
-            spans: report.spans,
-            spans_dropped: report.spans_dropped,
-            series: s.into_series(),
-        }
-    });
-    (cell, capture)
-}
-
-/// Runs one hunt cell in forensic mode and assembles the full `explain`
-/// payload: the scalar cell result, the re-measured objective value, the
-/// forensic [`forensics::Report`] (timeline + per-flow summaries +
+/// Runs one hunt cell with forensic capture and assembles the full
+/// `explain` payload: the scalar cell report, the re-measured objective
+/// value, the forensic [`forensics::Report`] (timeline, per-flow summaries,
 /// incidents), the sampled series, and a capture-health block recording
 /// trace / span retention so truncation is visible in every artifact.
-pub(crate) fn run_hunt_cell_forensic(
-    variant: Variant,
-    impairments: &[ImpairmentSpec],
-    schedule: &[AdminWindowSpec],
-    cfg: StressConfig,
-    plan: MeasurePlan,
-    seed: u64,
-    fctx: &crate::sweep::ForensicCtx,
-) -> Value {
-    let was_enabled = obs::enabled();
-    obs::enable();
-    let (cell, capture) = run_cell_impl(variant, impairments, schedule, cfg, plan, seed, true);
-    if !was_enabled {
-        obs::disable();
-    }
-    let cap = capture.expect("forensic cell always captures");
+pub(crate) fn forensic_payload(spec: &ScenarioSpec, fctx: &crate::sweep::ForensicCtx) -> Value {
+    let scenario = cell::lower(&spec.kind, &spec.impairments, &spec.schedule)
+        .expect("a hunt spec lowers to a cell");
+    let plan = spec.plan.plan();
+    let mut cap = Capture::default();
+    let cell = cell::run(&scenario, plan, spec.sim_seed(), Some(&mut cap));
 
     let objective = fctx.objective.as_deref().and_then(Objective::from_name);
     let value = objective.map(|o| o.value(&cell));
@@ -783,12 +514,12 @@ impl Objective {
         }
     }
 
-    /// The minimized value of one cell result.
-    pub fn value(self, r: &HuntCellResult) -> f64 {
+    /// The minimized value of one hunt-cell report.
+    pub fn value(self, r: &CellReport) -> f64 {
         match self {
-            Objective::Goodput => r.mbps,
-            Objective::Fairness => r.jain,
-            Objective::Oracle => -(r.oracle_violations as f64),
+            Objective::Goodput => r.num(Metric::Mbps),
+            Objective::Fairness => r.num(Metric::Jain),
+            Objective::Oracle => -r.num(Metric::OracleViolations),
         }
     }
 
@@ -813,8 +544,8 @@ struct Evaluator {
     variant: Variant,
     seed: u64,
     jobs: usize,
-    /// Content hash → decoded result (`None` = the cell crashed).
-    memo: HashMap<u64, Option<HuntCellResult>>,
+    /// Content hash → decoded report (`None` = the cell crashed).
+    memo: HashMap<u64, Option<CellReport>>,
     fresh: u64,
     memo_hits: u64,
 }
@@ -824,20 +555,12 @@ impl Evaluator {
         Evaluator { variant, seed, jobs, memo: HashMap::new(), fresh: 0, memo_hits: 0 }
     }
 
-    fn spec_for(&self, c: &Candidate) -> ScenarioSpec {
-        let mut spec =
-            ScenarioSpec::new(ScenarioKind::Hunt { variant: self.variant }, PlanSpec::Smoke)
-                .with_impairments(c.impairments.clone())
-                .with_schedule(c.schedule.clone());
-        spec.base_seed = self.seed;
-        spec
-    }
-
     /// Evaluates a batch of candidates, in order. Previously seen content
     /// hashes are free (memoized); the rest run through the sweep pool,
     /// whose outcomes come back in spec order at any worker count.
-    fn results(&mut self, cands: &[Candidate]) -> Vec<Option<HuntCellResult>> {
-        let specs: Vec<ScenarioSpec> = cands.iter().map(|c| self.spec_for(c)).collect();
+    fn results(&mut self, cands: &[Candidate]) -> Vec<Option<CellReport>> {
+        let specs: Vec<ScenarioSpec> =
+            cands.iter().map(|c| c.spec(self.variant, self.seed)).collect();
         let hashes: Vec<u64> = specs.iter().map(ScenarioSpec::content_hash).collect();
 
         let mut to_run: Vec<ScenarioSpec> = Vec::new();
@@ -863,7 +586,7 @@ impl Evaluator {
             let report = run_sweep(&to_run, &ExecCtx::default(), &opts);
             for (run, &h) in report.runs.iter().zip(&to_run_hashes) {
                 let decoded = run.outcome.value().map(|v| {
-                    crate::sweep::decode::hunt_cell_result(v).expect("hunt cells decode losslessly")
+                    CellReport::decode(&Metric::HUNT, v).expect("hunt cells decode losslessly")
                 });
                 self.memo.insert(h, decoded);
             }
@@ -1015,10 +738,7 @@ fn write_counterexample(
     baseline_value: f64,
     threshold: f64,
 ) -> Result<PathBuf, String> {
-    let spec = ScenarioSpec::new(ScenarioKind::Hunt { variant: cfg.variant }, PlanSpec::Smoke)
-        .with_impairments(minimal.impairments.clone())
-        .with_schedule(minimal.schedule.clone());
-    let spec = ScenarioSpec { base_seed: cfg.seed, ..spec };
+    let spec = minimal.spec(cfg.variant, cfg.seed);
     let dir = Path::new("results/counterexamples");
     std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
     let path = dir.join(format!("{}-{}.json", cfg.objective.name(), spec.hash_hex()));
@@ -1041,7 +761,7 @@ fn write_counterexample(
 #[allow(clippy::too_many_arguments)]
 fn hunt_artifact(
     cfg: &HuntConfig,
-    baseline_result: &HuntCellResult,
+    baseline_result: &CellReport,
     baseline_value: f64,
     threshold: f64,
     best: &Candidate,
@@ -1230,6 +950,7 @@ pub fn candidate_from_value(v: &Value) -> Option<Candidate> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::MeasurePlan;
     use rand::SeedableRng;
 
     fn sample_candidate() -> Candidate {
@@ -1298,55 +1019,35 @@ mod tests {
         assert!(c.size() > 0);
     }
 
+    fn run_cell(c: &Candidate) -> CellReport {
+        let kind = ScenarioKind::Hunt { variant: Variant::TcpPr };
+        cell::run_kind(&kind, &c.impairments, &c.schedule, MeasurePlan::smoke(), 5)
+    }
+
     #[test]
     fn hunt_cells_are_deterministic_and_oracle_clean() {
         let c = sample_candidate();
-        let run = || {
-            run_hunt_cell(
-                Variant::TcpPr,
-                &c.impairments,
-                &c.schedule,
-                StressConfig::default(),
-                MeasurePlan::smoke(),
-                5,
-            )
-        };
-        let (a, b) = (run(), run());
-        assert_eq!(format!("{a:?}"), format!("{b:?}"));
-        assert_eq!(a.oracle_violations, 0, "healthy cells balance the books");
-        assert_eq!(a.time_regressions, 0);
-        assert!(a.impair_drops > 0, "burst loss and the outage bite: {a:?}");
-        assert!(a.link_flaps >= 1, "the down window flaps the link");
+        let (a, b) = (run_cell(&c), run_cell(&c));
+        assert_eq!(a, b);
+        assert_eq!(a.num(Metric::OracleViolations), 0.0, "healthy cells balance the books");
+        assert_eq!(a.num(Metric::TimeRegressions), 0.0);
+        assert!(a.num(Metric::ImpairDrops) > 0.0, "burst loss and the outage bite: {a:?}");
+        assert!(a.num(Metric::LinkFlaps) >= 1.0, "the down window flaps the link");
     }
 
     #[test]
     fn down_windows_hurt_goodput() {
-        let clean = run_hunt_cell(
-            Variant::TcpPr,
-            &[],
-            &[],
-            StressConfig::default(),
-            MeasurePlan::smoke(),
-            5,
-        );
-        let outage = run_hunt_cell(
-            Variant::TcpPr,
-            &[],
-            &[
+        let clean = run_cell(&Candidate::baseline());
+        let outage = run_cell(&Candidate {
+            impairments: Vec::new(),
+            schedule: vec![
                 AdminWindowSpec::Down { at_ms: 1200, dur_ms: 400 },
                 AdminWindowSpec::Down { at_ms: 2200, dur_ms: 400 },
                 AdminWindowSpec::Down { at_ms: 3200, dur_ms: 400 },
             ],
-            StressConfig::default(),
-            MeasurePlan::smoke(),
-            5,
-        );
-        assert!(
-            outage.mbps < clean.mbps,
-            "outages must cost goodput: {} vs {}",
-            outage.mbps,
-            clean.mbps
-        );
+        });
+        let (outage, clean) = (outage.num(Metric::Mbps), clean.num(Metric::Mbps));
+        assert!(outage < clean, "outages must cost goodput: {outage} vs {clean}");
     }
 
     #[test]
@@ -1355,18 +1056,23 @@ mod tests {
         assert_eq!(Objective::from_name("fairness"), Some(Objective::Fairness));
         assert_eq!(Objective::from_name("oracle"), Some(Objective::Oracle));
         assert_eq!(Objective::from_name("latency"), None);
-        let r = HuntCellResult {
-            variant: Variant::TcpPr,
-            profile: "baseline".to_owned(),
-            mbps: 4.0,
-            rival_mbps: 4.0,
-            jain: 1.0,
-            retransmits: 0,
-            impair_drops: 0,
-            link_flaps: 0,
-            oracle_violations: 2,
-            time_regressions: 1,
-        };
+        let outcome = Value::Object(
+            [
+                ("variant", Value::Str("TcpPr".to_owned())),
+                ("profile", Value::Str("baseline".to_owned())),
+                ("mbps", Value::Float(4.0)),
+                ("rival_mbps", Value::Float(4.0)),
+                ("jain", Value::Float(1.0)),
+                ("retransmits", Value::UInt(0)),
+                ("impair_drops", Value::UInt(0)),
+                ("link_flaps", Value::UInt(0)),
+                ("oracle_violations", Value::UInt(2)),
+                ("time_regressions", Value::UInt(1)),
+            ]
+            .map(|(k, v)| (k.to_owned(), v))
+            .to_vec(),
+        );
+        let r = CellReport::decode(&Metric::HUNT, &outcome).expect("a hunt report");
         assert_eq!(Objective::Goodput.value(&r), 4.0);
         assert_eq!(Objective::Fairness.value(&r), 1.0);
         assert_eq!(Objective::Oracle.value(&r), -2.0);

@@ -10,16 +10,19 @@
 //!   (Section 4 formulas), plus Jain fairness as an extension;
 //! - [`variants`]: a factory over every sender variant;
 //! - [`runner`]: warm-up/measure windows ("data sent during the last 60 s");
-//! - [`figures`]: one harness per figure (2, 3, 4 and 6);
+//! - [`cell`]: the one harness behind every single-flow cell — Figure 6,
+//!   the face-off, route flaps, MANET churn, the TCP-PR [`ablations`], the
+//!   impairment stress suite over `netsim::impair` and the adversarial
+//!   [`hunt`] — as a declarative `Scenario`, one `run` and one `CellReport`;
+//! - [`figures`]: the fairness harness behind Figures 2–4 and each
+//!   figure's result rows, constants and table;
 //! - [`sweep`]: the deterministic parallel sweep engine (scenario specs,
 //!   worker pool, content-addressed result cache);
-//! - [`stress`]: the impairment stress suite over `netsim::impair`
-//!   (burst loss, jitter, duplication, link flaps, oscillating capacity);
 //! - [`scale`]: the Internet-scale population harness over
 //!   `crates/workload` (generated topologies, heavy-tailed flow churn at
 //!   10k+ concurrent flows, streaming population metrics);
-//! - [`telemetry`]: run-health blocks ([`FigureTimer`](telemetry::FigureTimer))
-//!   and the `results/*.json` artifact wrapper.
+//! - [`telemetry`]: the `results/*.json` artifact wrapper with its
+//!   run-health block.
 //!
 //! The `repro` binary (`cargo run -p experiments --bin repro --release`)
 //! runs every figure at paper scale and prints the tables recorded in
@@ -30,19 +33,14 @@
 //! Reproduce a single Figure 6 cell (TCP-PR under full multipath):
 //!
 //! ```
-//! use experiments::figures::fig6::run_multipath_point;
+//! use experiments::cell::{self, Metric};
 //! use experiments::runner::MeasurePlan;
-//! use experiments::topologies::MeshConfig;
+//! use experiments::sweep::ScenarioKind;
 //! use experiments::variants::Variant;
 //!
-//! let p = run_multipath_point(
-//!     Variant::TcpPr,
-//!     0.0,
-//!     MeshConfig::default(),
-//!     MeasurePlan::quick(),
-//!     7,
-//! );
-//! assert!(p.mbps > 10.0, "TCP-PR aggregates the parallel paths");
+//! let kind = ScenarioKind::Multipath { variant: Variant::TcpPr, epsilon: 0.0, link_delay_ms: 10 };
+//! let report = cell::run_kind(&kind, &[], &[], MeasurePlan::quick(), 7);
+//! assert!(report.num(Metric::Mbps) > 10.0, "TCP-PR aggregates the parallel paths");
 //! ```
 
 #![warn(missing_docs)]
@@ -50,15 +48,13 @@
 
 pub mod ablations;
 pub mod bench;
+pub mod cell;
 pub mod explain;
 pub mod figures;
 pub mod hunt;
-pub mod manet;
 pub mod metrics;
-pub mod routeflap;
 pub mod runner;
 pub mod scale;
-pub mod stress;
 pub mod sweep;
 pub mod telemetry;
 pub mod topologies;

@@ -25,7 +25,7 @@ impl Default for MeasurePlan {
 }
 
 impl MeasurePlan {
-    /// A shortened plan for quick tests and Criterion benches.
+    /// A shortened plan for quick tests and `repro --quick`.
     pub fn quick() -> Self {
         MeasurePlan { warmup: SimDuration::from_secs(10), window: SimDuration::from_secs(15) }
     }

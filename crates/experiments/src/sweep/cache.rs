@@ -10,7 +10,8 @@
 //!
 //! Robustness policy: anything unreadable (missing file, parse error, salt,
 //! hash or [`WORK_REV`](crate::sweep::spec::WORK_REV) mismatch from an older
-//! code version) is a cache miss, never an error. Writes go through a temp
+//! code version, an outcome the assemblers could not decode) is a cache
+//! miss, never an error. Writes go through a temp
 //! file + rename so a crashed run cannot leave a torn entry behind.
 
 use std::fs;
@@ -77,7 +78,8 @@ impl Cache {
     }
 
     /// Loads the cached run for `spec`, or `None` on any kind of miss
-    /// (absent, unparsable, wrong salt, wrong hash, wrong work revision).
+    /// (absent, unparsable, wrong salt, wrong hash, wrong work revision, an
+    /// outcome that does not read back as the result of the spec's kind).
     pub fn load(&self, spec: &ScenarioSpec) -> Option<CachedRun> {
         let text = fs::read_to_string(self.entry_path(spec)).ok()?;
         let v = serde_json::from_str(&text).ok()?;
@@ -90,7 +92,8 @@ impl Cache {
         if decode::get(&v, "work_rev").and_then(decode::as_u64) != Some(WORK_REV) {
             return None;
         }
-        let outcome = decode::get(&v, "outcome")?.clone();
+        let outcome =
+            decode::get(&v, "outcome").filter(|o| decode::decodes(&spec.kind, o))?.clone();
         let work = decode::get(&v, "work")?;
         // Every field is required (`?`): entries written before a field
         // existed are treated as misses, so schema growth needs no salt
@@ -213,8 +216,19 @@ mod tests {
     }
 
     fn run() -> CachedRun {
+        let result = crate::figures::fairness::FairnessResult {
+            topology: "dumbbell".to_owned(),
+            n_flows: 4,
+            pr_normalized: vec![0.9, 1.01],
+            sack_normalized: vec![1.1, 0.99],
+            mean_pr: 0.95,
+            mean_sack: 1.05,
+            cov_pr: 0.05,
+            cov_sack: 0.04,
+            loss_rate_pct: 0.5,
+        };
         CachedRun {
-            outcome: Value::Object(vec![("mbps".to_owned(), Value::Float(12.5))]),
+            outcome: serde::Serialize::to_value(&result),
             work: SessionStats {
                 sims: 1,
                 events_processed: 12345,
@@ -282,6 +296,20 @@ mod tests {
         fs::create_dir_all(&dir).unwrap();
         fs::write(cache.entry_path(&s), "{ not json").unwrap();
         assert!(cache.load(&s).is_none());
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn undecodable_outcome_is_a_miss() {
+        let dir = scratch("outcome");
+        let cache = Cache::new(&dir);
+        let (s, r) = (spec(), run());
+        cache.store(&s, &r);
+        let path = cache.entry_path(&s);
+        let entry = fs::read_to_string(&path).unwrap();
+        assert!(entry.contains("\"mean_pr\": 0.95,"), "{entry}");
+        fs::write(&path, entry.replace("\"mean_pr\": 0.95,", "")).unwrap();
+        assert!(cache.load(&s).is_none(), "an outcome missing a key must miss");
         fs::remove_dir_all(&dir).ok();
     }
 

@@ -1,23 +1,21 @@
-//! Reads harness result structs back out of serialized [`Value`] trees.
+//! Reads harness results back out of serialized [`Value`] trees.
 //!
 //! The vendored serde shim is one-directional (`Serialize` renders to a
-//! [`Value`]); the sweep cache needs the other direction, so each result
-//! type the executor can produce gets a hand-written decoder here. The
-//! decoders accept exactly the shapes the derive emits — named-field
-//! objects, unit enums as their variant-name strings — plus the integer /
-//! float variant blurring the JSON printer introduces (`1.0` prints as `1`
-//! and parses back as an unsigned integer).
+//! [`Value`]); the sweep cache needs the other direction. The six kinds
+//! that run through [`crate::cell`] read back through its one
+//! metric-list decoder ([`CellReport::decode`]); the two result structs
+//! that remain get a hand-written decoder here. All of them accept exactly
+//! the shapes the serializer emits — named-field objects, unit enums as
+//! their variant-name strings — plus the integer / float variant blurring
+//! the JSON printer introduces (`1.0` prints as `1` and parses back as an
+//! unsigned integer).
 
 use serde::Value;
 
-use crate::ablations::{Ablation, AblationResult};
+use crate::cell::{CellReport, Metric};
 use crate::figures::fairness::FairnessResult;
-use crate::figures::fig6::Fig6Point;
-use crate::hunt::HuntCellResult;
-use crate::manet::ChurnResult;
-use crate::routeflap::RouteFlapResult;
 use crate::scale::ScaleResult;
-use crate::stress::StressResult;
+use crate::sweep::spec::ScenarioKind;
 use crate::variants::Variant;
 
 /// Looks up `key` in an object value.
@@ -86,75 +84,6 @@ pub fn fairness_result(v: &Value) -> Option<FairnessResult> {
     })
 }
 
-/// Decodes a [`Fig6Point`] (multipath cell outcome).
-pub fn fig6_point(v: &Value) -> Option<Fig6Point> {
-    Some(Fig6Point {
-        variant: Variant::from_name(as_str(get(v, "variant")?)?)?,
-        epsilon: f64_field(v, "epsilon")?,
-        link_delay_ms: u64_field(v, "link_delay_ms")?,
-        mbps: f64_field(v, "mbps")?,
-        retransmits: u64_field(v, "retransmits")?,
-        segments_sent: u64_field(v, "segments_sent")?,
-        late_arrivals: u64_field(v, "late_arrivals")?,
-        queue_drops: u64_field(v, "queue_drops")?,
-    })
-}
-
-/// Decodes a [`RouteFlapResult`].
-pub fn routeflap_result(v: &Value) -> Option<RouteFlapResult> {
-    Some(RouteFlapResult {
-        variant: Variant::from_name(as_str(get(v, "variant")?)?)?,
-        mbps: f64_field(v, "mbps")?,
-        late_arrivals: u64_field(v, "late_arrivals")?,
-        mean_displacement: f64_field(v, "mean_displacement")?,
-        retransmits: u64_field(v, "retransmits")?,
-    })
-}
-
-/// Decodes a [`ChurnResult`].
-pub fn churn_result(v: &Value) -> Option<ChurnResult> {
-    Some(ChurnResult {
-        variant: Variant::from_name(as_str(get(v, "variant")?)?)?,
-        mbps: f64_field(v, "mbps")?,
-        route_changes: u64_field(v, "route_changes")?,
-        late_arrivals: u64_field(v, "late_arrivals")?,
-        retransmits: u64_field(v, "retransmits")?,
-    })
-}
-
-/// Decodes a [`StressResult`].
-pub fn stress_result(v: &Value) -> Option<StressResult> {
-    Some(StressResult {
-        variant: Variant::from_name(as_str(get(v, "variant")?)?)?,
-        profile: as_str(get(v, "profile")?)?.to_owned(),
-        mbps: f64_field(v, "mbps")?,
-        retransmits: u64_field(v, "retransmits")?,
-        segments_sent: u64_field(v, "segments_sent")?,
-        late_arrivals: u64_field(v, "late_arrivals")?,
-        receiver_duplicates: u64_field(v, "receiver_duplicates")?,
-        impair_drops: u64_field(v, "impair_drops")?,
-        impair_dups: u64_field(v, "impair_dups")?,
-        reorder_displacements: u64_field(v, "reorder_displacements")?,
-        link_flaps: u64_field(v, "link_flaps")?,
-    })
-}
-
-/// Decodes a [`HuntCellResult`].
-pub fn hunt_cell_result(v: &Value) -> Option<HuntCellResult> {
-    Some(HuntCellResult {
-        variant: Variant::from_name(as_str(get(v, "variant")?)?)?,
-        profile: as_str(get(v, "profile")?)?.to_owned(),
-        mbps: f64_field(v, "mbps")?,
-        rival_mbps: f64_field(v, "rival_mbps")?,
-        jain: f64_field(v, "jain")?,
-        retransmits: u64_field(v, "retransmits")?,
-        impair_drops: u64_field(v, "impair_drops")?,
-        link_flaps: u64_field(v, "link_flaps")?,
-        oracle_violations: u64_field(v, "oracle_violations")?,
-        time_regressions: u64_field(v, "time_regressions")?,
-    })
-}
-
 /// Decodes a [`ScaleResult`].
 pub fn scale_result(v: &Value) -> Option<ScaleResult> {
     Some(ScaleResult {
@@ -174,15 +103,14 @@ pub fn scale_result(v: &Value) -> Option<ScaleResult> {
     })
 }
 
-/// Decodes an [`AblationResult`].
-pub fn ablation_result(v: &Value) -> Option<AblationResult> {
-    Some(AblationResult {
-        ablation: Ablation::from_name(as_str(get(v, "ablation")?)?)?,
-        mbps: f64_field(v, "mbps")?,
-        window_halvings: u64_field(v, "window_halvings")?,
-        extreme_loss_events: u64_field(v, "extreme_loss_events")?,
-        retransmits: u64_field(v, "retransmits")?,
-    })
+/// Whether `outcome` reads back as the result a scenario of `kind`
+/// produces — the test a cache entry must pass to count as a hit.
+pub(crate) fn decodes(kind: &ScenarioKind, outcome: &Value) -> bool {
+    match (Metric::list(kind), kind) {
+        (Some(metrics), _) => CellReport::decode(metrics, outcome).is_some(),
+        (None, ScenarioKind::Scale { .. }) => scale_result(outcome).is_some(),
+        (None, _) => fairness_result(outcome).is_some(),
+    }
 }
 
 #[cfg(test)]
@@ -216,73 +144,6 @@ mod tests {
     }
 
     #[test]
-    fn fig6_point_roundtrips() {
-        let p = Fig6Point {
-            variant: Variant::TdFr,
-            epsilon: 4.0,
-            link_delay_ms: 60,
-            mbps: 12.5,
-            retransmits: 7,
-            segments_sent: 1000,
-            late_arrivals: 250,
-            queue_drops: 3,
-        };
-        let v = serde::Serialize::to_value(&p);
-        let decoded = fig6_point(&v).expect("decode");
-        assert_eq!(decoded.variant, Variant::TdFr);
-        assert_eq!(serde::Serialize::to_value(&decoded), v);
-    }
-
-    #[test]
-    fn stress_result_roundtrips() {
-        let r = StressResult {
-            variant: Variant::Sack,
-            profile: "burst-loss+jitter".to_owned(),
-            mbps: 4.25,
-            retransmits: 31,
-            segments_sent: 9000,
-            late_arrivals: 120,
-            receiver_duplicates: 8,
-            impair_drops: 77,
-            impair_dups: 9,
-            reorder_displacements: 210,
-            link_flaps: 5,
-        };
-        let v = serde::Serialize::to_value(&r);
-        let decoded = stress_result(&v).expect("decode");
-        assert_eq!(serde::Serialize::to_value(&decoded), v);
-        let text = serde_json::to_string(&v).unwrap();
-        let reparsed = serde_json::from_str(&text).unwrap();
-        let decoded = stress_result(&reparsed).expect("decode after parse");
-        assert_eq!(decoded.profile, r.profile);
-        assert_eq!(decoded.impair_drops, r.impair_drops);
-    }
-
-    #[test]
-    fn hunt_cell_result_roundtrips() {
-        let r = HuntCellResult {
-            variant: Variant::TcpPr,
-            profile: "burst-loss+down".to_owned(),
-            mbps: 1.75,
-            rival_mbps: 6.0,
-            jain: 0.62,
-            retransmits: 45,
-            impair_drops: 112,
-            link_flaps: 2,
-            oracle_violations: 0,
-            time_regressions: 0,
-        };
-        let v = serde::Serialize::to_value(&r);
-        let decoded = hunt_cell_result(&v).expect("decode");
-        assert_eq!(serde::Serialize::to_value(&decoded), v);
-        let text = serde_json::to_string(&v).unwrap();
-        let reparsed = serde_json::from_str(&text).unwrap();
-        let decoded = hunt_cell_result(&reparsed).expect("decode after parse");
-        assert_eq!(decoded.profile, r.profile);
-        assert_eq!(decoded.jain, r.jain);
-    }
-
-    #[test]
     fn scale_result_roundtrips() {
         let r = ScaleResult {
             variant: Variant::Bbr,
@@ -313,11 +174,16 @@ mod tests {
     #[test]
     fn decoders_reject_wrong_shapes() {
         assert!(fairness_result(&Value::Null).is_none());
-        assert!(fig6_point(&Value::Object(vec![(
-            "variant".into(),
-            Value::Str("NotAVariant".into())
-        )]))
-        .is_none());
+        let fairness = ScenarioKind::Fairness {
+            topology: crate::sweep::spec::TopologySpec::Dumbbell { bottleneck_mbps: None },
+            n_flows: 2,
+            alpha: 0.995,
+            beta: 3.0,
+            replicate: 0,
+        };
+        let stress = ScenarioKind::Stress { variant: Variant::TcpPr };
+        let stray = Value::Object(vec![("variant".into(), Value::Str("NotAVariant".into()))]);
+        assert!(!decodes(&fairness, &stray) && !decodes(&stress, &stray));
         assert!(as_u64(&Value::Int(-1)).is_none());
     }
 }

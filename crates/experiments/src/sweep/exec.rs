@@ -11,19 +11,14 @@ use netsim::trace::{JsonlTraceSink, TraceSink};
 use serde::Value;
 use tcp_pr::TcpPrConfig;
 
-use crate::ablations;
+use crate::cell;
 use crate::figures::fairness::{
     run_fairness_with, FairnessParams, FairnessTelemetry, FairnessTopology,
 };
-use crate::figures::fig6;
 use crate::hunt;
-use crate::manet::{self, ChurnConfig};
-use crate::routeflap::{self, RouteFlapConfig};
 use crate::scale::{self, ScaleConfig};
-use crate::stress::{self, StressConfig};
 use crate::sweep::spec::{ScenarioKind, ScenarioSpec, TopologySpec};
-use crate::topologies::{DumbbellConfig, MeshConfig, ParkingLotConfig};
-use netsim::time::SimDuration;
+use crate::topologies::{DumbbellConfig, ParkingLotConfig};
 
 /// Immutable context shared by every worker of a sweep.
 #[derive(Debug, Default, Clone)]
@@ -92,8 +87,9 @@ impl TopologySpec {
 /// Runs the scenario to completion and serializes its typed result.
 ///
 /// The returned value is exactly the `serde::Serialize` tree of the
-/// harness's result struct (`FairnessResult`, `Fig6Point`, …), so cached
-/// and freshly-executed outcomes are indistinguishable downstream.
+/// harness's result (`FairnessResult`, `ScaleResult`, or the
+/// [`cell::CellReport`] of the six kinds [`cell::lower`] covers), so
+/// cached and freshly-executed outcomes are indistinguishable downstream.
 ///
 /// # Panics
 ///
@@ -117,72 +113,6 @@ pub fn execute(spec: &ScenarioSpec, ctx: &ExecCtx) -> Value {
             let r = run_fairness_with(topology.build(), *n_flows, &params, telemetry);
             serde::Serialize::to_value(&r)
         }
-        ScenarioKind::Multipath { variant, epsilon, link_delay_ms } => {
-            let cfg = MeshConfig { link_delay_ms: *link_delay_ms, ..MeshConfig::default() };
-            let p = fig6::run_multipath_point(*variant, *epsilon, cfg, plan, seed);
-            serde::Serialize::to_value(&p)
-        }
-        ScenarioKind::RouteFlap {
-            variant,
-            short_delay_ms,
-            long_delay_ms,
-            link_mbps,
-            flap_period_ms,
-        } => {
-            let cfg = RouteFlapConfig {
-                short_delay_ms: *short_delay_ms,
-                long_delay_ms: *long_delay_ms,
-                link_mbps: *link_mbps,
-                flap_period: SimDuration::from_millis(*flap_period_ms),
-            };
-            let r = routeflap::run_route_flap(*variant, cfg, plan, seed);
-            serde::Serialize::to_value(&r)
-        }
-        ScenarioKind::Churn { variant, mean_interval_ms, churn_seed } => {
-            let cfg = ChurnConfig {
-                mean_interval: SimDuration::from_millis(*mean_interval_ms),
-                churn_seed: *churn_seed,
-                ..ChurnConfig::default()
-            };
-            let r = manet::run_churn(*variant, cfg, plan, seed);
-            serde::Serialize::to_value(&r)
-        }
-        ScenarioKind::Ablation { ablation } => {
-            let r = ablations::run_ablation(*ablation, plan, seed);
-            serde::Serialize::to_value(&r)
-        }
-        ScenarioKind::Stress { variant } => {
-            let r = stress::run_stress(
-                *variant,
-                &spec.impairments,
-                StressConfig::default(),
-                plan,
-                seed,
-            );
-            serde::Serialize::to_value(&r)
-        }
-        ScenarioKind::Hunt { variant } => {
-            if let Some(fctx) = &ctx.forensics {
-                return hunt::run_hunt_cell_forensic(
-                    *variant,
-                    &spec.impairments,
-                    &spec.schedule,
-                    StressConfig::default(),
-                    plan,
-                    seed,
-                    fctx,
-                );
-            }
-            let r = hunt::run_hunt_cell(
-                *variant,
-                &spec.impairments,
-                &spec.schedule,
-                StressConfig::default(),
-                plan,
-                seed,
-            );
-            serde::Serialize::to_value(&r)
-        }
         ScenarioKind::Scale { variant, topology, target_flows, .. } => {
             let TopologySpec::Generated { model } = topology else {
                 panic!("scale scenarios require a generated topology, got {}", topology.label())
@@ -197,6 +127,16 @@ pub fn execute(spec: &ScenarioSpec, ctx: &ExecCtx) -> Value {
             );
             serde::Serialize::to_value(&r)
         }
+        kind => match (kind, &ctx.forensics) {
+            (ScenarioKind::Hunt { .. }, Some(fctx)) => hunt::forensic_payload(spec, fctx),
+            _ => serde::Serialize::to_value(&cell::run_kind(
+                kind,
+                &spec.impairments,
+                &spec.schedule,
+                plan,
+                seed,
+            )),
+        },
     }
 }
 

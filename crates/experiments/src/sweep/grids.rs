@@ -15,15 +15,16 @@
 
 use serde::Value;
 
-use crate::ablations::{self, Ablation};
+use crate::ablations::Ablation;
+use crate::cell::{CellReport, Metric, Table};
 use crate::figures::fig2::{self, Fig2Series};
 use crate::figures::fig3::{self, Fig3Point};
 use crate::figures::fig4::{self, Fig4Cell};
 use crate::figures::fig6;
+use crate::scale;
 use crate::sweep::decode;
 use crate::sweep::spec::{ImpairmentSpec, PlanSpec, ScenarioKind, ScenarioSpec, TopologySpec};
 use crate::variants::Variant;
-use crate::{manet, routeflap, scale, stress};
 use workload::TopologyModel;
 
 /// One artifact's worth of sweep work: its job grid plus the assembler
@@ -95,9 +96,22 @@ fn fairness_spec(
 }
 
 fn decode_fairness(v: &Value) -> crate::figures::fairness::FairnessResult {
-    decode::fairness_result(v).expect(
-        "undecodable fairness outcome — a stale or tampered cache entry; clear .sweep-cache",
-    )
+    decode::fairness_result(v).expect("the sweep hands on only outcomes that decode")
+}
+
+/// The assembler of every grid whose cells run through [`crate::cell`]:
+/// reads each outcome back through its kind's metric list, prints the
+/// reports as `table` and hands them on as the artifact's `results`.
+fn assemble_cells(table: &Table, specs: &[ScenarioSpec], outcomes: &[Value]) -> (String, Value) {
+    let reports: Vec<CellReport> = specs
+        .iter()
+        .zip(outcomes)
+        .map(|(spec, v)| {
+            let metrics = Metric::list(&spec.kind).expect("a grid of cell kinds");
+            CellReport::decode(metrics, v).expect("the sweep hands on only outcomes that decode")
+        })
+        .collect();
+    (table.render(&reports), serde::Serialize::to_value(&reports))
 }
 
 fn fig2_grid(quick: bool, plan: PlanSpec, trace_first: bool) -> FigureGrid {
@@ -240,70 +254,43 @@ const EXT_VARIANTS: [Variant; 7] = [
     Variant::Bbr,
 ];
 
+/// One cell of `kind` per extension protocol.
+fn ext_specs(plan: PlanSpec, kind: fn(Variant) -> ScenarioKind) -> Vec<ScenarioSpec> {
+    EXT_VARIANTS.iter().map(|&variant| ScenarioSpec::new(kind(variant), plan)).collect()
+}
+
 fn routeflap_grid(plan: PlanSpec) -> FigureGrid {
-    let cfg = routeflap::RouteFlapConfig::default();
-    let specs = EXT_VARIANTS
-        .iter()
-        .map(|&variant| {
-            ScenarioSpec::new(
-                ScenarioKind::RouteFlap {
-                    variant,
-                    short_delay_ms: cfg.short_delay_ms,
-                    long_delay_ms: cfg.long_delay_ms,
-                    link_mbps: cfg.link_mbps,
-                    flap_period_ms: cfg.flap_period.as_millis(),
-                },
-                plan,
-            )
-        })
-        .collect();
+    // A 10 ms and a 40 ms path of 10 Mbps links, the route switching
+    // between them twice a second.
+    let specs = ext_specs(plan, |variant| ScenarioKind::RouteFlap {
+        variant,
+        short_delay_ms: 10,
+        long_delay_ms: 40,
+        link_mbps: 10.0,
+        flap_period_ms: 500,
+    });
     FigureGrid {
         selector: "ext",
         artifact: "routeflap",
         in_all: false,
         specs,
-        assemble: assemble_routeflap,
+        assemble: |s, o| assemble_cells(&Table::ROUTEFLAP, s, o),
     }
 }
 
-fn assemble_routeflap(_specs: &[ScenarioSpec], outcomes: &[Value]) -> (String, Value) {
-    let results: Vec<_> = outcomes
-        .iter()
-        .map(|v| decode::routeflap_result(v).expect("undecodable routeflap outcome"))
-        .collect();
-    (routeflap::format_table(&results), serde::Serialize::to_value(&results))
-}
-
 fn manet_grid(plan: PlanSpec) -> FigureGrid {
-    let cfg = manet::ChurnConfig::default();
-    let specs = EXT_VARIANTS
-        .iter()
-        .map(|&variant| {
-            ScenarioSpec::new(
-                ScenarioKind::Churn {
-                    variant,
-                    mean_interval_ms: cfg.mean_interval.as_millis(),
-                    churn_seed: cfg.churn_seed,
-                },
-                plan,
-            )
-        })
-        .collect();
+    let specs = ext_specs(plan, |variant| ScenarioKind::Churn {
+        variant,
+        mean_interval_ms: 400,
+        churn_seed: 42,
+    });
     FigureGrid {
         selector: "ext",
         artifact: "manet",
         in_all: false,
         specs,
-        assemble: assemble_manet,
+        assemble: |s, o| assemble_cells(&Table::CHURN, s, o),
     }
-}
-
-fn assemble_manet(_specs: &[ScenarioSpec], outcomes: &[Value]) -> (String, Value) {
-    let results: Vec<_> = outcomes
-        .iter()
-        .map(|v| decode::churn_result(v).expect("undecodable churn outcome"))
-        .collect();
-    (manet::format_table(&results), serde::Serialize::to_value(&results))
 }
 
 fn ablations_grid(plan: PlanSpec) -> FigureGrid {
@@ -316,16 +303,8 @@ fn ablations_grid(plan: PlanSpec) -> FigureGrid {
         artifact: "ablations",
         in_all: true,
         specs,
-        assemble: assemble_ablations,
+        assemble: |s, o| assemble_cells(&Table::ABLATIONS, s, o),
     }
-}
-
-fn assemble_ablations(_specs: &[ScenarioSpec], outcomes: &[Value]) -> (String, Value) {
-    let results: Vec<_> = outcomes
-        .iter()
-        .map(|v| decode::ablation_result(v).expect("undecodable ablation outcome"))
-        .collect();
-    (ablations::format_table(&results), serde::Serialize::to_value(&results))
 }
 
 /// The ten protocols of the stress suite: the paper's main contenders,
@@ -369,21 +348,27 @@ fn stress_profiles(quick: bool) -> Vec<Vec<ImpairmentSpec>> {
     profiles
 }
 
-fn stress_grid(quick: bool, plan: PlanSpec) -> FigureGrid {
+/// One stress cell per (variant, profile), variants outermost.
+fn stress_specs(variants: &[Variant], quick: bool, plan: PlanSpec) -> Vec<ScenarioSpec> {
     let mut specs = Vec::new();
-    for &variant in &STRESS_VARIANTS {
+    for &variant in variants {
         for profile in stress_profiles(quick) {
             specs.push(
                 ScenarioSpec::new(ScenarioKind::Stress { variant }, plan).with_impairments(profile),
             );
         }
     }
+    specs
+}
+
+fn stress_grid(quick: bool, plan: PlanSpec) -> FigureGrid {
+    let specs = stress_specs(&STRESS_VARIANTS, quick, plan);
     FigureGrid {
         selector: "stress",
         artifact: "stress",
         in_all: false,
         specs,
-        assemble: assemble_stress,
+        assemble: |s, o| assemble_cells(&Table::STRESS, s, o),
     }
 }
 
@@ -392,28 +377,14 @@ fn stress_grid(quick: bool, plan: PlanSpec) -> FigureGrid {
 /// stays cheap (and so the full-mode grid set has no accidental overlap
 /// with it).
 fn stress_smoke_grid() -> FigureGrid {
-    let specs = stress_profiles(true)
-        .into_iter()
-        .map(|profile| {
-            ScenarioSpec::new(ScenarioKind::Stress { variant: Variant::TcpPr }, PlanSpec::Quick)
-                .with_impairments(profile)
-        })
-        .collect();
+    let specs = stress_specs(&[Variant::TcpPr], true, PlanSpec::Quick);
     FigureGrid {
         selector: "stress-smoke",
         artifact: "stress_smoke",
         in_all: false,
         specs,
-        assemble: assemble_stress,
+        assemble: |s, o| assemble_cells(&Table::STRESS, s, o),
     }
-}
-
-fn assemble_stress(_specs: &[ScenarioSpec], outcomes: &[Value]) -> (String, Value) {
-    let results: Vec<_> = outcomes
-        .iter()
-        .map(|v| decode::stress_result(v).expect("undecodable stress outcome"))
-        .collect();
-    (stress::format_table(&results), serde::Serialize::to_value(&results))
 }
 
 /// The reorder-robustness face-off: TCP-PR against the classical and
@@ -426,71 +397,34 @@ const FACEOFF_VARIANTS: [Variant; 5] =
 /// either fig6 artifact.
 const FACEOFF_LINK_DELAY_MS: u64 = 20;
 
-fn faceoff_grid(quick: bool, plan: PlanSpec) -> FigureGrid {
+/// One multipath cell per (variant, ε) on a mesh of `link_delay_ms` links,
+/// variants outermost.
+fn multipath_specs(
+    variants: &[Variant],
+    quick: bool,
+    link_delay_ms: u64,
+    plan: PlanSpec,
+) -> Vec<ScenarioSpec> {
     let epsilons: &[f64] = if quick { &[0.0, 4.0, 500.0] } else { &fig6::EPSILONS };
     let mut specs = Vec::new();
-    for &variant in &FACEOFF_VARIANTS {
+    for &variant in variants {
         for &epsilon in epsilons {
-            specs.push(ScenarioSpec::new(
-                ScenarioKind::Multipath { variant, epsilon, link_delay_ms: FACEOFF_LINK_DELAY_MS },
-                plan,
-            ));
+            let kind = ScenarioKind::Multipath { variant, epsilon, link_delay_ms };
+            specs.push(ScenarioSpec::new(kind, plan));
         }
     }
+    specs
+}
+
+fn faceoff_grid(quick: bool, plan: PlanSpec) -> FigureGrid {
+    let specs = multipath_specs(&FACEOFF_VARIANTS, quick, FACEOFF_LINK_DELAY_MS, plan);
     FigureGrid {
         selector: "faceoff",
         artifact: "faceoff",
         in_all: false,
         specs,
-        assemble: assemble_faceoff,
+        assemble: |s, o| assemble_cells(&Table::FACEOFF, s, o),
     }
-}
-
-fn assemble_faceoff(_specs: &[ScenarioSpec], outcomes: &[Value]) -> (String, Value) {
-    let points: Vec<_> = outcomes
-        .iter()
-        .map(|v| decode::fig6_point(v).expect("undecodable faceoff outcome"))
-        .collect();
-    (format_faceoff_table(&points), serde::Serialize::to_value(&points))
-}
-
-/// Face-off table: goodput plus retransmission overhead per (variant, ε),
-/// so the reorder-robustness gap is visible in one block.
-fn format_faceoff_table(points: &[crate::figures::fig6::Fig6Point]) -> String {
-    let mut epsilons: Vec<f64> = points.iter().map(|p| p.epsilon).collect();
-    epsilons.sort_by(f64::total_cmp);
-    epsilons.dedup();
-    let mut variants: Vec<Variant> = Vec::new();
-    for p in points {
-        if !variants.contains(&p.variant) {
-            variants.push(p.variant);
-        }
-    }
-    let delay = points.first().map(|p| p.link_delay_ms).unwrap_or(0);
-    let mut s = format!("Face-off — goodput Mbps (retransmit %), mesh link delay {delay} ms\n");
-    s.push_str("protocol     |");
-    for e in &epsilons {
-        s.push_str(&format!(" eps={e:<13} |"));
-    }
-    s.push('\n');
-    for v in &variants {
-        s.push_str(&format!("{:12} |", v.label()));
-        for e in &epsilons {
-            match points.iter().find(|p| p.variant == *v && p.epsilon == *e) {
-                Some(p) => {
-                    let rtx_pct = if p.segments_sent > 0 {
-                        100.0 * p.retransmits as f64 / p.segments_sent as f64
-                    } else {
-                        0.0
-                    };
-                    s.push_str(&format!(" {:8.2} ({rtx_pct:5.1}%) |", p.mbps));
-                }
-                None => s.push_str(&format!(" {:>17} |", "-")),
-            }
-        }
-        s.push('\n');
-    }
-    s
 }
 
 /// The CI smoke slice of the modern comparators: CUBIC and BBR across the
@@ -498,21 +432,13 @@ fn format_faceoff_table(points: &[crate::figures::fig6::Fig6Point]) -> String {
 /// [`stress_smoke_grid`] so the job stays cheap and full-mode grids never
 /// collide with it.
 fn cc_smoke_grid() -> FigureGrid {
-    let mut specs = Vec::new();
-    for variant in [Variant::Cubic, Variant::Bbr] {
-        for profile in stress_profiles(true) {
-            specs.push(
-                ScenarioSpec::new(ScenarioKind::Stress { variant }, PlanSpec::Quick)
-                    .with_impairments(profile),
-            );
-        }
-    }
+    let specs = stress_specs(&[Variant::Cubic, Variant::Bbr], true, PlanSpec::Quick);
     FigureGrid {
         selector: "cc-smoke",
         artifact: "cc_smoke",
         in_all: false,
         specs,
-        assemble: assemble_stress,
+        assemble: |s, o| assemble_cells(&Table::STRESS, s, o),
     }
 }
 
@@ -585,35 +511,20 @@ fn scale_smoke_grid() -> FigureGrid {
 fn assemble_scale(_specs: &[ScenarioSpec], outcomes: &[Value]) -> (String, Value) {
     let results: Vec<_> = outcomes
         .iter()
-        .map(|v| decode::scale_result(v).expect("undecodable scale outcome"))
+        .map(|v| decode::scale_result(v).expect("the sweep hands on only outcomes that decode"))
         .collect();
     (scale::format_table(&results), serde::Serialize::to_value(&results))
 }
 
 fn fig6_grid(quick: bool, plan: PlanSpec, link_delay_ms: u64) -> FigureGrid {
-    let epsilons: &[f64] = if quick { &[0.0, 4.0, 500.0] } else { &fig6::EPSILONS };
-    let mut specs = Vec::new();
-    for &variant in &Variant::FIGURE6 {
-        for &epsilon in epsilons {
-            specs.push(ScenarioSpec::new(
-                ScenarioKind::Multipath { variant, epsilon, link_delay_ms },
-                plan,
-            ));
-        }
-    }
+    let specs = multipath_specs(&Variant::FIGURE6, quick, link_delay_ms, plan);
     FigureGrid {
         selector: "fig6",
         artifact: if link_delay_ms == 10 { "fig6_10ms" } else { "fig6_60ms" },
         in_all: true,
         specs,
-        assemble: assemble_fig6,
+        assemble: |s, o| assemble_cells(&Table::FIG6, s, o),
     }
-}
-
-fn assemble_fig6(_specs: &[ScenarioSpec], outcomes: &[Value]) -> (String, Value) {
-    let points: Vec<_> =
-        outcomes.iter().map(|v| decode::fig6_point(v).expect("undecodable fig6 outcome")).collect();
-    (fig6::format_table(&points), serde::Serialize::to_value(&points))
 }
 
 #[cfg(test)]
@@ -855,5 +766,40 @@ mod tests {
         assert!(table.contains("dumbbell") && table.contains("parking-lot"));
         let Value::Array(series) = &results else { panic!("series array") };
         assert_eq!(series.len(), 2, "one series per topology");
+        // Shape criterion: both protocol means near 1 in every cell (loose
+        // band for the quick plan).
+        for row in outcomes.iter().map(decode_fairness) {
+            assert!(row.mean_pr > 0.4 && row.mean_pr < 1.6, "{row:?}");
+            assert!(row.mean_sack > 0.4 && row.mean_sack < 1.6, "{row:?}");
+        }
+    }
+
+    #[test]
+    fn fig3_loss_rises_as_the_bottleneck_shrinks_and_covs_stay_finite() {
+        let specs: Vec<ScenarioSpec> = [(5.0, 3), (1.0, 3), (2.0, 5)]
+            .iter()
+            .map(|&(bw, rep)| {
+                let t = TopologySpec::Dumbbell { bottleneck_mbps: Some(bw) };
+                fairness_spec(t, 8, 0.995, 3.0, rep, PlanSpec::Quick)
+            })
+            .collect();
+        let ctx = crate::sweep::exec::ExecCtx::default();
+        let outcomes: Vec<Value> =
+            specs.iter().map(|s| crate::sweep::exec::execute(s, &ctx)).collect();
+        let rows: Vec<_> = outcomes.iter().map(decode_fairness).collect();
+        assert!(
+            rows[1].loss_rate_pct > rows[0].loss_rate_pct,
+            "1 Mbps ({}) must lose more than 5 Mbps ({})",
+            rows[1].loss_rate_pct,
+            rows[0].loss_rate_pct
+        );
+        for r in &rows {
+            assert!(r.cov_pr.is_finite() && r.cov_sack.is_finite());
+            assert!(r.cov_pr >= 0.0 && r.cov_sack >= 0.0);
+        }
+        let (table, results) = assemble_fig3(&specs, &outcomes);
+        assert!(table.contains("CoV"), "{table}");
+        let Value::Array(points) = &results else { panic!("point array") };
+        assert_eq!(points.len(), 3);
     }
 }

@@ -443,6 +443,39 @@ mod tests {
     }
 
     #[test]
+    fn a_mangled_cache_entry_re_executes_instead_of_panicking() {
+        let dir = std::env::temp_dir().join(format!("sweep-mangled-cache-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let grids = crate::sweep::all_figures(true, false);
+        let fig6 = grids.iter().find(|g| g.artifact == "fig6_10ms").unwrap();
+        let specs = [fig6.specs[2].clone()]; // TCP-PR at ε = 500, the cheapest cell
+        let opts = SweepOptions {
+            jobs: 1,
+            cache: CachePolicy::ReadWrite,
+            cache_dir: dir.clone(),
+            ..SweepOptions::default()
+        };
+        let first = run_sweep(&specs, &ExecCtx::default(), &opts);
+        assert_eq!((first.executed, first.cached), (1, 0));
+
+        // A valid entry with one key of its outcome deleted.
+        let path = Cache::new(&dir).entry_path(&specs[0]);
+        let entry = std::fs::read_to_string(&path).unwrap();
+        let key = entry.lines().find(|l| l.contains("\"late_arrivals\"")).expect("an outcome key");
+        std::fs::write(&path, entry.replace(&format!("{key}\n"), "")).unwrap();
+
+        let second = run_sweep(&specs, &ExecCtx::default(), &opts);
+        assert_eq!((second.executed, second.cached), (1, 0), "unreadable outcome is a miss");
+        let outcomes = [second.runs[0].outcome.value().expect("re-executed").clone()];
+        assert_eq!(Some(&outcomes[0]), first.runs[0].outcome.value());
+        let (table, _) = (fig6.assemble)(&specs, &outcomes);
+        assert!(table.contains("TCP-PR"), "{table}");
+        let third = run_sweep(&specs, &ExecCtx::default(), &opts);
+        assert_eq!((third.executed, third.cached), (0, 1), "the re-execution healed the entry");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn crashes_are_not_cached() {
         let dir = std::env::temp_dir().join(format!("sweep-crash-cache-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();

@@ -378,6 +378,21 @@ impl AdminWindowSpec {
     }
 }
 
+/// The human name of an impairment pipeline and admin schedule: stage tags
+/// then window tags joined by `+`, or `baseline` when both are empty.
+pub(crate) fn profile_name(impairments: &[ImpairmentSpec], schedule: &[AdminWindowSpec]) -> String {
+    let tags: Vec<&str> = impairments
+        .iter()
+        .map(ImpairmentSpec::tag)
+        .chain(schedule.iter().map(AdminWindowSpec::tag))
+        .collect();
+    if tags.is_empty() {
+        "baseline".to_owned()
+    } else {
+        tags.join("+")
+    }
+}
+
 /// Measurement plan selector — a closed enum rather than raw durations so
 /// the hash encoding stays canonical.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -589,18 +604,10 @@ impl ScenarioSpec {
             }
             ScenarioKind::Ablation { ablation } => format!("ablation: {}", ablation.label()),
             ScenarioKind::Stress { variant } => {
-                let profile: Vec<&str> = self.impairments.iter().map(ImpairmentSpec::tag).collect();
-                let profile =
-                    if profile.is_empty() { "baseline".to_owned() } else { profile.join("+") };
-                format!("stress {variant} [{profile}]")
+                format!("stress {variant} [{}]", profile_name(&self.impairments, &[]))
             }
             ScenarioKind::Hunt { variant } => {
-                let mut parts: Vec<&str> =
-                    self.impairments.iter().map(ImpairmentSpec::tag).collect();
-                parts.extend(self.schedule.iter().map(AdminWindowSpec::tag));
-                let profile =
-                    if parts.is_empty() { "baseline".to_owned() } else { parts.join("+") };
-                format!("hunt {variant} [{profile}]")
+                format!("hunt {variant} [{}]", profile_name(&self.impairments, &self.schedule))
             }
             ScenarioKind::Scale { variant, topology, target_flows, replicate } => {
                 let topo = match topology {

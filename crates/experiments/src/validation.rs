@@ -16,10 +16,11 @@
 use netsim::ids::FlowId;
 use netsim::link::LinkConfig;
 use netsim::sim::SimBuilder;
-use netsim::time::{SimDuration, SimTime};
-use transport::host::{attach_flow, receiver_host, FlowOptions};
+use netsim::time::SimDuration;
+use transport::host::{attach_flow, FlowOptions};
 
 use crate::metrics::mbps;
+use crate::runner::{measure_window, MeasurePlan};
 use crate::variants::Variant;
 
 /// Result of a Mathis-law validation point.
@@ -52,12 +53,9 @@ pub fn mathis_point(p: f64, seed: u64) -> MathisPoint {
         Variant::Sack.build(),
         FlowOptions::default(),
     );
-    let warmup = SimDuration::from_secs(20);
     let window = SimDuration::from_secs(60);
-    sim.run_until(SimTime::ZERO + warmup);
-    let before = receiver_host(&sim, h.receiver).received_unique_bytes();
-    sim.run_until(SimTime::ZERO + warmup + window);
-    let delivered = receiver_host(&sim, h.receiver).received_unique_bytes() - before;
+    let plan = MeasurePlan { warmup: SimDuration::from_secs(20), window };
+    let delivered = measure_window(&mut sim, &[h], plan)[0];
 
     let mss_bits = 8_000.0;
     let predicted = mss_bits / rtt_s * (1.5f64 / p).sqrt() / 1e6;
@@ -95,12 +93,9 @@ pub fn window_ceiling_point(cap: f64, seed: u64) -> WindowCeilingPoint {
         tcp_pr::TcpPrSender::new(pr),
         FlowOptions::default(),
     );
-    let warmup = SimDuration::from_secs(5);
     let window = SimDuration::from_secs(20);
-    sim.run_until(SimTime::ZERO + warmup);
-    let before = receiver_host(&sim, h.receiver).received_unique_bytes();
-    sim.run_until(SimTime::ZERO + warmup + window);
-    let delivered = receiver_host(&sim, h.receiver).received_unique_bytes() - before;
+    let plan = MeasurePlan { warmup: SimDuration::from_secs(5), window };
+    let delivered = measure_window(&mut sim, &[h], plan)[0];
     // RTT = 2 × 50 ms propagation + serialization (negligible at 100 Mbps).
     let rtt_s = 0.1008;
     WindowCeilingPoint {
@@ -113,6 +108,7 @@ pub fn window_ceiling_point(cap: f64, seed: u64) -> WindowCeilingPoint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netsim::time::SimTime;
 
     #[test]
     fn mathis_law_within_factor_two() {
@@ -183,13 +179,9 @@ mod tests {
             FlowOptions { start_at: SimTime::from_secs_f64(10.0), ..Default::default() },
         );
         // Measure long after both are active.
-        sim.run_until(SimTime::from_secs_f64(60.0));
-        let b1 = receiver_host(&sim, h1.receiver).received_unique_bytes();
-        let b2 = receiver_host(&sim, h2.receiver).received_unique_bytes();
-        sim.run_until(SimTime::from_secs_f64(120.0));
-        let x1 = receiver_host(&sim, h1.receiver).received_unique_bytes() - b1;
-        let x2 = receiver_host(&sim, h2.receiver).received_unique_bytes() - b2;
-        let share = x1 as f64 / (x1 + x2) as f64;
+        let minute = SimDuration::from_secs(60);
+        let x = measure_window(&mut sim, &[h1, h2], MeasurePlan { warmup: minute, window: minute });
+        let share = x[0] as f64 / (x[0] + x[1]) as f64;
         assert!(
             (0.35..0.65).contains(&share),
             "late-starting flow must converge to an equal share: {share:.3}"

@@ -271,12 +271,16 @@ mod tests {
 
     #[test]
     fn disabled_records_nothing() {
-        disable();
-        count("x", 1);
-        observe("y", 2);
-        gauge_max("z", 3);
-        span(0, "k", || "unused".to_owned());
-        assert!(take().is_empty());
+        // Under the lock: a bare `disable()` here races the tests that
+        // record, and empties their reports.
+        with_enabled(|| {
+            disable();
+            count("x", 1);
+            observe("y", 2);
+            gauge_max("z", 3);
+            span(0, "k", || "unused".to_owned());
+            assert!(take().is_empty());
+        });
     }
 
     #[test]

@@ -6,22 +6,23 @@
 //! cargo run --example manet_churn --release
 //! ```
 
-use experiments::manet::{format_table, run_churn, ChurnConfig};
+use experiments::cell::{self, CellReport, Table};
 use experiments::runner::MeasurePlan;
+use experiments::sweep::ScenarioKind;
 use experiments::variants::Variant;
-use netsim::time::SimDuration;
 
 fn main() {
-    let plan = MeasurePlan::quick();
     let variants = [Variant::TcpPr, Variant::Sack, Variant::NewReno, Variant::Door];
 
-    for mean_ms in [1000u64, 400, 150] {
-        let cfg = ChurnConfig {
-            mean_interval: SimDuration::from_millis(mean_ms),
-            ..ChurnConfig::default()
-        };
-        println!("--- mean route lifetime {mean_ms} ms ---");
-        let results: Vec<_> = variants.iter().map(|&v| run_churn(v, cfg, plan, 3)).collect();
-        println!("{}", format_table(&results));
+    for mean_interval_ms in [1000u64, 400, 150] {
+        let rows: Vec<CellReport> = variants
+            .iter()
+            .map(|&variant| {
+                let kind = ScenarioKind::Churn { variant, mean_interval_ms, churn_seed: 42 };
+                cell::run_kind(&kind, &[], &[], MeasurePlan::quick(), 3)
+            })
+            .collect();
+        println!("--- mean route lifetime {mean_interval_ms} ms ---");
+        println!("{}", Table::CHURN.render(&rows));
     }
 }

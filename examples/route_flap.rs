@@ -6,22 +6,30 @@
 //! cargo run --example route_flap --release
 //! ```
 
-use experiments::routeflap::{format_table, run_comparison, RouteFlapConfig};
+use experiments::cell::{self, CellReport, Table};
 use experiments::runner::MeasurePlan;
+use experiments::sweep::ScenarioKind;
 use experiments::variants::Variant;
-use netsim::time::SimDuration;
 
 fn main() {
-    let plan = MeasurePlan::quick();
     let variants = [Variant::TcpPr, Variant::NewReno, Variant::Sack, Variant::Eifel, Variant::Door];
 
-    for period_ms in [2000u64, 500, 200] {
-        let cfg = RouteFlapConfig {
-            flap_period: SimDuration::from_millis(period_ms),
-            ..RouteFlapConfig::default()
-        };
-        println!("--- flap period {period_ms} ms ---");
-        println!("{}", format_table(&run_comparison(&variants, cfg, plan, 7)));
+    for flap_period_ms in [2000u64, 500, 200] {
+        let rows: Vec<CellReport> = variants
+            .iter()
+            .map(|&variant| {
+                let kind = ScenarioKind::RouteFlap {
+                    variant,
+                    short_delay_ms: 10,
+                    long_delay_ms: 40,
+                    link_mbps: 10.0,
+                    flap_period_ms,
+                };
+                cell::run_kind(&kind, &[], &[], MeasurePlan::quick(), 7)
+            })
+            .collect();
+        println!("--- flap period {flap_period_ms} ms ---");
+        println!("{}", Table::ROUTEFLAP.render(&rows));
     }
 
     println!(

@@ -2,10 +2,11 @@
 //! (`EXPERIMENTS.md` records the full-scale numbers from the `repro`
 //! binary; these tests guard the *shape* in CI time.)
 
+use experiments::cell::{self, Metric};
 use experiments::figures::fairness::{run_fairness, FairnessParams, FairnessTopology};
-use experiments::figures::fig6::run_multipath_point;
 use experiments::runner::MeasurePlan;
-use experiments::topologies::{DumbbellConfig, MeshConfig, ParkingLotConfig};
+use experiments::sweep::ScenarioKind;
+use experiments::topologies::{DumbbellConfig, ParkingLotConfig};
 use experiments::variants::Variant;
 use netsim::time::SimDuration;
 use tcp_pr::TcpPrConfig;
@@ -14,32 +15,29 @@ fn plan() -> MeasurePlan {
     MeasurePlan { warmup: SimDuration::from_secs(10), window: SimDuration::from_secs(20) }
 }
 
+/// Goodput (Mbps) of one Figure 6 cell on the 10 ms mesh, seed 3.
+fn multipath_mbps(variant: Variant, epsilon: f64) -> f64 {
+    let kind = ScenarioKind::Multipath { variant, epsilon, link_delay_ms: 10 };
+    cell::run_kind(&kind, &[], &[], plan(), 3).num(Metric::Mbps)
+}
+
 /// Section 5 / Figure 6: under full multipath routing (ε = 0) TCP-PR keeps
 /// high throughput while every DUPACK-driven variant collapses or trails.
 #[test]
 fn claim_tcp_pr_dominates_under_persistent_reordering() {
-    let mesh = MeshConfig::default();
-    let pr = run_multipath_point(Variant::TcpPr, 0.0, mesh, plan(), 3);
-    assert!(pr.mbps > 15.0, "TCP-PR aggregates paths: {}", pr.mbps);
+    let pr = multipath_mbps(Variant::TcpPr, 0.0);
+    assert!(pr > 15.0, "TCP-PR aggregates paths: {pr}");
     for v in [Variant::DsackNm, Variant::IncByN, Variant::Ewma, Variant::Sack, Variant::NewReno] {
-        let other = run_multipath_point(v, 0.0, mesh, plan(), 3);
-        assert!(
-            pr.mbps > 2.0 * other.mbps,
-            "{v} got {} Mbps vs TCP-PR {} at eps=0",
-            other.mbps,
-            pr.mbps
-        );
+        let other = multipath_mbps(v, 0.0);
+        assert!(pr > 2.0 * other, "{v} got {other} Mbps vs TCP-PR {pr} at eps=0");
     }
 }
 
 /// Figure 6, ε = 500: single-path routing — every variant performs alike.
 #[test]
 fn claim_all_equal_without_reordering() {
-    let mesh = MeshConfig::default();
-    let throughputs: Vec<f64> = Variant::FIGURE6
-        .iter()
-        .map(|&v| run_multipath_point(v, 500.0, mesh, plan(), 3).mbps)
-        .collect();
+    let throughputs: Vec<f64> =
+        Variant::FIGURE6.iter().map(|&v| multipath_mbps(v, 500.0)).collect();
     let min = throughputs.iter().copied().fold(f64::INFINITY, f64::min);
     let max = throughputs.iter().copied().fold(0.0, f64::max);
     assert!(min > 0.75 * max, "at eps=500 all variants should be within 25%: {throughputs:?}");
