@@ -174,7 +174,9 @@ pub fn run_scale(
     }
     let peak_flows = merged.peak_active.max(1);
     let heap_bytes = (sim.event_heap_peak() * EventQueue::record_bytes()) as u64;
-    let bytes_per_flow = (state_bytes + heap_bytes) / peak_flows;
+    // A pending `Arrive` is a handle; the packet it names is an arena slot.
+    let packet_bytes = (sim.packet_peak() * std::mem::size_of::<netsim::Packet>()) as u64;
+    let bytes_per_flow = (state_bytes + heap_bytes + packet_bytes) / peak_flows;
     session::add_workload(merged.peak_active, bytes_per_flow);
 
     let window_s = plan.window.as_secs_f64();

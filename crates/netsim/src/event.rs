@@ -10,16 +10,19 @@
 //! other event's [`EventKey`]. The virtual `LinkReady` is built on this.
 //!
 //! The heap orders 24-byte `(at, seq, slot)` keys; the [`EventKind`]
-//! payloads (an `Arrive` carries a whole `Packet`) sit still in a slab,
-//! written once on push and read once on pop. Vacant slots hold the free
-//! list themselves, so the slab never outgrows [`EventQueue::peak_len`].
+//! payloads sit still in a [`Slab`], written once on push and read once on
+//! pop, so the slab never outgrows [`EventQueue::peak_len`]. A payload is
+//! itself 24 bytes — an `Arrive` names its packet by [`PacketId`], the
+//! packet stays in the simulator's arena — and still does not ride in the
+//! heap entry: sifting 40-byte records measured no faster than 24-byte
+//! keys (DESIGN.md §2 "Packets sit still").
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::mem;
 
-use crate::ids::{AgentId, LinkId, NodeId};
-use crate::packet::Packet;
+use crate::ids::{AgentId, LinkId, NodeId, PacketId};
+use crate::slab::Slab;
 use crate::time::SimTime;
 
 /// What happens when an event fires.
@@ -29,8 +32,8 @@ pub enum EventKind {
     Arrive {
         /// Node the packet arrives at.
         node: NodeId,
-        /// The packet itself.
-        packet: Packet,
+        /// The packet, parked in the simulator's arena.
+        packet: PacketId,
     },
     /// A link finished serializing the previous packet and can start the next.
     LinkReady {
@@ -123,14 +126,6 @@ impl Ord for Key {
     }
 }
 
-/// One slab entry: a pending payload, or a link of the free list.
-#[derive(Debug)]
-enum Slot {
-    Full(EventKind),
-    /// Vacant; holds the next vacant slot, if any.
-    Free(Option<u32>),
-}
-
 /// Deterministic future-event list.
 ///
 /// # Examples
@@ -148,9 +143,7 @@ enum Slot {
 #[derive(Debug, Default)]
 pub struct EventQueue {
     heap: BinaryHeap<Key>,
-    slab: Vec<Slot>,
-    /// Head of the free list threaded through the vacant slots.
-    free: Option<u32>,
+    payloads: Slab<EventKind>,
     next_seq: u64,
     last_popped_seq: u64,
     peak_len: usize,
@@ -176,22 +169,7 @@ impl EventQueue {
 
     /// Pushes `kind` under a key whose `seq` was reserved earlier.
     pub fn schedule_reserved(&mut self, (at, seq): EventKey, kind: EventKind) {
-        let slot = match self.free {
-            Some(slot) => {
-                let Slot::Free(next) =
-                    mem::replace(&mut self.slab[slot as usize], Slot::Full(kind))
-                else {
-                    unreachable!("free list points at a full slot")
-                };
-                self.free = next;
-                slot
-            }
-            None => {
-                let slot = u32::try_from(self.slab.len()).expect("over u32::MAX pending events");
-                self.slab.push(Slot::Full(kind));
-                slot
-            }
-        };
+        let slot = self.payloads.insert(kind);
         self.heap.push(Key { at, seq, slot });
         if self.heap.len() > self.peak_len {
             self.peak_len = self.heap.len();
@@ -201,12 +179,7 @@ impl EventQueue {
     /// Removes and returns the earliest event, or `None` if empty.
     pub fn pop(&mut self) -> Option<(SimTime, EventKind)> {
         let key = self.heap.pop()?;
-        let Slot::Full(kind) =
-            mem::replace(&mut self.slab[key.slot as usize], Slot::Free(self.free))
-        else {
-            unreachable!("heap key points at a vacant slot")
-        };
-        self.free = Some(key.slot);
+        let kind = self.payloads.remove(key.slot);
         self.last_popped_seq = key.seq;
         Some((key.at, kind))
     }
@@ -243,21 +216,21 @@ impl EventQueue {
     /// (surfaced as `peak_event_heap` in run health) into a byte figure,
     /// e.g. for per-flow memory accounting at population scale.
     pub fn record_bytes() -> usize {
-        mem::size_of::<Key>() + mem::size_of::<Slot>()
+        mem::size_of::<Key>() + Slab::<EventKind>::slot_bytes()
     }
 
     /// Number of pending [`EventKind::Arrive`] events — packets currently
     /// in flight between a link's transmitter and its far end. Used by the
     /// conservation check in [`crate::oracle`]; O(peak pending events).
     pub fn pending_arrivals(&self) -> usize {
-        self.slab.iter().filter(|s| matches!(s, Slot::Full(EventKind::Arrive { .. }))).count()
+        self.payloads.iter().filter(|kind| matches!(kind, EventKind::Arrive { .. })).count()
     }
 
     /// Links with a pending [`EventKind::LinkReady`] (for the lost-wake-up
     /// law of [`crate::oracle`]); O(peak pending events).
     pub fn pending_link_ready(&self) -> impl Iterator<Item = LinkId> + '_ {
-        self.slab.iter().filter_map(|s| match s {
-            Slot::Full(EventKind::LinkReady { link }) => Some(*link),
+        self.payloads.iter().filter_map(|kind| match kind {
+            EventKind::LinkReady { link } => Some(*link),
             _ => None,
         })
     }
@@ -265,9 +238,10 @@ impl EventQueue {
     /// The `generation` of every pending timer pop, main or auxiliary (for
     /// the lost-timer law of [`crate::oracle`]); O(peak pending events).
     pub fn pending_timers(&self) -> impl Iterator<Item = u64> + '_ {
-        self.slab.iter().filter_map(|s| match s {
-            Slot::Full(EventKind::Timer { generation, .. })
-            | Slot::Full(EventKind::AuxTimer { generation, .. }) => Some(*generation),
+        self.payloads.iter().filter_map(|kind| match kind {
+            EventKind::Timer { generation, .. } | EventKind::AuxTimer { generation, .. } => {
+                Some(*generation)
+            }
             _ => None,
         })
     }
@@ -323,22 +297,7 @@ mod tests {
         q.schedule(SimTime::from_nanos(1), bp());
         q.schedule(SimTime::from_nanos(2), EventKind::LinkReady { link: LinkId::from_raw(0) });
         assert_eq!(q.pending_arrivals(), 0, "non-arrival events do not count");
-        let packet = crate::packet::Packet {
-            uid: 0,
-            flow: crate::ids::FlowId::from_raw(0),
-            src: NodeId::from_raw(0),
-            dst: NodeId::from_raw(1),
-            size_bytes: 1000,
-            kind: crate::packet::PacketKind::Data(crate::packet::DataHeader {
-                seq: 0,
-                is_retransmit: false,
-                tx_count: 1,
-                timestamp: SimTime::ZERO,
-            }),
-            injected_at: SimTime::ZERO,
-            hops: 0,
-            route: None,
-        };
+        let packet = PacketId::from_raw(0);
         q.schedule(SimTime::from_nanos(3), EventKind::Arrive { node: NodeId::from_raw(1), packet });
         assert_eq!(q.pending_arrivals(), 1);
     }
@@ -360,7 +319,9 @@ mod tests {
     #[test]
     fn slots_are_recycled_never_leaked() {
         // Saw-tooth occupancy with ties, late and never-used reserved seqs:
-        // however the run goes, the slab holds exactly the high-water mark.
+        // however the run goes, the payload slab holds exactly the pending
+        // events and never outgrows the heap's high-water mark. (That its
+        // vacant slots all stay on the free list is `Slab`'s own test.)
         let mut q = EventQueue::new();
         let mut x = 0x9e37_79b9_7f4a_7c15_u64;
         let mut reserved = Vec::new();
@@ -383,21 +344,12 @@ mod tests {
                 }
                 _ => q.schedule(at, EventKind::LinkReady { link: LinkId::from_raw(step as u32) }),
             }
-            assert_eq!(q.slab.len(), q.peak_len());
-            let full = q.slab.iter().filter(|s| matches!(s, Slot::Full(_))).count();
-            assert_eq!(full, q.len());
+            assert_eq!(q.payloads.peak(), q.peak_len());
+            assert_eq!(q.payloads.len(), q.len());
         }
         assert!((20..500).contains(&q.peak_len()), "churn, not growth: {}", q.peak_len());
         while q.pop().is_some() {}
-        assert_eq!(q.slab.len(), q.peak_len());
-        let mut free = 0;
-        let mut next = q.free;
-        while let Some(slot) = next {
-            let Slot::Free(n) = q.slab[slot as usize] else { panic!("full slot on the free list") };
-            next = n;
-            free += 1;
-        }
-        assert_eq!(free, q.slab.len(), "every slot is back on the free list");
+        assert_eq!((q.payloads.len(), q.payloads.peak()), (0, q.peak_len()));
     }
 
     #[test]
@@ -414,8 +366,10 @@ mod tests {
     #[test]
     fn record_bytes_is_key_plus_slot() {
         assert_eq!(mem::size_of::<Key>(), 24, "what sifts");
-        // The free-list link rides in `EventKind`'s spare tag values.
-        assert_eq!(mem::size_of::<Slot>(), mem::size_of::<EventKind>());
+        // The slab's free-list link rides in `EventKind`'s spare tag values.
         assert_eq!(EventQueue::record_bytes(), 24 + mem::size_of::<EventKind>());
+        // ROADMAP 2(d)'s gate: no payload carries more than a handle.
+        assert!(mem::size_of::<EventKind>() <= 32, "{}", mem::size_of::<EventKind>());
+        assert!(EventQueue::record_bytes() <= 64, "{}", EventQueue::record_bytes());
     }
 }

@@ -1,8 +1,8 @@
 //! Typed identifiers for simulator entities.
 //!
-//! Newtypes keep node, link, flow and agent identifiers from being mixed up
-//! at compile time (C-NEWTYPE). All are dense indices into the simulator's
-//! internal vectors.
+//! Newtypes keep node, link, flow, agent and packet identifiers from being
+//! mixed up at compile time (C-NEWTYPE). All are dense indices into the
+//! simulator's internal vectors.
 
 use core::fmt;
 
@@ -53,6 +53,14 @@ id_type!(
     AgentId,
     "a"
 );
+id_type!(
+    /// Handle to a packet in the network: the index of its slot in the
+    /// simulator's packet arena, valid from injection until the packet is
+    /// delivered or dropped (the slot is then reused). Events and link queues
+    /// carry this instead of the [`crate::packet::Packet`] itself.
+    PacketId,
+    "p"
+);
 
 #[cfg(test)]
 mod tests {
@@ -66,6 +74,7 @@ mod tests {
         assert_eq!(LinkId::from_raw(1).to_string(), "l1");
         assert_eq!(FlowId::from_raw(2).to_string(), "f2");
         assert_eq!(AgentId::from_raw(9).to_string(), "a9");
+        assert_eq!(PacketId::from_raw(4).to_string(), "p4");
     }
 
     #[test]

@@ -43,13 +43,14 @@ pub mod packet;
 pub mod queue;
 pub mod routing;
 pub mod sim;
+mod slab;
 pub mod telemetry;
 pub mod time;
 pub mod trace;
 pub mod traffic;
 
 pub use agent::{Agent, AgentCtx};
-pub use ids::{AgentId, FlowId, LinkId, NodeId};
+pub use ids::{AgentId, FlowId, LinkId, NodeId, PacketId};
 pub use impair::{derive_seed, AdminEntry, ImpairStats, LinkAdmin, StageConfig};
 pub use link::LinkConfig;
 pub use oracle::{Snapshot, Violation};

@@ -3,10 +3,11 @@
 //! A link serializes packets at `bandwidth_bps`, then propagates them with a
 //! fixed delay (plus optional random jitter, an extension used to inject
 //! reordering on a single path in tests and examples). Packets that arrive
-//! during a serialization wait in the link's output queue.
+//! during a serialization wait in the link's output queue — as
+//! [`PacketId`]s: a link never owns a packet, it holds a place for one.
 
 use crate::event::EventKey;
-use crate::ids::NodeId;
+use crate::ids::{NodeId, PacketId};
 use crate::impair::{ImpairPipeline, ImpairStats, StageConfig};
 use crate::queue::{LinkQueue, QueuePolicy};
 use crate::time::SimDuration;
@@ -220,7 +221,7 @@ impl Link {
 
     /// Picks the next packet to serialize, honouring the DiffServ
     /// scheduler. `None` when both queues are empty.
-    pub fn dequeue_next(&mut self) -> Option<crate::packet::Packet> {
+    pub fn dequeue_next(&mut self) -> Option<PacketId> {
         let Some(ds) = self.config.diffserv else { return self.queue.dequeue() };
         let high = self.queue_high.as_mut().expect("diffserv link has a high queue");
         match ds.scheduler {
@@ -284,23 +285,8 @@ mod tests {
         let _ = LinkConfig::new(0.0, SimDuration::ZERO, 10);
     }
 
-    fn pkt(uid: u64) -> crate::packet::Packet {
-        crate::packet::Packet {
-            uid,
-            flow: crate::ids::FlowId::from_raw(0),
-            src: NodeId::from_raw(0),
-            dst: NodeId::from_raw(1),
-            size_bytes: 1000,
-            kind: crate::packet::PacketKind::Data(crate::packet::DataHeader {
-                seq: uid,
-                is_retransmit: false,
-                tx_count: 1,
-                timestamp: crate::time::SimTime::ZERO,
-            }),
-            injected_at: crate::time::SimTime::ZERO,
-            hops: 0,
-            route: None,
-        }
+    fn pkt(id: u32) -> PacketId {
+        PacketId::from_raw(id)
     }
 
     #[test]
@@ -311,8 +297,8 @@ mod tests {
         link.queue.enqueue(pkt(0), 0.0);
         link.queue_high.as_mut().unwrap().enqueue(pkt(1), 0.0);
         assert_eq!(link.queued(), 2);
-        assert_eq!(link.dequeue_next().unwrap().uid, 1, "high priority first");
-        assert_eq!(link.dequeue_next().unwrap().uid, 0);
+        assert_eq!(link.dequeue_next(), Some(pkt(1)), "high priority first");
+        assert_eq!(link.dequeue_next(), Some(pkt(0)));
         assert!(link.dequeue_next().is_none());
     }
 
@@ -325,7 +311,8 @@ mod tests {
             link.queue.enqueue(pkt(i), 0.0); // low: 0,1,2
             link.queue_high.as_mut().unwrap().enqueue(pkt(10 + i), 0.0); // high: 10,11,12
         }
-        let order: Vec<u64> = std::iter::from_fn(|| link.dequeue_next().map(|p| p.uid)).collect();
+        let order: Vec<usize> =
+            std::iter::from_fn(|| link.dequeue_next().map(PacketId::index)).collect();
         assert_eq!(order, vec![10, 0, 11, 1, 12, 2]);
     }
 
@@ -336,7 +323,8 @@ mod tests {
         let mut link = Link::new(NodeId::from_raw(0), NodeId::from_raw(1), cfg);
         link.queue.enqueue(pkt(0), 0.0);
         link.queue.enqueue(pkt(1), 0.0);
-        let order: Vec<u64> = std::iter::from_fn(|| link.dequeue_next().map(|p| p.uid)).collect();
+        let order: Vec<usize> =
+            std::iter::from_fn(|| link.dequeue_next().map(PacketId::index)).collect();
         assert_eq!(order, vec![0, 1], "empty high queue must not stall the link");
     }
 

@@ -1,5 +1,6 @@
-//! Sim-core invariant oracle: packet conservation, event-time
-//! monotonicity and no lost wake-ups, of links or of timers.
+//! Sim-core invariant oracle: packet conservation, no leaked or doubly
+//! held packet, event-time monotonicity and no lost wake-ups, of links or
+//! of timers.
 //!
 //! The simulator keeps exact counters for every way a packet can leave the
 //! system (delivery, the four drop classes) and for every way one can enter
@@ -13,7 +14,21 @@
 //!   + impair_drops + queued + in_flight
 //! ```
 //!
-//! [`check`] verifies that equation plus the event core's monotonic-clock
+//! The packets themselves sit in one arena from injection until delivery
+//! or a drop; a link queue or an `Arrive` holds a 4-byte handle. The handle
+//! is `Copy`, so the type system no longer says a packet is in one place at
+//! a time — this law does. Every live arena slot must be held by exactly
+//! one queue entry or pending arrival:
+//!
+//! ```text
+//! live_packets = queued + in_flight
+//! ```
+//!
+//! More live than held is a leak (an exit forgot to free its slot); fewer
+//! is a packet held twice, or a handle that outlived its packet — which, if
+//! the slot is still vacant when the handle is used, panics there instead.
+//!
+//! [`check`] verifies both equations plus the event core's monotonic-clock
 //! invariant (an event must never fire at an instant earlier than the
 //! current clock; the dispatch loop counts such regressions instead of
 //! panicking) and its wake-up law: a link's end-of-serialization
@@ -66,6 +81,8 @@ pub struct Snapshot {
     pub queued: u64,
     /// Packets currently propagating (pending `Arrive` events).
     pub in_flight: u64,
+    /// Occupied slots of the packet arena.
+    pub live_packets: u64,
     /// Events popped at an instant earlier than the clock.
     pub time_regressions: u64,
     /// Links that are up and hold waiting packets with no `LinkReady`
@@ -105,6 +122,15 @@ pub enum Violation {
         /// Packets accounted for (delivered, dropped, queued, in flight).
         sinks: u64,
     },
+    /// The packet arena and its handle holders disagree: a slot was never
+    /// freed (`live > held`), or a packet is held twice or after it was
+    /// freed (`live < held`).
+    LeakedPacket {
+        /// Occupied arena slots.
+        live: u64,
+        /// Handles held by link queues and pending arrivals.
+        held: u64,
+    },
     /// The event clock moved backwards.
     TimeRegression {
         /// How many events fired at an instant earlier than the clock.
@@ -130,6 +156,9 @@ impl Violation {
             Violation::Conservation { sources, sinks } => {
                 format!("packet conservation violated: {sources} entered but {sinks} accounted for")
             }
+            Violation::LeakedPacket { live, held } => {
+                format!("packet arena holds {live} packet(s) but {held} handle(s) are held")
+            }
             Violation::TimeRegression { count } => {
                 format!("event clock moved backwards {count} time(s)")
             }
@@ -149,6 +178,10 @@ pub fn check(s: &Snapshot) -> Vec<Violation> {
     let mut violations = Vec::new();
     if s.sources() != s.sinks() {
         violations.push(Violation::Conservation { sources: s.sources(), sinks: s.sinks() });
+    }
+    let held = s.queued + s.in_flight;
+    if s.live_packets != held {
+        violations.push(Violation::LeakedPacket { live: s.live_packets, held });
     }
     if s.time_regressions > 0 {
         violations.push(Violation::TimeRegression { count: s.time_regressions });

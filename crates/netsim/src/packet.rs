@@ -4,6 +4,12 @@
 //! are modeled structurally rather than as byte layouts: a packet is either a
 //! data segment or an acknowledgment, mirroring what the TCP-PR evaluation
 //! needs (cumulative ACKs, SACK blocks, DSACK reports, timestamp echoes).
+//!
+//! A [`Packet`] is written once, into the simulator's packet arena, when an
+//! agent sends it, and read out once, when it is delivered: in between it
+//! sits still and events and link queues pass its [`crate::ids::PacketId`]
+//! around (DESIGN.md §2 "Packets sit still"). Agents only ever see whole
+//! packets, by value.
 
 use std::sync::Arc;
 

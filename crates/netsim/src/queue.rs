@@ -3,10 +3,15 @@
 //! The paper's simulations use ns-2 drop-tail FIFO queues sized in packets
 //! (100 packets for the Figure 5 topology). A RED variant is provided as an
 //! extension for sensitivity studies; it is not used by the headline figures.
+//!
+//! A queue holds [`PacketId`]s, not packets: the packet sits in the
+//! simulator's arena from injection to delivery, and a waiting place in line
+//! is four bytes. The disciplines here decide on queue length alone, so they
+//! never look a handle up.
 
 use std::collections::VecDeque;
 
-use crate::packet::Packet;
+use crate::ids::PacketId;
 
 /// Queue management discipline for a link's output buffer.
 #[derive(Debug, Clone, PartialEq)]
@@ -46,7 +51,7 @@ pub enum EnqueueOutcome {
 /// ```
 #[derive(Debug)]
 pub struct LinkQueue {
-    buf: VecDeque<Packet>,
+    buf: VecDeque<PacketId>,
     capacity: usize,
     policy: QueuePolicy,
     drops: u64,
@@ -72,7 +77,7 @@ impl LinkQueue {
 
     /// Offers `packet` to the queue. `uniform` must be a fresh sample from
     /// `[0, 1)`; it is only consumed by the RED policy.
-    pub fn enqueue(&mut self, packet: Packet, uniform: f64) -> EnqueueOutcome {
+    pub fn enqueue(&mut self, packet: PacketId, uniform: f64) -> EnqueueOutcome {
         let accept = match &self.policy {
             QueuePolicy::DropTail => self.buf.len() < self.capacity,
             QueuePolicy::Red { min_thresh, max_thresh, max_prob } => {
@@ -104,7 +109,7 @@ impl LinkQueue {
     }
 
     /// Removes the packet at the head of the queue.
-    pub fn dequeue(&mut self) -> Option<Packet> {
+    pub fn dequeue(&mut self) -> Option<PacketId> {
         self.buf.pop_front()
     }
 
@@ -137,27 +142,9 @@ impl LinkQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::{FlowId, NodeId};
-    use crate::packet::{DataHeader, PacketKind};
-    use crate::time::SimTime;
 
-    fn pkt(uid: u64) -> Packet {
-        Packet {
-            uid,
-            flow: FlowId::from_raw(0),
-            src: NodeId::from_raw(0),
-            dst: NodeId::from_raw(1),
-            size_bytes: 1000,
-            kind: PacketKind::Data(DataHeader {
-                seq: uid,
-                is_retransmit: false,
-                tx_count: 1,
-                timestamp: SimTime::ZERO,
-            }),
-            injected_at: SimTime::ZERO,
-            hops: 0,
-            route: None,
-        }
+    fn pkt(id: u32) -> PacketId {
+        PacketId::from_raw(id)
     }
 
     #[test]
@@ -177,7 +164,7 @@ mod tests {
         for i in 0..3 {
             q.enqueue(pkt(i), 0.0);
         }
-        let order: Vec<u64> = std::iter::from_fn(|| q.dequeue().map(|p| p.uid)).collect();
+        let order: Vec<usize> = std::iter::from_fn(|| q.dequeue().map(PacketId::index)).collect();
         assert_eq!(order, vec![0, 1, 2]);
         assert!(q.is_empty());
     }

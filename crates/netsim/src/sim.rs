@@ -7,12 +7,13 @@ use rand::{Rng, SeedableRng};
 
 use crate::agent::{Agent, AgentAction, AgentCtx};
 use crate::event::{EventKey, EventKind, EventQueue};
-use crate::ids::{AgentId, FlowId, LinkId, NodeId};
+use crate::ids::{AgentId, FlowId, LinkId, NodeId, PacketId};
 use crate::impair::{AdminEntry, Fate, ImpairPipeline, ImpairStats, LinkAdmin, StageConfig};
 use crate::link::{Link, LinkConfig};
 use crate::packet::{Packet, PacketKind};
 use crate::queue::EnqueueOutcome;
 use crate::routing::{Graph, MultipathRoute, Routing};
+use crate::slab::Slab;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{TraceConfig, TraceEventKind, TraceRecord, TraceSink, Tracer};
 
@@ -111,6 +112,7 @@ impl SimBuilder {
         let mut sim = Simulator {
             now: SimTime::ZERO,
             events: EventQueue::new(),
+            packets: Slab::default(),
             node_agents: vec![HashMap::new(); self.node_count],
             links,
             agents: Vec::new(),
@@ -235,6 +237,9 @@ struct AgentMeta {
 pub struct Simulator {
     now: SimTime,
     events: EventQueue,
+    /// Every packet in the network, from `inject` until it is delivered or
+    /// dropped; events and link queues hold [`PacketId`]s into it.
+    packets: Slab<Packet>,
     /// Per node: flow → agent serving it.
     node_agents: Vec<HashMap<FlowId, AgentId>>,
     links: Vec<Link>,
@@ -404,6 +409,12 @@ impl Simulator {
         self.events.peak_len()
     }
 
+    /// High-water mark of packets in the network at once — the number of
+    /// [`Packet`]-sized slots the arena grew to (memory accounting).
+    pub fn packet_peak(&self) -> usize {
+        self.packets.peak()
+    }
+
     /// Captures the packet-accounting state the invariant oracle checks
     /// (see [`crate::oracle`]): every terminal counter plus the packets
     /// still parked in link queues or in flight on the wire. Valid at any
@@ -427,14 +438,16 @@ impl Simulator {
             impair_drops: self.stats.impair_drops,
             queued: self.links.iter().map(|l| l.queued() as u64).sum(),
             in_flight: self.events.pending_arrivals() as u64,
+            live_packets: self.packets.len() as u64,
             time_regressions: self.stats.time_regressions,
             stalled_links: stalled.count() as u64,
             lost_timers: lost.count() as u64,
         }
     }
 
-    fn trace_packet(&mut self, packet: &Packet, kind: TraceEventKind) {
+    fn trace_packet(&mut self, id: PacketId, kind: TraceEventKind) {
         let Some(tracer) = &mut self.tracer else { return };
+        let packet = self.packets.get(id.0);
         if !tracer.wants(packet.flow) {
             return;
         }
@@ -450,6 +463,13 @@ impl Simulator {
             is_ack,
             kind,
         });
+    }
+
+    /// Traces the event that ends a packet's life short of delivery, and
+    /// frees its arena slot.
+    fn drop_packet(&mut self, id: PacketId, kind: TraceEventKind) {
+        self.trace_packet(id, kind);
+        self.packets.remove(id.0);
     }
 
     /// Installs (or replaces) the impairment pipeline on `id`. The
@@ -614,9 +634,10 @@ impl Simulator {
 
     fn dispatch(&mut self, kind: EventKind) {
         match kind {
-            EventKind::Arrive { node, mut packet } => {
-                packet.hops += 1;
-                if packet.dst == node {
+            EventKind::Arrive { node, packet } => {
+                let p = self.packets.get_mut(packet.0);
+                p.hops += 1;
+                if p.dst == node {
                     self.deliver(node, packet);
                 } else {
                     self.forward(node, packet);
@@ -642,21 +663,24 @@ impl Simulator {
         }
     }
 
-    fn deliver(&mut self, node: NodeId, packet: Packet) {
-        match self.node_agents[node.index()].get(&packet.flow).copied() {
+    fn deliver(&mut self, node: NodeId, id: PacketId) {
+        let flow = self.packets.get(id.0).flow;
+        match self.node_agents[node.index()].get(&flow).copied() {
             Some(agent) => {
                 self.stats.delivered += 1;
-                self.trace_packet(&packet, TraceEventKind::Delivered(node));
+                self.trace_packet(id, TraceEventKind::Delivered(node));
+                let packet = self.packets.remove(id.0);
                 self.call_agent(agent, AgentCall::Packet(packet));
             }
             None => {
                 self.stats.no_route_drops += 1;
-                self.trace_packet(&packet, TraceEventKind::NoRoute);
+                self.drop_packet(id, TraceEventKind::NoRoute);
             }
         }
     }
 
-    fn forward(&mut self, node: NodeId, packet: Packet) {
+    fn forward(&mut self, node: NodeId, id: PacketId) {
+        let packet = self.packets.get(id.0);
         let link = match &packet.route {
             Some(route) => route.get(packet.hops as usize).copied(),
             None => self.routing.next_hop(node, packet.dst),
@@ -668,11 +692,11 @@ impl Simulator {
                     node,
                     "route step must depart from the current node"
                 );
-                self.enqueue_on_link(l, packet);
+                self.enqueue_on_link(l, id);
             }
             None => {
                 self.stats.no_route_drops += 1;
-                self.trace_packet(&packet, TraceEventKind::NoRoute);
+                self.drop_packet(id, TraceEventKind::NoRoute);
             }
         }
     }
@@ -720,12 +744,12 @@ impl Simulator {
         }
     }
 
-    fn enqueue_on_link(&mut self, id: LinkId, packet: Packet) {
+    fn enqueue_on_link(&mut self, id: LinkId, packet: PacketId) {
         if !self.links[id.index()].up {
             self.links[id.index()].impair_stats.down_drops += 1;
             self.stats.impair_drops += 1;
             obs::count("impair.down_drop", 1);
-            self.trace_packet(&packet, TraceEventKind::ImpairDrop(id));
+            self.drop_packet(packet, TraceEventKind::ImpairDrop(id));
             return;
         }
         let loss = self.links[id.index()].config.random_loss;
@@ -733,7 +757,7 @@ impl Simulator {
             self.links[id.index()].random_losses += 1;
             self.stats.random_losses += 1;
             obs::count("link.random_loss", 1);
-            self.trace_packet(&packet, TraceEventKind::RandomLoss(id));
+            self.drop_packet(packet, TraceEventKind::RandomLoss(id));
             return;
         }
         // DiffServ classification: per-packet random marking.
@@ -742,21 +766,6 @@ impl Simulator {
             None => false,
         };
         let uniform = self.rng.gen::<f64>();
-        if self.tracer.is_some() {
-            // Pre-compute the outcome's trace before the packet moves.
-            let link = &self.links[id.index()];
-            let queue =
-                if use_high { link.queue_high.as_ref().expect("high queue") } else { &link.queue };
-            let will_fit = match &link.config.policy {
-                crate::queue::QueuePolicy::DropTail => queue.len() < queue.capacity_packets(),
-                // RED's decision is probabilistic; re-deriving it here would
-                // double-consume randomness, so optimistically trace Enqueued.
-                crate::queue::QueuePolicy::Red { .. } => true,
-            };
-            let kind =
-                if will_fit { TraceEventKind::Enqueued(id) } else { TraceEventKind::QueueDrop(id) };
-            self.trace_packet(&packet, kind);
-        }
         let cursor = self.cursor();
         let link = &mut self.links[id.index()];
         let free = link.settle(cursor);
@@ -764,15 +773,17 @@ impl Simulator {
             if use_high { link.queue_high.as_mut().expect("high queue") } else { &mut link.queue };
         match queue.enqueue(packet, uniform) {
             EnqueueOutcome::Enqueued => {
+                self.trace_packet(packet, TraceEventKind::Enqueued(id));
                 if free {
                     self.link_try_transmit(id);
-                } else if link.queued() == 1 {
+                } else if self.links[id.index()].queued() == 1 {
                     // First to wait behind a serialization: wake-up needed.
                     self.schedule_link_ready(id);
                 }
             }
             EnqueueOutcome::Dropped => {
                 self.stats.queue_drops += 1;
+                self.drop_packet(packet, TraceEventKind::QueueDrop(id));
             }
         }
     }
@@ -797,9 +808,10 @@ impl Simulator {
             return;
         }
         let Some(packet) = link.dequeue_next() else { return };
-        self.trace_packet(&packet, TraceEventKind::LinkTx(id));
+        self.trace_packet(packet, TraceEventKind::LinkTx(id));
+        let size_bytes = self.packets.get(packet.0).size_bytes;
         let link = &mut self.links[id.index()];
-        let tx = link.config.transmission_time(packet.size_bytes);
+        let tx = link.config.transmission_time(size_bytes);
         let delay = link.config.delay;
         let to = link.to;
         let jitter = link.config.jitter;
@@ -817,7 +829,7 @@ impl Simulator {
         match fate {
             Fate::Dropped => {
                 self.stats.impair_drops += 1;
-                self.trace_packet(&packet, TraceEventKind::ImpairDrop(id));
+                self.drop_packet(packet, TraceEventKind::ImpairDrop(id));
             }
             Fate::Deliver { extra_delay, duplicate } => {
                 let mut arrival = self.now + tx + delay + extra_delay;
@@ -827,16 +839,15 @@ impl Simulator {
                         arrival += extra;
                     }
                 }
+                self.events.schedule(arrival, EventKind::Arrive { node: to, packet });
                 if duplicate {
                     self.stats.impair_dups += 1;
-                    self.trace_packet(&packet, TraceEventKind::Duplicated(id));
-                    let copy = packet.clone();
-                    self.events.schedule(arrival, EventKind::Arrive { node: to, packet });
+                    self.trace_packet(packet, TraceEventKind::Duplicated(id));
+                    let copy = self.packets.get(packet.0).clone();
+                    let copy = PacketId(self.packets.insert(copy));
                     // The copy trails the original by one transmission time.
                     self.events
                         .schedule(arrival + tx, EventKind::Arrive { node: to, packet: copy });
-                } else {
-                    self.events.schedule(arrival, EventKind::Arrive { node: to, packet });
                 }
             }
         }
@@ -946,7 +957,8 @@ impl Simulator {
         });
         let packet =
             Packet { uid, flow, src, dst, size_bytes, kind, injected_at: self.now, hops: 0, route };
-        self.trace_packet(&packet, TraceEventKind::Injected);
+        let packet = PacketId(self.packets.insert(packet));
+        self.trace_packet(packet, TraceEventKind::Injected);
         if dst == src {
             self.deliver(src, packet);
         } else {
@@ -961,6 +973,7 @@ impl Drop for Simulator {
         if obs::enabled() {
             obs::count("sim.completed", 1);
             obs::gauge_max("event.heap_peak", self.events.peak_len() as u64);
+            obs::gauge_max("packet.live_peak", self.packets.peak() as u64);
         }
         crate::telemetry::session::absorb(
             self.stats.events,
@@ -1252,6 +1265,150 @@ mod tests {
         assert!(matches!(sim.events.pop(), Some((TX_END, EventKind::LinkReady { .. }))));
         assert_eq!(sim.invariant_snapshot().stalled_links, 1);
         assert_eq!(violations(&sim), vec![crate::oracle::Violation::StalledLink { count: 1 }]);
+    }
+
+    #[test]
+    fn red_drops_are_traced_as_drops() {
+        let mut config = LinkConfig::mbps_ms(10.0, 10, 100);
+        config.policy =
+            crate::queue::QueuePolicy::Red { min_thresh: 2, max_thresh: 8, max_prob: 0.5 };
+        let (mut sim, a, c) = one_link_sim(config);
+        sim.enable_trace(&[], 10_000);
+        let flow = FlowId::from_raw(0);
+        // One packet per 500 µs into a link that takes 800 µs to send one.
+        let overload: Vec<u64> = (0..200).map(|i| i * 500).collect();
+        sim.add_agent(a, flow, SendAt::boxed(c, &overload));
+        sim.add_agent(c, flow, SendAt::boxed(a, &[]));
+        sim.run_to_quiescence();
+        let records = sim.trace_records();
+        let traced = |kind| records.iter().filter(|r| r.kind == kind).count() as u64;
+        let (link, queue) = (LinkId::from_raw(0), &sim.links[0].queue);
+        assert!(queue.drops() > 20 && queue.enqueues() > 100, "RED was at work: {queue:?}");
+        assert_eq!(traced(TraceEventKind::QueueDrop(link)), queue.drops());
+        assert_eq!(traced(TraceEventKind::Enqueued(link)), queue.enqueues());
+        assert_eq!(sim.stats.queue_drops, queue.drops());
+    }
+
+    /// `a → c` as [`one_link_sim`], plus `island`, which no link reaches.
+    /// `sends` packets leave `a` for `dst` at t = 0; `sink` puts an agent
+    /// at `c` to take them.
+    fn exit_sim(config: LinkConfig, sends: u64, dst: u32, sink: bool) -> Simulator {
+        let mut b = SimBuilder::new(3);
+        let (a, c, _island) = (b.add_node(), b.add_node(), b.add_node());
+        b.add_link(a, c, config);
+        let mut sim = b.build();
+        let (flow, dst) = (FlowId::from_raw(0), NodeId::from_raw(dst));
+        sim.add_agent(a, flow, Box::new(Blaster { dst, count: sends, acked: Vec::new() }));
+        if sink {
+            sim.add_agent(c, flow, SendAt::boxed(a, &[]));
+        }
+        sim
+    }
+
+    /// Runs to quiescence with the oracle checked on the way; at the end
+    /// every packet injected or duplicated must have left the arena.
+    fn drained(mut sim: Simulator) -> (SimStats, ImpairStats) {
+        sim.start();
+        assert_eq!(violations(&sim), Vec::new(), "after on_start");
+        sim.run_until(SimTime::from_nanos(2_000_000));
+        assert_eq!(violations(&sim), Vec::new(), "mid-run");
+        sim.run_to_quiescence();
+        assert_eq!(violations(&sim), Vec::new(), "at quiescence");
+        let snap = sim.invariant_snapshot();
+        assert_eq!((snap.live_packets, snap.queued, snap.in_flight), (0, 0, 0));
+        let peak = sim.packet_peak() as u64;
+        assert!(0 < peak && peak <= snap.sources(), "peak {peak} of {} packets", snap.sources());
+        (sim.stats.clone(), sim.impair_totals())
+    }
+
+    fn fast() -> LinkConfig {
+        LinkConfig::mbps_ms(10.0, 10, 100)
+    }
+
+    #[test]
+    fn delivery_frees_the_packet() {
+        let (stats, _) = drained(exit_sim(fast(), 5, 1, true));
+        assert_eq!((stats.injected, stats.delivered), (5, 5));
+    }
+
+    #[test]
+    fn a_packet_for_a_node_without_its_agent_is_freed() {
+        let (stats, _) = drained(exit_sim(fast(), 5, 1, false));
+        assert_eq!(
+            (stats.injected, stats.no_route_drops),
+            (5, 5),
+            "crossed the link, then dropped"
+        );
+    }
+
+    #[test]
+    fn a_packet_with_no_next_hop_is_freed() {
+        let (stats, _) = drained(exit_sim(fast(), 5, 2, true));
+        assert_eq!((stats.injected, stats.no_route_drops, stats.events), (5, 5, 0));
+    }
+
+    #[test]
+    fn a_queue_drop_frees_the_packet() {
+        let (stats, _) = drained(exit_sim(LinkConfig::mbps_ms(10.0, 10, 2), 10, 1, true));
+        assert_eq!((stats.queue_drops, stats.delivered), (7, 3));
+    }
+
+    #[test]
+    fn a_random_loss_frees_the_packet() {
+        let (stats, _) = drained(exit_sim(fast().with_random_loss(0.5), 40, 1, true));
+        assert!(stats.random_losses > 5 && stats.delivered > 5, "{stats:?}");
+        assert_eq!(stats.random_losses + stats.delivered, 40);
+    }
+
+    #[test]
+    fn an_impairment_drop_frees_the_packet() {
+        let lossy = fast().with_impairments(&[StageConfig::IidLoss { p: 0.5 }]);
+        let (stats, _) = drained(exit_sim(lossy, 40, 1, true));
+        assert!(stats.impair_drops > 5 && stats.delivered > 5, "{stats:?}");
+        assert_eq!(stats.impair_drops + stats.delivered, 40);
+    }
+
+    #[test]
+    fn a_down_link_frees_the_packets_it_refuses() {
+        let (mut sim, a, c) = one_link_sim(fast());
+        sim.add_agent(a, FlowId::from_raw(0), SendAt::boxed(c, &[0, 1_000, 1_200]));
+        sim.add_agent(c, FlowId::from_raw(0), SendAt::boxed(a, &[]));
+        sim.schedule_link_admin(SimTime::from_nanos(900_000), LinkId::from_raw(0), LinkAdmin::Down);
+        let (stats, impair) = drained(sim);
+        assert_eq!((stats.delivered, stats.impair_drops, impair.down_drops), (1, 2, 2));
+    }
+
+    #[test]
+    fn a_duplicate_is_a_packet_of_its_own_and_both_are_freed() {
+        let twice = fast().with_impairments(&[StageConfig::Duplicate { p: 0.5 }]);
+        let (stats, _) = drained(exit_sim(twice, 40, 1, true));
+        assert!(stats.impair_dups > 5, "{stats:?}");
+        assert_eq!(stats.delivered, 40 + stats.impair_dups);
+    }
+
+    #[test]
+    fn oracle_reports_a_leaked_packet() {
+        let mut sim = exit_sim(fast(), 1, 1, true);
+        sim.start();
+        // An exit that counts its packet and forgets to free the slot.
+        assert!(matches!(sim.events.pop(), Some((_, EventKind::Arrive { .. }))));
+        sim.stats.no_route_drops += 1;
+        let leak = crate::oracle::Violation::LeakedPacket { live: 1, held: 0 };
+        assert_eq!(violations(&sim), vec![leak.clone()], "the books balance; the arena does not");
+        assert!(leak.describe().contains("1 packet(s) but 0 handle(s)"));
+    }
+
+    #[test]
+    #[should_panic(expected = "stale slab key 0")]
+    fn an_arrival_naming_a_freed_packet_panics() {
+        let mut sim = exit_sim(fast(), 1, 1, true);
+        sim.start();
+        let Some((at, EventKind::Arrive { node, packet })) = sim.events.pop() else {
+            panic!("the one packet is on the wire")
+        };
+        sim.step(at, EventKind::Arrive { node, packet });
+        assert_eq!((sim.stats.delivered, sim.packets.len()), (1, 0));
+        sim.step(at, EventKind::Arrive { node, packet });
     }
 
     #[test]

@@ -10,6 +10,11 @@
 //! move it. The scenarios are built to force ties: emission intervals are
 //! whole multiples of the serialization time, so packets reach a
 //! transmitter at exactly the instant its previous serialization ends.
+//!
+//! The last scenario pins the packet arena the same way: recorded on
+//! `d36cb66`, the last commit to move each `Packet` by value through the
+//! event queue and the link queues, and — nothing it could shift being
+//! elided — with `events` and the heap's high-water mark in the hash.
 
 use netsim::impair::{flap_schedule, LinkAdmin, StageConfig};
 use netsim::link::DiffservScheduler;
@@ -216,7 +221,79 @@ fn flaps_during_transmission_match_the_eager_schedule() {
     assert_eq!(finish(sim, 1.0), FLAPS_DURING_TRANSMISSION);
 }
 
+/// Every way a packet leaves the network, in one run: a diamond whose two
+/// arms ε-multipath flows are source-routed over (one arm behind a
+/// Gilbert–Elliott + jitter + displacement + duplication pipeline), then an
+/// oversubscribed WRR DiffServ hop with random loss that is flapped down
+/// and up mid-run; beside them a flow to a node where no agent serves it
+/// and one to a node no link reaches.
+#[test]
+fn every_packet_exit_matches_the_by_value_path() {
+    let stages = [
+        StageConfig::GilbertElliott {
+            p_good_to_bad: 0.04,
+            p_bad_to_good: 0.25,
+            loss_good: 0.0,
+            loss_bad: 1.0,
+        },
+        StageConfig::Jitter { prob: 0.3, max_extra: SimDuration::from_millis(4) },
+        StageConfig::Displace { every: 5, depth: 2 },
+        StageConfig::Duplicate { p: 0.06 },
+    ];
+    let mut b = SimBuilder::new(5);
+    let n = b.add_nodes(7);
+    b.add_duplex(n[0], n[1], LinkConfig::mbps_ms(10.0, 1, 20).with_impairments(&stages));
+    b.add_duplex(n[0], n[2], LinkConfig::mbps_ms(10.0, 2, 20));
+    b.add_duplex(n[1], n[3], LinkConfig::mbps_ms(10.0, 1, 20));
+    b.add_duplex(n[2], n[3], LinkConfig::mbps_ms(10.0, 1, 20));
+    let wrr = DiffservScheduler::WeightedRoundRobin { hi: 2, lo: 1 };
+    let shared = LinkConfig::mbps_ms(8.0, 2, 12).with_diffserv(0.4, wrr).with_random_loss(0.03);
+    let (bottleneck, _) = b.add_duplex(n[3], n[4], shared);
+    b.add_duplex(n[4], n[5], LinkConfig::mbps_ms(10.0, 1, 20));
+    let mut sim = traced(b);
+    assert_eq!(sim.install_multipath(n[0], n[4], 0.5, 4), 2);
+    assert_eq!(sim.install_multipath(n[4], n[0], 0.0, 4), 2);
+    let ms = SimDuration::from_millis;
+    sim.apply_admin_schedule(
+        bottleneck,
+        &flap_schedule(ms(150), ms(20), SimTime::from_secs_f64(0.5)),
+    );
+    cbr(&mut sim, 0, n[0], n[4], 6.0, 0);
+    on_off(&mut sim, 1, n[0], n[4], 8.0, 15);
+    cbr(&mut sim, 2, n[4], n[0], 4.0, 300);
+    // Flow 3 crosses the whole network and finds no agent; flow 4's
+    // destination has no links, so its source's node has no next hop.
+    let (unserved, unreachable) = (FlowId::from_raw(3), FlowId::from_raw(4));
+    sim.add_agent(n[0], unserved, Box::new(CbrSource::new(n[5], 1e6, 1000, SimTime::ZERO)));
+    sim.add_agent(n[1], unreachable, Box::new(CbrSource::new(n[6], 1e6, 1000, SimTime::ZERO)));
+    sim.run_until(SimTime::from_secs_f64(0.3));
+    sim.schedule_link_admin(SimTime::from_secs_f64(0.41), bottleneck, LinkAdmin::Down);
+    sim.schedule_link_admin(SimTime::from_secs_f64(0.44), bottleneck, LinkAdmin::Up);
+    sim.run_until(SimTime::from_secs_f64(0.6));
+    let (s, impair) = (sim.stats().clone(), sim.impair_totals());
+    let records = sim.trace_records();
+    let no_route = |flow| {
+        records.iter().filter(|r| r.flow == flow && r.kind == TraceEventKind::NoRoute).count()
+    };
+    assert!(s.queue_drops > 0 && s.random_losses > 0 && s.impair_dups > 0, "{s:?}");
+    assert!(impair.down_drops > 0 && s.impair_drops > impair.down_drops, "{s:?} {impair:?}");
+    assert!(no_route(unserved) > 0 && no_route(unreachable) > 0 && s.delivered > 0, "{s:?}");
+    // Next-hop routing prefers the n1 arm; only a pinned route crosses n2.
+    let carried = |from: NodeId, to: NodeId| {
+        let mut links = (0..sim.link_count()).map(|i| sim.link(LinkId::from_raw(i as u32)));
+        links.find(|l| l.from == from && l.to == to).expect("link exists").transmitted
+    };
+    assert!(carried(n[0], n[2]) > 0 && carried(n[3], n[2]) > 0, "source routes used both arms");
+    assert!(carried(n[0], n[1]) > 0 && carried(n[3], n[1]) > 0, "source routes used both arms");
+    let (events, heap_peak) = (s.events, sim.event_heap_peak() as u64);
+    let mut h = Fnv(finish(sim, 0.6));
+    h.word(events);
+    h.word(heap_peak);
+    assert_eq!(h.0, EVERY_PACKET_EXIT);
+}
+
 const EQUAL_RATE_CHAIN: u64 = 0xe6695e9d8f9c16ec;
 const DIFFSERV_WRR: u64 = 0x3649e9307f835346;
 const IMPAIRED_LINKS: u64 = 0xdfce82a80fcb9d99;
 const FLAPS_DURING_TRANSMISSION: u64 = 0x896302ab94023f11;
+const EVERY_PACKET_EXIT: u64 = 0x767af67b4adf2968;

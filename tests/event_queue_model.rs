@@ -12,8 +12,7 @@ use std::collections::BinaryHeap;
 use proptest::prelude::*;
 
 use netsim::event::{EventKind, EventQueue};
-use netsim::ids::{AgentId, FlowId, LinkId, NodeId};
-use netsim::packet::{AckHeader, Packet, PacketKind};
+use netsim::ids::{AgentId, LinkId, NodeId, PacketId};
 use netsim::time::SimTime;
 
 /// What a payload is reduced to for comparison; `u32` identifies the push.
@@ -36,29 +35,11 @@ impl Tag {
 
     fn event(self) -> EventKind {
         match self {
-            // An ACK with a SACK block: the payload owns heap memory, so a
-            // slot handed out twice or dropped early would show.
-            Tag::Arrive(id) => EventKind::Arrive {
-                node: NodeId::from_raw(id),
-                packet: Packet {
-                    uid: u64::from(id),
-                    flow: FlowId::from_raw(0),
-                    src: NodeId::from_raw(0),
-                    dst: NodeId::from_raw(1),
-                    size_bytes: 40,
-                    kind: PacketKind::Ack(AckHeader {
-                        cum_ack: 0,
-                        sack: vec![(u64::from(id), u64::from(id) + 1)],
-                        dsack: None,
-                        echo_timestamp: SimTime::ZERO,
-                        echo_tx_count: 1,
-                        dup: false,
-                    }),
-                    injected_at: SimTime::ZERO,
-                    hops: 0,
-                    route: None,
-                },
-            },
+            // The tag rides in both fields, so a slot handed out twice or
+            // a payload read from the wrong one would show.
+            Tag::Arrive(id) => {
+                EventKind::Arrive { node: NodeId::from_raw(id), packet: PacketId::from_raw(id) }
+            }
             Tag::LinkReady(id) => EventKind::LinkReady { link: LinkId::from_raw(id) },
             Tag::Timer(id) => {
                 EventKind::Timer { agent: AgentId::from_raw(id), generation: u64::from(id) }
@@ -70,11 +51,7 @@ impl Tag {
         match kind {
             EventKind::Arrive { node, packet } => {
                 let id = node.index() as u32;
-                let sack = &packet.kind.as_ack().expect("only ACKs are scheduled").sack;
-                assert_eq!(
-                    (packet.uid, &sack[..]),
-                    (u64::from(id), &[(u64::from(id), u64::from(id) + 1)][..])
-                );
+                assert_eq!(packet.index(), node.index());
                 Tag::Arrive(id)
             }
             EventKind::LinkReady { link } => Tag::LinkReady(link.index() as u32),
