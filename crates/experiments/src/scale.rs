@@ -173,6 +173,8 @@ pub fn run_scale(
         state_bytes += src.state_bytes();
     }
     let peak_flows = merged.peak_active.max(1);
+    // An upper bound: an arrival riding its link's lane holds 24 B (a heap
+    // key or a lane entry) and no payload slot, not the full record.
     let heap_bytes = (sim.event_heap_peak() * EventQueue::record_bytes()) as u64;
     // A pending `Arrive` is a handle; the packet it names is an arena slot.
     let packet_bytes = (sim.packet_peak() * std::mem::size_of::<netsim::Packet>()) as u64;

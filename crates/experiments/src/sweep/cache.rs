@@ -15,7 +15,7 @@
 //! file + rename so a crashed run cannot leave a torn entry behind.
 
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 use netsim::telemetry::SessionStats;
 use serde::Value;
@@ -183,12 +183,6 @@ impl Cache {
         }
         result
     }
-}
-
-/// Reports where the cache lives for a working directory (used in help
-/// text and the sweep summary).
-pub fn describe(dir: &Path) -> String {
-    format!("{}/<spec-hash>.json", dir.display())
 }
 
 #[cfg(test)]

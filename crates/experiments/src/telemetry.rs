@@ -1,40 +1,10 @@
 //! Run-health bookkeeping for experiment artifacts.
 //!
-//! Every figure the `repro` binary regenerates gets a [`RunHealth`] block —
-//! events processed, events per wall-clock second, peak event-heap size,
-//! dropped trace records, wall time — embedded next to its results in
-//! `results/*.json`. A [`FigureTimer`] brackets one figure: it resets the
-//! netsim per-thread session accumulator on start and folds the accumulated
-//! stats with the wall clock on finish.
+//! Every figure the `repro` binary regenerates gets a run-health block —
+//! simulators, events processed, peak pending events, dropped trace
+//! records — embedded next to its results in `results/*.json`.
 
-use std::time::Instant;
-
-use netsim::telemetry::{session, RunHealth, SessionStats};
-
-/// Wall-clock + session-stats bracket around one figure's worth of
-/// simulations.
-///
-/// Dropping a [`netsim::sim::Simulator`] folds its event count, peak heap
-/// size and dropped-trace-record count into a per-thread accumulator;
-/// `FigureTimer::start` clears that accumulator so the eventual
-/// [`RunHealth`] covers exactly the simulations run in between.
-#[derive(Debug)]
-pub struct FigureTimer {
-    t0: Instant,
-}
-
-impl FigureTimer {
-    /// Starts timing: resets the session accumulator and the wall clock.
-    pub fn start() -> Self {
-        session::reset();
-        FigureTimer { t0: Instant::now() }
-    }
-
-    /// Stops timing and folds the session stats into a [`RunHealth`].
-    pub fn finish(self) -> RunHealth {
-        RunHealth::from_session(session::snapshot(), self.t0.elapsed().as_secs_f64())
-    }
-}
+use netsim::telemetry::SessionStats;
 
 /// Wraps figure results and their run-health block into the artifact
 /// object written to `results/*.json`:
@@ -74,41 +44,6 @@ pub fn warn_if_dropped(figure: &str, dropped_trace_records: u64) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netsim::ids::FlowId;
-    use netsim::sim::SimBuilder;
-    use netsim::time::SimTime;
-    use tcp_pr::{TcpPrConfig, TcpPrSender};
-    use transport::host::{attach_flow, FlowOptions};
-
-    use crate::topologies::{dumbbell, DumbbellConfig};
-
-    #[test]
-    fn figure_timer_brackets_the_sims_in_between() {
-        // A sim dropped *before* the bracket must not leak into it.
-        {
-            let mut sim = SimBuilder::new(1).build();
-            sim.run_until(SimTime::from_secs_f64(0.001));
-        }
-        let timer = FigureTimer::start();
-        {
-            let mut d = dumbbell(3, DumbbellConfig::default());
-            attach_flow(
-                &mut d.sim,
-                FlowId::from_raw(0),
-                d.src,
-                d.dst,
-                TcpPrSender::new(TcpPrConfig::default()),
-                FlowOptions::default(),
-            );
-            d.sim.run_until(SimTime::from_secs_f64(1.0));
-        }
-        let health = timer.finish();
-        assert_eq!(health.sims, 1, "only the bracketed sim is counted");
-        assert!(health.events_processed > 100);
-        assert!(health.peak_event_heap > 0);
-        assert!(health.events_per_sec > 0.0);
-        assert_eq!(health.dropped_trace_records, 0);
-    }
 
     #[test]
     fn artifact_embeds_results_and_run_health() {

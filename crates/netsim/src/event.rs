@@ -16,9 +16,16 @@
 //! packet stays in the simulator's arena — and still does not ride in the
 //! heap entry: sifting 40-byte records measured no faster than 24-byte
 //! keys (DESIGN.md §2 "Packets sit still").
+//!
+//! Arrivals a link delivers in the order it sent them share one heap entry:
+//! [`EventQueue::schedule_arrival`] appends to the link's **lane**, a FIFO
+//! whose head alone is in the heap — as a key naming the lane and carrying
+//! the [`PacketId`] in what was padding, so no payload slab is touched — and
+//! popping that key rewrites the heap's top with the lane's next. Arrivals
+//! keep their `(at, seq)` (DESIGN.md §2 "Arrivals ride their link").
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{binary_heap::PeekMut, BinaryHeap, VecDeque};
 use std::mem;
 
 use crate::ids::{AgentId, LinkId, NodeId, PacketId};
@@ -98,12 +105,28 @@ impl EventKind {
 /// Dispatch-order key of an event: instant, then tie-break sequence number.
 pub type EventKey = (SimTime, u64);
 
-/// What the heap sifts: the dispatch key plus where the payload waits.
+/// What the heap sifts: the dispatch key plus where the payload waits — a
+/// payload-slab slot, or with [`LANE`] set a lane, whose head `packet` is.
 #[derive(Debug, Clone, Copy)]
 struct Key {
     at: SimTime,
     seq: u64,
     slot: u32,
+    packet: PacketId,
+}
+
+/// Tag bit of [`Key::slot`]: the rest is a lane index, not a slab slot.
+const LANE: u32 = 1 << 31;
+
+/// The arrivals in flight on one link, in `(at, seq)` order.
+#[derive(Debug)]
+struct Lane {
+    /// Node the link delivers to.
+    to: NodeId,
+    /// True while the lane's head is in the heap (as a [`LANE`] key).
+    busy: bool,
+    /// The arrivals queued behind that head.
+    backlog: VecDeque<(SimTime, u64, PacketId)>,
 }
 
 impl PartialEq for Key {
@@ -144,6 +167,9 @@ impl Ord for Key {
 pub struct EventQueue {
     heap: BinaryHeap<Key>,
     payloads: Slab<EventKind>,
+    lanes: Vec<Lane>,
+    /// Arrivals in lane backlogs: pending events the heap does not hold.
+    waiting: usize,
     next_seq: u64,
     last_popped_seq: u64,
     peak_len: usize,
@@ -153,6 +179,12 @@ impl EventQueue {
     /// Creates an empty queue.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// An empty queue whose lane `i` delivers to node `to[i]` (the simulator's link `i`).
+    pub fn with_lanes(to: impl IntoIterator<Item = NodeId>) -> Self {
+        let lane = |to| Lane { to, busy: false, backlog: VecDeque::new() };
+        EventQueue { lanes: to.into_iter().map(lane).collect(), ..Self::default() }
     }
 
     /// Schedules `kind` to fire at instant `at`.
@@ -170,18 +202,55 @@ impl EventQueue {
     /// Pushes `kind` under a key whose `seq` was reserved earlier.
     pub fn schedule_reserved(&mut self, (at, seq): EventKey, kind: EventKind) {
         let slot = self.payloads.insert(kind);
-        self.heap.push(Key { at, seq, slot });
-        if self.heap.len() > self.peak_len {
-            self.peak_len = self.heap.len();
+        self.heap.push(Key { at, seq, slot, packet: PacketId(0) });
+        self.peak_len = self.peak_len.max(self.len());
+    }
+
+    /// Schedules `packet` to arrive at the far end of `lane` at `at`, keyed
+    /// as `schedule(at, EventKind::Arrive { .. })` would key it. `at` must not
+    /// precede the lane's previous arrival: an overtaker goes through `schedule`.
+    pub fn schedule_arrival(&mut self, lane: usize, at: SimTime, packet: PacketId) {
+        let seq = self.reserve_seq();
+        let l = &mut self.lanes[lane];
+        debug_assert!(l.backlog.back().is_none_or(|&(last, ..)| last <= at));
+        if l.busy {
+            l.backlog.push_back((at, seq, packet));
+            self.waiting += 1;
+        } else {
+            l.busy = true;
+            self.heap.push(Key { at, seq, slot: LANE | lane as u32, packet });
         }
+        self.peak_len = self.peak_len.max(self.len());
     }
 
     /// Removes and returns the earliest event, or `None` if empty.
+    #[inline(always)] // as `pop_through`, for callers without a deadline
     pub fn pop(&mut self) -> Option<(SimTime, EventKind)> {
-        let key = self.heap.pop()?;
-        let kind = self.payloads.remove(key.slot);
-        self.last_popped_seq = key.seq;
-        Some((key.at, kind))
+        self.pop_through(SimTime::MAX)
+    }
+
+    /// Removes and returns the earliest event if it is due at or before
+    /// `deadline`; `None` if it is later or the queue is empty.
+    #[inline(always)] // the head of the dispatch loop: see `Simulator::dispatch`
+    pub fn pop_through(&mut self, deadline: SimTime) -> Option<(SimTime, EventKind)> {
+        let mut top = self.heap.peek_mut().filter(|top| top.at <= deadline)?;
+        let Key { at, seq, slot, packet } = *top;
+        self.last_popped_seq = seq;
+        if slot & LANE == 0 {
+            PeekMut::pop(top);
+            return Some((at, self.payloads.remove(slot)));
+        }
+        let lane = &mut self.lanes[(slot & !LANE) as usize];
+        if let Some((at, seq, packet)) = lane.backlog.pop_front() {
+            // The next arrival takes the top's place: one sift down from
+            // there as `top` drops, where a pop and a later push are two.
+            *top = Key { at, seq, slot, packet };
+            self.waiting -= 1;
+        } else {
+            lane.busy = false;
+            PeekMut::pop(top);
+        }
+        Some((at, EventKind::Arrive { node: lane.to, packet }))
     }
 
     /// `seq` of the event popped last (0 before the first pop).
@@ -194,8 +263,13 @@ impl EventQueue {
         self.heap.peek().map(|s| s.at)
     }
 
-    /// Number of pending events.
+    /// Number of pending events, wherever they wait: heap and lane backlogs.
     pub fn len(&self) -> usize {
+        self.heap.len() + self.waiting
+    }
+
+    /// Keys in the heap: what a push or pop sifts (profiler `event.heap_depth`).
+    pub fn heap_len(&self) -> usize {
         self.heap.len()
     }
 
@@ -219,11 +293,27 @@ impl EventQueue {
         mem::size_of::<Key>() + Slab::<EventKind>::slot_bytes()
     }
 
-    /// Number of pending [`EventKind::Arrive`] events — packets currently
-    /// in flight between a link's transmitter and its far end. Used by the
-    /// conservation check in [`crate::oracle`]; O(peak pending events).
+    /// Number of pending arrivals, on a lane or in the heap — packets in
+    /// flight between a link's transmitter and its far end (for the
+    /// conservation check in [`crate::oracle`]); O(peak pending + lanes).
     pub fn pending_arrivals(&self) -> usize {
-        self.payloads.iter().filter(|kind| matches!(kind, EventKind::Arrive { .. })).count()
+        let heaped = self.payloads.iter().filter(|kind| matches!(kind, EventKind::Arrive { .. }));
+        self.laned_arrivals() + heaped.count()
+    }
+
+    /// Arrivals on lanes: each busy lane's head and its backlog.
+    pub(crate) fn laned_arrivals(&self) -> usize {
+        self.lanes.iter().map(|l| usize::from(l.busy) + l.backlog.len()).sum()
+    }
+
+    /// Lanes holding arrivals with no key in the heap to deliver them (the
+    /// stranded-lane law of [`crate::oracle`]); O(heap + lanes).
+    pub fn stranded_lanes(&self) -> usize {
+        let mut keyed = vec![false; self.lanes.len()];
+        for key in self.heap.iter().filter(|key| key.slot & LANE != 0) {
+            keyed[(key.slot & !LANE) as usize] = true;
+        }
+        self.lanes.iter().zip(keyed).filter(|(lane, keyed)| lane.busy && !keyed).count()
     }
 
     /// Links with a pending [`EventKind::LinkReady`] (for the lost-wake-up
@@ -253,6 +343,15 @@ mod tests {
 
     fn bp() -> EventKind {
         EventKind::Breakpoint
+    }
+
+    /// Hook for the simulator's tests.
+    impl EventQueue {
+        /// Takes every lane key out of the heap, leaving the lanes as they
+        /// were — a lost wake-up for the oracle to find.
+        pub(crate) fn steal_lane_keys(&mut self) {
+            self.heap.retain(|key| key.slot & LANE == 0);
+        }
     }
 
     #[test]
@@ -354,6 +453,7 @@ mod tests {
 
     #[test]
     fn default_is_a_valid_empty_queue() {
+        // No lanes declared: `schedule` and `pop` need none.
         let mut q = EventQueue::default();
         assert!(q.is_empty() && q.pop().is_none() && q.peek_time().is_none());
         assert_eq!((q.peak_len(), q.last_popped_seq(), q.reserve_seq()), (0, 0, 0));
@@ -361,6 +461,41 @@ mod tests {
         q.schedule(SimTime::from_nanos(1), bp());
         assert_eq!(q.pop().map(|(t, _)| t.as_nanos()), Some(1));
         assert_eq!(q.last_popped_seq(), 2);
+    }
+
+    #[test]
+    fn a_lane_rides_on_one_heap_key_and_drains_empty() {
+        let at = SimTime::from_nanos;
+        let mut q = EventQueue::with_lanes([7, 8].map(NodeId::from_raw));
+        // Lane 0 carries three arrivals, two of them tied; lane 1 one; a
+        // plain event ties with lane 0's head and was scheduled between.
+        q.schedule_arrival(0, at(10), PacketId::from_raw(100));
+        q.schedule(at(10), bp());
+        q.schedule_arrival(0, at(10), PacketId::from_raw(101));
+        q.schedule_arrival(1, at(20), PacketId::from_raw(102));
+        q.schedule_arrival(0, at(30), PacketId::from_raw(103));
+        assert_eq!((q.len(), q.heap_len(), q.waiting, q.peak_len()), (5, 3, 2, 5));
+        assert_eq!((q.pending_arrivals(), q.stranded_lanes()), (4, 0));
+        assert!(q.pop_through(at(9)).is_none(), "nothing is due yet, nothing moves");
+        assert_eq!((q.len(), q.last_popped_seq()), (5, 0));
+        let mut order = Vec::new();
+        while let Some((t, kind)) = q.pop_through(at(20)) {
+            order.push(match kind {
+                EventKind::Arrive { node, packet } => (t.as_nanos(), node.index(), packet.index()),
+                _ => (t.as_nanos(), 0, 0),
+            });
+            assert_eq!(q.len() + order.len(), 5, "each pop takes exactly one event");
+        }
+        assert_eq!(order, [(10, 7, 100), (10, 0, 0), (10, 7, 101), (20, 8, 102)]);
+        assert_eq!((q.last_popped_seq(), q.len(), q.heap_len(), q.waiting), (3, 1, 1, 0));
+        assert_eq!(q.peek_time(), Some(at(30)));
+        // A lane that ran dry starts over with a key of its own.
+        q.schedule_arrival(1, at(25), PacketId::from_raw(104));
+        assert!(matches!(q.pop(), Some((_, EventKind::Arrive { packet: PacketId(104), .. }))));
+        assert!(matches!(q.pop(), Some((_, EventKind::Arrive { packet: PacketId(103), .. }))));
+        assert!(q.pop().is_none() && q.is_empty());
+        assert!(q.lanes.iter().all(|lane| !lane.busy && lane.backlog.is_empty()));
+        assert_eq!((q.waiting, q.pending_arrivals(), q.payloads.len(), q.peak_len()), (0, 0, 0, 5));
     }
 
     #[test]

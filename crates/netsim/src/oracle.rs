@@ -1,12 +1,13 @@
 //! Sim-core invariant oracle: packet conservation, no leaked or doubly
-//! held packet, event-time monotonicity and no lost wake-ups, of links or
-//! of timers.
+//! held packet, event-time monotonicity and no lost wake-ups, of links,
+//! of timers or of arrival lanes.
 //!
 //! The simulator keeps exact counters for every way a packet can leave the
 //! system (delivery, the four drop classes) and for every way one can enter
 //! it (agent injection, wire duplication). Between events, each live packet
-//! is either parked in a link queue or pending as an `Arrive` event, so the
-//! books must balance *exactly*:
+//! is either parked in a link queue or pending as an arrival — an `Arrive`
+//! event in the heap, or an entry of its link's lane in the event queue —
+//! so the books must balance *exactly*:
 //!
 //! ```text
 //! injected + duplicated =
@@ -39,6 +40,10 @@
 //! so between events every armed timer must have a pop in the queue keyed
 //! at or below its deadline — otherwise the callback never runs (and a
 //! `pending` pop that is not in the queue would swallow the next arm).
+//! And arrival lanes, third: of the packets in flight on a link in sending
+//! order only the first has a key in the heap, and popping it promotes the
+//! next, so between events every lane that holds arrivals must have its key
+//! in the heap — otherwise those packets never arrive.
 //! The adversary's `oracle` objective
 //! minimizes the negated violation count, i.e. it actively searches the
 //! impairment/admin-schedule space for scenarios that break a law.
@@ -92,6 +97,9 @@ pub struct Snapshot {
     /// no pop pending at or below the deadline, or whose pending pop is
     /// not in the queue.
     pub lost_timers: u64,
+    /// Event-queue lanes that hold arrivals with no key in the heap to
+    /// deliver them.
+    pub stranded_lanes: u64,
 }
 
 impl Snapshot {
@@ -147,6 +155,12 @@ pub enum Violation {
         /// How many timer slots lost their pop.
         count: u64,
     },
+    /// A lane's wake-up was lost: packets in flight on a link will never
+    /// arrive.
+    StrandedLane {
+        /// How many lanes hold arrivals with no key in the heap.
+        count: u64,
+    },
 }
 
 impl Violation {
@@ -167,6 +181,9 @@ impl Violation {
             }
             Violation::LostTimer { count } => {
                 format!("{count} timer(s) have no pop pending at or below the armed deadline")
+            }
+            Violation::StrandedLane { count } => {
+                format!("{count} link(s) have arrivals in flight with no key in the event heap")
             }
         }
     }
@@ -191,6 +208,9 @@ pub fn check(s: &Snapshot) -> Vec<Violation> {
     }
     if s.lost_timers > 0 {
         violations.push(Violation::LostTimer { count: s.lost_timers });
+    }
+    if s.stranded_lanes > 0 {
+        violations.push(Violation::StrandedLane { count: s.stranded_lanes });
     }
     violations
 }

@@ -111,7 +111,7 @@ impl SimBuilder {
         let routing = Routing::shortest_path(&graph);
         let mut sim = Simulator {
             now: SimTime::ZERO,
-            events: EventQueue::new(),
+            events: EventQueue::with_lanes(links.iter().map(|l| l.to)),
             packets: Slab::default(),
             node_agents: vec![HashMap::new(); self.node_count],
             links,
@@ -404,7 +404,8 @@ impl Simulator {
         self.tracer.as_ref().map(Tracer::dropped_records).unwrap_or(0)
     }
 
-    /// High-water mark of the pending-event heap (run-health diagnostic).
+    /// High-water mark of pending events — in the heap or queued on a link's
+    /// lane behind its heap key (run-health diagnostic).
     pub fn event_heap_peak(&self) -> usize {
         self.events.peak_len()
     }
@@ -442,6 +443,7 @@ impl Simulator {
             time_regressions: self.stats.time_regressions,
             stalled_links: stalled.count() as u64,
             lost_timers: lost.count() as u64,
+            stranded_lanes: self.events.stranded_lanes() as u64,
         }
     }
 
@@ -575,8 +577,7 @@ impl Simulator {
     /// sets the clock to `deadline`.
     pub fn run_until(&mut self, deadline: SimTime) {
         self.start();
-        while self.events.peek_time().is_some_and(|t| t <= deadline) {
-            let (at, kind) = self.events.pop().expect("peeked event exists");
+        while let Some((at, kind)) = self.events.pop_through(deadline) {
             self.step(at, kind);
         }
         if deadline > self.now {
@@ -617,13 +618,15 @@ impl Simulator {
     }
 
     /// Dispatches one event, reporting to the profiler when it is enabled:
-    /// a per-kind counter, the pending-heap depth (sim-deterministic), and
-    /// the wall-clock cost of the dispatch (non-deterministic section).
+    /// a per-kind counter, the pending events and how many of them the heap
+    /// holds (sim-deterministic), and the wall-clock cost of the dispatch
+    /// (non-deterministic section).
     /// Disabled, this is one relaxed atomic load on top of `dispatch`.
     fn dispatch_profiled(&mut self, kind: EventKind) {
         if obs::enabled() {
             obs::count(kind.profile_key(), 1);
-            obs::observe("event.heap_depth", self.events.len() as u64);
+            obs::observe("event.pending", self.events.len() as u64);
+            obs::observe("event.heap_depth", self.events.heap_len() as u64);
             let t0 = std::time::Instant::now();
             self.dispatch(kind);
             obs::observe_wall("event.dispatch_ns", t0.elapsed().as_nanos() as u64);
@@ -632,6 +635,13 @@ impl Simulator {
         }
     }
 
+    // With `EventQueue::pop_through`, the dispatch loop's pair of inline
+    // hints: the event a pop has just built is matched on where it was built,
+    // so pop, step and this match run as one body. Against the same code
+    // without the pair: `fabric_churn` +2…+7 % (ahead in 8 of 9 rounds),
+    // `dumbbell_inorder` unresolved (EXPERIMENTS.md, ISSUE 18). A hint on
+    // `step` or `dispatch_profiled` adds nothing: same machine code, or a tie.
+    #[inline(always)]
     fn dispatch(&mut self, kind: EventKind) {
         match kind {
             EventKind::Arrive { node, packet } => {
@@ -813,7 +823,6 @@ impl Simulator {
         let link = &mut self.links[id.index()];
         let tx = link.config.transmission_time(size_bytes);
         let delay = link.config.delay;
-        let to = link.to;
         let jitter = link.config.jitter;
         link.transmitted += 1;
         // The impairment pipeline sits between the queue and propagation:
@@ -839,20 +848,35 @@ impl Simulator {
                         arrival += extra;
                     }
                 }
-                self.events.schedule(arrival, EventKind::Arrive { node: to, packet });
+                self.schedule_arrival(id, arrival, packet);
                 if duplicate {
                     self.stats.impair_dups += 1;
                     self.trace_packet(packet, TraceEventKind::Duplicated(id));
                     let copy = self.packets.get(packet.0).clone();
                     let copy = PacketId(self.packets.insert(copy));
                     // The copy trails the original by one transmission time.
-                    self.events
-                        .schedule(arrival + tx, EventKind::Arrive { node: to, packet: copy });
+                    self.schedule_arrival(id, arrival + tx, copy);
                 }
             }
         }
         if self.links[id.index()].queued() > 0 {
             self.schedule_link_ready(id);
+        }
+    }
+
+    /// Sends `packet` towards the far end of `id`, due at `at`: down the
+    /// link's lane of the event queue if it arrives no earlier than the
+    /// link's previous packet, as an ordinary heap event if it overtakes
+    /// (jitter, an impairment's extra delay, a delay just lowered).
+    fn schedule_arrival(&mut self, id: LinkId, at: SimTime, packet: PacketId) {
+        let link = &mut self.links[id.index()];
+        if at >= link.last_arrival {
+            link.last_arrival = at;
+            obs::count("arrive.laned", 1);
+            self.events.schedule_arrival(id.index(), at, packet);
+        } else {
+            obs::count("arrive.overtook", 1);
+            self.events.schedule(at, EventKind::Arrive { node: link.to, packet });
         }
     }
 
@@ -1085,12 +1109,13 @@ mod tests {
         dst: NodeId,
         at: Vec<SimTime>,
         next: usize,
+        size_bytes: u32,
     }
 
     impl SendAt {
         fn boxed(dst: NodeId, at_us: &[u64]) -> Box<Self> {
             let at = at_us.iter().map(|&us| SimTime::from_nanos(us * 1_000)).collect();
-            Box::new(SendAt { dst, at, next: 0 })
+            Box::new(SendAt { dst, at, next: 0, size_bytes: DATA_PACKET_BYTES })
         }
 
         fn step(&mut self, ctx: &mut AgentCtx<'_>) {
@@ -1099,7 +1124,7 @@ mod tests {
                 self.next += 1;
                 ctx.send(
                     self.dst,
-                    DATA_PACKET_BYTES,
+                    self.size_bytes,
                     PacketKind::Data(DataHeader {
                         seq,
                         is_retransmit: false,
@@ -1785,6 +1810,104 @@ mod tests {
         let found = violations(&sim);
         assert_eq!(found, vec![crate::oracle::Violation::LostTimer { count: 1 }]);
         assert!(found[0].describe().contains("no pop pending"));
+    }
+
+    /// `(seq, µs)` of every delivery traced so far, in dispatch order.
+    fn deliveries(sim: &Simulator) -> Vec<(u64, u64)> {
+        let delivered = |r: &TraceRecord| matches!(r.kind, TraceEventKind::Delivered(_));
+        let row = |r: TraceRecord| (r.seq.unwrap(), r.at.as_nanos() / 1_000);
+        sim.trace_records().into_iter().filter(delivered).map(row).collect()
+    }
+
+    /// Pending arrivals as (on a lane, in the heap as overtakers).
+    fn laned_and_overtaking(sim: &Simulator) -> (usize, usize) {
+        let laned = sim.events.laned_arrivals();
+        (laned, sim.events.pending_arrivals() - laned)
+    }
+
+    #[test]
+    fn a_shortened_delay_lets_later_packets_overtake_through_the_heap() {
+        // 800 µs to serialize, 10 ms to cross: three packets are in flight
+        // when the delay drops to 1 ms. The next two are due before them.
+        let (mut sim, a, c) = one_link_sim(fast());
+        sim.enable_trace(&[], 1_000);
+        let flow = FlowId::from_raw(0);
+        sim.add_agent(a, flow, SendAt::boxed(c, &[0, 1_000, 2_000, 3_000, 4_000, 12_000, 13_000]));
+        sim.add_agent(c, flow, SendAt::boxed(a, &[]));
+        let delay = SimDuration::from_millis(1);
+        let at_us = |us: u64| SimTime::from_nanos(us * 1_000);
+        sim.schedule_link_admin(at_us(2_500), LinkId::from_raw(0), LinkAdmin::SetDelay { delay });
+        sim.run_until(at_us(2_400));
+        assert_eq!(laned_and_overtaking(&sim), (3, 0));
+        assert_eq!(sim.events.len() - sim.events.heap_len(), 2, "one key for the three");
+        sim.run_until(at_us(4_500));
+        assert_eq!(laned_and_overtaking(&sim), (3, 2), "both overtakers went to the heap");
+        assert_eq!(sim.links[0].last_arrival, at_us(12_800), "and left the lane's tail alone");
+        assert_eq!(violations(&sim), Vec::new());
+        // Due at 13.8 ms, behind the 12.8 ms tail: the lane takes it again —
+        // while the last of the three is still on it.
+        sim.run_until(at_us(12_500));
+        assert_eq!(laned_and_overtaking(&sim), (2, 0));
+        assert_eq!(violations(&sim), Vec::new());
+        sim.run_to_quiescence();
+        let order = [(3, 4_800), (4, 5_800), (0, 10_800), (1, 11_800), (2, 12_800)];
+        assert_eq!(deliveries(&sim)[..5], order, "every arrival at its own key");
+        assert_eq!(deliveries(&sim)[5..], [(5, 13_800), (6, 14_800)]);
+        assert_eq!((sim.stats.delivered, sim.event_heap_peak()), (7, 6));
+        assert_eq!(violations(&sim), Vec::new());
+    }
+
+    #[test]
+    fn a_burst_of_ties_rides_the_lane_in_fifo_order() {
+        // No serialization time: five packets are due at the same instant,
+        // told apart by `seq` alone, on the lane as they would be in the heap.
+        let (mut sim, a, c) = one_link_sim(LinkConfig::new(1e18, SimDuration::from_millis(10), 9));
+        sim.enable_trace(&[], 1_000);
+        let flow = FlowId::from_raw(0);
+        sim.add_agent(a, flow, Box::new(Blaster { dst: c, count: 5, acked: Vec::new() }));
+        sim.add_agent(c, flow, SendAt::boxed(a, &[]));
+        sim.run_until(SimTime::from_nanos(1));
+        assert_eq!(laned_and_overtaking(&sim), (5, 0));
+        assert_eq!((sim.events.len(), sim.events.heap_len()), (5, 1));
+        sim.run_to_quiescence();
+        assert_eq!(deliveries(&sim), [0, 1, 2, 3, 4].map(|seq| (seq, 10_000)));
+        assert_eq!(violations(&sim), Vec::new());
+    }
+
+    #[test]
+    fn a_duplicate_trails_its_original_even_past_a_shorter_successor() {
+        // A 1000-byte packet (800 µs) and its copy one transmission time
+        // behind it; the 40-byte packet (32 µs) sent next lands in between,
+        // and so does its own copy.
+        let twice = fast().with_impairments(&[StageConfig::Duplicate { p: 1.0 }]);
+        let (mut sim, a, c) = one_link_sim(twice);
+        sim.enable_trace(&[], 1_000);
+        let (long, short) = (FlowId::from_raw(0), FlowId::from_raw(1));
+        sim.add_agent(a, long, SendAt::boxed(c, &[0]));
+        sim.add_agent(a, short, Box::new(SendAt { size_bytes: 40, ..*SendAt::boxed(c, &[0]) }));
+        sim.add_agent(c, long, SendAt::boxed(a, &[]));
+        sim.add_agent(c, short, SendAt::boxed(a, &[]));
+        sim.run_until(SimTime::from_nanos(1_000_000));
+        assert_eq!(laned_and_overtaking(&sim), (2, 2), "the long pair laned, the short pair not");
+        assert_eq!(violations(&sim), Vec::new());
+        sim.run_to_quiescence();
+        let at: Vec<u64> = deliveries(&sim).into_iter().map(|(_, us)| us).collect();
+        assert_eq!(at, [10_800, 10_832, 10_864, 11_600]);
+        assert_eq!(violations(&sim), Vec::new());
+    }
+
+    #[test]
+    fn oracle_reports_a_stranded_lane() {
+        let (mut sim, _, _, _, _) = two_node_sim(1);
+        sim.run_until(SimTime::from_nanos(2_000_000));
+        assert_eq!(laned_and_overtaking(&sim), (3, 0), "the third of five is being sent");
+        assert_eq!(violations(&sim), Vec::new());
+        // Steal the one key all three arrivals are riding on.
+        sim.events.steal_lane_keys();
+        assert_eq!(sim.invariant_snapshot().stranded_lanes, 1);
+        let found = violations(&sim);
+        assert_eq!(found, vec![crate::oracle::Violation::StrandedLane { count: 1 }]);
+        assert!(found[0].describe().contains("no key in the event heap"));
     }
 
     #[test]

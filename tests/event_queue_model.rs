@@ -3,8 +3,9 @@
 //! The queue heaps small keys over a slab of payloads; the reference here is
 //! the layout it replaced — one `BinaryHeap` of whole `(at, seq, payload)`
 //! records. Random interleavings of `schedule`, `reserve_seq` with a late or
-//! never-coming `schedule_reserved`, and `pop` must be indistinguishable
-//! through the public API after every step.
+//! never-coming `schedule_reserved`, `schedule_arrival` down one of a few
+//! lanes, and `pop` must be indistinguishable through the public API after
+//! every step: to the model a laned arrival is one more record in the heap.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -47,12 +48,13 @@ impl Tag {
         }
     }
 
-    fn of(kind: &EventKind) -> Tag {
+    /// `nodes[id]` is the node push `id` must arrive at if it is an `Arrive`:
+    /// `id` itself through `schedule`, the lane's far end down a lane.
+    fn of(kind: &EventKind, nodes: &[usize]) -> Tag {
         match kind {
             EventKind::Arrive { node, packet } => {
-                let id = node.index() as u32;
-                assert_eq!(packet.index(), node.index());
-                Tag::Arrive(id)
+                assert_eq!(node.index(), nodes[packet.index()]);
+                Tag::Arrive(packet.index() as u32)
             }
             EventKind::LinkReady { link } => Tag::LinkReady(link.index() as u32),
             EventKind::Timer { agent, generation } => {
@@ -100,16 +102,24 @@ proptest! {
     /// Every observable of the queue equals the model's after every step.
     #[test]
     fn slab_queue_matches_whole_record_heap(
-        ops in proptest::collection::vec((0u8..16, 0u64..3), 400..2500),
+        ops in proptest::collection::vec((0u8..16, 0u64..3, 0usize..6), 400..2500),
         period in 16usize..200,
+        lanes in 1usize..=6,
     ) {
-        let mut q = EventQueue::default();
+        // Lane `i` delivers to a node no push id reaches.
+        let far_end = |lane: usize| 1_000_000 + lane;
+        let mut q = EventQueue::with_lanes((0..lanes).map(|i| NodeId::from_raw(far_end(i) as u32)));
         let mut m = Model::default();
+        // Per lane, the latest instant sent down it: an earlier arrival would
+        // overtake, so it goes through `schedule`, as `Simulator` routes it.
+        let mut last_at = vec![0u64; lanes];
+        // Per push, where it must arrive (see `Tag::of`).
+        let mut nodes: Vec<usize> = Vec::new();
         // Reserved keys not yet pushed, as (at, seq); some never are.
         let mut reserved: Vec<(u64, u64)> = Vec::new();
         let mut clock = 0u64;
         let mut pushes = 0u32;
-        for (i, (op, dt)) in ops.into_iter().enumerate() {
+        for (i, (op, dt, lane)) in ops.into_iter().enumerate() {
             // Few distinct instants: nearly every push ties with another.
             let at = clock + dt;
             // Fill for `period` steps, drain for the next: occupancy saws
@@ -117,7 +127,7 @@ proptest! {
             let pop_from = if (i / period) % 2 == 0 { 11 } else { 5 };
             match op {
                 op if op >= pop_from => {
-                    let got = q.pop().map(|(t, kind)| (t.as_nanos(), Tag::of(&kind)));
+                    let got = q.pop().map(|(t, kind)| (t.as_nanos(), Tag::of(&kind, &nodes)));
                     prop_assert_eq!(got, m.pop());
                     if let Some((t, _)) = got {
                         clock = t;
@@ -133,12 +143,28 @@ proptest! {
                 1 | 2 if !reserved.is_empty() => {
                     let (at, seq) = reserved.swap_remove(usize::from(op) % reserved.len());
                     let tag = Tag::new(pushes);
+                    nodes.push(pushes as usize);
                     pushes += 1;
                     q.schedule_reserved((SimTime::from_nanos(at), seq), tag.event());
                     m.schedule_reserved(at, seq, tag);
                 }
+                3..=6 => {
+                    let (lane, tag) = (lane % lanes, Tag::Arrive(pushes));
+                    if at >= last_at[lane] {
+                        last_at[lane] = at;
+                        nodes.push(far_end(lane));
+                        q.schedule_arrival(lane, SimTime::from_nanos(at), PacketId::from_raw(pushes));
+                    } else {
+                        nodes.push(pushes as usize);
+                        q.schedule(SimTime::from_nanos(at), tag.event());
+                    }
+                    pushes += 1;
+                    let seq = m.reserve_seq();
+                    m.schedule_reserved(at, seq, tag);
+                }
                 _ => {
                     let tag = Tag::new(pushes);
+                    nodes.push(pushes as usize);
                     pushes += 1;
                     q.schedule(SimTime::from_nanos(at), tag.event());
                     let seq = m.reserve_seq();
@@ -167,7 +193,7 @@ proptest! {
         prop_assert!(pushes as usize > 3 * q.peak_len(), "{pushes} pushes, peak {}", q.peak_len());
         // Drain: the tail of the pop sequence agrees too.
         while let Some((t, kind)) = q.pop() {
-            prop_assert_eq!(Some((t.as_nanos(), Tag::of(&kind))), m.pop());
+            prop_assert_eq!(Some((t.as_nanos(), Tag::of(&kind, &nodes))), m.pop());
         }
         prop_assert!(m.pop().is_none());
     }
