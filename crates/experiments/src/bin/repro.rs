@@ -541,6 +541,12 @@ fn run_profile(cli: &Cli, ctx: &ExecCtx) -> bool {
     for (key, count) in merged.counters.iter().filter(|(k, _)| k.starts_with("event.")) {
         let _ = writeln!(tables, "  {:<24} {:>12}", key, count);
     }
+    // Where pending events wait: all of them, the packet heap, the timer heap.
+    let _ = writeln!(tables, "  {:<24} {:>12}", "per dispatch", "mean");
+    for key in ["event.pending", "event.heap_depth", "event.timer_depth"] {
+        let mean = merged.sim_histograms.get(key).map_or(0.0, obs::LogHistogram::mean);
+        let _ = writeln!(tables, "  {:<24} {:>12.1}", key, mean);
+    }
     let _ = writeln!(tables, "  {:<24} {:>12}", "span kind", "count");
     for (kind, count) in &merged.span_counts {
         let _ = writeln!(tables, "  {:<24} {:>12}", kind, count);

@@ -23,6 +23,13 @@
 //! the [`PacketId`] in what was padding, so no payload slab is touched — and
 //! popping that key rewrites the heap's top with the lane's next. Arrivals
 //! keep their `(at, seq)` (DESIGN.md §2 "Arrivals ride their link").
+//!
+//! Agent timer pops wait in a heap of their own: a flow's retransmission
+//! timer is re-armed by every ACK and almost never fires, so its key would
+//! sit in every packet's sift path for nothing. A pop takes the earlier of
+//! the two heaps' tops — `seq` is unique, so there is never a tie — and
+//! `len` / `peak_len` / `peek_time` count both (DESIGN.md §2 "Timers wait
+//! apart").
 
 use std::cmp::Ordering;
 use std::collections::{binary_heap::PeekMut, BinaryHeap, VecDeque};
@@ -142,10 +149,18 @@ impl PartialOrd for Key {
     }
 }
 
+impl Key {
+    /// `(at, seq)` as one integer: a heap level compares with `cmp`/`sbb`,
+    /// where the tuple took a branch per field.
+    fn order(&self) -> u128 {
+        (self.at.as_nanos() as u128) << 64 | self.seq as u128
+    }
+}
+
 impl Ord for Key {
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap; invert so the earliest (time, seq) pops first.
-        (other.at, other.seq).cmp(&(self.at, self.seq))
+        other.order().cmp(&self.order())
     }
 }
 
@@ -166,6 +181,8 @@ impl Ord for Key {
 #[derive(Debug, Default)]
 pub struct EventQueue {
     heap: BinaryHeap<Key>,
+    /// Keys of the pending `Timer` / `AuxTimer` pops, out of the packets' way.
+    timers: BinaryHeap<Key>,
     payloads: Slab<EventKind>,
     lanes: Vec<Lane>,
     /// Arrivals in lane backlogs: pending events the heap does not hold.
@@ -201,8 +218,13 @@ impl EventQueue {
 
     /// Pushes `kind` under a key whose `seq` was reserved earlier.
     pub fn schedule_reserved(&mut self, (at, seq): EventKey, kind: EventKind) {
-        let slot = self.payloads.insert(kind);
-        self.heap.push(Key { at, seq, slot, packet: PacketId(0) });
+        let timer = matches!(kind, EventKind::Timer { .. } | EventKind::AuxTimer { .. });
+        let key = Key { at, seq, slot: self.payloads.insert(kind), packet: PacketId(0) };
+        if timer {
+            self.timers.push(key);
+        } else {
+            self.heap.push(key);
+        }
         self.peak_len = self.peak_len.max(self.len());
     }
 
@@ -224,15 +246,23 @@ impl EventQueue {
     }
 
     /// Removes and returns the earliest event, or `None` if empty.
-    #[inline(always)] // as `pop_through`, for callers without a deadline
     pub fn pop(&mut self) -> Option<(SimTime, EventKind)> {
         self.pop_through(SimTime::MAX)
     }
 
     /// Removes and returns the earliest event if it is due at or before
     /// `deadline`; `None` if it is later or the queue is empty.
-    #[inline(always)] // the head of the dispatch loop: see `Simulator::dispatch`
     pub fn pop_through(&mut self, deadline: SimTime) -> Option<(SimTime, EventKind)> {
+        // `Key`'s order is inverted: the greater of the two tops is the earlier.
+        let timer = self.timers.peek().filter(|t| self.heap.peek().is_none_or(|top| *t > top));
+        if let Some(&Key { at, seq, slot, .. }) = timer {
+            if at > deadline {
+                return None;
+            }
+            self.timers.pop();
+            self.last_popped_seq = seq;
+            return Some((at, self.payloads.remove(slot)));
+        }
         let mut top = self.heap.peek_mut().filter(|top| top.at <= deadline)?;
         let Key { at, seq, slot, packet } = *top;
         self.last_popped_seq = seq;
@@ -260,22 +290,29 @@ impl EventQueue {
 
     /// The instant of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|s| s.at)
+        self.heap.peek().max(self.timers.peek()).map(|s| s.at)
     }
 
-    /// Number of pending events, wherever they wait: heap and lane backlogs.
+    /// Number of pending events, wherever they wait: the two heaps and the
+    /// lane backlogs.
     pub fn len(&self) -> usize {
-        self.heap.len() + self.waiting
+        self.heap.len() + self.timers.len() + self.waiting
     }
 
-    /// Keys in the heap: what a push or pop sifts (profiler `event.heap_depth`).
+    /// Keys in the packet heap: what a packet's push or pop sifts (profiler
+    /// `event.heap_depth`).
     pub fn heap_len(&self) -> usize {
         self.heap.len()
     }
 
+    /// Keys in the timer heap (profiler `event.timer_depth`).
+    pub fn timer_len(&self) -> usize {
+        self.timers.len()
+    }
+
     /// True if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.heap.is_empty() && self.timers.is_empty()
     }
 
     /// Largest number of simultaneously pending events seen so far
@@ -345,8 +382,13 @@ mod tests {
         EventKind::Breakpoint
     }
 
-    /// Hook for the simulator's tests.
+    /// Hooks for the simulator's tests.
     impl EventQueue {
+        /// Arrivals queued on lanes behind their lane's key in the heap.
+        pub(crate) fn lane_backlog(&self) -> usize {
+            self.waiting
+        }
+
         /// Takes every lane key out of the heap, leaving the lanes as they
         /// were — a lost wake-up for the oracle to find.
         pub(crate) fn steal_lane_keys(&mut self) {
@@ -496,6 +538,72 @@ mod tests {
         assert!(q.pop().is_none() && q.is_empty());
         assert!(q.lanes.iter().all(|lane| !lane.busy && lane.backlog.is_empty()));
         assert_eq!((q.waiting, q.pending_arrivals(), q.payloads.len(), q.peak_len()), (0, 0, 0, 5));
+    }
+
+    fn timer(generation: u64) -> EventKind {
+        EventKind::Timer { agent: AgentId::from_raw(0), generation }
+    }
+
+    #[test]
+    fn timers_wait_apart_and_pop_in_key_order() {
+        let at = SimTime::from_nanos;
+        let mut q = EventQueue::with_lanes([NodeId::from_raw(7)]);
+        // All tied at 10 ns, so `seq` alone orders them: the lower one is in
+        // the timer heap for the first pop and in the packet heap for the
+        // next, then on a lane, then a timer again.
+        q.schedule(at(10), timer(0));
+        q.schedule(at(10), bp());
+        q.schedule_arrival(0, at(10), PacketId::from_raw(100));
+        q.schedule(at(10), EventKind::AuxTimer { agent: AgentId::from_raw(0), generation: 3 });
+        q.schedule(at(30), timer(4));
+        q.schedule(at(20), bp());
+        assert_eq!((q.len(), q.heap_len(), q.timer_len(), q.peak_len()), (6, 3, 3, 6));
+        assert_eq!(q.pending_timers().collect::<Vec<_>>(), [0, 3, 4], "payloads share the slab");
+        assert!(q.pop_through(at(9)).is_none(), "nothing is due yet, nothing moves");
+        assert_eq!((q.len(), q.heap_len(), q.timer_len(), q.last_popped_seq()), (6, 3, 3, 0));
+        let mut order = Vec::new();
+        while let Some((t, kind)) = q.pop_through(at(10)) {
+            assert_eq!(t, at(10));
+            order.push((q.last_popped_seq(), kind.profile_key()));
+        }
+        let tied = ["event.timer", "event.breakpoint", "event.arrive", "event.aux_timer"];
+        assert_eq!(order, [0, 1, 2, 3].map(|seq| (seq, tied[seq as usize])));
+        // The deadline spared one key in each heap, whichever is the earlier.
+        assert_eq!((q.len(), q.heap_len(), q.timer_len()), (2, 1, 1));
+        assert_eq!(q.peek_time(), Some(at(20)));
+        assert!(matches!(q.pop_through(at(25)), Some((_, EventKind::Breakpoint))));
+        assert!(q.pop_through(at(25)).is_none(), "a later timer waits like a later packet");
+        assert_eq!((q.len(), q.peek_time(), q.last_popped_seq()), (1, Some(at(30)), 5));
+        // Only a timer is pending: the queue is not empty, and says when.
+        assert!(!q.is_empty() && q.heap_len() == 0, "nothing for a packet to sift");
+        assert!(matches!(q.pop(), Some((_, EventKind::Timer { generation: 4, .. }))));
+        assert_eq!((q.last_popped_seq(), q.len(), q.payloads.len(), q.peak_len()), (4, 0, 0, 6));
+        assert!(q.is_empty() && q.peek_time().is_none() && q.pop().is_none());
+    }
+
+    /// Draws a (which, anything) pair for one field of a key: see `field` below.
+    const FIELD: (std::ops::Range<u8>, std::ops::RangeInclusive<u64>) = (0..4, 0..=u64::MAX);
+
+    proptest::proptest! {
+        /// One integer orders keys exactly as the `(at, seq)` tuple did,
+        /// inverted for the max-heap — at the ends of both fields too.
+        #[test]
+        fn key_order_is_the_inverted_tuple_order(
+            (a_at, a_seq) in (FIELD, FIELD),
+            (b_at, b_seq) in (FIELD, FIELD),
+        ) {
+            // A quarter each: 0, `u64::MAX`, one of four small values (ties), anything.
+            let field = |(pick, any): (u8, u64)| [0, u64::MAX, any % 4, any][pick as usize];
+            let key = |at, seq| Key {
+                at: SimTime::from_nanos(field(at)),
+                seq: field(seq),
+                slot: 0,
+                packet: PacketId(0),
+            };
+            let (a, b) = (key(a_at, a_seq), key(b_at, b_seq));
+            proptest::prop_assert_eq!(a.cmp(&b), (b.at, b.seq).cmp(&(a.at, a.seq)));
+            proptest::prop_assert_eq!(a == b, a.cmp(&b) == Ordering::Equal);
+        }
     }
 
     #[test]

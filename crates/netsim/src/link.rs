@@ -7,6 +7,8 @@
 //! [`PacketId`]s: a link never owns a packet, it holds a place for one.
 //! Packets on the wire wait on this link's lane of the event queue while
 //! they are due in sending order, and in its heap when one overtakes.
+//! A link carries one packet size for long runs (data one way, ACKs the
+//! other), so it remembers its last serialization time ([`Link::tx_time`]).
 
 use crate::event::EventKey;
 use crate::ids::{NodeId, PacketId};
@@ -163,6 +165,8 @@ pub struct Link {
     pub(crate) tx_end: Option<EventKey>,
     /// Latest arrival sent down the lane; one due earlier goes to the heap.
     pub(crate) last_arrival: SimTime,
+    /// The last [`Link::tx_time`]: (size, bits of the rate) and the result.
+    tx_memo: ((u32, u64), SimDuration),
     /// Packets handed to the wire (post-queue).
     pub transmitted: u64,
     /// Packets dropped by the random-loss process (not queue drops).
@@ -197,12 +201,23 @@ impl Link {
             wrr_credit: 0,
             tx_end: None,
             last_arrival: SimTime::ZERO,
+            tx_memo: ((0, 0), SimDuration::ZERO), // no rate has the bits of 0.0
             transmitted: 0,
             random_losses: 0,
             up: true,
             impair: None,
             impair_stats: ImpairStats::default(),
         }
+    }
+
+    /// [`LinkConfig::transmission_time`] at the link's present rate, computed
+    /// only when the size or the rate is not the previous call's.
+    pub(crate) fn tx_time(&mut self, size_bytes: u32) -> SimDuration {
+        let key = (size_bytes, self.config.bandwidth_bps.to_bits());
+        if self.tx_memo.0 != key {
+            self.tx_memo = (key, self.config.transmission_time(size_bytes));
+        }
+        self.tx_memo.1
     }
 
     /// Total packets waiting on this link (both classes).
@@ -265,6 +280,28 @@ mod tests {
         assert_eq!(cfg.transmission_time(1000), SimDuration::from_micros(800));
         let cfg2 = LinkConfig::mbps_ms(5.0, 10, 100);
         assert_eq!(cfg2.transmission_time(1000), SimDuration::from_micros(1600));
+    }
+
+    proptest::proptest! {
+        /// The memo cannot be seen: whatever sizes a link has carried and
+        /// however its rate moved in between, `tx_time` is `transmission_time`.
+        #[test]
+        fn tx_time_is_transmission_time_whatever_came_before(
+            ops in proptest::collection::vec((0u8..4, 0u64..=u64::MAX), 1..200),
+        ) {
+            let cfg = LinkConfig::mbps_ms(10.0, 1, 10);
+            let mut link = Link::new(NodeId::from_raw(0), NodeId::from_raw(1), cfg);
+            for (op, x) in ops {
+                if op == 0 {
+                    link.config.bandwidth_bps = [9_600.0, 1e6, 1.5e6, 1e18][x as usize % 4];
+                } else {
+                    // Mostly a size seen before, under this rate or another.
+                    let size = [0, 40, 1000, x as u32][(x >> 32) as usize % 4];
+                    let fresh = link.config.transmission_time(size);
+                    proptest::prop_assert_eq!(link.tx_time(size), fresh);
+                }
+            }
+        }
     }
 
     #[test]

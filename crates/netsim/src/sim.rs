@@ -404,8 +404,8 @@ impl Simulator {
         self.tracer.as_ref().map(Tracer::dropped_records).unwrap_or(0)
     }
 
-    /// High-water mark of pending events — in the heap or queued on a link's
-    /// lane behind its heap key (run-health diagnostic).
+    /// High-water mark of pending events — in either heap or queued on a
+    /// link's lane behind its heap key (run-health diagnostic).
     pub fn event_heap_peak(&self) -> usize {
         self.events.peak_len()
     }
@@ -618,15 +618,16 @@ impl Simulator {
     }
 
     /// Dispatches one event, reporting to the profiler when it is enabled:
-    /// a per-kind counter, the pending events and how many of them the heap
-    /// holds (sim-deterministic), and the wall-clock cost of the dispatch
-    /// (non-deterministic section).
+    /// a per-kind counter, the pending events and how many of them the packet
+    /// heap and the timer heap hold (sim-deterministic), and the wall-clock
+    /// cost of the dispatch (non-deterministic section).
     /// Disabled, this is one relaxed atomic load on top of `dispatch`.
     fn dispatch_profiled(&mut self, kind: EventKind) {
         if obs::enabled() {
             obs::count(kind.profile_key(), 1);
             obs::observe("event.pending", self.events.len() as u64);
             obs::observe("event.heap_depth", self.events.heap_len() as u64);
+            obs::observe("event.timer_depth", self.events.timer_len() as u64);
             let t0 = std::time::Instant::now();
             self.dispatch(kind);
             obs::observe_wall("event.dispatch_ns", t0.elapsed().as_nanos() as u64);
@@ -635,13 +636,6 @@ impl Simulator {
         }
     }
 
-    // With `EventQueue::pop_through`, the dispatch loop's pair of inline
-    // hints: the event a pop has just built is matched on where it was built,
-    // so pop, step and this match run as one body. Against the same code
-    // without the pair: `fabric_churn` +2…+7 % (ahead in 8 of 9 rounds),
-    // `dumbbell_inorder` unresolved (EXPERIMENTS.md, ISSUE 18). A hint on
-    // `step` or `dispatch_profiled` adds nothing: same machine code, or a tie.
-    #[inline(always)]
     fn dispatch(&mut self, kind: EventKind) {
         match kind {
             EventKind::Arrive { node, packet } => {
@@ -821,7 +815,7 @@ impl Simulator {
         self.trace_packet(packet, TraceEventKind::LinkTx(id));
         let size_bytes = self.packets.get(packet.0).size_bytes;
         let link = &mut self.links[id.index()];
-        let tx = link.config.transmission_time(size_bytes);
+        let tx = link.tx_time(size_bytes);
         let delay = link.config.delay;
         let jitter = link.config.jitter;
         link.transmitted += 1;
@@ -1800,6 +1794,16 @@ mod tests {
     }
 
     #[test]
+    fn quiescence_waits_for_timers_with_no_packet_pending() {
+        let (mut sim, id) = arm_on_start_sim(&[10, 20]);
+        sim.start();
+        assert!(!sim.events.is_empty() && sim.events.heap_len() == 0);
+        assert_eq!(sim.run_to_quiescence(), SimTime::from_nanos(20_000_000));
+        let fired = &sim.agent(id).as_any().downcast_ref::<ArmOnStart>().unwrap().fired;
+        assert_eq!((fired.len(), sim.stats.events, sim.events.len()), (1, 2, 0));
+    }
+
+    #[test]
     fn oracle_reports_a_lost_timer() {
         let (mut sim, _) = arm_on_start_sim(&[10, 20]);
         sim.start();
@@ -1839,7 +1843,7 @@ mod tests {
         sim.schedule_link_admin(at_us(2_500), LinkId::from_raw(0), LinkAdmin::SetDelay { delay });
         sim.run_until(at_us(2_400));
         assert_eq!(laned_and_overtaking(&sim), (3, 0));
-        assert_eq!(sim.events.len() - sim.events.heap_len(), 2, "one key for the three");
+        assert_eq!(sim.events.lane_backlog(), 2, "one key for the three");
         sim.run_until(at_us(4_500));
         assert_eq!(laned_and_overtaking(&sim), (3, 2), "both overtakers went to the heap");
         assert_eq!(sim.links[0].last_arrival, at_us(12_800), "and left the lane's tail alone");
@@ -1868,7 +1872,7 @@ mod tests {
         sim.add_agent(c, flow, SendAt::boxed(a, &[]));
         sim.run_until(SimTime::from_nanos(1));
         assert_eq!(laned_and_overtaking(&sim), (5, 0));
-        assert_eq!((sim.events.len(), sim.events.heap_len()), (5, 1));
+        assert_eq!((sim.events.lane_backlog(), sim.events.heap_len()), (4, 1));
         sim.run_to_quiescence();
         assert_eq!(deliveries(&sim), [0, 1, 2, 3, 4].map(|seq| (seq, 10_000)));
         assert_eq!(violations(&sim), Vec::new());
@@ -1893,6 +1897,22 @@ mod tests {
         sim.run_to_quiescence();
         let at: Vec<u64> = deliveries(&sim).into_iter().map(|(_, us)| us).collect();
         assert_eq!(at, [10_800, 10_832, 10_864, 11_600]);
+        assert_eq!(violations(&sim), Vec::new());
+    }
+
+    #[test]
+    fn a_bandwidth_change_is_not_hidden_by_the_remembered_serialization_time() {
+        // Same size, same link: 800 µs at 10 Mbit/s, 1600 µs once the rate is
+        // halved between the first two sends — and still for the third.
+        let (mut sim, a, c) = one_link_sim(fast());
+        sim.enable_trace(&[], 1_000);
+        let flow = FlowId::from_raw(0);
+        sim.add_agent(a, flow, SendAt::boxed(c, &[0, 2_000, 4_000]));
+        sim.add_agent(c, flow, SendAt::boxed(a, &[]));
+        let halve = LinkAdmin::SetBandwidth { bps: 5e6 };
+        sim.schedule_link_admin(SimTime::from_nanos(1_000_000), LinkId::from_raw(0), halve);
+        sim.run_to_quiescence();
+        assert_eq!(deliveries(&sim), [(0, 10_800), (1, 13_600), (2, 15_600)]);
         assert_eq!(violations(&sim), Vec::new());
     }
 
@@ -2081,7 +2101,9 @@ mod tests {
         assert_eq!(timer_pops, [4, 1, 1], "fires = pops - deferred - stale = 2");
         assert!(report.counters.get("event.arrive").copied().unwrap_or(0) > 0);
         assert_eq!(report.counters.get("sim.completed").copied(), Some(3));
-        assert!(report.sim_histograms.get("event.heap_depth").map_or(0, |h| h.total()) > 0);
+        let samples = |key| report.sim_histograms.get(key).map_or(0, |h| h.total());
+        assert!(samples("event.heap_depth") > 0);
+        assert_eq!(samples("event.timer_depth"), samples("event.pending"));
         assert!(report.gauges.get("event.heap_peak").copied().unwrap_or(0) > 0);
     }
 }
