@@ -7,11 +7,11 @@
 //! window inflation. Like all DUPACK-driven variants, it misinterprets
 //! persistent reordering as loss.
 
-use std::collections::BTreeSet;
-
 use netsim::time::{SimDuration, SimTime};
 use transport::rto::RtoEstimator;
+use transport::scoreboard::Scoreboard;
 use transport::sender::{AckEvent, SenderOutput, TcpSenderAlgo};
+use transport::telemetry::count_ack;
 
 /// Configuration for [`SackSender`].
 #[derive(Debug, Clone)]
@@ -78,12 +78,9 @@ pub struct SackSender {
     ssthresh: f64,
     snd_una: u64,
     snd_nxt: u64,
-    /// Segments above `snd_una` reported received.
-    sacked: BTreeSet<u64>,
-    /// Segments declared lost (unsacked with `dupthresh` SACKs above).
-    lost: BTreeSet<u64>,
-    /// Lost segments already retransmitted this episode.
-    retxed: BTreeSet<u64>,
+    /// Segments reported received, declared lost (unsacked with `dupthresh`
+    /// SACKs above) and retransmitted since.
+    board: Scoreboard,
     state: State,
     rto: RtoEstimator,
     stats: SackStats,
@@ -100,9 +97,7 @@ impl SackSender {
             ssthresh,
             snd_una: 0,
             snd_nxt: 0,
-            sacked: BTreeSet::new(),
-            lost: BTreeSet::new(),
-            retxed: BTreeSet::new(),
+            board: Scoreboard::default(),
             state: State::Open,
             rto,
             stats: SackStats::default(),
@@ -131,56 +126,16 @@ impl SackSender {
 
     /// The pipe estimate: segments believed in flight.
     pub fn pipe(&self) -> u64 {
-        let outstanding = self.snd_nxt - self.snd_una;
-        // Unsacked & unlost are in flight; retransmitted lost ones are too.
-        outstanding - self.sacked.len() as u64 - self.lost.len() as u64 + self.retxed.len() as u64
-    }
-
-    fn update_scoreboard(&mut self, ack: &AckEvent) {
-        for &(start, end) in &ack.sack {
-            for seq in start.max(self.snd_una)..end.min(self.snd_nxt) {
-                if !self.lost.contains(&seq) {
-                    self.sacked.insert(seq);
-                } else {
-                    // A lost-then-retransmitted segment got through.
-                    self.sacked.insert(seq);
-                }
-            }
-        }
-        // Segments sacked are no longer lost.
-        for seq in &self.sacked {
-            self.lost.remove(seq);
-            self.retxed.remove(seq);
-        }
-        self.mark_losses();
-    }
-
-    /// Declares lost every unsacked segment with at least `dupthresh`
-    /// SACKed segments above it.
-    fn mark_losses(&mut self) {
-        let k = self.cfg.dupthresh as usize;
-        if self.sacked.len() < k {
-            return;
-        }
-        // The k-th largest SACKed segment: anything unsacked below it has
-        // >= k SACKed segments above.
-        let threshold = *self.sacked.iter().rev().nth(k - 1).expect("len checked");
-        for seq in self.snd_una..threshold {
-            if !self.sacked.contains(&seq) {
-                self.lost.insert(seq);
-            }
-        }
+        self.board.pipe(self.snd_una, self.snd_nxt)
     }
 
     fn send_allowed(&mut self, now: SimTime, out: &mut SenderOutput) {
         let _ = now;
         while (self.pipe() as f64) < self.cwnd.min(self.cfg.max_cwnd) {
             // NextSeg: first lost, un-retransmitted segment; else new data.
-            let next_rtx = self.lost.iter().copied().find(|seq| !self.retxed.contains(seq));
-            match next_rtx {
+            match self.board.next_retransmit() {
                 Some(seq) => {
                     out.transmit(seq, true);
-                    self.retxed.insert(seq);
                     self.stats.scoreboard_retransmits += 1;
                 }
                 None => {
@@ -211,7 +166,7 @@ impl SackSender {
     }
 
     fn maybe_enter_recovery(&mut self, now: SimTime, out: &mut SenderOutput) {
-        if self.state == State::Open && self.lost.contains(&self.snd_una) {
+        if self.state == State::Open && self.board.is_lost(self.snd_una) {
             self.stats.recoveries += 1;
             obs::span(now.as_nanos(), "cc.fast_rtx", || {
                 format!("algo=sack seq={} cwnd={:.2}", self.snd_una, self.cwnd)
@@ -222,10 +177,8 @@ impl SackSender {
             // Fast retransmit of the detected hole goes out immediately
             // (ns-2 `sack1` behaviour); subsequent retransmissions are
             // pipe-limited.
-            let una = self.snd_una;
-            if !self.retxed.contains(&una) {
-                out.transmit(una, true);
-                self.retxed.insert(una);
+            if self.board.retransmit(self.snd_una) {
+                out.transmit(self.snd_una, true);
                 self.stats.scoreboard_retransmits += 1;
             }
         }
@@ -259,16 +212,14 @@ impl TcpSenderAlgo for SackSender {
 
     fn on_ack(&mut self, ack: &AckEvent, now: SimTime, out: &mut SenderOutput) {
         let advanced = ack.cum_ack > self.snd_una;
+        let newly = ack.cum_ack.saturating_sub(self.snd_una);
         if advanced {
-            let newly = ack.cum_ack - self.snd_una;
             self.stats.acked_segments += newly;
             self.snd_una = ack.cum_ack;
             // Defensive: a malformed ACK beyond snd_nxt must not wrap the
             // flight arithmetic.
             self.snd_nxt = self.snd_nxt.max(ack.cum_ack);
-            self.sacked.retain(|&s| s >= ack.cum_ack);
-            self.lost.retain(|&s| s >= ack.cum_ack);
-            self.retxed.retain(|&s| s >= ack.cum_ack);
+            self.board.advance(ack.cum_ack);
             if ack.echo_tx_count == 1 {
                 self.rto.on_sample(now.saturating_since(ack.echo_timestamp));
             }
@@ -280,12 +231,14 @@ impl TcpSenderAlgo for SackSender {
                 self.grow(newly);
             }
         }
-        self.update_scoreboard(ack);
+        let (newly_sacked, _) = self.board.absorb(&ack.sack, self.snd_una, self.snd_nxt);
+        let newly_lost = self.board.mark_lost(self.snd_una, self.cfg.dupthresh);
         self.maybe_enter_recovery(now, out);
         self.send_allowed(now, out);
         if advanced {
             self.arm_rto(now, out);
         }
+        count_ack(self.board.take_steps(), newly + newly_sacked + newly_lost);
     }
 
     fn on_timer(&mut self, now: SimTime, out: &mut SenderOutput) {
@@ -301,15 +254,12 @@ impl TcpSenderAlgo for SackSender {
         self.state = State::Open;
         // Everything unsacked is presumed lost; retransmit in order as the
         // window re-opens.
-        for seq in self.snd_una..self.snd_nxt {
-            if !self.sacked.contains(&seq) {
-                self.lost.insert(seq);
-            }
-        }
-        self.retxed.clear();
+        self.board.mark_all_lost(self.snd_una, self.snd_nxt);
         self.rto.backoff();
         self.send_allowed(now, out);
         self.arm_rto(now, out);
+        // The timeout's full walk is not an ACK's cost.
+        self.board.take_steps();
     }
 
     fn cwnd(&self) -> f64 {

@@ -29,11 +29,12 @@
 //! famously does *not* reduce its rate model on loss, which is exactly the
 //! behavior the reordering face-off measures.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
-
 use netsim::time::{SimDuration, SimTime};
 use transport::rto::RtoEstimator;
+use transport::scoreboard::Scoreboard;
 use transport::sender::{AckEvent, SenderOutput, TcpSenderAlgo};
+use transport::seq_ring::SeqRing;
+use transport::telemetry::count_ack;
 
 use crate::windowed_filter::WindowedFilter;
 
@@ -134,6 +135,8 @@ struct SendRecord {
     delivered: u64,
     /// Connection `delivered_time` when this segment was sent.
     delivered_time: SimTime,
+    /// Ever retransmitted: ambiguous, so excluded from delivery-rate samples.
+    retransmitted: bool,
 }
 
 /// A BBR v1 sender.
@@ -161,15 +164,12 @@ pub struct BbrSender {
     /// `Some(recover)`: in a loss-recovery episode until `recover` is acked.
     recovery: Option<u64>,
     rto: RtoEstimator,
-    /// SACK scoreboard: segments the receiver holds out of order.
-    sacked: BTreeSet<u64>,
-    /// Segments declared lost (`dupthresh` SACKed segments above them).
-    lost: BTreeSet<u64>,
-    /// Lost segments already retransmitted this episode.
-    retxed: BTreeSet<u64>,
-    /// Ever-retransmitted segments, excluded from delivery-rate samples.
-    retransmitted: HashSet<u64>,
-    records: HashMap<u64, SendRecord>,
+    /// SACK scoreboard: segments the receiver holds out of order, those
+    /// declared lost (`dupthresh` SACKed segments above them) and the lost
+    /// ones retransmitted this episode.
+    board: Scoreboard,
+    /// The send record of every outstanding segment.
+    records: SeqRing<SendRecord>,
     /// Segments delivered to the receiver — credited when first SACKed or
     /// cumulatively acked, whichever happens first, so recovery's burst of
     /// cumulative progress over long-SACKed data cannot inflate the rate.
@@ -226,11 +226,8 @@ impl BbrSender {
             dupacks: 0,
             recovery: None,
             rto,
-            sacked: BTreeSet::new(),
-            lost: BTreeSet::new(),
-            retxed: BTreeSet::new(),
-            retransmitted: HashSet::new(),
-            records: HashMap::new(),
+            board: Scoreboard::default(),
+            records: SeqRing::default(),
             delivered: 0,
             delivered_time: SimTime::ZERO,
             next_round_delivered: 0,
@@ -284,8 +281,7 @@ impl BbrSender {
     /// The pipe estimate: segments believed in flight. SACKed segments
     /// have left the network; lost ones too, unless retransmitted.
     fn flight(&self) -> u64 {
-        let outstanding = self.snd_nxt - self.snd_una;
-        outstanding - self.sacked.len() as u64 - self.lost.len() as u64 + self.retxed.len() as u64
+        self.board.pipe(self.snd_una, self.snd_nxt)
     }
 
     /// Bandwidth-delay product in segments, once both estimates exist.
@@ -300,10 +296,8 @@ impl BbrSender {
     fn send_allowed(&mut self, out: &mut SenderOutput) {
         let window = self.cwnd.min(self.cfg.max_cwnd);
         while (self.flight() as f64) < window {
-            let next_rtx = self.lost.iter().copied().find(|seq| !self.retxed.contains(seq));
-            let (seq, is_rtx) = match next_rtx {
+            let (seq, is_rtx) = match self.board.next_retransmit() {
                 Some(seq) => {
-                    self.retxed.insert(seq);
                     self.stats.scoreboard_retransmits += 1;
                     (seq, true)
                 }
@@ -313,16 +307,13 @@ impl BbrSender {
                     (seq, false)
                 }
             };
-            if is_rtx {
-                self.retransmitted.insert(seq);
-            }
-            self.records.insert(seq, self.send_record());
+            self.records.set(seq, self.send_record(is_rtx));
             out.transmit(seq, is_rtx);
         }
     }
 
-    fn send_record(&self) -> SendRecord {
-        SendRecord { delivered: self.delivered, delivered_time: self.delivered_time }
+    fn send_record(&self, retransmitted: bool) -> SendRecord {
+        SendRecord { delivered: self.delivered, delivered_time: self.delivered_time, retransmitted }
     }
 
     /// Credits `n` newly delivered segments at time `now`.
@@ -336,10 +327,9 @@ impl BbrSender {
     /// Takes one delivery-rate sample from `seq`'s send record, if it is
     /// unambiguous (never retransmitted) and spans a nonzero interval.
     fn bw_sample_from(&mut self, seq: u64) {
-        if self.retransmitted.contains(&seq) {
+        let Some(rec) = self.records.get(seq).copied().filter(|rec| !rec.retransmitted) else {
             return;
-        }
-        let Some(rec) = self.records.get(&seq).copied() else { return };
+        };
         let interval = self.delivered_time.saturating_since(rec.delivered_time);
         if interval > SimDuration::ZERO {
             let bw = (self.delivered - rec.delivered) as f64 / interval.as_secs_f64();
@@ -356,48 +346,12 @@ impl BbrSender {
         }
     }
 
-    /// Folds the ACK's SACK blocks into the scoreboard, credits newly
-    /// SACKed segments as delivered (with a rate sample, so the model
-    /// stays live during recovery), and marks lost every unsacked segment
-    /// with `dupthresh` SACKed segments above it.
-    fn update_scoreboard(&mut self, ack: &AckEvent, now: SimTime) -> u64 {
-        let mut newly_sacked = 0u64;
-        let mut highest_new = None;
-        for &(start, end) in &ack.sack {
-            for seq in start.max(self.snd_una)..end.min(self.snd_nxt) {
-                if self.sacked.insert(seq) {
-                    newly_sacked += 1;
-                    highest_new = Some(highest_new.map_or(seq, |h: u64| h.max(seq)));
-                }
-            }
-        }
-        self.credit_delivered(newly_sacked, now);
-        if let Some(seq) = highest_new {
-            self.bw_sample_from(seq);
-        }
-        for seq in &self.sacked {
-            self.lost.remove(seq);
-            self.retxed.remove(seq);
-        }
-        let k = self.cfg.dupthresh as usize;
-        let mut newly_lost = 0u64;
-        if self.sacked.len() >= k {
-            let threshold = *self.sacked.iter().rev().nth(k - 1).expect("len checked");
-            for seq in self.snd_una..threshold {
-                if !self.sacked.contains(&seq) && self.lost.insert(seq) {
-                    newly_lost += 1;
-                }
-            }
-        }
-        newly_lost
-    }
-
     /// Opens a loss-recovery episode when the oldest outstanding segment
     /// is marked lost. BBR never touches the rate model here; the window
     /// drops to what is actually in flight (plus this ACK's deliveries)
     /// for one round of packet conservation, then regrows normally.
     fn maybe_enter_recovery(&mut self, acked: u64, now: SimTime, out: &mut SenderOutput) {
-        if self.recovery.is_none() && self.lost.contains(&self.snd_una) {
+        if self.recovery.is_none() && self.board.is_lost(self.snd_una) {
             self.stats.fast_retransmits += 1;
             self.recovery = Some(self.snd_nxt);
             obs::span(now.as_nanos(), "cc.fast_rtx", || {
@@ -409,13 +363,10 @@ impl BbrSender {
             self.cwnd = (self.flight() as f64 + acked.max(1) as f64).max(MIN_PIPE_CWND);
             self.packet_conservation = true;
             self.conservation_ends_round = self.round_count + 1;
-            let una = self.snd_una;
-            if !self.retxed.contains(&una) {
-                self.retxed.insert(una);
-                self.retransmitted.insert(una);
+            if self.board.retransmit(self.snd_una) {
                 self.stats.scoreboard_retransmits += 1;
-                self.records.insert(una, self.send_record());
-                out.transmit(una, true);
+                self.records.set(self.snd_una, self.send_record(true));
+                out.transmit(self.snd_una, true);
             }
         }
     }
@@ -425,7 +376,7 @@ impl BbrSender {
         // Round accounting and bandwidth sample, from the send record of
         // the segment this ACK acknowledges.
         self.round_start = false;
-        if let Some(rec) = self.records.get(&(ack.cum_ack - 1)).copied() {
+        if let Some(rec) = self.records.get(ack.cum_ack - 1).copied() {
             if rec.delivered >= self.next_round_delivered {
                 self.round_count += 1;
                 self.stats.rounds += 1;
@@ -578,18 +529,14 @@ impl BbrSender {
         let newly = ack.cum_ack - self.snd_una;
         self.stats.acked_segments += newly;
         // Segments already credited at SACK time must not be re-counted.
-        let newly_delivered =
-            (self.snd_una..ack.cum_ack).filter(|s| !self.sacked.contains(s)).count() as u64;
+        let newly_delivered = newly - self.board.sacked_in(self.snd_una, ack.cum_ack);
         self.credit_delivered(newly_delivered, now);
         self.update_model(ack, now);
         self.snd_una = ack.cum_ack;
         self.snd_nxt = self.snd_nxt.max(ack.cum_ack);
         self.dupacks = 0;
-        self.retransmitted.retain(|&s| s >= ack.cum_ack);
-        self.records.retain(|&s, _| s >= ack.cum_ack);
-        self.sacked.retain(|&s| s >= ack.cum_ack);
-        self.lost.retain(|&s| s >= ack.cum_ack);
-        self.retxed.retain(|&s| s >= ack.cum_ack);
+        while self.records.pop_below(ack.cum_ack).is_some() {}
+        self.board.advance(ack.cum_ack);
         if let Some(recover) = self.recovery {
             if ack.cum_ack >= recover {
                 self.recovery = None;
@@ -637,6 +584,7 @@ impl TcpSenderAlgo for BbrSender {
 
     fn on_ack(&mut self, ack: &AckEvent, now: SimTime, out: &mut SenderOutput) {
         let advanced = ack.cum_ack > self.snd_una;
+        let newly = ack.cum_ack.saturating_sub(self.snd_una);
         let delivered_before = self.delivered;
         if advanced {
             self.handle_new_ack(ack, now);
@@ -646,7 +594,15 @@ impl TcpSenderAlgo for BbrSender {
         } else {
             return;
         }
-        let newly_lost = self.update_scoreboard(ack, now);
+        // Newly SACKed segments are credited as delivered (with a rate
+        // sample, so the model stays live during recovery); every unsacked
+        // segment with `dupthresh` SACKed segments above it is marked lost.
+        let (newly_sacked, highest_new) = self.board.absorb(&ack.sack, self.snd_una, self.snd_nxt);
+        self.credit_delivered(newly_sacked, now);
+        if let Some(seq) = highest_new {
+            self.bw_sample_from(seq);
+        }
+        let newly_lost = self.board.mark_lost(self.snd_una, self.cfg.dupthresh);
         let acked = self.delivered - delivered_before;
         self.maybe_enter_recovery(acked, now, out);
         // Each newly detected loss comes straight out of the window (Linux
@@ -674,6 +630,8 @@ impl TcpSenderAlgo for BbrSender {
         if advanced {
             self.arm_rto(now, out);
         }
+        // The record ring popped one slot per segment newly acknowledged.
+        count_ack(self.board.take_steps() + newly, newly + newly_sacked + newly_lost);
     }
 
     fn on_timer(&mut self, now: SimTime, out: &mut SenderOutput) {
@@ -693,14 +651,11 @@ impl TcpSenderAlgo for BbrSender {
         self.recovery = Some(self.snd_nxt);
         self.cwnd = 1.0;
         self.packet_conservation = false;
-        for seq in self.snd_una..self.snd_nxt {
-            if !self.sacked.contains(&seq) {
-                self.lost.insert(seq);
-            }
-        }
-        self.retxed.clear();
+        self.board.mark_all_lost(self.snd_una, self.snd_nxt);
         self.send_allowed(out);
         self.arm_rto(now, out);
+        // The timeout's full walk is not an ACK's cost.
+        self.board.take_steps();
     }
 
     fn cwnd(&self) -> f64 {

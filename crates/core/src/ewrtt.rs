@@ -24,6 +24,10 @@ use netsim::time::SimDuration;
 /// repeat n times:  x := (cwnd-1)/cwnd · x + α / (cwnd · x^(cwnd-1))
 /// ```
 ///
+/// The first step is taken in closed form, `(cwnd-1)/cwnd + α/cwnd`: `1^y`
+/// is exactly 1 in IEEE 754 and both products by 1 are exact, so no bit of
+/// any root moves and the paper's two steps cost one `pow`, not two.
+///
 /// # Panics
 ///
 /// Panics unless `0 < α < 1` and `cwnd >= 1`.
@@ -42,8 +46,11 @@ use netsim::time::SimDuration;
 pub fn alpha_root(alpha: f64, cwnd: f64, iterations: u32) -> f64 {
     assert!(alpha > 0.0 && alpha < 1.0, "alpha must be in (0,1)");
     assert!(cwnd >= 1.0, "cwnd must be at least 1");
-    let mut x = 1.0f64;
-    for _ in 0..iterations {
+    if iterations == 0 {
+        return 1.0;
+    }
+    let mut x = (cwnd - 1.0) / cwnd + alpha / cwnd;
+    for _ in 1..iterations {
         x = (cwnd - 1.0) / cwnd * x + alpha / (cwnd * x.powf(cwnd - 1.0));
     }
     x
@@ -55,6 +62,9 @@ pub struct EwrttEstimator {
     alpha: f64,
     newton_iterations: u32,
     ewrtt_secs: Option<f64>,
+    /// The last `(cwnd bits, α^(1/cwnd))`: a window sitting at its cap takes
+    /// the root once, not once per ACK.
+    root: (u64, f64),
 }
 
 impl EwrttEstimator {
@@ -66,7 +76,7 @@ impl EwrttEstimator {
     pub fn new(alpha: f64, newton_iterations: u32) -> Self {
         assert!(alpha > 0.0 && alpha < 1.0, "alpha must be in (0,1)");
         assert!(newton_iterations >= 1, "at least one Newton iteration required");
-        EwrttEstimator { alpha, newton_iterations, ewrtt_secs: None }
+        EwrttEstimator { alpha, newton_iterations, ewrtt_secs: None, root: (0, 1.0) }
     }
 
     /// Feeds one RTT sample taken while the congestion window was `cwnd`,
@@ -76,8 +86,12 @@ impl EwrttEstimator {
         let updated = match self.ewrtt_secs {
             None => s,
             Some(prev) => {
-                let decay = alpha_root(self.alpha, cwnd.max(1.0), self.newton_iterations);
-                (decay * prev).max(s)
+                let cwnd = cwnd.max(1.0);
+                if self.root.0 != cwnd.to_bits() {
+                    let root = alpha_root(self.alpha, cwnd, self.newton_iterations);
+                    self.root = (cwnd.to_bits(), root);
+                }
+                (self.root.1 * prev).max(s)
             }
         };
         self.ewrtt_secs = Some(updated);

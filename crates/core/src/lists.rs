@@ -6,11 +6,15 @@
 //! never-sent sequence numbers) or awaiting acknowledgment (`to-be-ack`).
 //! The `memorize` list is represented as a flag on `to-be-ack` entries plus
 //! a counter, matching the paper's Remark 1 (a flag in `sk_buff` — no extra
-//! memory).
+//! memory). Sequence numbers are dense between the cumulative ACK and
+//! `snd_nxt`, so `to-be-ack` is a ring indexed by `seq − base`, and send
+//! stamps only grow, so the deadline index is a sorted deque a send appends
+//! to and an in-order ACK pops: an ACK costs the packets it acknowledges.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeSet, VecDeque};
 
 use netsim::time::{SimDuration, SimTime};
+use transport::seq_ring::SeqRing;
 
 /// Per-outstanding-packet state stored in the `to-be-ack` list.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -40,12 +44,16 @@ pub struct PacketRecord {
 #[derive(Debug, Default)]
 pub struct PacketBook {
     to_be_sent: BTreeSet<u64>,
-    to_be_ack: BTreeMap<u64, PacketRecord>,
-    /// `(sent_at, seq)` index over `to_be_ack` for deadline scans.
-    send_index: BTreeSet<(SimTime, u64)>,
+    /// Empty where a packet is declared dropped and not yet resent.
+    to_be_ack: SeqRing<PacketRecord>,
+    /// Sorted `(sent_at, seq)` index over `to_be_ack` for deadline scans;
+    /// its length is `|to-be-ack|`.
+    send_index: VecDeque<(SimTime, u64)>,
     memorize_count: usize,
     /// Next never-before-sent sequence number.
     snd_nxt: u64,
+    /// Loop iterations since [`PacketBook::take_steps`].
+    steps: u64,
 }
 
 impl PacketBook {
@@ -56,7 +64,7 @@ impl PacketBook {
 
     /// Number of outstanding (sent, unacknowledged) packets: `|to-be-ack|`.
     pub fn outstanding(&self) -> usize {
-        self.to_be_ack.len()
+        self.send_index.len()
     }
 
     /// Number of packets queued for (re)transmission, excluding the implicit
@@ -77,12 +85,19 @@ impl PacketBook {
 
     /// The record for outstanding packet `seq`, if any.
     pub fn record(&self, seq: u64) -> Option<&PacketRecord> {
-        self.to_be_ack.get(&seq)
+        self.to_be_ack.get(seq)
     }
 
     /// The smallest outstanding sequence number, if any.
     pub fn first_outstanding(&self) -> Option<u64> {
-        self.to_be_ack.first_key_value().map(|(&seq, _)| seq)
+        self.to_be_ack.iter().next().map(|(seq, _)| seq)
+    }
+
+    /// Takes `key` out of the send index: off the front for an in-order ACK.
+    fn index_remove(&mut self, key: (SimTime, u64)) {
+        let in_order = self.send_index.front() == Some(&key);
+        let at = if in_order { 0 } else { self.send_index.binary_search(&key).expect("indexed") };
+        self.send_index.remove(at);
     }
 
     /// Chooses the next packet to transmit: the smallest sequence number in
@@ -97,17 +112,19 @@ impl PacketBook {
                 (seq, false)
             }
         };
-        let prev = self.to_be_ack.insert(
-            seq,
-            PacketRecord {
-                sent_at: now,
-                cwnd_at_send: cwnd,
-                in_memorize: false,
-                retransmitted: is_retransmit,
-            },
-        );
-        debug_assert!(prev.is_none(), "packet {seq} was already outstanding");
-        self.send_index.insert((now, seq));
+        debug_assert!(self.to_be_ack.get(seq).is_none(), "packet {seq} was already outstanding");
+        let record = PacketRecord {
+            sent_at: now,
+            cwnd_at_send: cwnd,
+            in_memorize: false,
+            retransmitted: is_retransmit,
+        };
+        self.to_be_ack.set(seq, record);
+        // At the back, unless a flush at this instant already resent a higher
+        // `seq` or a deferred stamp lies ahead of `now`.
+        let later = self.send_index.iter().rev().take_while(|&&key| key > (now, seq)).count();
+        self.send_index.insert(self.send_index.len() - later, (now, seq));
+        self.steps += 1;
         (seq, is_retransmit)
     }
 
@@ -118,12 +135,11 @@ impl PacketBook {
     /// became unnecessary).
     pub fn ack_below(&mut self, cum_ack: u64) -> Option<(PacketRecord, usize)> {
         let mut acked = None;
-        while let Some(entry) = self.to_be_ack.first_entry() {
-            if *entry.key() >= cum_ack {
-                break;
-            }
-            let (seq, record) = entry.remove_entry();
-            self.send_index.remove(&(record.sent_at, seq));
+        // `snd_nxt` does not follow an ACK beyond it, so neither may the ring.
+        while let Some((seq, slot)) = self.to_be_ack.pop_below(cum_ack.min(self.snd_nxt)) {
+            self.steps += 1;
+            let Some(record) = slot else { continue };
+            self.index_remove((record.sent_at, seq));
             if record.in_memorize {
                 self.memorize_count -= 1;
             }
@@ -135,6 +151,13 @@ impl PacketBook {
             self.to_be_sent.pop_first();
         }
         acked
+    }
+
+    /// The outstanding packet with the earliest drop deadline, if that
+    /// deadline `sent_at + mxrtt` has passed at `now`.
+    pub fn first_expired(&self, now: SimTime, mxrtt: SimDuration) -> Option<u64> {
+        let &(sent_at, seq) = self.send_index.front()?;
+        (sent_at.saturating_add(mxrtt) <= now).then_some(seq)
     }
 
     /// All outstanding packets whose drop deadline `sent_at + mxrtt` has
@@ -149,7 +172,7 @@ impl PacketBook {
 
     /// The earliest drop deadline among outstanding packets.
     pub fn earliest_deadline(&self, mxrtt: SimDuration) -> Option<SimTime> {
-        self.send_index.first().map(|&(sent_at, _)| sent_at.saturating_add(mxrtt))
+        self.send_index.front().map(|&(sent_at, _)| sent_at.saturating_add(mxrtt))
     }
 
     /// Declares outstanding packet `seq` dropped: removes it from
@@ -160,8 +183,9 @@ impl PacketBook {
     ///
     /// Panics if `seq` is not outstanding.
     pub fn mark_dropped(&mut self, seq: u64) -> PacketRecord {
-        let record = self.to_be_ack.remove(&seq).expect("dropped packet must be outstanding");
-        self.send_index.remove(&(record.sent_at, seq));
+        let slot = self.to_be_ack.slot_mut(seq).and_then(Option::take);
+        let record = slot.expect("dropped packet must be outstanding");
+        self.index_remove((record.sent_at, seq));
         if record.in_memorize {
             self.memorize_count -= 1;
         }
@@ -183,10 +207,8 @@ impl PacketBook {
     /// their original deadlines); [`PacketBook::defer_memorize`] suspends
     /// those deadlines while a hole ahead of them is being repaired.
     pub fn snapshot_memorize(&mut self) {
-        for record in self.to_be_ack.values_mut() {
-            record.in_memorize = true;
-        }
-        self.memorize_count = self.to_be_ack.len();
+        self.to_be_ack.values_mut().for_each(|record| record.in_memorize = true);
+        self.memorize_count = self.outstanding();
     }
 
     /// Raises every memorized packet's effective send stamp to at least
@@ -201,17 +223,19 @@ impl PacketBook {
     /// the retransmission itself dies — still expires the whole flight and
     /// trips the extreme-loss counter.)
     pub fn defer_memorize(&mut self, floor: SimTime) {
-        let deferred: Vec<(u64, SimTime)> = self
-            .to_be_ack
-            .iter()
-            .filter(|(_, r)| r.in_memorize && r.sent_at < floor)
-            .map(|(&seq, r)| (seq, r.sent_at))
-            .collect();
-        for (seq, old) in deferred {
-            self.send_index.remove(&(old, seq));
-            self.send_index.insert((floor, seq));
-            self.to_be_ack.get_mut(&seq).expect("present").sent_at = floor;
+        // A re-stamped entry moves behind the stamps below `floor` that stay,
+        // in among those already at `floor`: one sort of that stretch.
+        let index = self.send_index.make_contiguous();
+        let through = index.partition_point(|&(at, _)| at <= floor);
+        for (at, seq) in index[..through].iter_mut().filter(|(at, _)| *at < floor) {
+            let record = self.to_be_ack.slot_mut(*seq).and_then(Option::as_mut);
+            let record = record.expect("index tracks to-be-ack");
+            if record.in_memorize {
+                (record.sent_at, *at) = (floor, floor);
+            }
         }
+        self.steps += through as u64;
+        index[..through].sort_unstable();
     }
 
     /// Outstanding packets excluding the memorized stale flight — the
@@ -220,21 +244,27 @@ impl PacketBook {
     /// counting them against the halved window would deadlock the
     /// retransmission that resolves them).
     pub fn active_outstanding(&self) -> usize {
-        self.to_be_ack.len() - self.memorize_count
+        self.outstanding() - self.memorize_count
+    }
+
+    /// Loop iterations since the last call (`sender.ack_steps`).
+    pub fn take_steps(&mut self) -> u64 {
+        std::mem::take(&mut self.steps)
     }
 
     /// Checks internal invariants (used by tests and debug assertions).
     pub fn check_invariants(&self) {
-        assert_eq!(self.send_index.len(), self.to_be_ack.len(), "index tracks to-be-ack");
-        let flagged = self.to_be_ack.values().filter(|r| r.in_memorize).count();
+        assert_eq!(self.send_index.len(), self.to_be_ack.iter().count(), "index tracks to-be-ack");
+        assert!(self.send_index.iter().zip(self.send_index.iter().skip(1)).all(|(a, b)| a < b));
+        let flagged = self.to_be_ack.iter().filter(|(_, r)| r.in_memorize).count();
         assert_eq!(flagged, self.memorize_count, "memorize counter matches flags");
         for seq in &self.to_be_sent {
-            assert!(!self.to_be_ack.contains_key(seq), "packet {seq} in both lists");
+            assert!(self.to_be_ack.get(*seq).is_none(), "packet {seq} in both lists");
             assert!(*seq < self.snd_nxt, "to-be-sent may only hold already-sent packets");
         }
-        for (&seq, record) in &self.to_be_ack {
+        for (seq, record) in self.to_be_ack.iter() {
             assert!(seq < self.snd_nxt, "outstanding packet {seq} beyond snd_nxt");
-            assert!(self.send_index.contains(&(record.sent_at, seq)));
+            assert!(self.send_index.binary_search(&(record.sent_at, seq)).is_ok());
         }
     }
 }

@@ -25,6 +25,7 @@
 
 use netsim::time::{SimDuration, SimTime};
 use transport::sender::{AckEvent, SenderOutput, TcpSenderAlgo};
+use transport::telemetry::count_ack;
 
 use crate::config::TcpPrConfig;
 use crate::ewrtt::EwrttEstimator;
@@ -314,6 +315,7 @@ impl TcpSenderAlgo for TcpPrSender {
         // the cumulative point matters.
         let Some((trigger, acked)) = self.book.ack_below(ack.cum_ack) else {
             self.arm_timer(now, out);
+            count_ack(self.book.take_steps(), 0);
             return;
         };
         // Progress ends any extreme-loss episode and the current drop burst.
@@ -345,6 +347,7 @@ impl TcpSenderAlgo for TcpPrSender {
         }
         self.flush_cwnd(now, out);
         self.arm_timer(now, out);
+        count_ack(self.book.take_steps(), acked as u64);
     }
 
     fn on_timer(&mut self, now: SimTime, out: &mut SenderOutput) {
@@ -355,14 +358,13 @@ impl TcpSenderAlgo for TcpPrSender {
         }
         // Process expirations one at a time: handling a drop can change
         // mxrtt (extreme-loss backoff), which changes later deadlines.
-        loop {
-            let mxrtt = self.mxrtt();
-            let expired = self.book.expired(now, mxrtt);
-            let Some(&seq) = expired.first() else { break };
+        while let Some(seq) = self.book.first_expired(now, self.mxrtt()) {
             self.handle_drop(seq, now);
         }
         self.flush_cwnd(now, out);
         self.arm_timer(now, out);
+        // A timer's sends are not an ACK's cost.
+        self.book.take_steps();
     }
 
     fn cwnd(&self) -> f64 {

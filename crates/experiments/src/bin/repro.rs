@@ -547,6 +547,13 @@ fn run_profile(cli: &Cli, ctx: &ExecCtx) -> bool {
         let mean = merged.sim_histograms.get(key).map_or(0.0, obs::LogHistogram::mean);
         let _ = writeln!(tables, "  {:<24} {:>12.1}", key, mean);
     }
+    // What the TCP-PR, TCP-SACK and BBR ACK paths cost against what their
+    // ACKs changed (segments newly acknowledged, SACKed or declared lost).
+    let _ = writeln!(tables, "  {:<24} {:>12}", "ACK path", "count");
+    for key in ["sender.acks", "sender.ack_changes", "sender.ack_steps"] {
+        let count = merged.counters.get(key).copied().unwrap_or(0);
+        let _ = writeln!(tables, "  {:<24} {:>12}", key, count);
+    }
     let _ = writeln!(tables, "  {:<24} {:>12}", "span kind", "count");
     for (kind, count) in &merged.span_counts {
         let _ = writeln!(tables, "  {:<24} {:>12}", kind, count);

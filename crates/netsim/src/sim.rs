@@ -934,6 +934,9 @@ impl Simulator {
     }
 
     fn arm_timer(&mut self, agent: AgentId, timer: TimerId, at: SimTime) {
+        if at < self.now {
+            obs::count("timer.armed_past", 1);
+        }
         let fire_at = at.max(self.now);
         let lead_ns = fire_at.saturating_since(self.now).as_nanos();
         obs::observe(TIMER_KEYS[timer as usize][0], lead_ns);

@@ -12,7 +12,9 @@
 //!   [`host::attach_flow`] for one-line flow setup.
 //!
 //! [`rto::RtoEstimator`] implements RFC 2988 for the baselines' coarse
-//! timeouts.
+//! timeouts. [`scoreboard::Scoreboard`] is the RFC 6675 SACK bookkeeping
+//! TCP-SACK and BBR share, and [`seq_ring::SeqRing`] holds per-segment send
+//! records at `seq − base`.
 //!
 //! # Examples
 //!
@@ -42,7 +44,9 @@ pub mod host;
 pub mod pacing;
 pub mod receiver;
 pub mod rto;
+pub mod scoreboard;
 pub mod sender;
+pub mod seq_ring;
 pub mod telemetry;
 
 pub use host::{

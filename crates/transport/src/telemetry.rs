@@ -82,6 +82,19 @@ impl SenderTelemetry for Box<dyn TcpSenderAlgo> {
     }
 }
 
+/// The ACK path's exact cost proxy, counted once per ACK while the profiler
+/// is on: the sender spent `steps` loop iterations (over runs, gaps, segments
+/// and ring slots) on an ACK that newly acknowledged, SACKed or declared lost
+/// `changed` segments. `repro profile` bounds `sender.ack_steps` by a
+/// constant times `sender.acks + sender.ack_changes`.
+pub fn count_ack(steps: u64, changed: u64) {
+    if obs::enabled() {
+        obs::count("sender.acks", 1);
+        obs::count("sender.ack_steps", steps);
+        obs::count("sender.ack_changes", changed);
+    }
+}
+
 /// Builds a [`Sampler`](netsim::telemetry::Sampler) probe that reads one
 /// `f64` off the [`CommonStats`] of the sender hosted at agent `sender`.
 ///
