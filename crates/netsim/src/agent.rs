@@ -2,35 +2,24 @@
 //!
 //! An agent is a transport endpoint (e.g. a TCP sender or receiver) bound to
 //! a `(node, flow)` pair. Agents interact with the network exclusively
-//! through an [`AgentCtx`]: they emit packets, arm a single retransmission
-//! timer, and draw deterministic randomness.
+//! through an [`AgentCtx`]: they emit packets, arm a retransmission timer
+//! and an auxiliary one, and draw deterministic randomness. The context
+//! borrows the simulator for one callback; every call on it acts at once.
 
 use std::any::Any;
 
+use rand::Rng;
+
 use crate::ids::{AgentId, FlowId, NodeId};
 use crate::packet::{Packet, PacketKind};
+use crate::sim::{Simulator, TimerId};
 use crate::time::SimTime;
-
-/// Actions an agent can request during a callback.
-#[derive(Debug)]
-pub(crate) enum AgentAction {
-    /// Inject a packet at the agent's node.
-    Send { dst: NodeId, size_bytes: u32, kind: PacketKind },
-    /// (Re-)arm the agent's timer for the given instant, replacing any
-    /// pending timer.
-    SetTimer(SimTime),
-    /// Disarm the agent's timer.
-    CancelTimer,
-    /// (Re-)arm the agent's auxiliary timer (see [`AgentCtx::set_aux_timer`]).
-    SetAuxTimer(SimTime),
-    /// Disarm the agent's auxiliary timer.
-    CancelAuxTimer,
-}
 
 /// Execution context handed to agent callbacks.
 ///
-/// Collects the agent's requested actions; the simulator applies them after
-/// the callback returns, which keeps agent code free of simulator borrows.
+/// A handle on the simulator, not a mailbox: each method acts at once, in
+/// the order the agent calls them (DESIGN.md §2 "The round trip takes no
+/// detour"); the agent is out of the simulator's table meanwhile.
 pub struct AgentCtx<'a> {
     /// Current simulation time.
     pub now: SimTime,
@@ -40,14 +29,18 @@ pub struct AgentCtx<'a> {
     pub node: NodeId,
     /// The flow the agent serves.
     pub flow: FlowId,
-    pub(crate) actions: &'a mut Vec<AgentAction>,
-    pub(crate) rng_draw: &'a mut dyn FnMut() -> f64,
+    pub(crate) sim: &'a mut Simulator,
 }
 
 impl<'a> AgentCtx<'a> {
     /// Sends a packet from this agent's node to `dst`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dst` is the agent's own node: the packet would be for the
+    /// agent itself, and a callback does not re-enter.
     pub fn send(&mut self, dst: NodeId, size_bytes: u32, kind: PacketKind) {
-        self.actions.push(AgentAction::Send { dst, size_bytes, kind });
+        self.sim.inject(self.node, self.flow, dst, size_bytes, kind);
     }
 
     /// Arms the agent's single timer to fire at `at` (replacing any pending
@@ -57,12 +50,12 @@ impl<'a> AgentCtx<'a> {
     /// event order here, but enters the queue only if it falls before the
     /// pop the timer already has pending (DESIGN.md §2 "One pop per timer").
     pub fn set_timer(&mut self, at: SimTime) {
-        self.actions.push(AgentAction::SetTimer(at));
+        self.sim.arm_timer(self.agent_id, TimerId::Main, at);
     }
 
     /// Disarms the agent's timer.
     pub fn cancel_timer(&mut self) {
-        self.actions.push(AgentAction::CancelTimer);
+        self.sim.cancel_timer(self.agent_id, TimerId::Main);
     }
 
     /// Arms the agent's auxiliary timer to fire at `at` (replacing any
@@ -72,17 +65,17 @@ impl<'a> AgentCtx<'a> {
     /// [`Agent::on_aux_timer`]. Instants in the past fire at the current
     /// instant.
     pub fn set_aux_timer(&mut self, at: SimTime) {
-        self.actions.push(AgentAction::SetAuxTimer(at));
+        self.sim.arm_timer(self.agent_id, TimerId::Aux, at);
     }
 
     /// Disarms the agent's auxiliary timer.
     pub fn cancel_aux_timer(&mut self) {
-        self.actions.push(AgentAction::CancelAuxTimer);
+        self.sim.cancel_timer(self.agent_id, TimerId::Aux);
     }
 
     /// Draws a uniform sample from `[0, 1)` from the simulation's seeded RNG.
     pub fn random(&mut self) -> f64 {
-        (self.rng_draw)()
+        self.sim.rng.gen()
     }
 }
 

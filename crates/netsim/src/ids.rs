@@ -61,6 +61,13 @@ id_type!(
     PacketId,
     "p"
 );
+id_type!(
+    /// Handle to a source route: the index of a path in
+    /// [`crate::routing::Routing`]'s append-only table of every path ever
+    /// installed. A source-routed packet carries this, not the path.
+    RouteId,
+    "r"
+);
 
 #[cfg(test)]
 mod tests {
@@ -75,6 +82,7 @@ mod tests {
         assert_eq!(FlowId::from_raw(2).to_string(), "f2");
         assert_eq!(AgentId::from_raw(9).to_string(), "a9");
         assert_eq!(PacketId::from_raw(4).to_string(), "p4");
+        assert_eq!(RouteId::from_raw(5).to_string(), "r5");
     }
 
     #[test]

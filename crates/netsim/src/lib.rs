@@ -50,7 +50,7 @@ pub mod trace;
 pub mod traffic;
 
 pub use agent::{Agent, AgentCtx};
-pub use ids::{AgentId, FlowId, LinkId, NodeId, PacketId};
+pub use ids::{AgentId, FlowId, LinkId, NodeId, PacketId, RouteId};
 pub use impair::{derive_seed, AdminEntry, ImpairStats, LinkAdmin, StageConfig};
 pub use link::LinkConfig;
 pub use oracle::{Snapshot, Violation};

@@ -9,11 +9,10 @@
 //! agent sends it, and read out once, when it is delivered: in between it
 //! sits still and events and link queues pass its [`crate::ids::PacketId`]
 //! around (DESIGN.md §2 "Packets sit still"). Agents only ever see whole
-//! packets, by value.
+//! packets, by value. A source-routed packet names its path by a
+//! [`RouteId`] into the routing table, which owns every path installed.
 
-use std::sync::Arc;
-
-use crate::ids::{FlowId, LinkId, NodeId};
+use crate::ids::{FlowId, NodeId, RouteId};
 use crate::time::SimTime;
 
 /// Default TCP data segment size used throughout the reproduction, in bytes
@@ -109,9 +108,10 @@ pub struct Packet {
     pub injected_at: SimTime,
     /// Number of links traversed so far.
     pub hops: u32,
-    /// Pinned source route (sequence of links from `src` to `dst`), when the
-    /// routing mode is source-routed multipath. `None` under next-hop routing.
-    pub route: Option<Arc<[LinkId]>>,
+    /// Handle of the pinned source route (sequence of links from `src` to
+    /// `dst`), when the routing mode is source-routed multipath. `None`
+    /// under next-hop routing.
+    pub route: Option<RouteId>,
 }
 
 impl Packet {

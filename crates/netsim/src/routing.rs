@@ -9,12 +9,15 @@
 //! interpolation: path *i* is chosen with probability proportional to
 //! `exp(-ε · (dᵢ − d_min) / d_min)`, where `dᵢ` is the path's total
 //! propagation delay.
+//!
+//! [`Routing`] owns every path a mixture ever offered, in an append-only
+//! table, and a source-routed packet names its path by its [`RouteId`]
+//! there (DESIGN.md §2 "The round trip takes no detour").
 
 use std::collections::BinaryHeap;
-use std::collections::HashMap;
 use std::sync::Arc;
 
-use crate::ids::{LinkId, NodeId};
+use crate::ids::{LinkId, NodeId, RouteId};
 use crate::time::SimDuration;
 
 /// A loop-free path from a source to a destination.
@@ -239,8 +242,12 @@ impl MultipathRoute {
 
     /// Picks a path given a uniform sample from `[0, 1)`.
     pub fn pick(&self, uniform: f64) -> &Path {
-        let idx = self.cdf.partition_point(|&c| c <= uniform).min(self.paths.len() - 1);
-        &self.paths[idx]
+        &self.paths[self.pick_index(uniform)]
+    }
+
+    /// Index into [`Self::paths`] of the path `pick(uniform)` returns.
+    fn pick_index(&self, uniform: f64) -> usize {
+        self.cdf.partition_point(|&c| c <= uniform).min(self.paths.len() - 1)
     }
 
     /// The candidate paths.
@@ -255,13 +262,25 @@ impl MultipathRoute {
     }
 }
 
+/// The mixture installed towards `dst`; `handles[i]` names `mixture.paths()[i]`.
+#[derive(Debug)]
+struct Installed {
+    dst: NodeId,
+    mixture: MultipathRoute,
+    handles: Vec<RouteId>,
+}
+
 /// Complete routing state for a simulation.
 #[derive(Debug, Default)]
 pub struct Routing {
     /// `next_hop[src][dst]` = first link of the shortest path.
     next_hop: Vec<Vec<Option<LinkId>>>,
-    /// Source-routed mixtures overriding next-hop routing for specific pairs.
-    multipath: HashMap<(NodeId, NodeId), MultipathRoute>,
+    /// Per source node, the mixtures overriding next-hop routing: a handful
+    /// of destinations at most, scanned linearly.
+    multipath: Vec<Vec<Installed>>,
+    /// Every distinct path a mixture ever offered, indexed by [`RouteId`];
+    /// append-only, so a packet in flight keeps the path it was pinned to.
+    routes: Vec<Arc<[LinkId]>>,
 }
 
 impl Routing {
@@ -270,17 +289,62 @@ impl Routing {
         let next_hop = (0..graph.node_count())
             .map(|s| graph.shortest_first_links(NodeId::from_raw(s as u32)))
             .collect();
-        Routing { next_hop, multipath: HashMap::new() }
+        Routing { next_hop, multipath: Vec::new(), routes: Vec::new() }
     }
 
-    /// Installs a source-routed mixture for packets from `src` to `dst`.
+    /// Installs a source-routed mixture for packets from `src` to `dst`,
+    /// replacing the pair's previous one.
     pub fn set_multipath(&mut self, src: NodeId, dst: NodeId, route: MultipathRoute) {
-        self.multipath.insert((src, dst), route);
+        let handles = route.paths.iter().map(|p| self.intern(&p.links)).collect();
+        if self.multipath.len() <= src.index() {
+            self.multipath.resize_with(src.index() + 1, Vec::new);
+        }
+        let from_src = &mut self.multipath[src.index()];
+        from_src.retain(|m| m.dst != dst);
+        from_src.push(Installed { dst, mixture: route, handles });
+    }
+
+    /// The handle of `links`, appended only if no equal path is in the table
+    /// (a route flapping between two paths holds two entries). A linear scan:
+    /// an install is set-up or a rare event, and the table a few dozen paths.
+    fn intern(&mut self, links: &Arc<[LinkId]>) -> RouteId {
+        let at = self.routes.iter().position(|r| r == links).unwrap_or_else(|| {
+            self.routes.push(Arc::clone(links));
+            self.routes.len() - 1
+        });
+        RouteId::from_raw(at as u32)
+    }
+
+    fn installed(&self, src: NodeId, dst: NodeId) -> Option<&Installed> {
+        self.multipath.get(src.index())?.iter().find(|m| m.dst == dst)
     }
 
     /// The mixture for `(src, dst)`, if one is installed.
     pub fn multipath(&self, src: NodeId, dst: NodeId) -> Option<&MultipathRoute> {
-        self.multipath.get(&(src, dst))
+        self.installed(src, dst).map(|m| &m.mixture)
+    }
+
+    /// Handle of the path the pair's mixture picks for `uniform()` (which is
+    /// drawn only if there is a mixture).
+    pub(crate) fn pick_route(
+        &self,
+        src: NodeId,
+        dst: NodeId,
+        uniform: impl FnOnce() -> f64,
+    ) -> Option<RouteId> {
+        let m = self.installed(src, dst)?;
+        Some(m.handles[m.mixture.pick_index(uniform())])
+    }
+
+    /// The links of an installed path.
+    pub(crate) fn route(&self, id: RouteId) -> &[LinkId] {
+        debug_assert!(id.index() < self.routes.len(), "{id} dangles: the table only grows");
+        &self.routes[id.index()]
+    }
+
+    /// Number of distinct paths ever installed.
+    pub fn route_count(&self) -> usize {
+        self.routes.len()
     }
 
     /// Shortest-path next hop from `at` towards `dst`.
@@ -396,8 +460,26 @@ mod tests {
         assert_eq!(routing.next_hop(n(2), n(3)), Some(l(3)));
         assert!(routing.multipath(n(0), n(3)).is_none());
         let paths = g.simple_paths(n(0), n(3), 8, 16);
-        routing.set_multipath(n(0), n(3), MultipathRoute::with_epsilon(paths, 0.0));
+        routing.set_multipath(n(0), n(3), MultipathRoute::with_epsilon(paths.clone(), 0.0));
         assert!(routing.multipath(n(0), n(3)).is_some());
+        assert!(routing.multipath(n(0), n(2)).is_none() && routing.multipath(n(3), n(0)).is_none());
+        // Handles follow the mixture's own order of paths; a path installed
+        // before keeps the handle it had, for this pair or another.
+        let handle = |r: &Routing, dst, u| r.pick_route(n(0), n(dst), || u).unwrap();
+        let (short, long) = (handle(&routing, 3, 0.25), handle(&routing, 3, 0.75));
+        assert_eq!(
+            (routing.route(short), routing.route(long)),
+            (&*paths[0].links, &*paths[1].links)
+        );
+        let reversed = vec![paths[1].clone(), paths[0].clone()];
+        routing.set_multipath(n(0), n(3), MultipathRoute::with_weights(reversed, &[1.0, 1.0]));
+        routing.set_multipath(
+            n(0),
+            n(1),
+            MultipathRoute::with_weights(paths[..1].to_vec(), &[1.0]),
+        );
+        assert_eq!((handle(&routing, 3, 0.25), handle(&routing, 3, 0.75)), (long, short));
+        assert_eq!((handle(&routing, 1, 0.5), routing.route_count()), (short, 2));
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! The simulator: topology construction, event dispatch, agent hosting.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::agent::{Agent, AgentAction, AgentCtx};
+use crate::agent::{Agent, AgentCtx};
 use crate::event::{EventKey, EventKind, EventQueue};
 use crate::ids::{AgentId, FlowId, LinkId, NodeId, PacketId};
 use crate::impair::{AdminEntry, Fate, ImpairPipeline, ImpairStats, LinkAdmin, StageConfig};
@@ -113,11 +113,10 @@ impl SimBuilder {
             now: SimTime::ZERO,
             events: EventQueue::with_lanes(links.iter().map(|l| l.to)),
             packets: Slab::default(),
-            node_agents: vec![HashMap::new(); self.node_count],
+            node_agents: vec![Vec::new(); self.node_count],
             links,
             agents: Vec::new(),
             agent_meta: Vec::new(),
-            actions: Vec::new(),
             graph,
             routing,
             rng: SmallRng::seed_from_u64(self.seed),
@@ -142,7 +141,7 @@ impl SimBuilder {
 /// Which of an agent's two timers; indexes `AgentMeta::timers` and
 /// [`TIMER_KEYS`].
 #[derive(Debug, Clone, Copy)]
-enum TimerId {
+pub(crate) enum TimerId {
     Main,
     Aux,
 }
@@ -240,16 +239,15 @@ pub struct Simulator {
     /// Every packet in the network, from `inject` until it is delivered or
     /// dropped; events and link queues hold [`PacketId`]s into it.
     packets: Slab<Packet>,
-    /// Per node: flow → agent serving it.
-    node_agents: Vec<HashMap<FlowId, AgentId>>,
+    /// Per node: the agents on it by the flow each serves, sorted by flow
+    /// (one or two on most nodes; flow ids are sparse, so not a dense table).
+    node_agents: Vec<Vec<(FlowId, AgentId)>>,
     links: Vec<Link>,
     agents: Vec<Option<Box<dyn Agent>>>,
     agent_meta: Vec<AgentMeta>,
-    /// Scratch buffer agents' actions are collected in (see `call_agent`).
-    actions: Vec<AgentAction>,
     graph: Graph,
     routing: Routing,
-    rng: SmallRng,
+    pub(crate) rng: SmallRng,
     /// The builder seed; impairment pipelines derive their streams from it.
     seed: u64,
     next_uid: u64,
@@ -543,8 +541,11 @@ impl Simulator {
     pub fn add_agent(&mut self, node: NodeId, flow: FlowId, agent: Box<dyn Agent>) -> AgentId {
         assert!(!self.started, "agents must be added before the simulation starts");
         let id = AgentId::from_raw(self.agents.len() as u32);
-        let prev = self.node_agents[node.index()].insert(flow, id);
-        assert!(prev.is_none(), "flow {flow} already has an agent at {node}");
+        let served = &mut self.node_agents[node.index()];
+        match served.binary_search_by_key(&flow, |&(f, _)| f) {
+            Ok(_) => panic!("flow {flow} already has an agent at {node}"),
+            Err(at) => served.insert(at, (flow, id)),
+        }
         self.agents.push(Some(agent));
         self.agent_meta.push(AgentMeta { node, flow, timers: Default::default() });
         id
@@ -569,7 +570,7 @@ impl Simulator {
         }
         self.started = true;
         for i in 0..self.agents.len() {
-            self.call_agent(AgentId::from_raw(i as u32), AgentCall::Start);
+            self.call_agent(AgentId::from_raw(i as u32), |agent, ctx| agent.on_start(ctx));
         }
     }
 
@@ -669,14 +670,16 @@ impl Simulator {
 
     fn deliver(&mut self, node: NodeId, id: PacketId) {
         let flow = self.packets.get(id.0).flow;
-        match self.node_agents[node.index()].get(&flow).copied() {
-            Some(agent) => {
+        let served = &self.node_agents[node.index()];
+        match served.binary_search_by_key(&flow, |&(f, _)| f) {
+            Ok(at) => {
+                let agent = served[at].1;
                 self.stats.delivered += 1;
                 self.trace_packet(id, TraceEventKind::Delivered(node));
                 let packet = self.packets.remove(id.0);
-                self.call_agent(agent, AgentCall::Packet(packet));
+                self.call_agent(agent, |agent, ctx| agent.on_packet(packet, ctx));
             }
-            None => {
+            Err(_) => {
                 self.stats.no_route_drops += 1;
                 self.drop_packet(id, TraceEventKind::NoRoute);
             }
@@ -685,8 +688,8 @@ impl Simulator {
 
     fn forward(&mut self, node: NodeId, id: PacketId) {
         let packet = self.packets.get(id.0);
-        let link = match &packet.route {
-            Some(route) => route.get(packet.hops as usize).copied(),
+        let link = match packet.route {
+            Some(route) => self.routing.route(route).get(packet.hops as usize).copied(),
             None => self.routing.next_hop(node, packet.dst),
         };
         match link {
@@ -874,7 +877,10 @@ impl Simulator {
         }
     }
 
-    fn call_agent(&mut self, id: AgentId, call: AgentCall) {
+    /// Runs one callback of agent `id`, which is out of `agents` for the
+    /// call: the context lends it the whole simulator, and what it sends or
+    /// arms happens as it asks.
+    fn call_agent(&mut self, id: AgentId, call: impl FnOnce(&mut dyn Agent, &mut AgentCtx<'_>)) {
         let mut agent = self.agents[id.index()].take().expect("agent call must not re-enter");
         let meta = &self.agent_meta[id.index()];
         let (node, flow) = (meta.node, meta.flow);
@@ -886,46 +892,11 @@ impl Simulator {
         if obs::enabled() {
             obs::set_current_flow(Some(flow.index() as u64));
         }
-        // One buffer serves every callback; a callback nested in the drain
-        // below (an agent sending to its own node) starts from an empty one.
-        let mut actions = std::mem::take(&mut self.actions);
-        {
-            let rng = &mut self.rng;
-            let mut draw = move || rng.gen::<f64>();
-            let mut ctx = AgentCtx {
-                now: self.now,
-                agent_id: id,
-                node,
-                flow,
-                actions: &mut actions,
-                rng_draw: &mut draw,
-            };
-            match call {
-                AgentCall::Start => agent.on_start(&mut ctx),
-                AgentCall::Packet(p) => agent.on_packet(p, &mut ctx),
-                AgentCall::Timer(TimerId::Main) => agent.on_timer(&mut ctx),
-                AgentCall::Timer(TimerId::Aux) => agent.on_aux_timer(&mut ctx),
-            }
-        }
+        let mut ctx = AgentCtx { now: self.now, agent_id: id, node, flow, sim: self };
+        call(agent.as_mut(), &mut ctx);
         self.agents[id.index()] = Some(agent);
-        for action in actions.drain(..) {
-            self.apply_action(id, node, flow, action);
-        }
-        self.actions = actions;
         if obs::enabled() {
             obs::set_current_flow(None);
-        }
-    }
-
-    fn apply_action(&mut self, id: AgentId, node: NodeId, flow: FlowId, action: AgentAction) {
-        match action {
-            AgentAction::Send { dst, size_bytes, kind } => {
-                self.inject(node, flow, dst, size_bytes, kind);
-            }
-            AgentAction::SetTimer(at) => self.arm_timer(id, TimerId::Main, at),
-            AgentAction::CancelTimer => self.timer_slot(id, TimerId::Main).armed = None,
-            AgentAction::SetAuxTimer(at) => self.arm_timer(id, TimerId::Aux, at),
-            AgentAction::CancelAuxTimer => self.timer_slot(id, TimerId::Aux).armed = None,
         }
     }
 
@@ -933,7 +904,11 @@ impl Simulator {
         &mut self.agent_meta[agent.index()].timers[timer as usize]
     }
 
-    fn arm_timer(&mut self, agent: AgentId, timer: TimerId, at: SimTime) {
+    pub(crate) fn cancel_timer(&mut self, agent: AgentId, timer: TimerId) {
+        self.timer_slot(agent, timer).armed = None;
+    }
+
+    pub(crate) fn arm_timer(&mut self, agent: AgentId, timer: TimerId, at: SimTime) {
         if at < self.now {
             obs::count("timer.armed_past", 1);
         }
@@ -951,7 +926,10 @@ impl Simulator {
         let [_, deferred, stale] = TIMER_KEYS[timer as usize];
         let key = (self.now, seq);
         match self.timer_slot(agent, timer).pop(key) {
-            TimerPop::Fire => self.call_agent(agent, AgentCall::Timer(timer)),
+            TimerPop::Fire => match timer {
+                TimerId::Main => self.call_agent(agent, |agent, ctx| agent.on_timer(ctx)),
+                TimerId::Aux => self.call_agent(agent, |agent, ctx| agent.on_aux_timer(ctx)),
+            },
             TimerPop::Defer(key) => {
                 obs::count(deferred, 1);
                 self.events.schedule_reserved(key, timer.event(agent, key.1));
@@ -961,7 +939,7 @@ impl Simulator {
     }
 
     /// Injects a packet at `src` addressed to `(dst, flow)`.
-    fn inject(
+    pub(crate) fn inject(
         &mut self,
         src: NodeId,
         flow: FlowId,
@@ -972,10 +950,8 @@ impl Simulator {
         let uid = self.next_uid;
         self.next_uid += 1;
         self.stats.injected += 1;
-        let route = self.routing.multipath(src, dst).map(|mp| {
-            let u = self.rng.gen::<f64>();
-            mp.pick(u).links.clone()
-        });
+        let rng = &mut self.rng;
+        let route = self.routing.pick_route(src, dst, || rng.gen::<f64>());
         let packet =
             Packet { uid, flow, src, dst, size_bytes, kind, injected_at: self.now, hops: 0, route };
         let packet = PacketId(self.packets.insert(packet));
@@ -1006,15 +982,10 @@ impl Drop for Simulator {
     }
 }
 
-enum AgentCall {
-    Start,
-    Packet(Packet),
-    Timer(TimerId),
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ids::RouteId;
     use crate::packet::{AckHeader, DataHeader, DATA_PACKET_BYTES};
     use std::any::Any;
 
@@ -1992,6 +1963,452 @@ mod tests {
                                                                 // ~100 packets on each side of the flap.
         assert!((90..=110).contains(&via_m1), "via m1 = {via_m1}");
         assert!((90..=110).contains(&via_m2), "via m2 = {via_m2}");
+    }
+
+    /// A first transmission of segment `seq`.
+    fn data(seq: u64) -> PacketKind {
+        let timestamp = SimTime::ZERO;
+        PacketKind::Data(DataHeader { seq, is_retransmit: false, tx_count: 1, timestamp })
+    }
+
+    type Log = std::rc::Rc<std::cell::RefCell<Vec<String>>>;
+
+    /// One thing a [`Scripted`] agent does to its context; times in µs from
+    /// the callback's instant.
+    #[derive(Clone, Copy)]
+    enum Op {
+        Send,
+        Timer(u64),
+        CancelTimer,
+        Aux(u64),
+        CancelAux,
+    }
+
+    /// Runs the next line of its script in every callback, whichever it is,
+    /// having logged the callback first.
+    struct Scripted {
+        name: char,
+        peer: NodeId,
+        script: std::collections::VecDeque<Vec<Op>>,
+        sent: u64,
+        log: Log,
+    }
+
+    impl Scripted {
+        fn boxed(name: char, peer: NodeId, script: &[&[Op]], log: &Log) -> Box<Self> {
+            let script = script.iter().map(|line| line.to_vec()).collect();
+            Box::new(Scripted { name, peer, script, sent: 0, log: log.clone() })
+        }
+
+        fn run(&mut self, callback: &str, ctx: &mut AgentCtx<'_>) {
+            self.log.borrow_mut().push(format!("{}.{callback}", self.name));
+            let now = ctx.now;
+            let after = |us: u64| now + SimDuration::from_micros(us);
+            for op in self.script.pop_front().unwrap_or_default() {
+                match op {
+                    Op::Send => {
+                        ctx.send(self.peer, DATA_PACKET_BYTES, data(self.sent));
+                        self.sent += 1;
+                    }
+                    Op::Timer(us) => ctx.set_timer(after(us)),
+                    Op::CancelTimer => ctx.cancel_timer(),
+                    Op::Aux(us) => ctx.set_aux_timer(after(us)),
+                    Op::CancelAux => ctx.cancel_aux_timer(),
+                }
+            }
+        }
+    }
+
+    impl Agent for Scripted {
+        fn on_start(&mut self, ctx: &mut AgentCtx<'_>) {
+            self.run("start", ctx);
+        }
+        fn on_packet(&mut self, p: Packet, ctx: &mut AgentCtx<'_>) {
+            self.run(&format!("packet{}", p.kind.as_data().expect("data only").seq), ctx);
+        }
+        fn on_timer(&mut self, ctx: &mut AgentCtx<'_>) {
+            self.run("timer", ctx);
+        }
+        fn on_aux_timer(&mut self, ctx: &mut AgentCtx<'_>) {
+            self.run("aux", ctx);
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    struct LogSink(Log);
+
+    impl TraceSink for LogSink {
+        fn write_record(&mut self, r: &TraceRecord) {
+            let mut log = self.0.borrow_mut();
+            let line = log.last_mut().expect("a callback or an event came first");
+            line.push_str(&format!(" u{}:{}@{}", r.uid, r.kind.label(), r.kind.location()));
+        }
+    }
+
+    /// What [`a_scripted_round_trip_keeps_its_recorded_order`] logged at the
+    /// commit before ISSUE 21: `instant µs/seq kind` per event popped, each
+    /// callback, and behind either the trace records it caused.
+    const SCRIPTED_ROUND_TRIP: &str = "
+        A.start u0:injected@- u0:enqueued@l4 u0:link_tx@l4 u1:injected@- u1:enqueued@l4
+        B.start
+        800/2 link_ready u1:link_tx@l4
+        2000/4 timer
+        A.timer u2:injected@- u2:enqueued@l4 u2:link_tx@l4
+        2800/3 arrive u0:enqueued@l6 u0:link_tx@l6
+        3000/1 aux_timer
+        3600/7 arrive u1:enqueued@l6
+        3600/12 link_ready u1:link_tx@l6
+        4500/11 aux_timer
+        A.aux u3:injected@- u3:enqueued@l4 u3:link_tx@l4
+        4800/9 arrive u2:enqueued@l6 u2:link_tx@l6
+        5000/0 timer
+        5500/19 timer
+        A.timer u4:injected@- u4:enqueued@l0 u4:link_tx@l0 u5:injected@- u5:enqueued@l4 u5:link_tx@l4
+        5600/13 arrive u0:delivered@n3
+        B.packet0 u6:injected@- u6:enqueued@l3 u6:link_tx@l3
+        5600/22 aux_timer
+        6400/15 arrive u1:delivered@n3
+        B.packet1 u7:injected@- u7:enqueued@l3
+        6400/27 link_ready u7:link_tx@l3
+        6500/31 timer
+        B.timer u8:injected@- u8:enqueued@l3
+        6600/29 timer
+        6600/30 aux_timer
+        6800/34 aux_timer
+        B.aux u9:injected@- u9:enqueued@l3
+        7200/32 link_ready u8:link_tx@l3
+        7300/17 arrive u3:enqueued@l6 u3:link_tx@l6
+        7300/24 arrive u4:enqueued@l2 u4:link_tx@l2
+        7400/28 arrive u6:enqueued@l1 u6:link_tx@l1
+        7500/18 timer
+        7600/21 arrive u2:delivered@n3
+        B.packet2 u10:injected@- u10:enqueued@l3
+        7640/44 timer
+        B.timer
+        7650/43 timer
+        8000/35 link_ready u9:link_tx@l3
+        8200/33 arrive u7:enqueued@l1
+        8200/41 link_ready u7:link_tx@l1
+        8300/26 arrive u5:enqueued@l6 u5:link_tx@l6
+        8800/45 link_ready u10:link_tx@l3
+        9000/10 timer
+        9000/36 arrive u8:enqueued@l1
+        9000/47 link_ready u8:link_tx@l1
+        9100/40 arrive u4:delivered@n3
+        B.packet4
+        9200/42 arrive u6:delivered@n0
+        A.packet0
+        9200/55 timer
+        A.timer u11:injected@- u11:enqueued@l4 u11:link_tx@l4
+        9200/56 aux_timer
+        A.aux
+        9800/46 arrive u9:enqueued@l1
+        9800/53 link_ready u9:link_tx@l1
+        9800/59 timer
+        A.timer
+        10000/48 arrive u7:delivered@n0
+        A.packet1
+        10100/38 arrive u3:delivered@n3
+        B.packet3
+        10600/52 arrive u10:enqueued@l1
+        10600/60 link_ready u10:link_tx@l1
+        10800/54 arrive u8:delivered@n0
+        A.packet2
+        11100/50 arrive u5:delivered@n3
+        B.packet5
+        11600/61 arrive u9:delivered@n0
+        A.packet3
+        12000/58 arrive u11:enqueued@l6 u11:link_tx@l6
+        12400/63 arrive u10:delivered@n0
+        A.packet4
+        14800/65 arrive u11:delivered@n3
+        B.packet6
+        sent 7 5 SimStats { queue_drops: 0, random_losses: 0, no_route_drops: 0, delivered: 12, injected: 12, events: 51, impair_drops: 0, impair_dups: 0, link_flaps: 0, time_regressions: 0 }";
+
+    #[test]
+    fn a_scripted_round_trip_keeps_its_recorded_order() {
+        // Every effect a callback can have, each next to the others: A arms,
+        // re-arms and cancels both timers around its sends (over a two-path
+        // mixture, so each send also draws), B answers and arms its own. One
+        // log takes the callbacks, the trace records and the key of every
+        // event popped, in the order they happen; the literal below was
+        // recorded before callbacks acted on the simulator directly, when
+        // their requests were buffered and applied after they returned.
+        use Op::*;
+        let mut b = SimBuilder::new(21);
+        let (a, m1, m2, d) = (b.add_node(), b.add_node(), b.add_node(), b.add_node());
+        b.add_duplex(a, m1, LinkConfig::mbps_ms(10.0, 1, 100));
+        b.add_duplex(m1, d, LinkConfig::mbps_ms(10.0, 1, 100));
+        b.add_duplex(a, m2, LinkConfig::mbps_ms(10.0, 2, 100));
+        b.add_duplex(m2, d, LinkConfig::mbps_ms(10.0, 2, 100));
+        let mut sim = b.build();
+        assert_eq!(sim.install_multipath(a, d, 0.0, 4), 2);
+        let log = Log::default();
+        sim.set_trace_sink(Box::new(LogSink(log.clone())));
+        let flow = FlowId::from_raw(0);
+        let script_a: &[&[Op]] = &[
+            &[Timer(5_000), Aux(3_000), Send, Timer(2_000), CancelAux, Send, Aux(4_000)],
+            &[Send, Timer(7_000), CancelAux, Aux(2_500)],
+            &[CancelTimer, Send, Timer(3_000), Timer(1_000)],
+            &[Aux(100), CancelAux, Send, Send, CancelTimer],
+            &[Timer(0), Aux(0)],
+            &[Send, Timer(600)],
+        ];
+        let script_b: &[&[Op]] = &[
+            &[],
+            &[Send, Timer(1_000)],
+            &[Aux(200), Send, Timer(100), CancelAux],
+            &[CancelTimer, Send, Aux(300)],
+            &[Send],
+            &[Timer(50), Timer(40), Send],
+        ];
+        let id_a = sim.add_agent(a, flow, Scripted::boxed('A', d, script_a, &log));
+        let id_b = sim.add_agent(d, flow, Scripted::boxed('B', a, script_b, &log));
+        sim.start();
+        while let Some((at, kind)) = sim.events.pop() {
+            let (us, seq) = (at.as_nanos() / 1_000, sim.events.last_popped_seq());
+            log.borrow_mut().push(format!("{us}/{seq} {}", &kind.profile_key()["event.".len()..]));
+            sim.step(at, kind);
+        }
+        let left = |id: AgentId| sim.agent(id).as_any().downcast_ref::<Scripted>().unwrap().sent;
+        log.borrow_mut().push(format!("sent {} {} {:?}", left(id_a), left(id_b), sim.stats));
+        let recorded: Vec<&str> = SCRIPTED_ROUND_TRIP.lines().map(str::trim).collect();
+        assert_eq!(*log.borrow(), recorded[1..], "\n{}", log.borrow().join("\n"));
+    }
+
+    #[test]
+    #[should_panic(expected = "agent call must not re-enter")]
+    fn an_agent_cannot_send_to_itself() {
+        // A packet keeps its sender's flow, and a `(node, flow)` has one
+        // agent: a packet for the sender's own node is a packet for the
+        // sender, whose callback is still running.
+        let (mut sim, a, _) = one_link_sim(fast());
+        sim.add_agent(
+            a,
+            FlowId::from_raw(0),
+            Box::new(Blaster { dst: a, count: 1, acked: vec![] }),
+        );
+        sim.start();
+    }
+
+    /// Notes the packets it is handed: `(uid, route handle)`.
+    #[derive(Default)]
+    struct Sink {
+        got: Vec<(u64, Option<RouteId>)>,
+    }
+
+    impl Agent for Sink {
+        fn on_start(&mut self, _ctx: &mut AgentCtx<'_>) {}
+        fn on_packet(&mut self, p: Packet, _ctx: &mut AgentCtx<'_>) {
+            self.got.push((p.uid, p.route));
+        }
+        fn on_timer(&mut self, _ctx: &mut AgentCtx<'_>) {}
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    fn sunk(sim: &Simulator, id: AgentId) -> &[(u64, Option<RouteId>)] {
+        &sim.agent(id).as_any().downcast_ref::<Sink>().unwrap().got
+    }
+
+    /// The flow ids the workloads use: small, and `fabric_churn`'s 1000 + i.
+    fn sparse_flow((kind, i): (u8, u32)) -> FlowId {
+        FlowId::from_raw([0, 7, 1000 + i, u32::MAX - 1][kind as usize])
+    }
+
+    const SPARSE: (std::ops::Range<u32>, (std::ops::Range<u8>, std::ops::Range<u32>)) =
+        (0..3, (0..4, 0..6));
+
+    proptest::proptest! {
+        /// The per-node sorted tables find what a hash map keyed by
+        /// `(node, flow)` finds, in whatever order the agents were added,
+        /// and a flow nobody serves is a `NoRoute` drop.
+        #[test]
+        fn agents_are_found_as_a_hash_map_finds_them(
+            placed in proptest::collection::vec(SPARSE, 0..24),
+            sent in proptest::collection::vec(SPARSE, 1..48),
+        ) {
+            let mut b = SimBuilder::new(0);
+            b.add_nodes(3);
+            let mut sim = b.build();
+            let mut model = std::collections::HashMap::new();
+            for (node, flow) in placed {
+                let at = (NodeId::from_raw(node), sparse_flow(flow));
+                model.entry(at).or_insert_with(|| (sim.add_agent(at.0, at.1, Box::<Sink>::default()), 0));
+            }
+            let mut unserved = 0;
+            for (node, flow) in sent {
+                let at = (NodeId::from_raw(node), sparse_flow(flow));
+                sim.inject(at.0, at.1, at.0, 40, data(0));
+                match model.get_mut(&at) {
+                    Some((_, packets)) => *packets += 1,
+                    None => unserved += 1,
+                }
+            }
+            for (agent, packets) in model.values() {
+                proptest::prop_assert_eq!(sunk(&sim, *agent).len(), *packets);
+            }
+            proptest::prop_assert_eq!(sim.stats.no_route_drops, unserved);
+            proptest::prop_assert_eq!(sim.stats.delivered + unserved, sim.stats.injected);
+            proptest::prop_assert_eq!(sim.packets.len(), 0);
+        }
+
+        /// The handle `inject` puts on a packet names the links
+        /// `MultipathRoute::pick` returns for the sample `inject` drew —
+        /// under the mixture installed at that moment, whatever the pair
+        /// had before.
+        #[test]
+        fn the_stored_handle_is_the_path_pick_returns(
+            seed in 0u64..=u64::MAX,
+            mixtures in proptest::collection::vec(
+                (proptest::collection::vec(0u32..4, 5..6), 0usize..5), 1..6),
+        ) {
+            // Five two-hop paths a → mᵢ → d, told apart by their delay.
+            let mut b = SimBuilder::new(seed);
+            let (a, d) = (b.add_node(), b.add_node());
+            for i in 0..5 {
+                let m = b.add_node();
+                b.add_link(a, m, LinkConfig::mbps_ms(100.0, 1 + i, 100));
+                b.add_link(m, d, LinkConfig::mbps_ms(100.0, 1, 100));
+            }
+            let mut sim = b.build();
+            let flow = FlowId::from_raw(0);
+            let sink = sim.add_agent(d, flow, Box::<Sink>::default());
+            let paths = sim.graph.simple_paths(a, d, 2, 64);
+            let mut expected = Vec::new();
+            for (mut weights, skip) in mixtures {
+                // A mixture over the paths from `skip` on, so that path i of
+                // one mixture is not path i of the next.
+                weights[skip] += 1;
+                let weights: Vec<f64> = weights[skip..].iter().map(|&w| f64::from(w)).collect();
+                let mixture = MultipathRoute::with_weights(paths[skip..].to_vec(), &weights);
+                sim.install_multipath_route(a, d, mixture.clone());
+                for _ in 0..8 {
+                    let u = sim.rng.clone().gen::<f64>();
+                    expected.push(mixture.pick(u).links.clone());
+                    sim.inject(a, flow, d, 40, data(0));
+                }
+            }
+            sim.run_to_quiescence();
+            proptest::prop_assert_eq!(sunk(&sim, sink).len(), expected.len());
+            for &(uid, route) in sunk(&sim, sink) {
+                let links = sim.routing.route(route.expect("source-routed"));
+                proptest::prop_assert_eq!(links, &*expected[uid as usize]);
+            }
+            proptest::prop_assert!(sim.routing.route_count() <= 5);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "flow f1003 already has an agent at n1")]
+    fn a_second_agent_for_a_flow_at_a_node_is_refused() {
+        let (mut sim, a, c) = one_link_sim(fast());
+        for (node, flow) in [(c, 1003), (c, 7), (a, 1003), (c, u32::MAX - 1), (c, 1003)] {
+            sim.add_agent(node, FlowId::from_raw(flow), Box::<Sink>::default());
+        }
+    }
+
+    #[test]
+    fn a_thousand_flaps_between_two_paths_hold_two_routes() {
+        // The pair flaps between its two paths every 3 ms while a packet
+        // leaves every millisecond and takes 10 ms or more to cross: three
+        // or four flaps pass over every packet in flight.
+        let mut b = SimBuilder::new(5);
+        let (a, m1, m2, d) = (b.add_node(), b.add_node(), b.add_node(), b.add_node());
+        let cfg = LinkConfig::mbps_ms(100.0, 5, 4000);
+        b.add_duplex(a, m1, cfg.clone());
+        b.add_duplex(m1, d, cfg.clone());
+        b.add_duplex(a, m2, cfg.clone());
+        b.add_duplex(m2, d, cfg);
+        let mut sim = b.build();
+        sim.enable_trace(&[], 100_000);
+        let flap = SimDuration::from_millis(3);
+        for i in 0..1_000 {
+            sim.schedule_path_pin(SimTime::ZERO + flap * i, a, d, (i % 2) as usize, 4);
+        }
+        let flow = FlowId::from_raw(0);
+        let sends: Vec<u64> = (0..3_000).map(|i| i * 1_000 + 500).collect();
+        sim.add_agent(a, flow, SendAt::boxed(d, &sends));
+        let sink = sim.add_agent(d, flow, Box::<Sink>::default());
+        sim.run_until(SimTime::from_nanos(1_500_000_000));
+        assert_eq!(sim.routing.route_count(), 2, "mid-run, with packets pinned to both");
+        sim.run_to_quiescence();
+        assert_eq!(sim.routing.route_count(), 2);
+        assert_eq!((sim.stats.delivered, sim.stats.events), (3_000, 1_000 + 3_000 + 6_000));
+        let pinned = [
+            [LinkId::from_raw(0), LinkId::from_raw(2)],
+            [LinkId::from_raw(4), LinkId::from_raw(6)],
+        ];
+        let travelled = crate::trace::analysis::paths(&sim.trace_records());
+        for &(uid, route) in sunk(&sim, sink) {
+            let during = (sends[uid as usize] / 3_000 % 2) as usize;
+            assert_eq!(travelled[&uid], pinned[during], "packet {uid}");
+            assert_eq!(sim.routing.route(route.unwrap()), pinned[during], "packet {uid}");
+        }
+    }
+
+    /// Answers every packet, then draws.
+    struct Drawer {
+        peer: NodeId,
+        drew: Vec<f64>,
+    }
+
+    impl Agent for Drawer {
+        fn on_start(&mut self, _ctx: &mut AgentCtx<'_>) {}
+        fn on_packet(&mut self, _p: Packet, ctx: &mut AgentCtx<'_>) {
+            ctx.send(self.peer, 40, data(0));
+            self.drew.push(ctx.random());
+        }
+        fn on_timer(&mut self, _ctx: &mut AgentCtx<'_>) {}
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    #[test]
+    fn an_agents_draw_takes_the_next_sample_of_the_simulators_stream() {
+        let run = |seed| {
+            let mut b = SimBuilder::new(seed);
+            let (a, c) = (b.add_node(), b.add_node());
+            b.add_duplex(a, c, fast());
+            let mut sim = b.build();
+            let flow = FlowId::from_raw(0);
+            sim.add_agent(a, flow, Box::new(Blaster { dst: c, count: 3, acked: Vec::new() }));
+            let drawer = sim.add_agent(c, flow, Box::new(Drawer { peer: a, drew: Vec::new() }));
+            sim.start();
+            let mut expected = Vec::new();
+            while let Some((at, kind)) = sim.events.pop() {
+                let mut stream = sim.rng.clone();
+                let delivery = matches!(kind, EventKind::Arrive { node, .. } if node == c);
+                sim.step(at, kind);
+                if delivery {
+                    // The agent sent, then drew: the reply's own draw (for
+                    // its place in the queue) came first.
+                    let _reply_enqueued: f64 = stream.gen();
+                    expected.push(stream.gen::<f64>());
+                    let next = sim.rng.clone().gen::<f64>();
+                    assert_eq!(next, stream.gen::<f64>(), "and the stream moved on");
+                }
+            }
+            let drew = sim.agent(drawer).as_any().downcast_ref::<Drawer>().unwrap().drew.clone();
+            assert_eq!(drew, expected);
+            assert_eq!(drew.len(), 3);
+            drew
+        };
+        assert_eq!(run(7), run(7), "reproducible from the seed");
+        assert_ne!(run(7), run(8));
     }
 
     #[test]

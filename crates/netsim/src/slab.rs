@@ -234,5 +234,7 @@ mod tests {
             Slab::<crate::packet::Packet>::slot_bytes(),
             mem::size_of::<crate::packet::Packet>()
         );
+        // A source route rides as a 4-byte handle, not a 16-byte `Arc<[_]>`.
+        assert!(mem::size_of::<crate::packet::Packet>() <= 120);
     }
 }
