@@ -14,9 +14,10 @@
 //!
 //! The threshold is clamped to at least 3 (never more aggressive than
 //! standard TCP) and at most 90 % of the window (so it stays reachable), as
-//! in the original ns-2 patches. The restore is applied instantaneously;
-//! the original proposal optionally slow-starts back, which only makes these
-//! baselines slower to recover — the Figure 6 ordering is insensitive to it.
+//! in the original ns-2 patches. The restore is the slow-start one of
+//! Blanton–Allman's own footnote (DESIGN.md §2a item 9): `ssthresh` goes
+//! back to the prior window and `cwnd` climbs to it from the reduced one,
+//! so an undo never releases a burst. Eifel restores both at once.
 
 use netsim::time::SimTime;
 use transport::sender::{AckEvent, SenderOutput, TcpSenderAlgo};

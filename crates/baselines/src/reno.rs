@@ -5,9 +5,8 @@
 //! under persistent reordering. NewReno adds partial-ACK handling in fast
 //! recovery (RFC 2582); Reno exits recovery on any new ACK.
 
-use std::collections::HashSet;
-
 use netsim::time::{SimDuration, SimTime};
+use transport::dupack::{Advance, Window};
 use transport::rto::RtoEstimator;
 use transport::sender::{AckEvent, SenderOutput, TcpSenderAlgo};
 
@@ -73,7 +72,9 @@ pub struct RenoStats {
     pub acked_segments: u64,
 }
 
-/// A TCP Reno / NewReno sender.
+/// A TCP Reno / NewReno sender: [`Window`] plus the halving, the inflated
+/// entry into recovery and the undo record the spurious-retransmit wrappers
+/// restore from.
 ///
 /// # Examples
 ///
@@ -90,24 +91,7 @@ pub struct RenoStats {
 #[derive(Debug)]
 pub struct RenoSender {
     cfg: RenoConfig,
-    cwnd: f64,
-    ssthresh: f64,
-    snd_una: u64,
-    snd_nxt: u64,
-    dupacks: u32,
-    state: RenoState,
-    rto: RtoEstimator,
-    /// Fast retransmit is suppressed below this point (post-timeout "bugfix"
-    /// from RFC 2582).
-    fr_allowed_from: u64,
-    /// Highest sequence ever transmitted + 1 (go-back-N after a timeout
-    /// rewinds `snd_nxt` below this).
-    highest_sent: u64,
-    /// Extra segments granted by limited transmit (outside cwnd).
-    limited_transmit_credit: u64,
-    retransmitted: HashSet<u64>,
-    last_sent_at: Option<SimTime>,
-    stats: RenoStats,
+    w: Window,
     /// `(cwnd, ssthresh)` saved at the most recent reduction, with the
     /// retransmitted sequence that caused it — used by DSACK/Eifel wrappers.
     pub(crate) last_reduction: Option<ReductionRecord>,
@@ -123,43 +107,33 @@ pub(crate) struct ReductionRecord {
     pub seq: u64,
     /// Duplicate ACKs observed when the reduction fired.
     pub dupacks: u32,
-    /// True if the reduction was a timeout (vs. fast retransmit).
-    #[allow(dead_code)]
-    pub was_timeout: bool,
 }
 
 impl RenoSender {
     /// Creates a sender in slow start with `cwnd = 1`.
     pub fn new(cfg: RenoConfig) -> Self {
-        let rto = cfg.rto.clone();
-        let ssthresh = cfg.initial_ssthresh;
-        RenoSender {
-            cfg,
-            cwnd: 1.0,
-            ssthresh,
-            snd_una: 0,
-            snd_nxt: 0,
-            dupacks: 0,
-            state: RenoState::Open,
-            rto,
-            fr_allowed_from: 0,
-            highest_sent: 0,
-            limited_transmit_credit: 0,
-            retransmitted: HashSet::new(),
-            last_sent_at: None,
-            stats: RenoStats::default(),
-            last_reduction: None,
-        }
+        let w = Window::new("reno", cfg.max_cwnd, cfg.initial_ssthresh, cfg.rto.clone());
+        RenoSender { cfg, w, last_reduction: None }
     }
 
     /// Event counters.
     pub fn stats(&self) -> RenoStats {
-        self.stats
+        let c = self.w.counters();
+        RenoStats {
+            fast_retransmits: c.fast_retransmits,
+            timeouts: c.timeouts,
+            dupacks: c.dupacks,
+            partial_acks: c.partial_acks,
+            acked_segments: c.acked_segments,
+        }
     }
 
     /// Current recovery state.
     pub fn state(&self) -> RenoState {
-        self.state
+        match self.w.recover() {
+            Some(recover) => RenoState::Recovery { recover },
+            None => RenoState::Open,
+        }
     }
 
     /// Current duplicate-ACK threshold.
@@ -174,22 +148,17 @@ impl RenoSender {
 
     /// Smoothed RTT estimate, if sampled.
     pub fn srtt(&self) -> Option<SimDuration> {
-        self.rto.srtt()
+        self.w.rto().srtt()
     }
 
     /// Current retransmission timeout (including backoff).
     pub fn current_rto(&self) -> SimDuration {
-        self.rto.rto()
-    }
-
-    /// Packets currently unacknowledged.
-    fn flight(&self) -> u64 {
-        self.snd_nxt - self.snd_una
+        self.w.rto().rto()
     }
 
     /// True if `seq` has an outstanding retransmission this episode.
     pub(crate) fn was_retransmitted(&self, seq: u64) -> bool {
-        self.retransmitted.contains(&seq)
+        self.w.was_retransmitted(seq)
     }
 
     /// Clears the saved reduction record (after an undo has been applied).
@@ -202,216 +171,108 @@ impl RenoSender {
     /// back up to the prior window (the Blanton–Allman response, footnote 3
     /// of the TCP-PR paper: avoids injecting a sudden burst).
     pub(crate) fn restore_after_spurious(&mut self, record: ReductionRecord, instant: bool) {
+        let w = &mut self.w;
         if instant {
-            self.cwnd = record.prior_cwnd.min(self.cfg.max_cwnd);
-            self.ssthresh = record.prior_ssthresh;
+            w.cwnd = record.prior_cwnd.min(self.cfg.max_cwnd);
+            w.ssthresh = record.prior_ssthresh;
         } else {
             // Shed any fast-recovery inflation, then slow-start from the
             // reduced window back up to the pre-reduction one.
-            self.cwnd = self.cwnd.min(self.ssthresh).max(1.0);
-            self.ssthresh = record.prior_cwnd.min(self.cfg.max_cwnd);
+            w.cwnd = w.cwnd.min(w.ssthresh).max(1.0);
+            w.ssthresh = record.prior_cwnd.min(self.cfg.max_cwnd);
         }
-        if let RenoState::Recovery { .. } = self.state {
-            self.state = RenoState::Open;
-        }
-        self.dupacks = 0;
+        w.abandon_episode();
     }
 
-    fn send_new_data(&mut self, now: SimTime, out: &mut SenderOutput) {
-        let window = self.cwnd.min(self.cfg.max_cwnd);
-        while (self.flight() as f64) < window + self.limited_transmit_credit as f64 {
-            // After a timeout the window refills from snd_una (go-back-N):
-            // anything below highest_sent is a retransmission.
-            let is_rtx = self.snd_nxt < self.highest_sent;
-            if is_rtx {
-                self.retransmitted.insert(self.snd_nxt);
-            }
-            out.transmit(self.snd_nxt, is_rtx);
-            self.snd_nxt += 1;
-            self.highest_sent = self.highest_sent.max(self.snd_nxt);
-            self.last_sent_at = Some(now);
+    /// The state a reduction is about to overwrite.
+    fn reduction_record(&self) -> ReductionRecord {
+        ReductionRecord {
+            prior_cwnd: self.w.cwnd,
+            prior_ssthresh: self.w.ssthresh,
+            seq: self.w.snd_una(),
+            dupacks: self.w.dupacks(),
         }
-    }
-
-    fn retransmit(&mut self, seq: u64, out: &mut SenderOutput) {
-        out.transmit(seq, true);
-        self.retransmitted.insert(seq);
-    }
-
-    fn arm_rto(&mut self, now: SimTime, out: &mut SenderOutput) {
-        if self.flight() > 0 {
-            out.set_timer(now + self.rto.rto());
-        } else {
-            out.cancel_timer();
-        }
-    }
-
-    fn grow(&mut self, newly_acked: u64) {
-        for _ in 0..newly_acked {
-            if self.cwnd < self.ssthresh {
-                self.cwnd += 1.0;
-            } else {
-                self.cwnd += 1.0 / self.cwnd;
-            }
-        }
-        self.cwnd = self.cwnd.min(self.cfg.max_cwnd);
     }
 
     fn enter_fast_retransmit(&mut self, now: SimTime, out: &mut SenderOutput) {
-        self.stats.fast_retransmits += 1;
-        obs::span(now.as_nanos(), "cc.fast_rtx", || {
-            format!("algo=reno seq={} dupacks={} cwnd={:.2}", self.snd_una, self.dupacks, self.cwnd)
-        });
-        self.last_reduction = Some(ReductionRecord {
-            prior_cwnd: self.cwnd,
-            prior_ssthresh: self.ssthresh,
-            seq: self.snd_una,
-            dupacks: self.dupacks,
-            was_timeout: false,
-        });
-        self.ssthresh = (self.flight() as f64 / 2.0).max(2.0);
-        self.cwnd = self.ssthresh + self.dupacks as f64;
-        self.state = RenoState::Recovery { recover: self.snd_nxt };
-        self.limited_transmit_credit = 0;
+        self.w.fast_retransmit(now, out);
+        self.last_reduction = Some(self.reduction_record());
+        self.w.ssthresh = self.w.halved_flight();
+        self.w.cwnd = self.w.ssthresh + self.w.dupacks() as f64;
         // An adjusted dupthresh must stay reachable within the reduced
         // window (Blanton–Allman keep it below 90% of cwnd).
-        let cap = (0.9 * self.ssthresh).max(3.0) as u32;
+        let cap = (0.9 * self.w.ssthresh).max(3.0) as u32;
         self.cfg.dupthresh = self.cfg.dupthresh.min(cap).max(1);
-        let una = self.snd_una;
-        self.retransmit(una, out);
-        self.arm_rto(now, out);
-    }
-
-    fn handle_new_ack(&mut self, ack: &AckEvent, now: SimTime, out: &mut SenderOutput) {
-        let newly = ack.cum_ack - self.snd_una;
-        self.stats.acked_segments += newly;
-        self.snd_una = ack.cum_ack;
-        // A pre-timeout packet may be acknowledged after a go-back-N rewind.
-        self.snd_nxt = self.snd_nxt.max(ack.cum_ack);
-        self.dupacks = 0;
-        self.limited_transmit_credit = 0;
-        self.retransmitted.retain(|&s| s >= ack.cum_ack);
-        if ack.echo_tx_count == 1 {
-            self.rto.on_sample(now.saturating_since(ack.echo_timestamp));
-        }
-        match self.state {
-            RenoState::Recovery { recover } if ack.cum_ack >= recover => {
-                // Full ACK: deflate and leave recovery.
-                self.cwnd = self.ssthresh;
-                self.state = RenoState::Open;
-            }
-            RenoState::Recovery { .. } => {
-                if self.cfg.newreno {
-                    // Partial ACK: retransmit the next hole, deflate by the
-                    // amount acked, inflate by one (RFC 2582).
-                    self.stats.partial_acks += 1;
-                    let una = self.snd_una;
-                    self.retransmit(una, out);
-                    self.cwnd = (self.cwnd - newly as f64 + 1.0).max(1.0);
-                } else {
-                    // Plain Reno leaves recovery on any new ACK.
-                    self.cwnd = self.ssthresh;
-                    self.state = RenoState::Open;
-                    self.grow(newly.saturating_sub(1));
-                }
-            }
-            RenoState::Open => self.grow(newly),
-        }
-        self.send_new_data(now, out);
-        self.arm_rto(now, out);
-    }
-
-    fn handle_dupack(&mut self, now: SimTime, out: &mut SenderOutput) {
-        if self.flight() == 0 {
-            return;
-        }
-        self.dupacks += 1;
-        self.stats.dupacks += 1;
-        match self.state {
-            RenoState::Open => {
-                if self.dupacks >= self.cfg.dupthresh && self.snd_una >= self.fr_allowed_from {
-                    self.enter_fast_retransmit(now, out);
-                } else if self.cfg.limited_transmit && self.dupacks <= 2 {
-                    self.limited_transmit_credit += 1;
-                    self.send_new_data(now, out);
-                }
-            }
-            RenoState::Recovery { .. } => {
-                // Window inflation: each dupack signals a departure.
-                self.cwnd = (self.cwnd + 1.0).min(self.cfg.max_cwnd + self.cfg.dupthresh as f64);
-                self.send_new_data(now, out);
-            }
-        }
+        self.w.arm_rto(now, out);
     }
 }
 
 impl transport::telemetry::SenderTelemetry for RenoSender {
     fn common_stats(&self) -> transport::telemetry::CommonStats {
         transport::telemetry::CommonStats {
-            algorithm: self.name().to_owned(),
-            acked_segments: self.stats.acked_segments,
-            fast_retransmits: self.stats.fast_retransmits,
-            timeouts: self.stats.timeouts,
-            dupacks: self.stats.dupacks,
-            cwnd: self.cwnd,
-            ssthresh: self.ssthresh,
-            srtt: self.srtt(),
-            rto: Some(self.current_rto()),
-            extra: vec![("partial_acks".to_owned(), self.stats.partial_acks)],
-            ..Default::default()
+            extra: vec![("partial_acks".to_owned(), self.w.counters().partial_acks)],
+            ..self.w.common_stats(self.name())
         }
     }
 }
 
 impl TcpSenderAlgo for RenoSender {
     fn on_start(&mut self, now: SimTime, out: &mut SenderOutput) {
-        self.send_new_data(now, out);
-        self.arm_rto(now, out);
+        self.w.send_new_data(out);
+        self.w.arm_rto(now, out);
     }
 
     fn on_ack(&mut self, ack: &AckEvent, now: SimTime, out: &mut SenderOutput) {
-        if ack.cum_ack > self.snd_una {
-            self.handle_new_ack(ack, now, out);
-        } else if ack.dup {
-            self.handle_dupack(now, out);
+        let w = &mut self.w;
+        if let Some((newly, advance)) = w.advance(ack, now) {
+            match advance {
+                // Full ACK: deflate and leave recovery.
+                Advance::Full => w.cwnd = w.ssthresh,
+                Advance::Partial if self.cfg.newreno => {
+                    // Retransmit the next hole, deflate by the amount
+                    // acked, inflate by one (RFC 2582).
+                    w.plug_hole(out);
+                    w.cwnd = (w.cwnd - newly as f64 + 1.0).max(1.0);
+                }
+                Advance::Partial => {
+                    // Plain Reno leaves recovery on any new ACK.
+                    w.abandon_episode();
+                    w.cwnd = w.ssthresh;
+                    w.grow(newly.saturating_sub(1));
+                }
+                Advance::Open => w.grow(newly),
+            }
+            w.send_new_data(out);
+            w.arm_rto(now, out);
+        } else if ack.dup && w.dupack() {
+            if w.recover().is_some() {
+                // Window inflation: each dupack signals a departure.
+                w.inflate(self.cfg.max_cwnd + self.cfg.dupthresh as f64, out);
+            } else if w.dupacks() >= self.cfg.dupthresh && w.fast_retransmit_allowed() {
+                self.enter_fast_retransmit(now, out);
+            } else if self.cfg.limited_transmit && w.dupacks() <= 2 {
+                w.limited_transmit(out);
+            }
         }
     }
 
     fn on_timer(&mut self, now: SimTime, out: &mut SenderOutput) {
-        if self.flight() == 0 {
+        if !self.w.timeout(now) {
             return;
         }
-        self.stats.timeouts += 1;
-        obs::span(now.as_nanos(), "cc.rto_expiry", || {
-            format!("algo=reno una={} flight={}", self.snd_una, self.flight())
-        });
-        self.last_reduction = Some(ReductionRecord {
-            prior_cwnd: self.cwnd,
-            prior_ssthresh: self.ssthresh,
-            seq: self.snd_una,
-            dupacks: self.dupacks,
-            was_timeout: true,
-        });
-        self.ssthresh = (self.flight() as f64 / 2.0).max(2.0);
-        self.cwnd = 1.0;
-        self.dupacks = 0;
-        self.state = RenoState::Open;
-        self.fr_allowed_from = self.highest_sent;
-        self.rto.backoff();
-        // Go-back-N: everything in flight is presumed lost; the window
-        // refills sequentially from snd_una (ns-2 `t_seqno_ = highest_ack_`).
-        self.snd_nxt = self.snd_una;
-        self.limited_transmit_credit = 0;
-        self.send_new_data(now, out);
-        self.arm_rto(now, out);
+        self.last_reduction = Some(self.reduction_record());
+        self.w.ssthresh = self.w.halved_flight();
+        self.w.cwnd = 1.0;
+        self.w.go_back_n(out);
+        self.w.arm_rto(now, out);
     }
 
     fn cwnd(&self) -> f64 {
-        self.cwnd
+        self.w.cwnd
     }
 
     fn ssthresh(&self) -> f64 {
-        self.ssthresh
+        self.w.ssthresh
     }
 
     fn name(&self) -> &'static str {
@@ -423,7 +284,7 @@ impl TcpSenderAlgo for RenoSender {
     }
 
     fn in_flight(&self) -> usize {
-        self.flight() as usize
+        self.w.flight() as usize
     }
 }
 
@@ -520,6 +381,27 @@ mod tests {
             out.clear();
         }
         assert!(sent_new, "inflation must eventually release new segments");
+    }
+
+    #[test]
+    fn recovery_inflation_stops_at_max_cwnd_plus_dupthresh() {
+        let mut s = RenoSender::new(RenoConfig { max_cwnd: 8.0, ..RenoConfig::default() });
+        let mut out = SenderOutput::new();
+        s.on_start(SimTime::ZERO, &mut out);
+        let mut now = SimTime::ZERO;
+        for cum in 1..=12 {
+            now += ms(10);
+            s.on_ack(&ack_at(cum, now - ms(10)), now, &mut out);
+        }
+        assert_eq!((s.cwnd(), s.in_flight()), (8.0, 8));
+        for _ in 0..3 {
+            s.on_ack(&dupack(12), now + ms(1), &mut out);
+        }
+        assert_eq!(s.cwnd(), 4.0 + 3.0, "half the flight, plus the three departures");
+        for _ in 0..20 {
+            s.on_ack(&dupack(12), now + ms(2), &mut out);
+        }
+        assert_eq!(s.cwnd(), 8.0 + 3.0);
     }
 
     #[test]
@@ -676,7 +558,7 @@ mod tests {
             s.on_ack(&ack_at(cum, now - ms(10)), now, &mut out);
             out.clear();
         }
-        let nxt_before = s.snd_nxt;
+        let nxt_before = s.w.snd_una() + s.w.flight();
         s.on_timer(now + SimDuration::from_secs(5), &mut out);
         out.clear();
         // Everything that was in flight pre-timeout gets acked at once.

@@ -129,8 +129,7 @@ impl SackSender {
         self.board.pipe(self.snd_una, self.snd_nxt)
     }
 
-    fn send_allowed(&mut self, now: SimTime, out: &mut SenderOutput) {
-        let _ = now;
+    fn send_allowed(&mut self, out: &mut SenderOutput) {
         while (self.pipe() as f64) < self.cwnd.min(self.cfg.max_cwnd) {
             // NextSeg: first lost, un-retransmitted segment; else new data.
             match self.board.next_retransmit() {
@@ -206,7 +205,7 @@ impl transport::telemetry::SenderTelemetry for SackSender {
 
 impl TcpSenderAlgo for SackSender {
     fn on_start(&mut self, now: SimTime, out: &mut SenderOutput) {
-        self.send_allowed(now, out);
+        self.send_allowed(out);
         self.arm_rto(now, out);
     }
 
@@ -234,7 +233,7 @@ impl TcpSenderAlgo for SackSender {
         let (newly_sacked, _) = self.board.absorb(&ack.sack, self.snd_una, self.snd_nxt);
         let newly_lost = self.board.mark_lost(self.snd_una, self.cfg.dupthresh);
         self.maybe_enter_recovery(now, out);
-        self.send_allowed(now, out);
+        self.send_allowed(out);
         if advanced {
             self.arm_rto(now, out);
         }
@@ -256,7 +255,7 @@ impl TcpSenderAlgo for SackSender {
         // window re-opens.
         self.board.mark_all_lost(self.snd_una, self.snd_nxt);
         self.rto.backoff();
-        self.send_allowed(now, out);
+        self.send_allowed(out);
         self.arm_rto(now, out);
         // The timeout's full walk is not an ACK's cost.
         self.board.take_steps();

@@ -9,9 +9,8 @@
 //! reordering with long RTTs still defeats it (the paper's Figure 6, right
 //! panel).
 
-use std::collections::HashSet;
-
 use netsim::time::{SimDuration, SimTime};
+use transport::dupack::{Advance, Window};
 use transport::rto::RtoEstimator;
 use transport::sender::{AckEvent, SenderOutput, TcpSenderAlgo};
 
@@ -43,12 +42,6 @@ impl Default for TdFrConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum State {
-    Open,
-    Recovery { recover: u64 },
-}
-
 /// Pending duplicate-ACK episode.
 #[derive(Debug, Clone, Copy)]
 struct DupEpisode {
@@ -71,7 +64,8 @@ pub struct TdFrStats {
     pub acked_segments: u64,
 }
 
-/// The TD-FR sender.
+/// The TD-FR sender: [`Window`] plus the episode deadline, which shares the
+/// host's one timer with the RTO.
 ///
 /// # Examples
 ///
@@ -88,89 +82,51 @@ pub struct TdFrStats {
 #[derive(Debug)]
 pub struct TdFrSender {
     cfg: TdFrConfig,
-    cwnd: f64,
-    ssthresh: f64,
-    snd_una: u64,
-    snd_nxt: u64,
-    state: State,
-    rto: RtoEstimator,
+    w: Window,
     rto_deadline: Option<SimTime>,
     episode: Option<DupEpisode>,
-    limited_transmit_credit: u64,
-    retransmitted: HashSet<u64>,
-    fr_allowed_from: u64,
-    highest_sent: u64,
-    stats: TdFrStats,
+    cancelled_episodes: u64,
 }
 
 impl TdFrSender {
     /// Creates a sender in slow start with `cwnd = 1`.
     pub fn new(cfg: TdFrConfig) -> Self {
-        let rto = cfg.rto.clone();
-        let ssthresh = cfg.initial_ssthresh;
-        TdFrSender {
-            cfg,
-            cwnd: 1.0,
-            ssthresh,
-            snd_una: 0,
-            snd_nxt: 0,
-            state: State::Open,
-            rto,
-            rto_deadline: None,
-            episode: None,
-            limited_transmit_credit: 0,
-            retransmitted: HashSet::new(),
-            fr_allowed_from: 0,
-            highest_sent: 0,
-            stats: TdFrStats::default(),
-        }
+        let w = Window::new("tdfr", cfg.max_cwnd, cfg.initial_ssthresh, cfg.rto.clone());
+        TdFrSender { cfg, w, rto_deadline: None, episode: None, cancelled_episodes: 0 }
     }
 
     /// Event counters.
     pub fn stats(&self) -> TdFrStats {
-        self.stats
+        let c = self.w.counters();
+        TdFrStats {
+            delayed_fast_retransmits: c.fast_retransmits,
+            cancelled_episodes: self.cancelled_episodes,
+            timeouts: c.timeouts,
+            acked_segments: c.acked_segments,
+        }
     }
 
     /// Smoothed RTT estimate, if sampled.
     pub fn srtt(&self) -> Option<SimDuration> {
-        self.rto.srtt()
+        self.w.rto().srtt()
     }
 
     /// Current retransmission timeout (including backoff).
     pub fn current_rto(&self) -> SimDuration {
-        self.rto.rto()
+        self.w.rto().rto()
     }
 
     /// The wait threshold `max(RTT/2, DT)` for the current episode.
     fn wait_threshold(&self, dt: Option<SimDuration>) -> SimDuration {
-        let half_rtt = self.rto.srtt().map(|s| s / 2).unwrap_or(self.cfg.default_wait);
+        let half_rtt = self.srtt().map(|s| s / 2).unwrap_or(self.cfg.default_wait);
         match dt {
             Some(d) => half_rtt.max(d),
             None => half_rtt,
         }
     }
 
-    fn flight(&self) -> u64 {
-        self.snd_nxt - self.snd_una
-    }
-
-    fn send_new_data(&mut self, out: &mut SenderOutput) {
-        let window = self.cwnd.min(self.cfg.max_cwnd);
-        while (self.flight() as f64) < window + self.limited_transmit_credit as f64 {
-            // Go-back-N refill after a timeout: below highest_sent means
-            // retransmission.
-            let is_rtx = self.snd_nxt < self.highest_sent;
-            if is_rtx {
-                self.retransmitted.insert(self.snd_nxt);
-            }
-            out.transmit(self.snd_nxt, is_rtx);
-            self.snd_nxt += 1;
-            self.highest_sent = self.highest_sent.max(self.snd_nxt);
-        }
-    }
-
     fn arm_timer(&mut self, now: SimTime, out: &mut SenderOutput) {
-        self.rto_deadline = if self.flight() > 0 { Some(now + self.rto.rto()) } else { None };
+        self.rto_deadline = self.w.rto_deadline(now);
         self.rearm(out);
     }
 
@@ -187,162 +143,108 @@ impl TdFrSender {
         }
     }
 
-    fn grow(&mut self, newly_acked: u64) {
-        for _ in 0..newly_acked {
-            if self.cwnd < self.ssthresh {
-                self.cwnd += 1.0;
-            } else {
-                self.cwnd += 1.0 / self.cwnd;
-            }
-        }
-        self.cwnd = self.cwnd.min(self.cfg.max_cwnd);
+    fn fire_delayed_fast_retransmit(&mut self, now: SimTime, out: &mut SenderOutput) {
+        self.episode = None;
+        self.w.fast_retransmit(now, out);
+        self.w.ssthresh = self.w.halved_flight();
+        self.w.cwnd = self.w.ssthresh;
+        self.arm_timer(now, out);
     }
 
-    fn fire_delayed_fast_retransmit(&mut self, now: SimTime, out: &mut SenderOutput) {
-        self.stats.delayed_fast_retransmits += 1;
-        self.ssthresh = (self.flight() as f64 / 2.0).max(2.0);
-        self.cwnd = self.ssthresh;
-        self.state = State::Recovery { recover: self.snd_nxt };
-        self.limited_transmit_credit = 0;
-        out.transmit(self.snd_una, true);
-        self.retransmitted.insert(self.snd_una);
-        self.episode = None;
-        self.arm_timer(now, out);
+    /// A duplicate ACK outside recovery: opens or extends the episode and
+    /// fires once three have persisted past its deadline.
+    fn count_toward_episode(&mut self, now: SimTime, out: &mut SenderOutput) {
+        let ep = match self.episode {
+            None => {
+                DupEpisode { first_at: now, deadline: now + self.wait_threshold(None), count: 1 }
+            }
+            Some(ep) => {
+                let count = ep.count + 1;
+                let mut deadline = ep.deadline;
+                if count == 3 {
+                    // DT known: re-derive the deadline.
+                    let dt = now.saturating_since(ep.first_at);
+                    deadline = ep.first_at + self.wait_threshold(Some(dt));
+                }
+                DupEpisode { first_at: ep.first_at, deadline, count }
+            }
+        };
+        self.episode = Some(ep);
+        if ep.count >= 3 && ep.deadline <= now {
+            self.fire_delayed_fast_retransmit(now, out);
+        } else {
+            if self.cfg.limited_transmit && ep.count <= 2 {
+                self.w.limited_transmit(out);
+            }
+            self.rearm(out);
+        }
     }
 }
 
 impl transport::telemetry::SenderTelemetry for TdFrSender {
     fn common_stats(&self) -> transport::telemetry::CommonStats {
+        // A delayed fast retransmit that fires is TD-FR's fast retransmit.
         transport::telemetry::CommonStats {
-            algorithm: self.name().to_owned(),
-            acked_segments: self.stats.acked_segments,
-            // A delayed fast retransmit that fires is TD-FR's fast
-            // retransmit.
-            fast_retransmits: self.stats.delayed_fast_retransmits,
-            timeouts: self.stats.timeouts,
-            cwnd: self.cwnd,
-            ssthresh: self.ssthresh,
-            srtt: self.srtt(),
-            rto: Some(self.current_rto()),
-            extra: vec![("cancelled_episodes".to_owned(), self.stats.cancelled_episodes)],
-            ..Default::default()
+            extra: vec![("cancelled_episodes".to_owned(), self.cancelled_episodes)],
+            ..self.w.common_stats(self.name())
         }
     }
 }
 
 impl TcpSenderAlgo for TdFrSender {
     fn on_start(&mut self, now: SimTime, out: &mut SenderOutput) {
-        self.send_new_data(out);
+        self.w.send_new_data(out);
         self.arm_timer(now, out);
     }
 
     fn on_ack(&mut self, ack: &AckEvent, now: SimTime, out: &mut SenderOutput) {
-        if ack.cum_ack > self.snd_una {
-            let newly = ack.cum_ack - self.snd_una;
-            self.stats.acked_segments += newly;
-            self.snd_una = ack.cum_ack;
-            // A pre-timeout packet may be acknowledged after a go-back-N
-            // rewind.
-            self.snd_nxt = self.snd_nxt.max(ack.cum_ack);
-            self.retransmitted.retain(|&s| s >= ack.cum_ack);
-            self.limited_transmit_credit = 0;
+        let w = &mut self.w;
+        if let Some((newly, advance)) = w.advance(ack, now) {
             if self.episode.take().is_some() {
-                self.stats.cancelled_episodes += 1;
+                self.cancelled_episodes += 1;
             }
-            if ack.echo_tx_count == 1 {
-                self.rto.on_sample(now.saturating_since(ack.echo_timestamp));
-            }
-            match self.state {
-                State::Recovery { recover } if ack.cum_ack >= recover => {
-                    self.cwnd = self.ssthresh;
-                    self.state = State::Open;
+            match advance {
+                Advance::Full => w.cwnd = w.ssthresh,
+                Advance::Partial => {
+                    // NewReno-style next-hole retransmission.
+                    w.plug_hole(out);
+                    w.cwnd = (w.cwnd - newly as f64 + 1.0).max(1.0);
                 }
-                State::Recovery { .. } => {
-                    // Partial ACK: NewReno-style next-hole retransmission.
-                    out.transmit(self.snd_una, true);
-                    self.retransmitted.insert(self.snd_una);
-                    self.cwnd = (self.cwnd - newly as f64 + 1.0).max(1.0);
-                }
-                State::Open => self.grow(newly),
+                Advance::Open => w.grow(newly),
             }
-            self.send_new_data(out);
+            w.send_new_data(out);
             self.arm_timer(now, out);
-        } else if ack.dup && self.flight() > 0 {
-            match self.state {
-                State::Open => {
-                    if self.snd_una < self.fr_allowed_from {
-                        return;
-                    }
-                    match self.episode {
-                        None => {
-                            let deadline = now + self.wait_threshold(None);
-                            self.episode = Some(DupEpisode { first_at: now, deadline, count: 1 });
-                        }
-                        Some(ep) => {
-                            let count = ep.count + 1;
-                            let mut deadline = ep.deadline;
-                            if count == 3 {
-                                // DT known: re-derive the deadline.
-                                let dt = now.saturating_since(ep.first_at);
-                                deadline = ep.first_at + self.wait_threshold(Some(dt));
-                            }
-                            self.episode =
-                                Some(DupEpisode { first_at: ep.first_at, deadline, count });
-                            if count >= 3 && deadline <= now {
-                                self.fire_delayed_fast_retransmit(now, out);
-                                return;
-                            }
-                        }
-                    }
-                    if self.cfg.limited_transmit && self.episode.is_some_and(|e| e.count <= 2) {
-                        self.limited_transmit_credit += 1;
-                        self.send_new_data(out);
-                    }
-                    self.rearm(out);
-                }
-                State::Recovery { .. } => {
-                    // Window inflation while recovering.
-                    self.cwnd += 1.0;
-                    self.send_new_data(out);
-                }
+        } else if ack.dup && w.dupack() {
+            if w.recover().is_some() {
+                // Window inflation while recovering, with no cap of its own.
+                w.inflate(f64::INFINITY, out);
+            } else if w.fast_retransmit_allowed() {
+                self.count_toward_episode(now, out);
             }
         }
     }
 
     fn on_timer(&mut self, now: SimTime, out: &mut SenderOutput) {
-        if let Some(ep) = self.episode {
-            if ep.deadline <= now {
-                // Duplicate ACKs persisted past the threshold: retransmit.
-                self.fire_delayed_fast_retransmit(now, out);
-                return;
-            }
+        if self.episode.is_some_and(|ep| ep.deadline <= now) {
+            // Duplicate ACKs persisted past the threshold: retransmit.
+            self.fire_delayed_fast_retransmit(now, out);
+        } else if self.rto_deadline.is_some_and(|d| d <= now) && self.w.timeout(now) {
+            self.episode = None;
+            self.w.ssthresh = self.w.halved_flight();
+            self.w.cwnd = 1.0;
+            self.w.go_back_n(out);
+            self.arm_timer(now, out);
+        } else {
+            self.rearm(out);
         }
-        if let Some(d) = self.rto_deadline {
-            if d <= now && self.flight() > 0 {
-                self.stats.timeouts += 1;
-                self.ssthresh = (self.flight() as f64 / 2.0).max(2.0);
-                self.cwnd = 1.0;
-                self.state = State::Open;
-                self.episode = None;
-                self.fr_allowed_from = self.highest_sent;
-                self.rto.backoff();
-                // Go-back-N: refill sequentially from snd_una.
-                self.snd_nxt = self.snd_una;
-                self.limited_transmit_credit = 0;
-                self.send_new_data(out);
-                self.arm_timer(now, out);
-                return;
-            }
-        }
-        self.rearm(out);
     }
 
     fn cwnd(&self) -> f64 {
-        self.cwnd
+        self.w.cwnd
     }
 
     fn ssthresh(&self) -> f64 {
-        self.ssthresh
+        self.w.ssthresh
     }
 
     fn name(&self) -> &'static str {
@@ -350,7 +252,7 @@ impl TcpSenderAlgo for TdFrSender {
     }
 
     fn in_flight(&self) -> usize {
-        self.flight() as usize
+        self.w.flight() as usize
     }
 }
 
@@ -384,7 +286,7 @@ mod tests {
         let mut now = SimTime::ZERO;
         for _ in 0..rounds {
             now += ms(100);
-            let cum = s.snd_una + 1;
+            let cum = s.w.snd_una() + 1;
             out.clear();
             s.on_ack(&ack(cum, now - ms(100)), now, &mut out);
         }
@@ -395,7 +297,7 @@ mod tests {
     fn three_dupacks_do_not_fire_immediately() {
         let mut s = TdFrSender::new(TdFrConfig::default());
         let now = grow(&mut s, 8);
-        let una = s.snd_una;
+        let una = s.w.snd_una();
         let mut out = SenderOutput::new();
         // Three rapid dupacks (1 ms apart): DT = 2 ms < RTT/2 = 50 ms.
         for i in 0..3 {
@@ -410,7 +312,7 @@ mod tests {
     fn persistent_dupacks_fire_after_wait() {
         let mut s = TdFrSender::new(TdFrConfig::default());
         let now = grow(&mut s, 8);
-        let una = s.snd_una;
+        let una = s.w.snd_una();
         let mut out = SenderOutput::new();
         for i in 0..3 {
             out.clear();
@@ -427,7 +329,7 @@ mod tests {
     fn cum_advance_cancels_episode() {
         let mut s = TdFrSender::new(TdFrConfig::default());
         let now = grow(&mut s, 8);
-        let una = s.snd_una;
+        let una = s.w.snd_una();
         let mut out = SenderOutput::new();
         for i in 0..3 {
             out.clear();
@@ -447,7 +349,7 @@ mod tests {
     fn slow_dupacks_stretch_the_wait() {
         let mut s = TdFrSender::new(TdFrConfig::default());
         let now = grow(&mut s, 8);
-        let una = s.snd_una;
+        let una = s.w.snd_una();
         let mut out = SenderOutput::new();
         // First and third dupack 200 ms apart: DT = 200 ms > RTT/2.
         s.on_ack(&dupack(una), now + ms(1), &mut out);
@@ -456,6 +358,47 @@ mod tests {
         s.on_ack(&dupack(una), now + ms(201), &mut out);
         // Deadline = first_at + 200 ms = now + 201: already reached → fires.
         assert_eq!(s.stats().delayed_fast_retransmits, 1);
+    }
+
+    /// Where TD-FR parts from Reno and CUBIC inside recovery: they stop
+    /// inflating at `max_cwnd + dupthresh`, it does not stop.
+    #[test]
+    fn recovery_inflation_is_not_capped() {
+        let mut s = TdFrSender::new(TdFrConfig { max_cwnd: 8.0, ..TdFrConfig::default() });
+        let now = grow(&mut s, 12);
+        let una = s.w.snd_una();
+        let mut out = SenderOutput::new();
+        for i in 0..3 {
+            s.on_ack(&dupack(una), now + ms(1 + i), &mut out);
+        }
+        s.on_timer(now + ms(60), &mut out);
+        assert_eq!(s.stats().delayed_fast_retransmits, 1);
+        let entered_at = s.cwnd();
+        assert_eq!(entered_at, s.ssthresh());
+        out.clear();
+        for _ in 0..20 {
+            s.on_ack(&dupack(una), now + ms(61), &mut out);
+        }
+        assert_eq!(s.cwnd(), entered_at + 20.0);
+        assert!(s.cwnd() > 8.0 + 3.0, "past where Reno's inflation stops");
+        assert!(out.transmissions().is_empty(), "the send window itself still ends at max_cwnd");
+    }
+
+    #[test]
+    fn no_delayed_fast_retransmit_for_the_flight_a_timeout_resent() {
+        let mut s = TdFrSender::new(TdFrConfig::default());
+        let now = grow(&mut s, 4);
+        let una = s.w.snd_una();
+        let mut out = SenderOutput::new();
+        s.on_timer(now + SimDuration::from_secs(5), &mut out);
+        assert_eq!(s.stats().timeouts, 1);
+        out.clear();
+        for i in 0..5 {
+            s.on_ack(&dupack(una), now + SimDuration::from_secs(5) + ms(i), &mut out);
+        }
+        s.on_timer(now + SimDuration::from_secs(6), &mut out);
+        assert_eq!(s.stats().delayed_fast_retransmits, 0, "no episode opens below the rewind");
+        assert!(out.transmissions().is_empty(), "and limited transmit grants nothing");
     }
 
     #[test]
@@ -473,7 +416,7 @@ mod tests {
     fn limited_transmit_releases_segments() {
         let mut s = TdFrSender::new(TdFrConfig::default());
         let now = grow(&mut s, 4);
-        let una = s.snd_una;
+        let una = s.w.snd_una();
         let mut out = SenderOutput::new();
         s.on_ack(&dupack(una), now + ms(1), &mut out);
         assert_eq!(out.transmissions().len(), 1);

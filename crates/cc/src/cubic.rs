@@ -17,12 +17,12 @@
 //! [`k_from_w_max`] so they can be property-tested in isolation; the sender
 //! calls exactly those functions. Loss *recovery* (fast retransmit on three
 //! duplicate ACKs, NewReno partial-ACK hole plugging, go-back-N after a
-//! timeout) deliberately mirrors `baselines::reno`, so figure differences
-//! against the 2003 baselines isolate the growth law.
-
-use std::collections::HashSet;
+//! timeout) is [`transport::dupack::Window`], the engine `baselines::reno`
+//! and `baselines::tdfr` run on, so figure differences against the 2003
+//! baselines isolate the growth law and the β reduction.
 
 use netsim::time::{SimDuration, SimTime};
+use transport::dupack::{Advance, Window};
 use transport::rto::RtoEstimator;
 use transport::sender::{AckEvent, SenderOutput, TcpSenderAlgo};
 
@@ -79,16 +79,6 @@ impl Default for CubicConfig {
     }
 }
 
-/// Loss-recovery state (same episode structure as the Reno family).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum State {
-    Open,
-    /// Fast recovery; the episode ends when `recover` is cumulatively acked.
-    Recovery {
-        recover: u64,
-    },
-}
-
 /// Event counters for [`CubicSender`].
 #[derive(Debug, Clone, Copy, Default, serde::Serialize)]
 pub struct CubicStats {
@@ -108,7 +98,8 @@ pub struct CubicStats {
     pub fast_convergence_events: u64,
 }
 
-/// A CUBIC sender (RFC 8312) over NewReno-style loss recovery.
+/// A CUBIC sender (RFC 8312): [`Window`]'s NewReno loss recovery under the
+/// cubic growth law and the β reduction.
 ///
 /// # Examples
 ///
@@ -125,17 +116,9 @@ pub struct CubicStats {
 #[derive(Debug)]
 pub struct CubicSender {
     cfg: CubicConfig,
-    cwnd: f64,
-    ssthresh: f64,
-    snd_una: u64,
-    snd_nxt: u64,
-    dupacks: u32,
-    state: State,
-    rto: RtoEstimator,
-    fr_allowed_from: u64,
-    highest_sent: u64,
-    retransmitted: HashSet<u64>,
-    stats: CubicStats,
+    w: Window,
+    tcp_friendly_acks: u64,
+    fast_convergence_events: u64,
     /// Window at the last congestion event (the cubic anchor).
     w_max: f64,
     /// Time `W_cubic` re-reaches `W_max` this epoch.
@@ -147,21 +130,12 @@ pub struct CubicSender {
 impl CubicSender {
     /// Creates a sender in slow start with `cwnd = 1`.
     pub fn new(cfg: CubicConfig) -> Self {
-        let rto = cfg.rto.clone();
-        let ssthresh = cfg.initial_ssthresh;
+        let w = Window::new("cubic", cfg.max_cwnd, cfg.initial_ssthresh, cfg.rto.clone());
         CubicSender {
             cfg,
-            cwnd: 1.0,
-            ssthresh,
-            snd_una: 0,
-            snd_nxt: 0,
-            dupacks: 0,
-            state: State::Open,
-            rto,
-            fr_allowed_from: 0,
-            highest_sent: 0,
-            retransmitted: HashSet::new(),
-            stats: CubicStats::default(),
+            w,
+            tcp_friendly_acks: 0,
+            fast_convergence_events: 0,
             w_max: 0.0,
             k: 0.0,
             epoch_start: None,
@@ -170,7 +144,16 @@ impl CubicSender {
 
     /// Event counters.
     pub fn stats(&self) -> CubicStats {
-        self.stats
+        let c = self.w.counters();
+        CubicStats {
+            fast_retransmits: c.fast_retransmits,
+            timeouts: c.timeouts,
+            dupacks: c.dupacks,
+            partial_acks: c.partial_acks,
+            acked_segments: c.acked_segments,
+            tcp_friendly_acks: self.tcp_friendly_acks,
+            fast_convergence_events: self.fast_convergence_events,
+        }
     }
 
     /// The current cubic anchor `W_max`, in segments.
@@ -180,79 +163,47 @@ impl CubicSender {
 
     /// Smoothed RTT estimate, if sampled.
     pub fn srtt(&self) -> Option<SimDuration> {
-        self.rto.srtt()
-    }
-
-    fn flight(&self) -> u64 {
-        self.snd_nxt - self.snd_una
-    }
-
-    fn send_new_data(&mut self, out: &mut SenderOutput) {
-        let window = self.cwnd.min(self.cfg.max_cwnd);
-        while (self.flight() as f64) < window {
-            let is_rtx = self.snd_nxt < self.highest_sent;
-            if is_rtx {
-                self.retransmitted.insert(self.snd_nxt);
-            }
-            out.transmit(self.snd_nxt, is_rtx);
-            self.snd_nxt += 1;
-            self.highest_sent = self.highest_sent.max(self.snd_nxt);
-        }
-    }
-
-    fn retransmit(&mut self, seq: u64, out: &mut SenderOutput) {
-        out.transmit(seq, true);
-        self.retransmitted.insert(seq);
-    }
-
-    fn arm_rto(&mut self, now: SimTime, out: &mut SenderOutput) {
-        if self.flight() > 0 {
-            out.set_timer(now + self.rto.rto());
-        } else {
-            out.cancel_timer();
-        }
+        self.w.rto().srtt()
     }
 
     /// One congestion event: update `W_max` (with fast convergence), shrink
     /// by β, and end the cubic epoch.
     fn reduce(&mut self, now: SimTime) {
-        let fast = self.cfg.fast_convergence && self.cwnd < self.w_max;
+        let cwnd = self.w.cwnd;
+        let fast = self.cfg.fast_convergence && cwnd < self.w_max;
         if fast {
-            self.stats.fast_convergence_events += 1;
-            self.w_max = self.cwnd * (1.0 + self.cfg.beta) / 2.0;
+            self.fast_convergence_events += 1;
+            self.w_max = cwnd * (1.0 + self.cfg.beta) / 2.0;
         } else {
-            self.w_max = self.cwnd;
+            self.w_max = cwnd;
         }
-        self.ssthresh = (self.cwnd * self.cfg.beta).max(2.0);
+        self.w.ssthresh = (cwnd * self.cfg.beta).max(2.0);
         self.epoch_start = None;
         obs::span(now.as_nanos(), "cubic.epoch_reset", || {
             format!(
                 "w_max={:.2} ssthresh={:.2} fast_convergence={}",
-                self.w_max, self.ssthresh, fast
+                self.w_max, self.w.ssthresh, fast
             )
         });
     }
 
     /// Congestion-avoidance growth for `newly` acked segments (§4.1–4.3).
     fn cubic_growth(&mut self, now: SimTime, newly: u64) {
-        let rtt = self
-            .rto
-            .srtt()
-            .unwrap_or_else(|| SimDuration::from_millis(100))
-            .as_secs_f64()
-            .max(1e-6);
+        let rtt =
+            self.srtt().unwrap_or_else(|| SimDuration::from_millis(100)).as_secs_f64().max(1e-6);
+        let cwnd = self.w.cwnd;
         if self.epoch_start.is_none() {
             self.epoch_start = Some(now);
-            if self.w_max < self.cwnd {
+            if self.w_max < cwnd {
                 // Congestion-free slow-start exit: anchor at the current
                 // window, already past the plateau (K = 0).
-                self.w_max = self.cwnd;
+                self.w_max = cwnd;
                 self.k = 0.0;
             } else {
                 self.k = k_from_w_max(self.w_max, self.cfg.beta, self.cfg.c);
             }
             obs::span(now.as_nanos(), "cubic.epoch_start", || {
-                format!("w_max={:.2} k={:.3} cwnd={:.2}", self.w_max, self.k, self.cwnd)
+                format!("w_max={:.2} k={:.3} cwnd={:.2}", self.w_max, self.k, cwnd)
             });
         }
         let t = now.saturating_since(self.epoch_start.expect("epoch set above")).as_secs_f64();
@@ -261,85 +212,21 @@ impl CubicSender {
         let friendly = w_est(t, rtt, self.w_max, self.cfg.beta);
         if target < friendly {
             // TCP-friendly region: never slower than the AIMD response.
-            self.stats.tcp_friendly_acks += 1;
-            self.cwnd = self.cwnd.max(friendly);
-        } else if target > self.cwnd {
-            self.cwnd += (target - self.cwnd) / self.cwnd * newly as f64;
+            self.tcp_friendly_acks += 1;
+            self.w.cwnd = cwnd.max(friendly);
+        } else if target > cwnd {
+            self.w.cwnd += (target - cwnd) / cwnd * newly as f64;
         }
         // Around the plateau (target ≤ cwnd ≤ friendly-free zone) the
         // window holds still, which is exactly CUBIC's stability region.
-        self.cwnd = self.cwnd.min(self.cfg.max_cwnd);
+        self.w.cwnd = self.w.cwnd.min(self.cfg.max_cwnd);
     }
 
     fn grow(&mut self, now: SimTime, newly: u64) {
-        if self.cwnd < self.ssthresh {
-            self.cwnd = (self.cwnd + newly as f64).min(self.cfg.max_cwnd);
+        if self.w.cwnd < self.w.ssthresh {
+            self.w.cwnd = (self.w.cwnd + newly as f64).min(self.cfg.max_cwnd);
         } else {
             self.cubic_growth(now, newly);
-        }
-    }
-
-    fn enter_fast_retransmit(&mut self, now: SimTime, out: &mut SenderOutput) {
-        self.stats.fast_retransmits += 1;
-        obs::span(now.as_nanos(), "cc.fast_rtx", || {
-            format!(
-                "algo=cubic seq={} dupacks={} cwnd={:.2}",
-                self.snd_una, self.dupacks, self.cwnd
-            )
-        });
-        self.reduce(now);
-        self.cwnd = self.ssthresh;
-        self.state = State::Recovery { recover: self.snd_nxt };
-        let una = self.snd_una;
-        self.retransmit(una, out);
-        self.arm_rto(now, out);
-    }
-
-    fn handle_new_ack(&mut self, ack: &AckEvent, now: SimTime, out: &mut SenderOutput) {
-        let newly = ack.cum_ack - self.snd_una;
-        self.stats.acked_segments += newly;
-        self.snd_una = ack.cum_ack;
-        self.snd_nxt = self.snd_nxt.max(ack.cum_ack);
-        self.dupacks = 0;
-        self.retransmitted.retain(|&s| s >= ack.cum_ack);
-        if ack.echo_tx_count == 1 {
-            self.rto.on_sample(now.saturating_since(ack.echo_timestamp));
-        }
-        match self.state {
-            State::Recovery { recover } if ack.cum_ack >= recover => {
-                self.cwnd = self.ssthresh;
-                self.state = State::Open;
-            }
-            State::Recovery { .. } => {
-                // Partial ACK: plug the next hole; hold the window.
-                self.stats.partial_acks += 1;
-                let una = self.snd_una;
-                self.retransmit(una, out);
-            }
-            State::Open => self.grow(now, newly),
-        }
-        self.send_new_data(out);
-        self.arm_rto(now, out);
-    }
-
-    fn handle_dupack(&mut self, now: SimTime, out: &mut SenderOutput) {
-        if self.flight() == 0 {
-            return;
-        }
-        self.dupacks += 1;
-        self.stats.dupacks += 1;
-        match self.state {
-            State::Open => {
-                if self.dupacks >= self.cfg.dupthresh && self.snd_una >= self.fr_allowed_from {
-                    self.enter_fast_retransmit(now, out);
-                }
-            }
-            State::Recovery { .. } => {
-                // Dupack-clocked inflation keeps the pipe full in recovery,
-                // as in the Reno machinery.
-                self.cwnd = (self.cwnd + 1.0).min(self.cfg.max_cwnd + self.cfg.dupthresh as f64);
-                self.send_new_data(out);
-            }
         }
     }
 }
@@ -347,66 +234,62 @@ impl CubicSender {
 impl transport::telemetry::SenderTelemetry for CubicSender {
     fn common_stats(&self) -> transport::telemetry::CommonStats {
         transport::telemetry::CommonStats {
-            algorithm: self.name().to_owned(),
-            acked_segments: self.stats.acked_segments,
-            fast_retransmits: self.stats.fast_retransmits,
-            timeouts: self.stats.timeouts,
-            dupacks: self.stats.dupacks,
-            cwnd: self.cwnd,
-            ssthresh: self.ssthresh,
-            srtt: self.srtt(),
-            rto: Some(self.rto.rto()),
             extra: vec![
-                ("partial_acks".to_owned(), self.stats.partial_acks),
-                ("tcp_friendly_acks".to_owned(), self.stats.tcp_friendly_acks),
-                ("fast_convergence_events".to_owned(), self.stats.fast_convergence_events),
+                ("partial_acks".to_owned(), self.w.counters().partial_acks),
+                ("tcp_friendly_acks".to_owned(), self.tcp_friendly_acks),
+                ("fast_convergence_events".to_owned(), self.fast_convergence_events),
                 ("w_max_segments".to_owned(), self.w_max.round() as u64),
             ],
-            ..Default::default()
+            ..self.w.common_stats(self.name())
         }
     }
 }
 
 impl TcpSenderAlgo for CubicSender {
     fn on_start(&mut self, now: SimTime, out: &mut SenderOutput) {
-        self.send_new_data(out);
-        self.arm_rto(now, out);
+        self.w.send_new_data(out);
+        self.w.arm_rto(now, out);
     }
 
     fn on_ack(&mut self, ack: &AckEvent, now: SimTime, out: &mut SenderOutput) {
-        if ack.cum_ack > self.snd_una {
-            self.handle_new_ack(ack, now, out);
-        } else if ack.dup {
-            self.handle_dupack(now, out);
+        if let Some((newly, advance)) = self.w.advance(ack, now) {
+            match advance {
+                Advance::Full => self.w.cwnd = self.w.ssthresh,
+                // Partial ACK: plug the next hole; hold the window.
+                Advance::Partial => self.w.plug_hole(out),
+                Advance::Open => self.grow(now, newly),
+            }
+            self.w.send_new_data(out);
+            self.w.arm_rto(now, out);
+        } else if ack.dup && self.w.dupack() {
+            if self.w.recover().is_some() {
+                // Dupack-clocked inflation keeps the pipe full in recovery.
+                self.w.inflate(self.cfg.max_cwnd + self.cfg.dupthresh as f64, out);
+            } else if self.w.dupacks() >= self.cfg.dupthresh && self.w.fast_retransmit_allowed() {
+                self.w.fast_retransmit(now, out);
+                self.reduce(now);
+                self.w.cwnd = self.w.ssthresh;
+                self.w.arm_rto(now, out);
+            }
         }
     }
 
     fn on_timer(&mut self, now: SimTime, out: &mut SenderOutput) {
-        if self.flight() == 0 {
+        if !self.w.timeout(now) {
             return;
         }
-        self.stats.timeouts += 1;
-        obs::span(now.as_nanos(), "cc.rto_expiry", || {
-            format!("algo=cubic una={} flight={}", self.snd_una, self.flight())
-        });
         self.reduce(now);
-        self.cwnd = 1.0;
-        self.dupacks = 0;
-        self.state = State::Open;
-        self.fr_allowed_from = self.highest_sent;
-        self.rto.backoff();
-        // Go-back-N refill from the oldest hole, as in the baselines.
-        self.snd_nxt = self.snd_una;
-        self.send_new_data(out);
-        self.arm_rto(now, out);
+        self.w.cwnd = 1.0;
+        self.w.go_back_n(out);
+        self.w.arm_rto(now, out);
     }
 
     fn cwnd(&self) -> f64 {
-        self.cwnd
+        self.w.cwnd
     }
 
     fn ssthresh(&self) -> f64 {
-        self.ssthresh
+        self.w.ssthresh
     }
 
     fn name(&self) -> &'static str {
@@ -414,7 +297,7 @@ impl TcpSenderAlgo for CubicSender {
     }
 
     fn in_flight(&self) -> usize {
-        self.flight() as usize
+        self.w.flight() as usize
     }
 }
 
@@ -499,7 +382,7 @@ mod tests {
         let w_max_1 = s.w_max();
         // Recover fully, then lose again *below* the previous W_max.
         out.clear();
-        let recover = s.snd_nxt;
+        let recover = s.w.recover().expect("in fast recovery");
         s.on_ack(&ack_at(recover, now), now + ms(20), &mut out);
         out.clear();
         let mut t = now + ms(21);
@@ -568,10 +451,46 @@ mod tests {
             s.on_ack(&dupack(8), now + ms(1), &mut out);
         }
         out.clear();
+        let cwnd = s.cwnd();
         s.on_ack(&ack_at(10, now), now + ms(5), &mut out);
         let rtx: Vec<_> = out.transmissions().iter().filter(|t| t.is_retransmit).collect();
         assert_eq!(rtx.len(), 1);
         assert_eq!(rtx[0].seq, 10);
         assert_eq!(s.stats().partial_acks, 1);
+        assert_eq!(s.cwnd(), cwnd, "NewReno and TD-FR deflate here; CUBIC holds the window");
+    }
+
+    #[test]
+    fn recovery_inflation_stops_at_max_cwnd_plus_dupthresh() {
+        let mut s = CubicSender::new(CubicConfig { max_cwnd: 8.0, ..CubicConfig::default() });
+        let now = warm_up(&mut s, 12);
+        assert_eq!((s.cwnd(), s.in_flight()), (8.0, 8));
+        let mut out = SenderOutput::new();
+        for _ in 0..23 {
+            s.on_ack(&dupack(12), now + ms(1), &mut out);
+        }
+        assert_eq!(s.stats().fast_retransmits, 1);
+        assert_eq!(s.cwnd(), 8.0 + 3.0);
+    }
+
+    /// `forensics` reads a stall's cause off the order of these two spans,
+    /// and `cc.fast_rtx` reports the window the loss found, not the one the
+    /// reduction left.
+    #[test]
+    fn the_fast_rtx_span_precedes_the_epoch_reset_and_prints_the_unreduced_window() {
+        let mut s = CubicSender::new(CubicConfig::default());
+        let now = warm_up(&mut s, 8);
+        let mut out = SenderOutput::new();
+        obs::enable();
+        let _ = obs::take();
+        for _ in 0..3 {
+            s.on_ack(&dupack(8), now + ms(1), &mut out);
+        }
+        let spans = obs::take().spans;
+        obs::disable();
+        let kinds: Vec<_> = spans.iter().map(|r| r.kind).collect();
+        assert_eq!(kinds, ["cc.fast_rtx", "cubic.epoch_reset"]);
+        assert_eq!(spans[0].detail, "algo=cubic seq=8 dupacks=3 cwnd=9.00");
+        assert!((s.cwnd() - 9.0 * 0.7).abs() < 1e-9);
     }
 }

@@ -8,9 +8,9 @@
 //! - [`cubic::CubicSender`]: CUBIC per RFC 8312 — cubic window growth
 //!   around the last loss point, fast convergence, and the TCP-friendly
 //!   region that keeps it no slower than a Reno flow on short-RTT paths.
-//!   Loss recovery reuses the NewReno-style machinery of the baselines, so
-//!   differences in the figures come from the *growth law*, not from a
-//!   different retransmit strategy.
+//!   Loss recovery is [`transport::dupack::Window`], the one engine under
+//!   the baselines' Reno family and TD-FR, so differences in the figures
+//!   come from the *growth law*, not from a different retransmit strategy.
 //! - [`bbr::BbrSender`]: BBR v1 — a rate-based model (windowed max
 //!   bandwidth × windowed min RTT) with the startup / drain / probe-bw /
 //!   probe-rtt state machine. It requests paced release through

@@ -5,6 +5,7 @@
 use experiments::topologies::{dumbbell, multipath_mesh, DumbbellConfig, MeshConfig};
 use experiments::variants::Variant;
 use netsim::ids::FlowId;
+use netsim::impair::LinkAdmin;
 use netsim::time::{SimDuration, SimTime};
 use transport::host::{attach_flow, sender_host, FlowOptions};
 use transport::sender::TcpSenderAlgo;
@@ -13,9 +14,23 @@ use transport::telemetry::{CommonStats, SenderTelemetry};
 /// One variant flow over a narrow dumbbell (queue overflow forces genuine
 /// drops), returning its stats snapshot.
 fn run_lossy_dumbbell(variant: Variant, secs: f64) -> CommonStats {
+    run_dumbbell_with_outage(variant, secs, None)
+}
+
+/// The same, with the bottleneck down over `outage` (start, end; seconds):
+/// a whole window lost, which only a timeout recovers.
+fn run_dumbbell_with_outage(
+    variant: Variant,
+    secs: f64,
+    outage: Option<(f64, f64)>,
+) -> CommonStats {
     let cfg =
         DumbbellConfig { bottleneck_mbps: 2.0, queue_packets: 20, ..DumbbellConfig::default() };
     let mut d = dumbbell(42, cfg);
+    if let Some((down, up)) = outage {
+        d.sim.schedule_link_admin(SimTime::from_secs_f64(down), d.bottleneck, LinkAdmin::Down);
+        d.sim.schedule_link_admin(SimTime::from_secs_f64(up), d.bottleneck, LinkAdmin::Up);
+    }
     let h = attach_flow(
         &mut d.sim,
         FlowId::from_raw(0),
@@ -82,9 +97,38 @@ fn every_variant_reports_populated_common_stats_under_loss() {
 
 #[test]
 fn reno_family_counts_dupacks_under_loss() {
-    for v in [Variant::Reno, Variant::NewReno, Variant::Eifel, Variant::DsackNm, Variant::Door] {
+    for v in [
+        Variant::Reno,
+        Variant::NewReno,
+        Variant::Eifel,
+        Variant::DsackNm,
+        Variant::Door,
+        Variant::TdFr,
+        Variant::Cubic,
+    ] {
         let s = run_lossy_dumbbell(v, 20.0);
         assert!(s.dupacks > 0, "{v}: dupacks {}", s.dupacks);
+    }
+}
+
+/// `forensics::incident` attributes a stall by the `cc.fast_rtx` and
+/// `cc.rto_expiry` spans under the flow; TD-FR emits them like its siblings.
+#[test]
+fn tdfr_records_both_loss_responses_as_spans_under_its_flow() {
+    obs::enable();
+    let _ = obs::take();
+    let stats = run_dumbbell_with_outage(Variant::TdFr, 20.0, Some((10.0, 12.0)));
+    let spans = obs::take().spans;
+    obs::disable();
+    for (kind, counted) in
+        [("cc.fast_rtx", stats.fast_retransmits), ("cc.rto_expiry", stats.timeouts)]
+    {
+        let recorded = spans
+            .iter()
+            .filter(|s| s.kind == kind && s.flow == Some(0) && s.detail.starts_with("algo=tdfr "))
+            .count();
+        assert!(recorded > 0, "no {kind} span among {}", spans.len());
+        assert_eq!(recorded as u64, counted, "{kind}: one span per counted event");
     }
 }
 

@@ -12,9 +12,11 @@
 //!   [`host::attach_flow`] for one-line flow setup.
 //!
 //! [`rto::RtoEstimator`] implements RFC 2988 for the baselines' coarse
-//! timeouts. [`scoreboard::Scoreboard`] is the RFC 6675 SACK bookkeeping
-//! TCP-SACK and BBR share, and [`seq_ring::SeqRing`] holds per-segment send
-//! records at `seq − base`.
+//! timeouts. [`dupack::Window`] is the send window, go-back-N refill and
+//! recovery episode under the ten duplicate-ACK senders (Reno, NewReno,
+//! DSACK ×4, Eifel, TCP-DOOR, TD-FR, CUBIC); [`scoreboard::Scoreboard`] is
+//! the RFC 6675 SACK bookkeeping TCP-SACK and BBR share, and
+//! [`seq_ring::SeqRing`] holds per-segment send records at `seq − base`.
 //!
 //! # Examples
 //!
@@ -39,6 +41,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+pub mod dupack;
 pub mod fixed_window;
 pub mod host;
 pub mod pacing;

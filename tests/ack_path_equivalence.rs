@@ -104,3 +104,62 @@ const STRESS_TCP_PR: [u64; 4] =
     [0xeb2aa436b8fb3a4d, 0xc0c5f37e36c20d3b, 0x10cddcdefe7ba64d, 0x806d5813f845bf52];
 const BBR_BURST_LOSS_SEEDS: [u64; 3] = [0x56500bdd7d58dc9d, 0x2a2d01bc83e2646c, 0xe3db9334eee3b221];
 const FIG6_TCP_PR: [u64; 3] = [0x6b8c09e5bf992544, 0x44d85874880b9790, 0x3b70659f80b38a02];
+
+/// The ten duplicate-ACK senders over the same four stress cells, recorded
+/// on `dca55a4`, the last commit where `reno.rs`, `tdfr.rs` and `cubic.rs`
+/// each carried their own send window and recovery episode; they share
+/// `transport::dupack::Window` now.
+#[test]
+fn dupack_family_stress_cells_match_the_three_private_windows() {
+    let cells = stress_cells(Variant::TcpPr);
+    for (variant, pinned) in STRESS_DUPACK {
+        let specs: Vec<ScenarioSpec> = cells
+            .iter()
+            .map(|cell| ScenarioSpec { kind: ScenarioKind::Stress { variant }, ..cell.clone() })
+            .collect();
+        assert_pinned(&specs, &pinned);
+    }
+}
+
+const STRESS_DUPACK: [(Variant, [u64; 4]); 10] = [
+    (
+        Variant::TdFr,
+        [0x92dd5ccc6a4cf20b, 0xaff378eddae67183, 0xabf1706e0f410daa, 0xa5af2963f845a551],
+    ),
+    (
+        Variant::DsackNm,
+        [0xf603be8f56c46b5c, 0x0bbc58e69c27b2ff, 0x725b609ed034173c, 0x2f9da094d27dfa43],
+    ),
+    (
+        Variant::IncBy1,
+        [0x0a1751b94c9aee59, 0x5451128ad4108a6f, 0x7ba6ed91167753b6, 0x8acab78e90e74bc1],
+    ),
+    (
+        Variant::IncByN,
+        [0x02119b5f1327b448, 0x85fd9e371f651fee, 0x75d57d1a66cbb2e0, 0x7ea0637fbe369f36],
+    ),
+    (
+        Variant::Ewma,
+        [0xcbd46537fff89d2f, 0x3029be2e047785f8, 0xdddc9faca3725519, 0xb3fdabfbd2498411],
+    ),
+    (
+        Variant::NewReno,
+        [0x8a55811c9233af67, 0x66e9565513d0694a, 0x67f7dad28799468a, 0x5e3396155f364d84],
+    ),
+    (
+        Variant::Reno,
+        [0x3ca1127c80640c47, 0xf650e724c4f62443, 0xacd73284086cb6ac, 0x9cf5afe87a8e8862],
+    ),
+    (
+        Variant::Eifel,
+        [0x4f7a793131a1c1ee, 0x28f84bcdd9d9bf1f, 0x010ac88774520c94, 0x3fe56bc26b5eb319],
+    ),
+    (
+        Variant::Door,
+        [0x9d09c59e897103c9, 0xd9743f79518e5ee6, 0x5eb973063dda7ab2, 0xacfb3ca120f0753a],
+    ),
+    (
+        Variant::Cubic,
+        [0x1c4b7e90f74ecb99, 0xb764d66d28dcf51d, 0xc50cbf480ffe05fd, 0xecedb5179cc53445],
+    ),
+];
