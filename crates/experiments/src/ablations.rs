@@ -42,6 +42,16 @@ impl Ablation {
         }
     }
 
+    /// The inverse of [`Ablation::config`]: the mechanism `cfg` runs without.
+    pub fn of(cfg: &TcpPrConfig) -> Ablation {
+        match (cfg.ablate_no_memorize, cfg.ablate_no_extreme_loss, cfg.ablate_halve_current) {
+            (true, _, _) => Ablation::NoMemorize,
+            (_, true, _) => Ablation::NoExtremeLoss,
+            (_, _, true) => Ablation::HalveFromCurrent,
+            _ => Ablation::None,
+        }
+    }
+
     /// The TCP-PR configuration with this mechanism removed.
     pub fn config(self) -> TcpPrConfig {
         let mut cfg = TcpPrConfig::default();

@@ -1,15 +1,16 @@
-//! One harness for every cell that measures a flow under test.
+//! One harness for every cell of every figure.
 //!
-//! The paper measures every cell of its evaluation the same way — one flow
-//! under test, "throughput is the total data sent during the last 60
-//! seconds" — and so do the extensions: what differs between a Figure 6
-//! bar, a route-flap row, an ablation and an adversarial hunt cell is
-//! *data*. A [`Scenario`] is that data: a topology, a route perturbation,
-//! the bottleneck's impairments and admin windows, optional cross traffic,
-//! the flows and the list of [`Metric`]s to report. [`lower`] turns the six
-//! single-flow [`ScenarioKind`]s into one, [`run`] executes it, and the
-//! [`CellReport`] it returns serialises exactly the metric list — the
-//! list *is* the JSON schema of the kind's `results/*.json` rows.
+//! The paper measures every cell of its evaluation the same way — flows
+//! sharing a topology, "throughput is the total data sent during the last
+//! 60 seconds" — and so do the extensions: what differs between a Figure 2
+//! point, a Figure 6 bar, a route-flap row, an ablation, an adversarial
+//! hunt cell and a 10k-flow fabric is *data*. A [`Scenario`] is that data:
+//! a topology, a route perturbation, the bottleneck's impairments and admin
+//! windows, optional cross traffic, the flows and the list of [`Metric`]s
+//! to report. [`lower`] turns every [`ScenarioKind`] into one, [`run`]
+//! executes it, and the [`CellReport`] it returns serialises exactly the
+//! metric list — the list *is* the JSON schema of the kind's
+//! `results/*.json` rows.
 //!
 //! [`run`] builds the simulator in one fixed order: topology → routes →
 //! impairment stages → admin schedule → cross traffic → flows. The order
@@ -17,34 +18,44 @@
 //! simultaneous events by sequence number, and each scheduled route
 //! change, admin action and attached agent takes the next one.
 
-use netsim::ids::{FlowId, LinkId};
+use netsim::event::EventQueue;
+use netsim::ids::{AgentId, FlowId, LinkId, NodeId};
 use netsim::impair::{bandwidth_oscillation, delay_oscillation, flap_schedule, LinkAdmin};
 use netsim::link::LinkConfig;
 use netsim::sim::{SimBuilder, Simulator};
-use netsim::telemetry::{Sampler, TimeSeries};
+use netsim::telemetry::{session, Sampler, TimeSeries};
 use netsim::time::{SimDuration, SimTime};
+use netsim::trace::{TraceConfig, TraceSink};
 use netsim::traffic::{CbrSink, OnOffSource};
-use netsim::{AdminEntry, StageConfig};
+use netsim::{derive_seed, AdminEntry, StageConfig};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::Value;
+use tcp_pr::TcpPrConfig;
 use transport::host::{attach_flow, receiver_host, sender_host, FlowHandle, FlowOptions};
 use transport::sender::TcpSenderAlgo;
 use transport::telemetry::{cwnd_probe, rto_probe, srtt_probe};
+use workload::{ChurnConfig, ChurnSink, ChurnSource, ChurnStats, TopologyModel};
 
 use crate::ablations::Ablation;
 use crate::figures::fig6::WINDOW_CAP;
-use crate::metrics::{jain_fairness, mbps};
-use crate::runner::{measure_window_with, MeasurePlan};
+use crate::metrics::{cov, jain_fairness, mbps, mean, normalized_throughput};
+use crate::runner::{measure_counters, staggered_start, MeasurePlan};
+use crate::scale::ScaleConfig;
 use crate::sweep::decode::{as_f64, as_str, as_u64, get};
-use crate::sweep::spec::{profile_name, AdminWindowSpec, ImpairmentSpec, ScenarioKind};
-use crate::topologies::{dumbbell, multipath_mesh, DumbbellConfig, Mesh, MeshConfig};
+use crate::sweep::spec::{
+    profile_name, AdminWindowSpec, ImpairmentSpec, ScenarioKind, TopologySpec,
+};
+use crate::topologies::{
+    dumbbell, multipath_mesh, parking_lot, DumbbellConfig, Mesh, MeshConfig, ParkingLotConfig,
+};
 use crate::variants::Variant;
 
 /// Everything [`run`] needs to build and measure one cell. [`lower`] is the
 /// only producer, so the fields stay crate-private: `run` relies on what it
-/// guarantees (impairments only on a dumbbell, a metric list that fits the
-/// topology and the flows).
+/// guarantees (impairments only on a dumbbell, route perturbations only
+/// where there is more than one path, cross pairs and a churn population
+/// only on a topology that has them, a metric list that fits all of it).
 #[derive(Debug, Clone)]
 pub struct Scenario {
     /// The network.
@@ -55,9 +66,10 @@ pub struct Scenario {
     pub(crate) impairments: Vec<ImpairmentSpec>,
     /// One-shot admin windows on the bottleneck.
     pub(crate) schedule: Vec<AdminWindowSpec>,
-    /// Deterministic on-off traffic sharing the path.
+    /// Non-TCP traffic sharing the network, installed before the flows.
     pub(crate) cross_traffic: Option<CrossTraffic>,
-    /// The TCP flows, attached in order; the first is the flow under test.
+    /// The TCP flows, attached in order and numbered by position; the first
+    /// is the one the single-flow metrics read.
     pub(crate) flows: Vec<Flow>,
     /// What the report holds, in serialisation order.
     pub(crate) metrics: &'static [Metric],
@@ -79,6 +91,13 @@ pub enum Topology {
     },
     /// The single-bottleneck dumbbell; impairments apply to its bottleneck.
     Dumbbell(DumbbellConfig),
+    /// The Figure 1 parking lot: a main pair across three bottlenecks and
+    /// the paper's six cross pairs.
+    ParkingLot(ParkingLotConfig),
+    /// A generated fat-tree or AS-like graph, expanded from the model and
+    /// the run's seed. Host *i* pairs with host *i + H/2*: pair 0 is the
+    /// main pair, and every pair is a cross pair.
+    Generated(TopologyModel),
 }
 
 /// What happens to the route between the endpoints — both ways, so ACKs
@@ -106,33 +125,47 @@ pub enum Routes {
     },
 }
 
-/// On-off cross traffic from source to destination; its bursts are a pure
-/// function of simulated time.
+/// Traffic that is not a TCP flow.
 #[derive(Debug, Clone, Copy)]
-pub struct CrossTraffic {
-    /// Flow id of the source/sink pair.
-    pub flow: u32,
-    /// Rate while bursting, bits per second.
-    pub rate_bps: f64,
-    /// Packet size, bytes.
-    pub packet_bytes: u32,
-    /// Burst length, ms.
-    pub on_ms: u64,
-    /// Silence length, ms.
-    pub off_ms: u64,
+pub enum CrossTraffic {
+    /// An on-off source between the main pair, numbered after the last
+    /// flow; its bursts are a pure function of simulated time.
+    OnOff {
+        /// Rate while bursting, bits per second.
+        rate_bps: f64,
+        /// Packet size, bytes.
+        packet_bytes: u32,
+        /// Burst length, ms.
+        on_ms: u64,
+        /// Silence length, ms.
+        off_ms: u64,
+    },
+    /// A churning heavy-tailed population: one `workload` source and sink
+    /// per cross pair, each multiplexing its share of the logical flows.
+    Churn {
+        /// Concurrent logical flows across all pairs at the start.
+        target_flows: u32,
+        /// Per-pair load.
+        load: ScaleConfig,
+    },
 }
 
-/// One TCP flow from the topology's source to its destination.
+/// One TCP flow.
 #[derive(Debug, Clone, Copy)]
 pub struct Flow {
-    /// Flow id.
-    pub id: u32,
     /// The sending protocol.
     pub variant: Variant,
     /// Receiver-window cap in segments (ns-2's `window_`), if any.
     pub window_cap: Option<f64>,
-    /// The TCP-PR mechanism removed, for a TCP-PR flow.
-    pub ablation: Ablation,
+    /// TCP-PR's parameters, for a TCP-PR flow.
+    pub pr: TcpPrConfig,
+    /// Whether it starts at [`staggered_start`] of its position and the
+    /// run's seed rather than at t = 0.
+    pub staggered: bool,
+    /// The topology's cross pair it runs between; `None` is the main pair.
+    pub cross_pair: Option<usize>,
+    /// Whether its goodput is measured. Background flows are not.
+    pub under_test: bool,
 }
 
 /// The stress and hunt dumbbell: a tighter bottleneck than the fairness
@@ -146,17 +179,25 @@ const STRESS_DUMBBELL: DumbbellConfig = DumbbellConfig {
     queue_packets: 100,
 };
 
-/// Lowers one of the six single-flow kinds (`Multipath`, `RouteFlap`,
-/// `Churn`, `Ablation`, `Stress`, `Hunt`) into its [`Scenario`]; `None`
-/// for `Fairness` and `Scale`, which keep their own harnesses. Only
-/// `Stress` and `Hunt` honour `impairments`, only `Hunt` the `schedule`.
+/// Lowers a scenario kind into its [`Scenario`]. Only `Stress` and `Hunt`
+/// honour `impairments`, only `Hunt` the `schedule`.
+///
+/// # Panics
+///
+/// Panics if a `Fairness` kind asks for an odd number of flows, or none.
 pub fn lower(
     kind: &ScenarioKind,
     impairments: &[ImpairmentSpec],
     schedule: &[AdminWindowSpec],
-) -> Option<Scenario> {
-    let metrics = Metric::list(kind)?;
-    let flow = |id, variant, window_cap| Flow { id, variant, window_cap, ablation: Ablation::None };
+) -> Scenario {
+    let flow = |variant, window_cap| Flow {
+        variant,
+        window_cap,
+        pr: TcpPrConfig::default(),
+        staggered: false,
+        cross_pair: None,
+        under_test: true,
+    };
     let quiet = |topology, routes, flows| Scenario {
         topology,
         routes,
@@ -164,12 +205,11 @@ pub fn lower(
         schedule: Vec::new(),
         cross_traffic: None,
         flows,
-        metrics,
+        metrics: Metric::list(kind),
     };
-    let stress_dumbbell = |cross_flow, flows| Scenario {
+    let stress_dumbbell = |flows| Scenario {
         impairments: impairments.to_vec(),
-        cross_traffic: Some(CrossTraffic {
-            flow: cross_flow,
+        cross_traffic: Some(CrossTraffic::OnOff {
             rate_bps: 2e6,
             packet_bytes: 1000,
             on_ms: 500,
@@ -177,11 +217,45 @@ pub fn lower(
         }),
         ..quiet(Topology::Dumbbell(STRESS_DUMBBELL), Routes::Static, flows)
     };
-    Some(match *kind {
+    match *kind {
+        ScenarioKind::Fairness { topology, n_flows, alpha, beta, .. } => {
+            assert!(
+                n_flows >= 2 && n_flows.is_multiple_of(2),
+                "need an even, positive number of flows"
+            );
+            let (topology, cross_pairs) = match topology {
+                TopologySpec::Dumbbell { bottleneck_mbps: mbps } => {
+                    let cfg = DumbbellConfig::default();
+                    let bottleneck_mbps = mbps.unwrap_or(cfg.bottleneck_mbps);
+                    (Topology::Dumbbell(DumbbellConfig { bottleneck_mbps, ..cfg }), 0)
+                }
+                TopologySpec::ParkingLot { backbone_mbps: mbps } => {
+                    let cfg = ParkingLotConfig::default();
+                    let backbone_mbps = mbps.unwrap_or(cfg.backbone_mbps);
+                    (Topology::ParkingLot(ParkingLotConfig { backbone_mbps, ..cfg }), 6)
+                }
+            };
+            // Test flows alternate TCP-PR(α, β) and TCP-SACK; the parking
+            // lot's cross traffic is a long-lived TCP-SACK flow on each of
+            // its six cross pairs (Section 4).
+            let pr = TcpPrConfig::with_alpha_beta(alpha, beta);
+            let test = (0..n_flows).map(|i| Flow {
+                pr,
+                staggered: true,
+                ..flow(if i % 2 == 0 { Variant::TcpPr } else { Variant::Sack }, None)
+            });
+            let cross = (0..cross_pairs).map(|pair| Flow {
+                staggered: true,
+                cross_pair: Some(pair),
+                under_test: false,
+                ..flow(Variant::Sack, None)
+            });
+            quiet(topology, Routes::Static, test.chain(cross).collect())
+        }
         ScenarioKind::Multipath { variant, epsilon, link_delay_ms } => quiet(
             Topology::Mesh(MeshConfig { link_delay_ms, ..MeshConfig::default() }),
             Routes::Multipath { epsilon },
-            vec![flow(0, variant, Some(WINDOW_CAP))],
+            vec![flow(variant, Some(WINDOW_CAP))],
         ),
         ScenarioKind::RouteFlap {
             variant,
@@ -192,36 +266,59 @@ pub fn lower(
         } => quiet(
             Topology::Diamond { short_delay_ms, long_delay_ms, link_mbps },
             Routes::PinFlap { period_ms: flap_period_ms },
-            vec![flow(0, variant, None)],
+            vec![flow(variant, None)],
         ),
         ScenarioKind::Churn { variant, mean_interval_ms, churn_seed } => quiet(
             Topology::Mesh(MeshConfig::default()),
             Routes::Churn { mean_interval_ms, seed: churn_seed },
-            vec![flow(0, variant, Some(WINDOW_CAP))],
+            vec![flow(variant, Some(WINDOW_CAP))],
         ),
         ScenarioKind::Ablation { ablation } => quiet(
             Topology::Dumbbell(DumbbellConfig::default()),
             Routes::Static,
-            vec![Flow { ablation, ..flow(0, Variant::TcpPr, None) }],
+            vec![Flow { pr: ablation.config(), ..flow(Variant::TcpPr, None) }],
         ),
-        ScenarioKind::Stress { variant } => stress_dumbbell(1, vec![flow(0, variant, None)]),
+        ScenarioKind::Stress { variant } => stress_dumbbell(vec![flow(variant, None)]),
         // The hunted variant shares the bottleneck with a TCP-SACK rival.
         ScenarioKind::Hunt { variant } => Scenario {
             schedule: schedule.to_vec(),
-            ..stress_dumbbell(2, vec![flow(0, variant, None), flow(1, Variant::Sack, None)])
+            ..stress_dumbbell(vec![flow(variant, None), flow(Variant::Sack, None)])
         },
-        ScenarioKind::Fairness { .. } | ScenarioKind::Scale { .. } => return None,
-    })
+        // One foreground flow through the loaded fabric, on pair 0's hosts:
+        // it competes with the population on its own access links, not just
+        // in the core.
+        ScenarioKind::Scale { variant, model, target_flows, .. } => Scenario {
+            cross_traffic: Some(CrossTraffic::Churn { target_flows, load: ScaleConfig::default() }),
+            ..quiet(Topology::Generated(model), Routes::Static, vec![flow(variant, None)])
+        },
+    }
 }
 
 impl Topology {
-    /// Builds the network — each of the three is a [`Mesh`]: endpoints, path
-    /// count and the hop bound that enumerates the paths — and, for a
-    /// dumbbell, the link impairments apply to with the configuration their
-    /// schedules restore.
-    fn build(self, seed: u64) -> (Mesh, Option<(LinkId, DumbbellConfig)>) {
+    /// The `topology` a cell reports.
+    fn label(self) -> String {
         match self {
-            Topology::Mesh(cfg) => (multipath_mesh(seed, cfg), None),
+            Topology::Mesh(_) => "mesh".to_owned(),
+            Topology::Diamond { .. } => "diamond".to_owned(),
+            Topology::Dumbbell(_) => "dumbbell".to_owned(),
+            Topology::ParkingLot(_) => "parking-lot".to_owned(),
+            Topology::Generated(model) => model.label(),
+        }
+    }
+
+    /// Builds the network: the main pair and its paths (`n_paths` and
+    /// `max_path_hops` bound what a route perturbation enumerates), the
+    /// forward links whose drops are the cell's loss rate (impairments
+    /// apply to the first), and the cross pairs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a generated topology has fewer than two hosts.
+    fn build(self, seed: u64) -> (Mesh, Vec<LinkId>, Vec<(NodeId, NodeId)>) {
+        let one_path =
+            |sim, src, dst, max_path_hops| Mesh { sim, src, dst, n_paths: 1, max_path_hops };
+        match self {
+            Topology::Mesh(cfg) => (multipath_mesh(seed, cfg), Vec::new(), Vec::new()),
             Topology::Diamond { short_delay_ms, long_delay_ms, link_mbps } => {
                 let mut b = SimBuilder::new(seed);
                 let (src, short_mid, long_mid, dst) =
@@ -230,12 +327,26 @@ impl Topology {
                     b.add_duplex(src, mid, LinkConfig::mbps_ms(link_mbps, delay_ms, 100));
                     b.add_duplex(mid, dst, LinkConfig::mbps_ms(link_mbps, delay_ms, 100));
                 }
-                (Mesh { sim: b.build(), src, dst, n_paths: 2, max_path_hops: 2 }, None)
+                let mesh = Mesh { sim: b.build(), src, dst, n_paths: 2, max_path_hops: 2 };
+                (mesh, Vec::new(), Vec::new())
             }
             Topology::Dumbbell(cfg) => {
                 let d = dumbbell(seed, cfg);
-                let net = Mesh { sim: d.sim, src: d.src, dst: d.dst, n_paths: 1, max_path_hops: 3 };
-                (net, Some((d.bottleneck, cfg)))
+                (one_path(d.sim, d.src, d.dst, 3), vec![d.bottleneck], Vec::new())
+            }
+            Topology::ParkingLot(cfg) => {
+                let p = parking_lot(seed, cfg);
+                (one_path(p.sim, p.src, p.dst, 5), p.chain.to_vec(), p.cross_pairs)
+            }
+            Topology::Generated(model) => {
+                let topo = model.generate(seed);
+                let pairs = topo.hosts.len() / 2;
+                assert!(pairs >= 1, "generated topology must expose at least two hosts");
+                let mut b = SimBuilder::new(seed);
+                let m = topo.materialize(&mut b);
+                let node = |host: usize| m.nodes[topo.hosts[host]];
+                let cross_pairs = (0..pairs).map(|i| (node(i), node(i + pairs))).collect();
+                (one_path(b.build(), node(0), node(pairs), 0), Vec::new(), cross_pairs)
             }
         }
     }
@@ -367,10 +478,21 @@ const CAPTURE_SPAN_CAP: usize = 65_536;
 /// Sampling period of the captured time series.
 const CAPTURE_SAMPLE_MS: u64 = 100;
 
-/// What [`run`] records when asked to: every packet's lifecycle, the CC and
-/// admin spans, and sampled series of the flow under test (`:hunted`), its
-/// rival (`:rival`) and the bottleneck queue. Capturing only reads the
-/// simulation, so the [`CellReport`] is the same with or without it.
+/// What [`run`] observes beside the report. Observing only reads the
+/// simulation, so the [`CellReport`] is the same whichever it is.
+pub enum Observe<'a> {
+    /// Nothing.
+    Nothing,
+    /// Record the whole run into a [`Capture`].
+    Capture(&'a mut Capture),
+    /// Stream every trace record of flow 0 to the sink (`repro
+    /// --telemetry-dir`); the in-memory buffer stays a small ring.
+    Stream(Box<dyn TraceSink>),
+}
+
+/// What [`Observe::Capture`] records: every packet's lifecycle, the CC and
+/// admin spans, and sampled series of the first flow (`:hunted`), the
+/// second (`:rival`) and the bottleneck queue.
 #[derive(Debug, Default)]
 pub struct Capture {
     /// Packet lifecycle events from the in-sim tracer.
@@ -437,65 +559,144 @@ impl Recording {
     }
 }
 
+/// The installed churn population: a source and a sink agent per pair.
+struct Population {
+    sources: Vec<AgentId>,
+    sinks: Vec<AgentId>,
+}
+
+impl Population {
+    /// Spreads `target_flows` over the pairs, the remainder on the first
+    /// ones. Each pair's stream is keyed by [`derive_seed`] over its index.
+    fn install(
+        sim: &mut Simulator,
+        pairs: &[(NodeId, NodeId)],
+        target_flows: u32,
+        load: ScaleConfig,
+        seed: u64,
+    ) -> Population {
+        let (base, extra) = (target_flows / pairs.len() as u32, target_flows % pairs.len() as u32);
+        let (mut sources, mut sinks) = (Vec::new(), Vec::new());
+        for (i, &(src, dst)) in (0u32..).zip(pairs) {
+            let flow = FlowId::from_raw(1000 + i);
+            let churn = ChurnConfig {
+                dst,
+                rate_bps: load.pair_rate_bps,
+                packet_bytes: load.packet_bytes,
+                initial_flows: base + u32::from(i < extra),
+                arrival_rate_hz: load.arrival_rate_hz,
+                sizes: load.sizes,
+                // High-bit namespace keeps pair streams disjoint from the
+                // topology generator's per-link streams.
+                seed: derive_seed(seed, 0x8000_0000 | i),
+            };
+            sources.push(sim.add_agent(src, flow, Box::new(ChurnSource::new(churn))));
+            sinks.push(sim.add_agent(dst, flow, Box::new(ChurnSink::new())));
+        }
+        Population { sources, sinks }
+    }
+
+    /// Bytes the sinks have received so far.
+    fn delivered(&self, sim: &Simulator) -> u64 {
+        let sink = |&id| sim.agent(id).as_any().downcast_ref::<ChurnSink>().expect("a churn sink");
+        self.sinks.iter().map(|id| sink(id).bytes).sum()
+    }
+
+    /// The per-pair accumulators merged in pair order (a fixed order keeps
+    /// the floating-point sums bit-reproducible), and the measured bytes of
+    /// state per peak concurrent flow — churn slabs plus the event heap's
+    /// and the packet arena's peaks — which the telemetry session also gets
+    /// for `run_health`.
+    fn summarize(&self, sim: &Simulator) -> (ChurnStats, u64) {
+        let mut merged = ChurnStats::default();
+        let mut state_bytes = 0;
+        for &id in &self.sources {
+            let source = sim.agent(id).as_any().downcast_ref::<ChurnSource>();
+            let source = source.expect("a churn source");
+            merged.merge(source.stats());
+            state_bytes += source.state_bytes();
+        }
+        // An upper bound: an arrival riding its link's lane holds 24 B (a heap
+        // key or a lane entry) and no payload slot, not the full record.
+        let heap_bytes = (sim.event_heap_peak() * EventQueue::record_bytes()) as u64;
+        // A pending `Arrive` is a handle; the packet it names is an arena slot.
+        let packet_bytes = (sim.packet_peak() * std::mem::size_of::<netsim::Packet>()) as u64;
+        let bytes_per_flow = (state_bytes + heap_bytes + packet_bytes) / merged.peak_active.max(1);
+        session::add_workload(merged.peak_active, bytes_per_flow);
+        (merged, bytes_per_flow)
+    }
+}
+
 /// Builds the scenario's simulator — topology, routes, impairment stages,
 /// admin schedule, cross traffic, flows, in that order — runs it through
-/// the plan and reports the scenario's metrics. With `capture`, the run is
-/// also recorded into it (see [`Capture`]).
-pub fn run(
-    scenario: &Scenario,
-    plan: MeasurePlan,
-    seed: u64,
-    capture: Option<&mut Capture>,
-) -> CellReport {
+/// the plan and reports the scenario's metrics, observing the run as asked.
+pub fn run(scenario: &Scenario, plan: MeasurePlan, seed: u64, observe: Observe<'_>) -> CellReport {
     let until = SimTime::ZERO + plan.total();
-    let (mut net, bottleneck) = scenario.topology.build(seed);
+    let (mut net, bottlenecks, cross_pairs) = scenario.topology.build(seed);
     let route_changes = scenario.routes.install(&mut net, until);
 
-    if let Some((link, cfg)) = bottleneck {
-        impair(&mut net.sim, link, cfg, scenario, until);
+    if let Topology::Dumbbell(cfg) = scenario.topology {
+        impair(&mut net.sim, bottlenecks[0], cfg, scenario, until);
     }
 
-    if let Some(cross) = scenario.cross_traffic {
-        let ms = SimDuration::from_millis;
-        let source = OnOffSource::new(
-            net.dst,
-            cross.rate_bps,
-            cross.packet_bytes,
-            ms(cross.on_ms),
-            ms(cross.off_ms),
-            SimTime::ZERO,
-        );
-        let flow = FlowId::from_raw(cross.flow);
-        net.sim.add_agent(net.src, flow, Box::new(source));
-        net.sim.add_agent(net.dst, flow, Box::new(CbrSink::new()));
-    }
+    let population = match scenario.cross_traffic {
+        None => None,
+        Some(CrossTraffic::OnOff { rate_bps, packet_bytes, on_ms, off_ms }) => {
+            let (on, off) = (SimDuration::from_millis(on_ms), SimDuration::from_millis(off_ms));
+            let source = OnOffSource::new(net.dst, rate_bps, packet_bytes, on, off, SimTime::ZERO);
+            let flow = FlowId::from_raw(scenario.flows.len() as u32);
+            net.sim.add_agent(net.src, flow, Box::new(source));
+            net.sim.add_agent(net.dst, flow, Box::new(CbrSink::new()));
+            None
+        }
+        Some(CrossTraffic::Churn { target_flows, load }) => {
+            Some(Population::install(&mut net.sim, &cross_pairs, target_flows, load, seed))
+        }
+    };
 
-    if capture.is_some() {
-        net.sim.enable_trace(&[], CAPTURE_TRACE_CAP);
-    }
-    let handles: Vec<FlowHandle> = scenario
-        .flows
-        .iter()
-        .map(|f| {
-            let pr = f.ablation.config();
-            let algo = f.variant.build_with(pr, f.window_cap.unwrap_or(pr.max_cwnd));
-            let id = FlowId::from_raw(f.id);
-            attach_flow(&mut net.sim, id, net.src, net.dst, algo, FlowOptions::default())
+    let capture = match observe {
+        Observe::Nothing => None,
+        Observe::Capture(out) => {
+            net.sim.enable_trace(&[], CAPTURE_TRACE_CAP);
+            Some(out)
+        }
+        Observe::Stream(sink) => {
+            net.sim.enable_trace_with(TraceConfig::new(&[FlowId::from_raw(0)], 4096).keep_latest());
+            net.sim.set_trace_sink(sink);
+            None
+        }
+    };
+    let handles: Vec<FlowHandle> = (0u32..)
+        .zip(&scenario.flows)
+        .map(|(i, f)| {
+            let algo = f.variant.build_with(f.pr, f.window_cap.unwrap_or(f.pr.max_cwnd));
+            let (src, dst) = f.cross_pair.map_or((net.src, net.dst), |pair| cross_pairs[pair]);
+            let start_at =
+                if f.staggered { staggered_start(i as usize, seed) } else { SimTime::ZERO };
+            let options = FlowOptions { start_at, ..FlowOptions::default() };
+            attach_flow(&mut net.sim, FlowId::from_raw(i), src, dst, algo, options)
         })
         .collect();
 
     let mut recording =
-        capture.is_some().then(|| Recording::start(&handles, bottleneck.map(|b| b.0)));
+        capture.is_some().then(|| Recording::start(&handles, bottlenecks.first().copied()));
     let sampler = recording.as_mut().map(|r| &mut r.sampler);
-    let delivered = measure_window_with(&mut net.sim, &handles, plan, sampler);
+    // Every flow's receiver, then the population's sinks as one counter.
+    let counters = |sim: &Simulator| {
+        let flows = handles.iter().map(|h| receiver_host(sim, h.receiver).received_unique_bytes());
+        flows.chain(population.iter().map(|p| p.delivered(sim))).collect()
+    };
+    let delivered = measure_counters(&mut net.sim, plan, sampler, counters);
 
-    let window_s = plan.window.as_secs_f64();
     let observed = Observed {
         scenario,
         sim: &net.sim,
         flow: handles[0],
-        goodput: delivered.iter().map(|&bytes| mbps(bytes, window_s)).collect(),
+        delivered,
+        window_s: plan.window.as_secs_f64(),
         route_changes,
+        bottlenecks: &bottlenecks,
+        churn: population.map(|p| p.summarize(&net.sim)),
     };
     let report = CellReport(scenario.metrics.iter().map(|&m| (m, observed.measure(m))).collect());
     if let (Some(out), Some(recording)) = (capture, recording) {
@@ -504,8 +705,8 @@ pub fn run(
     report
 }
 
-/// [`lower`] then [`run`], uncaptured: the one call that measures a cell of
-/// `kind`. Panics for `Fairness` and `Scale`, which are not cells.
+/// [`lower`] then [`run`], unobserved: the one call that measures a cell of
+/// `kind`.
 pub fn run_kind(
     kind: &ScenarioKind,
     impairments: &[ImpairmentSpec],
@@ -513,8 +714,7 @@ pub fn run_kind(
     plan: MeasurePlan,
     seed: u64,
 ) -> CellReport {
-    let scenario = lower(kind, impairments, schedule).expect("Fairness and Scale are not cells");
-    run(&scenario, plan, seed, None)
+    run(&lower(kind, impairments, schedule), plan, seed, Observe::Nothing)
 }
 
 /// One reportable quantity of a cell. A kind's metric list is the schema
@@ -522,23 +722,64 @@ pub fn run_kind(
 /// key order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Metric {
-    /// Protocol of the flow under test (scenario parameter).
+    /// Protocol of the first flow (scenario parameter).
     Variant,
-    /// Removed TCP-PR mechanism of the flow under test (scenario parameter).
+    /// Removed TCP-PR mechanism of the first flow (scenario parameter).
     Ablation,
+    /// Name of the topology (scenario parameter).
+    Topology,
+    /// Number of flows under test (scenario parameter).
+    NFlows,
+    /// Logical flows the churn population starts with (scenario parameter).
+    TargetFlows,
     /// Routing parameter ε (scenario parameter).
     Epsilon,
     /// Per-link propagation delay of the mesh, ms (scenario parameter).
     LinkDelayMs,
     /// Impairment and window tags joined by `+`, or `baseline`.
     Profile,
-    /// Goodput of the flow under test over the measurement window, Mbps.
+    /// Goodput of the first flow over the measurement window, Mbps.
     Mbps,
+    /// The same, as the scale suite names it.
+    ForegroundMbps,
     /// Goodput of the second flow, Mbps.
     RivalMbps,
-    /// Jain fairness over every flow's goodput; 0 when all starve.
+    /// Jain fairness over per-flow goodput — of the churn population's
+    /// completed flows where there is one, else of the flows under test;
+    /// 0 when all starve.
     Jain,
-    /// Segments retransmitted by the sender under test.
+    /// Window bytes of each TCP-PR flow under test over the mean of all
+    /// flows under test (the paper's normalized throughput).
+    PrNormalized,
+    /// The same for each flow under test that is not TCP-PR.
+    SackNormalized,
+    /// Mean of `PrNormalized`.
+    MeanPr,
+    /// Mean of `SackNormalized`.
+    MeanSack,
+    /// Coefficient of variation of `PrNormalized`.
+    CovPr,
+    /// Coefficient of variation of `SackNormalized`.
+    CovSack,
+    /// Drops over offered packets across the forward bottlenecks, %.
+    LossRatePct,
+    /// Peak concurrent logical flows reached (sum of per-pair peaks).
+    PeakFlows,
+    /// Logical flows that arrived (initial population + Poisson arrivals).
+    Arrivals,
+    /// Logical flows that ran to completion.
+    Completions,
+    /// Coefficient of variation of the population's per-flow goodput.
+    GoodputCov,
+    /// p99 flow-completion time, ms (the log histogram's upper bound).
+    P99FctMs,
+    /// Mean flow-completion time, ms.
+    MeanFctMs,
+    /// Churn bytes delivered over the window, Mbps.
+    DeliveredMbps,
+    /// Measured bytes of state per peak concurrent flow (flat-memory claim).
+    BytesPerFlow,
+    /// Segments retransmitted by the first sender.
     Retransmits,
     /// Data segments it put on the wire.
     SegmentsSent,
@@ -571,6 +812,18 @@ pub enum Metric {
 }
 
 impl Metric {
+    /// One fairness run (Figures 2, 3 and 4).
+    pub const FAIRNESS: [Metric; 9] = [
+        Metric::Topology,
+        Metric::NFlows,
+        Metric::PrNormalized,
+        Metric::SackNormalized,
+        Metric::MeanPr,
+        Metric::MeanSack,
+        Metric::CovPr,
+        Metric::CovSack,
+        Metric::LossRatePct,
+    ];
     /// One bar of Figure 6 (and of the face-off).
     pub const MULTIPATH: [Metric; 8] = [
         Metric::Variant,
@@ -634,88 +887,136 @@ impl Metric {
         Metric::TimeRegressions,
     ];
 
-    /// The metric list of a kind [`lower`] covers — what its cells report
-    /// and its outcomes decode against; `None` for `Fairness` and `Scale`.
-    pub fn list(kind: &ScenarioKind) -> Option<&'static [Metric]> {
-        Some(match kind {
+    /// One scale cell.
+    pub const SCALE: [Metric; 13] = [
+        Metric::Variant,
+        Metric::Topology,
+        Metric::TargetFlows,
+        Metric::PeakFlows,
+        Metric::Arrivals,
+        Metric::Completions,
+        Metric::Jain,
+        Metric::GoodputCov,
+        Metric::P99FctMs,
+        Metric::MeanFctMs,
+        Metric::ForegroundMbps,
+        Metric::DeliveredMbps,
+        Metric::BytesPerFlow,
+    ];
+
+    /// The metric list of a kind: what its cells report and its outcomes
+    /// decode against.
+    pub fn list(kind: &ScenarioKind) -> &'static [Metric] {
+        match kind {
+            ScenarioKind::Fairness { .. } => &Metric::FAIRNESS,
             ScenarioKind::Multipath { .. } => &Metric::MULTIPATH,
             ScenarioKind::RouteFlap { .. } => &Metric::ROUTEFLAP,
             ScenarioKind::Churn { .. } => &Metric::CHURN,
             ScenarioKind::Ablation { .. } => &Metric::ABLATION,
             ScenarioKind::Stress { .. } => &Metric::STRESS,
             ScenarioKind::Hunt { .. } => &Metric::HUNT,
-            ScenarioKind::Fairness { .. } | ScenarioKind::Scale { .. } => return None,
-        })
-    }
-
-    /// The metric's JSON key: its name in snake_case.
-    pub fn key(self) -> &'static str {
-        match self {
-            Metric::Variant => "variant",
-            Metric::Ablation => "ablation",
-            Metric::Epsilon => "epsilon",
-            Metric::LinkDelayMs => "link_delay_ms",
-            Metric::Profile => "profile",
-            Metric::Mbps => "mbps",
-            Metric::RivalMbps => "rival_mbps",
-            Metric::Jain => "jain",
-            Metric::Retransmits => "retransmits",
-            Metric::SegmentsSent => "segments_sent",
-            Metric::LateArrivals => "late_arrivals",
-            Metric::MeanDisplacement => "mean_displacement",
-            Metric::ReceiverDuplicates => "receiver_duplicates",
-            Metric::QueueDrops => "queue_drops",
-            Metric::RouteChanges => "route_changes",
-            Metric::WindowHalvings => "window_halvings",
-            Metric::ExtremeLossEvents => "extreme_loss_events",
-            Metric::ImpairDrops => "impair_drops",
-            Metric::ImpairDups => "impair_dups",
-            Metric::ReorderDisplacements => "reorder_displacements",
-            Metric::LinkFlaps => "link_flaps",
-            Metric::OracleViolations => "oracle_violations",
-            Metric::TimeRegressions => "time_regressions",
+            ScenarioKind::Scale { .. } => &Metric::SCALE,
         }
     }
 
+    /// The metric's JSON key: its name in snake_case.
+    pub fn key(self) -> String {
+        let mut key = String::new();
+        for c in format!("{self:?}").chars() {
+            if c.is_ascii_uppercase() && !key.is_empty() {
+                key.push('_');
+            }
+            key.push(c.to_ascii_lowercase());
+        }
+        key
+    }
+
     /// Reads the metric out of an outcome object as [`run`] produced it:
-    /// names resolve, floats accept the integers the JSON printer turns
-    /// integral floats into, counts are non-negative.
+    /// names resolve, floats — alone or in a list — accept the integers the
+    /// JSON printer turns integral floats into, counts are non-negative.
     fn decode(self, outcome: &Value) -> Option<Value> {
-        let raw = get(outcome, self.key())?;
+        let raw = get(outcome, &self.key())?;
+        let float = |v: &Value| as_f64(v).map(Value::Float);
         Some(match self {
             Metric::Variant => Variant::from_name(as_str(raw)?).map(|_| raw.clone())?,
             Metric::Ablation => Ablation::from_name(as_str(raw)?).map(|_| raw.clone())?,
-            Metric::Profile => Value::Str(as_str(raw)?.to_owned()),
+            Metric::Profile | Metric::Topology => Value::Str(as_str(raw)?.to_owned()),
+            Metric::PrNormalized | Metric::SackNormalized => match raw {
+                Value::Array(items) => {
+                    Value::Array(items.iter().map(float).collect::<Option<_>>()?)
+                }
+                _ => return None,
+            },
             Metric::Epsilon
             | Metric::Mbps
+            | Metric::ForegroundMbps
             | Metric::RivalMbps
             | Metric::Jain
-            | Metric::MeanDisplacement => Value::Float(as_f64(raw)?),
+            | Metric::MeanPr
+            | Metric::MeanSack
+            | Metric::CovPr
+            | Metric::CovSack
+            | Metric::LossRatePct
+            | Metric::GoodputCov
+            | Metric::P99FctMs
+            | Metric::MeanFctMs
+            | Metric::DeliveredMbps
+            | Metric::MeanDisplacement => float(raw)?,
             _ => Value::UInt(as_u64(raw)?),
         })
     }
 }
 
-/// A finished run, as the metrics read it: `flow` is the flow under test,
-/// `goodput` every flow's Mbps over the measurement window.
+/// A finished run, as the metrics read it: `flow` is the first flow,
+/// `delivered` every flow's window bytes in attach order and then the
+/// churn population's, `churn` the population's summary.
 struct Observed<'a> {
     scenario: &'a Scenario,
     sim: &'a Simulator,
     flow: FlowHandle,
-    goodput: Vec<f64>,
+    delivered: Vec<u64>,
+    window_s: f64,
     route_changes: u64,
+    bottlenecks: &'a [LinkId],
+    churn: Option<(ChurnStats, u64)>,
 }
 
 impl Observed<'_> {
+    /// Protocol and window bytes of each flow under test, in attach order.
+    fn tested(&self) -> impl Iterator<Item = (Variant, u64)> + '_ {
+        let flows = self.scenario.flows.iter().zip(&self.delivered);
+        flows.filter(|(f, _)| f.under_test).map(|(f, &bytes)| (f.variant, bytes))
+    }
+
+    /// The normalized throughput of the TCP-PR flows under test and of the
+    /// others; the mean it divides by sums the TCP-PR flows first.
+    fn normalized(&self) -> (Vec<f64>, Vec<f64>) {
+        let side = |pr| self.tested().filter(move |&(v, _)| (v == Variant::TcpPr) == pr);
+        let bytes: Vec<f64> = side(true).chain(side(false)).map(|(_, b)| b as f64).collect();
+        let mut normalized = normalized_throughput(&bytes);
+        let others = normalized.split_off(side(true).count());
+        (normalized, others)
+    }
+
     fn measure(&self, metric: Metric) -> Value {
         let sc = self.scenario;
         let tx = || sender_host::<Box<dyn TcpSenderAlgo>>(self.sim, self.flow.sender);
         let rx = || receiver_host(self.sim, self.flow.receiver).receiver_stats();
         let algo_counter = |name| tx().algo().common_stats().extra(name).unwrap_or(0);
         let totals = || self.sim.impair_totals();
+        let goodput = |i: usize| Value::Float(mbps(self.delivered[i], self.window_s));
+        let floats = |xs: Vec<f64>| Value::Array(xs.into_iter().map(Value::Float).collect());
+        let population = || self.churn.as_ref().expect("a churn population");
+        let churn = || &population().0;
         match metric {
             Metric::Variant => serde::Serialize::to_value(&sc.flows[0].variant),
-            Metric::Ablation => serde::Serialize::to_value(&sc.flows[0].ablation),
+            Metric::Ablation => serde::Serialize::to_value(&Ablation::of(&sc.flows[0].pr)),
+            Metric::Topology => Value::Str(sc.topology.label()),
+            Metric::NFlows => Value::UInt(self.tested().count() as u64),
+            Metric::TargetFlows => match sc.cross_traffic {
+                Some(CrossTraffic::Churn { target_flows, .. }) => Value::UInt(target_flows.into()),
+                _ => Value::Null,
+            },
             Metric::Epsilon => match sc.routes {
                 Routes::Multipath { epsilon } => Value::Float(epsilon),
                 _ => Value::Null,
@@ -725,13 +1026,36 @@ impl Observed<'_> {
                 _ => Value::Null,
             },
             Metric::Profile => Value::Str(profile_name(&sc.impairments, &sc.schedule)),
-            Metric::Mbps => Value::Float(self.goodput[0]),
-            Metric::RivalMbps => Value::Float(self.goodput[1]),
-            Metric::Jain => Value::Float(if self.goodput.iter().sum::<f64>() > 0.0 {
-                jain_fairness(&self.goodput)
-            } else {
-                0.0
-            }),
+            Metric::Mbps | Metric::ForegroundMbps => goodput(0),
+            Metric::RivalMbps => goodput(1),
+            Metric::Jain => {
+                let xs: Vec<f64> = self.tested().map(|(_, b)| mbps(b, self.window_s)).collect();
+                let fed = xs.iter().sum::<f64>() > 0.0;
+                let churned = self.churn.as_ref().map(|c| c.0.goodput_bps.jain().unwrap_or(0.0));
+                Value::Float(churned.unwrap_or(if fed { jain_fairness(&xs) } else { 0.0 }))
+            }
+            Metric::PrNormalized => floats(self.normalized().0),
+            Metric::SackNormalized => floats(self.normalized().1),
+            Metric::MeanPr => Value::Float(mean(&self.normalized().0)),
+            Metric::MeanSack => Value::Float(mean(&self.normalized().1)),
+            Metric::CovPr => Value::Float(cov(&self.normalized().0)),
+            Metric::CovSack => Value::Float(cov(&self.normalized().1)),
+            Metric::LossRatePct => {
+                let queues = || self.bottlenecks.iter().map(|&l| &self.sim.link(l).queue);
+                let drops: u64 = queues().map(|q| q.drops()).sum();
+                let offered = drops + queues().map(|q| q.enqueues()).sum::<u64>();
+                Value::Float(if offered > 0 { 100.0 * drops as f64 / offered as f64 } else { 0.0 })
+            }
+            Metric::PeakFlows => Value::UInt(churn().peak_active),
+            Metric::Arrivals => Value::UInt(churn().arrivals),
+            Metric::Completions => Value::UInt(churn().completions),
+            Metric::GoodputCov => Value::Float(churn().goodput_bps.cov().unwrap_or(0.0)),
+            Metric::P99FctMs => {
+                Value::Float(churn().fct_us.quantile_upper_bound(0.99).unwrap_or(0) as f64 / 1000.0)
+            }
+            Metric::MeanFctMs => Value::Float(churn().fct_us.mean() / 1000.0),
+            Metric::DeliveredMbps => goodput(sc.flows.len()),
+            Metric::BytesPerFlow => Value::UInt(population().1),
             Metric::Retransmits => Value::UInt(tx().stats().retransmits),
             Metric::SegmentsSent => Value::UInt(tx().stats().segments_sent),
             Metric::LateArrivals => Value::UInt(rx().late_arrivals),
@@ -781,8 +1105,24 @@ impl CellReport {
         as_f64(self.get(metric)).unwrap_or_else(|| panic!("{metric:?} is not a number"))
     }
 
+    /// A vector-valued metric. Panics if the report does not hold `metric`
+    /// as a list.
+    pub fn nums(&self, metric: Metric) -> Vec<f64> {
+        match self.get(metric) {
+            Value::Array(items) => items.iter().filter_map(as_f64).collect(),
+            _ => panic!("{metric:?} is not a vector"),
+        }
+    }
+
+    /// A textual metric as it serialises. Panics if the report does not hold
+    /// `metric` as text.
+    pub fn text(&self, metric: Metric) -> &str {
+        as_str(self.get(metric)).unwrap_or_else(|| panic!("{metric:?} is not text"))
+    }
+
     /// How a table shows the metric: names as their display labels, floats
-    /// to `decimals` places, counts and text as they are.
+    /// to `decimals` places (a completion time with its unit), counts and
+    /// text as they are.
     fn display(&self, metric: Metric, decimals: usize) -> String {
         let label = |name: &str| match metric {
             Metric::Variant => Variant::from_name(name).map(Variant::label),
@@ -791,6 +1131,7 @@ impl CellReport {
         };
         match self.get(metric) {
             Value::Str(s) => label(s).unwrap_or(s).to_owned(),
+            Value::Float(x) if metric == Metric::P99FctMs => format!("{x:.decimals$}ms"),
             Value::Float(x) => format!("{x:.decimals$}"),
             Value::UInt(n) => n.to_string(),
             other => format!("{other:?}"),
@@ -800,7 +1141,7 @@ impl CellReport {
 
 impl serde::Serialize for CellReport {
     fn to_value(&self) -> Value {
-        Value::Object(self.0.iter().map(|(m, v)| (m.key().to_owned(), v.clone())).collect())
+        Value::Object(self.0.iter().map(|(m, v)| (m.key(), v.clone())).collect())
     }
 }
 
@@ -893,6 +1234,22 @@ impl Table {
         ],
     };
 
+    /// The scale suite, one row per (variant, topology, flows) cell.
+    pub const SCALE: Table = Table::Rows {
+        title: "Scale suite: generated topologies under heavy-tailed flow churn",
+        columns: &[
+            ("protocol", Metric::Variant, 12, 0),
+            ("topology", Metric::Topology, 13, 0),
+            ("flows", Metric::TargetFlows, 6, 0),
+            ("peak", Metric::PeakFlows, 6, 0),
+            ("Jain", Metric::Jain, 5, 3),
+            ("CoV", Metric::GoodputCov, 5, 3),
+            ("p99 FCT", Metric::P99FctMs, 9, 1),
+            ("fg Mbps", Metric::ForegroundMbps, 7, 3),
+            ("B/flow", Metric::BytesPerFlow, 0, 0),
+        ],
+    };
+
     /// Renders the reports as text: text columns left-aligned, numbers
     /// right-aligned.
     pub fn render(&self, reports: &[CellReport]) -> String {
@@ -972,6 +1329,50 @@ mod tests {
 
     fn stress(variant: Variant, impairments: &[ImpairmentSpec], seed: u64) -> CellReport {
         quick(ScenarioKind::Stress { variant }, impairments, seed)
+    }
+
+    fn fairness(topology: TopologySpec, n_flows: usize, seed: u64) -> CellReport {
+        let kind =
+            ScenarioKind::Fairness { topology, n_flows, alpha: 0.995, beta: 3.0, replicate: 0 };
+        quick(kind, &[], seed)
+    }
+
+    fn dumbbell_mbps(bottleneck_mbps: Option<f64>) -> TopologySpec {
+        TopologySpec::Dumbbell { bottleneck_mbps }
+    }
+
+    #[test]
+    fn dumbbell_fairness_means_near_one() {
+        let r = fairness(dumbbell_mbps(None), 8, 11);
+        assert_eq!(r.nums(Metric::PrNormalized).len(), 4);
+        assert_eq!(r.nums(Metric::SackNormalized).len(), 4);
+        // Normalized means must bracket 1 and be within a loose band even
+        // for the shortened plan.
+        let (mean_pr, mean_sack) = (r.num(Metric::MeanPr), r.num(Metric::MeanSack));
+        assert!(mean_pr > 0.5 && mean_pr < 1.5, "mean_pr = {mean_pr}");
+        assert!(mean_sack > 0.5 && mean_sack < 1.5, "mean_sack = {mean_sack}");
+        let combined = (mean_pr + mean_sack) / 2.0;
+        assert!((combined - 1.0).abs() < 1e-9, "normalization identity");
+    }
+
+    #[test]
+    fn parking_lot_fairness_runs() {
+        let r = fairness(TopologySpec::ParkingLot { backbone_mbps: None }, 4, 13);
+        assert_eq!(r.text(Metric::Topology), "parking-lot");
+        assert!(r.num(Metric::MeanPr) > 0.0 && r.num(Metric::MeanSack) > 0.0);
+    }
+
+    #[test]
+    fn shrinking_bottleneck_raises_loss() {
+        let wide = fairness(dumbbell_mbps(None), 8, 17).num(Metric::LossRatePct);
+        let narrow = fairness(dumbbell_mbps(Some(1.0)), 8, 17).num(Metric::LossRatePct);
+        assert!(narrow > wide, "narrow {narrow} vs wide {wide}");
+    }
+
+    #[test]
+    #[should_panic(expected = "even, positive")]
+    fn odd_flow_count_rejected() {
+        fairness(dumbbell_mbps(None), 3, 1);
     }
 
     #[test]
@@ -1134,15 +1535,19 @@ mod tests {
     }
 
     /// A report with every metric of `metrics` set: names that resolve,
-    /// an integral float (ε = 500 prints as `500`), fractional floats and
+    /// integral floats alone and in a vector (ε = 500 prints as `500`,
+    /// a normalized throughput of 1.0 as `1`), fractional floats and
     /// distinct counts.
     fn sample(metrics: &[Metric]) -> CellReport {
         let value = |(i, &m): (usize, &Metric)| match m {
             Metric::Variant => Value::Str("TdFr".to_owned()),
             Metric::Ablation => Value::Str("NoMemorize".to_owned()),
             Metric::Profile => Value::Str("burst-loss+down".to_owned()),
-            Metric::Epsilon => Value::Float(500.0),
-            Metric::Mbps | Metric::RivalMbps | Metric::Jain | Metric::MeanDisplacement => {
+            Metric::Topology => Value::Str("fat-tree-k4".to_owned()),
+            Metric::Epsilon | Metric::CovSack => Value::Float(500.0),
+            Metric::PrNormalized => Value::Array(vec![Value::Float(1.0), Value::Float(0.75)]),
+            Metric::SackNormalized => Value::Array(vec![Value::Float(1.25)]),
+            _ if m.decode(&Value::Object(vec![(m.key(), Value::Float(0.5))])).is_some() => {
                 Value::Float(i as f64 + 0.25)
             }
             _ => Value::UInt(100 + i as u64),
@@ -1150,13 +1555,15 @@ mod tests {
         CellReport(metrics.iter().enumerate().map(|p| (*p.1, value(p))).collect())
     }
 
-    const LISTS: [&[Metric]; 6] = [
+    const LISTS: [&[Metric]; 8] = [
+        &Metric::FAIRNESS,
         &Metric::MULTIPATH,
         &Metric::ROUTEFLAP,
         &Metric::CHURN,
         &Metric::ABLATION,
         &Metric::STRESS,
         &Metric::HUNT,
+        &Metric::SCALE,
     ];
 
     #[test]
@@ -1172,7 +1579,7 @@ mod tests {
             let decoded = CellReport::decode(metrics, &reparsed).expect("decode after parse");
             assert_eq!(decoded, report);
             assert_eq!(serde_json::to_string(&serde::Serialize::to_value(&decoded)).unwrap(), text);
-            let keys: Vec<&str> = metrics.iter().map(|m| m.key()).collect();
+            let keys: Vec<String> = metrics.iter().map(|m| m.key()).collect();
             let Value::Object(fields) = &v else { panic!("reports serialise to objects") };
             assert_eq!(fields.iter().map(|(k, _)| k.as_str()).collect::<Vec<_>>(), keys);
         }
@@ -1193,6 +1600,20 @@ mod tests {
         assert_eq!(
             keys(&Metric::ABLATION),
             ["ablation", "mbps", "window_halvings", "extreme_loss_events", "retransmits"]
+        );
+        assert_eq!(
+            keys(&Metric::FAIRNESS),
+            [
+                "topology",
+                "n_flows",
+                "pr_normalized",
+                "sack_normalized",
+                "mean_pr",
+                "mean_sack",
+                "cov_pr",
+                "cov_sack",
+                "loss_rate_pct"
+            ]
         );
     }
 
@@ -1222,6 +1643,44 @@ mod tests {
         assert_eq!(with("retransmits", Value::Float(1.5)), None);
         assert_eq!(with("jain", Value::Str("1".to_owned())), None);
         assert_eq!(CellReport::decode(&Metric::HUNT, &Value::Null), None);
+
+        let fairness = |key: &str, json: &str| {
+            let mut outcome = serde::Serialize::to_value(&sample(&Metric::FAIRNESS));
+            let Value::Object(fields) = &mut outcome else {
+                panic!("reports serialise to objects")
+            };
+            let value = serde_json::from_str(json).expect("valid JSON");
+            fields.iter_mut().find(|(k, _)| k == key).expect("a fairness key").1 = value;
+            CellReport::decode(&Metric::FAIRNESS, &outcome)
+        };
+        let whole = fairness("pr_normalized", "[1, 2]").expect("integral floats in a vector");
+        assert_eq!(
+            whole.get(Metric::PrNormalized),
+            &Value::Array(vec![Value::Float(1.0), Value::Float(2.0)])
+        );
+        assert!(fairness("sack_normalized", "[]").is_some(), "an empty side reads back");
+        assert_eq!(fairness("pr_normalized", r#"[1, "1"]"#), None);
+        assert_eq!(fairness("pr_normalized", "1"), None);
+        assert_eq!(fairness("topology", "7"), None);
+        let mut scale = serde::Serialize::to_value(&sample(&Metric::SCALE));
+        let Value::Object(fields) = &mut scale else { panic!("reports serialise to objects") };
+        fields[0].1 = Value::Str("TcpTahoe".to_owned());
+        assert_eq!(CellReport::decode(&Metric::SCALE, &scale), None, "an unknown variant name");
+    }
+
+    /// Outcomes copied from `.sweep-cache` entries written by `796450a`, the
+    /// last commit whose fairness and scale harnesses serialised a result
+    /// struct of their own through the serde derive: the metric lists read
+    /// them and write the same text back.
+    #[test]
+    fn outcomes_cached_before_the_result_structs_went_still_decode() {
+        let fairness = r#"{"topology":"dumbbell","n_flows":2,"pr_normalized":[1.2485860490169673],"sack_normalized":[0.7514139509830325],"mean_pr":1.2485860490169673,"mean_sack":0.7514139509830325,"cov_pr":0,"cov_sack":0,"loss_rate_pct":0.5526337176227463}"#;
+        let scale = r#"{"variant":"Bbr","topology":"fat-tree-k4","target_flows":120,"peak_flows":123,"arrivals":1710,"completions":1709,"jain":0.8966792945285313,"goodput_cov":0.33944945106764085,"p99_fct_ms":131.071,"mean_fct_ms":8.870191339964892,"foreground_mbps":17.432,"delivered_mbps":20.026666666666667,"bytes_per_flow":132}"#;
+        for (metrics, text) in [(&Metric::FAIRNESS[..], fairness), (&Metric::SCALE[..], scale)] {
+            let parsed = serde_json::from_str(text).expect("valid JSON");
+            let report = CellReport::decode(metrics, &parsed).expect("a parent-written outcome");
+            assert_eq!(serde_json::to_string(&serde::Serialize::to_value(&report)).unwrap(), text);
+        }
     }
 
     fn bar(variant: &str, epsilon: f64, mbps: f64, retransmits: u64) -> CellReport {

@@ -6,7 +6,7 @@
 //! parking-lot topologies. The reproduction criterion is that both protocol
 //! means sit near 1 across the sweep.
 
-use crate::figures::fairness::FairnessResult;
+use crate::cell::{CellReport, Metric};
 
 /// The flow counts swept by the paper's Figure 2.
 pub const FLOW_COUNTS: [usize; 6] = [2, 4, 8, 16, 32, 64];
@@ -16,8 +16,8 @@ pub const FLOW_COUNTS: [usize; 6] = [2, 4, 8, 16, 32, 64];
 pub struct Fig2Series {
     /// Topology label.
     pub topology: String,
-    /// One fairness result per flow count.
-    pub rows: Vec<FairnessResult>,
+    /// One fairness cell per flow count.
+    pub rows: Vec<CellReport>,
 }
 
 /// Renders a series as the paper-style text table.
@@ -29,7 +29,10 @@ pub fn format_table(series: &[Fig2Series]) -> String {
         for row in &set.rows {
             s.push_str(&format!(
                 "{:5} | {:15.3} | {:17.3} | {:6.2}\n",
-                row.n_flows, row.mean_pr, row.mean_sack, row.loss_rate_pct
+                row.num(Metric::NFlows),
+                row.num(Metric::MeanPr),
+                row.num(Metric::MeanSack),
+                row.num(Metric::LossRatePct)
             ));
         }
         s.push('\n');

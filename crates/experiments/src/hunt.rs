@@ -37,7 +37,7 @@ use rand::rngs::SmallRng;
 use rand::Rng;
 use serde::{Serialize, Value};
 
-use crate::cell::{self, Capture, CellReport, Metric};
+use crate::cell::{self, Capture, CellReport, Metric, Observe};
 use crate::sweep::spec::{profile_name, AdminWindowSpec};
 use crate::sweep::{
     run_sweep, CachePolicy, ExecCtx, ImpairmentSpec, PlanSpec, ScenarioKind, ScenarioSpec,
@@ -437,11 +437,10 @@ fn weakened_windows(w: &AdminWindowSpec) -> Vec<AdminWindowSpec> {
 /// incidents), the sampled series, and a capture-health block recording
 /// trace / span retention so truncation is visible in every artifact.
 pub(crate) fn forensic_payload(spec: &ScenarioSpec, fctx: &crate::sweep::ForensicCtx) -> Value {
-    let scenario = cell::lower(&spec.kind, &spec.impairments, &spec.schedule)
-        .expect("a hunt spec lowers to a cell");
+    let scenario = cell::lower(&spec.kind, &spec.impairments, &spec.schedule);
     let plan = spec.plan.plan();
     let mut cap = Capture::default();
-    let cell = cell::run(&scenario, plan, spec.sim_seed(), Some(&mut cap));
+    let cell = cell::run(&scenario, plan, spec.sim_seed(), Observe::Capture(&mut cap));
 
     let objective = fctx.objective.as_deref().and_then(Objective::from_name);
     let value = objective.map(|o| o.value(&cell));

@@ -10,17 +10,18 @@
 //!   (Section 4 formulas), plus Jain fairness as an extension;
 //! - [`variants`]: a factory over every sender variant;
 //! - [`runner`]: warm-up/measure windows ("data sent during the last 60 s");
-//! - [`cell`]: the one harness behind every single-flow cell — Figure 6,
-//!   the face-off, route flaps, MANET churn, the TCP-PR [`ablations`], the
-//!   impairment stress suite over `netsim::impair` and the adversarial
-//!   [`hunt`] — as a declarative `Scenario`, one `run` and one `CellReport`;
-//! - [`figures`]: the fairness harness behind Figures 2–4 and each
-//!   figure's result rows, constants and table;
+//! - [`cell`]: the one harness behind every cell of every figure —
+//!   the Section 4 fairness experiment of Figures 2–4, Figure 6, the
+//!   face-off, route flaps, MANET churn, the TCP-PR [`ablations`], the
+//!   impairment stress suite over `netsim::impair`, the adversarial
+//!   [`hunt`] and the Internet-scale population cells over
+//!   `crates/workload` (generated topologies, heavy-tailed flow churn at
+//!   10k+ concurrent flows) — as a declarative `Scenario`, one `run` and
+//!   one `CellReport`;
+//! - [`figures`]: each figure's constants, result rows and table;
 //! - [`sweep`]: the deterministic parallel sweep engine (scenario specs,
 //!   worker pool, content-addressed result cache);
-//! - [`scale`]: the Internet-scale population harness over
-//!   `crates/workload` (generated topologies, heavy-tailed flow churn at
-//!   10k+ concurrent flows, streaming population metrics);
+//! - [`scale`]: the load a pair of the population cells carries;
 //! - [`telemetry`]: the `results/*.json` artifact wrapper with its
 //!   run-health block.
 //!

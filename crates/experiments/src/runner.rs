@@ -58,20 +58,30 @@ pub fn measure_window_with(
     plan: MeasurePlan,
     sampler: Option<&mut Sampler>,
 ) -> Vec<u64> {
+    let received = |sim: &Simulator| {
+        handles.iter().map(|h| receiver_host(sim, h.receiver).received_unique_bytes()).collect()
+    };
+    measure_counters(sim, plan, sampler, received)
+}
+
+/// The protocol under [`measure_window_with`], for any monotone counters:
+/// runs the simulation through the plan and returns how far each counter
+/// `read` reports moved during the measurement window.
+pub fn measure_counters(
+    sim: &mut Simulator,
+    plan: MeasurePlan,
+    sampler: Option<&mut Sampler>,
+    read: impl Fn(&Simulator) -> Vec<u64>,
+) -> Vec<u64> {
     let mut sampler = sampler;
     let mut advance = |sim: &mut Simulator, until: SimTime| match sampler.as_deref_mut() {
         Some(s) => s.advance(sim, until),
         None => sim.run_until(until),
     };
     advance(sim, SimTime::ZERO + plan.warmup);
-    let before: Vec<u64> =
-        handles.iter().map(|h| receiver_host(sim, h.receiver).received_unique_bytes()).collect();
+    let before = read(sim);
     advance(sim, SimTime::ZERO + plan.total());
-    handles
-        .iter()
-        .zip(before)
-        .map(|(h, b)| receiver_host(sim, h.receiver).received_unique_bytes() - b)
-        .collect()
+    read(sim).iter().zip(before).map(|(after, before)| after - before).collect()
 }
 
 /// Allocates consecutive flow ids starting at `base`.

@@ -210,19 +210,11 @@ mod tests {
     }
 
     fn run() -> CachedRun {
-        let result = crate::figures::fairness::FairnessResult {
-            topology: "dumbbell".to_owned(),
-            n_flows: 4,
-            pr_normalized: vec![0.9, 1.01],
-            sack_normalized: vec![1.1, 0.99],
-            mean_pr: 0.95,
-            mean_sack: 1.05,
-            cov_pr: 0.05,
-            cov_sack: 0.04,
-            loss_rate_pct: 0.5,
-        };
+        let outcome = r#"{"topology":"dumbbell","n_flows":4,"pr_normalized":[0.9,1.01],
+            "sack_normalized":[1.1,0.99],"mean_pr":0.95,"mean_sack":1.05,"cov_pr":0.05,
+            "cov_sack":0.04,"loss_rate_pct":0.5}"#;
         CachedRun {
-            outcome: serde::Serialize::to_value(&result),
+            outcome: serde_json::from_str(outcome).expect("a fairness outcome"),
             work: SessionStats {
                 sims: 1,
                 events_processed: 12345,

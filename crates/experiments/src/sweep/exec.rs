@@ -1,6 +1,10 @@
 //! Executes one [`ScenarioSpec`] on the calling thread and returns its
 //! outcome as a serialized value tree.
 //!
+//! Every kind takes the same two steps — [`cell::lower`], [`cell::run`] —
+//! and there is no per-kind code here; the one fork is a hunt cell under a
+//! forensic context, whose payload wraps the same report.
+//!
 //! Workers call [`execute`] with a shared [`ExecCtx`]; everything mutable
 //! (the simulator, the trace sink) is constructed locally, so any number of
 //! workers can execute scenarios concurrently without sharing state.
@@ -9,16 +13,10 @@ use std::path::PathBuf;
 
 use netsim::trace::{JsonlTraceSink, TraceSink};
 use serde::Value;
-use tcp_pr::TcpPrConfig;
 
-use crate::cell;
-use crate::figures::fairness::{
-    run_fairness_with, FairnessParams, FairnessTelemetry, FairnessTopology,
-};
+use crate::cell::{self, Observe};
 use crate::hunt;
-use crate::scale::{self, ScaleConfig};
-use crate::sweep::spec::{ScenarioKind, ScenarioSpec, TopologySpec};
-use crate::topologies::{DumbbellConfig, ParkingLotConfig};
+use crate::sweep::spec::{ScenarioKind, ScenarioSpec};
 
 /// Immutable context shared by every worker of a sweep.
 #[derive(Debug, Default, Clone)]
@@ -46,7 +44,7 @@ pub struct ForensicCtx {
 }
 
 impl ExecCtx {
-    /// The JSONL trace path for a traced scenario, if tracing is enabled.
+    /// The JSONL trace sink of a traced scenario, if tracing is enabled.
     fn trace_sink(&self) -> Option<Box<dyn TraceSink>> {
         let dir = self.telemetry_dir.as_ref()?;
         let path = dir.join("fig2_flow0.jsonl");
@@ -57,93 +55,31 @@ impl ExecCtx {
     }
 }
 
-impl TopologySpec {
-    /// The concrete fairness topology for this spec.
-    pub fn build(&self) -> FairnessTopology {
-        match *self {
-            TopologySpec::Dumbbell { bottleneck_mbps } => {
-                let mut cfg = DumbbellConfig::default();
-                if let Some(bw) = bottleneck_mbps {
-                    cfg.bottleneck_mbps = bw;
-                }
-                FairnessTopology::Dumbbell(cfg)
-            }
-            TopologySpec::ParkingLot { backbone_mbps } => {
-                let mut cfg = ParkingLotConfig::default();
-                if let Some(bw) = backbone_mbps {
-                    cfg.backbone_mbps = bw;
-                }
-                FairnessTopology::ParkingLot(cfg)
-            }
-            TopologySpec::Generated { model } => panic!(
-                "generated topology {} is population-only: use ScenarioKind::Scale, \
-                 not a fairness scenario",
-                model.label()
-            ),
-        }
-    }
-}
-
-/// Runs the scenario to completion and serializes its typed result.
-///
-/// The returned value is exactly the `serde::Serialize` tree of the
-/// harness's result (`FairnessResult`, `ScaleResult`, or the
-/// [`cell::CellReport`] of the six kinds [`cell::lower`] covers), so
-/// cached and freshly-executed outcomes are indistinguishable downstream.
+/// Runs the scenario to completion and serializes its outcome: the
+/// [`cell::CellReport`] of its kind, so cached and freshly-executed
+/// outcomes are indistinguishable downstream — or, for a hunt cell under
+/// a forensic context, the `explain` payload around that report.
 ///
 /// # Panics
 ///
-/// Propagates any panic from the underlying harness (an invalid spec, a
-/// simulator invariant failure). The worker pool catches these and records
-/// a crashed outcome instead of killing the sweep.
+/// Propagates any panic from the harness (an invalid spec, a simulator
+/// invariant failure). The worker pool catches these and records a crashed
+/// outcome instead of killing the sweep.
 pub fn execute(spec: &ScenarioSpec, ctx: &ExecCtx) -> Value {
-    let plan = spec.plan.plan();
-    let seed = spec.sim_seed();
-    match &spec.kind {
-        ScenarioKind::Fairness { topology, n_flows, alpha, beta, .. } => {
-            let params = FairnessParams {
-                plan,
-                seed,
-                pr_config: TcpPrConfig::with_alpha_beta(*alpha, *beta),
-            };
-            let telemetry = FairnessTelemetry {
-                trace_sink: if spec.traced { ctx.trace_sink() } else { None },
-                ..FairnessTelemetry::default()
-            };
-            let r = run_fairness_with(topology.build(), *n_flows, &params, telemetry);
-            serde::Serialize::to_value(&r)
-        }
-        ScenarioKind::Scale { variant, topology, target_flows, .. } => {
-            let TopologySpec::Generated { model } = topology else {
-                panic!("scale scenarios require a generated topology, got {}", topology.label())
-            };
-            let r = scale::run_scale(
-                *variant,
-                *model,
-                *target_flows,
-                ScaleConfig::default(),
-                plan,
-                seed,
-            );
-            serde::Serialize::to_value(&r)
-        }
-        kind => match (kind, &ctx.forensics) {
-            (ScenarioKind::Hunt { .. }, Some(fctx)) => hunt::forensic_payload(spec, fctx),
-            _ => serde::Serialize::to_value(&cell::run_kind(
-                kind,
-                &spec.impairments,
-                &spec.schedule,
-                plan,
-                seed,
-            )),
-        },
+    if let (ScenarioKind::Hunt { .. }, Some(fctx)) = (&spec.kind, &ctx.forensics) {
+        return hunt::forensic_payload(spec, fctx);
     }
+    let scenario = cell::lower(&spec.kind, &spec.impairments, &spec.schedule);
+    let sink = if spec.traced { ctx.trace_sink() } else { None };
+    let observe = sink.map_or(Observe::Nothing, Observe::Stream);
+    let report = cell::run(&scenario, spec.plan.plan(), spec.sim_seed(), observe);
+    serde::Serialize::to_value(&report)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::spec::PlanSpec;
+    use crate::sweep::spec::{PlanSpec, TopologySpec};
     use crate::variants::Variant;
 
     #[test]

@@ -5,9 +5,8 @@
 //! - a **grid builder** expands the figure's parameter sweep into a flat
 //!   list of [`ScenarioSpec`]s (one per cell), and
 //! - an **assembler** folds the sweep outcomes (in spec order, fresh or
-//!   cached — indistinguishable) back into the figure's typed result
-//!   collection, its paper-style text table, and the `results/*.json`
-//!   payload.
+//!   cached — indistinguishable), read back as [`CellReport`]s, into the
+//!   figure's paper-style text table and the `results/*.json` payload.
 //!
 //! The `repro` binary concatenates the grids of every requested figure into
 //! one job list, runs a single sweep over all of it, then hands each
@@ -21,8 +20,6 @@ use crate::figures::fig2::{self, Fig2Series};
 use crate::figures::fig3::{self, Fig3Point};
 use crate::figures::fig4::{self, Fig4Cell};
 use crate::figures::fig6;
-use crate::scale;
-use crate::sweep::decode;
 use crate::sweep::spec::{ImpairmentSpec, PlanSpec, ScenarioKind, ScenarioSpec, TopologySpec};
 use crate::variants::Variant;
 use workload::TopologyModel;
@@ -95,22 +92,19 @@ fn fairness_spec(
     ScenarioSpec::new(ScenarioKind::Fairness { topology, n_flows, alpha, beta, replicate }, plan)
 }
 
-fn decode_fairness(v: &Value) -> crate::figures::fairness::FairnessResult {
-    decode::fairness_result(v).expect("the sweep hands on only outcomes that decode")
+/// Reads each outcome back through its kind's metric list.
+fn reports(specs: &[ScenarioSpec], outcomes: &[Value]) -> Vec<CellReport> {
+    let decode = |(spec, v): (&ScenarioSpec, &Value)| {
+        CellReport::decode(Metric::list(&spec.kind), v)
+            .expect("the sweep hands on only outcomes that decode")
+    };
+    specs.iter().zip(outcomes).map(decode).collect()
 }
 
-/// The assembler of every grid whose cells run through [`crate::cell`]:
-/// reads each outcome back through its kind's metric list, prints the
+/// The assembler of every grid whose artifact is its cells: prints the
 /// reports as `table` and hands them on as the artifact's `results`.
 fn assemble_cells(table: &Table, specs: &[ScenarioSpec], outcomes: &[Value]) -> (String, Value) {
-    let reports: Vec<CellReport> = specs
-        .iter()
-        .zip(outcomes)
-        .map(|(spec, v)| {
-            let metrics = Metric::list(&spec.kind).expect("a grid of cell kinds");
-            CellReport::decode(metrics, v).expect("the sweep hands on only outcomes that decode")
-        })
-        .collect();
+    let reports = reports(specs, outcomes);
     (table.render(&reports), serde::Serialize::to_value(&reports))
 }
 
@@ -135,16 +129,11 @@ fn fig2_grid(quick: bool, plan: PlanSpec, trace_first: bool) -> FigureGrid {
 fn assemble_fig2(specs: &[ScenarioSpec], outcomes: &[Value]) -> (String, Value) {
     // Group rows into one series per topology, first-seen order.
     let mut series: Vec<Fig2Series> = Vec::new();
-    for (spec, v) in specs.iter().zip(outcomes) {
-        let row = decode_fairness(v);
-        let ScenarioKind::Fairness { topology, .. } = &spec.kind else {
-            unreachable!("fig2 grid emits only fairness specs")
-        };
-        match series.iter_mut().find(|s| s.topology == topology.label()) {
+    for row in reports(specs, outcomes) {
+        let topology = row.text(Metric::Topology).to_owned();
+        match series.iter_mut().find(|s| s.topology == topology) {
             Some(s) => s.rows.push(row),
-            None => {
-                series.push(Fig2Series { topology: topology.label().to_owned(), rows: vec![row] })
-            }
+            None => series.push(Fig2Series { topology, rows: vec![row] }),
         }
     }
     (fig2::format_table(&series), serde::Serialize::to_value(&series))
@@ -175,21 +164,20 @@ fn fig3_grid(quick: bool, plan: PlanSpec) -> FigureGrid {
 fn assemble_fig3(specs: &[ScenarioSpec], outcomes: &[Value]) -> (String, Value) {
     let points: Vec<Fig3Point> = specs
         .iter()
-        .zip(outcomes)
-        .map(|(spec, v)| {
-            let r = decode_fairness(v);
+        .zip(reports(specs, outcomes))
+        .map(|(spec, r)| {
             let ScenarioKind::Fairness { topology, replicate, .. } = &spec.kind else {
                 unreachable!("fig3 grid emits only fairness specs")
             };
             Fig3Point {
-                topology: r.topology,
+                topology: r.text(Metric::Topology).to_owned(),
                 bandwidth_mbps: topology
                     .bandwidth_override()
                     .expect("every fig3 spec overrides the bottleneck"),
                 seed: *replicate,
-                loss_rate_pct: r.loss_rate_pct,
-                cov_pr: r.cov_pr,
-                cov_sack: r.cov_sack,
+                loss_rate_pct: r.num(Metric::LossRatePct),
+                cov_pr: r.num(Metric::CovPr),
+                cov_sack: r.num(Metric::CovSack),
             }
         })
         .collect();
@@ -223,18 +211,17 @@ fn fig4_grid(quick: bool, plan: PlanSpec, dumbbell: bool) -> FigureGrid {
 fn assemble_fig4(specs: &[ScenarioSpec], outcomes: &[Value]) -> (String, Value) {
     let cells: Vec<Fig4Cell> = specs
         .iter()
-        .zip(outcomes)
-        .map(|(spec, v)| {
-            let r = decode_fairness(v);
+        .zip(reports(specs, outcomes))
+        .map(|(spec, r)| {
             let ScenarioKind::Fairness { alpha, beta, .. } = &spec.kind else {
                 unreachable!("fig4 grid emits only fairness specs")
             };
             Fig4Cell {
-                topology: r.topology,
+                topology: r.text(Metric::Topology).to_owned(),
                 alpha: *alpha,
                 beta: *beta,
-                mean_sack: r.mean_sack,
-                mean_pr: r.mean_pr,
+                mean_sack: r.num(Metric::MeanSack),
+                mean_pr: r.num(Metric::MeanPr),
             }
         })
         .collect();
@@ -459,15 +446,8 @@ fn scale_grid(quick: bool) -> FigureGrid {
     let mut specs = Vec::new();
     for &variant in &SCALE_VARIANTS {
         for &target_flows in flows {
-            specs.push(ScenarioSpec::new(
-                ScenarioKind::Scale {
-                    variant,
-                    topology: TopologySpec::Generated { model },
-                    target_flows,
-                    replicate: 0,
-                },
-                PlanSpec::Quick,
-            ));
+            let kind = ScenarioKind::Scale { variant, model, target_flows, replicate: 0 };
+            specs.push(ScenarioSpec::new(kind, PlanSpec::Quick));
         }
     }
     FigureGrid {
@@ -475,7 +455,7 @@ fn scale_grid(quick: bool) -> FigureGrid {
         artifact: "scale",
         in_all: false,
         specs,
-        assemble: assemble_scale,
+        assemble: |s, o| assemble_cells(&Table::SCALE, s, o),
     }
 }
 
@@ -488,15 +468,8 @@ fn scale_smoke_grid() -> FigureGrid {
     let mut specs = Vec::new();
     for variant in [Variant::TcpPr, Variant::Bbr] {
         for model in models {
-            specs.push(ScenarioSpec::new(
-                ScenarioKind::Scale {
-                    variant,
-                    topology: TopologySpec::Generated { model },
-                    target_flows: 120,
-                    replicate: 0,
-                },
-                PlanSpec::Smoke,
-            ));
+            let kind = ScenarioKind::Scale { variant, model, target_flows: 120, replicate: 0 };
+            specs.push(ScenarioSpec::new(kind, PlanSpec::Smoke));
         }
     }
     FigureGrid {
@@ -504,16 +477,8 @@ fn scale_smoke_grid() -> FigureGrid {
         artifact: "scale_smoke",
         in_all: false,
         specs,
-        assemble: assemble_scale,
+        assemble: |s, o| assemble_cells(&Table::SCALE, s, o),
     }
-}
-
-fn assemble_scale(_specs: &[ScenarioSpec], outcomes: &[Value]) -> (String, Value) {
-    let results: Vec<_> = outcomes
-        .iter()
-        .map(|v| decode::scale_result(v).expect("the sweep hands on only outcomes that decode"))
-        .collect();
-    (scale::format_table(&results), serde::Serialize::to_value(&results))
 }
 
 fn fig6_grid(quick: bool, plan: PlanSpec, link_delay_ms: u64) -> FigureGrid {
@@ -768,9 +733,10 @@ mod tests {
         assert_eq!(series.len(), 2, "one series per topology");
         // Shape criterion: both protocol means near 1 in every cell (loose
         // band for the quick plan).
-        for row in outcomes.iter().map(decode_fairness) {
-            assert!(row.mean_pr > 0.4 && row.mean_pr < 1.6, "{row:?}");
-            assert!(row.mean_sack > 0.4 && row.mean_sack < 1.6, "{row:?}");
+        for row in reports(&grid.specs, &outcomes) {
+            let (mean_pr, mean_sack) = (row.num(Metric::MeanPr), row.num(Metric::MeanSack));
+            assert!(mean_pr > 0.4 && mean_pr < 1.6, "{row:?}");
+            assert!(mean_sack > 0.4 && mean_sack < 1.6, "{row:?}");
         }
     }
 
@@ -786,16 +752,18 @@ mod tests {
         let ctx = crate::sweep::exec::ExecCtx::default();
         let outcomes: Vec<Value> =
             specs.iter().map(|s| crate::sweep::exec::execute(s, &ctx)).collect();
-        let rows: Vec<_> = outcomes.iter().map(decode_fairness).collect();
+        let rows = reports(&specs, &outcomes);
+        let loss = |r: &CellReport| r.num(Metric::LossRatePct);
         assert!(
-            rows[1].loss_rate_pct > rows[0].loss_rate_pct,
+            loss(&rows[1]) > loss(&rows[0]),
             "1 Mbps ({}) must lose more than 5 Mbps ({})",
-            rows[1].loss_rate_pct,
-            rows[0].loss_rate_pct
+            loss(&rows[1]),
+            loss(&rows[0])
         );
         for r in &rows {
-            assert!(r.cov_pr.is_finite() && r.cov_sack.is_finite());
-            assert!(r.cov_pr >= 0.0 && r.cov_sack >= 0.0);
+            let (cov_pr, cov_sack) = (r.num(Metric::CovPr), r.num(Metric::CovSack));
+            assert!(cov_pr.is_finite() && cov_sack.is_finite());
+            assert!(cov_pr >= 0.0 && cov_sack >= 0.0);
         }
         let (table, results) = assemble_fig3(&specs, &outcomes);
         assert!(table.contains("CoV"), "{table}");

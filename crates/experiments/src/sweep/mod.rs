@@ -30,5 +30,6 @@ pub use exec::{execute, ExecCtx, ForensicCtx};
 pub use grids::{all_figures, FigureGrid};
 pub use pool::{run_sweep, RunOutcome, ScenarioRun, SweepOptions, SweepReport};
 pub use spec::{
-    AdminWindowSpec, ImpairmentSpec, PlanSpec, ScenarioKind, ScenarioSpec, TopologySpec, CODE_SALT,
+    AdminWindowSpec, ImpairmentSpec, PlanSpec, ScenarioKind, ScenarioSpec, TopologyModel,
+    TopologySpec, CODE_SALT,
 };

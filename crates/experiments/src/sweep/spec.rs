@@ -18,7 +18,7 @@
 use crate::ablations::Ablation;
 use crate::runner::MeasurePlan;
 use crate::variants::Variant;
-use workload::TopologyModel;
+pub use workload::TopologyModel;
 
 /// Code-version salt folded into every spec hash. Bump it whenever scenario
 /// *semantics* change (topology defaults, measurement protocol, sender
@@ -50,24 +50,14 @@ pub enum TopologySpec {
         /// Backbone bandwidth override, Mbps.
         backbone_mbps: Option<f64>,
     },
-    /// A seeded generated population topology (fat-tree or AS-like graph)
-    /// from `crates/workload`. Generation is a pure function of the model
-    /// and the spec's derived sim seed, so the spec stays pure data and the
-    /// content hash covers everything execution-relevant.
-    Generated {
-        /// Which generator and its shape parameters.
-        model: TopologyModel,
-    },
 }
 
 impl TopologySpec {
-    /// Short name matching [`crate::figures::fairness::FairnessTopology::label`].
+    /// Short name, the `topology` a fairness cell reports.
     pub fn label(&self) -> &'static str {
         match self {
             TopologySpec::Dumbbell { .. } => "dumbbell",
             TopologySpec::ParkingLot { .. } => "parking-lot",
-            TopologySpec::Generated { model: TopologyModel::FatTree { .. } } => "fat-tree",
-            TopologySpec::Generated { model: TopologyModel::AsGraph { .. } } => "as-graph",
         }
     }
 
@@ -76,38 +66,14 @@ impl TopologySpec {
         match *self {
             TopologySpec::Dumbbell { bottleneck_mbps } => bottleneck_mbps,
             TopologySpec::ParkingLot { backbone_mbps } => backbone_mbps,
-            TopologySpec::Generated { .. } => None,
         }
     }
 
-    /// Canonical hash encoding: a tag string then every parameter, in
-    /// declaration order. The dumbbell/parking-lot encodings predate this
-    /// method and must stay byte-identical (pinned-hash test below).
+    /// Canonical hash encoding: the label then the override (pinned-hash
+    /// test below).
     fn hash_into(&self, h: &mut Fnv1a) {
-        match *self {
-            TopologySpec::Dumbbell { bottleneck_mbps } => {
-                h.write_str("dumbbell");
-                h.write_opt_f64(bottleneck_mbps);
-            }
-            TopologySpec::ParkingLot { backbone_mbps } => {
-                h.write_str("parking-lot");
-                h.write_opt_f64(backbone_mbps);
-            }
-            TopologySpec::Generated { model } => {
-                h.write_str("generated");
-                match model {
-                    TopologyModel::FatTree { k } => {
-                        h.write_str("fat-tree");
-                        h.write_u64(u64::from(k));
-                    }
-                    TopologyModel::AsGraph { nodes, edges_per_node } => {
-                        h.write_str("as-graph");
-                        h.write_u64(u64::from(nodes));
-                        h.write_u64(u64::from(edges_per_node));
-                    }
-                }
-            }
-        }
+        h.write_str(self.label());
+        h.write_opt_f64(self.bandwidth_override());
     }
 }
 
@@ -185,9 +151,10 @@ pub enum ScenarioKind {
     Scale {
         /// Protocol of the foreground flow under test.
         variant: Variant,
-        /// Generated topology to populate (must be
-        /// [`TopologySpec::Generated`]).
-        topology: TopologySpec,
+        /// Generated topology to populate. Generation is a pure function
+        /// of the model and the spec's derived sim seed, so the content
+        /// hash covers everything execution-relevant.
+        model: TopologyModel,
         /// Target concurrent logical flows across the population.
         target_flows: u32,
         /// Replicate index, folded into the hash for distinct sim seeds.
@@ -537,10 +504,23 @@ impl ScenarioSpec {
                 h.write_str("hunt");
                 h.write_str(variant.label());
             }
-            ScenarioKind::Scale { variant, topology, target_flows, replicate } => {
+            ScenarioKind::Scale { variant, model, target_flows, replicate } => {
                 h.write_str("scale");
                 h.write_str(variant.label());
-                topology.hash_into(&mut h);
+                // Not a choice among topologies any more, but part of every
+                // scale cell's cache key and derived seed.
+                h.write_str("generated");
+                match *model {
+                    TopologyModel::FatTree { k } => {
+                        h.write_str("fat-tree");
+                        h.write_u64(u64::from(k));
+                    }
+                    TopologyModel::AsGraph { nodes, edges_per_node } => {
+                        h.write_str("as-graph");
+                        h.write_u64(u64::from(nodes));
+                        h.write_u64(u64::from(edges_per_node));
+                    }
+                }
                 h.write_u64(u64::from(*target_flows));
                 h.write_u64(*replicate);
             }
@@ -609,12 +589,8 @@ impl ScenarioSpec {
             ScenarioKind::Hunt { variant } => {
                 format!("hunt {variant} [{}]", profile_name(&self.impairments, &self.schedule))
             }
-            ScenarioKind::Scale { variant, topology, target_flows, replicate } => {
-                let topo = match topology {
-                    TopologySpec::Generated { model } => model.label(),
-                    other => other.label().to_owned(),
-                };
-                format!("scale {variant} {topo} flows={target_flows} rep={replicate}")
+            ScenarioKind::Scale { variant, model, target_flows, replicate } => {
+                format!("scale {variant} {} flows={target_flows} rep={replicate}", model.label())
             }
         }
     }
@@ -829,7 +805,7 @@ mod tests {
         ScenarioSpec::new(
             ScenarioKind::Scale {
                 variant: Variant::TcpPr,
-                topology: TopologySpec::Generated { model: TopologyModel::FatTree { k: 4 } },
+                model: TopologyModel::FatTree { k: 4 },
                 target_flows,
                 replicate,
             },
@@ -853,9 +829,7 @@ mod tests {
         let as_graph = ScenarioSpec::new(
             ScenarioKind::Scale {
                 variant: Variant::TcpPr,
-                topology: TopologySpec::Generated {
-                    model: TopologyModel::AsGraph { nodes: 40, edges_per_node: 2 },
-                },
+                model: TopologyModel::AsGraph { nodes: 40, edges_per_node: 2 },
                 target_flows: 1000,
                 replicate: 0,
             },
@@ -865,7 +839,7 @@ mod tests {
         let bigger = ScenarioSpec {
             kind: ScenarioKind::Scale {
                 variant: Variant::TcpPr,
-                topology: TopologySpec::Generated { model: TopologyModel::FatTree { k: 6 } },
+                model: TopologyModel::FatTree { k: 6 },
                 target_flows: 1000,
                 replicate: 0,
             },
@@ -876,13 +850,10 @@ mod tests {
 
     #[test]
     fn generated_topology_labels_and_overrides() {
-        let ft = TopologySpec::Generated { model: TopologyModel::FatTree { k: 4 } };
-        let asg = TopologySpec::Generated {
-            model: TopologyModel::AsGraph { nodes: 24, edges_per_node: 2 },
-        };
-        assert_eq!(ft.label(), "fat-tree");
-        assert_eq!(asg.label(), "as-graph");
-        assert_eq!(ft.bandwidth_override(), None);
+        let lot = TopologySpec::ParkingLot { backbone_mbps: Some(9.0) };
+        assert_eq!(lot.label(), "parking-lot");
+        assert_eq!(lot.bandwidth_override(), Some(9.0));
+        assert_eq!(TopologySpec::Dumbbell { bottleneck_mbps: None }.bandwidth_override(), None);
         let label = scale_spec(1000, 2).label();
         assert!(label.contains("scale"), "{label}");
         assert!(label.contains("fat-tree-k4"), "{label}");

@@ -8,10 +8,9 @@
 //! cargo run --example parameter_sensitivity --release
 //! ```
 
-use experiments::figures::fairness::{run_fairness, FairnessParams, FairnessTopology};
+use experiments::cell::{self, Metric};
 use experiments::runner::MeasurePlan;
-use experiments::topologies::DumbbellConfig;
-use tcp_pr::TcpPrConfig;
+use experiments::sweep::{ScenarioKind, TopologySpec};
 
 fn main() {
     println!("TCP-SACK mean normalized throughput vs TCP-PR(α, β), 8 flows, dumbbell");
@@ -19,13 +18,11 @@ fn main() {
     println!(" alpha | beta | mean T(SACK) | mean T(PR)");
     for &alpha in &[0.25f64, 0.995] {
         for &beta in &[1.0f64, 2.0, 3.0, 5.0] {
-            let params = FairnessParams {
-                plan: MeasurePlan::quick(),
-                seed: 5,
-                pr_config: TcpPrConfig::with_alpha_beta(alpha, beta),
-            };
-            let r = run_fairness(FairnessTopology::Dumbbell(DumbbellConfig::default()), 8, &params);
-            println!("{alpha:6.3} | {beta:4.1} | {:12.3} | {:10.3}", r.mean_sack, r.mean_pr);
+            let topology = TopologySpec::Dumbbell { bottleneck_mbps: None };
+            let kind = ScenarioKind::Fairness { topology, n_flows: 8, alpha, beta, replicate: 0 };
+            let r = cell::run_kind(&kind, &[], &[], MeasurePlan::quick(), 5);
+            let (sack, pr) = (r.num(Metric::MeanSack), r.num(Metric::MeanPr));
+            println!("{alpha:6.3} | {beta:4.1} | {sack:12.3} | {pr:10.3}");
         }
     }
     println!("\nAs in the paper's Figure 4: β = 1 favors TCP-SACK; for β in 2..5 the");

@@ -1,12 +1,14 @@
-//! Pins the one-cell harness (`experiments::cell`) to the six hand-written
+//! Pins the one-cell harness (`experiments::cell`) to the eight hand-written
 //! harnesses it replaced: `fig6::run_multipath_point`,
 //! `routeflap::run_route_flap`, `manet::run_churn`,
 //! `ablations::run_ablation`, `stress::run_stress` and
-//! `hunt::run_hunt_cell`, each with its own result struct.
+//! `hunt::run_hunt_cell`, then the fairness harness of Figures 2–4 and the
+//! scale suite's, each with its own result struct.
 //!
-//! Each hash below was recorded on the last commit that still had those
-//! harnesses (`b237513`) by running this very file there; none of them
-//! survives to compare against. A hash covers the canonical JSON text of
+//! Each hash below was recorded on the last commit that still had the
+//! harness it names (`b237513` for the first six, `796450a` for the last
+//! two) by running this very file there; none of them survives to compare
+//! against. A hash covers the canonical JSON text of
 //! one scenario's outcome as `sweep::execute` returns it — every key, in
 //! order, and every value — so a metric computed from a different counter,
 //! a key renamed or reordered, an agent attached in a different order
@@ -15,13 +17,17 @@
 //! TCP-PR, TCP-SACK and BBR under each, and for the two impaired kinds a
 //! loss stage, a reordering pipeline (jitter + displace + duplicate), the
 //! three periodic schedules and — hunt only — a `Down` and a `Delay`
-//! window. Everything runs on the smoke plan (1 s + 3 s).
+//! window; the fairness cells cover both topologies at two flow counts, a
+//! Figure 3 bandwidth override on each and a Figure 4 (α, β); the scale
+//! cells both generator families. Everything runs on the smoke plan
+//! (1 s + 3 s).
 
 use experiments::ablations::Ablation;
+use experiments::cell::{self, Observe};
 use experiments::sweep::decode::get;
 use experiments::sweep::{
     execute, AdminWindowSpec, ExecCtx, ForensicCtx, ImpairmentSpec, PlanSpec, ScenarioKind,
-    ScenarioSpec,
+    ScenarioSpec, TopologyModel, TopologySpec,
 };
 use experiments::variants::Variant;
 
@@ -202,6 +208,72 @@ fn forensic_capture_leaves_the_hunt_report_untouched() {
     );
 }
 
+fn fairness_specs() -> Vec<ScenarioSpec> {
+    let dumbbell = |bottleneck_mbps| TopologySpec::Dumbbell { bottleneck_mbps };
+    let parking_lot = |backbone_mbps| TopologySpec::ParkingLot { backbone_mbps };
+    let cell = |topology, n_flows, alpha, beta| {
+        let kind = ScenarioKind::Fairness { topology, n_flows, alpha, beta, replicate: 1 };
+        ScenarioSpec { base_seed: 5, ..smoke(kind) }
+    };
+    let mut specs = Vec::new();
+    for topology in [dumbbell(None), parking_lot(None)] {
+        for n_flows in [2, 8] {
+            specs.push(cell(topology, n_flows, 0.995, 3.0));
+        }
+    }
+    for topology in [dumbbell(Some(8.0)), parking_lot(Some(4.8))] {
+        specs.push(cell(topology, 8, 0.995, 3.0));
+    }
+    specs.push(cell(dumbbell(None), 8, 0.25, 1.0));
+    specs
+}
+
+#[test]
+fn fairness_cells_match_the_fairness_harness() {
+    assert_pinned(&fairness_specs(), &FAIRNESS);
+}
+
+#[test]
+fn scale_cells_match_the_scale_harness() {
+    let models =
+        [TopologyModel::FatTree { k: 4 }, TopologyModel::AsGraph { nodes: 24, edges_per_node: 2 }];
+    let mut specs = Vec::new();
+    for variant in [Variant::TcpPr, Variant::Bbr] {
+        for model in models {
+            let kind = ScenarioKind::Scale { variant, model, target_flows: 120, replicate: 0 };
+            specs.push(smoke(kind));
+        }
+    }
+    assert_pinned(&specs, &SCALE);
+}
+
+/// Streaming flow 0's packet trace (`repro fig2 --telemetry-dir`) only reads
+/// the simulation: the sink sees the flow's whole lifecycle and the report
+/// is the untraced run's, byte for byte.
+#[test]
+fn a_streamed_trace_leaves_the_fairness_report_untouched() {
+    use netsim::trace::{TraceRecord, TraceSink};
+    use std::cell::Cell;
+    use std::rc::Rc;
+
+    struct CountingSink(Rc<Cell<u64>>);
+    impl TraceSink for CountingSink {
+        fn write_record(&mut self, _: &TraceRecord) {
+            self.0.set(self.0.get() + 1);
+        }
+    }
+
+    let spec = &fairness_specs()[0];
+    let scenario = cell::lower(&spec.kind, &[], &[]);
+    let seen = Rc::new(Cell::new(0u64));
+    let sink = Observe::Stream(Box::new(CountingSink(Rc::clone(&seen))));
+    let traced = cell::run(&scenario, spec.plan.plan(), spec.sim_seed(), sink);
+    assert!(seen.get() > 1000, "flow 0's packet lifecycle streams to the sink: {}", seen.get());
+    let traced = serde_json::to_string(&serde::Serialize::to_value(&traced)).unwrap();
+    let plain = serde_json::to_string(&execute(spec, &ExecCtx::default())).unwrap();
+    assert_eq!(traced, plain);
+}
+
 const MULTIPATH: [u64; 8] = [
     0x008287a9104c59a2,
     0x8e963574433ba118,
@@ -246,3 +318,14 @@ const HUNT: [u64; 10] = [
     0x5d23e09c866e5be8,
 ];
 const FORENSIC: [u64; 2] = [0x57648666ddaada0e, 0x06a79eeb25404511];
+const FAIRNESS: [u64; 7] = [
+    0x79fcd4d196a90cf5,
+    0x7d0345acbbb05bda,
+    0x08642393f54ea988,
+    0x42dec259de0b1ebc,
+    0x2ee59dd95a1cefc5,
+    0x51619dd2f78c27ee,
+    0x6e330261baeefe72,
+];
+const SCALE: [u64; 4] =
+    [0xbd25703d370f414e, 0x2ee84e464eb2e362, 0x01abab7e2b4aee3f, 0x48db744870af7d07];

@@ -3,13 +3,11 @@
 //! binary; these tests guard the *shape* in CI time.)
 
 use experiments::cell::{self, Metric};
-use experiments::figures::fairness::{run_fairness, FairnessParams, FairnessTopology};
 use experiments::runner::MeasurePlan;
-use experiments::sweep::ScenarioKind;
-use experiments::topologies::{DumbbellConfig, ParkingLotConfig};
+use experiments::sweep::{ScenarioKind, TopologySpec};
+use experiments::topologies::DumbbellConfig;
 use experiments::variants::Variant;
 use netsim::time::SimDuration;
-use tcp_pr::TcpPrConfig;
 
 fn plan() -> MeasurePlan {
     MeasurePlan { warmup: SimDuration::from_secs(10), window: SimDuration::from_secs(20) }
@@ -19,6 +17,21 @@ fn plan() -> MeasurePlan {
 fn multipath_mbps(variant: Variant, epsilon: f64) -> f64 {
     let kind = ScenarioKind::Multipath { variant, epsilon, link_delay_ms: 10 };
     cell::run_kind(&kind, &[], &[], plan(), 3).num(Metric::Mbps)
+}
+
+const DUMBBELL: TopologySpec = TopologySpec::Dumbbell { bottleneck_mbps: None };
+
+/// The two protocol means of one Section 4 fairness cell.
+struct Means {
+    mean_pr: f64,
+    mean_sack: f64,
+}
+
+/// Eight flows, half TCP-PR(α, β) and half TCP-SACK, sharing `topology`.
+fn fairness(topology: TopologySpec, alpha: f64, beta: f64, seed: u64) -> Means {
+    let kind = ScenarioKind::Fairness { topology, n_flows: 8, alpha, beta, replicate: 0 };
+    let r = cell::run_kind(&kind, &[], &[], plan(), seed);
+    Means { mean_pr: r.num(Metric::MeanPr), mean_sack: r.num(Metric::MeanSack) }
 }
 
 /// Section 5 / Figure 6: under full multipath routing (ε = 0) TCP-PR keeps
@@ -48,8 +61,7 @@ fn claim_all_equal_without_reordering() {
 /// bottleneck with both protocol means in a band around 1.
 #[test]
 fn claim_fairness_with_sack_dumbbell() {
-    let params = FairnessParams { plan: plan(), seed: 2, ..Default::default() };
-    let r = run_fairness(FairnessTopology::Dumbbell(DumbbellConfig::default()), 8, &params);
+    let r = fairness(DUMBBELL, 0.995, 3.0, 2);
     assert!(r.mean_pr > 0.6 && r.mean_pr < 1.4, "mean_pr = {}", r.mean_pr);
     assert!(r.mean_sack > 0.6 && r.mean_sack < 1.4, "mean_sack = {}", r.mean_sack);
 }
@@ -58,8 +70,7 @@ fn claim_fairness_with_sack_dumbbell() {
 /// the paper's cross traffic.
 #[test]
 fn claim_fairness_with_sack_parking_lot() {
-    let params = FairnessParams { plan: plan(), seed: 2, ..Default::default() };
-    let r = run_fairness(FairnessTopology::ParkingLot(ParkingLotConfig::default()), 8, &params);
+    let r = fairness(TopologySpec::ParkingLot { backbone_mbps: None }, 0.995, 3.0, 2);
     assert!(r.mean_pr > 0.45 && r.mean_pr < 1.55, "mean_pr = {}", r.mean_pr);
     assert!(r.mean_sack > 0.45 && r.mean_sack < 1.55, "mean_sack = {}", r.mean_sack);
 }
@@ -67,14 +78,7 @@ fn claim_fairness_with_sack_parking_lot() {
 /// Figure 4: β = 1 is too aggressive (TCP-SACK wins share); β = 3 is fair.
 #[test]
 fn claim_beta_one_aggressive_beta_three_fair() {
-    let run = |beta: f64| {
-        let params = FairnessParams {
-            plan: plan(),
-            seed: 4,
-            pr_config: TcpPrConfig::with_alpha_beta(0.995, beta),
-        };
-        run_fairness(FairnessTopology::Dumbbell(DumbbellConfig::default()), 8, &params)
-    };
+    let run = |beta: f64| fairness(DUMBBELL, 0.995, beta, 4);
     let at1 = run(1.0);
     let at3 = run(3.0);
     assert!(
@@ -125,14 +129,7 @@ fn claim_pr_flows_share_equally_with_each_other() {
 /// α in a wide range).
 #[test]
 fn claim_alpha_insensitivity() {
-    let run = |alpha: f64| {
-        let params = FairnessParams {
-            plan: plan(),
-            seed: 6,
-            pr_config: TcpPrConfig::with_alpha_beta(alpha, 3.0),
-        };
-        run_fairness(FairnessTopology::Dumbbell(DumbbellConfig::default()), 8, &params).mean_pr
-    };
+    let run = |alpha: f64| fairness(DUMBBELL, alpha, 3.0, 6).mean_pr;
     let lo = run(0.25);
     let hi = run(0.995);
     assert!((lo - hi).abs() < 0.35, "α sweep should be mild: {lo} vs {hi}");
