@@ -1,13 +1,14 @@
 //! Regenerates every table/figure of the TCP-PR paper's evaluation.
 //!
 //! ```text
-//! cargo run -p experiments --bin repro --release -- \
-//!     [fig2|fig3|fig4|fig6|faceoff|ablations|ext|stress|stress-smoke|cc-smoke| \
-//!      scale|scale-smoke|bench-sweep|all] \
-//!     [profile [selector…]] [bench-check] \
-//!     [--quick] [--jobs N] [--resume] [--no-cache] [--telemetry-dir <dir>] \
-//!     [--trajectory <path>] [--threshold-pct <pct>] [--list]
+//! cargo run -p experiments --bin repro --release -- [command] [positional…] [flag…]
 //! ```
+//!
+//! The commands, what each takes and the flags each reads are declared
+//! once, in [`COMMANDS`]; `repro --list` prints that table after the
+//! selector listing. The command is the first positional — anything else
+//! there is a selector for the figure sweep — and a flag given to a command
+//! that does not read it is an error.
 //!
 //! Every requested figure is expanded into a grid of scenario specs and the
 //! whole batch runs through the deterministic sweep engine
@@ -20,216 +21,199 @@
 //! into `results/`. Every artifact embeds a `run_health` block with the
 //! deterministic accounting of the simulations behind it (events processed,
 //! peak event-heap size, dropped trace records); wall-clock performance is
-//! reported on stderr. With `--telemetry-dir <dir>`, the fig2 run
-//! additionally streams a complete JSONL packet trace of its first TCP-PR
-//! flow into `<dir>`. The `bench-sweep` selector times a serial vs parallel
-//! quick sweep, writes the latest run to `results/bench_sweep.json`, and
-//! appends it to the top-level `BENCH_sweep.json` perf trajectory.
-//!
-//! The `scale` selector (opt-in, like `ext`) runs the internet-scale
-//! workload grid — generated fat-tree topologies carrying Poisson flow
-//! churn with heavy-tailed sizes, up to 10k concurrent flows per variant —
-//! and writes `results/scale.json` with population fairness / FCT metrics.
-//! A plain (non-`--resume`) `repro scale` run also appends a
-//! `workload: "scale"` timing entry to the `BENCH_sweep.json`
-//! trajectory, so `bench-check` gates scale-run performance separately from
-//! the classic bench-sweep timing. `scale-smoke` is its tiny CI-sized
-//! sibling (fat-tree *and* AS-graph topologies at 120 flows).
-//!
-//! Three further commands run *instead of* the figure grids:
-//!
-//! - `repro profile [selector…]` re-runs the named grids (default `fig6`)
-//!   with the `obs` profiler enabled and writes `results/profile.json` —
-//!   per-event-kind dispatch counters, sim-domain histograms, and sender
-//!   state-machine spans in a deterministic section, wall-clock dispatch
-//!   cost in a clearly marked non-deterministic section. Profile runs
-//!   bypass the sweep cache (a cache hit executes nothing to profile).
-//! - `repro bench-check [--trajectory <path>] [--threshold-pct <pct>]
-//!   [--min-entries <n>]` compares the last two entries of the perf
-//!   trajectory and exits non-zero when scenarios per wall second
-//!   (`scenarios / serial_wall_s`) regressed more than the threshold
-//!   (default 20%); below `--min-entries` entries the gate passes without
-//!   comparing.
-//! - `repro hunt [--budget <evals>] [--objective goodput|fairness|oracle]
-//!   [--variant <name>] [--seed <n>] [--jobs N]` runs the adversarial
-//!   schedule search ([`experiments::hunt`]): seeded hill-climbing over
-//!   impairment pipelines and link-admin windows minimizing the chosen
-//!   objective, followed by delta-debugging shrinking of any counterexample
-//!   found. Writes `results/hunt.json` plus a replayable minimal spec under
-//!   `results/counterexamples/` — all byte-identical at any `--jobs`. A
-//!   found counterexample is immediately post-mortemed (see `explain`).
-//! - `repro explain <counterexample.json>… [--jobs N]` replays a pinned
-//!   counterexample in forensic mode (full packet trace, flow-tagged CC
-//!   spans, sampled time series) and runs the [`forensics`] incident /
-//!   root-cause analysis, writing `results/explain/<content_hash>.json` —
-//!   byte-identical at any `--jobs` count.
-//! - `repro replay <counterexample.json>…` re-runs pinned counterexamples
-//!   (and their empty-schedule baselines) without capture and exits
-//!   non-zero if any no longer degrades past its threshold — the
-//!   regression gate over `tests/fixtures/`.
+//! reported on stderr only — speed is measured by `benchmark/`, nowhere
+//! else. With `--telemetry-dir <dir>`, the fig2 run additionally streams a
+//! complete JSONL packet trace of its first TCP-PR flow into `<dir>`.
 
+use std::fmt::Display;
 use std::fs;
+use std::num::{NonZeroU64, NonZeroUsize};
 use std::path::{Path, PathBuf};
 use std::process::exit;
+use std::str::FromStr;
 
-use experiments::bench;
-use experiments::explain;
+use experiments::explain::{self, CounterexampleDoc};
 use experiments::hunt;
 use experiments::sweep::grids::{all_figures, selectors, FigureGrid};
 use experiments::sweep::{
-    run_sweep, CachePolicy, ExecCtx, RunOutcome, SweepOptions, DEFAULT_CACHE_DIR,
+    run_sweep, CachePolicy, ExecCtx, ScenarioSpec, SweepOptions, DEFAULT_CACHE_DIR,
 };
 use experiments::telemetry::{artifact_json, warn_if_dropped};
 use experiments::variants::Variant;
 use netsim::telemetry::SessionStats;
 use serde::Value;
 
-struct Cli {
-    quick: bool,
-    which: Vec<String>,
-    telemetry_dir: Option<PathBuf>,
-    jobs: usize,
-    resume: bool,
-    no_cache: bool,
-    trajectory: Option<PathBuf>,
-    threshold_pct: f64,
-    min_entries: usize,
-    budget: u64,
-    seed: u64,
-    objective: String,
-    hunt_variant: String,
+/// A flag some command reads: its spelling and, unless it is a switch, what
+/// its value must be (the text of the one error a bad value gets).
+struct Flag {
+    name: &'static str,
+    needs: Option<&'static str>,
 }
 
-fn default_jobs() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+const QUICK: Flag = Flag { name: "--quick", needs: None };
+const RESUME: Flag = Flag { name: "--resume", needs: None };
+const NO_CACHE: Flag = Flag { name: "--no-cache", needs: None };
+const JOBS: Flag = Flag { name: "--jobs", needs: Some("a worker count >= 1") };
+const TELEMETRY_DIR: Flag = Flag { name: "--telemetry-dir", needs: Some("a directory argument") };
+const BUDGET: Flag = Flag { name: "--budget", needs: Some("an evaluation count >= 1") };
+const SEED: Flag = Flag { name: "--seed", needs: Some("an integer") };
+const OBJECTIVE: Flag = Flag { name: "--objective", needs: Some("goodput|fairness|oracle") };
+const VARIANT: Flag = Flag { name: "--variant", needs: Some("a protocol name") };
+
+/// One `repro` command. `--list`, the choice of command, which flags it
+/// accepts and what runs are all read off [`COMMANDS`]; no command name is
+/// spelled anywhere else.
+struct Command {
+    name: &'static str,
+    /// Its positionals, then what it does.
+    usage: &'static str,
+    flags: &'static [Flag],
+    run: fn(&Args) -> i32,
 }
 
-fn parse_args() -> Cli {
-    let mut cli = Cli {
-        quick: false,
-        which: Vec::new(),
-        telemetry_dir: None,
-        jobs: default_jobs(),
-        resume: false,
-        no_cache: false,
-        trajectory: None,
-        threshold_pct: experiments::bench::DEFAULT_THRESHOLD_PCT,
-        min_entries: 2,
-        budget: 200,
-        seed: 1,
-        objective: "goodput".to_owned(),
-        hunt_variant: "TcpPr".to_owned(),
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--list" => {
-                print_listing();
-                exit(0);
-            }
-            "--quick" => cli.quick = true,
-            "--resume" => cli.resume = true,
-            "--no-cache" => cli.no_cache = true,
-            "--jobs" => match args.next().and_then(|n| n.parse::<usize>().ok()) {
-                Some(n) if n >= 1 => cli.jobs = n,
-                _ => {
-                    eprintln!("error: --jobs needs a worker count >= 1");
-                    exit(2);
-                }
-            },
-            "--telemetry-dir" => match args.next() {
-                Some(dir) => cli.telemetry_dir = Some(PathBuf::from(dir)),
-                None => {
-                    eprintln!("error: --telemetry-dir needs a directory argument");
-                    exit(2);
-                }
-            },
-            "--trajectory" => match args.next() {
-                Some(path) => cli.trajectory = Some(PathBuf::from(path)),
-                None => {
-                    eprintln!("error: --trajectory needs a file argument");
-                    exit(2);
-                }
-            },
-            "--threshold-pct" => match args.next().and_then(|n| n.parse::<f64>().ok()) {
-                Some(pct) if pct >= 0.0 && pct.is_finite() => cli.threshold_pct = pct,
-                _ => {
-                    eprintln!("error: --threshold-pct needs a non-negative percentage");
-                    exit(2);
-                }
-            },
-            "--min-entries" => match args.next().and_then(|n| n.parse::<usize>().ok()) {
-                Some(n) => cli.min_entries = n,
-                None => {
-                    eprintln!("error: --min-entries needs a count");
-                    exit(2);
-                }
-            },
-            "--budget" => match args.next().and_then(|n| n.parse::<u64>().ok()) {
-                Some(n) if n >= 1 => cli.budget = n,
-                _ => {
-                    eprintln!("error: --budget needs an evaluation count >= 1");
-                    exit(2);
-                }
-            },
-            "--seed" => match args.next().and_then(|n| n.parse::<u64>().ok()) {
-                Some(n) => cli.seed = n,
-                None => {
-                    eprintln!("error: --seed needs an integer");
-                    exit(2);
-                }
-            },
-            "--objective" => match args.next() {
-                Some(name) => cli.objective = name,
-                None => {
-                    eprintln!("error: --objective needs goodput|fairness|oracle");
-                    exit(2);
-                }
-            },
-            "--variant" => match args.next() {
-                Some(name) => cli.hunt_variant = name,
-                None => {
-                    eprintln!("error: --variant needs a protocol name");
-                    exit(2);
-                }
-            },
-            other if other.starts_with("--") => {
-                eprintln!("error: unknown flag {other}");
-                exit(2);
-            }
-            other => cli.which.push(other.to_owned()),
+/// The figure sweep first: it is the command when the first positional
+/// names no other row, and its own name is the selector for every grid
+/// marked `*`.
+const COMMANDS: [Command; 5] = [
+    Command {
+        name: "all",
+        usage: "[selector…]  every selector marked * plus those named; selectors alone \
+                run just those -> results/<artifact>.json",
+        flags: &[QUICK, JOBS, RESUME, NO_CACHE, TELEMETRY_DIR],
+        run: run_figures,
+    },
+    Command {
+        name: "profile",
+        usage: "[selector…]  profiled, uncached re-run of the named grids (default fig6) \
+                -> results/profile.json",
+        flags: &[QUICK, JOBS],
+        run: run_profile,
+    },
+    Command {
+        name: "hunt",
+        usage: " adversarial schedule search, shrink and post-mortem \
+                -> results/hunt.json, results/counterexamples/",
+        flags: &[BUDGET, OBJECTIVE, VARIANT, SEED, JOBS],
+        run: run_hunt,
+    },
+    Command {
+        name: "explain",
+        usage: "<counterexample.json>…  forensic post-mortem -> results/explain/<hash>.json",
+        flags: &[JOBS],
+        run: run_explain,
+    },
+    Command {
+        name: "replay",
+        usage: "<counterexample.json>…  exit 1 unless each pinned counterexample still degrades",
+        flags: &[],
+        run: run_replay,
+    },
+];
+const SWEEP: &Command = &COMMANDS[0];
+
+impl Command {
+    fn flag_names(&self) -> String {
+        match self.flags {
+            [] => "no flags".to_owned(),
+            flags => flags.iter().map(|f| f.name).collect::<Vec<_>>().join(" "),
         }
     }
-    if cli.resume && cli.no_cache {
-        eprintln!("error: --resume and --no-cache contradict each other");
-        exit(2);
-    }
-    // `explain` and `replay` take file paths as positionals, so selector
-    // validation only applies to the figure-grid command forms.
-    let file_command =
-        cli.which.iter().any(|w| w == "explain") || cli.which.iter().any(|w| w == "replay");
-    if !file_command {
-        for w in &cli.which {
-            if w != "all"
-                && w != "bench-sweep"
-                && w != "profile"
-                && w != "bench-check"
-                && w != "hunt"
-                && !selectors().contains(&w.as_str())
-            {
-                eprintln!("error: unknown selector {w}");
-                print_listing();
-                exit(2);
-            }
-        }
-    }
-    cli
 }
 
-/// Prints every selector with its artifacts and cell counts (`--list`, and
-/// the footer of the unknown-selector error). Selectors print in sorted
-/// order so the listing is deterministic and diffs cleanly as grids are
-/// added, independent of grid declaration order.
+/// A usage error: the command line, or a file it names, is at fault.
+fn fail(msg: impl Display) -> ! {
+    eprintln!("error: {msg}");
+    exit(2)
+}
+
+/// What the command line gave the chosen command: its name, the positionals
+/// after it, and each flag's name with its raw value (empty for a switch).
+struct Args {
+    command: &'static str,
+    positionals: Vec<String>,
+    given: Vec<(&'static str, String)>,
+}
+
+impl Args {
+    fn has(&self, flag: &Flag) -> bool {
+        self.given.iter().any(|(name, _)| *name == flag.name)
+    }
+
+    /// The value of `flag` (the last one given) as `parse` reads it; a value
+    /// it refuses is a usage error in the one format every flag shares.
+    fn parsed<T>(&self, flag: &Flag, parse: impl Fn(&str) -> Option<T>) -> Option<T> {
+        let (_, raw) = self.given.iter().rev().find(|(name, _)| *name == flag.name)?;
+        let needs = flag.needs.expect("switches carry no value");
+        Some(
+            parse(raw).unwrap_or_else(|| fail(format!("{} needs {needs}, got {raw:?}", flag.name))),
+        )
+    }
+
+    fn value<T: FromStr>(&self, flag: &Flag) -> Option<T> {
+        self.parsed(flag, |raw| raw.parse().ok())
+    }
+
+    fn jobs(&self) -> usize {
+        let default = || std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        self.value::<NonZeroUsize>(&JOBS).map_or_else(default, NonZeroUsize::get)
+    }
+}
+
+/// Splits the command line into a command and its [`Args`].
+fn parse_args() -> (&'static Command, Args) {
+    let mut args = Args { command: SWEEP.name, positionals: Vec::new(), given: Vec::new() };
+    let mut argv = std::env::args().skip(1);
+    while let Some(arg) = argv.next() {
+        if arg == "--list" {
+            print_listing();
+            exit(0);
+        }
+        if !arg.starts_with("--") {
+            args.positionals.push(arg);
+            continue;
+        }
+        // Whether a value follows is the flag's own business, so it is looked
+        // up before the command is known.
+        let Some(flag) = COMMANDS.iter().flat_map(|c| c.flags).find(|f| f.name == arg) else {
+            fail(format!("unknown flag {arg}"))
+        };
+        let raw = match flag.needs {
+            None => String::new(),
+            Some(needs) => argv.next().unwrap_or_else(|| fail(format!("{arg} needs {needs}"))),
+        };
+        args.given.push((flag.name, raw));
+    }
+    let first = args.positionals.first();
+    let cmd = first.and_then(|p| COMMANDS.iter().skip(1).find(|c| c.name == p)).unwrap_or(SWEEP);
+    if cmd.name != SWEEP.name {
+        args.positionals.remove(0);
+        args.command = cmd.name;
+    }
+    for (given, _) in &args.given {
+        if !cmd.flags.iter().any(|f| f.name == *given) {
+            fail(format!("`repro {}` reads {}, not {given}", cmd.name, cmd.flag_names()));
+        }
+    }
+    (cmd, args)
+}
+
+/// Refuses a positional that names no grid, for the two commands whose
+/// positionals are selectors.
+fn check_selectors(named: &[String]) {
+    let known = selectors();
+    for w in named {
+        if w != SWEEP.name && !known.contains(&w.as_str()) {
+            eprintln!("error: unknown selector {w}");
+            print_listing();
+            exit(2);
+        }
+    }
+}
+
+/// Prints every selector with its artifacts and cell counts, then the
+/// command table (`--list`, and the footer of the unknown-selector error).
+/// Selectors print in sorted order so the listing is deterministic and diffs
+/// cleanly as grids are added, independent of grid declaration order.
 fn print_listing() {
     let quick = all_figures(true, false);
     let full = all_figures(false, false);
@@ -246,13 +230,10 @@ fn print_listing() {
             grids.iter().map(|g| format!("results/{}.json", g.artifact)).collect();
         println!(" {mark}{:<14} {:>5}/{:<5}  {}", sel, qc, fc, artifacts.join(", "));
     }
-    println!(" {:<15} serial-vs-parallel sweep timing -> results/bench_sweep.json", "bench-sweep");
-    println!(" {:<15} every selector marked *", "all");
-    println!(" {:<15} profiled re-run of the named grids -> results/profile.json", "profile");
-    println!(" {:<15} perf-regression gate over BENCH_sweep.json", "bench-check");
-    println!(" {:<15} adversarial schedule search -> results/hunt.json", "hunt");
-    println!(" {:<15} counterexample post-mortem -> results/explain/<hash>.json", "explain <file>");
-    println!(" {:<15} re-check a pinned counterexample still degrades", "replay <file…>");
+    println!("commands (the first positional; anything else there is a selector):");
+    for cmd in &COMMANDS {
+        println!(" {} {}\n     reads {}", cmd.name, cmd.usage, cmd.flag_names());
+    }
 }
 
 /// `fs::create_dir_all` with an error message naming the offending path.
@@ -271,34 +252,40 @@ fn write_artifact_or_exit(path: &Path, contents: &str) {
     }
 }
 
-fn sweep_options(cli: &Cli) -> SweepOptions {
-    SweepOptions {
-        jobs: cli.jobs,
-        cache: if cli.no_cache {
-            CachePolicy::Off
-        } else if cli.resume {
-            CachePolicy::ReadWrite
-        } else {
-            CachePolicy::WriteOnly
-        },
-        cache_dir: DEFAULT_CACHE_DIR.into(),
-        progress: true,
+fn sweep_options(jobs: usize, cache: CachePolicy) -> SweepOptions {
+    SweepOptions { jobs, cache, cache_dir: DEFAULT_CACHE_DIR.into(), progress: true }
+}
+
+/// The figure sweep: runs the requested figures as one sweep and renders
+/// each figure from its slice of the outcomes. Exit 1 if any scenario
+/// crashed.
+fn run_figures(args: &Args) -> i32 {
+    let telemetry_dir: Option<PathBuf> = args.value(&TELEMETRY_DIR);
+    let cache = match (args.has(&RESUME), args.has(&NO_CACHE)) {
+        (true, true) => {
+            fail(format!("{} and {} contradict each other", RESUME.name, NO_CACHE.name))
+        }
+        (_, true) => CachePolicy::Off,
+        (true, _) => CachePolicy::ReadWrite,
+        _ => CachePolicy::WriteOnly,
+    };
+    let opts = sweep_options(args.jobs(), cache);
+    check_selectors(&args.positionals);
+    let named = |name: &str| args.positionals.iter().any(|w| w == name);
+    let all = args.positionals.is_empty() || named(SWEEP.name);
+
+    create_dir_or_exit(Path::new("results"), "results");
+    if let Some(dir) = &telemetry_dir {
+        create_dir_or_exit(dir, "telemetry");
     }
-}
+    // Grids outside `all` (`ext`: route flaps, MANET churn; the stress,
+    // scale and smoke grids) run only when named.
+    let figures: Vec<FigureGrid> = all_figures(args.has(&QUICK), telemetry_dir.is_some())
+        .into_iter()
+        .filter(|g| (g.in_all && all) || named(g.selector))
+        .collect();
+    let ctx = ExecCtx { telemetry_dir, forensics: None };
 
-/// Throughput accounting of one figure sweep, for the perf trajectory.
-struct SweepStats {
-    scenarios: u64,
-    events: u64,
-    wall_s: f64,
-    events_per_sec: f64,
-    cached: usize,
-}
-
-/// Runs the requested figures as one sweep and renders each figure from
-/// its slice of the outcomes. Returns false (first element) if any
-/// scenario crashed, plus the sweep's throughput accounting.
-fn run_figures(figures: Vec<FigureGrid>, ctx: &ExecCtx, opts: &SweepOptions) -> (bool, SweepStats) {
     let specs: Vec<_> = figures.iter().flat_map(|g| g.specs.iter().cloned()).collect();
     eprintln!(
         "[sweep] {} scenario(s) across {} artifact(s), {} worker(s)",
@@ -306,31 +293,22 @@ fn run_figures(figures: Vec<FigureGrid>, ctx: &ExecCtx, opts: &SweepOptions) -> 
         figures.len(),
         opts.jobs
     );
-    let report = run_sweep(&specs, ctx, opts);
+    let report = run_sweep(&specs, &ctx, &opts);
     eprintln!("[sweep] done: {}", report.summary());
-    let stats = SweepStats {
-        scenarios: specs.len() as u64,
-        events: report.events_executed,
-        wall_s: report.wall_s,
-        events_per_sec: report.events_per_sec(),
-        cached: report.cached,
-    };
 
-    let mut ok = true;
+    let mut code = 0;
     let mut offset = 0;
     for grid in &figures {
         let runs = &report.runs[offset..offset + grid.specs.len()];
         offset += grid.specs.len();
 
-        let crashed: Vec<_> =
-            runs.iter().filter(|r| matches!(r.outcome, RunOutcome::Crashed { .. })).collect();
-        if !crashed.is_empty() {
+        let crashed = runs.iter().filter(|r| r.outcome.value().is_none()).count();
+        if crashed > 0 {
             eprintln!(
-                "error: [{}] {} scenario(s) crashed — artifact not written",
-                grid.artifact,
-                crashed.len()
+                "error: [{}] {crashed} scenario(s) crashed — artifact not written",
+                grid.artifact
             );
-            ok = false;
+            code = 1;
             continue;
         }
 
@@ -353,142 +331,29 @@ fn run_figures(figures: Vec<FigureGrid>, ctx: &ExecCtx, opts: &SweepOptions) -> 
             grid.artifact, work.events_processed, work.sims, work.peak_event_heap
         );
     }
-    (ok, stats)
-}
-
-/// Appends a `workload: "scale"` timing entry to the perf trajectory
-/// after a pure `repro scale` run, so `bench-check` gates scale-run
-/// performance. Skipped when any scenario came from the cache — a
-/// cache-satisfied run measures deserialization, not simulation.
-fn append_scale_bench(cli: &Cli, stats: &SweepStats) {
-    if stats.cached > 0 {
-        eprintln!(
-            "[scale] {} scenario(s) came from the cache — no trajectory entry recorded",
-            stats.cached
-        );
-        return;
-    }
-    let entry = bench::BenchEntry {
-        workload: bench::SCALE_WORKLOAD.to_owned(),
-        machine: bench::machine(),
-        scenarios: stats.scenarios,
-        events: stats.events,
-        // One measured pass at `--jobs N`: the serial fields carry the
-        // measurement (the gate reads `scenarios / serial_wall_s`) and the
-        // parallel fields record the worker count it ran with. Comparable
-        // entries therefore assume a consistent --jobs, which CI pins.
-        serial_wall_s: stats.wall_s,
-        serial_events_per_sec: stats.events_per_sec,
-        parallel_jobs: cli.jobs as u64,
-        parallel_wall_s: stats.wall_s,
-        parallel_events_per_sec: stats.events_per_sec,
-        speedup: 1.0,
-    };
-    let trajectory = Path::new(bench::TRAJECTORY_PATH);
-    match bench::append_entry(trajectory, serde::Serialize::to_value(&entry)) {
-        Ok(len) => eprintln!(
-            "[scale] trajectory entry {len} ({} scenarios in {:.2}s) appended -> {}",
-            stats.scenarios,
-            stats.wall_s,
-            trajectory.display()
-        ),
-        Err(e) => {
-            eprintln!("error: {e}");
-            exit(1);
-        }
-    }
-}
-
-/// Times the same quick sweep serially and in parallel and records both in
-/// `results/bench_sweep.json`. Runs with the cache off so both passes
-/// measure real execution.
-fn run_bench_sweep(cli: &Cli, ctx: &ExecCtx) {
-    // A modest, fixed workload: the quick ablation and fig6 (10 ms) grids.
-    let grids: Vec<FigureGrid> = all_figures(true, false)
-        .into_iter()
-        .filter(|g| g.artifact == "ablations" || g.artifact == "fig6_10ms")
-        .collect();
-    let specs: Vec<_> = grids.iter().flat_map(|g| g.specs.iter().cloned()).collect();
-    let parallel_jobs = cli.jobs.max(2);
-    eprintln!(
-        "[bench-sweep] {} scenario(s): serial (1 worker) vs parallel ({parallel_jobs} workers)",
-        specs.len()
-    );
-
-    let base = SweepOptions {
-        jobs: 1,
-        cache: CachePolicy::Off,
-        cache_dir: DEFAULT_CACHE_DIR.into(),
-        progress: false,
-    };
-    let serial = run_sweep(&specs, ctx, &base);
-    let parallel = run_sweep(&specs, ctx, &SweepOptions { jobs: parallel_jobs, ..base });
-    assert_eq!(serial.crashed + parallel.crashed, 0, "bench scenarios must not crash");
-
-    let speedup = if parallel.wall_s > 0.0 { serial.wall_s / parallel.wall_s } else { 0.0 };
-    let entry = bench::BenchEntry {
-        workload: bench::SWEEP_WORKLOAD.to_owned(),
-        machine: bench::machine(),
-        scenarios: specs.len() as u64,
-        events: serial.events_executed,
-        serial_wall_s: serial.wall_s,
-        serial_events_per_sec: serial.events_per_sec(),
-        parallel_jobs: parallel_jobs as u64,
-        parallel_wall_s: parallel.wall_s,
-        parallel_events_per_sec: parallel.events_per_sec(),
-        speedup,
-    };
-    // Latest run under results/ (regenerated wholesale); the full history
-    // lives only in the top-level trajectory (see `experiments::bench`).
-    let entry_value = serde::Serialize::to_value(&entry);
-    let path = Path::new("results/bench_sweep.json");
-    write_artifact_or_exit(path, &serde_json::to_string_pretty(&entry_value).expect("total"));
-    let trajectory = Path::new(bench::TRAJECTORY_PATH);
-    match bench::append_entry(trajectory, entry_value) {
-        Ok(len) => {
-            eprintln!("[bench-sweep] trajectory entry {len} appended -> {}", trajectory.display())
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            exit(1);
-        }
-    }
-    eprintln!(
-        "[bench-sweep] serial {:.1}s vs parallel {:.1}s — speedup {speedup:.2}x → {}",
-        serial.wall_s,
-        parallel.wall_s,
-        path.display()
-    );
+    code
 }
 
 /// `repro profile`: re-runs the named figure grids (default `fig6`) with
 /// the profiler enabled and writes `results/profile.json`. The sweep cache
 /// is bypassed in both directions — a cache hit executes nothing, so it
 /// profiles nothing, and profiled runs must not alter what later plain runs
-/// read back. Returns false if any scenario crashed.
-fn run_profile(cli: &Cli, ctx: &ExecCtx) -> bool {
-    let named: Vec<&String> = cli.which.iter().filter(|w| *w != "profile").collect();
-    let figures: Vec<FigureGrid> = all_figures(cli.quick, false)
+/// read back. Exit 1 if any scenario crashed.
+fn run_profile(args: &Args) -> i32 {
+    let opts = sweep_options(args.jobs(), CachePolicy::Off);
+    check_selectors(&args.positionals);
+    let fig6 = ["fig6".to_owned()];
+    let named = if args.positionals.is_empty() { &fig6[..] } else { &args.positionals[..] };
+    let figures: Vec<FigureGrid> = all_figures(args.has(&QUICK), false)
         .into_iter()
-        .filter(|g| {
-            if named.is_empty() {
-                g.selector == "fig6"
-            } else {
-                named.iter().any(|w| *w == g.selector)
-            }
-        })
+        .filter(|g| named.iter().any(|w| *w == g.selector))
         .collect();
     if figures.is_empty() {
         eprintln!("error: profile matched no grids");
-        return false;
+        return 1;
     }
+    create_dir_or_exit(Path::new("results"), "results");
     let specs: Vec<_> = figures.iter().flat_map(|g| g.specs.iter().cloned()).collect();
-    let opts = SweepOptions {
-        jobs: cli.jobs,
-        cache: CachePolicy::Off,
-        cache_dir: DEFAULT_CACHE_DIR.into(),
-        progress: true,
-    };
     eprintln!(
         "[profile] {} scenario(s) across {} grid(s), {} worker(s), profiler on",
         specs.len(),
@@ -498,12 +363,12 @@ fn run_profile(cli: &Cli, ctx: &ExecCtx) -> bool {
 
     obs::enable();
     let t0 = std::time::Instant::now();
-    let report = run_sweep(&specs, ctx, &opts);
+    let report = run_sweep(&specs, &ExecCtx::default(), &opts);
     let wall_s = t0.elapsed().as_secs_f64();
     obs::disable();
     if report.crashed > 0 {
         eprintln!("error: [profile] {} scenario(s) crashed — artifact not written", report.crashed);
-        return false;
+        return 1;
     }
 
     // Merge per-scenario profiles in spec order: the merged deterministic
@@ -562,99 +427,46 @@ fn run_profile(cli: &Cli, ctx: &ExecCtx) -> bool {
     let _ = std::io::stdout().flush();
     eprintln!("[profile] done: {}", report.summary());
     eprintln!("[profile] artifact -> {}", path.display());
-    true
+    0
 }
 
-/// `repro bench-check`: the perf-regression gate over the trajectory.
-/// Returns the process exit code.
-fn run_bench_check(cli: &Cli) -> i32 {
-    let default_path = PathBuf::from(bench::TRAJECTORY_PATH);
-    let path = cli.trajectory.as_deref().unwrap_or(&default_path);
-    let entries = match bench::load_trajectory(path) {
-        Ok(entries) => entries,
-        Err(e) => {
-            eprintln!("error: bench-check: {e}");
-            return 1;
-        }
+/// Loads the counterexample files a command was given. A file that cannot
+/// be read, parsed, range-checked or matched to its hash is a usage error
+/// (exit 2), raised before anything runs.
+fn load_counterexamples(args: &Args) -> Vec<(&String, CounterexampleDoc, ScenarioSpec)> {
+    let who = args.command;
+    if args.positionals.is_empty() {
+        fail(format!("{who} needs a counterexample file (results/counterexamples/*.json)"));
+    }
+    let load = |f| match CounterexampleDoc::load(Path::new(f)) {
+        Ok((doc, spec)) => (f, doc, spec),
+        Err(e) => fail(format!("{who}: {e}")),
     };
-    if entries.len() < cli.min_entries {
-        println!(
-            "bench-check: {} has {} entr{}; below --min-entries {} — pass",
-            path.display(),
-            entries.len(),
-            if entries.len() == 1 { "y" } else { "ies" },
-            cli.min_entries
-        );
-        return 0;
-    }
-    match bench::check(&entries) {
-        Ok(None) => {
-            let workload = entries.last().map(bench::workload_of).unwrap_or(bench::SWEEP_WORKLOAD);
-            println!(
-                "bench-check: {} has {} entr{} but no earlier {workload:?} entry from the same \
-                 machine to compare — pass",
-                path.display(),
-                entries.len(),
-                if entries.len() == 1 { "y" } else { "ies" }
-            );
-            0
-        }
-        Ok(Some(delta)) => {
-            let workload = entries.last().map(bench::workload_of).unwrap_or(bench::SWEEP_WORKLOAD);
-            println!(
-                "bench-check: [{workload}] scenarios per wall-second {:.3} -> {:.3} ({:+.1}%), \
-                 threshold -{:.1}%",
-                delta.previous,
-                delta.latest,
-                delta.delta_pct(),
-                cli.threshold_pct
-            );
-            if delta.regressed(cli.threshold_pct) {
-                eprintln!(
-                    "error: bench-check: scenarios per wall-second regressed {:.1}% (> {:.1}% \
-                     allowed)",
-                    -delta.delta_pct(),
-                    cli.threshold_pct
-                );
-                1
-            } else {
-                println!("bench-check: pass");
-                0
-            }
-        }
-        Err(e) => {
-            eprintln!("error: bench-check: {e}");
-            1
-        }
-    }
+    args.positionals.iter().map(load).collect()
 }
 
-/// `repro hunt`: the adversarial search. Returns the process exit code.
-/// Finding a counterexample is a *successful* hunt, not an error — the
-/// exit code reflects infrastructure failures only.
-fn run_hunt(cli: &Cli) -> i32 {
-    let variant = match Variant::from_name(&cli.hunt_variant)
-        .or_else(|| Variant::ALL.into_iter().find(|v| v.label() == cli.hunt_variant))
-    {
-        Some(v) => v,
-        None => {
-            eprintln!("error: hunt: unknown variant {:?}", cli.hunt_variant);
-            return 2;
-        }
+/// `repro hunt`: the adversarial search. Finding a counterexample is a
+/// *successful* hunt, not an error — the exit code reflects infrastructure
+/// failures only.
+fn run_hunt(args: &Args) -> i32 {
+    if let Some(stray) = args.positionals.first() {
+        fail(format!("unexpected positional {stray:?}"));
+    }
+    let by_name = |name: &str| Variant::from_name(name).or_else(|| Variant::from_label(name));
+    let cfg = hunt::HuntConfig {
+        variant: args.parsed(&VARIANT, by_name).unwrap_or(Variant::TcpPr),
+        objective: args
+            .parsed(&OBJECTIVE, hunt::Objective::from_name)
+            .unwrap_or(hunt::Objective::Goodput),
+        budget: args.value::<NonZeroU64>(&BUDGET).map_or(200, NonZeroU64::get),
+        seed: args.value(&SEED).unwrap_or(1),
+        jobs: args.jobs(),
     };
-    let objective = match hunt::Objective::from_name(&cli.objective) {
-        Some(o) => o,
-        None => {
-            eprintln!("error: hunt: --objective must be goodput|fairness|oracle");
-            return 2;
-        }
-    };
-    let cfg =
-        hunt::HuntConfig { variant, objective, budget: cli.budget, seed: cli.seed, jobs: cli.jobs };
+    create_dir_or_exit(Path::new("results"), "results");
     eprintln!(
         "[hunt] {} objective={} budget={} seed={} ({} workers)",
-        variant.label(),
-        objective.name(),
+        cfg.variant.label(),
+        cfg.objective.name(),
         cfg.budget,
         cfg.seed,
         cfg.jobs
@@ -679,7 +491,9 @@ fn run_hunt(cli: &Cli) -> i32 {
                     // Post-mortem the find while it's hot. A failed explain
                     // is a warning, never a failed hunt: the counterexample
                     // itself is already pinned.
-                    match explain::run_explain(path, cli.jobs) {
+                    let explained = CounterexampleDoc::load(path)
+                        .and_then(|(doc, spec)| explain::run_explain(&doc, &spec, cfg.jobs));
+                    match explained {
                         Ok(r) => {
                             print!("{}", r.rendering);
                             println!("hunt: post-mortem -> {}", r.path.display());
@@ -699,24 +513,22 @@ fn run_hunt(cli: &Cli) -> i32 {
     }
 }
 
-/// `repro explain <counterexample.json>…`: forensic post-mortems. Returns
-/// the process exit code.
-fn run_explain_cmd(cli: &Cli) -> i32 {
-    let files: Vec<&String> = cli.which.iter().filter(|w| *w != "explain").collect();
-    if files.is_empty() {
-        eprintln!("error: explain needs a counterexample file (results/counterexamples/*.json)");
-        return 2;
-    }
+/// `repro explain <counterexample.json>…`: forensic post-mortems. Exit 1 if
+/// a replay crashed or its report could not be written.
+fn run_explain(args: &Args) -> i32 {
+    let jobs = args.jobs();
+    let docs = load_counterexamples(args);
+    create_dir_or_exit(Path::new("results"), "results");
     let mut code = 0;
-    for f in files {
-        eprintln!("[explain] {f} ({} workers)", cli.jobs);
-        match explain::run_explain(Path::new(f), cli.jobs) {
+    for (f, doc, spec) in &docs {
+        eprintln!("[explain] {f} ({jobs} workers)");
+        match explain::run_explain(doc, spec, jobs) {
             Ok(r) => {
                 print!("{}", r.rendering);
                 println!("explain: report -> {}", r.path.display());
             }
             Err(e) => {
-                eprintln!("error: explain: {e}");
+                eprintln!("error: explain: {f}: {e}");
                 code = 1;
             }
         }
@@ -725,105 +537,29 @@ fn run_explain_cmd(cli: &Cli) -> i32 {
 }
 
 /// `repro replay <counterexample.json>…`: re-checks that pinned
-/// counterexamples still degrade past their thresholds. Exit code 1 when
-/// any fails to reproduce (or to run) — the fixture regression gate.
-fn run_replay_cmd(cli: &Cli) -> i32 {
-    let files: Vec<&String> = cli.which.iter().filter(|w| *w != "replay").collect();
-    if files.is_empty() {
-        eprintln!("error: replay needs a counterexample file (tests/fixtures/*.json)");
-        return 2;
-    }
+/// counterexamples still degrade past their thresholds. Exit 1 when any
+/// fails to reproduce — the fixture regression gate.
+fn run_replay(args: &Args) -> i32 {
     let mut code = 0;
-    for f in files {
-        match explain::run_replay(Path::new(f)) {
-            Ok(r) => {
-                println!(
-                    "replay: {f}: {} baseline {:.4} threshold {:.4} value {:.4} -> {}",
-                    r.objective.name(),
-                    r.baseline_value,
-                    r.threshold,
-                    r.value,
-                    if r.reproduced { "still reproduces" } else { "NO LONGER REPRODUCES" }
-                );
-                if !r.reproduced {
-                    code = 1;
-                }
-            }
-            Err(e) => {
-                eprintln!("error: replay: {e}");
-                code = 1;
-            }
+    for (f, doc, spec) in &load_counterexamples(args) {
+        let r =
+            explain::run_replay(doc, spec).unwrap_or_else(|e| fail(format!("replay: {f}: {e}")));
+        println!(
+            "replay: {f}: {} baseline {:.4} threshold {:.4} value {:.4} -> {}",
+            r.objective.name(),
+            r.baseline_value,
+            r.threshold,
+            r.value,
+            if r.reproduced { "still reproduces" } else { "NO LONGER REPRODUCES" }
+        );
+        if !r.reproduced {
+            code = 1;
         }
     }
     code
 }
 
 fn main() {
-    let cli = parse_args();
-
-    // Standalone commands: the regression gate needs no sweep at all,
-    // `hunt` drives its own search loop, `explain` / `replay` consume the
-    // remaining positionals as counterexample files, and `profile` consumes
-    // them as its grid list.
-    if cli.which.iter().any(|w| w == "bench-check") {
-        exit(run_bench_check(&cli));
-    }
-    if cli.which.iter().any(|w| w == "explain") {
-        create_dir_or_exit(Path::new("results"), "results");
-        exit(run_explain_cmd(&cli));
-    }
-    if cli.which.iter().any(|w| w == "replay") {
-        exit(run_replay_cmd(&cli));
-    }
-    if cli.which.iter().any(|w| w == "hunt") {
-        create_dir_or_exit(Path::new("results"), "results");
-        exit(run_hunt(&cli));
-    }
-    if cli.which.iter().any(|w| w == "profile") {
-        create_dir_or_exit(Path::new("results"), "results");
-        let ctx = ExecCtx { telemetry_dir: None, forensics: None };
-        exit(if run_profile(&cli, &ctx) { 0 } else { 1 });
-    }
-
-    let all = cli.which.is_empty() || cli.which.iter().any(|w| w == "all");
-    let wants = |name: &str| all || cli.which.iter().any(|w| w == name);
-
-    create_dir_or_exit(Path::new("results"), "results");
-    if let Some(dir) = &cli.telemetry_dir {
-        create_dir_or_exit(dir, "telemetry");
-    }
-    let ctx = ExecCtx { telemetry_dir: cli.telemetry_dir.clone(), forensics: None };
-
-    // `ext` (route flaps, MANET churn) is opt-in, as before; everything
-    // else participates in `all`.
-    let figures: Vec<FigureGrid> = all_figures(cli.quick, cli.telemetry_dir.is_some())
-        .into_iter()
-        .filter(|g| {
-            if g.in_all {
-                wants(g.selector)
-            } else {
-                cli.which.iter().any(|w| w == g.selector)
-            }
-        })
-        .collect();
-
-    let mut ok = true;
-    if !figures.is_empty() {
-        // A pure `repro scale` run doubles as the scale perf measurement:
-        // its wall time lands in the trajectory (workload-tagged, so
-        // bench-check compares it only against other scale runs). Mixed
-        // selections are not recorded — the timing would not be comparable.
-        let scale_only = figures.iter().all(|g| g.selector == "scale");
-        let (figures_ok, stats) = run_figures(figures, &ctx, &sweep_options(&cli));
-        ok = figures_ok;
-        if ok && scale_only {
-            append_scale_bench(&cli, &stats);
-        }
-    }
-    if cli.which.iter().any(|w| w == "bench-sweep") {
-        run_bench_sweep(&cli, &ctx);
-    }
-    if !ok {
-        exit(1);
-    }
+    let (cmd, args) = parse_args();
+    exit((cmd.run)(&args));
 }

@@ -82,8 +82,8 @@ impl CounterexampleDoc {
             .ok_or_else(|| "missing \"content_hash\"".to_owned())?
             .to_owned();
         let candidate = get(&v, "candidate")
-            .and_then(candidate_from_value)
-            .ok_or_else(|| "missing or malformed \"candidate\"".to_owned())?;
+            .ok_or_else(|| "missing \"candidate\"".to_owned())
+            .and_then(candidate_from_value)?;
         Ok(CounterexampleDoc {
             variant,
             base_seed,
@@ -96,11 +96,15 @@ impl CounterexampleDoc {
         })
     }
 
-    /// Loads and parses a counterexample file.
-    pub fn load(path: &Path) -> Result<Self, String> {
+    /// Loads a counterexample file and rebuilds the spec it pins. Every way
+    /// the *file* can be wrong — unreadable, malformed, a candidate out of
+    /// range, a stale hash — fails here, with the path in the message, before
+    /// anything runs.
+    pub fn load(path: &Path) -> Result<(Self, ScenarioSpec), String> {
         let text = std::fs::read_to_string(path)
             .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        Self::parse(&text).map_err(|e| format!("{}: {e}", path.display()))
+        let doc = Self::parse(&text).and_then(|doc| doc.spec().map(|spec| (doc, spec)));
+        doc.map_err(|e| format!("{}: {e}", path.display()))
     }
 
     /// Rebuilds the exact [`ScenarioSpec`] the hunt pinned, and verifies
@@ -153,17 +157,18 @@ pub struct ExplainReport {
     pub rendering: String,
 }
 
-/// Replays `path`'s counterexample in forensic mode and writes the
+/// Replays a loaded counterexample in forensic mode and writes the
 /// post-mortem to `results/explain/<content_hash>.json`.
 ///
 /// `jobs` is plumbed into the sweep pool for interface symmetry with every
 /// other `repro` command; an explain runs exactly one scenario, so it can
 /// only affect which worker thread executes it, never the artifact bytes
 /// (asserted by the `explain-smoke` CI job).
-pub fn run_explain(path: &Path, jobs: usize) -> Result<ExplainReport, String> {
-    let doc = CounterexampleDoc::load(path)?;
-    let spec = doc.spec()?;
-
+pub fn run_explain(
+    doc: &CounterexampleDoc,
+    spec: &ScenarioSpec,
+    jobs: usize,
+) -> Result<ExplainReport, String> {
     let ctx = ExecCtx {
         telemetry_dir: None,
         forensics: Some(ForensicCtx {
@@ -178,7 +183,7 @@ pub fn run_explain(path: &Path, jobs: usize) -> Result<ExplainReport, String> {
         cache_dir: DEFAULT_CACHE_DIR.into(),
         progress: false,
     };
-    let report = run_sweep(std::slice::from_ref(&spec), &ctx, &opts);
+    let report = run_sweep(std::slice::from_ref(spec), &ctx, &opts);
     let run = report.runs.first().ok_or_else(|| "sweep returned no runs".to_owned())?;
     let outcome =
         run.outcome.value().ok_or_else(|| "forensic replay crashed — see stderr".to_owned())?;
@@ -196,7 +201,7 @@ pub fn run_explain(path: &Path, jobs: usize) -> Result<ExplainReport, String> {
         .map_err(|e| format!("cannot write {}: {e}", out_path.display()))?;
 
     let incidents = extract_incidents(outcome);
-    let rendering = render(&doc, outcome, &incidents);
+    let rendering = render(doc, outcome, &incidents);
     Ok(ExplainReport { path: out_path, incidents, rendering })
 }
 
@@ -283,10 +288,10 @@ pub struct ReplayReport {
 /// forensic capture) and checks that the objective still degrades past the
 /// threshold. This is the fixture regression check: a CC change that fixes
 /// the pathology flips `reproduced` to `false`, failing the pinned test
-/// loudly instead of leaving a stale fixture.
-pub fn run_replay(path: &Path) -> Result<ReplayReport, String> {
-    let doc = CounterexampleDoc::load(path)?;
-    let spec = doc.spec()?;
+/// loudly instead of leaving a stale fixture. The one error is a document
+/// that names no recognized objective — like [`CounterexampleDoc::load`]'s, a
+/// fault of the input.
+pub fn run_replay(doc: &CounterexampleDoc, spec: &ScenarioSpec) -> Result<ReplayReport, String> {
     let objective = doc
         .objective
         .as_deref()
@@ -298,7 +303,7 @@ pub fn run_replay(path: &Path) -> Result<ReplayReport, String> {
         let (plan, seed) = (spec.plan.plan(), spec.sim_seed());
         cell::run_kind(&spec.kind, &spec.impairments, &spec.schedule, plan, seed)
     };
-    let (base_cell, cell) = (run(&base_spec), run(&spec));
+    let (base_cell, cell) = (run(&base_spec), run(spec));
 
     let baseline_value = objective.value(&base_cell);
     let threshold = objective.threshold(baseline_value);

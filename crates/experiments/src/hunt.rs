@@ -38,6 +38,7 @@ use rand::Rng;
 use serde::{Serialize, Value};
 
 use crate::cell::{self, Capture, CellReport, Metric, Observe};
+use crate::sweep::decode::{as_f64, as_str, as_u64, get};
 use crate::sweep::spec::{profile_name, AdminWindowSpec};
 use crate::sweep::{
     run_sweep, CachePolicy, ExecCtx, ImpairmentSpec, PlanSpec, ScenarioKind, ScenarioSpec,
@@ -884,66 +885,145 @@ pub fn candidate_value(c: &Candidate) -> Value {
     ])
 }
 
-fn impairment_from_value(v: &Value) -> Option<ImpairmentSpec> {
-    use crate::sweep::decode::{as_str, get};
-    let f = |key: &str| get(v, key).and_then(crate::sweep::decode::as_f64);
-    let u = |key: &str| get(v, key).and_then(crate::sweep::decode::as_u64);
-    match as_str(get(v, "type")?)? {
-        "iid-loss" => Some(ImpairmentSpec::IidLoss { p: f("p")? }),
-        "burst-loss" => Some(ImpairmentSpec::BurstLoss {
-            p_good_to_bad: f("p_good_to_bad")?,
-            p_bad_to_good: f("p_bad_to_good")?,
-            loss_bad: f("loss_bad")?,
-        }),
-        "jitter" => {
-            Some(ImpairmentSpec::Jitter { prob: f("prob")?, max_extra_ms: u("max_extra_ms")? })
+/// One entry of a candidate list being read back from a file. A
+/// counterexample document is outside input: every value that would trip an
+/// assertion in `netsim::impair`, or overflow on its way to nanoseconds, is
+/// refused here with an error naming the list, the entry's index and the
+/// field.
+struct Entry<'v> {
+    v: &'v Value,
+    list: &'static str,
+    index: usize,
+}
+
+impl Entry<'_> {
+    fn err(&self, field: &str, why: impl std::fmt::Display) -> String {
+        format!("candidate.{}[{}].{field}: {why}", self.list, self.index)
+    }
+
+    fn float(&self, field: &str) -> Result<f64, String> {
+        let v = get(self.v, field).and_then(as_f64);
+        v.ok_or_else(|| self.err(field, "missing or not a number"))
+    }
+
+    fn uint(&self, field: &str) -> Result<u64, String> {
+        let v = get(self.v, field).and_then(as_u64);
+        v.ok_or_else(|| self.err(field, "missing or not a non-negative integer"))
+    }
+
+    fn prob(&self, field: &str) -> Result<f64, String> {
+        let p = self.float(field)?;
+        if (0.0..=1.0).contains(&p) {
+            Ok(p)
+        } else {
+            Err(self.err(field, format!("probability {p} is not in [0, 1]")))
         }
-        "displace" => {
-            Some(ImpairmentSpec::Displace { every: u("every")?, depth: u("depth")? as u32 })
+    }
+
+    /// Milliseconds that `SimDuration::from_millis` (an unchecked multiply)
+    /// can hold as nanoseconds.
+    fn ms(&self, field: &str) -> Result<u64, String> {
+        let ms = self.uint(field)?;
+        match ms.checked_mul(1_000_000) {
+            Some(_) => Ok(ms),
+            None => Err(self.err(field, format!("{ms} ms overflows u64 nanoseconds"))),
         }
-        "duplicate" => Some(ImpairmentSpec::Duplicate { p: f("p")? }),
-        "flap" => Some(ImpairmentSpec::Flap { period_ms: u("period_ms")?, down_ms: u("down_ms")? }),
-        "bw-osc" => Some(ImpairmentSpec::BandwidthOscillation {
-            low_mbps: f("low_mbps")?,
-            period_ms: u("period_ms")?,
-        }),
-        "delay-osc" => Some(ImpairmentSpec::DelayOscillation {
-            high_delay_ms: u("high_delay_ms")?,
-            period_ms: u("period_ms")?,
-        }),
-        _ => None,
+    }
+
+    fn period(&self, field: &str) -> Result<u64, String> {
+        match self.ms(field)? {
+            0 => Err(self.err(field, "a period must be positive")),
+            ms => Ok(ms),
+        }
+    }
+
+    /// The `(at_ms, dur_ms)` of a window whose end is still a valid instant.
+    fn span(&self) -> Result<(u64, u64), String> {
+        let (at_ms, dur_ms) = (self.ms("at_ms")?, self.ms("dur_ms")?);
+        match at_ms.checked_add(dur_ms).and_then(|end| end.checked_mul(1_000_000)) {
+            Some(_) => Ok((at_ms, dur_ms)),
+            None => Err(self.err("dur_ms", "at_ms + dur_ms overflows u64 nanoseconds")),
+        }
+    }
+
+    fn tag(&self) -> Result<&str, String> {
+        get(self.v, "type").and_then(as_str).ok_or_else(|| self.err("type", "missing"))
     }
 }
 
-fn window_from_value(v: &Value) -> Option<AdminWindowSpec> {
-    use crate::sweep::decode::{as_str, get};
-    let u = |key: &str| get(v, key).and_then(crate::sweep::decode::as_u64);
-    match as_str(get(v, "type")?)? {
-        "down" => Some(AdminWindowSpec::Down { at_ms: u("at_ms")?, dur_ms: u("dur_ms")? }),
-        "delay" => Some(AdminWindowSpec::Delay {
-            at_ms: u("at_ms")?,
-            dur_ms: u("dur_ms")?,
-            delay_ms: u("delay_ms")?,
-        }),
-        _ => None,
+fn impairment_from_entry(e: &Entry<'_>) -> Result<ImpairmentSpec, String> {
+    Ok(match e.tag()? {
+        "iid-loss" => ImpairmentSpec::IidLoss { p: e.prob("p")? },
+        "burst-loss" => ImpairmentSpec::BurstLoss {
+            p_good_to_bad: e.prob("p_good_to_bad")?,
+            p_bad_to_good: e.prob("p_bad_to_good")?,
+            loss_bad: e.prob("loss_bad")?,
+        },
+        "jitter" => {
+            ImpairmentSpec::Jitter { prob: e.prob("prob")?, max_extra_ms: e.ms("max_extra_ms")? }
+        }
+        "displace" => {
+            let (every, depth) = (e.uint("every")?, e.uint("depth")?);
+            if every == 0 {
+                return Err(e.err("every", "must be positive"));
+            }
+            let depth = u32::try_from(depth).map_err(|_| e.err("depth", "does not fit u32"))?;
+            ImpairmentSpec::Displace { every, depth }
+        }
+        "duplicate" => ImpairmentSpec::Duplicate { p: e.prob("p")? },
+        "flap" => {
+            let (period_ms, down_ms) = (e.period("period_ms")?, e.ms("down_ms")?);
+            if down_ms == 0 || down_ms >= period_ms {
+                return Err(e.err("down_ms", "must satisfy 0 < down_ms < period_ms"));
+            }
+            ImpairmentSpec::Flap { period_ms, down_ms }
+        }
+        "bw-osc" => {
+            let low_mbps = e.float("low_mbps")?;
+            if !(low_mbps > 0.0 && low_mbps.is_finite()) {
+                return Err(e.err("low_mbps", format!("rate {low_mbps} is not positive")));
+            }
+            ImpairmentSpec::BandwidthOscillation { low_mbps, period_ms: e.period("period_ms")? }
+        }
+        "delay-osc" => ImpairmentSpec::DelayOscillation {
+            high_delay_ms: e.ms("high_delay_ms")?,
+            period_ms: e.period("period_ms")?,
+        },
+        other => return Err(e.err("type", format!("unknown impairment {other:?}"))),
+    })
+}
+
+fn window_from_entry(e: &Entry<'_>) -> Result<AdminWindowSpec, String> {
+    match e.tag()? {
+        "down" => e.span().map(|(at_ms, dur_ms)| AdminWindowSpec::Down { at_ms, dur_ms }),
+        "delay" => {
+            let ((at_ms, dur_ms), delay_ms) = (e.span()?, e.ms("delay_ms")?);
+            Ok(AdminWindowSpec::Delay { at_ms, dur_ms, delay_ms })
+        }
+        other => Err(e.err("type", format!("unknown window {other:?}"))),
     }
 }
 
 /// Decodes a candidate back out of [`candidate_value`]'s encoding — the
-/// replay path for pinned counterexample specs.
-pub fn candidate_from_value(v: &Value) -> Option<Candidate> {
-    use crate::sweep::decode::get;
-    let imps = match get(v, "impairments")? {
-        Value::Array(items) => {
-            items.iter().map(impairment_from_value).collect::<Option<Vec<_>>>()?
+/// replay path for pinned counterexample specs — rejecting any entry the
+/// simulator could not run.
+pub fn candidate_from_value(v: &Value) -> Result<Candidate, String> {
+    fn list<T>(
+        v: &Value,
+        list: &'static str,
+        read: fn(&Entry<'_>) -> Result<T, String>,
+    ) -> Result<Vec<T>, String> {
+        match get(v, list) {
+            Some(Value::Array(items)) => {
+                items.iter().enumerate().map(|(index, v)| read(&Entry { v, list, index })).collect()
+            }
+            _ => Err(format!("candidate.{list}: missing or not an array")),
         }
-        _ => return None,
-    };
-    let wins = match get(v, "schedule")? {
-        Value::Array(items) => items.iter().map(window_from_value).collect::<Option<Vec<_>>>()?,
-        _ => return None,
-    };
-    Some(Candidate { impairments: imps, schedule: wins })
+    }
+    Ok(Candidate {
+        impairments: list(v, "impairments", impairment_from_entry)?,
+        schedule: list(v, "schedule", window_from_entry)?,
+    })
 }
 
 #[cfg(test)]
@@ -973,11 +1053,60 @@ mod tests {
     fn candidate_round_trips_through_value_and_text() {
         let c = sample_candidate();
         let v = candidate_value(&c);
-        assert_eq!(candidate_from_value(&v), Some(c.clone()));
+        assert_eq!(candidate_from_value(&v), Ok(c.clone()));
         // Through JSON text (the counterexample file's on-disk trip).
         let text = serde_json::to_string(&v).unwrap();
         let reparsed = serde_json::from_str(&text).unwrap();
-        assert_eq!(candidate_from_value(&reparsed), Some(c));
+        assert_eq!(candidate_from_value(&reparsed), Ok(c));
+    }
+
+    #[test]
+    fn read_back_refuses_every_entry_the_simulator_could_not_run() {
+        // u64::MAX / 1e6 ms is the last instant that is still u64 nanoseconds.
+        let hostile = [
+            (r#"{"type":"iid-loss","p":1.5}"#, "impairments[1].p"),
+            (r#"{"type":"duplicate","p":-0.1}"#, "impairments[1].p"),
+            (r#"{"type":"burst-loss","p_good_to_bad":0.1,"p_bad_to_good":2}"#, "p_bad_to_good"),
+            (r#"{"type":"jitter","prob":1e999,"max_extra_ms":10}"#, "prob"),
+            (r#"{"type":"jitter","prob":0.5,"max_extra_ms":18446744073710}"#, "max_extra_ms"),
+            (r#"{"type":"displace","every":0,"depth":3}"#, "every"),
+            (r#"{"type":"displace","every":5,"depth":4294967300}"#, "depth"),
+            (r#"{"type":"flap","period_ms":0,"down_ms":0}"#, "period_ms"),
+            (r#"{"type":"flap","period_ms":500,"down_ms":0}"#, "down_ms"),
+            (r#"{"type":"flap","period_ms":500,"down_ms":500}"#, "down_ms"),
+            (r#"{"type":"bw-osc","low_mbps":0,"period_ms":500}"#, "low_mbps"),
+            (r#"{"type":"bw-osc","low_mbps":1e999,"period_ms":500}"#, "low_mbps"),
+            (r#"{"type":"bw-osc","low_mbps":2.0,"period_ms":0}"#, "period_ms"),
+            (r#"{"type":"delay-osc","high_delay_ms":18446744073710}"#, "high_delay_ms"),
+            (r#"{"type":"delay-osc","high_delay_ms":80,"period_ms":0}"#, "period_ms"),
+            (r#"{"type":"wormhole","p":0.1}"#, "impairments[1].type"),
+            (r#"{"type":"iid-loss"}"#, "impairments[1].p"),
+            (r#"{"p":0.1}"#, "impairments[1].type"),
+            (r#"{"type":"down","at_ms":18446744073710,"dur_ms":10}"#, "schedule[1].at_ms"),
+            (r#"{"type":"down","at_ms":18446744073000,"dur_ms":18446744073000}"#, "dur_ms"),
+            (r#"{"type":"delay","at_ms":10,"dur_ms":10,"delay_ms":18446744073710}"#, "delay_ms"),
+            (r#"{"type":"delay","at_ms":10,"dur_ms":10}"#, "schedule[1].delay_ms"),
+            (r#"{"type":"sideways","at_ms":10,"dur_ms":10}"#, "schedule[1].type"),
+        ];
+        for (entry, field) in hostile {
+            // Each hostile entry sits second in its list, behind a valid one.
+            let doc = if entry.contains("at_ms") {
+                format!(
+                    r#"{{"impairments":[],"schedule":[{{"type":"down","at_ms":0,"dur_ms":1}},{entry}]}}"#
+                )
+            } else {
+                format!(r#"{{"impairments":[{{"type":"iid-loss","p":1}},{entry}],"schedule":[]}}"#)
+            };
+            let err = candidate_from_value(&serde_json::from_str(&doc).expect("valid JSON"))
+                .expect_err(entry);
+            assert!(err.contains("[1]") && err.contains(field), "{entry}: {err}");
+        }
+        let no_list = serde_json::from_str(r#"{"impairments":[]}"#).unwrap();
+        assert!(candidate_from_value(&no_list).unwrap_err().contains("candidate.schedule"));
+        // The boundary itself is accepted: the check is overflow, not a cap.
+        let edge =
+            r#"{"impairments":[],"schedule":[{"type":"down","at_ms":0,"dur_ms":18446744073709}]}"#;
+        assert!(candidate_from_value(&serde_json::from_str(edge).unwrap()).is_ok());
     }
 
     #[test]

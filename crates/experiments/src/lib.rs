@@ -48,7 +48,6 @@
 #![warn(rust_2018_idioms)]
 
 pub mod ablations;
-pub mod bench;
 pub mod cell;
 pub mod explain;
 pub mod figures;

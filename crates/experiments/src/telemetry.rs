@@ -17,7 +17,7 @@ use netsim::telemetry::SessionStats;
 /// ([`SessionStats`]: simulators, events, peak heap, dropped trace
 /// records), so artifacts are byte-identical across repeat runs, worker
 /// counts and cache resumption. Wall-clock performance belongs on stderr
-/// and in `results/bench_sweep.json`, not in figure artifacts.
+/// and in `benchmark/`'s runs, not in figure artifacts.
 pub fn artifact_json<T: serde::Serialize + ?Sized>(results: &T, work: &SessionStats) -> String {
     let wrapped = serde_json::Value::Object(vec![
         ("results".to_owned(), serde_json::to_value(results)),

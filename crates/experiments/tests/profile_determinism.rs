@@ -1,12 +1,8 @@
-//! End-to-end guarantees of the observability layer through the `repro`
-//! binary:
-//!
-//! 1. `repro profile --jobs 1` and `--jobs 8` produce byte-identical
-//!    `deterministic` sections in `results/profile.json` (per-scenario
-//!    profiles merge in spec order, so scheduling never shows); the
-//!    `wall_clock_nondeterministic` section is explicitly excluded.
-//! 2. `repro bench-check` exits non-zero on a synthetic trajectory with a
-//!    regression past the threshold, and zero otherwise.
+//! End-to-end guarantee of the observability layer through the `repro`
+//! binary: `repro profile --jobs 1` and `--jobs 8` produce byte-identical
+//! `deterministic` sections in `results/profile.json` (per-scenario
+//! profiles merge in spec order, so scheduling never shows); the
+//! `wall_clock_nondeterministic` section is explicitly excluded.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -88,48 +84,4 @@ fn profile_deterministic_section_is_identical_at_any_jobs_count() {
 
     fs::remove_dir_all(&serial_dir).ok();
     fs::remove_dir_all(&parallel_dir).ok();
-}
-
-#[test]
-fn bench_check_gates_on_the_regression_threshold() {
-    let dir = scratch("bench-check");
-    let traj = dir.join("traj.json");
-    let traj_s = traj.to_str().expect("utf-8 temp path");
-
-    // The gate reads scenarios / serial_wall_s. 22 scenarios in 7 s, then
-    // in 10 s, is a 30% regression: fail with the default threshold, pass
-    // at 40%.
-    fs::write(
-        &traj,
-        r#"[{"scenarios": 22, "serial_wall_s": 7.0}, {"scenarios": 22, "serial_wall_s": 10.0}]"#,
-    )
-    .expect("write trajectory");
-    let fail = repro(&dir, &["bench-check", "--trajectory", traj_s]);
-    assert!(
-        !fail.status.success(),
-        "a 30% regression must fail the default 20% gate\nstdout: {}",
-        String::from_utf8_lossy(&fail.stdout)
-    );
-    let loose = repro(&dir, &["bench-check", "--trajectory", traj_s, "--threshold-pct", "40"]);
-    assert!(loose.status.success(), "a 30% regression passes a 40% threshold");
-
-    // A speedup passes — also one bought by dispatching fewer events, which
-    // reads as a 33% drop in the events/sec the entry still carries.
-    fs::write(
-        &traj,
-        r#"[{"scenarios": 22, "events": 9000000, "serial_wall_s": 5.0,
-             "serial_events_per_sec": 1800000.0},
-            {"scenarios": 22, "events": 4800000, "serial_wall_s": 4.0,
-             "serial_events_per_sec": 1200000.0}]"#,
-    )
-    .expect("write trajectory");
-    let faster = repro(&dir, &["bench-check", "--trajectory", traj_s]);
-    assert!(faster.status.success(), "a speedup must pass");
-
-    // A single entry has nothing to compare against: pass, not crash.
-    fs::write(&traj, r#"[{"scenarios": 22, "serial_wall_s": 5.0}]"#).expect("write trajectory");
-    let single = repro(&dir, &["bench-check", "--trajectory", traj_s]);
-    assert!(single.status.success(), "one entry: nothing to compare, pass");
-
-    fs::remove_dir_all(&dir).ok();
 }

@@ -9,9 +9,8 @@
 //!    accounting (`workload_flows`, `workload_bytes_per_flow`) and the
 //!    per-row results carry the population metrics (Jain, goodput CoV,
 //!    p99 FCT, bytes/flow);
-//! 3. a pure `repro scale` run appends a `workload: "scale"`-tagged
-//!    events/sec entry to the `BENCH_sweep.json` trajectory, and `--list`
-//!    prints the selectors in sorted order, scale selectors included.
+//! 3. `--list` prints the selectors in sorted order, scale selectors
+//!    included.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -91,32 +90,6 @@ fn scale_smoke_is_byte_identical_across_jobs_and_reports_population_metrics() {
 
     fs::remove_dir_all(&serial_dir).ok();
     fs::remove_dir_all(&parallel_dir).ok();
-}
-
-#[test]
-fn pure_scale_runs_append_a_workload_tagged_trajectory_entry() {
-    let dir = scratch("trajectory");
-    let (_, stderr) = repro(&dir, &["scale", "--quick", "--jobs", "2", "--no-cache"]);
-    assert!(stderr.contains("trajectory entry 1"), "append reported on stderr:\n{stderr}");
-
-    let trajectory = fs::read_to_string(dir.join("BENCH_sweep.json")).expect("trajectory written");
-    assert!(trajectory.contains("\"workload\": \"scale\""), "{trajectory}");
-    // What the gate reads, and the events/sec that rides along.
-    for key in ["\"scenarios\"", "\"serial_wall_s\"", "\"serial_events_per_sec\""] {
-        assert!(trajectory.contains(key), "{key} missing:\n{trajectory}");
-    }
-
-    // A second run appends (entry 2) rather than overwriting.
-    let (_, stderr) = repro(&dir, &["scale", "--quick", "--jobs", "2", "--no-cache"]);
-    assert!(stderr.contains("trajectory entry 2"), "{stderr}");
-
-    // bench-check over the two same-workload entries passes: identical
-    // scenarios measured twice on one machine sit far inside the default
-    // regression threshold.
-    let (stdout, _) = repro(&dir, &["bench-check"]);
-    assert!(stdout.contains("bench-check: pass"), "{stdout}");
-
-    fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

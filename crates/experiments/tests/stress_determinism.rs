@@ -86,9 +86,7 @@ fn stress_sweep_is_byte_identical_across_jobs_and_counts_impairments() {
 fn list_flag_prints_selectors_without_running() {
     let dir = scratch("list");
     let (stdout, _) = repro(&dir, &["--list"]);
-    for token in
-        ["fig2", "ablations", "stress", "stress-smoke", "faceoff", "cc-smoke", "bench-sweep", "all"]
-    {
+    for token in ["fig2", "ablations", "stress", "stress-smoke", "faceoff", "cc-smoke", "all"] {
         assert!(stdout.contains(token), "--list must mention {token}:\n{stdout}");
     }
     assert!(stdout.contains("results/stress.json"), "{stdout}");

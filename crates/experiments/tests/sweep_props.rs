@@ -1,12 +1,17 @@
-//! Property tests over the sweep engine's two determinism pillars:
+//! Property tests over the sweep engine's two determinism pillars —
 //! content-addressed spec hashing and the JSON round trip the result cache
-//! depends on.
+//! depends on — and over the one reader of files the engine did not write,
+//! the counterexample read-back.
 
+use experiments::explain::CounterexampleDoc;
+use experiments::hunt::{candidate_from_value, candidate_value, mutate, Candidate};
 use experiments::sweep::spec::{
     ImpairmentSpec, PlanSpec, ScenarioKind, ScenarioSpec, TopologySpec,
 };
 use experiments::variants::Variant;
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 use serde::Value;
 
 /// Builds a fairness spec from integer-sampled parameters (α in
@@ -154,5 +159,134 @@ proptest! {
         };
         let twice = serde_json::to_string(&reparsed).expect("total");
         prop_assert_eq!(&once, &twice, "print-parse-print must be a fixed point");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Counterexample read-back: the one place a file becomes a scenario
+// ---------------------------------------------------------------------------
+
+/// The words a counterexample document is made of — header keys, entry
+/// tags, entry fields — so that random trees land on the reader's own
+/// vocabulary often enough to get past its first check.
+const HEADER: [&str; 9] =
+    ["kind", "hunt", "plan", "smoke", "variant", "TCP-PR", "candidate", "impairments", "schedule"];
+const STAGES: [&str; 8] =
+    ["iid-loss", "burst-loss", "jitter", "displace", "duplicate", "flap", "bw-osc", "delay-osc"];
+const WINDOWS: [&str; 2] = ["down", "delay"];
+const FIELDS: [&str; 15] = [
+    "p",
+    "p_good_to_bad",
+    "p_bad_to_good",
+    "loss_bad",
+    "prob",
+    "max_extra_ms",
+    "every",
+    "depth",
+    "period_ms",
+    "down_ms",
+    "low_mbps",
+    "high_delay_ms",
+    "at_ms",
+    "dur_ms",
+    "delay_ms",
+];
+
+fn pick<T: Copy>(rng: &mut SmallRng, from: &[T]) -> T {
+    from[rng.gen_range(0..from.len())]
+}
+
+/// Mostly numbers an entry could hold, some just past what it can.
+fn number(rng: &mut SmallRng) -> Value {
+    match rng.gen_range(0u32..8) {
+        0 => Value::UInt(pick(rng, &[0, u64::MAX / 1_000_000 + 1, u64::MAX, 1 << 32])),
+        1 => Value::Float(pick(rng, &[1.5, -0.5, f64::INFINITY, 1e300, 0.0])),
+        2 => Value::Int(-1),
+        3..=5 => Value::UInt(pick(rng, &[1, 2, 10, 300, 500, 4000])),
+        _ => Value::Float(pick(rng, &[0.005, 0.25, 1.0])),
+    }
+}
+
+fn arbitrary_value(rng: &mut SmallRng, depth: u32) -> Value {
+    let word = |rng: &mut SmallRng| pick(rng, &[&HEADER[..], &STAGES, &WINDOWS, &FIELDS].concat());
+    match rng.gen_range(0u32..if depth == 0 { 5 } else { 7 }) {
+        0 => Value::Null,
+        1 => Value::Bool(rng.gen_bool(0.5)),
+        2 => Value::Int(rng.gen::<u64>() as i64),
+        3 => number(rng),
+        4 => Value::Str(word(rng).to_owned()),
+        5 => Value::Array(
+            (0..rng.gen_range(0usize..4)).map(|_| arbitrary_value(rng, depth - 1)).collect(),
+        ),
+        _ => Value::Object(
+            (0..rng.gen_range(0usize..5))
+                .map(|_| (word(rng).to_owned(), arbitrary_value(rng, depth - 1)))
+                .collect(),
+        ),
+    }
+}
+
+/// A document that is well-formed down to `level` (0: nothing, 1: the
+/// header, 2: the two lists, 3: each entry's tag and field names) and
+/// arbitrary below it.
+fn hostile_document(rng: &mut SmallRng, level: u32) -> Value {
+    let obj = |fields: Vec<(&str, Value)>| {
+        Value::Object(fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
+    };
+    let entries = |rng: &mut SmallRng, tags: &[&str]| {
+        let entry = |rng: &mut SmallRng| {
+            if level < 3 {
+                return arbitrary_value(rng, 2);
+            }
+            let mut fields = vec![("type", Value::Str(pick(rng, tags).to_owned()))];
+            fields.extend(FIELDS.map(|key| (key, number(rng))));
+            obj(fields)
+        };
+        Value::Array((0..rng.gen_range(0usize..3)).map(|_| entry(rng)).collect())
+    };
+    if level == 0 {
+        return arbitrary_value(rng, 4);
+    }
+    let candidate = match level {
+        1 => arbitrary_value(rng, 3),
+        _ => {
+            obj(vec![("impairments", entries(rng, &STAGES)), ("schedule", entries(rng, &WINDOWS))])
+        }
+    };
+    obj(vec![
+        ("kind", Value::Str("hunt".to_owned())),
+        ("variant", Value::Str("TCP-PR".to_owned())),
+        ("plan", Value::Str("smoke".to_owned())),
+        ("base_seed", Value::UInt(5)),
+        ("content_hash", Value::Str("f2461c1316f3875a".to_owned())),
+        ("objective", arbitrary_value(rng, 0)),
+        ("candidate", candidate),
+    ])
+}
+
+proptest! {
+    #[test]
+    fn counterexample_read_back_round_trips_the_mutator_and_never_unwinds(
+        seed in 0u64..u64::MAX,
+        level in 0u32..6,
+    ) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+
+        // Every candidate the mutator can reach reads back as itself.
+        let mut c = Candidate::baseline();
+        for _ in 0..24 {
+            c = mutate(&c, &mut rng);
+            prop_assert_eq!(candidate_from_value(&candidate_value(&c)), Ok(c.clone()));
+        }
+
+        // Anything else returns — an `Err`, or a document whose spec can be
+        // rebuilt and hash-checked — and a panic anywhere fails the case.
+        for _ in 0..16 {
+            let doc = hostile_document(&mut rng, level.min(3));
+            let text = serde_json::to_string(&doc).expect("total");
+            if let Ok(doc) = CounterexampleDoc::parse(&text) {
+                let _ = doc.spec();
+            }
+        }
     }
 }

@@ -18,8 +18,8 @@
 //!   wall-clock section.
 //!
 //! The whole layer is compiled unconditionally; when [`enabled`] is false
-//! (the default) every hook is one relaxed atomic load and a return, so the
-//! bench trajectory in `BENCH_sweep.json` is unaffected.
+//! (the default) every hook is one relaxed atomic load and a return (the
+//! benchmark's `obs.slowdown` counter holds the price of turning it on).
 //!
 //! # Examples
 //!
