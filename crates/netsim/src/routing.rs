@@ -12,8 +12,11 @@
 //!
 //! [`Routing`] owns every path a mixture ever offered, in an append-only
 //! table, and a source-routed packet names its path by its [`RouteId`]
-//! there (DESIGN.md §2 "The round trip takes no detour").
+//! there (DESIGN.md §2 "The round trip takes no detour"). Its shortest-path
+//! table is solved from transit nodes only (§2 "Routes are solved for the
+//! transit core").
 
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
@@ -61,45 +64,26 @@ impl Graph {
         self.node_count
     }
 
-    /// Single-source shortest paths (by propagation delay) from `src`.
-    /// Returns, for every destination, the first link of the shortest path,
-    /// or `None` if unreachable (or the destination is `src` itself).
-    pub fn shortest_first_links(&self, src: NodeId) -> Vec<Option<LinkId>> {
-        #[derive(PartialEq, Eq)]
-        struct Entry(SimDuration, usize);
-        impl Ord for Entry {
-            fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-                (other.0, other.1).cmp(&(self.0, self.1))
+    /// Every node's [`Stub`] record, `None` for a transit node (DESIGN.md §2
+    /// "Routes are solved for the transit core"). A stub `x` has exactly one
+    /// link out, to some `y ≠ x`, exactly one link in, from that `y`, and `y`
+    /// is not such a node itself — so a two-node island stays transit.
+    fn stubs(&self) -> Vec<Option<Stub>> {
+        // How many links enter each node, and the last of them: `(count, from, link)`.
+        let mut entering = vec![(0usize, 0usize, LinkId::from_raw(0)); self.node_count];
+        for (u, out) in self.adj.iter().enumerate() {
+            for &(v, link, _) in out {
+                let e = &mut entering[v.index()];
+                *e = (e.0 + 1, u, link);
             }
         }
-        impl PartialOrd for Entry {
-            fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-                Some(self.cmp(other))
+        let hangs = |x: usize| match (self.adj[x].as_slice(), entering[x]) {
+            (&[(y, up, _)], (1, from, down)) if from == y.index() && from != x => {
+                Some(Stub { attachment: from, up, down })
             }
-        }
-
-        let n = self.node_count;
-        let mut dist = vec![SimDuration::MAX; n];
-        let mut first_link: Vec<Option<LinkId>> = vec![None; n];
-        let mut heap = BinaryHeap::new();
-        dist[src.index()] = SimDuration::ZERO;
-        heap.push(Entry(SimDuration::ZERO, src.index()));
-        while let Some(Entry(d, u)) = heap.pop() {
-            if d > dist[u] {
-                continue;
-            }
-            for &(v, link, w) in &self.adj[u] {
-                let nd = d + w;
-                if nd < dist[v.index()] {
-                    dist[v.index()] = nd;
-                    first_link[v.index()] =
-                        if u == src.index() { Some(link) } else { first_link[u] };
-                    heap.push(Entry(nd, v.index()));
-                }
-            }
-        }
-        first_link[src.index()] = None;
-        first_link
+            _ => None,
+        };
+        (0..self.node_count).map(|x| hangs(x).filter(|s| hangs(s.attachment).is_none())).collect()
     }
 
     /// Enumerates all simple (loop-free) paths from `src` to `dst`, bounded
@@ -165,6 +149,15 @@ impl Graph {
     }
 }
 
+/// A stub node's one way in and out: the node `attachment` it hangs off,
+/// its uplink `x → attachment` and the downlink `attachment → x`.
+#[derive(Debug, Clone, Copy)]
+struct Stub {
+    attachment: usize,
+    up: LinkId,
+    down: LinkId,
+}
+
 /// Selection weights for the ε-family of multi-path strategies.
 ///
 /// Returns one non-negative weight per path delay, normalized to sum to 1.
@@ -223,16 +216,22 @@ impl MultipathRoute {
     ///
     /// # Panics
     ///
-    /// Panics if `paths` is empty, lengths differ, or all weights are zero.
+    /// Panics if `paths` is empty, lengths differ, a weight is not finite
+    /// and non-negative, or all weights are zero.
     pub fn with_weights(paths: Vec<Path>, weights: &[f64]) -> Self {
         assert!(!paths.is_empty(), "at least one path required");
         assert_eq!(paths.len(), weights.len(), "one weight per path required");
+        for (i, w) in weights.iter().enumerate() {
+            assert!(
+                w.is_finite() && *w >= 0.0,
+                "weight {i} must be finite and non-negative, got {w}"
+            );
+        }
         let total: f64 = weights.iter().sum();
         assert!(total > 0.0, "weights must not all be zero");
         let mut cdf = Vec::with_capacity(weights.len());
         let mut acc = 0.0;
         for w in weights {
-            assert!(*w >= 0.0, "weights must be non-negative");
             acc += w / total;
             cdf.push(acc);
         }
@@ -273,8 +272,10 @@ struct Installed {
 /// Complete routing state for a simulation.
 #[derive(Debug, Default)]
 pub struct Routing {
-    /// `next_hop[src][dst]` = first link of the shortest path.
-    next_hop: Vec<Vec<Option<LinkId>>>,
+    /// Rows and columns of [`Self::next_hop`].
+    nodes: usize,
+    /// `next_hop[src * nodes + dst]` = first link of the shortest path.
+    next_hop: Vec<Option<LinkId>>,
     /// Per source node, the mixtures overriding next-hop routing: a handful
     /// of destinations at most, scanned linearly.
     multipath: Vec<Vec<Installed>>,
@@ -284,12 +285,65 @@ pub struct Routing {
 }
 
 impl Routing {
-    /// Computes all-pairs shortest-path next hops for `graph`.
+    /// Computes all-pairs shortest-path next hops for `graph`, by
+    /// propagation delay. Among equal-delay paths a destination inherits its
+    /// first link from its shortest-path predecessor popped first by
+    /// (distance, node index).
+    ///
+    /// Dijkstra runs from transit nodes only and never relaxes into a stub
+    /// (DESIGN.md §2 "Routes are solved for the transit core"): a stub's
+    /// column is copied from its attachment's, and its row is its uplink
+    /// towards its attachment and everything the attachment reaches.
+    /// Reports the profiler counters `routing.nodes` and `routing.solved`
+    /// (Dijkstra runs).
     pub fn shortest_path(graph: &Graph) -> Self {
-        let next_hop = (0..graph.node_count())
-            .map(|s| graph.shortest_first_links(NodeId::from_raw(s as u32)))
-            .collect();
-        Routing { next_hop, multipath: Vec::new(), routes: Vec::new() }
+        let n = graph.node_count();
+        let stubs = graph.stubs();
+        let mut next_hop = vec![None; n * n];
+        let mut dist = vec![SimDuration::MAX; n];
+        let mut heap = BinaryHeap::new();
+        let mut solved = 0;
+        for src in (0..n).filter(|&s| stubs[s].is_none()) {
+            solved += 1;
+            let row = &mut next_hop[src * n..(src + 1) * n];
+            dist.fill(SimDuration::MAX);
+            dist[src] = SimDuration::ZERO;
+            heap.push(Reverse(heap_key(SimDuration::ZERO, src)));
+            while let Some(Reverse(key)) = heap.pop() {
+                let (d, u) = (SimDuration::from_nanos((key >> 64) as u64), key as u64 as usize);
+                if d > dist[u] {
+                    continue;
+                }
+                for &(v, link, w) in &graph.adj[u] {
+                    let v = v.index();
+                    if stubs[v].is_some() {
+                        continue;
+                    }
+                    let nd = d + w;
+                    if nd < dist[v] {
+                        dist[v] = nd;
+                        row[v] = if u == src { Some(link) } else { row[u] };
+                        heap.push(Reverse(heap_key(nd, v)));
+                    }
+                }
+            }
+            for (x, stub) in stubs.iter().enumerate() {
+                if let Some(s) = stub {
+                    row[x] = if s.attachment == src { Some(s.down) } else { row[s.attachment] };
+                }
+            }
+        }
+        for (x, stub) in stubs.iter().enumerate() {
+            if let Some(s) = stub {
+                for d in 0..n {
+                    let reached = d == s.attachment || next_hop[s.attachment * n + d].is_some();
+                    next_hop[x * n + d] = (reached && d != x).then_some(s.up);
+                }
+            }
+        }
+        obs::count("routing.nodes", n as u64);
+        obs::count("routing.solved", solved);
+        Routing { nodes: n, next_hop, multipath: Vec::new(), routes: Vec::new() }
     }
 
     /// Installs a source-routed mixture for packets from `src` to `dst`,
@@ -347,18 +401,39 @@ impl Routing {
         self.routes.len()
     }
 
-    /// Shortest-path next hop from `at` towards `dst`.
+    /// Shortest-path next hop from `at` towards `dst`; `None` if `dst` is
+    /// unreachable, is `at`, or either id is out of range.
     pub fn next_hop(&self, at: NodeId, dst: NodeId) -> Option<LinkId> {
-        self.next_hop.get(at.index()).and_then(|row| row.get(dst.index()).copied().flatten())
+        if dst.index() >= self.nodes {
+            return None;
+        }
+        // An `at` past the last row indexes past the end of the table.
+        self.next_hop.get(at.index() * self.nodes + dst.index()).copied().flatten()
     }
 }
 
+/// A Dijkstra heap entry, `(distance << 64) | node`: `u128` order is
+/// (distance, node index) order.
+fn heap_key(dist: SimDuration, node: usize) -> u128 {
+    (u128::from(dist.as_nanos()) << 64) | node as u128
+}
+
+#[cfg(test)]
+mod model;
+
 #[cfg(test)]
 mod tests {
+    use super::model::{compare, Edge};
     use super::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     fn ms(x: u64) -> SimDuration {
         SimDuration::from_millis(x)
+    }
+
+    fn us(x: u64) -> SimDuration {
+        SimDuration::from_micros(x)
     }
 
     fn n(i: u32) -> NodeId {
@@ -367,6 +442,146 @@ mod tests {
 
     fn l(i: u32) -> LinkId {
         LinkId::from_raw(i)
+    }
+
+    /// Links `(from, to, delay µs)`, numbered in order.
+    type Links = [(u32, u32, u64)];
+
+    fn edges(list: &Links) -> Vec<Edge> {
+        list.iter().enumerate().map(|(i, &(a, b, d))| (n(a), n(b), l(i as u32), us(d))).collect()
+    }
+
+    /// Which nodes are stubs, and off which node each hangs.
+    fn stub_attachments(node_count: usize, list: &Links) -> Vec<Option<usize>> {
+        let stubs = Graph::new(node_count, &edges(list)).stubs();
+        stubs.iter().map(|s| s.map(|s| s.attachment)).collect()
+    }
+
+    #[test]
+    fn a_stub_has_one_link_out_and_one_back_off_a_transit_node() {
+        // 0 ↔ 1 ↔ 2 ↔ 0 is the core; 3 hangs off 0, 4 off 1.
+        let core = [(0, 1, 1), (1, 0, 1), (1, 2, 1), (2, 1, 1), (2, 0, 1), (0, 2, 1)];
+        let hosts = [(3, 0, 1), (0, 3, 1), (1, 4, 1), (4, 1, 1)];
+        let both = [&core[..], &hosts[..]].concat();
+        assert_eq!(stub_attachments(5, &both), [None, None, None, Some(0), Some(1)]);
+        // A second way in: from another node, or a parallel link from the attachment.
+        for extra in [(2, 3, 1), (0, 3, 5)] {
+            let list = [&both[..], &[extra]].concat();
+            assert_eq!(stub_attachments(5, &list)[3], None, "{extra:?}");
+        }
+        // A second way out, or a self-loop.
+        for extra in [(3, 2, 1), (3, 3, 0)] {
+            let list = [&both[..], &[extra]].concat();
+            assert_eq!(stub_attachments(5, &list)[3], None, "{extra:?}");
+        }
+        // One way in and one out, but not to and from the same node: a chain link.
+        let chain = [&core[..], &[(3, 0, 1), (1, 3, 1)]].concat();
+        assert_eq!(stub_attachments(4, &chain)[3], None);
+        // A two-node island stays transit, and so do isolated nodes and
+        // single one-way links.
+        assert_eq!(stub_attachments(2, &[(0, 1, 1), (1, 0, 1)]), [None, None]);
+        assert_eq!(stub_attachments(3, &[(0, 1, 1)]), [None, None, None]);
+        // Both ends of 0 ↔ 1 ↔ 2 hang off 1.
+        let line = [(0, 1, 1), (1, 0, 1), (1, 2, 1), (2, 1, 1)];
+        assert_eq!(stub_attachments(3, &line), [Some(1), None, Some(1)]);
+    }
+
+    /// A random directed graph with every shape the stub rule must get
+    /// right: a core of one-way, two-way, parallel and zero-delay links and
+    /// self-loops, then isolated nodes, two-node islands, stubs (some off
+    /// another gadget's node), one-link-out nodes with a second link in, and
+    /// chains of one-link-out nodes. Delays of 0–3 µs make ties the rule.
+    fn random_graph(seed: u64) -> (usize, Vec<Edge>) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut list: Vec<(u32, u32, u64)> = Vec::new();
+        let mut link = |rng: &mut SmallRng, a: usize, b: usize| {
+            list.push((a as u32, b as u32, rng.gen_range(0..4)));
+        };
+        let core = rng.gen_range(1..8usize);
+        for _ in 0..rng.gen_range(0..3 * core) {
+            let (a, b) = (rng.gen_range(0..core), rng.gen_range(0..core));
+            link(&mut rng, a, b);
+            if rng.gen_bool(0.5) {
+                link(&mut rng, b, a);
+            }
+        }
+        let mut nodes = core;
+        for _ in 0..rng.gen_range(0..8) {
+            let (at, x) = (rng.gen_range(0..nodes), nodes);
+            match rng.gen_range(0..5) {
+                0 => nodes += 1,
+                1 => {
+                    link(&mut rng, at, x);
+                    link(&mut rng, x, at);
+                    nodes += 1;
+                }
+                2 => {
+                    link(&mut rng, x, x + 1);
+                    link(&mut rng, x + 1, x);
+                    nodes += 2;
+                }
+                3 => {
+                    link(&mut rng, at, x);
+                    link(&mut rng, x, at);
+                    let from = rng.gen_range(0..=x);
+                    link(&mut rng, from, x);
+                    nodes += 1;
+                }
+                _ => {
+                    let len = rng.gen_range(1..5usize);
+                    for i in x..x + len {
+                        link(&mut rng, i, if i + 1 == x + len { at } else { i + 1 });
+                    }
+                    let from = rng.gen_range(0..x);
+                    link(&mut rng, from, x);
+                    nodes += len;
+                }
+            }
+        }
+        (nodes, edges(&list))
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn next_hops_match_the_per_source_model(seed in 0u64..u64::MAX) {
+            for case in 0..16 {
+                let (nodes, edges) = random_graph(seed.wrapping_add(case));
+                let verdict = compare(nodes, &edges);
+                proptest::prop_assert!(verdict.is_ok(), "{}: {:?}", verdict.unwrap_err(), edges);
+            }
+        }
+    }
+
+    #[test]
+    fn next_hops_match_the_per_source_model_on_hand_built_graphs() {
+        let cases: [(usize, &Links); 5] = [
+            // A stub hanging off each end of a tied diamond.
+            (
+                6,
+                &[
+                    (0, 1, 1),
+                    (1, 3, 1),
+                    (0, 2, 1),
+                    (2, 3, 1),
+                    (3, 0, 2),
+                    (4, 0, 0),
+                    (0, 4, 0),
+                    (5, 3, 3),
+                    (3, 5, 3),
+                ],
+            ),
+            // A one-link-out node that is a shortcut for a third node.
+            (4, &[(0, 1, 5), (1, 0, 5), (0, 2, 0), (2, 1, 0), (1, 2, 1), (3, 0, 1), (0, 3, 1)]),
+            // A chain of one-link-out nodes around a loop.
+            (4, &[(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, 1), (2, 0, 9)]),
+            // An island beside a stubbed pair.
+            (5, &[(0, 1, 2), (1, 0, 2), (2, 1, 0), (1, 2, 0), (3, 4, 1), (4, 3, 1)]),
+            // A lone node.
+            (1, &[]),
+        ];
+        for (nodes, list) in cases {
+            assert_eq!(compare(nodes, &edges(list)), Ok(()), "{list:?}");
+        }
     }
 
     /// 0 → 1 → 3 (10ms + 10ms) and 0 → 2 → 3 (10ms + 30ms).
@@ -384,19 +599,19 @@ mod tests {
 
     #[test]
     fn dijkstra_picks_min_delay_route() {
-        let g = diamond();
-        let first = g.shortest_first_links(n(0));
-        assert_eq!(first[3], Some(l(0)), "should route via node 1");
-        assert_eq!(first[1], Some(l(0)));
-        assert_eq!(first[2], Some(l(2)));
-        assert_eq!(first[0], None);
+        let routing = Routing::shortest_path(&diamond());
+        let first = |dst| routing.next_hop(n(0), n(dst));
+        assert_eq!(first(3), Some(l(0)), "should route via node 1");
+        assert_eq!(first(1), Some(l(0)));
+        assert_eq!(first(2), Some(l(2)));
+        assert_eq!(first(0), None);
     }
 
     #[test]
     fn dijkstra_unreachable_is_none() {
-        let g = Graph::new(3, &[(n(0), n(1), l(0), ms(1))]);
-        let first = g.shortest_first_links(n(0));
-        assert_eq!(first[2], None);
+        let routing = Routing::shortest_path(&Graph::new(3, &[(n(0), n(1), l(0), ms(1))]));
+        assert_eq!(routing.next_hop(n(0), n(2)), None);
+        assert_eq!(routing.next_hop(n(0), n(3)), None, "out of range");
     }
 
     #[test]
@@ -486,5 +701,27 @@ mod tests {
     #[should_panic(expected = "at least one path")]
     fn empty_weights_rejected() {
         let _ = epsilon_weights(&[], 1.0);
+    }
+
+    fn mixture(weights: &[f64]) -> MultipathRoute {
+        MultipathRoute::with_weights(diamond().simple_paths(n(0), n(3), 8, 16), weights)
+    }
+
+    #[test]
+    #[should_panic(expected = "weight 0 must be finite and non-negative, got inf")]
+    fn infinite_weights_rejected() {
+        mixture(&[f64::INFINITY, f64::INFINITY]);
+    }
+
+    #[test]
+    #[should_panic(expected = "weight 1 must be finite and non-negative, got NaN")]
+    fn nan_weight_rejected() {
+        mixture(&[1.0, f64::NAN]);
+    }
+
+    #[test]
+    #[should_panic(expected = "weights must not all be zero")]
+    fn all_zero_weights_rejected() {
+        mixture(&[0.0, 0.0]);
     }
 }

@@ -3,7 +3,7 @@
 //! of admin schedules, duplication, and determinism at the simulator
 //! level.
 
-use netsim::impair::{flap_schedule, ImpairPipeline, ImpairStats, StageConfig};
+use netsim::impair::{flap_schedule, Fate, ImpairPipeline, ImpairStats, StageConfig};
 use netsim::sim::SimBuilder;
 use netsim::time::{SimDuration, SimTime};
 use netsim::traffic::{CbrSink, CbrSource};
@@ -71,6 +71,42 @@ proptest! {
             prop_assert_eq!(a.process(tx, &mut sa), b.process(tx, &mut sb));
         }
         prop_assert_eq!(sa, sb);
+    }
+
+    /// The displacement stage emits bounded-displacement permutations
+    /// (ROADMAP 9a): under any `Displace { every, depth }` and any send
+    /// schedule whose gaps are at least `tx`, ordering packets by arrival
+    /// `(send + tx·depth·[displaced], index)` leaves every one at most
+    /// `depth` places from its send rank — the precondition of
+    /// `tests/receiver_model.rs`'s Istrate bound.
+    #[test]
+    fn displacement_moves_no_packet_more_than_depth_places(
+        every in 1u64..8,
+        depth in 0u32..10,
+        tx_ns in 1u64..2_000_000,
+        // Extra gap beyond `tx`, in half-`tx` steps: exact-`tx` gaps make ties.
+        slack in collection::vec(0u64..3, 1..300),
+    ) {
+        let tx = SimDuration::from_nanos(tx_ns);
+        let mut pipe = ImpairPipeline::new(&[StageConfig::Displace { every, depth }], 0);
+        let mut stats = ImpairStats::default();
+        let mut send = SimTime::ZERO;
+        let mut arrivals = Vec::with_capacity(slack.len());
+        for (i, &extra) in slack.iter().enumerate() {
+            let displaced = (i as u64 + 1).is_multiple_of(every);
+            let held = if displaced { tx * u64::from(depth) } else { SimDuration::ZERO };
+            let fate = pipe.process(tx, &mut stats);
+            prop_assert_eq!(fate, Fate::Deliver { extra_delay: held, duplicate: false });
+            arrivals.push((send + held, i));
+            send += tx + SimDuration::from_nanos(tx_ns / 2 * extra);
+        }
+        arrivals.sort_unstable();
+        for (rank, &(at, i)) in arrivals.iter().enumerate() {
+            prop_assert!(
+                rank.abs_diff(i) <= depth as usize,
+                "packet {i} arrives {rank}th at {at:?} (every {every}, depth {depth}, tx {tx:?})"
+            );
+        }
     }
 }
 

@@ -102,8 +102,9 @@ pub struct Materialized {
 
 impl GeneratedTopology {
     /// Adds the topology's nodes and duplex links to a builder. Routing
-    /// (shortest path by delay, deterministic tie-breaks) is computed by
-    /// the builder itself.
+    /// (shortest path by delay; among equal-delay paths a destination
+    /// inherits its first link from its shortest-path predecessor popped
+    /// first by (distance, node index)) is computed by the builder itself.
     pub fn materialize(&self, b: &mut SimBuilder) -> Materialized {
         let nodes = b.add_nodes(self.node_count);
         let links = self
