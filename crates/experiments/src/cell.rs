@@ -616,8 +616,10 @@ impl Population {
             merged.merge(source.stats());
             state_bytes += source.state_bytes();
         }
-        // An upper bound: an arrival riding its link's lane holds 24 B (a heap
-        // key or a lane entry) and no payload slot, not the full record.
+        // An upper bound: only an event with a payload slot holds the full
+        // record. A `LinkReady`, a timer pop or a lane's head holds its
+        // 16-byte key alone, and an arrival queued behind that head a 24-byte
+        // lane entry.
         let heap_bytes = (sim.event_heap_peak() * EventQueue::record_bytes()) as u64;
         // A pending `Arrive` is a handle; the packet it names is an arena slot.
         let packet_bytes = (sim.packet_peak() * std::mem::size_of::<netsim::Packet>()) as u64;

@@ -32,7 +32,7 @@ pub const CODE_SALT: &str = "tcp-pr-sweep-v1";
 /// `bytes_per_flow`). Unlike [`CODE_SALT`] it is **not** part of
 /// [`ScenarioSpec::content_hash`]: a bump re-seeds nothing and moves no
 /// figure.
-pub const WORK_REV: u64 = 5;
+pub const WORK_REV: u64 = 6;
 
 /// Which topology a fairness scenario runs on, with the figure's bandwidth
 /// override (None = the topology's default).

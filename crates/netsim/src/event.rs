@@ -9,20 +9,20 @@
 //! sometimes still holds its place in the order, so leaving it out moves no
 //! other event's [`EventKey`]. The virtual `LinkReady` is built on this.
 //!
-//! The heap orders 24-byte `(at, seq, slot)` keys; the [`EventKind`]
-//! payloads sit still in a [`Slab`], written once on push and read once on
-//! pop, so the slab never outgrows [`EventQueue::peak_len`]. A payload is
-//! itself 24 bytes — an `Arrive` names its packet by [`PacketId`], the
-//! packet stays in the simulator's arena — and still does not ride in the
-//! heap entry: sifting 40-byte records measured no faster than 24-byte
-//! keys (DESIGN.md §2 "Packets sit still").
+//! The heap orders 16-byte keys: one `u128` holding `at`, `seq` and the
+//! event's **source**, a tag over an index. A key rebuilds its event when
+//! it can: a `LinkReady` names its link, a timer pop whose `generation` is
+//! its own `seq` (every one the simulator pushes) names its agent, and a
+//! lane's head names its lane. Every other [`EventKind`] payload sits still
+//! in a [`Slab`], written once on push and read once on pop, and its key
+//! names the slot (DESIGN.md §2 "One 16-byte key").
 //!
 //! Arrivals a link delivers in the order it sent them share one heap entry:
 //! [`EventQueue::schedule_arrival`] appends to the link's **lane**, a FIFO
-//! whose head alone is in the heap — as a key naming the lane and carrying
-//! the [`PacketId`] in what was padding, so no payload slab is touched — and
-//! popping that key rewrites the heap's top with the lane's next. Arrivals
-//! keep their `(at, seq)` (DESIGN.md §2 "Arrivals ride their link").
+//! whose head alone is in the heap — as a key naming the lane, whose head
+//! [`PacketId`] waits beside the backlog, so no payload slab is touched —
+//! and popping that key rewrites the heap's top with the lane's next.
+//! Arrivals keep their `(at, seq)` (DESIGN.md §2 "Arrivals ride their link").
 //!
 //! Agent timer pops wait in a heap of their own: a flow's retransmission
 //! timer is re-armed by every ACK and almost never fires, so its key would
@@ -112,36 +112,57 @@ impl EventKind {
 /// Dispatch-order key of an event: instant, then tie-break sequence number.
 pub type EventKey = (SimTime, u64);
 
-/// What the heap sifts: the dispatch key plus where the payload waits — a
-/// payload-slab slot, or with [`LANE`] set a lane, whose head `packet` is.
-#[derive(Debug, Clone, Copy)]
-struct Key {
-    at: SimTime,
-    seq: u64,
-    slot: u32,
-    packet: PacketId,
-}
+/// What the heap sifts: `at` in the high 64 bits, `seq` in the next
+/// [`SEQ_BITS`], and in the low 24 the source — a 3-bit tag over an
+/// [`INDEX_BITS`]-bit index naming where the event waits or what rebuilds it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Key(u128);
 
-/// Tag bit of [`Key::slot`]: the rest is a lane index, not a slab slot.
-const LANE: u32 = 1 << 31;
+/// Width of a key's `seq`: a queue reserves at most 2^40 of them.
+const SEQ_BITS: u32 = 40;
+/// Width of a key's index: at most 2^21 links, agents or pending slotted events.
+const INDEX_BITS: u32 = 21;
 
-/// The arrivals in flight on one link, in `(at, seq)` order.
-#[derive(Debug)]
-struct Lane {
-    /// Node the link delivers to.
-    to: NodeId,
-    /// True while the lane's head is in the heap (as a [`LANE`] key).
-    busy: bool,
-    /// The arrivals queued behind that head.
-    backlog: VecDeque<(SimTime, u64, PacketId)>,
-}
+/// Source tags. The payload is in the slab slot the index names.
+const SLOT: u32 = 0;
+/// The head of the lane the index names; its packet is [`Lane::head`].
+const LANE: u32 = 1;
+/// `EventKind::LinkReady` of the link the index names.
+const LINK_READY: u32 = 2;
+/// `EventKind::Timer` of the agent the index names, `generation` = the key's `seq`.
+const TIMER: u32 = 3;
+/// `EventKind::AuxTimer`, as for [`TIMER`].
+const AUX: u32 = 4;
 
-impl PartialEq for Key {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+impl Key {
+    /// Packs a key; `seq` and `index` must fit their fields, in release
+    /// builds too — a truncated field would reorder or misdirect an event.
+    fn new(at: SimTime, seq: u64, tag: u32, index: u32) -> Key {
+        assert!(seq < 1 << SEQ_BITS, "event seq {seq} overflows the key: seq must be below 2^40");
+        assert!(
+            index < 1 << INDEX_BITS,
+            "event source index {index} overflows the key: index must be below 2^21"
+        );
+        let source = tag << INDEX_BITS | index;
+        Key((at.as_nanos() as u128) << 64 | (seq as u128) << 24 | source as u128)
+    }
+
+    fn at(self) -> SimTime {
+        SimTime::from_nanos((self.0 >> 64) as u64)
+    }
+
+    fn seq(self) -> u64 {
+        (self.0 >> 24) as u64 & ((1 << SEQ_BITS) - 1)
+    }
+
+    fn tag(self) -> u32 {
+        (self.0 as u32 >> INDEX_BITS) & 0b111
+    }
+
+    fn index(self) -> u32 {
+        self.0 as u32 & ((1 << INDEX_BITS) - 1)
     }
 }
-impl Eq for Key {}
 
 impl PartialOrd for Key {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
@@ -149,19 +170,26 @@ impl PartialOrd for Key {
     }
 }
 
-impl Key {
-    /// `(at, seq)` as one integer: a heap level compares with `cmp`/`sbb`,
-    /// where the tuple took a branch per field.
-    fn order(&self) -> u128 {
-        (self.at.as_nanos() as u128) << 64 | self.seq as u128
+impl Ord for Key {
+    /// One integer compare. `seq` is unique among pending keys, so the
+    /// source bits below it never decide: this is the `(at, seq)` order,
+    /// inverted because `BinaryHeap` is a max-heap.
+    fn cmp(&self, other: &Self) -> Ordering {
+        other.0.cmp(&self.0)
     }
 }
 
-impl Ord for Key {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest (time, seq) pops first.
-        other.order().cmp(&self.order())
-    }
+/// The arrivals in flight on one link, in `(at, seq)` order.
+#[derive(Debug)]
+struct Lane {
+    /// Node the link delivers to.
+    to: NodeId,
+    /// The packet of the arrival the lane's key stands for, while `busy`.
+    head: PacketId,
+    /// True while the lane's head is in the heap (as a [`LANE`] key).
+    busy: bool,
+    /// The arrivals queued behind that head.
+    backlog: VecDeque<(SimTime, u64, PacketId)>,
 }
 
 /// Deterministic future-event list.
@@ -183,6 +211,7 @@ pub struct EventQueue {
     heap: BinaryHeap<Key>,
     /// Keys of the pending `Timer` / `AuxTimer` pops, out of the packets' way.
     timers: BinaryHeap<Key>,
+    /// The pending events no key can rebuild.
     payloads: Slab<EventKind>,
     lanes: Vec<Lane>,
     /// Arrivals in lane backlogs: pending events the heap does not hold.
@@ -200,7 +229,7 @@ impl EventQueue {
 
     /// An empty queue whose lane `i` delivers to node `to[i]` (the simulator's link `i`).
     pub fn with_lanes(to: impl IntoIterator<Item = NodeId>) -> Self {
-        let lane = |to| Lane { to, busy: false, backlog: VecDeque::new() };
+        let lane = |to| Lane { to, head: PacketId(0), busy: false, backlog: VecDeque::new() };
         EventQueue { lanes: to.into_iter().map(lane).collect(), ..Self::default() }
     }
 
@@ -216,10 +245,21 @@ impl EventQueue {
         self.next_seq - 1
     }
 
-    /// Pushes `kind` under a key whose `seq` was reserved earlier.
+    /// Pushes `kind` under a key whose `seq` was reserved earlier: in the key
+    /// alone if the key can rebuild it, else with a payload slot.
     pub fn schedule_reserved(&mut self, (at, seq): EventKey, kind: EventKind) {
         let timer = matches!(kind, EventKind::Timer { .. } | EventKind::AuxTimer { .. });
-        let key = Key { at, seq, slot: self.payloads.insert(kind), packet: PacketId(0) };
+        let (tag, index) = match kind {
+            EventKind::LinkReady { link } => (LINK_READY, link.0),
+            EventKind::Timer { agent, generation } if generation == seq => (TIMER, agent.0),
+            EventKind::AuxTimer { agent, generation } if generation == seq => (AUX, agent.0),
+            kind => {
+                // Not `event.*`: those counters are dispatches, one per kind.
+                obs::count("payload.slotted", 1);
+                (SLOT, self.payloads.insert(kind))
+            }
+        };
+        let key = Key::new(at, seq, tag, index);
         if timer {
             self.timers.push(key);
         } else {
@@ -240,7 +280,8 @@ impl EventQueue {
             self.waiting += 1;
         } else {
             l.busy = true;
-            self.heap.push(Key { at, seq, slot: LANE | lane as u32, packet });
+            l.head = packet;
+            self.heap.push(Key::new(at, seq, LANE, lane as u32));
         }
         self.peak_len = self.peak_len.max(self.len());
     }
@@ -255,32 +296,47 @@ impl EventQueue {
     pub fn pop_through(&mut self, deadline: SimTime) -> Option<(SimTime, EventKind)> {
         // `Key`'s order is inverted: the greater of the two tops is the earlier.
         let timer = self.timers.peek().filter(|t| self.heap.peek().is_none_or(|top| *t > top));
-        if let Some(&Key { at, seq, slot, .. }) = timer {
-            if at > deadline {
+        if let Some(&key) = timer {
+            if key.at() > deadline {
                 return None;
             }
             self.timers.pop();
-            self.last_popped_seq = seq;
-            return Some((at, self.payloads.remove(slot)));
+            return Some(self.take(key));
         }
-        let mut top = self.heap.peek_mut().filter(|top| top.at <= deadline)?;
-        let Key { at, seq, slot, packet } = *top;
-        self.last_popped_seq = seq;
-        if slot & LANE == 0 {
+        let mut top = self.heap.peek_mut().filter(|top| top.at() <= deadline)?;
+        let key = *top;
+        if key.tag() != LANE {
             PeekMut::pop(top);
-            return Some((at, self.payloads.remove(slot)));
+            return Some(self.take(key));
         }
-        let lane = &mut self.lanes[(slot & !LANE) as usize];
-        if let Some((at, seq, packet)) = lane.backlog.pop_front() {
+        self.last_popped_seq = key.seq();
+        let lane = &mut self.lanes[key.index() as usize];
+        let packet = lane.head;
+        if let Some((at, seq, next)) = lane.backlog.pop_front() {
             // The next arrival takes the top's place: one sift down from
             // there as `top` drops, where a pop and a later push are two.
-            *top = Key { at, seq, slot, packet };
+            *top = Key::new(at, seq, LANE, key.index());
+            lane.head = next;
             self.waiting -= 1;
         } else {
             lane.busy = false;
             PeekMut::pop(top);
         }
-        Some((at, EventKind::Arrive { node: lane.to, packet }))
+        Some((key.at(), EventKind::Arrive { node: lane.to, packet }))
+    }
+
+    /// The event a popped non-lane `key` names: rebuilt from the key, or
+    /// taken out of its slot.
+    fn take(&mut self, key: Key) -> (SimTime, EventKind) {
+        self.last_popped_seq = key.seq();
+        let index = key.index();
+        let kind = match key.tag() {
+            LINK_READY => EventKind::LinkReady { link: LinkId(index) },
+            TIMER => EventKind::Timer { agent: AgentId(index), generation: key.seq() },
+            AUX => EventKind::AuxTimer { agent: AgentId(index), generation: key.seq() },
+            _ => self.payloads.remove(index),
+        };
+        (key.at(), kind)
     }
 
     /// `seq` of the event popped last (0 before the first pop).
@@ -290,7 +346,7 @@ impl EventQueue {
 
     /// The instant of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().max(self.timers.peek()).map(|s| s.at)
+        self.heap.peek().max(self.timers.peek()).map(|s| s.at())
     }
 
     /// Number of pending events, wherever they wait: the two heaps and the
@@ -322,8 +378,8 @@ impl EventQueue {
     }
 
     /// In-memory footprint of one pending event, bytes: its heap key plus
-    /// its slab slot — what the event costs in memory, not the key alone
-    /// that sifts. Lets harnesses convert [`EventQueue::peak_len`]
+    /// a slab slot — what an event that needs a slot costs, an upper bound
+    /// for one whose key rebuilds it. Lets harnesses convert [`EventQueue::peak_len`]
     /// (surfaced as `peak_event_heap` in run health) into a byte figure,
     /// e.g. for per-flow memory accounting at population scale.
     pub fn record_bytes() -> usize {
@@ -347,29 +403,30 @@ impl EventQueue {
     /// stranded-lane law of [`crate::oracle`]); O(heap + lanes).
     pub fn stranded_lanes(&self) -> usize {
         let mut keyed = vec![false; self.lanes.len()];
-        for key in self.heap.iter().filter(|key| key.slot & LANE != 0) {
-            keyed[(key.slot & !LANE) as usize] = true;
+        for key in self.heap.iter().filter(|key| key.tag() == LANE) {
+            keyed[key.index() as usize] = true;
         }
         self.lanes.iter().zip(keyed).filter(|(lane, keyed)| lane.busy && !keyed).count()
     }
 
     /// Links with a pending [`EventKind::LinkReady`] (for the lost-wake-up
-    /// law of [`crate::oracle`]); O(peak pending events).
+    /// law of [`crate::oracle`]); O(heap). A `LinkReady` always rides in
+    /// its key.
     pub fn pending_link_ready(&self) -> impl Iterator<Item = LinkId> + '_ {
-        self.payloads.iter().filter_map(|kind| match kind {
-            EventKind::LinkReady { link } => Some(*link),
-            _ => None,
-        })
+        self.heap.iter().filter(|key| key.tag() == LINK_READY).map(|key| LinkId(key.index()))
     }
 
     /// The `generation` of every pending timer pop, main or auxiliary (for
-    /// the lost-timer law of [`crate::oracle`]); O(peak pending events).
+    /// the lost-timer law of [`crate::oracle`]); O(timer heap).
     pub fn pending_timers(&self) -> impl Iterator<Item = u64> + '_ {
-        self.payloads.iter().filter_map(|kind| match kind {
-            EventKind::Timer { generation, .. } | EventKind::AuxTimer { generation, .. } => {
-                Some(*generation)
-            }
-            _ => None,
+        self.timers.iter().map(|key| match key.tag() {
+            SLOT => match self.payloads.get(key.index()) {
+                EventKind::Timer { generation, .. } | EventKind::AuxTimer { generation, .. } => {
+                    *generation
+                }
+                other => unreachable!("{other:?} in the timer heap"),
+            },
+            _ => key.seq(),
         })
     }
 }
@@ -392,7 +449,7 @@ mod tests {
         /// Takes every lane key out of the heap, leaving the lanes as they
         /// were — a lost wake-up for the oracle to find.
         pub(crate) fn steal_lane_keys(&mut self) {
-            self.heap.retain(|key| key.slot & LANE == 0);
+            self.heap.retain(|key| key.tag() != LANE);
         }
     }
 
@@ -459,10 +516,11 @@ mod tests {
 
     #[test]
     fn slots_are_recycled_never_leaked() {
-        // Saw-tooth occupancy with ties, late and never-used reserved seqs:
-        // however the run goes, the payload slab holds exactly the pending
-        // events and never outgrows the heap's high-water mark. (That its
-        // vacant slots all stay on the free list is `Slab`'s own test.)
+        // Saw-tooth occupancy with ties, late and never-used reserved seqs,
+        // every push a kind no key can rebuild: however the run goes, the
+        // payload slab holds exactly the pending events and never outgrows
+        // the heap's high-water mark. (That its vacant slots all stay on the
+        // free list is `Slab`'s own test.)
         let mut q = EventQueue::new();
         let mut x = 0x9e37_79b9_7f4a_7c15_u64;
         let mut reserved = Vec::new();
@@ -483,7 +541,10 @@ mod tests {
                         q.schedule_reserved(key, bp());
                     }
                 }
-                _ => q.schedule(at, EventKind::LinkReady { link: LinkId::from_raw(step as u32) }),
+                _ => {
+                    let (node, packet) = (NodeId::from_raw(1), PacketId::from_raw(step as u32));
+                    q.schedule(at, EventKind::Arrive { node, packet });
+                }
             }
             assert_eq!(q.payloads.peak(), q.peak_len());
             assert_eq!(q.payloads.len(), q.len());
@@ -581,36 +642,62 @@ mod tests {
         assert!(q.is_empty() && q.peek_time().is_none() && q.pop().is_none());
     }
 
-    /// Draws a (which, anything) pair for one field of a key: see `field` below.
-    const FIELD: (std::ops::Range<u8>, std::ops::RangeInclusive<u64>) = (0..4, 0..=u64::MAX);
+    /// Draws a (which, anything) pair for `at`: see `field` below.
+    const AT: (std::ops::Range<u8>, std::ops::RangeInclusive<u64>) = (0..4, 0..=u64::MAX);
+    /// The same for `seq`, over the range [`Key::new`] accepts.
+    const SEQ: (std::ops::Range<u8>, std::ops::RangeInclusive<u64>) = (0..4, 0..=SEQ_MAX);
+    const SEQ_MAX: u64 = (1 << SEQ_BITS) - 1;
+    const INDEX_MAX: u32 = (1 << INDEX_BITS) - 1;
 
     proptest::proptest! {
         /// One integer orders keys exactly as the `(at, seq)` tuple did,
         /// inverted for the max-heap — at the ends of both fields too.
         #[test]
         fn key_order_is_the_inverted_tuple_order(
-            (a_at, a_seq) in (FIELD, FIELD),
-            (b_at, b_seq) in (FIELD, FIELD),
+            (a_at, a_seq) in (AT, SEQ),
+            (b_at, b_seq) in (AT, SEQ),
         ) {
-            // A quarter each: 0, `u64::MAX`, one of four small values (ties), anything.
-            let field = |(pick, any): (u8, u64)| [0, u64::MAX, any % 4, any][pick as usize];
-            let key = |at, seq| Key {
-                at: SimTime::from_nanos(field(at)),
-                seq: field(seq),
-                slot: 0,
-                packet: PacketId(0),
-            };
+            // A quarter each: 0, the field's largest value, one of four small
+            // values (ties), anything.
+            let field = |max| move |(pick, any): (u8, u64)| [0, max, any % 4, any][pick as usize];
+            let (at, seq) = (field(u64::MAX), field(SEQ_MAX));
+            let key = |a, s| Key::new(SimTime::from_nanos(at(a)), seq(s), SLOT, 0);
             let (a, b) = (key(a_at, a_seq), key(b_at, b_seq));
-            proptest::prop_assert_eq!(a.cmp(&b), (b.at, b.seq).cmp(&(a.at, a.seq)));
+            proptest::prop_assert_eq!(a.cmp(&b), (b.at(), b.seq()).cmp(&(a.at(), a.seq())));
             proptest::prop_assert_eq!(a == b, a.cmp(&b) == Ordering::Equal);
         }
     }
 
     #[test]
+    fn every_tag_round_trips_at_the_fields_limits() {
+        for tag in [SLOT, LANE, LINK_READY, TIMER, AUX] {
+            for (at, seq, index) in [(u64::MAX, SEQ_MAX, INDEX_MAX), (0, 0, 0)] {
+                let key = Key::new(SimTime::from_nanos(at), seq, tag, index);
+                assert_eq!(
+                    (key.at().as_nanos(), key.seq(), key.tag(), key.index()),
+                    (at, seq, tag, index)
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "seq must be below 2^40")]
+    fn a_seq_past_the_key_panics() {
+        Key::new(SimTime::ZERO, SEQ_MAX + 1, TIMER, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "index must be below 2^21")]
+    fn an_index_past_the_key_panics() {
+        Key::new(SimTime::ZERO, 0, LINK_READY, INDEX_MAX + 1);
+    }
+
+    #[test]
     fn record_bytes_is_key_plus_slot() {
-        assert_eq!(mem::size_of::<Key>(), 24, "what sifts");
+        assert_eq!(mem::size_of::<Key>(), 16, "what sifts");
         // The slab's free-list link rides in `EventKind`'s spare tag values.
-        assert_eq!(EventQueue::record_bytes(), 24 + mem::size_of::<EventKind>());
+        assert_eq!(EventQueue::record_bytes(), 16 + mem::size_of::<EventKind>());
         // ROADMAP 2(d)'s gate: no payload carries more than a handle.
         assert!(mem::size_of::<EventKind>() <= 32, "{}", mem::size_of::<EventKind>());
         assert!(EventQueue::record_bytes() <= 64, "{}", EventQueue::record_bytes());

@@ -8,7 +8,8 @@
 //! Each hash below was recorded on the last commit that still had the
 //! harness it names (`b237513` for the first six, `796450a` for the last
 //! two) by running this very file there; none of them survives to compare
-//! against. A hash covers the canonical JSON text of
+//! against. (The four `SCALE` hashes were re-recorded once since; see
+//! there.) A hash covers the canonical JSON text of
 //! one scenario's outcome as `sweep::execute` returns it — every key, in
 //! order, and every value — so a metric computed from a different counter,
 //! a key renamed or reordered, an agent attached in a different order
@@ -327,5 +328,10 @@ const FAIRNESS: [u64; 7] = [
     0x51619dd2f78c27ee,
     0x6e330261baeefe72,
 ];
+/// Recorded on `796450a` with the rest, then re-recorded on the commit after
+/// `e583869`, which shrank the event key from 24 to 16 bytes: a pending
+/// event is priced at `EventQueue::record_bytes()`, 40 B where it was 48 B,
+/// so each cell's `bytes_per_flow` fell (131 → 128, 242 → 236, 132 → 129,
+/// 238 → 233) and no other byte of the four outcomes moved.
 const SCALE: [u64; 4] =
-    [0xbd25703d370f414e, 0x2ee84e464eb2e362, 0x01abab7e2b4aee3f, 0x48db744870af7d07];
+    [0xc61c953d3c38cf28, 0x5a4617466747c09b, 0x0aa9d47e307aa193, 0x4900744870ce9944];
