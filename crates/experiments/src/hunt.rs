@@ -26,7 +26,10 @@
 //!
 //! All candidate parameters live on a coarse grid (probabilities in
 //! [`PROB_STEP`] units, times in [`MS_STEP`] units), which makes the memo
-//! table effective and gives the shrinker an integer size measure.
+//! table effective and gives the shrinker an integer size measure. Each
+//! stage and window is a row of the parameter table in `sweep::spec`; the
+//! mutation moves, the size measure, the shrinker's weakening and the
+//! counterexample codec below walk rows and name no variant.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -39,7 +42,9 @@ use serde::{Serialize, Value};
 
 use crate::cell::{self, Capture, CellReport, Metric, Observe};
 use crate::sweep::decode::{as_f64, as_str, as_u64, get};
-use crate::sweep::spec::{profile_name, AdminWindowSpec};
+use crate::sweep::spec::{
+    profile_name, AdminWindowSpec, Param, Search, Tabled, Unit, Values, MAX_DELAY_MS, MIN_RATE_MBPS,
+};
 use crate::sweep::{
     run_sweep, CachePolicy, ExecCtx, ImpairmentSpec, PlanSpec, ScenarioKind, ScenarioSpec,
     SweepOptions,
@@ -56,12 +61,23 @@ pub const HORIZON_MS: u64 = 4_000;
 const MAX_STAGES: usize = 3;
 const MAX_WINDOWS: usize = 3;
 
-fn qprob(p: f64) -> u64 {
-    (p / PROB_STEP).round() as u64
+/// The quanta in `raw`, a value of `unit` (a float as its bits).
+fn quanta(unit: Unit, raw: u64) -> u64 {
+    match unit {
+        Unit::Prob => (f64::from_bits(raw) / PROB_STEP).round() as u64,
+        Unit::Delay | Unit::Ms | Unit::Period => raw / MS_STEP,
+        // A rate is never searched.
+        Unit::Rate | Unit::Count | Unit::Slots => raw,
+    }
 }
 
-fn prob_of(units: u64) -> f64 {
-    units as f64 * PROB_STEP
+/// The value of `unit` that is `quanta` quanta.
+fn raw(unit: Unit, quanta: u64) -> u64 {
+    match unit {
+        Unit::Prob => (quanta as f64 * PROB_STEP).to_bits(),
+        Unit::Delay | Unit::Ms | Unit::Period => MS_STEP * quanta,
+        Unit::Rate | Unit::Count | Unit::Slots => quanta,
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -88,31 +104,8 @@ impl Candidate {
     /// magnitude of each *intensity* parameter (placement instants are
     /// excluded — shrinking must weaken a counterexample, not relocate it).
     pub fn size(&self) -> u64 {
-        let imp = |i: &ImpairmentSpec| {
-            1 + match *i {
-                ImpairmentSpec::IidLoss { p } => qprob(p),
-                ImpairmentSpec::BurstLoss { p_good_to_bad, loss_bad, .. } => {
-                    qprob(p_good_to_bad) + qprob(loss_bad)
-                }
-                ImpairmentSpec::Jitter { prob, max_extra_ms } => {
-                    qprob(prob) + max_extra_ms / MS_STEP
-                }
-                ImpairmentSpec::Displace { depth, .. } => u64::from(depth),
-                ImpairmentSpec::Duplicate { p } => qprob(p),
-                ImpairmentSpec::Flap { down_ms, .. } => down_ms / MS_STEP,
-                ImpairmentSpec::BandwidthOscillation { period_ms, .. } => period_ms / MS_STEP,
-                ImpairmentSpec::DelayOscillation { high_delay_ms, .. } => high_delay_ms / MS_STEP,
-            }
-        };
-        let win = |w: &AdminWindowSpec| {
-            1 + match *w {
-                AdminWindowSpec::Down { dur_ms, .. } => dur_ms / MS_STEP,
-                AdminWindowSpec::Delay { dur_ms, delay_ms, .. } => {
-                    dur_ms / MS_STEP + delay_ms / MS_STEP
-                }
-            }
-        };
-        self.impairments.iter().map(imp).sum::<u64>() + self.schedule.iter().map(win).sum::<u64>()
+        self.impairments.iter().map(size_of).sum::<u64>()
+            + self.schedule.iter().map(size_of).sum::<u64>()
     }
 
     /// Human profile string: stage and window tags joined, or `baseline`.
@@ -129,42 +122,43 @@ impl Candidate {
     }
 }
 
-fn random_impairment(rng: &mut SmallRng) -> ImpairmentSpec {
-    match rng.gen_range(0u32..6) {
-        0 => ImpairmentSpec::IidLoss { p: prob_of(rng.gen_range(1u64..=12)) },
-        1 => ImpairmentSpec::BurstLoss {
-            p_good_to_bad: prob_of(rng.gen_range(1u64..=10)),
-            p_bad_to_good: prob_of(rng.gen_range(10u64..=100)),
-            loss_bad: prob_of(rng.gen_range(100u64..=200)),
-        },
-        2 => ImpairmentSpec::Jitter {
-            prob: prob_of(rng.gen_range(20u64..=120)),
-            max_extra_ms: MS_STEP * rng.gen_range(1u64..=8),
-        },
-        3 => ImpairmentSpec::Displace {
-            every: rng.gen_range(5u64..=40),
-            depth: rng.gen_range(2u32..=8),
-        },
-        4 => ImpairmentSpec::Duplicate { p: prob_of(rng.gen_range(1u64..=10)) },
-        _ => {
-            let period_ms = MS_STEP * rng.gen_range(50u64..=300);
-            // Downtime stays inside the cycle.
-            let down_ms = MS_STEP * rng.gen_range(1u64..=(period_ms / MS_STEP / 2).max(1));
-            ImpairmentSpec::Flap { period_ms, down_ms }
-        }
+/// One entry's share of [`Candidate::size`].
+fn size_of<T: Tabled>(t: &T) -> u64 {
+    let (row, v) = t.row();
+    let intensities = T::ROWS[row].params.iter().zip(v).filter(|(p, _)| p.intensity);
+    1 + intensities.map(|(p, x)| quanta(p.unit, x)).sum::<u64>()
+}
+
+/// One of `n` choices: no draw for one, a coin for two (heads is the first),
+/// a uniform index for more.
+fn pick(rng: &mut SmallRng, n: usize) -> usize {
+    match n {
+        1 => 0,
+        2 => usize::from(!rng.gen_bool(0.5)),
+        _ => rng.gen_range(0..n),
     }
 }
 
-fn random_window(rng: &mut SmallRng) -> AdminWindowSpec {
-    if rng.gen_bool(0.5) {
-        let dur_ms = MS_STEP * rng.gen_range(5u64..=40);
-        let at_ms = MS_STEP * rng.gen_range(0u64..=(HORIZON_MS - dur_ms) / MS_STEP);
-        AdminWindowSpec::Down { at_ms, dur_ms }
-    } else {
-        let dur_ms = MS_STEP * rng.gen_range(10u64..=60);
-        let at_ms = MS_STEP * rng.gen_range(0u64..=(HORIZON_MS - dur_ms) / MS_STEP);
-        AdminWindowSpec::Delay { at_ms, dur_ms, delay_ms: MS_STEP * rng.gen_range(5u64..=20) }
+/// A fresh entry of one of `T`'s searched rows, every parameter drawn in
+/// row order except that one whose range depends on another is drawn right
+/// after it.
+fn random<T: Tabled>(rng: &mut SmallRng) -> T {
+    let row = pick(rng, T::ROWS.iter().filter(|r| r.params[0].search != Search::Off).count());
+    let params = T::ROWS[row].params;
+    let mut v = Values::default();
+    for (j, _) in params.iter().enumerate().filter(|(_, p)| p.search.tie().is_none()) {
+        let tied = params.iter().enumerate().filter(|(_, p)| p.search.tie() == Some(j));
+        for (k, p) in std::iter::once((j, &params[j])).chain(tied) {
+            let units = match p.search {
+                Search::Range { lo, hi, .. } => rng.gen_range(lo..=hi),
+                Search::Inside(of) => rng.gen_range(1..=(v[of] / MS_STEP / 2).max(1)),
+                Search::Before(of) => rng.gen_range(0..=(HORIZON_MS - v[of]) / MS_STEP),
+                Search::Off => unreachable!("a searched row has no unsearched parameter"),
+            };
+            v[k] = raw(p.unit, units);
+        }
     }
+    T::from_row(row, v)
 }
 
 /// Scales a quantized intensity up or down one octave, within `[1, cap]`.
@@ -176,96 +170,34 @@ fn scale(units: u64, up: bool, cap: u64) -> u64 {
     }
 }
 
-fn tweak_impairment(i: &ImpairmentSpec, rng: &mut SmallRng) -> ImpairmentSpec {
+/// Moves one tweakable parameter: an intensity an octave, a window start by
+/// up to 500 ms inside the horizon. A row with none is drawn afresh.
+fn tweak<T: Tabled>(t: &T, rng: &mut SmallRng) -> T {
     let up = rng.gen_bool(0.5);
-    match *i {
-        ImpairmentSpec::IidLoss { p } => {
-            ImpairmentSpec::IidLoss { p: prob_of(scale(qprob(p), up, 40)) }
-        }
-        ImpairmentSpec::BurstLoss { p_good_to_bad, p_bad_to_good, loss_bad } => {
-            match rng.gen_range(0u32..3) {
-                0 => ImpairmentSpec::BurstLoss {
-                    p_good_to_bad: prob_of(scale(qprob(p_good_to_bad), up, 40)),
-                    p_bad_to_good,
-                    loss_bad,
-                },
-                1 => ImpairmentSpec::BurstLoss {
-                    p_good_to_bad,
-                    p_bad_to_good: prob_of(scale(qprob(p_bad_to_good), up, 200)),
-                    loss_bad,
-                },
-                _ => ImpairmentSpec::BurstLoss {
-                    p_good_to_bad,
-                    p_bad_to_good,
-                    loss_bad: prob_of(scale(qprob(loss_bad), up, 200)),
-                },
-            }
-        }
-        ImpairmentSpec::Jitter { prob, max_extra_ms } => {
-            if rng.gen_bool(0.5) {
-                ImpairmentSpec::Jitter { prob: prob_of(scale(qprob(prob), up, 200)), max_extra_ms }
-            } else {
-                ImpairmentSpec::Jitter {
-                    prob,
-                    max_extra_ms: MS_STEP * scale(max_extra_ms / MS_STEP, up, 16),
-                }
-            }
-        }
-        ImpairmentSpec::Displace { every, depth } => {
-            if rng.gen_bool(0.5) {
-                ImpairmentSpec::Displace { every: scale(every, up, 64).max(2), depth }
-            } else {
-                ImpairmentSpec::Displace { every, depth: scale(u64::from(depth), up, 16) as u32 }
-            }
-        }
-        ImpairmentSpec::Duplicate { p } => {
-            ImpairmentSpec::Duplicate { p: prob_of(scale(qprob(p), up, 40)) }
-        }
-        ImpairmentSpec::Flap { period_ms, down_ms } => {
-            let down = MS_STEP * scale(down_ms / MS_STEP, up, period_ms / MS_STEP / 2);
-            ImpairmentSpec::Flap { period_ms, down_ms: down.max(MS_STEP) }
-        }
-        // The mutator never generates oscillations (the stress grid covers
-        // them); re-roll into a fresh stage instead.
-        ImpairmentSpec::BandwidthOscillation { .. } | ImpairmentSpec::DelayOscillation { .. } => {
-            random_impairment(rng)
-        }
+    let (row, mut v) = t.row();
+    let params = T::ROWS[row].params;
+    let fixed = |j: &usize| matches!(params[*j].search, Search::Off | Search::Range { cap: 0, .. });
+    let tweakable: Vec<usize> = (0..params.len()).filter(|j| !fixed(j)).collect();
+    if tweakable.is_empty() {
+        return random(rng);
     }
-}
-
-fn tweak_window(w: &AdminWindowSpec, rng: &mut SmallRng) -> AdminWindowSpec {
-    let up = rng.gen_bool(0.5);
-    let shift = |at_ms: u64, dur_ms: u64, rng: &mut SmallRng| {
-        let delta = MS_STEP * rng.gen_range(1u64..=50);
-        let limit = HORIZON_MS.saturating_sub(dur_ms);
-        if rng.gen_bool(0.5) {
-            (at_ms + delta).min(limit)
-        } else {
-            at_ms.saturating_sub(delta)
+    let j = tweakable[pick(rng, tweakable.len())];
+    let p = &params[j];
+    let octave = |cap| scale(quanta(p.unit, v[j]), up, cap);
+    v[j] = match p.search {
+        Search::Range { cap, floor, .. } => raw(p.unit, octave(cap).max(floor)),
+        Search::Inside(of) => raw(p.unit, octave(v[of] / MS_STEP / 2).max(1)),
+        Search::Before(of) => {
+            let delta = MS_STEP * rng.gen_range(1u64..=50);
+            if rng.gen_bool(0.5) {
+                (v[j] + delta).min(HORIZON_MS.saturating_sub(v[of]))
+            } else {
+                v[j].saturating_sub(delta)
+            }
         }
+        Search::Off => v[j],
     };
-    match *w {
-        AdminWindowSpec::Down { at_ms, dur_ms } => {
-            if rng.gen_bool(0.5) {
-                AdminWindowSpec::Down { at_ms: shift(at_ms, dur_ms, rng), dur_ms }
-            } else {
-                AdminWindowSpec::Down { at_ms, dur_ms: MS_STEP * scale(dur_ms / MS_STEP, up, 100) }
-            }
-        }
-        AdminWindowSpec::Delay { at_ms, dur_ms, delay_ms } => match rng.gen_range(0u32..3) {
-            0 => AdminWindowSpec::Delay { at_ms: shift(at_ms, dur_ms, rng), dur_ms, delay_ms },
-            1 => AdminWindowSpec::Delay {
-                at_ms,
-                dur_ms: MS_STEP * scale(dur_ms / MS_STEP, up, 100),
-                delay_ms,
-            },
-            _ => AdminWindowSpec::Delay {
-                at_ms,
-                dur_ms,
-                delay_ms: MS_STEP * scale(delay_ms / MS_STEP, up, 40),
-            },
-        },
-    }
+    T::from_row(row, v)
 }
 
 /// One mutation move: add/remove/tweak an impairment stage or an admin
@@ -273,159 +205,67 @@ fn tweak_window(w: &AdminWindowSpec, rng: &mut SmallRng) -> AdminWindowSpec {
 /// stay on the quantization grid.
 pub fn mutate(c: &Candidate, rng: &mut SmallRng) -> Candidate {
     let mut next = c.clone();
-    match rng.gen_range(0u32..6) {
-        0 if next.impairments.len() < MAX_STAGES => {
-            next.impairments.push(random_impairment(rng));
-        }
-        1 if !next.impairments.is_empty() => {
-            let i = rng.gen_range(0..next.impairments.len());
-            next.impairments.remove(i);
-        }
-        2 if !next.impairments.is_empty() => {
-            let i = rng.gen_range(0..next.impairments.len());
-            next.impairments[i] = tweak_impairment(&next.impairments[i], rng);
-        }
-        3 if next.schedule.len() < MAX_WINDOWS => {
-            next.schedule.push(random_window(rng));
-        }
-        4 if !next.schedule.is_empty() => {
-            let i = rng.gen_range(0..next.schedule.len());
-            next.schedule.remove(i);
-        }
-        5 if !next.schedule.is_empty() => {
-            let i = rng.gen_range(0..next.schedule.len());
-            next.schedule[i] = tweak_window(&next.schedule[i], rng);
-        }
-        // The rolled move is inapplicable (empty/full list): grow whichever
-        // dimension has room so mutation never no-ops.
-        _ => {
-            if next.impairments.len() < MAX_STAGES {
-                next.impairments.push(random_impairment(rng));
-            } else if next.schedule.len() < MAX_WINDOWS {
-                next.schedule.push(random_window(rng));
-            } else {
-                let i = rng.gen_range(0..next.impairments.len());
-                next.impairments[i] = tweak_impairment(&next.impairments[i], rng);
-            }
-        }
+    let (imps, wins) = (&mut next.impairments, &mut next.schedule);
+    let done = match rng.gen_range(0u32..6) {
+        mv @ 0..=2 => edit(imps, MAX_STAGES, mv, rng),
+        mv => edit(wins, MAX_WINDOWS, mv - 3, rng),
+    };
+    // The rolled move is inapplicable (empty/full list): grow whichever
+    // dimension has room so mutation never no-ops.
+    if !done && !edit(imps, MAX_STAGES, 0, rng) && !edit(wins, MAX_WINDOWS, 0, rng) {
+        edit(imps, MAX_STAGES, 2, rng);
     }
     next
+}
+
+/// Move `mv` on one list of at most `max` entries: 0 adds a fresh entry, 1
+/// removes one, 2 tweaks one. False, with nothing drawn, when the list is
+/// full (add) or empty (remove, tweak).
+fn edit<T: Tabled>(list: &mut Vec<T>, max: usize, mv: u32, rng: &mut SmallRng) -> bool {
+    match mv {
+        0 if list.len() < max => list.push(random(rng)),
+        1 if !list.is_empty() => drop(list.remove(rng.gen_range(0..list.len()))),
+        2 if !list.is_empty() => {
+            let i = rng.gen_range(0..list.len());
+            list[i] = tweak(&list[i], rng);
+        }
+        _ => return false,
+    }
+    true
 }
 
 /// The shrinker's proposal set: remove each entry, then halve each intensity
 /// parameter (in quantized units). Every proposal strictly decreases
 /// [`Candidate::size`].
 pub fn shrink_steps(c: &Candidate) -> Vec<Candidate> {
-    let mut out = Vec::new();
-    for i in 0..c.impairments.len() {
-        let mut s = c.clone();
-        s.impairments.remove(i);
-        out.push(s);
-    }
-    for i in 0..c.schedule.len() {
-        let mut s = c.clone();
-        s.schedule.remove(i);
-        out.push(s);
-    }
-    for (i, imp) in c.impairments.iter().enumerate() {
-        for weakened in weakened_impairments(imp) {
-            let mut s = c.clone();
-            s.impairments[i] = weakened;
-            out.push(s);
-        }
-    }
-    for (i, w) in c.schedule.iter().enumerate() {
-        for weakened in weakened_windows(w) {
-            let mut s = c.clone();
-            s.schedule[i] = weakened;
-            out.push(s);
-        }
-    }
+    let imps = |impairments| Candidate { impairments, ..c.clone() };
+    let wins = |schedule| Candidate { schedule, ..c.clone() };
+    let mut out: Vec<Candidate> = removals(&c.impairments).map(imps).collect();
+    out.extend(removals(&c.schedule).map(wins));
+    out.extend(weakenings(&c.impairments).map(imps));
+    out.extend(weakenings(&c.schedule).map(wins));
     out
 }
 
-/// Halves one quantized unit count; `None` when halving would floor at 0 or
-/// not strictly decrease.
-fn halved(units: u64) -> Option<u64> {
-    if units >= 2 {
-        Some(units / 2)
-    } else {
-        None
-    }
+fn removals<T: Clone>(list: &[T]) -> impl Iterator<Item = Vec<T>> + '_ {
+    (0..list.len()).map(|i| [&list[..i], &list[i + 1..]].concat())
 }
 
-fn weakened_impairments(i: &ImpairmentSpec) -> Vec<ImpairmentSpec> {
-    let mut out = Vec::new();
-    match *i {
-        ImpairmentSpec::IidLoss { p } => {
-            if let Some(u) = halved(qprob(p)) {
-                out.push(ImpairmentSpec::IidLoss { p: prob_of(u) });
-            }
-        }
-        ImpairmentSpec::BurstLoss { p_good_to_bad, p_bad_to_good, loss_bad } => {
-            if let Some(u) = halved(qprob(p_good_to_bad)) {
-                out.push(ImpairmentSpec::BurstLoss {
-                    p_good_to_bad: prob_of(u),
-                    p_bad_to_good,
-                    loss_bad,
-                });
-            }
-            if let Some(u) = halved(qprob(loss_bad)) {
-                out.push(ImpairmentSpec::BurstLoss {
-                    p_good_to_bad,
-                    p_bad_to_good,
-                    loss_bad: prob_of(u),
-                });
-            }
-        }
-        ImpairmentSpec::Jitter { prob, max_extra_ms } => {
-            if let Some(u) = halved(qprob(prob)) {
-                out.push(ImpairmentSpec::Jitter { prob: prob_of(u), max_extra_ms });
-            }
-            if let Some(u) = halved(max_extra_ms / MS_STEP) {
-                out.push(ImpairmentSpec::Jitter { prob, max_extra_ms: MS_STEP * u });
-            }
-        }
-        ImpairmentSpec::Displace { every, depth } => {
-            if let Some(u) = halved(u64::from(depth)) {
-                out.push(ImpairmentSpec::Displace { every, depth: u as u32 });
-            }
-        }
-        ImpairmentSpec::Duplicate { p } => {
-            if let Some(u) = halved(qprob(p)) {
-                out.push(ImpairmentSpec::Duplicate { p: prob_of(u) });
-            }
-        }
-        ImpairmentSpec::Flap { period_ms, down_ms } => {
-            if let Some(u) = halved(down_ms / MS_STEP) {
-                out.push(ImpairmentSpec::Flap { period_ms, down_ms: MS_STEP * u });
-            }
-        }
-        // Oscillations have no meaningful "weaker" direction along their
-        // period; removal (handled above) is their only shrink.
-        ImpairmentSpec::BandwidthOscillation { .. } | ImpairmentSpec::DelayOscillation { .. } => {}
-    }
-    out
-}
-
-fn weakened_windows(w: &AdminWindowSpec) -> Vec<AdminWindowSpec> {
-    let mut out = Vec::new();
-    match *w {
-        AdminWindowSpec::Down { at_ms, dur_ms } => {
-            if let Some(u) = halved(dur_ms / MS_STEP) {
-                out.push(AdminWindowSpec::Down { at_ms, dur_ms: MS_STEP * u });
-            }
-        }
-        AdminWindowSpec::Delay { at_ms, dur_ms, delay_ms } => {
-            if let Some(u) = halved(dur_ms / MS_STEP) {
-                out.push(AdminWindowSpec::Delay { at_ms, dur_ms: MS_STEP * u, delay_ms });
-            }
-            if let Some(u) = halved(delay_ms / MS_STEP) {
-                out.push(AdminWindowSpec::Delay { at_ms, dur_ms, delay_ms: MS_STEP * u });
-            }
-        }
-    }
-    out
+/// The list with one searched intensity of one entry halved, for each one
+/// at 2 quanta or more.
+fn weakenings<T: Tabled + Clone>(list: &[T]) -> impl Iterator<Item = Vec<T>> + '_ {
+    list.iter().enumerate().flat_map(move |(i, t)| {
+        let (row, v) = t.row();
+        let params = T::ROWS[row].params.iter().enumerate();
+        let halved = params.filter(|(_, p)| p.intensity && p.search != Search::Off);
+        halved.filter(move |&(j, p)| quanta(p.unit, v[j]) >= 2).map(move |(j, p)| {
+            let mut w = v;
+            w[j] = raw(p.unit, quanta(p.unit, v[j]) / 2);
+            let mut l = list.to_vec();
+            l[i] = T::from_row(row, w);
+            l
+        })
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -824,64 +664,23 @@ fn hunt_artifact(
 // Candidate (de)serialization — replayable counterexample specs
 // ---------------------------------------------------------------------------
 
-fn impairment_value(i: &ImpairmentSpec) -> Value {
-    let mut fields = vec![("type".to_owned(), Value::Str(i.tag().to_owned()))];
-    match *i {
-        ImpairmentSpec::IidLoss { p } => fields.push(("p".to_owned(), Value::Float(p))),
-        ImpairmentSpec::BurstLoss { p_good_to_bad, p_bad_to_good, loss_bad } => {
-            fields.push(("p_good_to_bad".to_owned(), Value::Float(p_good_to_bad)));
-            fields.push(("p_bad_to_good".to_owned(), Value::Float(p_bad_to_good)));
-            fields.push(("loss_bad".to_owned(), Value::Float(loss_bad)));
-        }
-        ImpairmentSpec::Jitter { prob, max_extra_ms } => {
-            fields.push(("prob".to_owned(), Value::Float(prob)));
-            fields.push(("max_extra_ms".to_owned(), Value::UInt(max_extra_ms)));
-        }
-        ImpairmentSpec::Displace { every, depth } => {
-            fields.push(("every".to_owned(), Value::UInt(every)));
-            fields.push(("depth".to_owned(), Value::UInt(u64::from(depth))));
-        }
-        ImpairmentSpec::Duplicate { p } => fields.push(("p".to_owned(), Value::Float(p))),
-        ImpairmentSpec::Flap { period_ms, down_ms } => {
-            fields.push(("period_ms".to_owned(), Value::UInt(period_ms)));
-            fields.push(("down_ms".to_owned(), Value::UInt(down_ms)));
-        }
-        ImpairmentSpec::BandwidthOscillation { low_mbps, period_ms } => {
-            fields.push(("low_mbps".to_owned(), Value::Float(low_mbps)));
-            fields.push(("period_ms".to_owned(), Value::UInt(period_ms)));
-        }
-        ImpairmentSpec::DelayOscillation { high_delay_ms, period_ms } => {
-            fields.push(("high_delay_ms".to_owned(), Value::UInt(high_delay_ms)));
-            fields.push(("period_ms".to_owned(), Value::UInt(period_ms)));
-        }
-    }
-    Value::Object(fields)
-}
-
-fn window_value(w: &AdminWindowSpec) -> Value {
-    match *w {
-        AdminWindowSpec::Down { at_ms, dur_ms } => Value::Object(vec![
-            ("type".to_owned(), Value::Str("down".to_owned())),
-            ("at_ms".to_owned(), Value::UInt(at_ms)),
-            ("dur_ms".to_owned(), Value::UInt(dur_ms)),
-        ]),
-        AdminWindowSpec::Delay { at_ms, dur_ms, delay_ms } => Value::Object(vec![
-            ("type".to_owned(), Value::Str("delay".to_owned())),
-            ("at_ms".to_owned(), Value::UInt(at_ms)),
-            ("dur_ms".to_owned(), Value::UInt(dur_ms)),
-            ("delay_ms".to_owned(), Value::UInt(delay_ms)),
-        ]),
-    }
+/// One stage or window as a JSON object: its tag, then every parameter.
+fn row_value<T: Tabled>(t: &T) -> Value {
+    let (row, v) = t.row();
+    let row = &T::ROWS[row];
+    let params = row.params.iter().zip(v).map(|(p, x)| match p.unit {
+        Unit::Prob | Unit::Rate => (p.name.to_owned(), Value::Float(f64::from_bits(x))),
+        _ => (p.name.to_owned(), Value::UInt(x)),
+    });
+    let tag = ("type".to_owned(), Value::Str(row.tag.to_owned()));
+    Value::Object(std::iter::once(tag).chain(params).collect())
 }
 
 /// Serializes a candidate for artifacts and counterexample files.
 pub fn candidate_value(c: &Candidate) -> Value {
     Value::Object(vec![
-        (
-            "impairments".to_owned(),
-            Value::Array(c.impairments.iter().map(impairment_value).collect()),
-        ),
-        ("schedule".to_owned(), Value::Array(c.schedule.iter().map(window_value).collect())),
+        ("impairments".to_owned(), Value::Array(c.impairments.iter().map(row_value).collect())),
+        ("schedule".to_owned(), Value::Array(c.schedule.iter().map(row_value).collect())),
     ])
 }
 
@@ -901,107 +700,60 @@ impl Entry<'_> {
         format!("candidate.{}[{}].{field}: {why}", self.list, self.index)
     }
 
-    fn float(&self, field: &str) -> Result<f64, String> {
-        let v = get(self.v, field).and_then(as_f64);
-        v.ok_or_else(|| self.err(field, "missing or not a number"))
-    }
-
-    fn uint(&self, field: &str) -> Result<u64, String> {
-        let v = get(self.v, field).and_then(as_u64);
-        v.ok_or_else(|| self.err(field, "missing or not a non-negative integer"))
-    }
-
-    fn prob(&self, field: &str) -> Result<f64, String> {
-        let p = self.float(field)?;
-        if (0.0..=1.0).contains(&p) {
-            Ok(p)
-        } else {
-            Err(self.err(field, format!("probability {p} is not in [0, 1]")))
-        }
-    }
-
-    /// Milliseconds that `SimDuration::from_millis` (an unchecked multiply)
-    /// can hold as nanoseconds.
-    fn ms(&self, field: &str) -> Result<u64, String> {
-        let ms = self.uint(field)?;
-        match ms.checked_mul(1_000_000) {
-            Some(_) => Ok(ms),
-            None => Err(self.err(field, format!("{ms} ms overflows u64 nanoseconds"))),
-        }
-    }
-
-    fn period(&self, field: &str) -> Result<u64, String> {
-        match self.ms(field)? {
-            0 => Err(self.err(field, "a period must be positive")),
-            ms => Ok(ms),
-        }
-    }
-
-    /// The `(at_ms, dur_ms)` of a window whose end is still a valid instant.
-    fn span(&self) -> Result<(u64, u64), String> {
-        let (at_ms, dur_ms) = (self.ms("at_ms")?, self.ms("dur_ms")?);
-        match at_ms.checked_add(dur_ms).and_then(|end| end.checked_mul(1_000_000)) {
-            Some(_) => Ok((at_ms, dur_ms)),
-            None => Err(self.err("dur_ms", "at_ms + dur_ms overflows u64 nanoseconds")),
-        }
-    }
-
-    fn tag(&self) -> Result<&str, String> {
-        get(self.v, "type").and_then(as_str).ok_or_else(|| self.err("type", "missing"))
+    /// One parameter, inside the bounds of its unit (a float as its bits).
+    /// A millisecond value must also survive `SimDuration::from_millis`, an
+    /// unchecked multiply into nanoseconds.
+    fn param(&self, p: &Param) -> Result<u64, String> {
+        let field = get(self.v, p.name);
+        let n = match p.unit {
+            Unit::Prob | Unit::Rate => field.and_then(as_f64).map(f64::to_bits).ok_or("a number"),
+            _ => field.and_then(as_u64).ok_or("a non-negative integer"),
+        };
+        let n = n.map_err(|what| self.err(p.name, format!("missing or not {what}")))?;
+        let (x, ms) = (f64::from_bits(n), matches!(p.unit, Unit::Delay | Unit::Ms | Unit::Period));
+        let why = match p.unit {
+            _ if ms && n.checked_mul(1_000_000).is_none() => {
+                format!("{n} ms overflows u64 nanoseconds")
+            }
+            Unit::Prob if !(0.0..=1.0).contains(&x) => format!("probability {x} is not in [0, 1]"),
+            Unit::Rate if !(x > 0.0 && x.is_finite()) => format!("rate {x} is not positive"),
+            Unit::Rate if x < MIN_RATE_MBPS => format!("rate {x:?} is below {MIN_RATE_MBPS} Mbps"),
+            Unit::Delay if n > MAX_DELAY_MS => format!("{n} ms is above {MAX_DELAY_MS} ms"),
+            Unit::Period if n == 0 => "a period must be positive".to_owned(),
+            Unit::Count if n == 0 => "must be positive".to_owned(),
+            Unit::Slots if u32::try_from(n).is_err() => "does not fit u32".to_owned(),
+            _ => return Ok(n),
+        };
+        Err(self.err(p.name, why))
     }
 }
 
-fn impairment_from_entry(e: &Entry<'_>) -> Result<ImpairmentSpec, String> {
-    Ok(match e.tag()? {
-        "iid-loss" => ImpairmentSpec::IidLoss { p: e.prob("p")? },
-        "burst-loss" => ImpairmentSpec::BurstLoss {
-            p_good_to_bad: e.prob("p_good_to_bad")?,
-            p_bad_to_good: e.prob("p_bad_to_good")?,
-            loss_bad: e.prob("loss_bad")?,
-        },
-        "jitter" => {
-            ImpairmentSpec::Jitter { prob: e.prob("prob")?, max_extra_ms: e.ms("max_extra_ms")? }
+/// Reads one stage or window: every parameter inside its unit's bounds, and
+/// each tie between two parameters checked once both are read, naming the
+/// later one.
+fn from_entry<T: Tabled>(e: &Entry<'_>) -> Result<T, String> {
+    let tag = get(e.v, "type").and_then(as_str).ok_or_else(|| e.err("type", "missing"))?;
+    let row = T::ROWS.iter().position(|r| r.tag == tag);
+    let row = row.ok_or_else(|| e.err("type", format!("unknown {} {tag:?}", T::NOUN)))?;
+    let params = T::ROWS[row].params;
+    let mut v = Values::default();
+    for (j, p) in params.iter().enumerate() {
+        v[j] = e.param(p)?;
+        for (d, q) in params.iter().enumerate() {
+            let Some(of) = q.search.tie().filter(|&of| d.max(of) == j) else { continue };
+            let ((x, a), (y, b)) = ((q.name, v[d]), (params[of].name, v[of]));
+            let end = a.checked_add(b).and_then(|end| end.checked_mul(1_000_000));
+            let why = match q.search {
+                Search::Inside(_) if a == 0 || a >= b => format!("must satisfy 0 < {x} < {y}"),
+                Search::Before(_) if end.is_none() => {
+                    format!("{x} + {y} overflows u64 nanoseconds")
+                }
+                _ => continue,
+            };
+            return Err(e.err(p.name, why));
         }
-        "displace" => {
-            let (every, depth) = (e.uint("every")?, e.uint("depth")?);
-            if every == 0 {
-                return Err(e.err("every", "must be positive"));
-            }
-            let depth = u32::try_from(depth).map_err(|_| e.err("depth", "does not fit u32"))?;
-            ImpairmentSpec::Displace { every, depth }
-        }
-        "duplicate" => ImpairmentSpec::Duplicate { p: e.prob("p")? },
-        "flap" => {
-            let (period_ms, down_ms) = (e.period("period_ms")?, e.ms("down_ms")?);
-            if down_ms == 0 || down_ms >= period_ms {
-                return Err(e.err("down_ms", "must satisfy 0 < down_ms < period_ms"));
-            }
-            ImpairmentSpec::Flap { period_ms, down_ms }
-        }
-        "bw-osc" => {
-            let low_mbps = e.float("low_mbps")?;
-            if !(low_mbps > 0.0 && low_mbps.is_finite()) {
-                return Err(e.err("low_mbps", format!("rate {low_mbps} is not positive")));
-            }
-            ImpairmentSpec::BandwidthOscillation { low_mbps, period_ms: e.period("period_ms")? }
-        }
-        "delay-osc" => ImpairmentSpec::DelayOscillation {
-            high_delay_ms: e.ms("high_delay_ms")?,
-            period_ms: e.period("period_ms")?,
-        },
-        other => return Err(e.err("type", format!("unknown impairment {other:?}"))),
-    })
-}
-
-fn window_from_entry(e: &Entry<'_>) -> Result<AdminWindowSpec, String> {
-    match e.tag()? {
-        "down" => e.span().map(|(at_ms, dur_ms)| AdminWindowSpec::Down { at_ms, dur_ms }),
-        "delay" => {
-            let ((at_ms, dur_ms), delay_ms) = (e.span()?, e.ms("delay_ms")?);
-            Ok(AdminWindowSpec::Delay { at_ms, dur_ms, delay_ms })
-        }
-        other => Err(e.err("type", format!("unknown window {other:?}"))),
     }
+    Ok(T::from_row(row, v))
 }
 
 /// Decodes a candidate back out of [`candidate_value`]'s encoding — the
@@ -1021,8 +773,8 @@ pub fn candidate_from_value(v: &Value) -> Result<Candidate, String> {
         }
     }
     Ok(Candidate {
-        impairments: list(v, "impairments", impairment_from_entry)?,
-        schedule: list(v, "schedule", window_from_entry)?,
+        impairments: list(v, "impairments", from_entry)?,
+        schedule: list(v, "schedule", from_entry)?,
     })
 }
 
@@ -1051,13 +803,28 @@ mod tests {
 
     #[test]
     fn candidate_round_trips_through_value_and_text() {
-        let c = sample_candidate();
-        let v = candidate_value(&c);
-        assert_eq!(candidate_from_value(&v), Ok(c.clone()));
-        // Through JSON text (the counterexample file's on-disk trip).
-        let text = serde_json::to_string(&v).unwrap();
-        let reparsed = serde_json::from_str(&text).unwrap();
-        assert_eq!(candidate_from_value(&reparsed), Ok(c));
+        // Every stress profile too: the mutator never draws the two
+        // oscillations, the full stress grid does.
+        let profiles = crate::sweep::grids::stress_profiles(false).into_iter();
+        let stress = profiles.map(|impairments| Candidate { impairments, schedule: Vec::new() });
+        for c in std::iter::once(sample_candidate()).chain(stress) {
+            let v = candidate_value(&c);
+            assert_eq!(candidate_from_value(&v), Ok(c.clone()));
+            // Through JSON text (the counterexample file's on-disk trip).
+            let text = serde_json::to_string(&v).unwrap();
+            let reparsed = serde_json::from_str(&text).unwrap();
+            assert_eq!(candidate_from_value(&reparsed), Ok(c));
+        }
+    }
+
+    /// A one-entry candidate document around `entry`, a stage or a window.
+    fn document(entry: &str) -> Value {
+        let doc = if entry.contains("at_ms") {
+            format!(r#"{{"impairments":[],"schedule":[{entry}]}}"#)
+        } else {
+            format!(r#"{{"impairments":[{entry}],"schedule":[]}}"#)
+        };
+        serde_json::from_str(&doc).expect("valid JSON")
     }
 
     #[test]
@@ -1086,6 +853,14 @@ mod tests {
             (r#"{"type":"down","at_ms":18446744073000,"dur_ms":18446744073000}"#, "dur_ms"),
             (r#"{"type":"delay","at_ms":10,"dur_ms":10,"delay_ms":18446744073710}"#, "delay_ms"),
             (r#"{"type":"delay","at_ms":10,"dur_ms":10}"#, "schedule[1].delay_ms"),
+            // Each of these three still overflowed the clock once added to
+            // `now`: bounded by `MAX_DELAY_MS` and `MIN_RATE_MBPS`.
+            (r#"{"type":"delay","at_ms":10,"dur_ms":100,"delay_ms":18446744073709}"#, "delay_ms"),
+            (r#"{"type":"bw-osc","low_mbps":1e-300,"period_ms":200}"#, "low_mbps"),
+            (
+                r#"{"type":"delay-osc","high_delay_ms":18446744073709,"period_ms":200}"#,
+                "high_delay_ms",
+            ),
             (r#"{"type":"sideways","at_ms":10,"dur_ms":10}"#, "schedule[1].type"),
         ];
         for (entry, field) in hostile {
@@ -1103,10 +878,28 @@ mod tests {
         }
         let no_list = serde_json::from_str(r#"{"impairments":[]}"#).unwrap();
         assert!(candidate_from_value(&no_list).unwrap_err().contains("candidate.schedule"));
-        // The boundary itself is accepted: the check is overflow, not a cap.
-        let edge =
-            r#"{"impairments":[],"schedule":[{"type":"down","at_ms":0,"dur_ms":18446744073709}]}"#;
-        assert!(candidate_from_value(&serde_json::from_str(edge).unwrap()).is_ok());
+        // A window's boundary is accepted: its check is overflow, not a cap.
+        let edge = r#"{"type":"down","at_ms":0,"dur_ms":18446744073709}"#;
+        assert!(candidate_from_value(&document(edge)).is_ok());
+    }
+
+    #[test]
+    fn the_bounded_fields_run_clean_at_their_largest_accepted_values() {
+        // One past each bound is refused; the bound itself runs a whole
+        // smoke cell without the clock overflowing (a panic in a debug build).
+        let edges = [
+            r#"{"type":"jitter","prob":1,"max_extra_ms":3600000}"#,
+            r#"{"type":"delay","at_ms":10,"dur_ms":100,"delay_ms":3600000}"#,
+            r#"{"type":"delay-osc","high_delay_ms":3600000,"period_ms":200}"#,
+            r#"{"type":"bw-osc","low_mbps":0.001,"period_ms":200}"#,
+        ];
+        for entry in edges {
+            let past = entry.replace("3600000", "3600001").replace("0.001", "0.00099");
+            assert!(candidate_from_value(&document(&past)).is_err(), "{past}");
+            let c = candidate_from_value(&document(entry)).expect(entry);
+            let r = run_cell(&c);
+            assert_eq!(r.num(Metric::TimeRegressions), 0.0, "{entry}");
+        }
     }
 
     #[test]
@@ -1129,22 +922,88 @@ mod tests {
             assert!(c.impairments.len() <= MAX_STAGES);
             assert!(c.schedule.len() <= MAX_WINDOWS);
             for w in &c.schedule {
-                let (at, dur) = match *w {
-                    AdminWindowSpec::Down { at_ms, dur_ms } => (at_ms, dur_ms),
-                    AdminWindowSpec::Delay { at_ms, dur_ms, .. } => (at_ms, dur_ms),
-                };
-                assert_eq!(at % MS_STEP, 0);
-                assert_eq!(dur % MS_STEP, 0);
-                assert!(at + dur <= HORIZON_MS, "window past the horizon: {w:?}");
+                let (AdminWindowSpec::Down { at_ms, dur_ms }
+                | AdminWindowSpec::Delay { at_ms, dur_ms, .. }) = *w;
+                assert!(at_ms + dur_ms <= HORIZON_MS, "window past the horizon: {w:?}");
+                on_grid_and_inside_caps(w);
             }
-            for i in &c.impairments {
-                if let ImpairmentSpec::IidLoss { p } = *i {
-                    assert!((p / PROB_STEP).fract().abs() < 1e-9, "off-grid p {p}");
-                }
-            }
+            c.impairments.iter().for_each(on_grid_and_inside_caps);
         }
         // The walk actually explores both dimensions.
         assert!(c.size() > 0);
+    }
+
+    /// Every parameter of `t` is a whole number of quanta of its unit, and
+    /// inside what its row lets the mutator draw or tweak it to.
+    fn on_grid_and_inside_caps<T: Tabled + std::fmt::Debug>(t: &T) {
+        let (row, v) = t.row();
+        let params = T::ROWS[row].params;
+        for (p, &x) in params.iter().zip(&v) {
+            let units = match p.unit {
+                Unit::Prob => {
+                    let units = f64::from_bits(x) / PROB_STEP;
+                    assert!((units - units.round()).abs() < 1e-9, "{} off the grid: {t:?}", p.name);
+                    units.round() as u64
+                }
+                Unit::Delay | Unit::Ms | Unit::Period => {
+                    assert_eq!(x % MS_STEP, 0, "{} off the grid: {t:?}", p.name);
+                    x / MS_STEP
+                }
+                Unit::Rate | Unit::Count | Unit::Slots => x,
+            };
+            let (lo, hi) = match p.search {
+                Search::Range { hi, cap, floor, .. } => (floor.max(1), hi.max(cap)),
+                Search::Inside(of) => (1, (v[of] / MS_STEP / 2).max(1)),
+                Search::Before(of) => (0, (HORIZON_MS - v[of]) / MS_STEP),
+                Search::Off => panic!("the mutator drew an unsearched row: {t:?}"),
+            };
+            assert!(
+                (lo..=hi).contains(&units),
+                "{} = {units} quanta, not in [{lo}, {hi}]: {t:?}",
+                p.name
+            );
+        }
+    }
+
+    #[test]
+    fn the_search_draws_the_stream_recorded_before_the_parameter_table() {
+        // 2,000 `mutate` steps from the baseline per seed. Each seed's digest
+        // is FNV-1a over every step's candidate text and size and the text of
+        // every shrink proposal. Recorded on commit 34f2eb8, when each variant
+        // had its own draw, tweak and weaken code.
+        const DIGESTS: [u64; 8] = [
+            0xc7f5_9a37_8573_6093,
+            0x9d91_9093_8781_9c61,
+            0xaa23_cced_083a_c03c,
+            0x3ada_1d3b_80c2_6310,
+            0x7ece_6b2b_cae6_a42c,
+            0xa235_d6b4_0157_f97a,
+            0x9331_146b_1553_4958,
+            0xa8f3_6feb_a883_dc1f,
+        ];
+        let text = |c: &Candidate| serde_json::to_string(&candidate_value(c)).unwrap();
+        let got: Vec<u64> = (0..8u64)
+            .map(|seed| {
+                let mut h = 0xcbf2_9ce4_8422_2325_u64;
+                let mut eat = |bytes: &[u8]| {
+                    for &b in bytes {
+                        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+                    }
+                };
+                let mut rng = SmallRng::seed_from_u64(seed);
+                let mut c = Candidate::baseline();
+                for _ in 0..2_000 {
+                    c = mutate(&c, &mut rng);
+                    eat(text(&c).as_bytes());
+                    eat(&c.size().to_le_bytes());
+                    for s in shrink_steps(&c) {
+                        eat(text(&s).as_bytes());
+                    }
+                }
+                h
+            })
+            .collect();
+        assert_eq!(got, DIGESTS, "{got:#x?}");
     }
 
     fn run_cell(c: &Candidate) -> CellReport {

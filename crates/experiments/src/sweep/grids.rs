@@ -314,7 +314,7 @@ pub const STRESS_VARIANTS: [Variant; 10] = [
 /// mode keeps the four qualitatively distinct ones (clean, burst loss,
 /// reorder + duplicate, flapping); full mode adds i.i.d. loss and the two
 /// capacity/delay oscillations.
-fn stress_profiles(quick: bool) -> Vec<Vec<ImpairmentSpec>> {
+pub(crate) fn stress_profiles(quick: bool) -> Vec<Vec<ImpairmentSpec>> {
     let mut profiles = vec![
         Vec::new(), // baseline
         vec![ImpairmentSpec::BurstLoss { p_good_to_bad: 0.02, p_bad_to_good: 0.3, loss_bad: 1.0 }],

@@ -231,68 +231,6 @@ pub enum ImpairmentSpec {
     },
 }
 
-impl ImpairmentSpec {
-    /// Canonical hash encoding: a tag string then every parameter, in
-    /// declaration order.
-    fn hash_into(&self, h: &mut Fnv1a) {
-        match *self {
-            ImpairmentSpec::IidLoss { p } => {
-                h.write_str("iid-loss");
-                h.write_f64(p);
-            }
-            ImpairmentSpec::BurstLoss { p_good_to_bad, p_bad_to_good, loss_bad } => {
-                h.write_str("burst-loss");
-                h.write_f64(p_good_to_bad);
-                h.write_f64(p_bad_to_good);
-                h.write_f64(loss_bad);
-            }
-            ImpairmentSpec::Jitter { prob, max_extra_ms } => {
-                h.write_str("jitter");
-                h.write_f64(prob);
-                h.write_u64(max_extra_ms);
-            }
-            ImpairmentSpec::Displace { every, depth } => {
-                h.write_str("displace");
-                h.write_u64(every);
-                h.write_u64(u64::from(depth));
-            }
-            ImpairmentSpec::Duplicate { p } => {
-                h.write_str("duplicate");
-                h.write_f64(p);
-            }
-            ImpairmentSpec::Flap { period_ms, down_ms } => {
-                h.write_str("flap");
-                h.write_u64(period_ms);
-                h.write_u64(down_ms);
-            }
-            ImpairmentSpec::BandwidthOscillation { low_mbps, period_ms } => {
-                h.write_str("bw-osc");
-                h.write_f64(low_mbps);
-                h.write_u64(period_ms);
-            }
-            ImpairmentSpec::DelayOscillation { high_delay_ms, period_ms } => {
-                h.write_str("delay-osc");
-                h.write_u64(high_delay_ms);
-                h.write_u64(period_ms);
-            }
-        }
-    }
-
-    /// Short tag for labels and profile names.
-    pub fn tag(&self) -> &'static str {
-        match self {
-            ImpairmentSpec::IidLoss { .. } => "iid-loss",
-            ImpairmentSpec::BurstLoss { .. } => "burst-loss",
-            ImpairmentSpec::Jitter { .. } => "jitter",
-            ImpairmentSpec::Displace { .. } => "displace",
-            ImpairmentSpec::Duplicate { .. } => "duplicate",
-            ImpairmentSpec::Flap { .. } => "flap",
-            ImpairmentSpec::BandwidthOscillation { .. } => "bw-osc",
-            ImpairmentSpec::DelayOscillation { .. } => "delay-osc",
-        }
-    }
-}
-
 /// One scheduled one-shot administrative action on the bottleneck link, in
 /// spec form. Unlike the periodic [`ImpairmentSpec::Flap`], these windows
 /// are placed at absolute instants — the degrees of freedom the adversary
@@ -318,31 +256,222 @@ pub enum AdminWindowSpec {
     },
 }
 
-impl AdminWindowSpec {
-    /// Canonical hash encoding: tag string then parameters in order.
-    fn hash_into(&self, h: &mut Fnv1a) {
+/// What a parameter of an impairment stage or admin window measures. The
+/// unit fixes its JSON number (`Prob` and `Rate` are floats, the rest
+/// integers), its search quantum and the bounds it is read back inside.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Unit {
+    /// A probability in `[0, 1]`.
+    Prob,
+    /// A link rate, Mbps, finite and at least [`MIN_RATE_MBPS`].
+    Rate,
+    /// A delay a packet's arrival is pushed out by, ms, at most
+    /// [`MAX_DELAY_MS`].
+    Delay,
+    /// An instant or a length, ms, that is still a `u64` of nanoseconds.
+    Ms,
+    /// A cycle length: a positive `Ms`.
+    Period,
+    /// A positive packet count.
+    Count,
+    /// A count of packet slots that fits `u32`.
+    Slots,
+}
+
+/// The longest delay a stage or window may add to a packet, ms (one hour):
+/// the arrival of a packet sent at any instant of a run is then still an
+/// instant of the sim clock.
+pub(crate) const MAX_DELAY_MS: u64 = 3_600_000;
+
+/// The lowest rate a bandwidth oscillation may drop to, Mbps: a 1,500-byte
+/// packet then serializes in 12 s, not in more time than the clock holds.
+pub(crate) const MIN_RATE_MBPS: f64 = 0.001;
+
+/// How the adversary draws and tweaks one parameter, in quanta of its unit
+/// (`hunt::PROB_STEP` for probabilities, `hunt::MS_STEP` for milliseconds,
+/// one for counts and slots).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Search {
+    /// Never drawn, tweaked or halved: the oscillation rows, which the
+    /// stress grid covers.
+    Off,
+    /// Drawn from `lo..=hi`; tweaked an octave up or down inside
+    /// `[floor, cap]`, and never tweaked when `cap` is 0.
+    Range { lo: u64, hi: u64, cap: u64, floor: u64 },
+    /// Downtime inside the cycle that parameter `.0` is the length of:
+    /// drawn from `1..=max(1, cycle / 2)`, tweaked inside `[1, cycle / 2]`,
+    /// read back as `0 < downtime < cycle`.
+    Inside(usize),
+    /// Start of the window that parameter `.0` is the length of: drawn so
+    /// the window ends by `hunt::HORIZON_MS`, tweaked by a shift, read back
+    /// as `start + length` still on the clock.
+    Before(usize),
+}
+
+impl Search {
+    /// The parameter this one's range depends on.
+    pub(crate) fn tie(self) -> Option<usize> {
+        match self {
+            Search::Inside(of) | Search::Before(of) => Some(of),
+            Search::Off | Search::Range { .. } => None,
+        }
+    }
+}
+
+/// One parameter of a [`Row`].
+pub(crate) struct Param {
+    /// Field name, in the JSON codec and in read-back errors.
+    pub name: &'static str,
+    /// What it measures.
+    pub unit: Unit,
+    /// Counted by the shrinker's size measure (and halved by the shrinker
+    /// where it is searched); a placement or a shape parameter is not.
+    pub intensity: bool,
+    /// How the adversary draws and tweaks it.
+    pub search: Search,
+}
+
+/// One `ImpairmentSpec` or `AdminWindowSpec` variant: its tag and its
+/// parameters, in the order they are hashed and written.
+pub(crate) struct Row {
+    /// Tag, in labels, profile names, the hash and the JSON codec.
+    pub tag: &'static str,
+    /// Parameters, in variant field order.
+    pub params: &'static [Param],
+}
+
+const fn row(tag: &'static str, params: &'static [Param]) -> Row {
+    Row { tag, params }
+}
+
+const fn p(name: &'static str, unit: Unit, intensity: bool, search: Search) -> Param {
+    Param { name, unit, intensity, search }
+}
+
+const fn range(lo: u64, hi: u64, cap: u64) -> Search {
+    floored(lo, hi, cap, 0)
+}
+
+const fn floored(lo: u64, hi: u64, cap: u64, floor: u64) -> Search {
+    Search::Range { lo, hi, cap, floor }
+}
+
+/// Every impairment stage (in `ImpairmentSpec` order, the searched rows
+/// first) and every admin window (in `AdminWindowSpec` order). Tag, hash,
+/// JSON codec, read-back checks, size measure and the adversary's draw,
+/// tweak and weaken moves are walks over these ten rows.
+#[rustfmt::skip]
+pub(crate) const TABLE: [Row; 10] = [
+    //  tag             name             unit          intensity  search, in quanta
+    row("iid-loss",   &[p("p",             Unit::Prob,   true,  range(1, 12, 40))]),
+    row("burst-loss", &[p("p_good_to_bad", Unit::Prob,   true,  range(1, 10, 40)),
+                        p("p_bad_to_good", Unit::Prob,   false, range(10, 100, 200)),
+                        p("loss_bad",      Unit::Prob,   true,  range(100, 200, 200))]),
+    row("jitter",     &[p("prob",          Unit::Prob,   true,  range(20, 120, 200)),
+                        p("max_extra_ms",  Unit::Delay,  true,  range(1, 8, 16))]),
+    row("displace",   &[p("every",         Unit::Count,  false, floored(5, 40, 64, 2)),
+                        p("depth",         Unit::Slots,  true,  range(2, 8, 16))]),
+    row("duplicate",  &[p("p",             Unit::Prob,   true,  range(1, 10, 40))]),
+    row("flap",       &[p("period_ms",     Unit::Period, false, range(50, 300, 0)),
+                        p("down_ms",       Unit::Ms,     true,  Search::Inside(0))]),
+    row("bw-osc",     &[p("low_mbps",      Unit::Rate,   false, Search::Off),
+                        p("period_ms",     Unit::Period, true,  Search::Off)]),
+    row("delay-osc",  &[p("high_delay_ms", Unit::Delay,  true,  Search::Off),
+                        p("period_ms",     Unit::Period, false, Search::Off)]),
+    row("down",       &[p("at_ms",         Unit::Ms,     false, Search::Before(1)),
+                        p("dur_ms",        Unit::Ms,     true,  range(5, 40, 100))]),
+    row("delay",      &[p("at_ms",         Unit::Ms,     false, Search::Before(1)),
+                        p("dur_ms",        Unit::Ms,     true,  range(10, 60, 100)),
+                        p("delay_ms",      Unit::Delay,  true,  range(5, 20, 40))]),
+];
+
+/// A variant's parameter values in row order, a float as its bits; slots
+/// past the row's parameters are 0.
+pub(crate) type Values = [u64; 3];
+
+/// [`ImpairmentSpec`] and [`AdminWindowSpec`] as rows of [`TABLE`]. The
+/// per-variant `match`es are the two methods here; everything that encodes,
+/// checks or searches a variant walks its row.
+pub(crate) trait Tabled: Sized {
+    /// This enum's rows of [`TABLE`], in variant order.
+    const ROWS: &'static [Row];
+    /// What a read-back error calls an unknown tag.
+    const NOUN: &'static str;
+
+    /// The variant's index into `ROWS` and its values.
+    fn row(&self) -> (usize, Values);
+
+    /// The variant of `ROWS[row]` holding `v`.
+    fn from_row(row: usize, v: Values) -> Self;
+
+    /// Short tag for labels and profile names.
+    fn tag(&self) -> &'static str {
+        Self::ROWS[self.row().0].tag
+    }
+}
+
+impl Tabled for ImpairmentSpec {
+    const ROWS: &'static [Row] = TABLE.split_at(8).0;
+    const NOUN: &'static str = "impairment";
+
+    fn row(&self) -> (usize, Values) {
+        let f = f64::to_bits;
         match *self {
-            AdminWindowSpec::Down { at_ms, dur_ms } => {
-                h.write_str("down");
-                h.write_u64(at_ms);
-                h.write_u64(dur_ms);
+            Self::IidLoss { p } => (0, [f(p), 0, 0]),
+            Self::BurstLoss { p_good_to_bad: a, p_bad_to_good: b, loss_bad: c } => {
+                (1, [f(a), f(b), f(c)])
             }
-            AdminWindowSpec::Delay { at_ms, dur_ms, delay_ms } => {
-                h.write_str("delay");
-                h.write_u64(at_ms);
-                h.write_u64(dur_ms);
-                h.write_u64(delay_ms);
+            Self::Jitter { prob, max_extra_ms } => (2, [f(prob), max_extra_ms, 0]),
+            Self::Displace { every, depth } => (3, [every, u64::from(depth), 0]),
+            Self::Duplicate { p } => (4, [f(p), 0, 0]),
+            Self::Flap { period_ms, down_ms } => (5, [period_ms, down_ms, 0]),
+            Self::BandwidthOscillation { low_mbps, period_ms } => (6, [f(low_mbps), period_ms, 0]),
+            Self::DelayOscillation { high_delay_ms, period_ms } => {
+                (7, [high_delay_ms, period_ms, 0])
             }
         }
     }
 
-    /// Short tag for labels.
-    pub fn tag(&self) -> &'static str {
-        match self {
-            AdminWindowSpec::Down { .. } => "down",
-            AdminWindowSpec::Delay { .. } => "delay",
+    fn from_row(row: usize, [a, b, c]: Values) -> Self {
+        let f = f64::from_bits;
+        match row {
+            0 => Self::IidLoss { p: f(a) },
+            1 => Self::BurstLoss { p_good_to_bad: f(a), p_bad_to_good: f(b), loss_bad: f(c) },
+            2 => Self::Jitter { prob: f(a), max_extra_ms: b },
+            3 => Self::Displace { every: a, depth: b as u32 },
+            4 => Self::Duplicate { p: f(a) },
+            5 => Self::Flap { period_ms: a, down_ms: b },
+            6 => Self::BandwidthOscillation { low_mbps: f(a), period_ms: b },
+            _ => Self::DelayOscillation { high_delay_ms: a, period_ms: b },
         }
     }
+}
+
+impl Tabled for AdminWindowSpec {
+    const ROWS: &'static [Row] = TABLE.split_at(8).1;
+    const NOUN: &'static str = "window";
+
+    fn row(&self) -> (usize, Values) {
+        match *self {
+            Self::Down { at_ms, dur_ms } => (0, [at_ms, dur_ms, 0]),
+            Self::Delay { at_ms, dur_ms, delay_ms } => (1, [at_ms, dur_ms, delay_ms]),
+        }
+    }
+
+    fn from_row(row: usize, [at_ms, dur_ms, delay_ms]: Values) -> Self {
+        match row {
+            0 => Self::Down { at_ms, dur_ms },
+            _ => Self::Delay { at_ms, dur_ms, delay_ms },
+        }
+    }
+}
+
+/// Canonical hash encoding of a stage or window: the tag string then every
+/// parameter in row order, a float as its bits.
+fn hash_row<T: Tabled>(t: &T, h: &mut Fnv1a) {
+    let (row, v) = t.row();
+    h.write_str(T::ROWS[row].tag);
+    v[..T::ROWS[row].params.len()].iter().for_each(|&x| h.write_u64(x));
 }
 
 /// The human name of an impairment pipeline and admin schedule: stage tags
@@ -532,7 +661,7 @@ impl ScenarioSpec {
             h.write_str("impair");
             h.write_u64(self.impairments.len() as u64);
             for imp in &self.impairments {
-                imp.hash_into(&mut h);
+                hash_row(imp, &mut h);
             }
         }
         // Same empty-field transparency for the adversary schedule: only
@@ -542,7 +671,7 @@ impl ScenarioSpec {
             h.write_str("sched");
             h.write_u64(self.schedule.len() as u64);
             for w in &self.schedule {
-                w.hash_into(&mut h);
+                hash_row(w, &mut h);
             }
         }
         h.finish()
@@ -681,6 +810,52 @@ mod tests {
         // against accidental drift, which would silently invalidate every
         // on-disk cache and change every derived sim seed.
         assert_eq!(fairness_spec(8, 1).hash_hex(), "adbc5eaf101c1722");
+    }
+
+    #[test]
+    fn every_impairment_and_window_row_hashes_as_recorded() {
+        // One hunt spec per `ImpairmentSpec` / `AdminWindowSpec` variant, each
+        // hash recorded on commit 34f2eb8, when every variant still had its
+        // own hand-written encoder.
+        let hunt = |imp: Vec<ImpairmentSpec>, sched: Vec<AdminWindowSpec>| {
+            ScenarioSpec::new(ScenarioKind::Hunt { variant: Variant::TcpPr }, PlanSpec::Smoke)
+                .with_impairments(imp)
+                .with_schedule(sched)
+                .hash_hex()
+        };
+        let imp = |i: ImpairmentSpec| hunt(vec![i], Vec::new());
+        let win = |w: AdminWindowSpec| hunt(Vec::new(), vec![w]);
+        let rows = [
+            (imp(ImpairmentSpec::IidLoss { p: 0.035 }), "9478ce04094ffd02"),
+            (
+                imp(ImpairmentSpec::BurstLoss {
+                    p_good_to_bad: 0.02,
+                    p_bad_to_good: 0.3,
+                    loss_bad: 1.0,
+                }),
+                "12cbf946c40623ba",
+            ),
+            (imp(ImpairmentSpec::Jitter { prob: 0.3, max_extra_ms: 30 }), "0c5ac34b39a9234f"),
+            (imp(ImpairmentSpec::Displace { every: 20, depth: 4 }), "068c89129f8b8562"),
+            (imp(ImpairmentSpec::Duplicate { p: 0.02 }), "95a9db23694e662f"),
+            (imp(ImpairmentSpec::Flap { period_ms: 3000, down_ms: 300 }), "69f34d9c358d8b34"),
+            (
+                imp(ImpairmentSpec::BandwidthOscillation { low_mbps: 3.0, period_ms: 2000 }),
+                "d5a5b849b322dc27",
+            ),
+            (
+                imp(ImpairmentSpec::DelayOscillation { high_delay_ms: 60, period_ms: 2000 }),
+                "a630f69769001578",
+            ),
+            (win(AdminWindowSpec::Down { at_ms: 1500, dur_ms: 200 }), "fd2eb65d52ce881e"),
+            (
+                win(AdminWindowSpec::Delay { at_ms: 2500, dur_ms: 300, delay_ms: 100 }),
+                "b420cf8a6d078e4b",
+            ),
+        ];
+        let got: Vec<&str> = rows.iter().map(|(h, _)| h.as_str()).collect();
+        let want: Vec<&str> = rows.iter().map(|&(_, w)| w).collect();
+        assert_eq!(got, want);
     }
 
     #[test]
