@@ -38,9 +38,10 @@ impl<'a> AgentCtx<'a> {
     /// # Panics
     ///
     /// Panics if `dst` is the agent's own node: the packet would be for the
-    /// agent itself, and a callback does not re-enter.
+    /// agent itself (it keeps the agent's flow), and a callback does not
+    /// re-enter.
     pub fn send(&mut self, dst: NodeId, size_bytes: u32, kind: PacketKind) {
-        self.sim.inject(self.node, self.flow, dst, size_bytes, kind);
+        self.sim.inject(self.agent_id, dst, size_bytes, kind);
     }
 
     /// Arms the agent's single timer to fire at `at` (replacing any pending

@@ -11,8 +11,11 @@
 //! around (DESIGN.md §2 "Packets sit still"). Agents only ever see whole
 //! packets, by value. A source-routed packet names its path by a
 //! [`RouteId`] into the routing table, which owns every path installed.
+//! It also carries the agent it is for, resolved when it is sent, so
+//! delivery hands it over without searching the destination's flow table
+//! (DESIGN.md §2 "Deliveries carry their agent").
 
-use crate::ids::{FlowId, NodeId, RouteId};
+use crate::ids::{AgentId, FlowId, NodeId, RouteId};
 use crate::time::SimTime;
 
 /// Default TCP data segment size used throughout the reproduction, in bytes
@@ -104,8 +107,10 @@ pub struct Packet {
     pub size_bytes: u32,
     /// Transport payload.
     pub kind: PacketKind,
-    /// Time the packet was injected into the network at `src`.
-    pub injected_at: SimTime,
+    /// The agent serving `(dst, flow)`, resolved when the packet was sent.
+    /// `None` if no agent serves it: the packet still crosses the network
+    /// and is a no-route drop at `dst`.
+    pub to: Option<AgentId>,
     /// Number of links traversed so far.
     pub hops: u32,
     /// Handle of the pinned source route (sequence of links from `src` to
@@ -143,7 +148,7 @@ mod tests {
                 tx_count: 1,
                 timestamp: SimTime::ZERO,
             }),
-            injected_at: SimTime::ZERO,
+            to: None,
             hops: 0,
             route: None,
         }

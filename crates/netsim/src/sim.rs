@@ -230,6 +230,11 @@ struct AgentMeta {
     flow: FlowId,
     /// Indexed by [`TimerId`].
     timers: [TimerSlot; 2],
+    /// The node this agent last sent to, and the agent serving its flow
+    /// there (`None`: no agent does). It cannot go stale: `add_agent`
+    /// refuses agents once the simulation has started, every send happens
+    /// in a callback and so after the start, and no agent is ever removed.
+    peer: Option<(NodeId, Option<AgentId>)>,
 }
 
 /// A deterministic packet-level discrete-event network simulator.
@@ -539,6 +544,8 @@ impl Simulator {
     /// Panics if another agent already serves `flow` at `node`, or if the
     /// simulation has already started.
     pub fn add_agent(&mut self, node: NodeId, flow: FlowId, agent: Box<dyn Agent>) -> AgentId {
+        // The table is fixed from the start on, so the agent a sender
+        // resolved for a destination (`AgentMeta::peer`) stays the one.
         assert!(!self.started, "agents must be added before the simulation starts");
         let id = AgentId::from_raw(self.agents.len() as u32);
         let served = &mut self.node_agents[node.index()];
@@ -547,7 +554,7 @@ impl Simulator {
             Err(at) => served.insert(at, (flow, id)),
         }
         self.agents.push(Some(agent));
-        self.agent_meta.push(AgentMeta { node, flow, timers: Default::default() });
+        self.agent_meta.push(AgentMeta { node, flow, timers: Default::default(), peer: None });
         id
     }
 
@@ -643,7 +650,8 @@ impl Simulator {
                 let p = self.packets.get_mut(packet.0);
                 p.hops += 1;
                 if p.dst == node {
-                    self.deliver(node, packet);
+                    let to = p.to;
+                    self.deliver(node, packet, to);
                 } else {
                     self.forward(node, packet);
                 }
@@ -668,18 +676,17 @@ impl Simulator {
         }
     }
 
-    fn deliver(&mut self, node: NodeId, id: PacketId) {
-        let flow = self.packets.get(id.0).flow;
-        let served = &self.node_agents[node.index()];
-        match served.binary_search_by_key(&flow, |&(f, _)| f) {
-            Ok(at) => {
-                let agent = served[at].1;
+    /// Hands packet `id`, arrived at its destination `node`, to the agent
+    /// `inject` resolved for it.
+    fn deliver(&mut self, node: NodeId, id: PacketId, to: Option<AgentId>) {
+        match to {
+            Some(agent) => {
                 self.stats.delivered += 1;
                 self.trace_packet(id, TraceEventKind::Delivered(node));
                 let packet = self.packets.remove(id.0);
                 self.call_agent(agent, |agent, ctx| agent.on_packet(packet, ctx));
             }
-            Err(_) => {
+            None => {
                 self.stats.no_route_drops += 1;
                 self.drop_packet(id, TraceEventKind::NoRoute);
             }
@@ -938,29 +945,45 @@ impl Simulator {
         }
     }
 
-    /// Injects a packet at `src` addressed to `(dst, flow)`.
-    pub(crate) fn inject(
-        &mut self,
-        src: NodeId,
-        flow: FlowId,
-        dst: NodeId,
-        size_bytes: u32,
-        kind: PacketKind,
-    ) {
+    /// Injects a packet from agent `from`'s node, addressed to `dst` on
+    /// `from`'s flow, naming the agent it is for.
+    ///
+    /// # Panics
+    ///
+    /// Panics, before anything is counted, if `dst` is `from`'s own node:
+    /// the packet would be for `from`, whose callback is running.
+    pub(crate) fn inject(&mut self, from: AgentId, dst: NodeId, size_bytes: u32, kind: PacketKind) {
+        let to = self.resolve(from, dst);
+        assert!(to != Some(from), "agent {from} sent a packet to its own node {dst}");
+        let AgentMeta { node: src, flow, .. } = self.agent_meta[from.index()];
         let uid = self.next_uid;
         self.next_uid += 1;
         self.stats.injected += 1;
         let rng = &mut self.rng;
         let route = self.routing.pick_route(src, dst, || rng.gen::<f64>());
-        let packet =
-            Packet { uid, flow, src, dst, size_bytes, kind, injected_at: self.now, hops: 0, route };
+        let packet = Packet { uid, flow, src, dst, size_bytes, kind, to, hops: 0, route };
         let packet = PacketId(self.packets.insert(packet));
         self.trace_packet(packet, TraceEventKind::Injected);
-        if dst == src {
-            self.deliver(src, packet);
-        } else {
-            self.forward(src, packet);
+        self.forward(src, packet);
+    }
+
+    /// The agent serving `dst` on `from`'s flow: `from`'s last answer if it
+    /// sent to `dst` last time, else one search of `dst`'s table. A node
+    /// out of range has no agents, and the packet no route.
+    fn resolve(&mut self, from: AgentId, dst: NodeId) -> Option<AgentId> {
+        let meta = &mut self.agent_meta[from.index()];
+        if let Some((last, to)) = meta.peer {
+            if last == dst {
+                return to;
+            }
         }
+        obs::count("agent.lookups", 1);
+        let to = self.node_agents.get(dst.index()).and_then(|served| {
+            let at = served.binary_search_by_key(&meta.flow, |&(f, _)| f).ok()?;
+            Some(served[at].1)
+        });
+        meta.peer = Some((dst, to));
+        to
     }
 }
 
@@ -2182,18 +2205,20 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "agent call must not re-enter")]
+    #[should_panic(expected = "agent a1 sent a packet to its own node n0")]
     fn an_agent_cannot_send_to_itself() {
         // A packet keeps its sender's flow, and a `(node, flow)` has one
         // agent: a packet for the sender's own node is a packet for the
-        // sender, whose callback is still running.
-        let (mut sim, a, _) = one_link_sim(fast());
-        sim.add_agent(
-            a,
-            FlowId::from_raw(0),
-            Box::new(Blaster { dst: a, count: 1, acked: vec![] }),
-        );
-        sim.start();
+        // sender, whose callback is still running. The send fails at once,
+        // with nothing counted and no packet made.
+        let (mut sim, a, c) = one_link_sim(fast());
+        let flow = FlowId::from_raw(0);
+        sim.add_agent(c, flow, Box::<Sink>::default());
+        sim.add_agent(a, flow, Box::new(Blaster { dst: a, count: 1, acked: vec![] }));
+        let start = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.start()));
+        let payload = start.expect_err("the send panics");
+        assert_eq!((sim.stats.injected, sim.stats.delivered, sim.packets.len()), (0, 0, 0));
+        std::panic::resume_unwind(payload);
     }
 
     /// Notes the packets it is handed: `(uid, route handle)`.
@@ -2228,34 +2253,77 @@ mod tests {
     const SPARSE: (std::ops::Range<u32>, (std::ops::Range<u8>, std::ops::Range<u32>)) =
         (0..3, (0..4, 0..6));
 
+    /// Has agent `from` send one 40-byte packet to `dst`, as one of its
+    /// callbacks would.
+    fn send_as(sim: &mut Simulator, from: AgentId, dst: NodeId) {
+        sim.call_agent(from, |_, ctx| ctx.send(dst, 40, data(0)));
+    }
+
     proptest::proptest! {
-        /// The per-node sorted tables find what a hash map keyed by
-        /// `(node, flow)` finds, in whatever order the agents were added,
-        /// and a flow nobody serves is a `NoRoute` drop.
+        /// Every packet reaches the agent a hash map keyed by `(node, flow)`
+        /// names for its destination, in whatever order the agents were
+        /// added and however often a sender changes destination (so its
+        /// cached resolution both hits and misses); a packet for a flow
+        /// nobody serves at its destination crosses the network and is a
+        /// `NoRoute` drop there.
         #[test]
         fn agents_are_found_as_a_hash_map_finds_them(
-            placed in proptest::collection::vec(SPARSE, 0..24),
-            sent in proptest::collection::vec(SPARSE, 1..48),
+            placed in proptest::collection::vec(SPARSE, 1..24),
+            sent in proptest::collection::vec((0usize..24, 1u32..3), 1..48),
         ) {
+            // Three nodes, each linked to both others: every packet makes
+            // one hop, into its destination.
             let mut b = SimBuilder::new(0);
-            b.add_nodes(3);
-            let mut sim = b.build();
-            let mut model = std::collections::HashMap::new();
-            for (node, flow) in placed {
-                let at = (NodeId::from_raw(node), sparse_flow(flow));
-                model.entry(at).or_insert_with(|| (sim.add_agent(at.0, at.1, Box::<Sink>::default()), 0));
-            }
-            let mut unserved = 0;
-            for (node, flow) in sent {
-                let at = (NodeId::from_raw(node), sparse_flow(flow));
-                sim.inject(at.0, at.1, at.0, 40, data(0));
-                match model.get_mut(&at) {
-                    Some((_, packets)) => *packets += 1,
-                    None => unserved += 1,
+            let nodes = b.add_nodes(3);
+            for (i, &x) in nodes.iter().enumerate() {
+                for &y in &nodes[i + 1..] {
+                    b.add_duplex(x, y, LinkConfig::mbps_ms(100.0, 1, 100));
                 }
             }
-            for (agent, packets) in model.values() {
-                proptest::prop_assert_eq!(sunk(&sim, *agent).len(), *packets);
+            let mut sim = b.build();
+            sim.enable_trace(&[], 10_000);
+            let mut model = std::collections::HashMap::new();
+            let mut agents = Vec::new();
+            for (node, flow) in placed {
+                let at = (NodeId::from_raw(node), sparse_flow(flow));
+                model.entry(at).or_insert_with(|| {
+                    agents.push(at);
+                    sim.add_agent(at.0, at.1, Box::<Sink>::default())
+                });
+            }
+            sim.start();
+            // `uid` order: the agent each packet is for, or its destination.
+            let mut expected = Vec::new();
+            for (pick, hop) in sent {
+                let (node, flow) = agents[pick % agents.len()];
+                let dst = NodeId::from_raw((node.0 + hop) % 3);
+                send_as(&mut sim, model[&(node, flow)], dst);
+                expected.push(model.get(&(dst, flow)).copied().ok_or(dst));
+            }
+            sim.run_to_quiescence();
+            let uids = 0..expected.len() as u64;
+            for &agent in model.values() {
+                let mut got: Vec<u64> = sunk(&sim, agent).iter().map(|&(uid, _)| uid).collect();
+                got.sort_unstable();
+                let want: Vec<u64> =
+                    uids.clone().filter(|&uid| expected[uid as usize] == Ok(agent)).collect();
+                proptest::prop_assert_eq!(got, want, "agent {}", agent);
+            }
+            // An unserved packet's last two records: it crossed a link into
+            // its destination, and was dropped there.
+            let records = sim.trace_records();
+            let mut unserved = 0;
+            for (uid, dst) in uids.zip(&expected).filter_map(|(uid, e)| Some((uid, e.err()?))) {
+                let life: Vec<_> =
+                    records.iter().filter(|r| r.uid == uid).map(|r| r.kind).collect();
+                let into = match life.as_slice() {
+                    [.., TraceEventKind::LinkTx(link), TraceEventKind::NoRoute] => {
+                        Some(sim.links[link.index()].to)
+                    }
+                    _ => None,
+                };
+                proptest::prop_assert_eq!(into, Some(dst), "packet {}: {:?}", uid, life);
+                unserved += 1;
             }
             proptest::prop_assert_eq!(sim.stats.no_route_drops, unserved);
             proptest::prop_assert_eq!(sim.stats.delivered + unserved, sim.stats.injected);
@@ -2283,6 +2351,8 @@ mod tests {
             let mut sim = b.build();
             let flow = FlowId::from_raw(0);
             let sink = sim.add_agent(d, flow, Box::<Sink>::default());
+            let sender = sim.add_agent(a, flow, Box::<Sink>::default());
+            sim.start();
             let paths = sim.graph.simple_paths(a, d, 2, 64);
             let mut expected = Vec::new();
             for (mut weights, skip) in mixtures {
@@ -2295,7 +2365,7 @@ mod tests {
                 for _ in 0..8 {
                     let u = sim.rng.clone().gen::<f64>();
                     expected.push(mixture.pick(u).links.clone());
-                    sim.inject(a, flow, d, 40, data(0));
+                    send_as(&mut sim, sender, d);
                 }
             }
             sim.run_to_quiescence();
@@ -2520,6 +2590,8 @@ mod tests {
             ["event.timer", "timer.deferred", "timer.stale"].map(|k| report.counters[k]);
         assert_eq!(timer_pops, [4, 1, 1], "fires = pops - deferred - stale = 2");
         assert!(report.counters.get("event.arrive").copied().unwrap_or(0) > 0);
+        // Five data packets and five ACKs, each side sending to one node.
+        assert_eq!(report.counters.get("agent.lookups").copied(), Some(2));
         assert_eq!(report.counters.get("sim.completed").copied(), Some(3));
         let samples = |key| report.sim_histograms.get(key).map_or(0, |h| h.total());
         assert!(samples("event.heap_depth") > 0);

@@ -234,7 +234,9 @@ mod tests {
             Slab::<crate::packet::Packet>::slot_bytes(),
             mem::size_of::<crate::packet::Packet>()
         );
-        // A source route rides as a 4-byte handle, not a 16-byte `Arc<[_]>`.
-        assert!(mem::size_of::<crate::packet::Packet>() <= 120);
+        // A source route rides as a 4-byte handle, not a 16-byte `Arc<[_]>`,
+        // and the resolved agent in 8 bytes; `repro scale`'s B/flow prices
+        // a packet slot at this size.
+        assert_eq!(mem::size_of::<crate::packet::Packet>(), 120);
     }
 }

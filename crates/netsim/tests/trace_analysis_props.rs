@@ -64,12 +64,12 @@ fn naive_one_way_delays(records: &[TraceRecord]) -> Vec<(u64, SimDuration)> {
         if !matches!(r.kind, TraceEventKind::Delivered(_)) {
             continue;
         }
-        let injected_at = records[..i]
+        let injection = records[..i]
             .iter()
             .rev()
             .find(|p| p.uid == r.uid && matches!(p.kind, TraceEventKind::Injected))
             .map(|p| p.at);
-        if let Some(t0) = injected_at {
+        if let Some(t0) = injection {
             out.push((r.uid, r.at.saturating_since(t0)));
         }
     }
