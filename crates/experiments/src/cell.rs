@@ -1343,6 +1343,39 @@ mod tests {
         TopologySpec::Dumbbell { bottleneck_mbps }
     }
 
+    /// Streaming flow 0's packet trace (`repro fig2 --telemetry-dir`) only
+    /// reads the simulation: the sink sees the flow's whole lifecycle and the
+    /// report is the untraced run's, byte for byte.
+    #[test]
+    fn a_streamed_trace_leaves_the_fairness_report_untouched() {
+        use netsim::trace::TraceRecord;
+        use std::{cell::Cell, rc::Rc};
+
+        struct CountingSink(Rc<Cell<u64>>);
+        impl TraceSink for CountingSink {
+            fn write_record(&mut self, _: &TraceRecord) {
+                self.0.set(self.0.get() + 1);
+            }
+        }
+        let kind = ScenarioKind::Fairness {
+            topology: dumbbell_mbps(None),
+            n_flows: 2,
+            alpha: 0.995,
+            beta: 3.0,
+            replicate: 1,
+        };
+        let scenario = lower(&kind, &[], &[]);
+        let seen = Rc::default();
+        let sink = Observe::Stream(Box::new(CountingSink(Rc::clone(&seen))));
+        let report = |observe| {
+            let report = run(&scenario, MeasurePlan::smoke(), 5, observe);
+            serde_json::to_string(&serde::Serialize::to_value(&report)).expect("total")
+        };
+        let traced = report(sink);
+        assert!(seen.get() > 1000, "flow 0's packet lifecycle streams to the sink: {}", seen.get());
+        assert_eq!(traced, report(Observe::Nothing));
+    }
+
     #[test]
     fn dumbbell_fairness_means_near_one() {
         let r = fairness(dumbbell_mbps(None), 8, 11);

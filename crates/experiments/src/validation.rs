@@ -10,8 +10,8 @@
 //! - **AIMD convergence**: two identical flows sharing one bottleneck
 //!   converge to equal shares (Chiu–Jain, the paper's reference \[7\]).
 //!
-//! These run as ordinary tests; the module also exposes the runners so the
-//! `repro` binary can print the comparison.
+//! These run as ordinary tests. The runners serve this module's tests: no
+//! `repro` command or artifact calls them.
 
 use netsim::ids::FlowId;
 use netsim::link::LinkConfig;

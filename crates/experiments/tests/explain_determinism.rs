@@ -1,86 +1,10 @@
-//! End-to-end contract of `repro explain`: the post-mortem artifact for a
-//! pinned counterexample must be byte-identical at `--jobs 1` and
-//! `--jobs 8`, and must actually explain something — at least one detected
-//! incident with a non-empty cause chain.
+//! `repro explain`'s row of the determinism table: the post-mortem of a
+//! pinned counterexample, with incidents and their cause chains.
 
-use std::fs;
-use std::path::{Path, PathBuf};
-use std::process::Command;
-
-fn fixture() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../../tests/fixtures/counterexample-tcppr-goodput.json")
-        .canonicalize()
-        .expect("pinned fixture exists")
-}
-
-fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("explain-e2e-{tag}-{}", std::process::id()));
-    fs::remove_dir_all(&dir).ok();
-    fs::create_dir_all(&dir).expect("scratch dir");
-    dir
-}
-
-/// Runs `repro explain <fixture> --jobs N` in `dir` and returns the single
-/// artifact it wrote plus captured stdout.
-fn run_explain(dir: &Path, jobs: &str) -> (String, String) {
-    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
-        .current_dir(dir)
-        .arg("explain")
-        .arg(fixture())
-        .args(["--jobs", jobs])
-        .output()
-        .expect("spawn repro explain");
-    assert!(
-        out.status.success(),
-        "explain exited nonzero at --jobs {jobs}\nstdout: {}\nstderr: {}",
-        String::from_utf8_lossy(&out.stdout),
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let explain_dir = dir.join("results/explain");
-    let mut entries: Vec<PathBuf> = fs::read_dir(&explain_dir)
-        .unwrap_or_else(|e| panic!("no explain dir {}: {e}", explain_dir.display()))
-        .map(|e| e.expect("dir entry").path())
-        .collect();
-    entries.sort();
-    assert_eq!(entries.len(), 1, "one counterexample, one report");
-    let artifact = fs::read_to_string(&entries[0]).expect("explain artifact");
-    (artifact, String::from_utf8_lossy(&out.stdout).into_owned())
-}
+#[path = "determinism/table.rs"]
+mod table;
 
 #[test]
 fn explain_is_byte_identical_across_job_counts_and_finds_incidents() {
-    let serial = scratch("serial");
-    let parallel = scratch("parallel");
-    let (a, stdout_a) = run_explain(&serial, "1");
-    let (b, stdout_b) = run_explain(&parallel, "8");
-    assert_eq!(a, b, "explain artifact must be byte-identical at --jobs 1 vs --jobs 8");
-    assert_eq!(stdout_a, stdout_b, "rendered post-mortem must match too");
-
-    // The report explains the degradation: at least one incident whose
-    // cause chain ends in the objective verdict, plus the capture-health
-    // block and the run-health block with trace-mode accounting.
-    assert!(a.contains("\"incidents\""), "report has an incidents section");
-    assert!(a.contains("\"cause_chain\""), "incidents carry cause chains");
-    assert!(a.contains("goodput_below_threshold"), "objective verdict incident present");
-    assert!(stdout_a.contains(" -> "), "stdout renders at least one cause chain");
-    for key in [
-        "\"capture\"",
-        "\"trace_records\"",
-        "\"dropped_trace_records\"",
-        "\"trace_mode\"",
-        "\"spans\"",
-        "\"run_health\"",
-        "\"traced_keep_first_sims\"",
-        "\"traced_keep_latest_sims\"",
-    ] {
-        assert!(a.contains(key), "artifact must embed {key}");
-    }
-    // The timeline join is present and flow-attributed.
-    assert!(a.contains("\"timeline\""), "joined timeline embedded");
-    assert!(a.contains("\"source\": \"span\""), "span stream joined");
-    assert!(a.contains("\"source\": \"trace\""), "trace stream joined");
-
-    fs::remove_dir_all(&serial).ok();
-    fs::remove_dir_all(&parallel).ok();
+    table::check("explain");
 }

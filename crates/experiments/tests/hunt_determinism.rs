@@ -1,64 +1,10 @@
-//! End-to-end determinism of `repro hunt`: the same `(budget, seed)` must
-//! produce byte-identical artifacts at `--jobs 1` and `--jobs 8`, and the
-//! reference budget must actually find a goodput-degrading counterexample.
+//! `repro hunt`'s row of the determinism table: the reference budget finds
+//! and pins a goodput-degrading counterexample.
 
-use std::fs;
-use std::path::{Path, PathBuf};
-use std::process::Command;
-
-fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("hunt-e2e-{tag}-{}", std::process::id()));
-    fs::remove_dir_all(&dir).ok();
-    fs::create_dir_all(&dir).expect("scratch dir");
-    dir
-}
-
-fn run_hunt(dir: &Path, jobs: &str) {
-    let status = Command::new(env!("CARGO_BIN_EXE_repro"))
-        .current_dir(dir)
-        .args(["hunt", "--budget", "200", "--seed", "1", "--jobs", jobs])
-        .status()
-        .expect("spawn repro hunt");
-    assert!(status.success(), "hunt exited nonzero at --jobs {jobs}");
-}
-
-/// The counterexample directory as a sorted (name, bytes) list.
-fn counterexamples(dir: &Path) -> Vec<(String, Vec<u8>)> {
-    let ce = dir.join("results/counterexamples");
-    let mut out: Vec<(String, Vec<u8>)> = fs::read_dir(&ce)
-        .unwrap_or_else(|e| panic!("no counterexamples in {}: {e}", ce.display()))
-        .map(|entry| {
-            let entry = entry.expect("dir entry");
-            let name = entry.file_name().to_string_lossy().into_owned();
-            let bytes = fs::read(entry.path()).expect("counterexample bytes");
-            (name, bytes)
-        })
-        .collect();
-    out.sort();
-    out
-}
+#[path = "determinism/table.rs"]
+mod table;
 
 #[test]
 fn hunt_artifacts_are_byte_identical_across_job_counts() {
-    let serial = scratch("serial");
-    let parallel = scratch("parallel");
-    run_hunt(&serial, "1");
-    run_hunt(&parallel, "8");
-
-    let a = fs::read_to_string(serial.join("results/hunt.json")).expect("serial artifact");
-    let b = fs::read_to_string(parallel.join("results/hunt.json")).expect("parallel artifact");
-    assert_eq!(a, b, "hunt.json must be byte-identical at --jobs 1 vs --jobs 8");
-
-    // The reference budget finds a goodput-degrading schedule and pins it.
-    assert!(a.contains("\"found\": true"), "budget-200 seed-1 hunt must find a counterexample");
-    let ce_a = counterexamples(&serial);
-    let ce_b = counterexamples(&parallel);
-    assert!(!ce_a.is_empty(), "a found hunt writes a counterexample file");
-    assert_eq!(ce_a, ce_b, "counterexample files must match byte-for-byte");
-
-    // The artifact names the counterexample it wrote.
-    assert!(a.contains(&ce_a[0].0), "hunt.json references the counterexample file");
-
-    fs::remove_dir_all(&serial).ok();
-    fs::remove_dir_all(&parallel).ok();
+    table::check("hunt");
 }

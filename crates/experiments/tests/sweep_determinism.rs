@@ -1,105 +1,10 @@
-//! End-to-end guarantees of the sweep engine through the `repro` binary:
-//!
-//! 1. `--jobs 1` and `--jobs 8` produce byte-identical `results/*.json`
-//!    (the determinism contract: seeds derive from spec content, never
-//!    from scheduling);
-//! 2. a second invocation with `--resume` re-executes zero scenarios (all
-//!    cache hits) and leaves the artifacts untouched.
+//! The sweep row of the determinism table: the ablation, route-flap, churn
+//! and `cc-smoke` grids, warm from the cache and again with `--no-cache`.
 
-use std::fs;
-use std::path::{Path, PathBuf};
-use std::process::Command;
-
-/// The selectors exercised end to end. `ablations` and `ext` cover three
-/// artifacts and three scenario families (ablation, route flap, churn);
-/// `cc-smoke` adds the paced/modern senders (CUBIC, BBR) so the
-/// determinism contract is proven over the pacing aux-timer path too. All
-/// stay cheap enough for a debug-build test.
-const SELECTORS: [&str; 3] = ["ablations", "ext", "cc-smoke"];
-const ARTIFACTS: [&str; 4] = ["ablations.json", "routeflap.json", "manet.json", "cc_smoke.json"];
-
-fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("sweep-e2e-{tag}-{}", std::process::id()));
-    fs::remove_dir_all(&dir).ok();
-    fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
-}
-
-/// Runs `repro <SELECTORS> --quick <extra>` in `dir`, returning stderr.
-fn repro(dir: &Path, extra: &[&str]) -> String {
-    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
-        .current_dir(dir)
-        .args(SELECTORS)
-        .arg("--quick")
-        .args(extra)
-        .output()
-        .expect("run repro");
-    assert!(
-        out.status.success(),
-        "repro {extra:?} failed\nstdout: {}\nstderr: {}",
-        String::from_utf8_lossy(&out.stdout),
-        String::from_utf8_lossy(&out.stderr)
-    );
-    String::from_utf8_lossy(&out.stderr).into_owned()
-}
-
-fn artifact_bytes(dir: &Path) -> Vec<(String, Vec<u8>)> {
-    ARTIFACTS
-        .iter()
-        .map(|name| {
-            let path = dir.join("results").join(name);
-            (
-                name.to_string(),
-                fs::read(&path)
-                    .unwrap_or_else(|e| panic!("missing artifact {}: {e}", path.display())),
-            )
-        })
-        .collect()
-}
+#[path = "determinism/table.rs"]
+mod table;
 
 #[test]
-fn jobs_1_and_jobs_8_produce_byte_identical_artifacts_and_resume_executes_nothing() {
-    // Separate working directories: each run gets its own results/ and
-    // .sweep-cache/, so nothing can leak between the two.
-    let serial_dir = scratch("serial");
-    let parallel_dir = scratch("parallel");
-
-    let serial_log = repro(&serial_dir, &["--jobs", "1"]);
-    let parallel_log = repro(&parallel_dir, &["--jobs", "8"]);
-    assert!(serial_log.contains("0 cached"), "first runs execute everything: {serial_log}");
-    assert!(parallel_log.contains("0 crashed"), "no crashes: {parallel_log}");
-
-    for ((name, serial), (_, parallel)) in
-        artifact_bytes(&serial_dir).iter().zip(&artifact_bytes(&parallel_dir))
-    {
-        assert_eq!(
-            serial, parallel,
-            "results/{name} must be byte-identical at --jobs 1 and --jobs 8"
-        );
-    }
-
-    // Resume in the parallel directory: every scenario is already cached,
-    // so nothing re-executes and the artifacts are reproduced exactly.
-    let before = artifact_bytes(&parallel_dir);
-    let resume_log = repro(&parallel_dir, &["--jobs", "8", "--resume"]);
-    assert!(
-        resume_log.contains("0 executed") && resume_log.contains("26 cached"),
-        "resume must re-execute zero of the 26 scenarios: {resume_log}"
-    );
-    let after = artifact_bytes(&parallel_dir);
-    for ((name, b), (_, a)) in before.iter().zip(&after) {
-        assert_eq!(b, a, "resume must reproduce results/{name} byte for byte");
-    }
-
-    // --no-cache runs with the cache fully off: everything re-executes and
-    // nothing new is written to the cache directory.
-    let entries_before =
-        fs::read_dir(parallel_dir.join(".sweep-cache")).expect("cache dir").count();
-    let nocache_log = repro(&parallel_dir, &["--jobs", "2", "--no-cache"]);
-    assert!(nocache_log.contains("26 executed, 0 cached"), "no-cache re-executes: {nocache_log}");
-    let entries_after = fs::read_dir(parallel_dir.join(".sweep-cache")).expect("cache dir").count();
-    assert_eq!(entries_before, entries_after, "--no-cache must not grow the cache");
-
-    fs::remove_dir_all(&serial_dir).ok();
-    fs::remove_dir_all(&parallel_dir).ok();
+fn jobs_1_and_jobs_8_produce_byte_identical_artifacts_and_resume_executes_n() {
+    table::check("ablations");
 }

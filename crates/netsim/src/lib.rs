@@ -56,6 +56,6 @@ pub use link::LinkConfig;
 pub use oracle::{Snapshot, Violation};
 pub use packet::{AckHeader, DataHeader, Packet, PacketKind, ACK_PACKET_BYTES, DATA_PACKET_BYTES};
 pub use sim::{SimBuilder, SimStats, Simulator};
-pub use telemetry::{RunHealth, Sampler, TimeSeries};
+pub use telemetry::{Sampler, TimeSeries};
 pub use time::{SimDuration, SimTime};
-pub use trace::{JsonlTraceSink, Ns2TraceSink, TraceConfig, TraceMode, TraceRecord, TraceSink};
+pub use trace::{JsonlTraceSink, TraceConfig, TraceMode, TraceRecord, TraceSink};

@@ -19,7 +19,7 @@
 //! - **Streaming sinks** — a [`TraceSink`] attached via
 //!   [`crate::sim::Simulator::set_trace_sink`] receives *every* record as it
 //!   happens, independent of the buffer cap. [`JsonlTraceSink`] writes one
-//!   JSON object per line; [`Ns2TraceSink`] writes an ns-2-style text trace.
+//!   JSON object per line.
 //! - **Post-processing** — the [`analysis`] helpers turn buffered records
 //!   into one-way delays, per-hop paths and reordering measurements.
 
@@ -176,42 +176,6 @@ pub fn jsonl_line(r: &TraceRecord) -> String {
     s
 }
 
-/// Formats a record as one ns-2-style trace line (no trailing newline), the
-/// format [`Ns2TraceSink`] writes:
-///
-/// ```text
-/// <op> <time_s> <where> <flow> <uid> <seq|-> <data|ack> <event>
-/// ```
-///
-/// with ns-2 operation characters: `+` enqueue/inject, `-` transmit,
-/// `r` receive, `d` drop.
-pub fn ns2_line(r: &TraceRecord) -> String {
-    let op = match r.kind {
-        TraceEventKind::Injected | TraceEventKind::Enqueued(_) | TraceEventKind::Duplicated(_) => {
-            '+'
-        }
-        TraceEventKind::LinkTx(_) => '-',
-        TraceEventKind::Delivered(_) => 'r',
-        TraceEventKind::QueueDrop(_)
-        | TraceEventKind::RandomLoss(_)
-        | TraceEventKind::ImpairDrop(_)
-        | TraceEventKind::NoRoute => 'd',
-    };
-    let seq = match r.seq {
-        Some(s) => s.to_string(),
-        None => "-".to_owned(),
-    };
-    format!(
-        "{op} {:.9} {} {} {} {seq} {} {}",
-        r.at.as_secs_f64(),
-        r.kind.location(),
-        r.flow,
-        r.uid,
-        if r.is_ack { "ack" } else { "data" },
-        r.kind.label(),
-    )
-}
-
 /// Streaming sink writing one JSON object per line (JSONL).
 pub struct JsonlTraceSink<W: Write> {
     writer: W,
@@ -240,42 +204,6 @@ impl<W: Write> JsonlTraceSink<W> {
 impl<W: Write> TraceSink for JsonlTraceSink<W> {
     fn write_record(&mut self, record: &TraceRecord) {
         let _ = writeln!(self.writer, "{}", jsonl_line(record));
-        self.written += 1;
-    }
-
-    fn flush(&mut self) {
-        let _ = self.writer.flush();
-    }
-}
-
-/// Streaming sink writing an ns-2-style text trace.
-pub struct Ns2TraceSink<W: Write> {
-    writer: W,
-    written: u64,
-}
-
-impl Ns2TraceSink<BufWriter<File>> {
-    /// Creates (truncating) `path` and streams records into it.
-    pub fn create<P: AsRef<Path>>(path: P) -> io::Result<Self> {
-        Ok(Ns2TraceSink::new(BufWriter::new(File::create(path)?)))
-    }
-}
-
-impl<W: Write> Ns2TraceSink<W> {
-    /// Wraps an arbitrary writer.
-    pub fn new(writer: W) -> Self {
-        Ns2TraceSink { writer, written: 0 }
-    }
-
-    /// Records written so far.
-    pub fn written(&self) -> u64 {
-        self.written
-    }
-}
-
-impl<W: Write> TraceSink for Ns2TraceSink<W> {
-    fn write_record(&mut self, record: &TraceRecord) {
-        let _ = writeln!(self.writer, "{}", ns2_line(record));
         self.written += 1;
     }
 
@@ -645,24 +573,6 @@ mod tests {
         let ack = jsonl_line(&ack_rec(6, 2_000, TraceEventKind::Injected));
         assert!(ack.contains("\"seq\":null"), "{ack}");
         assert!(ack.contains("\"ack\":true"), "{ack}");
-    }
-
-    #[test]
-    fn ns2_line_ops() {
-        let enq = ns2_line(&rec(1, 0, TraceEventKind::Enqueued(LinkId::from_raw(0))));
-        assert!(enq.starts_with("+ "), "{enq}");
-        let tx = ns2_line(&rec(1, 0, TraceEventKind::LinkTx(LinkId::from_raw(0))));
-        assert!(tx.starts_with("- "), "{tx}");
-        let rx = ns2_line(&rec(1, 0, TraceEventKind::Delivered(NodeId::from_raw(1))));
-        assert!(rx.starts_with("r "), "{rx}");
-        let drop = ns2_line(&rec(1, 0, TraceEventKind::QueueDrop(LinkId::from_raw(0))));
-        assert!(drop.starts_with("d "), "{drop}");
-        let impair = ns2_line(&rec(1, 0, TraceEventKind::ImpairDrop(LinkId::from_raw(0))));
-        assert!(impair.starts_with("d "), "{impair}");
-        assert!(impair.contains("impair_drop"), "{impair}");
-        let dup = ns2_line(&rec(1, 0, TraceEventKind::Duplicated(LinkId::from_raw(0))));
-        assert!(dup.starts_with("+ "), "{dup}");
-        assert!(dup.contains("l0"), "duplication is located at its link: {dup}");
     }
 
     #[test]
