@@ -23,7 +23,7 @@ use netsim::ids::{AgentId, FlowId, LinkId, NodeId};
 use netsim::impair::{bandwidth_oscillation, delay_oscillation, flap_schedule, LinkAdmin};
 use netsim::link::LinkConfig;
 use netsim::sim::{SimBuilder, Simulator};
-use netsim::telemetry::{session, Sampler, TimeSeries};
+use netsim::telemetry::{Sampler, SessionStats, TimeSeries};
 use netsim::time::{SimDuration, SimTime};
 use netsim::trace::{TraceConfig, TraceSink};
 use netsim::traffic::{CbrSink, OnOffSource};
@@ -605,8 +605,7 @@ impl Population {
     /// The per-pair accumulators merged in pair order (a fixed order keeps
     /// the floating-point sums bit-reproducible), and the measured bytes of
     /// state per peak concurrent flow — churn slabs plus the event heap's
-    /// and the packet arena's peaks — which the telemetry session also gets
-    /// for `run_health`.
+    /// and the packet arena's peaks — which `run_health` reports too.
     fn summarize(&self, sim: &Simulator) -> (ChurnStats, u64) {
         let mut merged = ChurnStats::default();
         let mut state_bytes = 0;
@@ -624,7 +623,6 @@ impl Population {
         // A pending `Arrive` is a handle; the packet it names is an arena slot.
         let packet_bytes = (sim.packet_peak() * std::mem::size_of::<netsim::Packet>()) as u64;
         let bytes_per_flow = (state_bytes + heap_bytes + packet_bytes) / merged.peak_active.max(1);
-        session::add_workload(merged.peak_active, bytes_per_flow);
         (merged, bytes_per_flow)
     }
 }
@@ -632,7 +630,14 @@ impl Population {
 /// Builds the scenario's simulator — topology, routes, impairment stages,
 /// admin schedule, cross traffic, flows, in that order — runs it through
 /// the plan and reports the scenario's metrics, observing the run as asked.
-pub fn run(scenario: &Scenario, plan: MeasurePlan, seed: u64, observe: Observe<'_>) -> CellReport {
+/// Beside them it returns the run's health: the simulator's report, with the
+/// churn population's peak and per-flow bytes where there is one.
+pub fn run(
+    scenario: &Scenario,
+    plan: MeasurePlan,
+    seed: u64,
+    observe: Observe<'_>,
+) -> (CellReport, SessionStats) {
     let until = SimTime::ZERO + plan.total();
     let (mut net, bottlenecks, cross_pairs) = scenario.topology.build(seed);
     let route_changes = scenario.routes.install(&mut net, until);
@@ -704,7 +709,12 @@ pub fn run(scenario: &Scenario, plan: MeasurePlan, seed: u64, observe: Observe<'
     if let (Some(out), Some(recording)) = (capture, recording) {
         *out = recording.finish(&net.sim);
     }
-    report
+    let mut health = net.sim.run_health();
+    if let Some((churn, bytes_per_flow)) = observed.churn {
+        health.workload_flows = churn.peak_active;
+        health.workload_bytes_per_flow = bytes_per_flow;
+    }
+    (report, health)
 }
 
 /// [`lower`] then [`run`], unobserved: the one call that measures a cell of
@@ -716,7 +726,7 @@ pub fn run_kind(
     plan: MeasurePlan,
     seed: u64,
 ) -> CellReport {
-    run(&lower(kind, impairments, schedule), plan, seed, Observe::Nothing)
+    run(&lower(kind, impairments, schedule), plan, seed, Observe::Nothing).0
 }
 
 /// One reportable quantity of a cell. A kind's metric list is the schema
@@ -1368,12 +1378,14 @@ mod tests {
         let seen = Rc::default();
         let sink = Observe::Stream(Box::new(CountingSink(Rc::clone(&seen))));
         let report = |observe| {
-            let report = run(&scenario, MeasurePlan::smoke(), 5, observe);
-            serde_json::to_string(&serde::Serialize::to_value(&report)).expect("total")
+            let (report, health) = run(&scenario, MeasurePlan::smoke(), 5, observe);
+            let json = serde_json::to_string(&serde::Serialize::to_value(&report));
+            (json.expect("total"), health.traced_keep_latest_sims)
         };
         let traced = report(sink);
         assert!(seen.get() > 1000, "flow 0's packet lifecycle streams to the sink: {}", seen.get());
-        assert_eq!(traced, report(Observe::Nothing));
+        assert_eq!(traced.1, 1, "the run's health tallies its keep-latest buffer");
+        assert_eq!(traced.0, report(Observe::Nothing).0);
     }
 
     #[test]

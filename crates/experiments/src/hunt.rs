@@ -36,6 +36,7 @@ use std::path::{Path, PathBuf};
 
 use adversary::search::{hill_climb, GenerationRecord, SearchConfig};
 use adversary::shrink::{shrink, ShrinkOutcome};
+use netsim::telemetry::SessionStats;
 use rand::rngs::SmallRng;
 use rand::Rng;
 use serde::{Serialize, Value};
@@ -277,11 +278,15 @@ fn weakenings<T: Tabled + Clone>(list: &[T]) -> impl Iterator<Item = Vec<T>> + '
 /// value, the forensic [`forensics::Report`] (timeline, per-flow summaries,
 /// incidents), the sampled series, and a capture-health block recording
 /// trace / span retention so truncation is visible in every artifact.
-pub(crate) fn forensic_payload(spec: &ScenarioSpec, fctx: &crate::sweep::ForensicCtx) -> Value {
+/// Returns the payload and the run's health.
+pub(crate) fn forensic_payload(
+    spec: &ScenarioSpec,
+    fctx: &crate::sweep::ForensicCtx,
+) -> (Value, SessionStats) {
     let scenario = cell::lower(&spec.kind, &spec.impairments, &spec.schedule);
     let plan = spec.plan.plan();
     let mut cap = Capture::default();
-    let cell = cell::run(&scenario, plan, spec.sim_seed(), Observe::Capture(&mut cap));
+    let (cell, health) = cell::run(&scenario, plan, spec.sim_seed(), Observe::Capture(&mut cap));
 
     let objective = fctx.objective.as_deref().and_then(Objective::from_name);
     let value = objective.map(|o| o.value(&cell));
@@ -296,7 +301,7 @@ pub(crate) fn forensic_payload(spec: &ScenarioSpec, fctx: &crate::sweep::Forensi
     };
     let report = forensics::analyze(&cap.trace, &cap.spans, &ctx);
 
-    Value::Object(vec![
+    let payload = Value::Object(vec![
         ("cell".to_owned(), cell.to_value()),
         ("objective_value".to_owned(), value.map_or(Value::Null, Value::Float)),
         ("report".to_owned(), report.to_value()),
@@ -314,7 +319,8 @@ pub(crate) fn forensic_payload(spec: &ScenarioSpec, fctx: &crate::sweep::Forensi
                 ("spans_dropped".to_owned(), Value::UInt(cap.spans_dropped)),
             ]),
         ),
-    ])
+    ]);
+    (payload, health)
 }
 
 // ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 //! Each completed scenario is stored as `.sweep-cache/<hash>.json`, keyed
 //! by [`ScenarioSpec::content_hash`] (which already folds in the
 //! [`CODE_SALT`](crate::sweep::spec::CODE_SALT) code-version salt). An
-//! entry carries the scenario's outcome value *and* its session work stats,
+//! entry carries the scenario's outcome value *and* its run's health,
 //! so a resumed sweep reproduces byte-identical artifacts — including the
 //! deterministic parts of the run-health block — without re-executing
 //! anything.
@@ -47,13 +47,13 @@ impl CachePolicy {
     }
 }
 
-/// One cached scenario: its outcome tree and the session stats of the run
-/// that produced it.
+/// One cached scenario: its outcome tree and the health of the run that
+/// produced it.
 #[derive(Debug, Clone)]
 pub struct CachedRun {
     /// The executor's serialized result.
     pub outcome: Value,
-    /// Events / peak heap / dropped records of the original execution.
+    /// The health of the original execution.
     pub work: SessionStats,
 }
 
@@ -94,28 +94,14 @@ impl Cache {
         }
         let outcome =
             decode::get(&v, "outcome").filter(|o| decode::decodes(&spec.kind, o))?.clone();
-        let work = decode::get(&v, "work")?;
         // Every field is required (`?`): entries written before a field
         // existed are treated as misses, so schema growth needs no salt
         // bump — old entries simply re-execute once.
-        let work = SessionStats {
-            sims: decode::get(work, "sims").and_then(decode::as_u64)?,
-            events_processed: decode::get(work, "events_processed").and_then(decode::as_u64)?,
-            peak_event_heap: decode::get(work, "peak_event_heap").and_then(decode::as_u64)?,
-            dropped_trace_records: decode::get(work, "dropped_trace_records")
-                .and_then(decode::as_u64)?,
-            traced_keep_first_sims: decode::get(work, "traced_keep_first_sims")
-                .and_then(decode::as_u64)?,
-            traced_keep_latest_sims: decode::get(work, "traced_keep_latest_sims")
-                .and_then(decode::as_u64)?,
-            impair_drops: decode::get(work, "impair_drops").and_then(decode::as_u64)?,
-            impair_dups: decode::get(work, "impair_dups").and_then(decode::as_u64)?,
-            impair_reorders: decode::get(work, "impair_reorders").and_then(decode::as_u64)?,
-            link_flaps: decode::get(work, "link_flaps").and_then(decode::as_u64)?,
-            workload_flows: decode::get(work, "workload_flows").and_then(decode::as_u64)?,
-            workload_bytes_per_flow: decode::get(work, "workload_bytes_per_flow")
-                .and_then(decode::as_u64)?,
-        };
+        let stored = decode::get(&v, "work")?;
+        let mut work = SessionStats::default();
+        for (name, _, field) in SessionStats::FIELDS {
+            *field(&mut work) = decode::get(stored, name).and_then(decode::as_u64)?;
+        }
         Some(CachedRun { outcome, work })
     }
 
@@ -139,35 +125,7 @@ impl Cache {
             ("work_rev".to_owned(), Value::UInt(WORK_REV)),
             ("spec".to_owned(), Value::Str(spec.label())),
             ("outcome".to_owned(), run.outcome.clone()),
-            (
-                "work".to_owned(),
-                Value::Object(vec![
-                    ("sims".to_owned(), Value::UInt(run.work.sims)),
-                    ("events_processed".to_owned(), Value::UInt(run.work.events_processed)),
-                    ("peak_event_heap".to_owned(), Value::UInt(run.work.peak_event_heap)),
-                    (
-                        "dropped_trace_records".to_owned(),
-                        Value::UInt(run.work.dropped_trace_records),
-                    ),
-                    (
-                        "traced_keep_first_sims".to_owned(),
-                        Value::UInt(run.work.traced_keep_first_sims),
-                    ),
-                    (
-                        "traced_keep_latest_sims".to_owned(),
-                        Value::UInt(run.work.traced_keep_latest_sims),
-                    ),
-                    ("impair_drops".to_owned(), Value::UInt(run.work.impair_drops)),
-                    ("impair_dups".to_owned(), Value::UInt(run.work.impair_dups)),
-                    ("impair_reorders".to_owned(), Value::UInt(run.work.impair_reorders)),
-                    ("link_flaps".to_owned(), Value::UInt(run.work.link_flaps)),
-                    ("workload_flows".to_owned(), Value::UInt(run.work.workload_flows)),
-                    (
-                        "workload_bytes_per_flow".to_owned(),
-                        Value::UInt(run.work.workload_bytes_per_flow),
-                    ),
-                ]),
-            ),
+            ("work".to_owned(), serde::Serialize::to_value(&run.work)),
         ]);
         let text = serde_json::to_string_pretty(&entry).expect("shim serializer is total");
         let tmp = self.dir.join(format!(
@@ -215,19 +173,14 @@ mod tests {
             "cov_sack":0.04,"loss_rate_pct":0.5}"#;
         CachedRun {
             outcome: serde_json::from_str(outcome).expect("a fairness outcome"),
+            // Every field's round trip is a property (`tests/sweep_props.rs`).
             work: SessionStats {
                 sims: 1,
                 events_processed: 12345,
                 peak_event_heap: 67,
-                dropped_trace_records: 0,
                 traced_keep_first_sims: 1,
-                traced_keep_latest_sims: 0,
-                impair_drops: 3,
-                impair_dups: 2,
-                impair_reorders: 5,
-                link_flaps: 1,
-                workload_flows: 10_000,
                 workload_bytes_per_flow: 96,
+                ..SessionStats::default()
             },
         }
     }
@@ -280,8 +233,11 @@ mod tests {
         let cache = Cache::new(&dir);
         let s = spec();
         fs::create_dir_all(&dir).unwrap();
-        fs::write(cache.entry_path(&s), "{ not json").unwrap();
-        assert!(cache.load(&s).is_none());
+        // 50,000 levels of `[` overflowed the parser's stack and aborted.
+        for text in ["{ not json".to_owned(), "[".repeat(50_000)] {
+            fs::write(cache.entry_path(&s), text).unwrap();
+            assert!(cache.load(&s).is_none());
+        }
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -296,6 +252,62 @@ mod tests {
         assert!(entry.contains("\"mean_pr\": 0.95,"), "{entry}");
         fs::write(&path, entry.replace("\"mean_pr\": 0.95,", "")).unwrap();
         assert!(cache.load(&s).is_none(), "an outcome missing a key must miss");
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The entry `repro all --quick` wrote for fig6's TCP-PR cell at
+    /// ε = 500, 10 ms, before `work` was written by its `Serialize` derive.
+    const WRITTEN_BY_HAND: &str = r#"{
+  "salt": "tcp-pr-sweep-v1",
+  "spec_hash": "02b4ab6dcaea63c9",
+  "work_rev": 6,
+  "spec": "fig6 TCP-PR ε=500 delay=10ms",
+  "outcome": {
+    "variant": "TcpPr",
+    "epsilon": 500,
+    "link_delay_ms": 10,
+    "mbps": 9.782933333333334,
+    "retransmits": 379,
+    "segments_sent": 28730,
+    "late_arrivals": 156,
+    "queue_drops": 156
+  },
+  "work": {
+    "sims": 1,
+    "events_processed": 170799,
+    "peak_event_heap": 57,
+    "dropped_trace_records": 0,
+    "traced_keep_first_sims": 0,
+    "traced_keep_latest_sims": 0,
+    "impair_drops": 0,
+    "impair_dups": 0,
+    "impair_reorders": 0,
+    "link_flaps": 0,
+    "workload_flows": 0,
+    "workload_bytes_per_flow": 0
+  }
+}"#;
+
+    #[test]
+    fn an_entry_written_before_the_field_table_still_hits_and_is_rewritten_byte_for_byte() {
+        let dir = scratch("earlier");
+        let cache = Cache::new(&dir);
+        let variant = crate::variants::Variant::TcpPr;
+        let kind = ScenarioKind::Multipath { variant, epsilon: 500.0, link_delay_ms: 10 };
+        let s = ScenarioSpec::new(kind, PlanSpec::Quick);
+        fs::create_dir_all(&dir).unwrap();
+        fs::write(cache.entry_path(&s), WRITTEN_BY_HAND).unwrap();
+        let loaded = cache.load(&s).expect("a hit");
+        let work = SessionStats {
+            sims: 1,
+            events_processed: 170_799,
+            peak_event_heap: 57,
+            ..SessionStats::default()
+        };
+        assert_eq!(loaded.work, work);
+        fs::remove_file(cache.entry_path(&s)).unwrap();
+        cache.store(&s, &loaded);
+        assert_eq!(fs::read_to_string(cache.entry_path(&s)).unwrap(), WRITTEN_BY_HAND);
         fs::remove_dir_all(&dir).ok();
     }
 

@@ -11,6 +11,7 @@
 
 use std::path::PathBuf;
 
+use netsim::telemetry::SessionStats;
 use netsim::trace::{JsonlTraceSink, TraceSink};
 use serde::Value;
 
@@ -58,22 +59,23 @@ impl ExecCtx {
 /// Runs the scenario to completion and serializes its outcome: the
 /// [`cell::CellReport`] of its kind, so cached and freshly-executed
 /// outcomes are indistinguishable downstream — or, for a hunt cell under
-/// a forensic context, the `explain` payload around that report.
+/// a forensic context, the `explain` payload around that report. Beside
+/// the outcome it returns the run's health, which [`cell::run`] reports.
 ///
 /// # Panics
 ///
 /// Propagates any panic from the harness (an invalid spec, a simulator
 /// invariant failure). The worker pool catches these and records a crashed
 /// outcome instead of killing the sweep.
-pub fn execute(spec: &ScenarioSpec, ctx: &ExecCtx) -> Value {
+pub fn execute(spec: &ScenarioSpec, ctx: &ExecCtx) -> (Value, SessionStats) {
     if let (ScenarioKind::Hunt { .. }, Some(fctx)) = (&spec.kind, &ctx.forensics) {
         return hunt::forensic_payload(spec, fctx);
     }
     let scenario = cell::lower(&spec.kind, &spec.impairments, &spec.schedule);
     let sink = if spec.traced { ctx.trace_sink() } else { None };
     let observe = sink.map_or(Observe::Nothing, Observe::Stream);
-    let report = cell::run(&scenario, spec.plan.plan(), spec.sim_seed(), observe);
-    serde::Serialize::to_value(&report)
+    let (report, health) = cell::run(&scenario, spec.plan.plan(), spec.sim_seed(), observe);
+    (serde::Serialize::to_value(&report), health)
 }
 
 #[cfg(test)]
@@ -97,7 +99,8 @@ mod tests {
         let ctx = ExecCtx::default();
         let a = execute(&spec, &ctx);
         let b = execute(&spec, &ctx);
-        assert_eq!(a, b, "same spec must produce identical outcomes");
+        assert_eq!(a, b, "same spec must produce identical outcomes and health");
+        assert_eq!(a.1.sims, 1, "one cell, one simulator");
     }
 
     #[test]
@@ -106,7 +109,7 @@ mod tests {
             ScenarioKind::Multipath { variant: Variant::TcpPr, epsilon: 500.0, link_delay_ms: 10 },
             PlanSpec::Quick,
         );
-        let v = execute(&spec, &ExecCtx::default());
+        let (v, _) = execute(&spec, &ExecCtx::default());
         let text = serde_json::to_string(&v).expect("total");
         for key in ["\"variant\"", "\"epsilon\"", "\"mbps\"", "\"late_arrivals\""] {
             assert!(text.contains(key), "{key} in {text}");

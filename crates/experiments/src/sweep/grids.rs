@@ -725,7 +725,7 @@ mod tests {
         let outcomes: Vec<Value> = grid
             .specs
             .iter()
-            .map(|s| crate::sweep::exec::execute(s, &crate::sweep::exec::ExecCtx::default()))
+            .map(|s| crate::sweep::exec::execute(s, &crate::sweep::exec::ExecCtx::default()).0)
             .collect();
         let (table, results) = (grid.assemble)(&grid.specs, &outcomes);
         assert!(table.contains("dumbbell") && table.contains("parking-lot"));
@@ -751,7 +751,7 @@ mod tests {
             .collect();
         let ctx = crate::sweep::exec::ExecCtx::default();
         let outcomes: Vec<Value> =
-            specs.iter().map(|s| crate::sweep::exec::execute(s, &ctx)).collect();
+            specs.iter().map(|s| crate::sweep::exec::execute(s, &ctx).0).collect();
         let rows = reports(&specs, &outcomes);
         let loss = |r: &CellReport| r.num(Metric::LossRatePct);
         assert!(

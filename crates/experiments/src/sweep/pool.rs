@@ -9,10 +9,12 @@
 //!   spec's content hash, and artifacts are assembled in job order, so
 //!   results are bit-identical whether the sweep ran with one worker or
 //!   sixteen.
-//! - **Isolation.** Each worker owns its thread-local netsim session
-//!   accumulator ([`netsim::telemetry::session`]); per-scenario work stats
-//!   are collected with `session::take()` between jobs, so concurrent
-//!   simulations never mix their accounting.
+//! - **Isolation.** A job's work stats are the value [`execute`] returns
+//!   beside its outcome — the health its one simulator reported — so
+//!   concurrent simulations cannot mix their accounting. A job that
+//!   panicked reports [`SessionStats::default()`]: its simulator never
+//!   returned. The one thing a worker drains between jobs is the `obs`
+//!   profile ([`obs::take`]).
 //! - **Crash containment.** A panicking scenario (a bad spec, a simulator
 //!   invariant failure) is caught with `catch_unwind` and recorded as
 //!   [`RunOutcome::Crashed`]; the sweep completes and reports it instead
@@ -24,7 +26,7 @@ use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use netsim::telemetry::{session, SessionStats};
+use netsim::telemetry::SessionStats;
 use serde::Value;
 
 use crate::sweep::cache::{Cache, CachePolicy, CachedRun};
@@ -60,7 +62,9 @@ pub struct ScenarioRun {
     pub spec_index: usize,
     /// Outcome (completed value or crash record).
     pub outcome: RunOutcome,
-    /// Session stats of the run (restored from cache for cache hits).
+    /// Health of the run that produced the outcome (restored from cache for
+    /// cache hits, the leader's for deduplicated followers, the default for
+    /// a crash).
     pub work: SessionStats,
     /// Profiler output of the run. Non-empty only when the scenario was
     /// actually executed with `obs::enable()` in effect: cache hits and
@@ -229,15 +233,14 @@ pub fn run_sweep(specs: &[ScenarioSpec], ctx: &ExecCtx, opts: &SweepOptions) -> 
                     // Steal the next job; drop the lock before running it.
                     let job = queue.lock().expect("queue lock").pop_front();
                     let Some((spec_index, spec)) = job else { break };
-                    session::take(); // clear anything a previous job leaked mid-panic
-                    let _ = obs::take(); // same for the profiler registry
+                    let _ = obs::take(); // clear anything a previous job leaked mid-panic
                     let result = panic::catch_unwind(AssertUnwindSafe(|| execute(&spec, ctx)));
-                    let work = session::take();
                     let profile = obs::take();
-                    let outcome = match result {
-                        Ok(value) => RunOutcome::Completed(canonicalize(value)),
+                    let (outcome, work) = match result {
+                        Ok((value, work)) => (RunOutcome::Completed(canonicalize(value)), work),
                         Err(payload) => {
-                            RunOutcome::Crashed { message: panic_message(payload.as_ref()) }
+                            let message = panic_message(payload.as_ref());
+                            (RunOutcome::Crashed { message }, SessionStats::default())
                         }
                     };
                     if tx.send(Done { spec_index, outcome, work, profile }).is_err() {
@@ -405,6 +408,12 @@ mod tests {
         );
         assert!(report.runs[0].outcome.value().is_some(), "healthy neighbors complete");
         assert!(report.runs[2].outcome.value().is_some());
+        assert_eq!(report.runs[1].work, SessionStats::default(), "a crash reports no work");
+        assert_eq!(report.runs[0].work.sims, 1);
+        assert_eq!(
+            report.events_executed,
+            report.runs[0].work.events_processed + report.runs[2].work.events_processed
+        );
     }
 
     #[test]

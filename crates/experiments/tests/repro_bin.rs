@@ -6,7 +6,8 @@
 //! 2. the command table — `--list` shows every command once, a name that
 //!    is neither a command nor a selector and a flag the chosen command
 //!    does not read are usage errors (exit 2), and so is a counterexample
-//!    file the simulator could not run. None of these runs a simulation.
+//!    file the simulator could not run or the reader could not parse. None
+//!    of these runs a simulation.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -90,6 +91,12 @@ fn a_counterexample_the_simulator_could_not_run_is_a_usage_error_not_a_panic() {
         assert_usage_error(&dir, &[command, "hostile.json"], &needles);
     }
     assert_usage_error(&dir, &["replay", "absent.json"], &["cannot read absent.json"]);
+    // Nested past the JSON reader's limit: 50 KB of `[` used to overflow
+    // the parser's stack, which aborts the process rather than unwinding.
+    fs::write(dir.join("deep.json"), "[".repeat(50_000)).expect("write deep doc");
+    for command in ["replay", "explain"] {
+        assert_usage_error(&dir, &[command, "deep.json"], &["deep.json", "nested deeper than"]);
+    }
     fs::remove_dir_all(&dir).ok();
 }
 

@@ -1,14 +1,16 @@
 //! Property tests over the sweep engine's two determinism pillars —
 //! content-addressed spec hashing and the JSON round trip the result cache
-//! depends on — and over the one reader of files the engine did not write,
-//! the counterexample read-back.
+//! depends on — and over the two readers of files the engine may not have
+//! written intact: the counterexample read-back and the cache's.
 
 use experiments::explain::CounterexampleDoc;
 use experiments::hunt::{candidate_from_value, candidate_value, mutate, Candidate};
 use experiments::sweep::spec::{
     ImpairmentSpec, PlanSpec, ScenarioKind, ScenarioSpec, TopologySpec,
 };
+use experiments::sweep::{Cache, CachedRun};
 use experiments::variants::Variant;
+use netsim::telemetry::SessionStats;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -288,5 +290,125 @@ proptest! {
                 let _ = doc.spec();
             }
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Cache read-back: an entry on disk is a hit on what was stored, or a miss
+// ---------------------------------------------------------------------------
+
+/// A fresh cache directory for one test of this binary.
+fn cache_dir(test: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("sweep-props-{test}-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    dir
+}
+
+/// A stored fairness run whose twelve work fields are `w`, in declaration
+/// order.
+fn stored(w: &[u64]) -> (ScenarioSpec, CachedRun) {
+    let outcome = r#"{"topology":"dumbbell","n_flows":4,"pr_normalized":[0.9,1.01],
+        "sack_normalized":[1.1,0.99],"mean_pr":0.95,"mean_sack":1.05,"cov_pr":0.05,
+        "cov_sack":0.04,"loss_rate_pct":0.5}"#;
+    let work = SessionStats {
+        sims: w[0],
+        events_processed: w[1],
+        peak_event_heap: w[2],
+        dropped_trace_records: w[3],
+        traced_keep_first_sims: w[4],
+        traced_keep_latest_sims: w[5],
+        impair_drops: w[6],
+        impair_dups: w[7],
+        impair_reorders: w[8],
+        link_flaps: w[9],
+        workload_flows: w[10],
+        workload_bytes_per_flow: w[11],
+    };
+    let outcome = serde_json::from_str(outcome).expect("a fairness outcome");
+    (fairness(4, 995, 30, 1), CachedRun { outcome, work })
+}
+
+fn entries(v: &Value) -> &[(String, Value)] {
+    match v {
+        Value::Object(entries) => entries,
+        other => panic!("an object, not {other:?}"),
+    }
+}
+
+proptest! {
+    #[test]
+    fn any_work_round_trips_through_the_cache_and_merges_by_its_rule(
+        w in collection::vec(0u64..=u64::MAX, 12..13),
+    ) {
+        let dir = cache_dir("round-trip");
+        let cache = Cache::new(&dir);
+        let (spec, run) = stored(&w);
+        cache.store(&spec, &run);
+        let loaded = cache.load(&spec).map(|r| r.work);
+        std::fs::remove_dir_all(&dir).ok();
+        prop_assert_eq!(loaded, Some(run.work));
+
+        // Merged with itself, a count doubles and a high-water mark stays.
+        let maxima = ["peak_event_heap", "workload_flows", "workload_bytes_per_flow"];
+        let (_, half) = stored(&w.iter().map(|x| x / 2).collect::<Vec<_>>());
+        let mut twice = half.work;
+        twice.merge(&half.work);
+        let once = serde::Serialize::to_value(&half.work);
+        let twice = serde::Serialize::to_value(&twice);
+        for ((key, once), (_, twice)) in entries(&once).iter().zip(entries(&twice)) {
+            let Value::UInt(x) = *once else { panic!("{key} is a u64") };
+            let expected = if maxima.contains(&key.as_str()) { x } else { 2 * x };
+            prop_assert_eq!(twice, &Value::UInt(expected), "{}", key);
+        }
+    }
+
+    #[test]
+    fn a_hostile_cache_entry_is_a_miss_or_the_stored_run(seed in 0u64..u64::MAX) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let dir = cache_dir("hostile");
+        let cache = Cache::new(&dir);
+        let work: Vec<u64> = (0..12).map(|_| rng.gen_range(0u64..1 << 40)).collect();
+        let (spec, run) = stored(&work);
+        cache.store(&spec, &run);
+        let path = cache.entry_path(&spec);
+        let text = std::fs::read_to_string(&path).expect("stored");
+        let entry: Value = serde_json::from_str(&text).expect("the cache writes JSON");
+
+        let with_work = |work: Value| {
+            let mut e = entries(&entry).to_vec();
+            e.iter_mut().find(|(k, _)| k == "work").expect("a work block").1 = work;
+            Value::Object(e)
+        };
+        let work = &entries(&entry).iter().find(|(k, _)| k == "work").expect("a work block").1;
+        let mut hostile = vec![with_work(arbitrary_value(&mut rng, 3))];
+        for i in 0..12 {
+            let mut fields = entries(work).to_vec();
+            match rng.gen_range(0u32..5) {
+                0 => fields[i].1 = Value::Str(pick(&mut rng, &["1", "", "sims"]).to_owned()),
+                1 => fields[i].1 = Value::Int(-rng.gen_range(1i64..1 << 40)),
+                2 => {
+                    let x = pick(&mut rng, &[0.5, 1.5, -0.5, 1e300, f64::INFINITY]);
+                    fields[i].1 = Value::Float(x);
+                }
+                3 => {
+                    fields.remove(i);
+                }
+                // The reader takes a key's first occurrence.
+                _ => fields.push((fields[i].0.clone(), arbitrary_value(&mut rng, 1))),
+            }
+            hostile.push(with_work(Value::Object(fields)));
+        }
+        let level = rng.gen_range(0..4);
+        hostile.push(hostile_document(&mut rng, level));
+        hostile.push(arbitrary_value(&mut rng, 4));
+
+        for doc in hostile {
+            std::fs::write(&path, serde_json::to_string_pretty(&doc).expect("total")).unwrap();
+            if let Some(hit) = cache.load(&spec) {
+                prop_assert_eq!(&hit.work, &run.work);
+                prop_assert_eq!(&hit.outcome, &run.outcome);
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -27,8 +27,9 @@
 //! pipeline therefore cannot perturb any other random decision in the run,
 //! and (because the sweep engine derives the simulation seed from a spec's
 //! content hash) results stay byte-identical across worker counts and
-//! cache resumption. Counters accumulate in [`ImpairStats`] and flow into
-//! [`crate::telemetry::SessionStats`] when the simulator drops.
+//! cache resumption. Counters accumulate in [`ImpairStats`]; a run's
+//! totals reach its [`crate::telemetry::SessionStats`] through
+//! [`crate::sim::Simulator::run_health`].
 //!
 //! # Examples
 //!

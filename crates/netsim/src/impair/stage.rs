@@ -119,9 +119,9 @@ struct Stage {
 
 /// Counters accumulated by a link's impairment pipeline.
 ///
-/// These roll up into [`crate::telemetry::SessionStats`] and the per-run
-/// `run_health` artifact block when the simulator is dropped, and are
-/// sampled over time through the telemetry `Sampler`.
+/// [`crate::sim::Simulator::run_health`] sums them over the links into the
+/// run's [`crate::telemetry::SessionStats`], the artifacts' `run_health`
+/// block; a telemetry `Sampler` probe can sample them over time.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
 pub struct ImpairStats {
     /// Packets dropped by i.i.d. loss stages.

@@ -14,8 +14,9 @@ use crate::packet::{Packet, PacketKind};
 use crate::queue::EnqueueOutcome;
 use crate::routing::{Graph, MultipathRoute, Routing};
 use crate::slab::Slab;
+use crate::telemetry::SessionStats;
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{TraceConfig, TraceEventKind, TraceRecord, TraceSink, Tracer};
+use crate::trace::{TraceConfig, TraceEventKind, TraceMode, TraceRecord, TraceSink, Tracer};
 
 /// Global counters kept by the simulator.
 #[derive(Debug, Default, Clone, serde::Serialize)]
@@ -411,6 +412,28 @@ impl Simulator {
     /// link's lane behind its heap key (run-health diagnostic).
     pub fn event_heap_peak(&self) -> usize {
         self.events.peak_len()
+    }
+
+    /// This run's health so far, for an artifact's `run_health` block: one
+    /// simulator, its events, the most events pending, the trace records
+    /// lost and the buffer mode that lost them, and the impairment totals.
+    /// The workload fields are left 0 for a population harness to fill in.
+    pub fn run_health(&self) -> SessionStats {
+        let impair = self.impair_totals();
+        let mode = self.tracer.as_ref().map(Tracer::mode);
+        SessionStats {
+            sims: 1,
+            events_processed: self.stats.events,
+            peak_event_heap: self.events.peak_len() as u64,
+            dropped_trace_records: self.dropped_trace_records(),
+            traced_keep_first_sims: u64::from(mode == Some(TraceMode::KeepFirst)),
+            traced_keep_latest_sims: u64::from(mode == Some(TraceMode::KeepLatest)),
+            impair_drops: impair.drops(),
+            impair_dups: impair.duplicates,
+            impair_reorders: impair.reorder_displacements(),
+            link_flaps: impair.flaps,
+            ..SessionStats::default()
+        }
     }
 
     /// High-water mark of packets in the network at once — the number of
@@ -995,13 +1018,6 @@ impl Drop for Simulator {
             obs::gauge_max("event.heap_peak", self.events.peak_len() as u64);
             obs::gauge_max("packet.live_peak", self.packets.peak() as u64);
         }
-        crate::telemetry::session::absorb(
-            self.stats.events,
-            self.events.peak_len(),
-            self.dropped_trace_records(),
-            self.tracer.as_ref().map(Tracer::mode),
-            &self.impair_totals(),
-        );
     }
 }
 

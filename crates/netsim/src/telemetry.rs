@@ -1,4 +1,4 @@
-//! Run-wide observability: periodic sampling and run-health accounting.
+//! Run-wide observability: periodic sampling and run-health reports.
 //!
 //! Two complementary tools live here:
 //!
@@ -7,13 +7,11 @@
 //!   drive the simulation through [`Sampler::advance`]; each probe is
 //!   evaluated every `period` of *simulated* time and accumulates a
 //!   [`TimeSeries`].
-//! - The [`session`] accumulator — cheap "did this run behave?" metadata
-//!   (events processed, peak event-heap size, dropped trace records)
-//!   aggregated across every [`Simulator`] dropped since the last
-//!   [`session::reset`], so a multi-simulation experiment gets one health
-//!   block without threading counters through every layer.
+//! - [`SessionStats`] — cheap "did this run behave?" metadata (events
+//!   processed, most events pending, dropped trace records, impairment
+//!   totals) that [`Simulator::run_health`] reports for one run and
+//!   [`SessionStats::merge`] folds over many.
 
-use std::cell::RefCell;
 use std::fmt;
 
 use crate::ids::LinkId;
@@ -109,31 +107,6 @@ impl Sampler {
         self.add_probe(format!("queue:{link}"), Box::new(move |sim| sim.link(link).queued() as f64))
     }
 
-    /// Registers a probe of `link`'s cumulative queue-drop count.
-    pub fn add_link_drops(&mut self, link: LinkId) -> &mut Self {
-        self.add_probe(
-            format!("drops:{link}"),
-            Box::new(move |sim| sim.link(link).queue.drops() as f64),
-        )
-    }
-
-    /// Registers a probe of `link`'s cumulative impairment-drop count
-    /// (loss stages plus down-link drops; see [`crate::impair`]).
-    pub fn add_link_impair_drops(&mut self, link: LinkId) -> &mut Self {
-        self.add_probe(
-            format!("impair_drops:{link}"),
-            Box::new(move |sim| sim.link(link).impair_stats.drops() as f64),
-        )
-    }
-
-    /// Registers a probe of `link`'s cumulative administrative-down count.
-    pub fn add_link_flaps(&mut self, link: LinkId) -> &mut Self {
-        self.add_probe(
-            format!("flaps:{link}"),
-            Box::new(move |sim| sim.link(link).impair_stats.flaps as f64),
-        )
-    }
-
     /// Evaluates every probe once at the simulator's current time.
     pub fn sample_now(&mut self, sim: &Simulator) {
         let now = sim.now();
@@ -170,148 +143,84 @@ impl Sampler {
     }
 }
 
-/// Totals absorbed from every [`Simulator`] dropped since the last
-/// [`session::reset`].
+/// One run's health, the `run_health` block of every artifact:
+/// [`Simulator::run_health`] reports one run and [`SessionStats::merge`]
+/// folds several. [`SessionStats::FIELDS`] lists the fields, their JSON keys
+/// and how they merge.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
 pub struct SessionStats {
-    /// Simulators accounted for.
+    /// Simulators run: one per executed cell. A cache hit or a deduplicated
+    /// follower reports the stats of the run that produced its outcome.
     pub sims: u64,
-    /// Events dispatched, summed over those simulators.
+    /// Events dispatched.
     pub events_processed: u64,
-    /// Largest event-heap high-water mark observed in any simulator.
+    /// Most events pending at once ([`crate::event::EventQueue::peak_len`]):
+    /// both heaps plus the arrivals queued on link lanes, not the heap alone.
     pub peak_event_heap: u64,
-    /// Trace records lost to buffer caps, summed.
+    /// Trace records lost to the in-memory buffer cap with no sink attached.
     pub dropped_trace_records: u64,
-    /// Simulators that traced with a keep-first ring buffer (see
-    /// [`crate::trace::TraceMode::KeepFirst`]).
+    /// Runs that traced into a keep-first buffer.
     pub traced_keep_first_sims: u64,
-    /// Simulators that traced with a keep-latest ring buffer.
+    /// Runs that traced into a keep-latest buffer.
     pub traced_keep_latest_sims: u64,
-    /// Packets dropped by impairment stages or down links, summed
-    /// (see [`crate::impair`]).
+    /// Packets dropped by impairment stages or down links.
     pub impair_drops: u64,
-    /// Extra packet copies created by duplication impairments, summed.
+    /// Extra packet copies made by duplication stages.
     pub impair_dups: u64,
-    /// Packets whose delivery order was perturbed by jitter or
-    /// displacement impairments, summed.
+    /// Packets a jitter or displacement stage moved out of order.
     pub impair_reorders: u64,
-    /// Administrative link-down transitions executed, summed.
+    /// Administrative link-down transitions executed.
     pub link_flaps: u64,
-    /// Peak concurrent logical workload flows in any simulator (reported
-    /// by population-scale harnesses via [`session::add_workload`]; 0 for
-    /// runs without a generated flow population).
+    /// Most flows of a churn population alive at once; 0 without one.
     pub workload_flows: u64,
-    /// Peak bytes of per-flow state (churn slabs plus the event heap's
-    /// share) per concurrent logical flow — the measurable form of the
-    /// flat-per-flow-memory claim. Maximum over simulators.
+    /// Bytes of per-flow state (churn slabs plus the event queue's and the
+    /// packet arena's peaks) per flow at that peak; 0 without a population.
     pub workload_bytes_per_flow: u64,
 }
 
-impl SessionStats {
-    /// Folds another accounting block into this one (counters add, the
-    /// peak takes the max) — for aggregating per-scenario stats collected
-    /// on worker threads into a per-figure or per-sweep total.
-    pub fn merge(&mut self, other: &SessionStats) {
-        self.sims += other.sims;
-        self.events_processed += other.events_processed;
-        self.peak_event_heap = self.peak_event_heap.max(other.peak_event_heap);
-        self.dropped_trace_records += other.dropped_trace_records;
-        self.traced_keep_first_sims += other.traced_keep_first_sims;
-        self.traced_keep_latest_sims += other.traced_keep_latest_sims;
-        self.impair_drops += other.impair_drops;
-        self.impair_dups += other.impair_dups;
-        self.impair_reorders += other.impair_reorders;
-        self.link_flaps += other.link_flaps;
-        self.workload_flows = self.workload_flows.max(other.workload_flows);
-        self.workload_bytes_per_flow =
-            self.workload_bytes_per_flow.max(other.workload_bytes_per_flow);
-    }
+/// How [`SessionStats::merge`] combines a field of two blocks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Combine {
+    /// A count: the two add.
+    Sum,
+    /// A high-water mark: the larger stays.
+    Max,
 }
 
-/// Thread-local accumulator fed automatically when a [`Simulator`] is
-/// dropped. Reset it before a unit of work, snapshot it after, and the
-/// difference is that unit's cost — no plumbing through intermediate
-/// layers required.
-pub mod session {
-    use super::*;
+/// One row of [`SessionStats::FIELDS`]: the field's JSON key, its
+/// [`Combine`] rule and the field itself.
+pub type Field = (&'static str, Combine, fn(&mut SessionStats) -> &mut u64);
 
-    thread_local! {
-        static SESSION: RefCell<SessionStats> = const { RefCell::new(SessionStats {
-            sims: 0,
-            events_processed: 0,
-            peak_event_heap: 0,
-            dropped_trace_records: 0,
-            traced_keep_first_sims: 0,
-            traced_keep_latest_sims: 0,
-            impair_drops: 0,
-            impair_dups: 0,
-            impair_reorders: 0,
-            link_flaps: 0,
-            workload_flows: 0,
-            workload_bytes_per_flow: 0,
-        }) };
-    }
+impl SessionStats {
+    /// Every field, in declaration order — the order its `Serialize` derive
+    /// writes them. `merge` and the sweep cache's reader walk this table.
+    pub const FIELDS: [Field; 12] = [
+        ("sims", Combine::Sum, |s| &mut s.sims),
+        ("events_processed", Combine::Sum, |s| &mut s.events_processed),
+        ("peak_event_heap", Combine::Max, |s| &mut s.peak_event_heap),
+        ("dropped_trace_records", Combine::Sum, |s| &mut s.dropped_trace_records),
+        ("traced_keep_first_sims", Combine::Sum, |s| &mut s.traced_keep_first_sims),
+        ("traced_keep_latest_sims", Combine::Sum, |s| &mut s.traced_keep_latest_sims),
+        ("impair_drops", Combine::Sum, |s| &mut s.impair_drops),
+        ("impair_dups", Combine::Sum, |s| &mut s.impair_dups),
+        ("impair_reorders", Combine::Sum, |s| &mut s.impair_reorders),
+        ("link_flaps", Combine::Sum, |s| &mut s.link_flaps),
+        ("workload_flows", Combine::Max, |s| &mut s.workload_flows),
+        ("workload_bytes_per_flow", Combine::Max, |s| &mut s.workload_bytes_per_flow),
+    ];
 
-    /// Zeroes the accumulator for this thread.
-    pub fn reset() {
-        SESSION.with(|s| *s.borrow_mut() = SessionStats::default());
-    }
-
-    /// The accumulator's current totals for this thread.
-    pub fn snapshot() -> SessionStats {
-        SESSION.with(|s| *s.borrow())
-    }
-
-    /// Returns the accumulator's totals and zeroes it in one step.
-    ///
-    /// This is the per-unit-of-work collection primitive for worker
-    /// threads: between two `take` calls, everything a thread simulated is
-    /// attributed to exactly one unit, with no window for double counting.
-    pub fn take() -> SessionStats {
-        SESSION.with(|s| std::mem::take(&mut *s.borrow_mut()))
-    }
-
-    /// Folds one simulator's final accounting into the accumulator.
-    /// Called from `Simulator`'s `Drop`; also callable directly to account
-    /// for a simulator that will live past the measurement boundary.
-    /// `trace_mode` is the simulator's in-memory trace-buffer mode, if it
-    /// traced at all — surfaced in the artifacts' `run_health` blocks so
-    /// truncated traces are diagnosable from artifacts alone.
-    pub fn absorb(
-        events: u64,
-        peak_heap: usize,
-        dropped_trace_records: u64,
-        trace_mode: Option<crate::trace::TraceMode>,
-        impair: &crate::impair::ImpairStats,
-    ) {
-        SESSION.with(|s| {
-            let mut s = s.borrow_mut();
-            s.sims += 1;
-            s.events_processed += events;
-            s.peak_event_heap = s.peak_event_heap.max(peak_heap as u64);
-            s.dropped_trace_records += dropped_trace_records;
-            match trace_mode {
-                Some(crate::trace::TraceMode::KeepFirst) => s.traced_keep_first_sims += 1,
-                Some(crate::trace::TraceMode::KeepLatest) => s.traced_keep_latest_sims += 1,
-                None => {}
-            }
-            s.impair_drops += impair.drops();
-            s.impair_dups += impair.duplicates;
-            s.impair_reorders += impair.reorder_displacements();
-            s.link_flaps += impair.flaps;
-        });
-    }
-
-    /// Records the peak concurrent logical-flow count and the derived
-    /// per-flow memory footprint of a population-scale workload run.
-    /// Both are high-water marks: calling this for several simulators
-    /// keeps the worst case, which is what the flat-memory claim is about.
-    pub fn add_workload(flows: u64, bytes_per_flow: u64) {
-        SESSION.with(|s| {
-            let mut s = s.borrow_mut();
-            s.workload_flows = s.workload_flows.max(flows);
-            s.workload_bytes_per_flow = s.workload_bytes_per_flow.max(bytes_per_flow);
-        });
+    /// Folds another block into this one, field by field as
+    /// [`FIELDS`](Self::FIELDS) says — for a figure's total over its cells.
+    pub fn merge(&mut self, other: &SessionStats) {
+        let mut other = *other;
+        for (_, combine, field) in Self::FIELDS {
+            let theirs = *field(&mut other);
+            let ours = field(self);
+            *ours = match combine {
+                Combine::Sum => *ours + theirs,
+                Combine::Max => (*ours).max(theirs),
+            };
+        }
     }
 }
 
@@ -411,122 +320,59 @@ mod tests {
     }
 
     #[test]
-    fn session_accumulates_across_sims_and_resets() {
-        session::reset();
-        {
-            let (mut sim, _) = burst_sim();
-            sim.run_until(SimTime::from_secs_f64(1.0));
-        } // drop absorbs
-        {
-            let (mut sim, _) = burst_sim();
-            sim.run_until(SimTime::from_secs_f64(1.0));
-        }
-        let s = session::snapshot();
-        assert_eq!(s.sims, 2);
-        assert!(s.events_processed > 0);
-        assert!(s.peak_event_heap > 0);
-        session::reset();
-        assert_eq!(session::snapshot(), SessionStats::default());
-    }
-
-    #[test]
-    fn session_take_collects_and_clears_per_thread() {
-        session::reset();
-        {
-            let (mut sim, _) = burst_sim();
-            sim.run_until(SimTime::from_secs_f64(1.0));
-        }
-        let taken = session::take();
-        assert_eq!(taken.sims, 1);
-        assert!(taken.events_processed > 0);
-        assert_eq!(session::snapshot(), SessionStats::default(), "take must clear");
-
-        // Worker threads each own an independent accumulator.
-        let handle = std::thread::spawn(|| {
-            {
-                let (mut sim, _) = burst_sim();
-                sim.run_until(SimTime::from_secs_f64(1.0));
-            }
-            session::take()
-        });
-        let worker = handle.join().expect("worker");
-        assert_eq!(worker.sims, 1);
-        assert_eq!(session::snapshot().sims, 0, "worker's sims never leak into this thread");
-    }
-
-    #[test]
     fn session_absorbs_impairment_counters() {
-        session::reset();
-        {
-            let mut b = SimBuilder::new(5);
-            let a = b.add_node();
-            let c = b.add_node();
-            let cfg = LinkConfig::mbps_ms(0.5, 5, 200)
-                .with_impairments(&[crate::impair::StageConfig::IidLoss { p: 1.0 }]);
-            b.add_link(a, c, cfg);
-            b.add_link(c, a, LinkConfig::mbps_ms(0.5, 5, 200));
-            let mut sim = b.build();
-            sim.add_agent(a, FlowId::from_raw(0), Box::new(Blaster { dst: c, count: 10 }));
-            sim.run_until(SimTime::from_secs_f64(2.0));
-        } // drop absorbs
-        let s = session::take();
+        let mut b = SimBuilder::new(5);
+        let a = b.add_node();
+        let c = b.add_node();
+        let cfg = LinkConfig::mbps_ms(0.5, 5, 200)
+            .with_impairments(&[crate::impair::StageConfig::IidLoss { p: 1.0 }]);
+        b.add_link(a, c, cfg);
+        b.add_link(c, a, LinkConfig::mbps_ms(0.5, 5, 200));
+        let mut sim = b.build();
+        sim.add_agent(a, FlowId::from_raw(0), Box::new(Blaster { dst: c, count: 10 }));
+        sim.enable_trace_with(crate::trace::TraceConfig::new(&[], 8).keep_latest());
+        sim.run_until(SimTime::from_secs_f64(2.0));
+        let s = sim.run_health();
+        assert_eq!(s.sims, 1, "a report covers one run");
+        assert_eq!(s.events_processed, sim.stats().events);
+        assert_eq!(s.peak_event_heap, sim.event_heap_peak() as u64);
         assert_eq!(s.impair_drops, 10, "every packet dropped by the p=1 stage");
         assert_eq!(s.impair_dups, 0);
         assert_eq!(s.link_flaps, 0);
+        assert_eq!((s.traced_keep_first_sims, s.traced_keep_latest_sims), (0, 1));
+        assert!(s.dropped_trace_records > 0, "20 records overflow a buffer of 8");
+        assert_eq!(s.dropped_trace_records, sim.dropped_trace_records());
+        assert_eq!((s.workload_flows, s.workload_bytes_per_flow), (0, 0), "no population");
+    }
+
+    /// A block whose fields, in declaration order, are `values`.
+    fn stats(values: [u64; 12]) -> SessionStats {
+        let mut s = SessionStats::default();
+        for ((_, _, field), v) in SessionStats::FIELDS.into_iter().zip(values) {
+            *field(&mut s) = v;
+        }
+        s
     }
 
     #[test]
     fn session_stats_merge_adds_counters_and_maxes_peak() {
-        let mut a = SessionStats {
-            sims: 1,
-            events_processed: 100,
-            peak_event_heap: 40,
-            dropped_trace_records: 2,
-            traced_keep_first_sims: 1,
-            traced_keep_latest_sims: 0,
-            impair_drops: 5,
-            impair_dups: 1,
-            impair_reorders: 3,
-            link_flaps: 2,
-            workload_flows: 1_000,
-            workload_bytes_per_flow: 64,
-        };
-        let b = SessionStats {
-            sims: 2,
-            events_processed: 50,
-            peak_event_heap: 90,
-            dropped_trace_records: 0,
-            traced_keep_first_sims: 0,
-            traced_keep_latest_sims: 2,
-            impair_drops: 7,
-            impair_dups: 0,
-            impair_reorders: 4,
-            link_flaps: 1,
-            workload_flows: 400,
-            workload_bytes_per_flow: 96,
-        };
-        a.merge(&b);
-        assert_eq!(a.sims, 3);
-        assert_eq!(a.events_processed, 150);
-        assert_eq!(a.peak_event_heap, 90, "peak is a max, not a sum");
-        assert_eq!(a.dropped_trace_records, 2);
-        assert_eq!(a.traced_keep_first_sims, 1);
-        assert_eq!(a.traced_keep_latest_sims, 2, "trace-mode tallies add");
-        assert_eq!(a.impair_drops, 12);
-        assert_eq!(a.impair_dups, 1);
-        assert_eq!(a.impair_reorders, 7);
-        assert_eq!(a.link_flaps, 3, "impairment counters add like the others");
-        assert_eq!(a.workload_flows, 1_000, "flow concurrency is a high-water mark");
-        assert_eq!(a.workload_bytes_per_flow, 96, "per-flow memory keeps the worst case");
+        // sims, events, peak heap, dropped, keep-first, keep-latest, drops,
+        // dups, reorders, flaps, workload flows, bytes per flow.
+        let mut a = stats([1, 100, 40, 2, 1, 0, 5, 1, 3, 2, 1_000, 64]);
+        a.merge(&stats([2, 50, 90, 0, 0, 2, 7, 0, 4, 1, 400, 96]));
+        // Counters and trace-mode tallies add; the peak heap, the flow
+        // concurrency and the per-flow memory keep the worst case.
+        assert_eq!(a, stats([3, 150, 90, 2, 1, 2, 12, 1, 7, 3, 1_000, 96]));
     }
 
     #[test]
-    fn add_workload_keeps_high_water_marks() {
-        session::reset();
-        session::add_workload(1_000, 48);
-        session::add_workload(500, 80);
-        let s = session::take();
-        assert_eq!(s.workload_flows, 1_000);
-        assert_eq!(s.workload_bytes_per_flow, 80);
+    fn the_field_table_names_the_serialized_keys_in_order() {
+        // Each row reaches its own field, and its name is the key that field
+        // serializes as.
+        let s = stats(std::array::from_fn(|i| i as u64 + 1));
+        let serde::Value::Object(entries) = serde::Serialize::to_value(&s) else { panic!() };
+        let rows = SessionStats::FIELDS.iter().zip(1..);
+        let expected: Vec<_> = rows.map(|(f, i)| (f.0.to_owned(), serde::Value::UInt(i))).collect();
+        assert_eq!(entries, expected);
     }
 }

@@ -8,8 +8,7 @@
 //! always-compiled in the sim hot path. When enabled, samples accumulate in
 //! a thread-local [`ProfileReport`]; the sweep pool drains one report per
 //! scenario with [`take`] and merges them in spec order, which keeps the
-//! merged output independent of `--jobs` (same guarantee as
-//! `netsim::telemetry::session`).
+//! merged output independent of `--jobs`.
 //!
 //! Determinism boundary: everything except the `wall_*` family is a pure
 //! function of the simulation (sim-time, event counts, queue depths). Wall

@@ -17,7 +17,6 @@ use experiments::sweep::{
 };
 use experiments::variants::Variant;
 use netsim::sim::Simulator;
-use netsim::telemetry::session;
 use netsim::time::{SimDuration, SimTime};
 use netsim::traffic::{CbrSink, CbrSource, OnOffSource};
 use netsim::{FlowId, LinkConfig, NodeId};
@@ -41,26 +40,24 @@ pub fn check(group: &str) {
     assert_rows(&measured);
 }
 
-/// `[outcome, events, heap_peak]` of one run; `heap_peak` is the most events
-/// pending, in the largest simulator.
+/// `[outcome, events, heap_peak]` of one run, the work read from the health
+/// `execute` returns; `heap_peak` is the most events pending. A forensic row
+/// reports its capturing run.
 pub fn measure(scenario: &Scenario) -> [u64; 3] {
     let json = |v: &serde::Value| serde_json::to_string(v).expect("shim serializer is total");
     let spec = match scenario {
         Scenario::Script(script) => return fingerprint(&script()),
         Scenario::Cell(spec) | Scenario::Forensic(spec) => spec,
     };
-    session::take();
-    let mut outcome = execute(spec, &ExecCtx::default());
+    let (mut outcome, mut work) = execute(spec, &ExecCtx::default());
     if let Scenario::Forensic(_) = scenario {
         let objective = Some("goodput".to_owned());
         let forensic = ForensicCtx { objective, baseline_value: Some(4.0), threshold: Some(2.0) };
-        session::take();
         let captured = execute(spec, &ExecCtx { forensics: Some(forensic), ..ExecCtx::default() });
-        let report = get(&captured, "cell").expect("forensic payload embeds the scalar report");
+        let report = get(&captured.0, "cell").expect("forensic payload embeds the scalar report");
         assert_eq!(json(report), json(&outcome), "capture perturbed {}", spec.label());
-        outcome = captured;
+        (outcome, work) = captured;
     }
-    let work = session::take();
     [fnv(json(&outcome).into_bytes()), work.events_processed, work.peak_event_heap]
 }
 
