@@ -268,11 +268,6 @@ impl BbrSender {
         self.bw_filter.get()
     }
 
-    /// Propagation-RTT estimate, if any sample exists.
-    pub fn rt_prop(&self) -> Option<SimDuration> {
-        self.min_rtt
-    }
-
     /// Smoothed RTT estimate, if sampled.
     pub fn srtt(&self) -> Option<SimDuration> {
         self.rto.srtt()
@@ -732,7 +727,7 @@ mod tests {
         out.clear();
         run_acks(&mut s, 1, 20, SimTime::from_secs_f64(0.010));
         assert!(s.btl_bw().is_some());
-        assert!(s.rt_prop().is_some());
+        assert!(s.min_rtt.is_some());
         assert!(s.stats().bw_samples > 0);
         assert!(s.pacing_rate().unwrap() > 0.0);
     }

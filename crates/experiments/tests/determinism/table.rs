@@ -10,7 +10,7 @@
 
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::process::Command;
+use std::process::{Command, Output};
 
 /// `(args, files or directories under results/, reads the cache, expectations)`.
 type Row = (&'static [&'static str], &'static [&'static str], bool, fn(&Run));
@@ -77,6 +77,7 @@ const ROWS: [Row; 6] = [
     // Ablation, route-flap and churn families, and `cc-smoke`'s paced senders.
     (SWEEP, &["ablations.json", "routeflap.json", "manet.json", "cc_smoke.json"], true, |run| {
         contains(&run.stderr, &["done: 26 executed, 0 cached, 0 crashed"]);
+        contains(run.artifact("cc_smoke.json"), &["\"Cubic\"", "\"Bbr\""]);
         // `--no-cache` re-executes everything and writes no cache entry.
         let cache = || fs::read_dir(run.dir.join(".sweep-cache")).expect("cache dir").count();
         let before = cache();
@@ -126,12 +127,16 @@ fn run(args: &[&str], compare: &[&str], jobs: &str) -> Run {
 
 /// Runs `repro` in `dir`, which must succeed; returns stdout and stderr.
 pub fn repro(dir: &Path, args: &[&str]) -> (String, String) {
-    let out = Command::new(env!("CARGO_BIN_EXE_repro")).current_dir(dir).args(args).output();
-    let out = out.expect("run repro");
+    let out = output(dir, args);
     let text = |bytes: &[u8]| String::from_utf8_lossy(bytes).into_owned();
     let (stdout, stderr) = (text(&out.stdout), text(&out.stderr));
     assert!(out.status.success(), "repro {args:?} failed\nstdout: {stdout}\nstderr: {stderr}");
     (stdout, stderr)
+}
+
+/// Runs `repro` in `dir`, succeeding or not: the one way tests drive it.
+pub fn output(dir: &Path, args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_repro")).current_dir(dir).args(args).output().expect("repro")
 }
 
 /// The named artifacts as `(name, text)`, a directory's files by name.

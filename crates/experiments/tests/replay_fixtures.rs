@@ -4,48 +4,23 @@
 //! cures one of these pathologies flips the replay verdict and fails here,
 //! forcing the fixture — and the claim it pins — to be revisited.
 
-use std::path::{Path, PathBuf};
-use std::process::Command;
-
-fn fixtures_dir() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../../tests/fixtures")
-        .canonicalize()
-        .expect("fixtures dir exists")
-}
+#[path = "determinism/table.rs"]
+mod table;
 
 #[test]
 fn pinned_counterexamples_still_reproduce() {
-    let dir = fixtures_dir();
-    let fixtures: Vec<PathBuf> = std::fs::read_dir(&dir)
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/fixtures");
+    let fixtures: Vec<String> = std::fs::read_dir(dir)
         .expect("read fixtures dir")
-        .map(|e| e.expect("dir entry").path())
-        .filter(|p| {
-            p.file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(|n| n.starts_with("counterexample-") && n.ends_with(".json"))
-        })
+        .map(|e| e.expect("dir entry").path().to_string_lossy().into_owned())
+        .filter(|p| p.contains("/counterexample-") && p.ends_with(".json"))
         .collect();
-    assert!(fixtures.len() >= 2, "at least two pinned counterexamples expected in {dir:?}");
-
-    let work = std::env::temp_dir().join(format!("replay-e2e-{}", std::process::id()));
-    std::fs::create_dir_all(&work).expect("scratch dir");
-    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
-        .current_dir(&work)
-        .arg("replay")
-        .args(&fixtures)
-        .output()
-        .expect("spawn repro replay");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        out.status.success(),
-        "a pinned counterexample no longer reproduces (or replay failed)\nstdout: {stdout}\nstderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    assert_eq!(
-        stdout.matches("still reproduces").count(),
-        fixtures.len(),
-        "one verdict per fixture: {stdout}"
-    );
+    assert!(fixtures.len() >= 2, "at least two pinned counterexamples expected in {dir}");
+    let work = table::scratch("replay");
+    let args: Vec<&str> =
+        ["replay"].into_iter().chain(fixtures.iter().map(String::as_str)).collect();
+    // `repro replay` exits non-zero when a pinned degradation no longer reproduces.
+    let (stdout, _) = table::repro(&work, &args);
+    assert_eq!(stdout.matches("still reproduces").count(), fixtures.len(), "{stdout}");
     std::fs::remove_dir_all(&work).ok();
 }

@@ -9,28 +9,17 @@
 //!    file the simulator could not run or the reader could not parse. None
 //!    of these runs a simulation.
 
+#[path = "determinism/table.rs"]
+mod table;
+
 use std::fs;
-use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::path::Path;
 
-fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("repro-cli-{tag}-{}", std::process::id()));
-    fs::remove_dir_all(&dir).ok();
-    fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
-}
-
-fn repro(dir: &Path, args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_repro"))
-        .current_dir(dir)
-        .args(args)
-        .output()
-        .expect("run repro")
-}
+use table::{output, scratch};
 
 /// Asserts a usage error: exit 2, every `needle` on stderr, nothing run.
 fn assert_usage_error(dir: &Path, args: &[&str], needles: &[&str]) {
-    let out = repro(dir, args);
+    let out = output(dir, args);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "repro {args:?} must exit 2\nstderr: {stderr}");
     for needle in needles {
@@ -43,7 +32,7 @@ fn assert_usage_error(dir: &Path, args: &[&str], needles: &[&str]) {
 #[test]
 fn list_shows_every_command_of_the_table_once_and_runs_nothing() {
     let dir = scratch("list");
-    let out = repro(&dir, &["--list"]);
+    let out = output(&dir, &["--list"]);
     assert!(out.status.success());
     let stdout = String::from_utf8_lossy(&out.stdout);
     for name in ["all", "profile", "hunt", "explain", "replay"] {
@@ -58,8 +47,9 @@ fn list_shows_every_command_of_the_table_once_and_runs_nothing() {
 #[test]
 fn names_and_flags_outside_the_table_are_usage_errors() {
     let dir = scratch("usage");
-    // The two sweep-timing commands that went (spelled in halves: CI greps
-    // the tree for the whole names) are ordinary unknown selectors.
+    // The two sweep-timing commands that went (spelled in halves: the "One
+    // measuring stick" row of tests/structure.rs scans the tree for the
+    // whole names) are ordinary unknown selectors.
     for gone in ["check", "sweep"].map(|half| format!("bench-{half}")) {
         assert_usage_error(&dir, &[&gone], &["unknown selector", &gone]);
     }
@@ -102,25 +92,9 @@ fn a_counterexample_the_simulator_could_not_run_is_a_usage_error_not_a_panic() {
 
 #[test]
 fn repro_quick_fig2_emits_trace_and_run_health() {
-    let work = std::env::temp_dir().join(format!("repro-telemetry-{}", std::process::id()));
-    let telemetry = work.join("telemetry");
-    fs::create_dir_all(&work).expect("create scratch dir");
-
-    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
-        .current_dir(&work)
-        .args(["fig2", "--quick", "--telemetry-dir"])
-        .arg(&telemetry)
-        .output()
-        .expect("run repro");
-    assert!(
-        out.status.success(),
-        "repro failed\nstdout: {}\nstderr: {}",
-        String::from_utf8_lossy(&out.stdout),
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&out.stdout);
+    let work = scratch("telemetry");
+    let (stdout, stderr) = table::repro(&work, &["fig2", "--quick", "--telemetry-dir", "tele"]);
     assert!(stdout.contains("Figure 2"), "paper-style table on stdout");
-    let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
         !stderr.contains("warning:"),
         "no trace records may be lost when a sink is attached: {stderr}"
@@ -147,7 +121,7 @@ fn repro_quick_fig2_emits_trace_and_run_health() {
     }
 
     // Complete JSONL packet trace of the first run's first TCP-PR flow.
-    let trace = fs::read_to_string(telemetry.join("fig2_flow0.jsonl")).expect("fig2 JSONL trace");
+    let trace = fs::read_to_string(work.join("tele/fig2_flow0.jsonl")).expect("fig2 JSONL trace");
     let mut lines = 0usize;
     for line in trace.lines() {
         lines += 1;

@@ -1,14 +1,20 @@
 //! Property tests over the sweep engine's two determinism pillars —
 //! content-addressed spec hashing and the JSON round trip the result cache
-//! depends on — and over the two readers of files the engine may not have
-//! written intact: the counterexample read-back and the cache's.
+//! depends on — and over the readers of files the engine may not have
+//! written intact: the counterexample read-back, the cache's, and the cell
+//! outcome decoder under it.
 
+use std::sync::OnceLock;
+
+use experiments::ablations::Ablation;
+use experiments::cell::{self, CellReport, Metric};
 use experiments::explain::CounterexampleDoc;
 use experiments::hunt::{candidate_from_value, candidate_value, mutate, Candidate};
+use experiments::sweep::decode::{as_f64, as_str, as_u64, get};
 use experiments::sweep::spec::{
     ImpairmentSpec, PlanSpec, ScenarioKind, ScenarioSpec, TopologySpec,
 };
-use experiments::sweep::{Cache, CachedRun};
+use experiments::sweep::{Cache, CachedRun, TopologyModel};
 use experiments::variants::Variant;
 use netsim::telemetry::SessionStats;
 use proptest::prelude::*;
@@ -335,6 +341,31 @@ fn entries(v: &Value) -> &[(String, Value)] {
     }
 }
 
+/// One copy of the object `fields` per field, that field spoiled: a string,
+/// a negative number, a non-integral or huge float, removed, or repeated
+/// after the original with an arbitrary value.
+fn spoiled(rng: &mut SmallRng, fields: &[(String, Value)]) -> Vec<Value> {
+    let mut copies = Vec::new();
+    for i in 0..fields.len() {
+        let mut fields = fields.to_vec();
+        match rng.gen_range(0u32..5) {
+            0 => fields[i].1 = Value::Str(pick(rng, &["1", "", "sims"]).to_owned()),
+            1 => fields[i].1 = Value::Int(-rng.gen_range(1i64..1 << 40)),
+            2 => {
+                let x = pick(rng, &[0.5, 1.5, -0.5, 1e300, f64::INFINITY]);
+                fields[i].1 = Value::Float(x);
+            }
+            3 => {
+                fields.remove(i);
+            }
+            // The readers take a key's first occurrence.
+            _ => fields.push((fields[i].0.clone(), arbitrary_value(rng, 1))),
+        }
+        copies.push(Value::Object(fields));
+    }
+    copies
+}
+
 proptest! {
     #[test]
     fn any_work_round_trips_through_the_cache_and_merges_by_its_rule(
@@ -381,23 +412,7 @@ proptest! {
         };
         let work = &entries(&entry).iter().find(|(k, _)| k == "work").expect("a work block").1;
         let mut hostile = vec![with_work(arbitrary_value(&mut rng, 3))];
-        for i in 0..12 {
-            let mut fields = entries(work).to_vec();
-            match rng.gen_range(0u32..5) {
-                0 => fields[i].1 = Value::Str(pick(&mut rng, &["1", "", "sims"]).to_owned()),
-                1 => fields[i].1 = Value::Int(-rng.gen_range(1i64..1 << 40)),
-                2 => {
-                    let x = pick(&mut rng, &[0.5, 1.5, -0.5, 1e300, f64::INFINITY]);
-                    fields[i].1 = Value::Float(x);
-                }
-                3 => {
-                    fields.remove(i);
-                }
-                // The reader takes a key's first occurrence.
-                _ => fields.push((fields[i].0.clone(), arbitrary_value(&mut rng, 1))),
-            }
-            hostile.push(with_work(Value::Object(fields)));
-        }
+        hostile.extend(spoiled(&mut rng, entries(work)).into_iter().map(with_work));
         let level = rng.gen_range(0..4);
         hostile.push(hostile_document(&mut rng, level));
         hostile.push(arbitrary_value(&mut rng, 4));
@@ -410,5 +425,82 @@ proptest! {
             }
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Outcome read-back: a cell's outcome decodes to its report, anything else
+// to a report or to nothing
+// ---------------------------------------------------------------------------
+
+/// One smoke cell of each of the eight kinds, with the report `cell::run`
+/// produced and its outcome as the cache holds it: printed, then parsed.
+fn produced() -> &'static [(ScenarioKind, CellReport, Value)] {
+    static PRODUCED: OnceLock<Vec<(ScenarioKind, CellReport, Value)>> = OnceLock::new();
+    PRODUCED.get_or_init(|| {
+        let variant = Variant::TcpPr;
+        let kinds = [
+            ScenarioKind::Fairness {
+                topology: TopologySpec::Dumbbell { bottleneck_mbps: None },
+                n_flows: 2,
+                alpha: 0.995,
+                beta: 3.0,
+                replicate: 0,
+            },
+            ScenarioKind::Multipath { variant, epsilon: 4.0, link_delay_ms: 10 },
+            ScenarioKind::RouteFlap {
+                variant,
+                short_delay_ms: 10,
+                long_delay_ms: 40,
+                link_mbps: 10.0,
+                flap_period_ms: 500,
+            },
+            ScenarioKind::Churn { variant, mean_interval_ms: 400, churn_seed: 42 },
+            ScenarioKind::Ablation { ablation: Ablation::ALL[0] },
+            ScenarioKind::Stress { variant },
+            ScenarioKind::Hunt { variant },
+            ScenarioKind::Scale {
+                variant,
+                model: TopologyModel::FatTree { k: 4 },
+                target_flows: 120,
+                replicate: 0,
+            },
+        ];
+        let produce = |kind: ScenarioKind| {
+            let report = cell::run_kind(&kind, &[], &[], PlanSpec::Smoke.plan(), 7);
+            let text = serde_json::to_string(&report).expect("total");
+            (kind, report, serde_json::from_str(&text).expect("the printer writes JSON"))
+        };
+        kinds.into_iter().map(produce).collect()
+    })
+}
+
+#[test]
+fn a_report_cell_run_produced_decodes_to_itself() {
+    for (kind, report, outcome) in produced() {
+        let decoded = CellReport::decode(Metric::list(kind), outcome);
+        assert_eq!(decoded.as_ref(), Some(report), "{kind:?}");
+    }
+}
+
+proptest! {
+    #[test]
+    fn a_hostile_outcome_decodes_to_a_report_or_none_and_never_unwinds(seed in 0u64..u64::MAX) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        for (kind, _, outcome) in produced() {
+            let level = rng.gen_range(0..4);
+            let mut hostile = vec![arbitrary_value(&mut rng, 4), hostile_document(&mut rng, level)];
+            hostile.extend(spoiled(&mut rng, entries(outcome)));
+            for doc in &hostile {
+                // Every kind's metric list, not only the one that wrote it.
+                for (other, _, _) in produced() {
+                    let _ = CellReport::decode(Metric::list(other), doc);
+                }
+                for metric in Metric::list(kind) {
+                    let raw = get(doc, &metric.key()).unwrap_or(doc);
+                    let _ = (as_f64(raw), as_u64(raw), as_str(raw));
+                }
+            }
+        }
     }
 }

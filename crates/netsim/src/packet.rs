@@ -120,11 +120,6 @@ pub struct Packet {
 }
 
 impl Packet {
-    /// True if this packet carries a data segment.
-    pub fn is_data(&self) -> bool {
-        matches!(self.kind, PacketKind::Data(_))
-    }
-
     /// True if this packet carries an acknowledgment.
     pub fn is_ack(&self) -> bool {
         matches!(self.kind, PacketKind::Ack(_))
@@ -157,7 +152,6 @@ mod tests {
     #[test]
     fn kind_accessors() {
         let p = data_packet();
-        assert!(p.is_data());
         assert!(!p.is_ack());
         assert_eq!(p.kind.as_data().unwrap().seq, 7);
         assert!(p.kind.as_ack().is_none());

@@ -315,11 +315,6 @@ impl Simulator {
         n
     }
 
-    /// Installs an explicit multipath mixture for `(src, dst)`.
-    pub fn install_multipath_route(&mut self, src: NodeId, dst: NodeId, route: MultipathRoute) {
-        self.routing.set_multipath(src, dst, route);
-    }
-
     /// Schedules a routing change: at instant `at`, the `(src, dst)` pair
     /// switches to `route`. Packets already in flight keep their pinned
     /// paths — exactly how a route flap reorders traffic.
@@ -358,12 +353,6 @@ impl Simulator {
         let path = paths[path_index].clone();
         let route = MultipathRoute::with_weights(vec![path], &[1.0]);
         self.schedule_route_install(at, src, dst, route);
-    }
-
-    /// Current queue depth, in packets, of every link, both classes
-    /// (diagnostics).
-    pub fn queue_depths(&self) -> Vec<usize> {
-        self.links.iter().map(Link::queued).collect()
     }
 
     /// Enables per-packet event tracing for `flows` (empty slice = every
@@ -585,11 +574,6 @@ impl Simulator {
     /// [`Agent::as_any`]).
     pub fn agent(&self, id: AgentId) -> &dyn Agent {
         self.agents[id.index()].as_deref().expect("agent is not re-entrantly borrowed")
-    }
-
-    /// Mutable access to an agent.
-    pub fn agent_mut(&mut self, id: AgentId) -> &mut dyn Agent {
-        self.agents[id.index()].as_deref_mut().expect("agent is not re-entrantly borrowed")
     }
 
     /// Starts the simulation: invokes every agent's `on_start` at time zero.
@@ -2377,7 +2361,7 @@ mod tests {
                 weights[skip] += 1;
                 let weights: Vec<f64> = weights[skip..].iter().map(|&w| f64::from(w)).collect();
                 let mixture = MultipathRoute::with_weights(paths[skip..].to_vec(), &weights);
-                sim.install_multipath_route(a, d, mixture.clone());
+                sim.routing.set_multipath(a, d, mixture.clone());
                 for _ in 0..8 {
                     let u = sim.rng.clone().gen::<f64>();
                     expected.push(mixture.pick(u).links.clone());
@@ -2563,9 +2547,8 @@ mod tests {
         sim.add_agent(a, flow, Box::new(Blaster { dst: c, count: 50, acked: Vec::new() }));
         sim.add_agent(c, flow, Box::new(Echo { peer: a, received: Vec::new() }));
         sim.run_until(SimTime::from_secs_f64(0.01));
-        let depths = sim.queue_depths();
-        assert_eq!(depths.len(), sim.link_count());
-        assert!(depths[0] > 10, "burst should be queued, got {:?}", depths);
+        let depth = sim.links[0].queued();
+        assert!(depth > 10, "burst should be queued, got {depth}");
     }
 
     #[test]

@@ -202,12 +202,6 @@ impl OnOffSource {
         self.rate_bps
     }
 
-    /// Long-run average rate: the burst rate scaled by the duty cycle.
-    pub fn mean_rate_bps(&self) -> f64 {
-        let cycle = (self.on + self.off).as_nanos() as f64;
-        self.rate_bps * self.on.as_nanos() as f64 / cycle
-    }
-
     /// Position within the on/off cycle at `now` (offset from cycle start).
     fn cycle_offset(&self, now: SimTime) -> SimDuration {
         let elapsed = now.saturating_since(self.start_at).as_nanos();
@@ -467,7 +461,7 @@ mod tests {
     }
 
     #[test]
-    fn onoff_mean_rate() {
+    fn onoff_reports_its_burst_rate() {
         let s = OnOffSource::new(
             NodeId::from_raw(0),
             2e6,
@@ -476,7 +470,6 @@ mod tests {
             SimDuration::from_millis(750),
             SimTime::ZERO,
         );
-        assert!((s.mean_rate_bps() - 0.5e6).abs() < 1.0);
         assert_eq!(s.rate_bps(), 2e6);
     }
 

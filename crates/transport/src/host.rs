@@ -150,11 +150,6 @@ impl<S: TcpSenderAlgo> SenderHost<S> {
         self.stats
     }
 
-    /// Bytes acknowledged so far (cumulative ACK × MSS).
-    pub fn acked_bytes(&self) -> u64 {
-        self.stats.last_cum_ack * self.mss as u64
-    }
-
     /// The recorded `(time, cwnd)` trace (empty unless enabled).
     pub fn cwnd_trace(&self) -> &[(SimTime, f64)] {
         &self.cwnd_trace
@@ -699,6 +694,5 @@ mod tests {
         let host = sender_host::<FixedWindowSender>(&sim, h.sender);
         assert!(!host.cwnd_trace().is_empty());
         assert!(host.cwnd_trace().iter().all(|&(_, w)| w == 4.0));
-        assert_eq!(host.acked_bytes(), host.stats().last_cum_ack * 1000);
     }
 }

@@ -75,16 +75,6 @@ impl ReceiverStats {
             self.total_displacement as f64 / self.late_arrivals as f64
         }
     }
-
-    /// Fraction of first-time arrivals that were late.
-    pub fn reorder_rate(&self) -> f64 {
-        let firsts = self.segments_received - self.duplicates;
-        if firsts == 0 {
-            0.0
-        } else {
-            self.late_arrivals as f64 / firsts as f64
-        }
-    }
 }
 
 /// A reordering-tolerant cumulative-ACK receiver.
@@ -326,16 +316,6 @@ mod tests {
         assert_eq!(r.stats().total_displacement, 3);
         assert_eq!(r.stats().max_displacement, 2);
         assert!((r.stats().mean_displacement() - 1.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn reorder_rate_is_fraction_of_firsts() {
-        let mut r = rx();
-        for s in [0u64, 2, 1, 3] {
-            r.on_data(s);
-        }
-        // 4 first arrivals, 1 late (seq 1 after 2).
-        assert!((r.stats().reorder_rate() - 0.25).abs() < 1e-12);
     }
 
     #[test]

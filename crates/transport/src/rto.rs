@@ -45,16 +45,6 @@ impl RtoEstimator {
         )
     }
 
-    /// Estimator with ns-2-like parameters (200 ms minimum RTO), useful when
-    /// matching simulations that use finer-grained timers.
-    pub fn ns2_like() -> Self {
-        Self::new(
-            SimDuration::from_millis(200),
-            SimDuration::from_secs(60),
-            SimDuration::from_millis(10),
-        )
-    }
-
     /// Creates an estimator with explicit clamps and granularity.
     ///
     /// # Panics
