@@ -28,7 +28,7 @@
 //! use adversary::search::{hill_climb, SearchConfig};
 //! use rand::Rng;
 //!
-//! let cfg = SearchConfig { budget: 200, seed: 7, ..SearchConfig::default() };
+//! let cfg = SearchConfig { budget: 200, seed: 7 };
 //! let out = hill_climb(
 //!     50i64,
 //!     2500.0,

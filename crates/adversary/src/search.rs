@@ -4,7 +4,7 @@
 //! mutants from the incumbent, evaluates the whole batch at once (the caller
 //! may parallelize internally — results must come back in candidate order),
 //! and adopts the best mutant if it strictly improves the objective. After
-//! `patience` stalled generations the mutation strength escalates (mutants
+//! [`PATIENCE`] stalled generations the mutation strength escalates (mutants
 //! are produced by composing the mutation operator several times), which lets
 //! the search tunnel out of shallow local minima without sacrificing
 //! determinism.
@@ -21,19 +21,15 @@ pub struct SearchConfig {
     /// Seed for the mutation RNG; the entire trajectory is a deterministic
     /// function of it.
     pub seed: u64,
-    /// Candidates per generation. Fixed by the caller — never derived from
-    /// worker-pool width, so parallelism cannot change the trajectory.
-    pub batch: usize,
-    /// Stalled generations before mutation strength escalates by one
-    /// composition step.
-    pub patience: u32,
 }
 
-impl Default for SearchConfig {
-    fn default() -> Self {
-        SearchConfig { budget: 200, seed: 1, batch: 8, patience: 3 }
-    }
-}
+/// Candidates per generation. A constant — never derived from worker-pool
+/// width, so parallelism cannot change the trajectory.
+pub const BATCH: usize = 8;
+
+/// Stalled generations before mutation strength escalates by one
+/// composition step.
+pub const PATIENCE: u32 = 3;
 
 /// One generation's summary, for progress logs and artifacts.
 #[derive(Debug, Clone, PartialEq)]
@@ -82,7 +78,6 @@ pub fn hill_climb<C: Clone>(
     mut mutate: impl FnMut(&C, &mut SmallRng) -> C,
     mut evaluate: impl FnMut(&[C]) -> Vec<f64>,
 ) -> SearchOutcome<C> {
-    assert!(cfg.batch > 0, "batch must be positive");
     let mut rng = SmallRng::seed_from_u64(cfg.seed);
     let mut best = start;
     let mut best_value = start_value;
@@ -94,10 +89,10 @@ pub fn hill_climb<C: Clone>(
     while evaluations < cfg.budget {
         generation += 1;
         let remaining = (cfg.budget - evaluations) as usize;
-        let batch_len = cfg.batch.min(remaining);
+        let batch_len = BATCH.min(remaining);
         // Strength-n mutants compose the operator n times, so escalation
         // reaches further from the incumbent as stalls accumulate.
-        let strength = 1 + (stall / cfg.patience.max(1)) as usize;
+        let strength = 1 + (stall / PATIENCE) as usize;
         let candidates: Vec<C> = (0..batch_len)
             .map(|_| {
                 let mut c = mutate(&best, &mut rng);
@@ -140,13 +135,9 @@ mod tests {
     use super::*;
     use rand::Rng;
 
-    fn walk_cfg(budget: u64, seed: u64) -> SearchConfig {
-        SearchConfig { budget, seed, batch: 4, patience: 2 }
-    }
-
     #[test]
     fn descends_a_convex_objective() {
-        let cfg = walk_cfg(280, 3);
+        let cfg = SearchConfig { budget: 280, seed: 3 };
         let out = hill_climb(
             40i64,
             1600.0,
@@ -165,7 +156,7 @@ mod tests {
             hill_climb(
                 0i64,
                 0.0,
-                &walk_cfg(60, seed),
+                &SearchConfig { budget: 60, seed },
                 |x, rng| x + rng.gen_range(-3i64..=3),
                 |xs| xs.iter().map(|&x| -(x as f64)).collect(),
             )
@@ -184,14 +175,14 @@ mod tests {
         let out = hill_climb(
             0i64,
             0.0,
-            &SearchConfig { budget: 10, seed: 1, batch: 4, patience: 2 },
+            &SearchConfig { budget: 10, seed: 1 },
             |x, rng| x + rng.gen_range(0i64..2),
             |xs| {
                 calls += xs.len() as u64;
                 xs.iter().map(|_| 1.0).collect()
             },
         );
-        // 4 + 4 + 2 (truncated final batch) = 10.
+        // 8 + 2 (truncated final batch) = 10.
         assert_eq!(out.evaluations, 10);
         assert_eq!(calls, 10);
     }
@@ -201,7 +192,7 @@ mod tests {
         let out = hill_climb(
             0i64,
             5.0,
-            &walk_cfg(20, 2),
+            &SearchConfig { budget: 20, seed: 2 },
             |x, _| x + 1,
             |xs| xs.iter().map(|_| f64::NAN).collect(),
         );
@@ -210,7 +201,7 @@ mod tests {
         let out = hill_climb(
             0i64,
             5.0,
-            &walk_cfg(20, 2),
+            &SearchConfig { budget: 20, seed: 2 },
             |x, _| x + 1,
             |xs| xs.iter().map(|_| f64::INFINITY).collect(),
         );
@@ -223,7 +214,7 @@ mod tests {
         let out = hill_climb(
             0usize,
             10.0,
-            &SearchConfig { budget: 4, seed: 1, batch: 4, patience: 2 },
+            &SearchConfig { budget: BATCH as u64, seed: 1 },
             |_, rng| rng.gen_range(1usize..100),
             |xs| xs.iter().map(|_| 1.0).collect(),
         );

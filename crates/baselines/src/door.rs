@@ -26,30 +26,18 @@ use transport::telemetry::SenderTelemetry;
 use crate::reno::{RenoConfig, RenoSender, RenoStats};
 
 /// Configuration for [`DoorSender`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct DoorConfig {
     /// Base NewReno configuration.
     pub base: RenoConfig,
-    /// How long congestion control stays disabled after an OOO detection
-    /// (the paper's `T1`; it suggests on the order of an RTT).
-    pub freeze_interval: SimDuration,
-    /// Enable the instant-recovery response (roll back a recent congestion
-    /// response when OOO is detected right after it).
-    pub instant_recovery: bool,
-    /// How far back a congestion response may be rolled back.
-    pub rollback_window: SimDuration,
 }
 
-impl Default for DoorConfig {
-    fn default() -> Self {
-        DoorConfig {
-            base: RenoConfig::default(),
-            freeze_interval: SimDuration::from_millis(200),
-            instant_recovery: true,
-            rollback_window: SimDuration::from_millis(500),
-        }
-    }
-}
+/// How long congestion control stays disabled after an OOO detection (the
+/// paper's `T1`; it suggests on the order of an RTT).
+const FREEZE_INTERVAL: SimDuration = SimDuration::from_millis(200);
+
+/// How far back instant recovery may roll a congestion response back.
+const ROLLBACK_WINDOW: SimDuration = SimDuration::from_millis(500);
 
 /// Event counters for [`DoorSender`].
 #[derive(Debug, Clone, Copy, Default, serde::Serialize)]
@@ -76,7 +64,6 @@ pub struct DoorStats {
 #[derive(Debug)]
 pub struct DoorSender {
     inner: RenoSender,
-    cfg: DoorConfig,
     /// Highest cumulative ACK observed (for stale-ACK detection).
     max_cum_seen: u64,
     /// Newest timestamp echo observed (for reordered-dupack detection).
@@ -92,8 +79,7 @@ impl DoorSender {
     /// Creates a sender with the given configuration.
     pub fn new(cfg: DoorConfig) -> Self {
         DoorSender {
-            inner: RenoSender::new(cfg.base.clone()),
-            cfg,
+            inner: RenoSender::new(cfg.base),
             max_cum_seen: 0,
             newest_echo: SimTime::ZERO,
             frozen_until: None,
@@ -124,18 +110,15 @@ impl DoorSender {
         self.newest_echo = self.newest_echo.max(ack.echo_timestamp);
         if stale_cum || old_echo {
             self.stats.ooo_detected += 1;
-            self.frozen_until = Some(now + self.cfg.freeze_interval);
+            self.frozen_until = Some(now + FREEZE_INTERVAL);
             // Instant recovery: a recent congestion response was likely
             // caused by this reordering — undo it.
-            if self.cfg.instant_recovery {
-                if let (Some(at), Some(record)) = (self.last_response_at, self.inner.last_reduction)
-                {
-                    if now.saturating_since(at) <= self.cfg.rollback_window {
-                        self.stats.instant_recoveries += 1;
-                        self.inner.restore_after_spurious(record, true);
-                        self.inner.clear_reduction();
-                        self.last_response_at = None;
-                    }
+            if let (Some(at), Some(record)) = (self.last_response_at, self.inner.last_reduction) {
+                if now.saturating_since(at) <= ROLLBACK_WINDOW {
+                    self.stats.instant_recoveries += 1;
+                    self.inner.restore_after_spurious(record, true);
+                    self.inner.clear_reduction();
+                    self.last_response_at = None;
                 }
             }
             true
@@ -248,7 +231,7 @@ mod tests {
         s.on_ack(&ack_at(3, 30), now + ms(1), &mut out);
         assert_eq!(s.stats().ooo_detected, 1);
         assert!(s.is_frozen(now + ms(2)));
-        assert!(!s.is_frozen(now + ms(1) + s.cfg.freeze_interval));
+        assert!(!s.is_frozen(now + ms(1) + FREEZE_INTERVAL));
     }
 
     #[test]

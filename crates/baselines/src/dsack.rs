@@ -20,7 +20,7 @@
 //! so an undo never releases a burst. Eifel restores both at once.
 
 use netsim::time::SimTime;
-use transport::sender::{AckEvent, SenderOutput, TcpSenderAlgo};
+use transport::sender::{AckEvent, SenderOutput, TcpSenderAlgo, DUPTHRESH};
 use transport::telemetry::SenderTelemetry;
 
 use crate::reno::{RenoConfig, RenoSender, RenoStats};
@@ -92,11 +92,10 @@ pub struct DsackSender {
 impl DsackSender {
     /// Creates a sender with the given base configuration and response.
     pub fn new(base: RenoConfig, response: DupthreshResponse) -> Self {
-        let dupthresh_f = base.dupthresh as f64;
         DsackSender {
             inner: RenoSender::new(base),
             response,
-            dupthresh_f,
+            dupthresh_f: DUPTHRESH as f64,
             dupacks_in_episode: 0,
             last_episode_dupacks: 0,
             stats: DsackStats::default(),
@@ -138,10 +137,11 @@ impl DsackSender {
             DupthreshResponse::AverageWithEpisode => (self.dupthresh_f + episode_n) / 2.0,
             DupthreshResponse::Ewma { gain } => (1.0 - gain) * self.dupthresh_f + gain * episode_n,
         };
-        // Clamp: never below standard TCP's 3, never beyond 90% of cwnd
-        // (it must stay reachable).
-        let cap = (0.9 * self.inner.cwnd()).max(3.0);
-        self.dupthresh_f = self.dupthresh_f.clamp(3.0, cap);
+        // Clamp: never below standard TCP's, never beyond 90% of cwnd (it
+        // must stay reachable).
+        let floor = DUPTHRESH as f64;
+        let cap = (0.9 * self.inner.cwnd()).max(floor);
+        self.dupthresh_f = self.dupthresh_f.clamp(floor, cap);
         self.inner.set_dupthresh(self.dupthresh_f.round() as u32);
     }
 }

@@ -7,8 +7,7 @@
 
 use netsim::time::{SimDuration, SimTime};
 use transport::dupack::{Advance, Window};
-use transport::rto::RtoEstimator;
-use transport::sender::{AckEvent, SenderOutput, TcpSenderAlgo};
+use transport::sender::{AckEvent, SenderOutput, TcpSenderAlgo, DUPTHRESH, MAX_CWND};
 
 /// Configuration shared by the Reno family.
 #[derive(Debug, Clone)]
@@ -16,31 +15,13 @@ pub struct RenoConfig {
     /// Partial-ACK handling in fast recovery (NewReno) vs. exit-on-new-ACK
     /// (plain Reno).
     pub newreno: bool,
-    /// Duplicate-ACK threshold for fast retransmit (3 in standard TCP).
-    pub dupthresh: u32,
-    /// RFC 3042 limited transmit: send one new segment on each of the first
-    /// two duplicate ACKs.
-    pub limited_transmit: bool,
     /// Upper bound on the congestion window, in segments.
     pub max_cwnd: f64,
-    /// Initial slow-start threshold, in segments. Bounds the initial
-    /// exponential overshoot; NewReno's hole-per-RTT recovery cannot cope
-    /// with a whole-window catastrophe on a fat pipe.
-    pub initial_ssthresh: f64,
-    /// Retransmission-timeout estimator.
-    pub rto: RtoEstimator,
 }
 
 impl Default for RenoConfig {
     fn default() -> Self {
-        RenoConfig {
-            newreno: true,
-            dupthresh: 3,
-            limited_transmit: false,
-            max_cwnd: 10_000.0,
-            initial_ssthresh: 128.0,
-            rto: RtoEstimator::rfc2988(),
-        }
+        RenoConfig { newreno: true, max_cwnd: MAX_CWND }
     }
 }
 
@@ -92,6 +73,9 @@ pub struct RenoStats {
 pub struct RenoSender {
     cfg: RenoConfig,
     w: Window,
+    /// Duplicate ACKs that trigger fast retransmit: [`DUPTHRESH`] until a
+    /// DSACK response or a reduction moves it.
+    dupthresh: u32,
     /// `(cwnd, ssthresh)` saved at the most recent reduction, with the
     /// retransmitted sequence that caused it — used by DSACK/Eifel wrappers.
     pub(crate) last_reduction: Option<ReductionRecord>,
@@ -112,8 +96,8 @@ pub(crate) struct ReductionRecord {
 impl RenoSender {
     /// Creates a sender in slow start with `cwnd = 1`.
     pub fn new(cfg: RenoConfig) -> Self {
-        let w = Window::new("reno", cfg.max_cwnd, cfg.initial_ssthresh, cfg.rto.clone());
-        RenoSender { cfg, w, last_reduction: None }
+        let w = Window::new("reno", cfg.max_cwnd);
+        RenoSender { cfg, w, dupthresh: DUPTHRESH, last_reduction: None }
     }
 
     /// Event counters.
@@ -138,12 +122,12 @@ impl RenoSender {
 
     /// Current duplicate-ACK threshold.
     pub fn dupthresh(&self) -> u32 {
-        self.cfg.dupthresh
+        self.dupthresh
     }
 
     /// Adjusts the duplicate-ACK threshold (used by the DSACK responses).
     pub fn set_dupthresh(&mut self, dupthresh: u32) {
-        self.cfg.dupthresh = dupthresh.max(1);
+        self.dupthresh = dupthresh.max(1);
     }
 
     /// Smoothed RTT estimate, if sampled.
@@ -201,8 +185,8 @@ impl RenoSender {
         self.w.cwnd = self.w.ssthresh + self.w.dupacks() as f64;
         // An adjusted dupthresh must stay reachable within the reduced
         // window (Blanton–Allman keep it below 90% of cwnd).
-        let cap = (0.9 * self.w.ssthresh).max(3.0) as u32;
-        self.cfg.dupthresh = self.cfg.dupthresh.min(cap).max(1);
+        let cap = (0.9 * self.w.ssthresh).max(DUPTHRESH as f64) as u32;
+        self.dupthresh = self.dupthresh.min(cap).max(1);
         self.w.arm_rto(now, out);
     }
 }
@@ -247,11 +231,9 @@ impl TcpSenderAlgo for RenoSender {
         } else if ack.dup && w.dupack() {
             if w.recover().is_some() {
                 // Window inflation: each dupack signals a departure.
-                w.inflate(self.cfg.max_cwnd + self.cfg.dupthresh as f64, out);
-            } else if w.dupacks() >= self.cfg.dupthresh && w.fast_retransmit_allowed() {
+                w.inflate(self.cfg.max_cwnd + self.dupthresh as f64, out);
+            } else if w.dupacks() >= self.dupthresh && w.fast_retransmit_allowed() {
                 self.enter_fast_retransmit(now, out);
-            } else if self.cfg.limited_transmit && w.dupacks() <= 2 {
-                w.limited_transmit(out);
             }
         }
     }
@@ -565,27 +547,6 @@ mod tests {
         s.on_ack(&ack_at(nxt_before, now), now + SimDuration::from_secs(5) + ms(1), &mut out);
         assert_eq!(s.in_flight(), out.transmissions().len());
         assert!(s.cwnd() >= 1.0);
-    }
-
-    #[test]
-    fn limited_transmit_sends_on_first_two_dupacks() {
-        let cfg = RenoConfig { limited_transmit: true, ..RenoConfig::default() };
-        let mut s = RenoSender::new(cfg);
-        let mut out = SenderOutput::new();
-        s.on_start(SimTime::ZERO, &mut out);
-        out.clear();
-        let mut now = SimTime::ZERO;
-        for cum in 1..=4 {
-            now += ms(10);
-            s.on_ack(&ack_at(cum, now - ms(10)), now, &mut out);
-            out.clear();
-        }
-        s.on_ack(&dupack(4), now + ms(1), &mut out);
-        assert_eq!(out.transmissions().len(), 1, "limited transmit releases one segment");
-        assert!(!out.transmissions()[0].is_retransmit);
-        out.clear();
-        s.on_ack(&dupack(4), now + ms(2), &mut out);
-        assert_eq!(out.transmissions().len(), 1);
     }
 
     #[test]

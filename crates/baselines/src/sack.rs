@@ -10,30 +10,21 @@
 use netsim::time::{SimDuration, SimTime};
 use transport::rto::RtoEstimator;
 use transport::scoreboard::Scoreboard;
-use transport::sender::{AckEvent, SenderOutput, TcpSenderAlgo};
+use transport::sender::{
+    AckEvent, SenderOutput, TcpSenderAlgo, DUPTHRESH, INITIAL_SSTHRESH, MAX_CWND,
+};
 use transport::telemetry::count_ack;
 
 /// Configuration for [`SackSender`].
 #[derive(Debug, Clone)]
 pub struct SackConfig {
-    /// SACKed-segments-above threshold for declaring a segment lost.
-    pub dupthresh: u32,
     /// Upper bound on the congestion window, in segments.
     pub max_cwnd: f64,
-    /// Initial slow-start threshold, in segments.
-    pub initial_ssthresh: f64,
-    /// Retransmission-timeout estimator.
-    pub rto: RtoEstimator,
 }
 
 impl Default for SackConfig {
     fn default() -> Self {
-        SackConfig {
-            dupthresh: 3,
-            max_cwnd: 10_000.0,
-            initial_ssthresh: 128.0,
-            rto: RtoEstimator::rfc2988(),
-        }
+        SackConfig { max_cwnd: MAX_CWND }
     }
 }
 
@@ -89,17 +80,15 @@ pub struct SackSender {
 impl SackSender {
     /// Creates a sender in slow start with `cwnd = 1`.
     pub fn new(cfg: SackConfig) -> Self {
-        let rto = cfg.rto.clone();
-        let ssthresh = cfg.initial_ssthresh;
         SackSender {
             cfg,
             cwnd: 1.0,
-            ssthresh,
+            ssthresh: INITIAL_SSTHRESH,
             snd_una: 0,
             snd_nxt: 0,
             board: Scoreboard::default(),
             state: State::Open,
-            rto,
+            rto: RtoEstimator::RFC2988,
             stats: SackStats::default(),
         }
     }
@@ -231,7 +220,7 @@ impl TcpSenderAlgo for SackSender {
             }
         }
         let (newly_sacked, _) = self.board.absorb(&ack.sack, self.snd_una, self.snd_nxt);
-        let newly_lost = self.board.mark_lost(self.snd_una, self.cfg.dupthresh);
+        let newly_lost = self.board.mark_lost(self.snd_una, DUPTHRESH);
         self.maybe_enter_recovery(now, out);
         self.send_allowed(out);
         if advanced {
@@ -445,20 +434,6 @@ mod tests {
         };
         assert_eq!(d2, d1.saturating_mul(2), "RTO doubles: {d1} then {d2}");
         assert_eq!(s.stats().timeouts, 2);
-    }
-
-    #[test]
-    fn custom_dupthresh_is_respected() {
-        let mut s = SackSender::new(SackConfig { dupthresh: 5, ..SackConfig::default() });
-        let now = grow(&mut s, 10);
-        let una = s.snd_una;
-        let mut out = SenderOutput::new();
-        // Four SACKed segments above una: below the threshold of 5.
-        s.on_ack(&dupack(una, vec![(una + 1, una + 5)]), now + ms(1), &mut out);
-        assert!(!s.in_recovery(), "dupthresh 5 not yet reached");
-        out.clear();
-        s.on_ack(&dupack(una, vec![(una + 5, una + 6)]), now + ms(2), &mut out);
-        assert!(s.in_recovery(), "fifth SACKed segment trips it");
     }
 
     #[test]

@@ -11,36 +11,23 @@
 
 use netsim::time::{SimDuration, SimTime};
 use transport::dupack::{Advance, Window};
-use transport::rto::RtoEstimator;
-use transport::sender::{AckEvent, SenderOutput, TcpSenderAlgo};
+use transport::sender::{AckEvent, SenderOutput, TcpSenderAlgo, MAX_CWND};
 
 /// Configuration for [`TdFrSender`].
 #[derive(Debug, Clone)]
 pub struct TdFrConfig {
     /// Upper bound on the congestion window, in segments.
     pub max_cwnd: f64,
-    /// Initial slow-start threshold, in segments.
-    pub initial_ssthresh: f64,
-    /// Retransmission-timeout estimator.
-    pub rto: RtoEstimator,
-    /// RFC 3042 limited transmit (the paper notes TD-FR relies on it to
-    /// reduce burstiness).
-    pub limited_transmit: bool,
-    /// Fallback wait when no RTT sample exists yet.
-    pub default_wait: SimDuration,
 }
 
 impl Default for TdFrConfig {
     fn default() -> Self {
-        TdFrConfig {
-            max_cwnd: 10_000.0,
-            initial_ssthresh: 128.0,
-            rto: RtoEstimator::rfc2988(),
-            limited_transmit: true,
-            default_wait: SimDuration::from_millis(500),
-        }
+        TdFrConfig { max_cwnd: MAX_CWND }
     }
 }
+
+/// Fallback wait when no RTT sample exists yet.
+const DEFAULT_WAIT: SimDuration = SimDuration::from_millis(500);
 
 /// Pending duplicate-ACK episode.
 #[derive(Debug, Clone, Copy)]
@@ -81,7 +68,6 @@ pub struct TdFrStats {
 /// ```
 #[derive(Debug)]
 pub struct TdFrSender {
-    cfg: TdFrConfig,
     w: Window,
     rto_deadline: Option<SimTime>,
     episode: Option<DupEpisode>,
@@ -91,8 +77,8 @@ pub struct TdFrSender {
 impl TdFrSender {
     /// Creates a sender in slow start with `cwnd = 1`.
     pub fn new(cfg: TdFrConfig) -> Self {
-        let w = Window::new("tdfr", cfg.max_cwnd, cfg.initial_ssthresh, cfg.rto.clone());
-        TdFrSender { cfg, w, rto_deadline: None, episode: None, cancelled_episodes: 0 }
+        let w = Window::new("tdfr", cfg.max_cwnd);
+        TdFrSender { w, rto_deadline: None, episode: None, cancelled_episodes: 0 }
     }
 
     /// Event counters.
@@ -118,7 +104,7 @@ impl TdFrSender {
 
     /// The wait threshold `max(RTT/2, DT)` for the current episode.
     fn wait_threshold(&self, dt: Option<SimDuration>) -> SimDuration {
-        let half_rtt = self.srtt().map(|s| s / 2).unwrap_or(self.cfg.default_wait);
+        let half_rtt = self.srtt().map(|s| s / 2).unwrap_or(DEFAULT_WAIT);
         match dt {
             Some(d) => half_rtt.max(d),
             None => half_rtt,
@@ -173,7 +159,9 @@ impl TdFrSender {
         if ep.count >= 3 && ep.deadline <= now {
             self.fire_delayed_fast_retransmit(now, out);
         } else {
-            if self.cfg.limited_transmit && ep.count <= 2 {
+            // RFC 3042 limited transmit (the paper notes TD-FR relies on it
+            // to reduce burstiness).
+            if ep.count <= 2 {
                 self.w.limited_transmit(out);
             }
             self.rearm(out);
@@ -364,7 +352,7 @@ mod tests {
     /// inflating at `max_cwnd + dupthresh`, it does not stop.
     #[test]
     fn recovery_inflation_is_not_capped() {
-        let mut s = TdFrSender::new(TdFrConfig { max_cwnd: 8.0, ..TdFrConfig::default() });
+        let mut s = TdFrSender::new(TdFrConfig { max_cwnd: 8.0 });
         let now = grow(&mut s, 12);
         let una = s.w.snd_una();
         let mut out = SenderOutput::new();

@@ -3,9 +3,9 @@
 //!
 //! BBR abandons loss as the primary congestion signal. It maintains an
 //! explicit model of the path — the windowed **max delivery rate**
-//! (`BtlBw`, over the last [`BbrConfig::bw_window_rounds`] packet-timed
-//! round trips, via [`WindowedFilter`]) and the windowed **min RTT**
-//! (`RTprop`, over the last [`BbrConfig::min_rtt_window`]) — and walks a
+//! (`BtlBw`, over the last ten packet-timed round trips, via
+//! [`WindowedFilter`]) and the windowed **min RTT** (`RTprop`, over the
+//! last ten seconds) — and walks a
 //! four-state machine around their product, the bandwidth-delay product:
 //!
 //! - **Startup**: pacing gain 2/ln 2 ≈ 2.885 doubles the sending rate each
@@ -32,7 +32,7 @@
 use netsim::time::{SimDuration, SimTime};
 use transport::rto::RtoEstimator;
 use transport::scoreboard::Scoreboard;
-use transport::sender::{AckEvent, SenderOutput, TcpSenderAlgo};
+use transport::sender::{AckEvent, SenderOutput, TcpSenderAlgo, DUPTHRESH, MAX_CWND};
 use transport::seq_ring::SeqRing;
 use transport::telemetry::count_ack;
 
@@ -47,6 +47,12 @@ const CYCLE_GAINS: [f64; 8] = [1.25, 0.75, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0];
 const MIN_PIPE_CWND: f64 = 4.0;
 /// ProbeBW cwnd gain: two BDPs absorbs ACK aggregation.
 const PROBE_BW_CWND_GAIN: f64 = 2.0;
+/// Window of the max-bandwidth filter, in packet-timed round trips.
+const BW_WINDOW_ROUNDS: u64 = 10;
+/// Window of the min-RTT estimate; a stale estimate triggers ProbeRTT.
+const MIN_RTT_WINDOW: SimDuration = SimDuration::from_secs(10);
+/// How long ProbeRTT holds the window at the floor.
+const PROBE_RTT_DURATION: SimDuration = SimDuration::from_millis(200);
 
 /// The BBR state machine's current state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,31 +84,11 @@ impl BbrState {
 pub struct BbrConfig {
     /// Upper bound on the congestion window, in segments.
     pub max_cwnd: f64,
-    /// Initial congestion window, in segments.
-    pub initial_cwnd: f64,
-    /// Duplicate-ACK threshold for fast retransmit.
-    pub dupthresh: u32,
-    /// Window of the max-bandwidth filter, in packet-timed round trips.
-    pub bw_window_rounds: u64,
-    /// Window of the min-RTT estimate; a stale estimate triggers ProbeRTT.
-    pub min_rtt_window: SimDuration,
-    /// How long ProbeRTT holds the window at the floor.
-    pub probe_rtt_duration: SimDuration,
-    /// Retransmission-timeout estimator.
-    pub rto: RtoEstimator,
 }
 
 impl Default for BbrConfig {
     fn default() -> Self {
-        BbrConfig {
-            max_cwnd: 10_000.0,
-            initial_cwnd: MIN_PIPE_CWND,
-            dupthresh: 3,
-            bw_window_rounds: 10,
-            min_rtt_window: SimDuration::from_secs(10),
-            probe_rtt_duration: SimDuration::from_millis(200),
-            rto: RtoEstimator::rfc2988(),
-        }
+        BbrConfig { max_cwnd: MAX_CWND }
     }
 }
 
@@ -213,19 +199,18 @@ pub struct BbrSender {
 impl BbrSender {
     /// Creates a sender in Startup.
     pub fn new(cfg: BbrConfig) -> Self {
-        let rto = cfg.rto.clone();
-        let cwnd = cfg.initial_cwnd.max(1.0);
         // The bandwidth filter's "clock" is the round counter: one nanosecond
         // of filter time per packet-timed round trip.
-        let bw_filter = WindowedFilter::max_over(SimDuration::from_nanos(cfg.bw_window_rounds));
+        let bw_filter = WindowedFilter::max_over(SimDuration::from_nanos(BW_WINDOW_ROUNDS));
         BbrSender {
             cfg,
-            cwnd,
+            // The initial window is the floor.
+            cwnd: MIN_PIPE_CWND,
             snd_una: 0,
             snd_nxt: 0,
             dupacks: 0,
             recovery: None,
-            rto,
+            rto: RtoEstimator::RFC2988,
             board: Scoreboard::default(),
             records: SeqRing::default(),
             delivered: 0,
@@ -246,7 +231,7 @@ impl BbrSender {
             cycle_index: 0,
             cycle_stamp: SimTime::ZERO,
             probe_rtt_done: SimTime::ZERO,
-            prior_cwnd: cwnd,
+            prior_cwnd: MIN_PIPE_CWND,
             packet_conservation: false,
             conservation_ends_round: 0,
             stats: BbrStats::default(),
@@ -384,7 +369,7 @@ impl BbrSender {
         if ack.echo_tx_count == 1 {
             let rtt = now.saturating_since(ack.echo_timestamp);
             self.rto.on_sample(rtt);
-            let expired = now.saturating_since(self.min_rtt_stamp) > self.cfg.min_rtt_window;
+            let expired = now.saturating_since(self.min_rtt_stamp) > MIN_RTT_WINDOW;
             if expired && self.min_rtt.is_some() {
                 self.min_rtt_expired = true;
             }
@@ -450,7 +435,7 @@ impl BbrSender {
             self.pacing_gain = 1.0;
             self.cwnd_gain = 1.0;
             self.prior_cwnd = self.cwnd;
-            self.probe_rtt_done = now + self.cfg.probe_rtt_duration;
+            self.probe_rtt_done = now + PROBE_RTT_DURATION;
         }
         if self.state != prev_state {
             obs::span(now.as_nanos(), "bbr.state", || {
@@ -597,7 +582,7 @@ impl TcpSenderAlgo for BbrSender {
         if let Some(seq) = highest_new {
             self.bw_sample_from(seq);
         }
-        let newly_lost = self.board.mark_lost(self.snd_una, self.cfg.dupthresh);
+        let newly_lost = self.board.mark_lost(self.snd_una, DUPTHRESH);
         let acked = self.delivered - delivered_before;
         self.maybe_enter_recovery(acked, now, out);
         // Each newly detected loss comes straight out of the window (Linux
@@ -782,17 +767,17 @@ mod tests {
 
     #[test]
     fn stale_min_rtt_triggers_probe_rtt() {
-        let cfg = BbrConfig { min_rtt_window: SimDuration::from_secs(1), ..BbrConfig::default() };
-        let mut s = BbrSender::new(cfg);
+        let mut s = BbrSender::new(BbrConfig::default());
         let mut out = SenderOutput::new();
         s.on_start(SimTime::ZERO, &mut out);
         out.clear();
         // 10 ms RTTs establish the minimum; then a standing queue doubles
-        // the measured RTT, so the minimum goes stale and must be re-probed.
+        // the measured RTT, so the minimum goes stale after MIN_RTT_WINDOW
+        // and must be re-probed.
         let mut now = SimTime::from_secs_f64(0.010);
         let mut cum = 0;
         let mut entered = false;
-        for i in 0..5_000u64 {
+        for i in 0..15_000u64 {
             cum += 1;
             now += ms(1);
             let rtt = if i < 50 { ms(10) } else { ms(20) };
@@ -804,6 +789,7 @@ mod tests {
             }
         }
         assert!(entered, "min-RTT staleness must force ProbeRTT");
+        assert!(now > SimTime::ZERO + MIN_RTT_WINDOW, "ProbeRTT at {now} came before the window");
         assert!(s.cwnd() <= MIN_PIPE_CWND + 1e-9);
         assert!(s.stats().probe_rtt_entries >= 1);
     }

@@ -23,8 +23,13 @@
 
 use netsim::time::{SimDuration, SimTime};
 use transport::dupack::{Advance, Window};
-use transport::rto::RtoEstimator;
-use transport::sender::{AckEvent, SenderOutput, TcpSenderAlgo};
+use transport::sender::{AckEvent, SenderOutput, TcpSenderAlgo, DUPTHRESH, MAX_CWND};
+
+/// Cubic scaling constant `C` (RFC 8312 recommends 0.4).
+const C: f64 = 0.4;
+
+/// Multiplicative decrease factor β (RFC 8312 recommends 0.7).
+const BETA: f64 = 0.7;
 
 /// `W_cubic(t) = C·(t − K)³ + W_max` (RFC 8312 §4.1), windows in segments,
 /// `t` in seconds since the epoch started.
@@ -48,34 +53,13 @@ pub fn w_est(t_secs: f64, rtt_secs: f64, w_max: f64, beta: f64) -> f64 {
 /// Configuration for [`CubicSender`].
 #[derive(Debug, Clone)]
 pub struct CubicConfig {
-    /// Cubic scaling constant `C` (RFC 8312 recommends 0.4).
-    pub c: f64,
-    /// Multiplicative decrease factor β (RFC 8312 recommends 0.7).
-    pub beta: f64,
-    /// Fast convergence (§4.6).
-    pub fast_convergence: bool,
-    /// Duplicate-ACK threshold for fast retransmit.
-    pub dupthresh: u32,
     /// Upper bound on the congestion window, in segments.
     pub max_cwnd: f64,
-    /// Initial slow-start threshold, in segments (bounds the initial
-    /// exponential overshoot, as in the baselines).
-    pub initial_ssthresh: f64,
-    /// Retransmission-timeout estimator.
-    pub rto: RtoEstimator,
 }
 
 impl Default for CubicConfig {
     fn default() -> Self {
-        CubicConfig {
-            c: 0.4,
-            beta: 0.7,
-            fast_convergence: true,
-            dupthresh: 3,
-            max_cwnd: 10_000.0,
-            initial_ssthresh: 128.0,
-            rto: RtoEstimator::rfc2988(),
-        }
+        CubicConfig { max_cwnd: MAX_CWND }
     }
 }
 
@@ -130,7 +114,7 @@ pub struct CubicSender {
 impl CubicSender {
     /// Creates a sender in slow start with `cwnd = 1`.
     pub fn new(cfg: CubicConfig) -> Self {
-        let w = Window::new("cubic", cfg.max_cwnd, cfg.initial_ssthresh, cfg.rto.clone());
+        let w = Window::new("cubic", cfg.max_cwnd);
         CubicSender {
             cfg,
             w,
@@ -170,14 +154,14 @@ impl CubicSender {
     /// by β, and end the cubic epoch.
     fn reduce(&mut self, now: SimTime) {
         let cwnd = self.w.cwnd;
-        let fast = self.cfg.fast_convergence && cwnd < self.w_max;
+        let fast = cwnd < self.w_max;
         if fast {
             self.fast_convergence_events += 1;
-            self.w_max = cwnd * (1.0 + self.cfg.beta) / 2.0;
+            self.w_max = cwnd * (1.0 + BETA) / 2.0;
         } else {
             self.w_max = cwnd;
         }
-        self.w.ssthresh = (cwnd * self.cfg.beta).max(2.0);
+        self.w.ssthresh = (cwnd * BETA).max(2.0);
         self.epoch_start = None;
         obs::span(now.as_nanos(), "cubic.epoch_reset", || {
             format!(
@@ -200,7 +184,7 @@ impl CubicSender {
                 self.w_max = cwnd;
                 self.k = 0.0;
             } else {
-                self.k = k_from_w_max(self.w_max, self.cfg.beta, self.cfg.c);
+                self.k = k_from_w_max(self.w_max, BETA, C);
             }
             obs::span(now.as_nanos(), "cubic.epoch_start", || {
                 format!("w_max={:.2} k={:.3} cwnd={:.2}", self.w_max, self.k, cwnd)
@@ -208,8 +192,8 @@ impl CubicSender {
         }
         let t = now.saturating_since(self.epoch_start.expect("epoch set above")).as_secs_f64();
         // Target the cubic curve one RTT ahead, as the RFC prescribes.
-        let target = w_cubic(t + rtt, self.w_max, self.k, self.cfg.c);
-        let friendly = w_est(t, rtt, self.w_max, self.cfg.beta);
+        let target = w_cubic(t + rtt, self.w_max, self.k, C);
+        let friendly = w_est(t, rtt, self.w_max, BETA);
         if target < friendly {
             // TCP-friendly region: never slower than the AIMD response.
             self.tcp_friendly_acks += 1;
@@ -264,8 +248,8 @@ impl TcpSenderAlgo for CubicSender {
         } else if ack.dup && self.w.dupack() {
             if self.w.recover().is_some() {
                 // Dupack-clocked inflation keeps the pipe full in recovery.
-                self.w.inflate(self.cfg.max_cwnd + self.cfg.dupthresh as f64, out);
-            } else if self.w.dupacks() >= self.cfg.dupthresh && self.w.fast_retransmit_allowed() {
+                self.w.inflate(self.cfg.max_cwnd + DUPTHRESH as f64, out);
+            } else if self.w.dupacks() >= DUPTHRESH && self.w.fast_retransmit_allowed() {
                 self.w.fast_retransmit(now, out);
                 self.reduce(now);
                 self.w.cwnd = self.w.ssthresh;
@@ -304,6 +288,7 @@ impl TcpSenderAlgo for CubicSender {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use transport::sender::INITIAL_SSTHRESH;
 
     fn ms(x: u64) -> SimDuration {
         SimDuration::from_millis(x)
@@ -398,22 +383,21 @@ mod tests {
 
     #[test]
     fn congestion_avoidance_follows_the_cubic_curve() {
-        let cfg = CubicConfig { initial_ssthresh: 8.0, ..CubicConfig::default() };
-        let mut s = CubicSender::new(cfg);
-        let now = warm_up(&mut s, 8);
+        let mut s = CubicSender::new(CubicConfig::default());
+        let now = warm_up(&mut s, INITIAL_SSTHRESH as u64);
         // Past ssthresh: further ACK rounds grow via the cubic law, and the
         // window stays within the curve's target.
         let mut out = SenderOutput::new();
         let mut t = now;
-        let mut cum = 8;
+        let mut cum = INITIAL_SSTHRESH as u64;
         for _ in 0..200 {
             t += ms(10);
             cum += 1;
             s.on_ack(&ack_at(cum, t - ms(10)), t, &mut out);
             out.clear();
         }
-        assert!(s.cwnd() > 8.0, "convex region must grow past the anchor");
-        assert!(s.cwnd() < s.cfg.max_cwnd);
+        assert!(s.cwnd() > INITIAL_SSTHRESH, "convex region must grow past the anchor");
+        assert!(s.cwnd() < MAX_CWND);
     }
 
     #[test]
@@ -462,7 +446,7 @@ mod tests {
 
     #[test]
     fn recovery_inflation_stops_at_max_cwnd_plus_dupthresh() {
-        let mut s = CubicSender::new(CubicConfig { max_cwnd: 8.0, ..CubicConfig::default() });
+        let mut s = CubicSender::new(CubicConfig { max_cwnd: 8.0 });
         let now = warm_up(&mut s, 12);
         assert_eq!((s.cwnd(), s.in_flight()), (8.0, 8));
         let mut out = SenderOutput::new();

@@ -1,11 +1,11 @@
 //! TCP-PR tunables.
 
-use netsim::time::SimDuration;
+use transport::sender::MAX_CWND;
 
 /// Parameters of the TCP-PR sender (Section 3 of the paper).
 ///
 /// The defaults are the values used throughout the paper's evaluation:
-/// `α = 0.995`, `β = 3.0`, two Newton iterations for `α^(1/cwnd)`.
+/// `α = 0.995`, `β = 3.0`.
 ///
 /// # Examples
 ///
@@ -24,17 +24,6 @@ pub struct TcpPrConfig {
     /// Safety multiplier applied to the RTT estimate to form the drop
     /// threshold `mxrtt = β · ewrtt`; `β > 1`.
     pub beta: f64,
-    /// Newton iterations used to approximate `α^(1/cwnd)` (the paper's Linux
-    /// implementation uses 2).
-    pub newton_iterations: u32,
-    /// Drop threshold used before the first RTT sample arrives (plays the
-    /// role of TCP's 3 s initial RTO).
-    pub initial_mxrtt: SimDuration,
-    /// Extreme-loss floor for `mxrtt` (the paper raises `mxrtt` to one
-    /// second, mirroring RFC 2988 coarse timers).
-    pub backoff_floor: SimDuration,
-    /// Upper clamp for the exponentially backed-off `mxrtt`.
-    pub max_backoff: SimDuration,
     /// Upper bound on the congestion window, in segments.
     pub max_cwnd: f64,
     /// **Ablation**: disable the `memorize` list — every detected drop
@@ -57,11 +46,7 @@ impl Default for TcpPrConfig {
         TcpPrConfig {
             alpha: 0.995,
             beta: 3.0,
-            newton_iterations: 2,
-            initial_mxrtt: SimDuration::from_secs(3),
-            backoff_floor: SimDuration::from_secs(1),
-            max_backoff: SimDuration::from_secs(64),
-            max_cwnd: 10_000.0,
+            max_cwnd: MAX_CWND,
             ablate_no_memorize: false,
             ablate_no_extreme_loss: false,
             ablate_halve_current: false,
@@ -90,7 +75,6 @@ impl TcpPrConfig {
     pub fn validate(&self) {
         assert!(self.alpha > 0.0 && self.alpha < 1.0, "alpha must be in (0,1), got {}", self.alpha);
         assert!(self.beta >= 1.0, "beta must be >= 1, got {}", self.beta);
-        assert!(self.newton_iterations >= 1, "at least one Newton iteration required");
         assert!(self.max_cwnd >= 2.0, "max_cwnd must be at least 2");
     }
 }
@@ -103,9 +87,11 @@ mod tests {
     fn default_matches_paper() {
         let cfg = TcpPrConfig::default();
         cfg.validate();
-        assert_eq!(cfg.newton_iterations, 2);
-        assert_eq!(cfg.initial_mxrtt, SimDuration::from_secs(3));
-        assert_eq!(cfg.backoff_floor, SimDuration::from_secs(1));
+        assert_eq!((cfg.alpha, cfg.beta), (0.995, 3.0));
+        // Before the first RTT sample, the drop threshold is TCP's 3 s
+        // initial RTO.
+        let mxrtt = crate::TcpPrSender::new(cfg).mxrtt();
+        assert_eq!(mxrtt, netsim::time::SimDuration::from_secs(3));
     }
 
     #[test]

@@ -31,6 +31,21 @@ use crate::config::TcpPrConfig;
 use crate::ewrtt::EwrttEstimator;
 use crate::lists::PacketBook;
 
+/// Newton iterations used to approximate `α^(1/cwnd)` (the paper's Linux
+/// implementation uses 2).
+const NEWTON_ITERATIONS: u32 = 2;
+
+/// Drop threshold used before the first RTT sample arrives (plays the role
+/// of TCP's 3 s initial RTO).
+const INITIAL_MXRTT: SimDuration = SimDuration::from_secs(3);
+
+/// Extreme-loss floor for `mxrtt` (the paper raises `mxrtt` to one second,
+/// mirroring RFC 2988 coarse timers).
+const BACKOFF_FLOOR: SimDuration = SimDuration::from_secs(1);
+
+/// Upper clamp for the exponentially backed-off `mxrtt`.
+const MAX_BACKOFF: SimDuration = SimDuration::from_secs(64);
+
 /// Congestion-window growth mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mode {
@@ -110,7 +125,7 @@ impl TcpPrSender {
             cwnd: 1.0,
             ssthr: f64::INFINITY,
             book: PacketBook::new(),
-            ewrtt: EwrttEstimator::new(cfg.alpha, cfg.newton_iterations),
+            ewrtt: EwrttEstimator::new(cfg.alpha, NEWTON_ITERATIONS),
             cburst: 0,
             backoff: None,
             paused_until: None,
@@ -134,14 +149,14 @@ impl TcpPrSender {
     }
 
     /// The current drop threshold `mxrtt` (backoff override, `β·ewrtt`, or
-    /// the configured initial value before any RTT sample).
+    /// `INITIAL_MXRTT`, 3 s, before any RTT sample).
     pub fn mxrtt(&self) -> SimDuration {
         if let Some(b) = self.backoff {
             return b;
         }
         match self.ewrtt.current() {
             Some(e) => e * self.cfg.beta,
-            None => self.cfg.initial_mxrtt,
+            None => INITIAL_MXRTT,
         }
     }
 
@@ -232,8 +247,7 @@ impl TcpPrSender {
         } else if self.backoff.is_some() {
             // A new drop while cwnd = 1: double mxrtt instead of halving.
             self.stats.backoff_doublings += 1;
-            let doubled =
-                self.backoff.expect("checked is_some").saturating_mul(2).min(self.cfg.max_backoff);
+            let doubled = self.backoff.expect("checked is_some").saturating_mul(2).min(MAX_BACKOFF);
             self.backoff = Some(doubled);
             self.paused_until = Some(now + doubled);
             obs::span(now.as_nanos(), "tcppr.backoff_double", || {
@@ -268,7 +282,7 @@ impl TcpPrSender {
         // open the window, and only drops of packets sent *after* this
         // point (the probes) double the backoff.
         self.book.snapshot_memorize();
-        let b = self.mxrtt().max(self.cfg.backoff_floor).min(self.cfg.max_backoff);
+        let b = self.mxrtt().max(BACKOFF_FLOOR).min(MAX_BACKOFF);
         self.backoff = Some(b);
         self.paused_until = Some(now + b);
         self.cburst = 0;

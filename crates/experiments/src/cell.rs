@@ -171,13 +171,8 @@ pub struct Flow {
 /// The stress and hunt dumbbell: a tighter bottleneck than the fairness
 /// one, so loss and oscillation profiles bite — one flow under test plus
 /// 2 Mbps of bursty cross traffic against 10 Mbps.
-const STRESS_DUMBBELL: DumbbellConfig = DumbbellConfig {
-    bottleneck_mbps: 10.0,
-    bottleneck_delay_ms: 20,
-    access_mbps: 100.0,
-    access_delay_ms: 5,
-    queue_packets: 100,
-};
+const STRESS_DUMBBELL: DumbbellConfig =
+    DumbbellConfig { bottleneck_mbps: 10.0, bottleneck_delay_ms: 20, queue_packets: 100 };
 
 /// Lowers a scenario kind into its [`Scenario`]. Only `Stress` and `Hunt`
 /// honour `impairments`, only `Hunt` the `schedule`.
@@ -230,9 +225,8 @@ pub fn lower(
                     (Topology::Dumbbell(DumbbellConfig { bottleneck_mbps, ..cfg }), 0)
                 }
                 TopologySpec::ParkingLot { backbone_mbps: mbps } => {
-                    let cfg = ParkingLotConfig::default();
-                    let backbone_mbps = mbps.unwrap_or(cfg.backbone_mbps);
-                    (Topology::ParkingLot(ParkingLotConfig { backbone_mbps, ..cfg }), 6)
+                    let backbone_mbps = mbps.unwrap_or(ParkingLotConfig::default().backbone_mbps);
+                    (Topology::ParkingLot(ParkingLotConfig { backbone_mbps }), 6)
                 }
             };
             // Test flows alternate TCP-PR(α, β) and TCP-SACK; the parking

@@ -509,7 +509,7 @@ pub fn run_hunt(cfg: &HuntConfig) -> Result<HuntReport, String> {
     eval.fresh = 0;
     eval.memo_hits = 0;
 
-    let search_cfg = SearchConfig { budget: cfg.budget, seed: cfg.seed, ..SearchConfig::default() };
+    let search_cfg = SearchConfig { budget: cfg.budget, seed: cfg.seed };
     let search = hill_climb(baseline.clone(), baseline_value, &search_cfg, mutate, |cands| {
         eval.values(cands, cfg.objective)
     });

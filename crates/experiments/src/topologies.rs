@@ -20,13 +20,15 @@ pub struct DumbbellConfig {
     pub bottleneck_mbps: f64,
     /// Bottleneck one-way propagation delay in ms.
     pub bottleneck_delay_ms: u64,
-    /// Access-link bandwidth in Mbps.
-    pub access_mbps: f64,
-    /// Access-link delay in ms.
-    pub access_delay_ms: u64,
     /// Queue size, in packets, for every link.
     pub queue_packets: usize,
 }
+
+/// Dumbbell access-link bandwidth in Mbps.
+const ACCESS_MBPS: f64 = 100.0;
+
+/// Dumbbell access-link delay in ms.
+const ACCESS_DELAY_MS: u64 = 5;
 
 impl Default for DumbbellConfig {
     fn default() -> Self {
@@ -34,13 +36,7 @@ impl Default for DumbbellConfig {
         // sized so that per-flow windows stay moderate (tens of segments)
         // across the Figure 2 flow-count sweep, the regime in which AIMD
         // fairness comparisons are meaningful.
-        DumbbellConfig {
-            bottleneck_mbps: 30.0,
-            bottleneck_delay_ms: 30,
-            access_mbps: 100.0,
-            access_delay_ms: 5,
-            queue_packets: 300,
-        }
+        DumbbellConfig { bottleneck_mbps: 30.0, bottleneck_delay_ms: 30, queue_packets: 300 }
     }
 }
 
@@ -73,21 +69,14 @@ pub fn dumbbell(seed: u64, cfg: DumbbellConfig) -> Dumbbell {
     let r1 = b.add_node();
     let r2 = b.add_node();
     let dst = b.add_node();
-    b.add_duplex(
-        src,
-        r1,
-        LinkConfig::mbps_ms(cfg.access_mbps, cfg.access_delay_ms, cfg.queue_packets),
-    );
+    let access = LinkConfig::mbps_ms(ACCESS_MBPS, ACCESS_DELAY_MS, cfg.queue_packets);
+    b.add_duplex(src, r1, access.clone());
     let (bottleneck, _) = b.add_duplex(
         r1,
         r2,
         LinkConfig::mbps_ms(cfg.bottleneck_mbps, cfg.bottleneck_delay_ms, cfg.queue_packets),
     );
-    b.add_duplex(
-        r2,
-        dst,
-        LinkConfig::mbps_ms(cfg.access_mbps, cfg.access_delay_ms, cfg.queue_packets),
-    );
+    b.add_duplex(r2, dst, access);
     Dumbbell { sim: b.build(), src, dst, bottleneck }
 }
 
@@ -112,33 +101,25 @@ pub struct ParkingLot {
 pub struct ParkingLotConfig {
     /// Bandwidth of every non-special link, in Mbps (paper: 15).
     pub backbone_mbps: f64,
-    /// CS1 access bandwidth in Mbps (paper: 5).
-    pub cs1_mbps: f64,
-    /// CS2 access bandwidth in Mbps (paper: 1.66).
-    pub cs2_mbps: f64,
-    /// CS3 access bandwidth in Mbps (paper: 2.5).
-    pub cs3_mbps: f64,
-    /// Per-link delay in ms.
-    pub delay_ms: u64,
-    /// Queue size in packets.
-    pub queue_packets: usize,
 }
 
 impl Default for ParkingLotConfig {
     fn default() -> Self {
-        // Bandwidths are the paper's (Figure 1); the per-link delay is not
-        // published — 20 ms keeps per-flow windows in the tens of segments,
-        // where AIMD fairness comparisons are meaningful.
-        ParkingLotConfig {
-            backbone_mbps: 15.0,
-            cs1_mbps: 5.0,
-            cs2_mbps: 1.66,
-            cs3_mbps: 2.5,
-            delay_ms: 20,
-            queue_packets: 100,
-        }
+        ParkingLotConfig { backbone_mbps: 15.0 }
     }
 }
+
+/// Access bandwidths of the cross sources CS1, CS2 and CS3, in Mbps
+/// (Figure 1: 5, 1.66 and 2.5).
+const CROSS_SOURCE_MBPS: [f64; 3] = [5.0, 1.66, 2.5];
+
+/// Parking-lot per-link delay in ms. The paper does not publish it; 20 ms
+/// keeps per-flow windows in the tens of segments, where AIMD fairness
+/// comparisons are meaningful.
+const PARKING_LOT_DELAY_MS: u64 = 20;
+
+/// Parking-lot queue size in packets.
+const PARKING_LOT_QUEUE_PACKETS: usize = 100;
 
 /// Builds the Figure 1 parking-lot topology.
 ///
@@ -168,7 +149,7 @@ pub fn parking_lot(seed: u64, cfg: ParkingLotConfig) -> ParkingLot {
     let cd2 = b.add_node();
     let cd3 = b.add_node();
 
-    let bb = |mbps: f64| LinkConfig::mbps_ms(mbps, cfg.delay_ms, cfg.queue_packets);
+    let bb = |mbps: f64| LinkConfig::mbps_ms(mbps, PARKING_LOT_DELAY_MS, PARKING_LOT_QUEUE_PACKETS);
 
     b.add_duplex(s, n1, bb(cfg.backbone_mbps));
     let (c12, _) = b.add_duplex(n1, n2, bb(cfg.backbone_mbps));
@@ -177,9 +158,10 @@ pub fn parking_lot(seed: u64, cfg: ParkingLotConfig) -> ParkingLot {
     b.add_duplex(n4, d, bb(cfg.backbone_mbps));
 
     // Cross sources: CS1→1 = 5 Mbps, CS2→2 = 1.66 Mbps, CS3→3 = 2.5 Mbps.
-    b.add_duplex(cs1, n1, bb(cfg.cs1_mbps));
-    b.add_duplex(cs2, n2, bb(cfg.cs2_mbps));
-    b.add_duplex(cs3, n3, bb(cfg.cs3_mbps));
+    let [cs1_mbps, cs2_mbps, cs3_mbps] = CROSS_SOURCE_MBPS;
+    b.add_duplex(cs1, n1, bb(cs1_mbps));
+    b.add_duplex(cs2, n2, bb(cs2_mbps));
+    b.add_duplex(cs3, n3, bb(cs3_mbps));
     // Cross destinations hang off the next chain node at backbone speed.
     b.add_duplex(n2, cd1, bb(cfg.backbone_mbps));
     b.add_duplex(n3, cd2, bb(cfg.backbone_mbps));
@@ -207,35 +189,28 @@ pub enum MeshKind {
 pub struct MeshConfig {
     /// Per-link one-way delay in ms (the paper runs 10 ms and 60 ms).
     pub link_delay_ms: u64,
-    /// Per-link bandwidth in Mbps (paper: 10).
-    pub link_mbps: f64,
-    /// Queue size in packets (paper: 100).
-    pub queue_packets: usize,
     /// Mesh shape.
     pub kind: MeshKind,
 }
 
 impl Default for MeshConfig {
     fn default() -> Self {
-        MeshConfig {
-            link_delay_ms: 10,
-            link_mbps: 10.0,
-            queue_packets: 100,
-            kind: MeshKind::Figure5,
-        }
+        MeshConfig { link_delay_ms: 10, kind: MeshKind::Figure5 }
     }
 }
 
 impl MeshConfig {
     /// The disjoint-chain variant with the default hop mix.
     pub fn disjoint_chains(link_delay_ms: u64) -> Self {
-        MeshConfig {
-            link_delay_ms,
-            kind: MeshKind::DisjointChains([2, 3, 3, 4, 4]),
-            ..MeshConfig::default()
-        }
+        MeshConfig { link_delay_ms, kind: MeshKind::DisjointChains([2, 3, 3, 4, 4]) }
     }
 }
+
+/// Mesh per-link bandwidth in Mbps (paper: 10).
+const MESH_LINK_MBPS: f64 = 10.0;
+
+/// Mesh queue size in packets (paper: 100).
+const MESH_QUEUE_PACKETS: usize = 100;
 
 /// A built multipath mesh.
 #[derive(Debug)]
@@ -274,7 +249,7 @@ pub fn multipath_mesh(seed: u64, cfg: MeshConfig) -> Mesh {
     let mut b = SimBuilder::new(seed);
     let src = b.add_node();
     let dst = b.add_node();
-    let link = LinkConfig::mbps_ms(cfg.link_mbps, cfg.link_delay_ms, cfg.queue_packets);
+    let link = LinkConfig::mbps_ms(MESH_LINK_MBPS, cfg.link_delay_ms, MESH_QUEUE_PACKETS);
     match cfg.kind {
         MeshKind::DisjointChains(path_hops) => {
             for &hops in &path_hops {

@@ -10,7 +10,7 @@ use baselines::tdfr::{TdFrConfig, TdFrSender};
 use cc::bbr::{BbrConfig, BbrSender};
 use cc::cubic::{CubicConfig, CubicSender};
 use tcp_pr::{TcpPrConfig, TcpPrSender};
-use transport::sender::TcpSenderAlgo;
+use transport::sender::{TcpSenderAlgo, MAX_CWND};
 
 /// Every sender variant exercised by the reproduction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize)]
@@ -107,7 +107,7 @@ impl Variant {
     /// Builds a sender for this variant with default parameters
     /// (effectively unbounded window).
     pub fn build(self) -> Box<dyn TcpSenderAlgo> {
-        self.build_with(TcpPrConfig::default(), 10_000.0)
+        self.build_with(TcpPrConfig::default(), MAX_CWND)
     }
 
     /// Builds a sender with an explicit receiver-window cap (ns-2's
@@ -118,9 +118,7 @@ impl Variant {
         let reno = RenoConfig { max_cwnd, ..RenoConfig::default() };
         match self {
             Variant::TcpPr => Box::new(TcpPrSender::new(pr)),
-            Variant::TdFr => {
-                Box::new(TdFrSender::new(TdFrConfig { max_cwnd, ..TdFrConfig::default() }))
-            }
+            Variant::TdFr => Box::new(TdFrSender::new(TdFrConfig { max_cwnd })),
             Variant::DsackNm => Box::new(DsackSender::new(reno, DupthreshResponse::NoMovement)),
             Variant::IncBy1 => Box::new(DsackSender::new(reno, DupthreshResponse::IncrementBy(1))),
             Variant::IncByN => {
@@ -129,21 +127,13 @@ impl Variant {
             Variant::Ewma => {
                 Box::new(DsackSender::new(reno, DupthreshResponse::Ewma { gain: 0.25 }))
             }
-            Variant::Sack => {
-                Box::new(SackSender::new(SackConfig { max_cwnd, ..SackConfig::default() }))
-            }
+            Variant::Sack => Box::new(SackSender::new(SackConfig { max_cwnd })),
             Variant::NewReno => Box::new(RenoSender::new(reno)),
             Variant::Reno => Box::new(RenoSender::new(RenoConfig { newreno: false, ..reno })),
             Variant::Eifel => Box::new(EifelSender::new(reno)),
-            Variant::Door => {
-                Box::new(DoorSender::new(DoorConfig { base: reno, ..DoorConfig::default() }))
-            }
-            Variant::Cubic => {
-                Box::new(CubicSender::new(CubicConfig { max_cwnd, ..CubicConfig::default() }))
-            }
-            Variant::Bbr => {
-                Box::new(BbrSender::new(BbrConfig { max_cwnd, ..BbrConfig::default() }))
-            }
+            Variant::Door => Box::new(DoorSender::new(DoorConfig { base: reno })),
+            Variant::Cubic => Box::new(CubicSender::new(CubicConfig { max_cwnd })),
+            Variant::Bbr => Box::new(BbrSender::new(BbrConfig { max_cwnd })),
         }
     }
 }

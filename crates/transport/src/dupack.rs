@@ -25,7 +25,7 @@ use std::collections::HashSet;
 use netsim::time::SimTime;
 
 use crate::rto::RtoEstimator;
-use crate::sender::{AckEvent, SenderOutput};
+use crate::sender::{AckEvent, SenderOutput, INITIAL_SSTHRESH};
 use crate::telemetry::CommonStats;
 
 /// The event counters every duplicate-ACK variant reports.
@@ -62,10 +62,9 @@ pub enum Advance {
 ///
 /// ```
 /// use transport::dupack::Window;
-/// use transport::rto::RtoEstimator;
-/// use transport::sender::SenderOutput;
+/// use transport::sender::{SenderOutput, MAX_CWND};
 ///
-/// let mut w = Window::new("reno", 10_000.0, 128.0, RtoEstimator::rfc2988());
+/// let mut w = Window::new("reno", MAX_CWND);
 /// let mut out = SenderOutput::new();
 /// w.cwnd = 4.0;
 /// w.send_new_data(&mut out);
@@ -101,11 +100,12 @@ pub struct Window {
 }
 
 impl Window {
-    /// A window in slow start at `cwnd = 1`, `ssthresh` as given, nothing sent.
-    pub fn new(algo: &'static str, max_cwnd: f64, ssthresh: f64, rto: RtoEstimator) -> Self {
+    /// A window in slow start at `cwnd = 1` and [`INITIAL_SSTHRESH`], nothing
+    /// sent, timed by [`RtoEstimator::RFC2988`].
+    pub fn new(algo: &'static str, max_cwnd: f64) -> Self {
         Window {
             cwnd: 1.0,
-            ssthresh,
+            ssthresh: INITIAL_SSTHRESH,
             algo,
             max_cwnd,
             snd_una: 0,
@@ -116,7 +116,7 @@ impl Window {
             retransmitted: HashSet::new(),
             recover: None,
             dupacks: 0,
-            rto,
+            rto: RtoEstimator::RFC2988,
             counters: Counters::default(),
         }
     }
@@ -359,7 +359,7 @@ mod tests {
     const MAX_CWND: f64 = 12.0;
 
     fn window() -> Window {
-        Window::new("test", MAX_CWND, 128.0, RtoEstimator::rfc2988())
+        Window::new("test", MAX_CWND)
     }
 
     fn ack(cum_ack: u64, echo_tx_count: u32) -> AckEvent {

@@ -9,7 +9,9 @@ use std::collections::{HashMap, VecDeque};
 
 use netsim::agent::{Agent, AgentCtx};
 use netsim::ids::{AgentId, FlowId, NodeId};
-use netsim::packet::{AckHeader, DataHeader, Packet, PacketKind, ACK_PACKET_BYTES};
+use netsim::packet::{
+    AckHeader, DataHeader, Packet, PacketKind, ACK_PACKET_BYTES, DATA_PACKET_BYTES,
+};
 use netsim::sim::Simulator;
 use netsim::time::SimTime;
 
@@ -35,14 +37,10 @@ pub struct SenderStats {
 /// Per-flow configuration for [`attach_flow`].
 #[derive(Debug, Clone, Copy)]
 pub struct FlowOptions {
-    /// Segment size in bytes (wire size of data packets).
-    pub mss: u32,
     /// When the sender begins transmitting.
     pub start_at: SimTime,
     /// Receiver feature switches.
     pub receiver: ReceiverConfig,
-    /// Record `(time, cwnd)` after every ACK (costs memory; default off).
-    pub trace_cwnd: bool,
     /// Delayed acknowledgments (RFC 1122): hold an in-order ACK for up to
     /// this long or until a second segment arrives; out-of-order arrivals
     /// are acknowledged immediately. `None` (the default, and ns-2
@@ -53,10 +51,8 @@ pub struct FlowOptions {
 impl Default for FlowOptions {
     fn default() -> Self {
         FlowOptions {
-            mss: netsim::packet::DATA_PACKET_BYTES,
             start_at: SimTime::ZERO,
             receiver: ReceiverConfig::default(),
-            trace_cwnd: false,
             delayed_ack: None,
         }
     }
@@ -111,13 +107,10 @@ impl TxCounts {
 pub struct SenderHost<S> {
     algo: S,
     dst: NodeId,
-    mss: u32,
     start_at: SimTime,
     started: bool,
     tx_counts: TxCounts,
     stats: SenderStats,
-    trace_cwnd: bool,
-    cwnd_trace: Vec<(SimTime, f64)>,
     out: SenderOutput,
     pacer: Pacer,
 }
@@ -128,13 +121,10 @@ impl<S: TcpSenderAlgo> SenderHost<S> {
         SenderHost {
             algo,
             dst,
-            mss: opts.mss,
             start_at: opts.start_at,
             started: false,
             tx_counts: TxCounts::default(),
             stats: SenderStats::default(),
-            trace_cwnd: opts.trace_cwnd,
-            cwnd_trace: Vec::new(),
             out: SenderOutput::new(),
             pacer: Pacer::new(),
         }
@@ -148,11 +138,6 @@ impl<S: TcpSenderAlgo> SenderHost<S> {
     /// Sender counters.
     pub fn stats(&self) -> SenderStats {
         self.stats
-    }
-
-    /// The recorded `(time, cwnd)` trace (empty unless enabled).
-    pub fn cwnd_trace(&self) -> &[(SimTime, f64)] {
-        &self.cwnd_trace
     }
 
     fn begin(&mut self, ctx: &mut AgentCtx<'_>) {
@@ -217,7 +202,7 @@ impl<S: TcpSenderAlgo> SenderHost<S> {
         }
         ctx.send(
             self.dst,
-            self.mss,
+            DATA_PACKET_BYTES,
             PacketKind::Data(DataHeader {
                 seq: t.seq,
                 is_retransmit: t.is_retransmit,
@@ -255,9 +240,6 @@ impl<S: TcpSenderAlgo + 'static> Agent for SenderHost<S> {
         };
         self.algo.on_ack(&ack, ctx.now, &mut self.out);
         self.apply_output(ctx);
-        if self.trace_cwnd {
-            self.cwnd_trace.push((ctx.now, self.algo.cwnd()));
-        }
     }
 
     fn on_timer(&mut self, ctx: &mut AgentCtx<'_>) {
@@ -293,7 +275,6 @@ impl<S: TcpSenderAlgo + 'static> Agent for SenderHost<S> {
 #[derive(Debug)]
 pub struct ReceiverHost {
     rx: TcpReceiver,
-    mss: u32,
     acks_sent: u64,
     delayed_ack: Option<netsim::time::SimDuration>,
     /// ACK held back by the delayed-ACK timer, with its destination.
@@ -304,10 +285,9 @@ pub struct ReceiverHost {
 
 impl ReceiverHost {
     /// Creates a receiver host that acknowledges every segment.
-    pub fn new(cfg: ReceiverConfig, mss: u32) -> Self {
+    pub fn new(cfg: ReceiverConfig) -> Self {
         ReceiverHost {
             rx: TcpReceiver::new(cfg),
-            mss,
             acks_sent: 0,
             delayed_ack: None,
             pending: None,
@@ -316,17 +296,13 @@ impl ReceiverHost {
     }
 
     /// Creates a receiver host with delayed acknowledgments.
-    pub fn with_delayed_ack(
-        cfg: ReceiverConfig,
-        mss: u32,
-        delay: netsim::time::SimDuration,
-    ) -> Self {
-        ReceiverHost { delayed_ack: Some(delay), ..Self::new(cfg, mss) }
+    pub fn with_delayed_ack(cfg: ReceiverConfig, delay: netsim::time::SimDuration) -> Self {
+        ReceiverHost { delayed_ack: Some(delay), ..Self::new(cfg) }
     }
 
     /// In-order bytes delivered to the application so far.
     pub fn delivered_bytes(&self) -> u64 {
-        self.rx.rcv_nxt() * self.mss as u64
+        self.rx.rcv_nxt() * DATA_PACKET_BYTES as u64
     }
 
     /// Bytes of distinct segments received so far (first arrivals,
@@ -336,7 +312,7 @@ impl ReceiverHost {
     /// boundary cannot smear delivery into the wrong window.
     pub fn received_unique_bytes(&self) -> u64 {
         let stats = self.rx.stats();
-        (stats.segments_received - stats.duplicates) * self.mss as u64
+        (stats.segments_received - stats.duplicates) * DATA_PACKET_BYTES as u64
     }
 
     /// In-order segments delivered so far.
@@ -442,8 +418,8 @@ pub fn attach_flow<S: TcpSenderAlgo + 'static>(
 ) -> FlowHandle {
     let sender = sim.add_agent(src, flow, Box::new(SenderHost::new(algo, dst, &opts)));
     let rx_host = match opts.delayed_ack {
-        None => ReceiverHost::new(opts.receiver, opts.mss),
-        Some(delay) => ReceiverHost::with_delayed_ack(opts.receiver, opts.mss, delay),
+        None => ReceiverHost::new(opts.receiver),
+        Some(delay) => ReceiverHost::with_delayed_ack(opts.receiver, delay),
     };
     let receiver = sim.add_agent(dst, flow, Box::new(rx_host));
     FlowHandle { flow, sender, receiver }
@@ -683,16 +659,5 @@ mod tests {
         let stats = sender_host::<FixedWindowSender>(&sim, h.sender).stats();
         assert!(stats.segments_sent > 100);
         assert_eq!(stats.paced_segments, 0);
-    }
-
-    #[test]
-    fn cwnd_trace_records_when_enabled() {
-        let (mut sim, src, dst) = two_node();
-        let opts = FlowOptions { trace_cwnd: true, ..FlowOptions::default() };
-        let h = attach_flow(&mut sim, FlowId::from_raw(0), src, dst, fixed(4), opts);
-        sim.run_until(SimTime::from_secs_f64(1.0));
-        let host = sender_host::<FixedWindowSender>(&sim, h.sender);
-        assert!(!host.cwnd_trace().is_empty());
-        assert!(host.cwnd_trace().iter().all(|&(_, w)| w == 4.0));
     }
 }

@@ -25,16 +25,17 @@ pub struct ReceiverConfig {
     /// Report duplicate arrivals with DSACK (requires nothing from `sack`;
     /// the paper's dupthresh baselines need it).
     pub dsack: bool,
-    /// Maximum SACK blocks per ACK (3 fit alongside timestamps in a real
-    /// TCP option space).
-    pub max_sack_blocks: usize,
 }
 
 impl Default for ReceiverConfig {
     fn default() -> Self {
-        ReceiverConfig { sack: true, dsack: true, max_sack_blocks: 3 }
+        ReceiverConfig { sack: true, dsack: true }
     }
 }
+
+/// Maximum SACK blocks per ACK (3 fit alongside timestamps in a real TCP
+/// option space).
+pub const MAX_SACK_BLOCKS: usize = 3;
 
 /// The acknowledgment a receiver wants transmitted in response to a segment.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -199,10 +200,7 @@ impl TcpReceiver {
             return Vec::new();
         }
         let rest = self.runs.iter().rev().map(|(&start, &end)| (start, end));
-        hit.into_iter()
-            .chain(rest.filter(|&run| Some(run) != hit))
-            .take(self.cfg.max_sack_blocks)
-            .collect()
+        hit.into_iter().chain(rest.filter(|&run| Some(run) != hit)).take(MAX_SACK_BLOCKS).collect()
     }
 }
 
@@ -282,15 +280,13 @@ mod tests {
 
     #[test]
     fn sack_blocks_capped() {
-        let mut r =
-            TcpReceiver::new(ReceiverConfig { sack: true, dsack: true, max_sack_blocks: 2 });
+        let mut r = rx();
         r.on_data(0);
         for seq in [2u64, 4, 6, 8] {
             r.on_data(seq);
         }
         let a = r.on_data(10);
-        assert_eq!(a.sack.len(), 2);
-        assert_eq!(a.sack[0], (10, 11));
+        assert_eq!(a.sack, vec![(10, 11), (8, 9), (6, 7)]);
     }
 
     #[test]
@@ -320,8 +316,7 @@ mod tests {
 
     #[test]
     fn sack_disabled_yields_plain_dupacks() {
-        let mut r =
-            TcpReceiver::new(ReceiverConfig { sack: false, dsack: false, max_sack_blocks: 3 });
+        let mut r = TcpReceiver::new(ReceiverConfig { sack: false, dsack: false });
         r.on_data(0);
         let a = r.on_data(2);
         assert!(a.dup);

@@ -16,7 +16,7 @@ use netsim::time::SimDuration;
 /// use transport::rto::RtoEstimator;
 /// use netsim::time::SimDuration;
 ///
-/// let mut est = RtoEstimator::rfc2988();
+/// let mut est = RtoEstimator::RFC2988;
 /// est.on_sample(SimDuration::from_millis(100));
 /// // First sample: SRTT = 100 ms, RTTVAR = 50 ms, RTO = 100 + 4·50 = 300 ms,
 /// // clamped up to the 1 s RFC 2988 minimum.
@@ -34,16 +34,23 @@ pub struct RtoEstimator {
     granularity: SimDuration,
 }
 
+/// RTO before the first sample (RFC 2988 §2.1), clamped to the estimator's
+/// bounds.
+const INITIAL_RTO: SimDuration = SimDuration::from_secs(3);
+
 impl RtoEstimator {
-    /// Estimator with the RFC 2988 recommended parameters: 1 s minimum RTO,
-    /// 60 s maximum, 100 ms clock granularity, 3 s initial RTO.
-    pub fn rfc2988() -> Self {
-        Self::new(
-            SimDuration::from_secs(1),
-            SimDuration::from_secs(60),
-            SimDuration::from_millis(100),
-        )
-    }
+    /// The estimator every sender starts from, with the RFC 2988 recommended
+    /// parameters: 1 s minimum RTO, 60 s maximum, 100 ms clock granularity,
+    /// 3 s initial RTO.
+    pub const RFC2988: RtoEstimator = RtoEstimator {
+        srtt: None,
+        rttvar: SimDuration::ZERO,
+        base_rto: INITIAL_RTO,
+        backoff_exponent: 0,
+        min_rto: SimDuration::from_secs(1),
+        max_rto: SimDuration::from_secs(60),
+        granularity: SimDuration::from_millis(100),
+    };
 
     /// Creates an estimator with explicit clamps and granularity.
     ///
@@ -55,7 +62,7 @@ impl RtoEstimator {
         RtoEstimator {
             srtt: None,
             rttvar: SimDuration::ZERO,
-            base_rto: SimDuration::from_secs(3).max(min_rto).min(max_rto),
+            base_rto: INITIAL_RTO.max(min_rto).min(max_rto),
             backoff_exponent: 0,
             min_rto,
             max_rto,
@@ -126,7 +133,7 @@ mod tests {
 
     #[test]
     fn initial_rto_is_three_seconds() {
-        let est = RtoEstimator::rfc2988();
+        let est = RtoEstimator::RFC2988;
         assert_eq!(est.rto(), SimDuration::from_secs(3));
     }
 
@@ -152,7 +159,7 @@ mod tests {
 
     #[test]
     fn min_rto_clamp_applies() {
-        let mut est = RtoEstimator::rfc2988();
+        let mut est = RtoEstimator::RFC2988;
         for _ in 0..50 {
             est.on_sample(ms(10));
         }
@@ -161,7 +168,7 @@ mod tests {
 
     #[test]
     fn backoff_doubles_and_clamps() {
-        let mut est = RtoEstimator::rfc2988();
+        let mut est = RtoEstimator::RFC2988;
         est.on_sample(ms(500));
         let base = est.rto();
         est.backoff();
@@ -176,7 +183,7 @@ mod tests {
 
     #[test]
     fn sample_clears_backoff() {
-        let mut est = RtoEstimator::rfc2988();
+        let mut est = RtoEstimator::RFC2988;
         est.on_sample(ms(500));
         est.backoff();
         est.on_sample(ms(500));

@@ -7,6 +7,19 @@
 
 use netsim::time::SimTime;
 
+/// Duplicate ACKs that trigger fast retransmit, and SACKed segments above a
+/// hole that mark it lost (3 in standard TCP).
+pub const DUPTHRESH: u32 = 3;
+
+/// Initial slow-start threshold of the loss-based senders, in segments.
+/// Bounds the initial exponential overshoot: NewReno's hole-per-RTT recovery
+/// cannot cope with a whole-window catastrophe on a fat pipe.
+pub const INITIAL_SSTHRESH: f64 = 128.0;
+
+/// Congestion-window cap, in segments, of a sender no receiver window
+/// limits (effectively unbounded).
+pub const MAX_CWND: f64 = 10_000.0;
+
 /// A fully-parsed acknowledgment as seen by a sender algorithm.
 #[derive(Debug, Clone)]
 pub struct AckEvent {

@@ -97,7 +97,7 @@ proptest! {
     /// sample/backoff interleavings.
     #[test]
     fn rto_respects_clamps(events in proptest::collection::vec((0u8..3, 1u64..5_000), 1..100)) {
-        let mut est = RtoEstimator::rfc2988();
+        let mut est = RtoEstimator::RFC2988;
         for (kind, ms) in events {
             match kind {
                 0 => est.on_sample(SimDuration::from_millis(ms)),

@@ -17,7 +17,8 @@ enum Scope {
     File,
     /// The file up to the line holding its first `#[cfg(test)]`.
     Above,
-    /// `fn <name>(` above the tests, through the first `}` at its indent.
+    /// The item whose first line holds this text (`fn deliver(`, `struct
+    /// MeshConfig {`), above the tests, through the first `}` at its indent.
     Body(&'static str),
 }
 
@@ -41,7 +42,7 @@ const fn forbid(alternatives: &'static str) -> Check {
 /// out.
 type Rule = (&'static str, &'static str, &'static [(&'static str, Scope, Check)]);
 
-const RULES: [Rule; 9] = [
+const RULES: [Rule; 10] = [
     (
         "The packet path does not hash",
         "Agents and routes are found by index and a callback acts through its context \
@@ -63,7 +64,7 @@ const RULES: [Rule; 9] = [
          the injection instant whose eight bytes the agent took, written on every send and read \
          by nothing, stays gone.",
         &[
-            ("crates/netsim/src/sim.rs", Body("deliver"), forbid("binary_search")),
+            ("crates/netsim/src/sim.rs", Body("fn deliver("), forbid("binary_search")),
             ("crates tests examples", File, forbid("injected_at")),
         ],
     ),
@@ -171,6 +172,55 @@ const RULES: [Rule; 9] = [
          under `cargo test`, a second mechanism beside these rows and the profile gate table.",
         &[(".github/workflows/ci.yml", File, forbid("python3|grep|cmp |diff "))],
     ),
+    (
+        "Every knob has two callers",
+        "A config field stays only while two production callers set it to different values, \
+         `benchmark/` reads it, or a pinned reference test needs its second value (DESIGN.md §2 \
+         \"Every knob has two callers\"). These 44 fields of the sender, receiver, search and \
+         topology configs each had one value in use; each is a named `const` beside the code \
+         that reads it, and a branch only another value reached is gone with it.",
+        &[
+            (
+                "crates/core/src/config.rs",
+                File,
+                forbid("pub newton_iterations:|pub initial_mxrtt:|pub backoff_floor:|pub max_backoff:"),
+            ),
+            (
+                "crates/baselines/src crates/cc/src",
+                File,
+                forbid(
+                    "pub dupthresh:|pub limited_transmit:|pub initial_ssthresh:|pub rto:|\
+                     pub default_wait:|pub freeze_interval:|pub instant_recovery:|\
+                     pub rollback_window:|pub c:|pub beta:|pub fast_convergence:|\
+                     pub initial_cwnd:|pub bw_window_rounds:|pub min_rtt_window:|\
+                     pub probe_rtt_duration:",
+                ),
+            ),
+            (
+                "crates/transport/src/receiver.rs crates/transport/src/host.rs crates/adversary/src",
+                File,
+                forbid("pub max_sack_blocks:|pub mss:|pub trace_cwnd:|pub batch:|pub patience:"),
+            ),
+            (
+                "crates/experiments/src/topologies.rs",
+                File,
+                forbid(
+                    "pub access_mbps:|pub access_delay_ms:|pub cs1_mbps:|pub cs2_mbps:|\
+                     pub cs3_mbps:|pub delay_ms:|pub link_mbps:",
+                ),
+            ),
+            (
+                "crates/experiments/src/topologies.rs",
+                Body("struct ParkingLotConfig {"),
+                forbid("pub queue_packets:"),
+            ),
+            (
+                "crates/experiments/src/topologies.rs",
+                Body("struct MeshConfig {"),
+                forbid("pub queue_packets:"),
+            ),
+        ],
+    ),
 ];
 
 #[test]
@@ -203,7 +253,7 @@ fn check_clause(all: &[(String, String)], paths: &str, scope: Scope, check: &Che
     let mut named = Vec::new();
     for (file, text) in files {
         let Some(range) = scoped(text, scope) else {
-            problems.push(format!("{file}: the fn is not above its tests"));
+            problems.push(format!("{file}: the item is not above its tests"));
             continue;
         };
         let part = &text[range.clone()];
@@ -267,12 +317,12 @@ fn covers(pattern: &str, file: &str) -> bool {
 fn scoped(text: &str, scope: Scope) -> Option<Range<usize>> {
     let line_start = |at: usize| text[..at].rfind('\n').map_or(0, |nl| nl + 1);
     let above = text.find("#[cfg(test)]").map_or(text.len(), line_start);
-    let name = match scope {
+    let head = match scope {
         File => return Some(0..text.len()),
         Above => return Some(0..above),
-        Body(name) => name,
+        Body(head) => head,
     };
-    let start = line_start(text[..above].find(&format!("fn {name}("))?);
+    let start = line_start(text[..above].find(head)?);
     let indent = text[start..].len() - text[start..].trim_start().len();
     let close = format!("{}}}", &text[start..start + indent]);
     let mut end = start;
