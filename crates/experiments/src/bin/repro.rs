@@ -34,6 +34,8 @@ use std::str::FromStr;
 
 use experiments::explain::{self, CounterexampleDoc};
 use experiments::hunt;
+use experiments::sample::{self, Sampler};
+use experiments::sweep::decode::{as_str, as_u64, get};
 use experiments::sweep::grids::{all_figures, selectors, FigureGrid};
 use experiments::sweep::{
     run_sweep, CachePolicy, ExecCtx, ScenarioSpec, SweepOptions, DEFAULT_CACHE_DIR,
@@ -59,6 +61,7 @@ const BUDGET: Flag = Flag { name: "--budget", needs: Some("an evaluation count >
 const SEED: Flag = Flag { name: "--seed", needs: Some("an integer") };
 const OBJECTIVE: Flag = Flag { name: "--objective", needs: Some("goodput|fairness|oracle") };
 const VARIANT: Flag = Flag { name: "--variant", needs: Some("a protocol name") };
+const SAMPLE: Flag = Flag { name: "--sample", needs: None };
 
 /// One `repro` command. `--list`, the choice of command, which flags it
 /// accepts and what runs are all read off [`COMMANDS`]; no command name is
@@ -84,9 +87,9 @@ const COMMANDS: [Command; 5] = [
     },
     Command {
         name: "profile",
-        usage: "[selector…]  profiled, uncached re-run of the named grids (default fig6) \
-                -> results/profile.json",
-        flags: &[QUICK, JOBS],
+        usage: "[selector…]  profiled, uncached re-run of the named grids (default fig6); \
+                --sample adds leaf-function samples -> results/profile.json",
+        flags: &[QUICK, JOBS, SAMPLE],
         run: run_profile,
     },
     Command {
@@ -338,7 +341,9 @@ fn run_figures(args: &Args) -> i32 {
 /// the profiler enabled and writes `results/profile.json`. The sweep cache
 /// is bypassed in both directions — a cache hit executes nothing, so it
 /// profiles nothing, and profiled runs must not alter what later plain runs
-/// read back. Exit 1 if any scenario crashed.
+/// read back. With `--sample`, the sweep's CPU time is also sampled by leaf
+/// function ([`experiments::sample`]) into the wall-clock section. Exit 1 if
+/// any scenario crashed.
 fn run_profile(args: &Args) -> i32 {
     let opts = sweep_options(args.jobs(), CachePolicy::Off);
     check_selectors(&args.positionals);
@@ -361,11 +366,13 @@ fn run_profile(args: &Args) -> i32 {
         opts.jobs
     );
 
+    let sampler = args.has(&SAMPLE).then(|| Sampler::start().unwrap_or_else(|why| fail(why)));
     obs::enable();
     let t0 = std::time::Instant::now();
     let report = run_sweep(&specs, &ExecCtx::default(), &opts);
     let wall_s = t0.elapsed().as_secs_f64();
     obs::disable();
+    let samples = sampler.map(Sampler::finish);
     if report.crashed > 0 {
         eprintln!("error: [profile] {} scenario(s) crashed — artifact not written", report.crashed);
         return 1;
@@ -387,6 +394,9 @@ fn run_profile(args: &Args) -> i32 {
     };
     wall_section.push(("wall_s".to_owned(), Value::Float(wall_s)));
     wall_section.push(("events_per_sec".to_owned(), Value::Float(report.events_per_sec())));
+    if let Some(samples) = &samples {
+        wall_section.push(("samples".to_owned(), samples.clone()));
+    }
     let artifact = Value::Object(vec![
         ("deterministic".to_owned(), merged.deterministic_value()),
         ("wall_clock_nondeterministic".to_owned(), Value::Object(wall_section)),
@@ -426,8 +436,27 @@ fn run_profile(args: &Args) -> i32 {
     print!("{tables}");
     let _ = std::io::stdout().flush();
     eprintln!("[profile] done: {}", report.summary());
+    if let Some(samples) = &samples {
+        print_top_leaves(samples);
+    }
     eprintln!("[profile] artifact -> {}", path.display());
     0
+}
+
+/// The ten leaves with the most samples, with their shares, on stderr.
+fn print_top_leaves(samples: &Value) {
+    let total = get(samples, "total").and_then(as_u64).unwrap_or(0);
+    eprintln!("[profile] {total} samples every {} µs of CPU time", sample::PERIOD_US);
+    match (get(samples, "leaves"), get(samples, "unsymbolised").and_then(as_str)) {
+        (Some(Value::Object(leaves)), _) => {
+            for (name, n) in leaves.iter().take(10) {
+                let n = as_u64(n).unwrap_or(0);
+                let share = 100.0 * n as f64 / total.max(1) as f64;
+                eprintln!("[profile] {share:5.1} % {n:>7}  {name}");
+            }
+        }
+        (_, why) => eprintln!("[profile] samples not symbolised: {}", why.unwrap_or("?")),
+    }
 }
 
 /// Loads the counterexample files a command was given. A file that cannot

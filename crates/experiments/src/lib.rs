@@ -23,7 +23,9 @@
 //!   worker pool, content-addressed result cache);
 //! - [`scale`]: the load a pair of the population cells carries;
 //! - [`telemetry`]: the `results/*.json` artifact wrapper with its
-//!   run-health block.
+//!   run-health block;
+//! - [`sample`]: `repro profile --sample`'s SIGPROF sampler of leaf
+//!   functions.
 //!
 //! The `repro` binary (`cargo run -p experiments --bin repro --release`)
 //! runs every figure at paper scale and prints the tables recorded in
@@ -54,6 +56,7 @@ pub mod figures;
 pub mod hunt;
 pub mod metrics;
 pub mod runner;
+pub mod sample;
 pub mod scale;
 pub mod sweep;
 pub mod telemetry;

@@ -34,7 +34,7 @@ impl Profile {
 /// scale-smoke one.
 type Gate = (&'static str, fn(&Profile, &Profile));
 
-const GATES: [Gate; 10] = [
+const GATES: [Gate; 11] = [
     ("The profile artifact carries counters, histograms and spans", |cc, _| {
         let keys = ["deterministic", "wall_clock_nondeterministic", "counters", "sim_histograms"];
         for key in keys.into_iter().chain(["span_counts", "event.arrive"]) {
@@ -104,6 +104,13 @@ const GATES: [Gate; 10] = [
     ("Routes are solved for transit nodes only", |_, scale| {
         let (solved, nodes) = (scale.counter("routing.solved"), scale.counter("routing.nodes"));
         assert!(0 < solved && solved < nodes, "{solved} {nodes}");
+    }),
+    // A next-hop table entry is one `u32`, link + 1 with 0 for none: on
+    // scale-smoke 14,976 bytes for its four simulations' 3,744 pairs.
+    ("A next hop is four bytes", |_, scale| {
+        let entries = scale.counter("routing.table_entries");
+        let bytes = scale.counter("routing.table_bytes");
+        assert!(0 < entries && bytes == 4 * entries, "{bytes} {entries}");
     }),
     // A protocol law (ROADMAP 5a): no agent asks for an instant before `now`.
     ("No agent arms a timer in the past", |cc, scale| {

@@ -57,6 +57,7 @@ fn names_and_flags_outside_the_table_are_usage_errors() {
     assert_usage_error(&dir, &["fig2", "profile"], &["unknown selector profile"]);
     assert_usage_error(&dir, &["fig2", "--budget", "5"], &["--budget", "`repro all`"]);
     assert_usage_error(&dir, &["hunt", "--resume"], &["--resume", "`repro hunt`"]);
+    assert_usage_error(&dir, &["fig2", "--sample"], &["--sample", "`repro all`"]);
     assert_usage_error(&dir, &["--resume", "--no-cache"], &["--resume", "--no-cache"]);
     assert_usage_error(&dir, &["--trajectory", "t.json"], &["unknown flag --trajectory"]);
     assert_usage_error(&dir, &["fig2", "--jobs", "0"], &["--jobs needs a worker count >= 1"]);

@@ -36,8 +36,10 @@ pub struct Path {
 #[derive(Debug, Clone)]
 pub struct Graph {
     node_count: usize,
-    /// `adj[u]` lists `(v, link, delay)` for each link `u → v`.
-    adj: Vec<Vec<(NodeId, LinkId, SimDuration)>>,
+    /// `out[start[u]..start[u + 1]]` lists `(v, link, delay)` for each link
+    /// `u → v`, in edge order.
+    start: Vec<usize>,
+    out: Vec<(NodeId, LinkId, SimDuration)>,
 }
 
 impl Graph {
@@ -48,20 +50,39 @@ impl Graph {
     ///
     /// Panics if an edge references a node `>= node_count`.
     pub fn new(node_count: usize, edges: &[(NodeId, NodeId, LinkId, SimDuration)]) -> Self {
-        let mut adj = vec![Vec::new(); node_count];
-        for &(from, to, link, delay) in edges {
+        // A stable counting sort: `start[u]` first counts the links out of
+        // `u` and its predecessors, then each edge, taken from the last,
+        // moves it down to its own slot.
+        let mut start = vec![0; node_count + 1];
+        for &(from, to, ..) in edges {
             assert!(
                 from.index() < node_count && to.index() < node_count,
                 "edge references unknown node"
             );
-            adj[from.index()].push((to, link, delay));
+            start[from.index()] += 1;
         }
-        Graph { node_count, adj }
+        let mut total = 0;
+        for s in &mut start {
+            total += *s;
+            *s = total;
+        }
+        let mut out = vec![(NodeId(0), LinkId(0), SimDuration::ZERO); edges.len()];
+        for &(from, to, link, delay) in edges.iter().rev() {
+            let s = &mut start[from.index()];
+            *s -= 1;
+            out[*s] = (to, link, delay);
+        }
+        Graph { node_count, start, out }
     }
 
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
         self.node_count
+    }
+
+    /// The links out of `u`, in edge order.
+    fn links(&self, u: usize) -> &[(NodeId, LinkId, SimDuration)] {
+        &self.out[self.start[u]..self.start[u + 1]]
     }
 
     /// Every node's [`Stub`] record, `None` for a transit node (DESIGN.md §2
@@ -71,13 +92,13 @@ impl Graph {
     fn stubs(&self) -> Vec<Option<Stub>> {
         // How many links enter each node, and the last of them: `(count, from, link)`.
         let mut entering = vec![(0usize, 0usize, LinkId::from_raw(0)); self.node_count];
-        for (u, out) in self.adj.iter().enumerate() {
-            for &(v, link, _) in out {
+        for u in 0..self.node_count {
+            for &(v, link, _) in self.links(u) {
                 let e = &mut entering[v.index()];
                 *e = (e.0 + 1, u, link);
             }
         }
-        let hangs = |x: usize| match (self.adj[x].as_slice(), entering[x]) {
+        let hangs = |x: usize| match (self.links(x), entering[x]) {
             (&[(y, up, _)], (1, from, down)) if from == y.index() && from != x => {
                 Some(Stub { attachment: from, up, down })
             }
@@ -136,7 +157,7 @@ impl Graph {
         if stack.len() >= max_hops {
             return;
         }
-        for &(v, link, w) in &self.adj[u.index()] {
+        for &(v, link, w) in self.links(u.index()) {
             if visited[v.index()] {
                 continue;
             }
@@ -274,8 +295,9 @@ struct Installed {
 pub struct Routing {
     /// Rows and columns of [`Self::next_hop`].
     nodes: usize,
-    /// `next_hop[src * nodes + dst]` = first link of the shortest path.
-    next_hop: Vec<Option<LinkId>>,
+    /// `next_hop[src * nodes + dst]` = first link of the shortest path, as
+    /// an [`entry`].
+    next_hop: Vec<u32>,
     /// Per source node, the mixtures overriding next-hop routing: a handful
     /// of destinations at most, scanned linearly.
     multipath: Vec<Vec<Installed>>,
@@ -294,55 +316,76 @@ impl Routing {
     /// (DESIGN.md §2 "Routes are solved for the transit core"): a stub's
     /// column is copied from its attachment's, and its row is its uplink
     /// towards its attachment and everything the attachment reaches.
-    /// Reports the profiler counters `routing.nodes` and `routing.solved`
-    /// (Dijkstra runs).
+    /// Reports the profiler counters `routing.nodes`, `routing.solved`
+    /// (Dijkstra runs), `routing.table_entries` (n²) and
+    /// `routing.table_bytes` (four per entry).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the summed delays of the links between transit nodes do
+    /// not fit a heap key beside a node index ([`HeapKey`]).
     pub fn shortest_path(graph: &Graph) -> Self {
         let n = graph.node_count();
         let stubs = graph.stubs();
-        let mut next_hop = vec![None; n * n];
-        let mut dist = vec![SimDuration::MAX; n];
-        let mut heap = BinaryHeap::new();
+        let hanging: Vec<(usize, Stub)> =
+            stubs.iter().enumerate().filter_map(|(x, s)| s.map(|s| (x, s))).collect();
+        // Where each run's distances start. A stub starts at zero, which no
+        // path undercuts: this is Dijkstra's test for a transit node.
+        let unreached: Vec<SimDuration> = stubs
+            .iter()
+            .map(|s| if s.is_some() { SimDuration::ZERO } else { SimDuration::MAX })
+            .collect();
+        let mut next_hop = vec![NONE; n * n];
+        let mut dist = unreached.clone();
+        let key = HeapKey::new(graph, &stubs);
+        let mut heap: BinaryHeap<Reverse<u64>> = BinaryHeap::new();
         let mut solved = 0;
         for src in (0..n).filter(|&s| stubs[s].is_none()) {
             solved += 1;
             let row = &mut next_hop[src * n..(src + 1) * n];
-            dist.fill(SimDuration::MAX);
+            dist.copy_from_slice(&unreached);
             dist[src] = SimDuration::ZERO;
-            heap.push(Reverse(heap_key(SimDuration::ZERO, src)));
-            while let Some(Reverse(key)) = heap.pop() {
-                let (d, u) = (SimDuration::from_nanos((key >> 64) as u64), key as u64 as usize);
+            heap.push(Reverse(key.pack(SimDuration::ZERO, src)));
+            while let Some(Reverse(popped)) = heap.pop() {
+                let (d, u) = key.unpack(popped);
                 if d > dist[u] {
                     continue;
                 }
-                for &(v, link, w) in &graph.adj[u] {
-                    let v = v.index();
-                    if stubs[v].is_some() {
-                        continue;
-                    }
-                    let nd = d + w;
+                let inherited = row[u];
+                for &(v, link, w) in graph.links(u) {
+                    let (v, nd) = (v.index(), d + w);
                     if nd < dist[v] {
                         dist[v] = nd;
-                        row[v] = if u == src { Some(link) } else { row[u] };
-                        heap.push(Reverse(heap_key(nd, v)));
+                        row[v] = if u == src { entry(link) } else { inherited };
+                        heap.push(Reverse(key.pack(nd, v)));
                     }
                 }
             }
-            for (x, stub) in stubs.iter().enumerate() {
-                if let Some(s) = stub {
-                    row[x] = if s.attachment == src { Some(s.down) } else { row[s.attachment] };
-                }
+            for &(x, s) in &hanging {
+                row[x] = if s.attachment == src { entry(s.down) } else { row[s.attachment] };
             }
         }
-        for (x, stub) in stubs.iter().enumerate() {
-            if let Some(s) = stub {
-                for d in 0..n {
-                    let reached = d == s.attachment || next_hop[s.attachment * n + d].is_some();
-                    next_hop[x * n + d] = (reached && d != x).then_some(s.up);
-                }
+        // A stub's row is its attachment's with every reached destination,
+        // and the attachment itself, sent up the stub's one link.
+        for &(x, s) in &hanging {
+            let (a, up) = (s.attachment, entry(s.up));
+            let (row, attachment) = if a < x {
+                let (low, high) = next_hop.split_at_mut(x * n);
+                (&mut high[..n], &low[a * n..(a + 1) * n])
+            } else {
+                let (low, high) = next_hop.split_at_mut(a * n);
+                (&mut low[x * n..(x + 1) * n], &high[..n])
+            };
+            for (to, &via) in row.iter_mut().zip(attachment) {
+                *to = if via == NONE { NONE } else { up };
             }
+            row[a] = up;
+            row[x] = NONE;
         }
         obs::count("routing.nodes", n as u64);
         obs::count("routing.solved", solved);
+        obs::count("routing.table_entries", next_hop.len() as u64);
+        obs::count("routing.table_bytes", std::mem::size_of_val(&next_hop[..]) as u64);
         Routing { nodes: n, next_hop, multipath: Vec::new(), routes: Vec::new() }
     }
 
@@ -408,14 +451,57 @@ impl Routing {
             return None;
         }
         // An `at` past the last row indexes past the end of the table.
-        self.next_hop.get(at.index() * self.nodes + dst.index()).copied().flatten()
+        let entry = *self.next_hop.get(at.index() * self.nodes + dst.index())?;
+        entry.checked_sub(1).map(LinkId)
     }
 }
 
-/// A Dijkstra heap entry, `(distance << 64) | node`: `u128` order is
-/// (distance, node index) order.
-fn heap_key(dist: SimDuration, node: usize) -> u128 {
-    (u128::from(dist.as_nanos()) << 64) | node as u128
+/// A next-hop table entry: `link + 1`, so that [`NONE`] is 0 and the table
+/// comes zeroed.
+fn entry(link: LinkId) -> u32 {
+    link.0 + 1
+}
+
+/// The table entry for no next hop.
+const NONE: u32 = 0;
+
+/// How a Dijkstra heap entry packs into a `u64`: the distance above the
+/// node index, so that `u64` order is (distance, node index) order.
+struct HeapKey {
+    /// Bits of the node index: ⌈log₂ n⌉.
+    shift: u32,
+}
+
+impl HeapKey {
+    /// The packing for `graph`'s transit core. No distance Dijkstra pushes
+    /// exceeds the summed delays of the links between transit nodes, and
+    /// those must fit above the node index.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the summed transit delays do not fit.
+    fn new(graph: &Graph, stubs: &[Option<Stub>]) -> Self {
+        let shift = usize::BITS - graph.node_count.saturating_sub(1).leading_zeros();
+        let span = (0..graph.node_count)
+            .filter(|&u| stubs[u].is_none())
+            .flat_map(|u| graph.links(u))
+            .filter(|(v, ..)| stubs[v.index()].is_none())
+            .fold(0u64, |sum, (.., w)| sum.saturating_add(w.as_nanos()));
+        assert!(
+            span.checked_shl(shift).is_some_and(|packed| packed >> shift == span),
+            "{span} ns of transit delay leaves no room for {shift} bits of node index"
+        );
+        HeapKey { shift }
+    }
+
+    fn pack(&self, dist: SimDuration, node: usize) -> u64 {
+        (dist.as_nanos() << self.shift) | node as u64
+    }
+
+    fn unpack(&self, key: u64) -> (SimDuration, usize) {
+        let node = key & ((1 << self.shift) - 1);
+        (SimDuration::from_nanos(key >> self.shift), node as usize)
+    }
 }
 
 #[cfg(test)]
@@ -612,6 +698,14 @@ mod tests {
         let routing = Routing::shortest_path(&Graph::new(3, &[(n(0), n(1), l(0), ms(1))]));
         assert_eq!(routing.next_hop(n(0), n(2)), None);
         assert_eq!(routing.next_hop(n(0), n(3)), None, "out of range");
+    }
+
+    #[test]
+    #[should_panic(expected = "leaves no room for 1 bits of node index")]
+    fn transit_delays_too_long_for_a_heap_key_are_refused() {
+        let long = SimDuration::from_nanos(u64::MAX / 2 + 1);
+        let island = [(n(0), n(1), l(0), long), (n(1), n(0), l(1), ms(1))];
+        Routing::shortest_path(&Graph::new(2, &island));
     }
 
     #[test]

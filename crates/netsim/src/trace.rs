@@ -405,17 +405,6 @@ pub mod analysis {
         }
         count
     }
-
-    /// Per-link queue-drop counts.
-    pub fn drops_by_link(records: &[TraceRecord]) -> HashMap<LinkId, u64> {
-        let mut map = HashMap::new();
-        for r in records {
-            if let TraceEventKind::QueueDrop(link) = r.kind {
-                *map.entry(link).or_insert(0) += 1;
-            }
-        }
-        map
-    }
 }
 
 #[cfg(test)]

@@ -42,7 +42,6 @@ use crate::time::{SimDuration, SimTime};
 #[derive(Debug)]
 pub struct CbrSource {
     dst: NodeId,
-    rate_bps: f64,
     packet_bytes: u32,
     start_at: SimTime,
     interval: SimDuration,
@@ -60,17 +59,12 @@ impl CbrSource {
         assert!(rate_bps > 0.0, "rate must be positive");
         assert!(packet_bytes > 0, "packet size must be positive");
         let interval = SimDuration::from_secs_f64(packet_bytes as f64 * 8.0 / rate_bps);
-        CbrSource { dst, rate_bps, packet_bytes, start_at, interval, next_seq: 0, sent: 0 }
+        CbrSource { dst, packet_bytes, start_at, interval, next_seq: 0, sent: 0 }
     }
 
     /// Packets emitted so far.
     pub fn sent(&self) -> u64 {
         self.sent
-    }
-
-    /// Configured rate in bits per second.
-    pub fn rate_bps(&self) -> f64 {
-        self.rate_bps
     }
 
     fn emit(&mut self, ctx: &mut AgentCtx<'_>) {
@@ -149,7 +143,6 @@ impl Agent for CbrSource {
 #[derive(Debug)]
 pub struct OnOffSource {
     dst: NodeId,
-    rate_bps: f64,
     packet_bytes: u32,
     on: SimDuration,
     off: SimDuration,
@@ -179,27 +172,12 @@ impl OnOffSource {
         assert!(on > SimDuration::ZERO, "on period must be positive");
         assert!(off > SimDuration::ZERO, "off period must be positive");
         let interval = SimDuration::from_secs_f64(packet_bytes as f64 * 8.0 / rate_bps);
-        OnOffSource {
-            dst,
-            rate_bps,
-            packet_bytes,
-            on,
-            off,
-            start_at,
-            interval,
-            next_seq: 0,
-            sent: 0,
-        }
+        OnOffSource { dst, packet_bytes, on, off, start_at, interval, next_seq: 0, sent: 0 }
     }
 
     /// Packets emitted so far.
     pub fn sent(&self) -> u64 {
         self.sent
-    }
-
-    /// Configured burst rate in bits per second.
-    pub fn rate_bps(&self) -> f64 {
-        self.rate_bps
     }
 
     /// Position within the on/off cycle at `now` (offset from cycle start).
@@ -458,19 +436,6 @@ mod tests {
         let a = onoff_sim(300, 700, 5.0);
         let b = onoff_sim(300, 700, 5.0);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn onoff_reports_its_burst_rate() {
-        let s = OnOffSource::new(
-            NodeId::from_raw(0),
-            2e6,
-            1000,
-            SimDuration::from_millis(250),
-            SimDuration::from_millis(750),
-            SimTime::ZERO,
-        );
-        assert_eq!(s.rate_bps(), 2e6);
     }
 
     #[test]

@@ -96,21 +96,6 @@ fn naive_paths(records: &[TraceRecord]) -> HashMap<u64, Vec<LinkId>> {
     map
 }
 
-/// O(n²) reference for per-link queue-drop tallies.
-fn naive_drops_by_link(records: &[TraceRecord]) -> HashMap<LinkId, u64> {
-    let mut map = HashMap::new();
-    for r in records {
-        if let TraceEventKind::QueueDrop(link) = r.kind {
-            let n = records
-                .iter()
-                .filter(|p| matches!(p.kind, TraceEventKind::QueueDrop(l) if l == link))
-                .count() as u64;
-            map.insert(link, n);
-        }
-    }
-    map
-}
-
 fn materialize(raw: &[(u64, u64, u64)]) -> Vec<TraceRecord> {
     raw.iter().map(|&(uid, at_ns, code)| record(uid, at_ns, code)).collect()
 }
@@ -144,14 +129,6 @@ proptest! {
     ) {
         let records = materialize(&raw);
         prop_assert_eq!(analysis::paths(&records), naive_paths(&records));
-    }
-
-    #[test]
-    fn drop_tallies_match_per_link_counts(
-        raw in collection::vec((0u64..6, 0u64..1_000_000, 0u64..16), 0..100),
-    ) {
-        let records = materialize(&raw);
-        prop_assert_eq!(analysis::drops_by_link(&records), naive_drops_by_link(&records));
     }
 
     #[test]
