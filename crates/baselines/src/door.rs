@@ -21,7 +21,6 @@
 
 use netsim::time::{SimDuration, SimTime};
 use transport::sender::{AckEvent, SenderOutput, TcpSenderAlgo};
-use transport::telemetry::SenderTelemetry;
 
 use crate::reno::{RenoConfig, RenoSender, RenoStats};
 
@@ -59,7 +58,7 @@ pub struct DoorStats {
 /// use transport::sender::TcpSenderAlgo;
 ///
 /// let s = DoorSender::new(DoorConfig::default());
-/// assert_eq!(s.name(), "TCP-DOOR");
+/// assert_eq!(s.cwnd(), 1.0);
 /// ```
 #[derive(Debug)]
 pub struct DoorSender {
@@ -128,19 +127,6 @@ impl DoorSender {
     }
 }
 
-impl SenderTelemetry for DoorSender {
-    fn common_stats(&self) -> transport::telemetry::CommonStats {
-        let mut s = self.inner.common_stats();
-        s.algorithm = self.name().to_owned();
-        // DOOR's OOO detections play the role other variants' spurious
-        // detections do, and instant recoveries are its reversals.
-        s.spurious_detections = self.stats.ooo_detected;
-        s.spurious_reversals = self.stats.instant_recoveries;
-        s.extra.push(("suppressed_dupacks".to_owned(), self.stats.suppressed_dupacks));
-        s
-    }
-}
-
 impl TcpSenderAlgo for DoorSender {
     fn on_start(&mut self, now: SimTime, out: &mut SenderOutput) {
         self.inner.on_start(now, out);
@@ -178,8 +164,12 @@ impl TcpSenderAlgo for DoorSender {
         self.inner.ssthresh()
     }
 
-    fn name(&self) -> &'static str {
-        "TCP-DOOR"
+    fn srtt(&self) -> Option<SimDuration> {
+        self.inner.srtt()
+    }
+
+    fn rto(&self) -> Option<SimDuration> {
+        self.inner.rto()
     }
 
     fn in_flight(&self) -> usize {

@@ -19,9 +19,8 @@
 //! back to the prior window and `cwnd` climbs to it from the reduced one,
 //! so an undo never releases a burst. Eifel restores both at once.
 
-use netsim::time::SimTime;
+use netsim::time::{SimDuration, SimTime};
 use transport::sender::{AckEvent, SenderOutput, TcpSenderAlgo, DUPTHRESH};
-use transport::telemetry::SenderTelemetry;
 
 use crate::reno::{RenoConfig, RenoSender, RenoStats};
 
@@ -39,18 +38,6 @@ pub enum DupthreshResponse {
         /// Weight of the newest episode count, in `(0, 1]`.
         gain: f64,
     },
-}
-
-impl DupthreshResponse {
-    /// Display label matching the paper's Figure 6 legend.
-    pub fn label(&self) -> &'static str {
-        match self {
-            DupthreshResponse::NoMovement => "DSACK-NM",
-            DupthreshResponse::IncrementBy(_) => "Inc by 1",
-            DupthreshResponse::AverageWithEpisode => "Inc by N",
-            DupthreshResponse::Ewma { .. } => "EWMA",
-        }
-    }
 }
 
 /// Event counters for [`DsackSender`].
@@ -72,7 +59,7 @@ pub struct DsackStats {
 /// use transport::sender::TcpSenderAlgo;
 ///
 /// let s = DsackSender::new(RenoConfig::default(), DupthreshResponse::IncrementBy(1));
-/// assert_eq!(s.name(), "Inc by 1");
+/// assert_eq!(s.cwnd(), 1.0);
 /// assert_eq!(s.dupthresh(), 3);
 /// ```
 #[derive(Debug)]
@@ -146,17 +133,6 @@ impl DsackSender {
     }
 }
 
-impl SenderTelemetry for DsackSender {
-    fn common_stats(&self) -> transport::telemetry::CommonStats {
-        let mut s = self.inner.common_stats();
-        s.algorithm = self.name().to_owned();
-        s.spurious_detections = self.stats.spurious_detected;
-        s.spurious_reversals = self.stats.restores;
-        s.extra.push(("dupthresh".to_owned(), self.dupthresh() as u64));
-        s
-    }
-}
-
 impl TcpSenderAlgo for DsackSender {
     fn on_start(&mut self, now: SimTime, out: &mut SenderOutput) {
         self.inner.on_start(now, out);
@@ -189,8 +165,12 @@ impl TcpSenderAlgo for DsackSender {
         self.inner.ssthresh()
     }
 
-    fn name(&self) -> &'static str {
-        self.response.label()
+    fn srtt(&self) -> Option<SimDuration> {
+        self.inner.srtt()
+    }
+
+    fn rto(&self) -> Option<SimDuration> {
+        self.inner.rto()
     }
 
     fn in_flight(&self) -> usize {
@@ -303,13 +283,5 @@ mod tests {
         s.on_ack(&d, SimTime::ZERO + ms(10), &mut out);
         assert_eq!(s.stats().spurious_detected, 0);
         assert_eq!(s.dupthresh(), 3);
-    }
-
-    #[test]
-    fn labels_match_figure_legend() {
-        assert_eq!(DupthreshResponse::NoMovement.label(), "DSACK-NM");
-        assert_eq!(DupthreshResponse::IncrementBy(1).label(), "Inc by 1");
-        assert_eq!(DupthreshResponse::AverageWithEpisode.label(), "Inc by N");
-        assert_eq!(DupthreshResponse::Ewma { gain: 0.25 }.label(), "EWMA");
     }
 }

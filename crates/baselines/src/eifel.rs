@@ -10,7 +10,7 @@
 //! response stops there: the RTO and its backoff are NewReno's, unadapted
 //! to repeated spurious retransmissions of one segment.
 
-use netsim::time::SimTime;
+use netsim::time::{SimDuration, SimTime};
 use transport::sender::{AckEvent, SenderOutput, TcpSenderAlgo};
 
 use crate::reno::{RenoConfig, RenoSender, RenoStats};
@@ -34,7 +34,7 @@ pub struct EifelStats {
 /// use transport::sender::TcpSenderAlgo;
 ///
 /// let s = EifelSender::new(RenoConfig::default());
-/// assert_eq!(s.name(), "Eifel");
+/// assert_eq!(s.cwnd(), 1.0);
 /// ```
 #[derive(Debug)]
 pub struct EifelSender {
@@ -56,16 +56,6 @@ impl EifelSender {
     /// Base NewReno counters.
     pub fn base_stats(&self) -> RenoStats {
         self.inner.stats()
-    }
-}
-
-impl transport::telemetry::SenderTelemetry for EifelSender {
-    fn common_stats(&self) -> transport::telemetry::CommonStats {
-        let mut s = self.inner.common_stats();
-        s.algorithm = self.name().to_owned();
-        s.spurious_detections = self.stats.spurious_detected;
-        s.spurious_reversals = self.stats.restores;
-        s
     }
 }
 
@@ -107,8 +97,12 @@ impl TcpSenderAlgo for EifelSender {
         self.inner.ssthresh()
     }
 
-    fn name(&self) -> &'static str {
-        "Eifel"
+    fn srtt(&self) -> Option<SimDuration> {
+        self.inner.srtt()
+    }
+
+    fn rto(&self) -> Option<SimDuration> {
+        self.inner.rto()
     }
 
     fn in_flight(&self) -> usize {

@@ -49,8 +49,6 @@ pub struct RenoStats {
     pub dupacks: u64,
     /// Partial ACKs handled inside fast recovery (NewReno only).
     pub partial_acks: u64,
-    /// Segments acknowledged.
-    pub acked_segments: u64,
 }
 
 /// A TCP Reno / NewReno sender: [`Window`] plus the halving, the inflated
@@ -108,7 +106,6 @@ impl RenoSender {
             timeouts: c.timeouts,
             dupacks: c.dupacks,
             partial_acks: c.partial_acks,
-            acked_segments: c.acked_segments,
         }
     }
 
@@ -128,16 +125,6 @@ impl RenoSender {
     /// Adjusts the duplicate-ACK threshold (used by the DSACK responses).
     pub fn set_dupthresh(&mut self, dupthresh: u32) {
         self.dupthresh = dupthresh.max(1);
-    }
-
-    /// Smoothed RTT estimate, if sampled.
-    pub fn srtt(&self) -> Option<SimDuration> {
-        self.w.rto().srtt()
-    }
-
-    /// Current retransmission timeout (including backoff).
-    pub fn current_rto(&self) -> SimDuration {
-        self.w.rto().rto()
     }
 
     /// True if `seq` has an outstanding retransmission this episode.
@@ -188,15 +175,6 @@ impl RenoSender {
         let cap = (0.9 * self.w.ssthresh).max(DUPTHRESH as f64) as u32;
         self.dupthresh = self.dupthresh.min(cap).max(1);
         self.w.arm_rto(now, out);
-    }
-}
-
-impl transport::telemetry::SenderTelemetry for RenoSender {
-    fn common_stats(&self) -> transport::telemetry::CommonStats {
-        transport::telemetry::CommonStats {
-            extra: vec![("partial_acks".to_owned(), self.w.counters().partial_acks)],
-            ..self.w.common_stats(self.name())
-        }
     }
 }
 
@@ -257,12 +235,12 @@ impl TcpSenderAlgo for RenoSender {
         self.w.ssthresh
     }
 
-    fn name(&self) -> &'static str {
-        if self.cfg.newreno {
-            "TCP-NewReno"
-        } else {
-            "TCP-Reno"
-        }
+    fn srtt(&self) -> Option<SimDuration> {
+        self.w.rto().srtt()
+    }
+
+    fn rto(&self) -> Option<SimDuration> {
+        Some(self.w.rto().rto())
     }
 
     fn in_flight(&self) -> usize {

@@ -42,10 +42,6 @@ pub struct SackStats {
     pub recoveries: u64,
     /// Retransmission timeouts.
     pub timeouts: u64,
-    /// Segments retransmitted from the scoreboard.
-    pub scoreboard_retransmits: u64,
-    /// Segments acknowledged cumulatively.
-    pub acked_segments: u64,
 }
 
 /// A TCP SACK sender.
@@ -103,16 +99,6 @@ impl SackSender {
         matches!(self.state, State::Recovery { .. })
     }
 
-    /// Smoothed RTT estimate, if sampled.
-    pub fn srtt(&self) -> Option<SimDuration> {
-        self.rto.srtt()
-    }
-
-    /// Current retransmission timeout (including backoff).
-    pub fn current_rto(&self) -> SimDuration {
-        self.rto.rto()
-    }
-
     /// The pipe estimate: segments believed in flight.
     pub fn pipe(&self) -> u64 {
         self.board.pipe(self.snd_una, self.snd_nxt)
@@ -122,10 +108,7 @@ impl SackSender {
         while (self.pipe() as f64) < self.cwnd.min(self.cfg.max_cwnd) {
             // NextSeg: first lost, un-retransmitted segment; else new data.
             match self.board.next_retransmit() {
-                Some(seq) => {
-                    out.transmit(seq, true);
-                    self.stats.scoreboard_retransmits += 1;
-                }
+                Some(seq) => out.transmit(seq, true),
                 None => {
                     out.transmit(self.snd_nxt, false);
                     self.snd_nxt += 1;
@@ -167,27 +150,7 @@ impl SackSender {
             // pipe-limited.
             if self.board.retransmit(self.snd_una) {
                 out.transmit(self.snd_una, true);
-                self.stats.scoreboard_retransmits += 1;
             }
-        }
-    }
-}
-
-impl transport::telemetry::SenderTelemetry for SackSender {
-    fn common_stats(&self) -> transport::telemetry::CommonStats {
-        transport::telemetry::CommonStats {
-            algorithm: self.name().to_owned(),
-            acked_segments: self.stats.acked_segments,
-            // SACK's dupack-counted recovery entries are its fast
-            // retransmits.
-            fast_retransmits: self.stats.recoveries,
-            timeouts: self.stats.timeouts,
-            cwnd: self.cwnd,
-            ssthresh: self.ssthresh,
-            srtt: self.srtt(),
-            rto: Some(self.current_rto()),
-            extra: vec![("scoreboard_retransmits".to_owned(), self.stats.scoreboard_retransmits)],
-            ..Default::default()
         }
     }
 }
@@ -202,7 +165,6 @@ impl TcpSenderAlgo for SackSender {
         let advanced = ack.cum_ack > self.snd_una;
         let newly = ack.cum_ack.saturating_sub(self.snd_una);
         if advanced {
-            self.stats.acked_segments += newly;
             self.snd_una = ack.cum_ack;
             // Defensive: a malformed ACK beyond snd_nxt must not wrap the
             // flight arithmetic.
@@ -258,8 +220,12 @@ impl TcpSenderAlgo for SackSender {
         self.ssthresh
     }
 
-    fn name(&self) -> &'static str {
-        "TCP-SACK"
+    fn srtt(&self) -> Option<SimDuration> {
+        self.rto.srtt()
+    }
+
+    fn rto(&self) -> Option<SimDuration> {
+        Some(self.rto.rto())
     }
 
     fn in_flight(&self) -> usize {

@@ -47,8 +47,6 @@ pub struct TdFrStats {
     pub cancelled_episodes: u64,
     /// Retransmission timeouts.
     pub timeouts: u64,
-    /// Segments acknowledged.
-    pub acked_segments: u64,
 }
 
 /// The TD-FR sender: [`Window`] plus the episode deadline, which shares the
@@ -88,18 +86,7 @@ impl TdFrSender {
             delayed_fast_retransmits: c.fast_retransmits,
             cancelled_episodes: self.cancelled_episodes,
             timeouts: c.timeouts,
-            acked_segments: c.acked_segments,
         }
-    }
-
-    /// Smoothed RTT estimate, if sampled.
-    pub fn srtt(&self) -> Option<SimDuration> {
-        self.w.rto().srtt()
-    }
-
-    /// Current retransmission timeout (including backoff).
-    pub fn current_rto(&self) -> SimDuration {
-        self.w.rto().rto()
     }
 
     /// The wait threshold `max(RTT/2, DT)` for the current episode.
@@ -169,16 +156,6 @@ impl TdFrSender {
     }
 }
 
-impl transport::telemetry::SenderTelemetry for TdFrSender {
-    fn common_stats(&self) -> transport::telemetry::CommonStats {
-        // A delayed fast retransmit that fires is TD-FR's fast retransmit.
-        transport::telemetry::CommonStats {
-            extra: vec![("cancelled_episodes".to_owned(), self.cancelled_episodes)],
-            ..self.w.common_stats(self.name())
-        }
-    }
-}
-
 impl TcpSenderAlgo for TdFrSender {
     fn on_start(&mut self, now: SimTime, out: &mut SenderOutput) {
         self.w.send_new_data(out);
@@ -235,8 +212,12 @@ impl TcpSenderAlgo for TdFrSender {
         self.w.ssthresh
     }
 
-    fn name(&self) -> &'static str {
-        "TD-FR"
+    fn srtt(&self) -> Option<SimDuration> {
+        self.w.rto().srtt()
+    }
+
+    fn rto(&self) -> Option<SimDuration> {
+        Some(self.w.rto().rto())
     }
 
     fn in_flight(&self) -> usize {

@@ -67,18 +67,6 @@ pub enum BbrState {
     ProbeRtt,
 }
 
-impl BbrState {
-    /// Small integer code used in telemetry `extra` counters.
-    fn code(self) -> u64 {
-        match self {
-            BbrState::Startup => 0,
-            BbrState::Drain => 1,
-            BbrState::ProbeBw => 2,
-            BbrState::ProbeRtt => 3,
-        }
-    }
-}
-
 /// Configuration for [`BbrSender`].
 #[derive(Debug, Clone)]
 pub struct BbrConfig {
@@ -95,22 +83,14 @@ impl Default for BbrConfig {
 /// Event counters for [`BbrSender`].
 #[derive(Debug, Clone, Copy, Default, serde::Serialize)]
 pub struct BbrStats {
-    /// Segments acknowledged.
-    pub acked_segments: u64,
     /// Fast-retransmit events (loss-recovery episodes entered on SACKs).
     pub fast_retransmits: u64,
-    /// Scoreboard-driven retransmissions of segments marked lost.
-    pub scoreboard_retransmits: u64,
     /// Retransmission timeouts.
     pub timeouts: u64,
-    /// Duplicate ACKs observed.
-    pub dupacks: u64,
     /// Delivery-rate samples fed to the bandwidth filter.
     pub bw_samples: u64,
     /// ProbeRTT episodes entered.
     pub probe_rtt_entries: u64,
-    /// Packet-timed round trips completed.
-    pub rounds: u64,
 }
 
 /// What was recorded when a segment was (last) put on the wire, for
@@ -146,7 +126,6 @@ pub struct BbrSender {
     cwnd: f64,
     snd_una: u64,
     snd_nxt: u64,
-    dupacks: u32,
     /// `Some(recover)`: in a loss-recovery episode until `recover` is acked.
     recovery: Option<u64>,
     rto: RtoEstimator,
@@ -208,7 +187,6 @@ impl BbrSender {
             cwnd: MIN_PIPE_CWND,
             snd_una: 0,
             snd_nxt: 0,
-            dupacks: 0,
             recovery: None,
             rto: RtoEstimator::RFC2988,
             board: Scoreboard::default(),
@@ -253,11 +231,6 @@ impl BbrSender {
         self.bw_filter.get()
     }
 
-    /// Smoothed RTT estimate, if sampled.
-    pub fn srtt(&self) -> Option<SimDuration> {
-        self.rto.srtt()
-    }
-
     /// The pipe estimate: segments believed in flight. SACKed segments
     /// have left the network; lost ones too, unless retransmitted.
     fn flight(&self) -> u64 {
@@ -277,10 +250,7 @@ impl BbrSender {
         let window = self.cwnd.min(self.cfg.max_cwnd);
         while (self.flight() as f64) < window {
             let (seq, is_rtx) = match self.board.next_retransmit() {
-                Some(seq) => {
-                    self.stats.scoreboard_retransmits += 1;
-                    (seq, true)
-                }
+                Some(seq) => (seq, true),
                 None => {
                     let seq = self.snd_nxt;
                     self.snd_nxt += 1;
@@ -344,7 +314,6 @@ impl BbrSender {
             self.packet_conservation = true;
             self.conservation_ends_round = self.round_count + 1;
             if self.board.retransmit(self.snd_una) {
-                self.stats.scoreboard_retransmits += 1;
                 self.records.set(self.snd_una, self.send_record(true));
                 out.transmit(self.snd_una, true);
             }
@@ -359,7 +328,6 @@ impl BbrSender {
         if let Some(rec) = self.records.get(ack.cum_ack - 1).copied() {
             if rec.delivered >= self.next_round_delivered {
                 self.round_count += 1;
-                self.stats.rounds += 1;
                 self.next_round_delivered = self.delivered;
                 self.round_start = true;
             }
@@ -507,14 +475,12 @@ impl BbrSender {
 
     fn handle_new_ack(&mut self, ack: &AckEvent, now: SimTime) {
         let newly = ack.cum_ack - self.snd_una;
-        self.stats.acked_segments += newly;
         // Segments already credited at SACK time must not be re-counted.
         let newly_delivered = newly - self.board.sacked_in(self.snd_una, ack.cum_ack);
         self.credit_delivered(newly_delivered, now);
         self.update_model(ack, now);
         self.snd_una = ack.cum_ack;
         self.snd_nxt = self.snd_nxt.max(ack.cum_ack);
-        self.dupacks = 0;
         while self.records.pop_below(ack.cum_ack).is_some() {}
         self.board.advance(ack.cum_ack);
         if let Some(recover) = self.recovery {
@@ -525,32 +491,6 @@ impl BbrSender {
         }
         self.update_state(now);
         self.update_cwnd(newly);
-    }
-}
-
-impl transport::telemetry::SenderTelemetry for BbrSender {
-    fn common_stats(&self) -> transport::telemetry::CommonStats {
-        transport::telemetry::CommonStats {
-            algorithm: self.name().to_owned(),
-            acked_segments: self.stats.acked_segments,
-            fast_retransmits: self.stats.fast_retransmits,
-            timeouts: self.stats.timeouts,
-            dupacks: self.stats.dupacks,
-            cwnd: self.cwnd,
-            ssthresh: self.ssthresh(),
-            srtt: self.srtt(),
-            rto: Some(self.rto.rto()),
-            extra: vec![
-                ("bbr_state".to_owned(), self.state.code()),
-                ("bw_samples".to_owned(), self.stats.bw_samples),
-                ("probe_rtt_entries".to_owned(), self.stats.probe_rtt_entries),
-                ("rounds".to_owned(), self.stats.rounds),
-                ("btl_bw_sps".to_owned(), self.btl_bw().unwrap_or(0.0).round() as u64),
-                ("rt_prop_us".to_owned(), self.min_rtt.map_or(0, |d| d.as_nanos() / 1_000)),
-                ("pacing_rate_sps".to_owned(), self.pacing_rate().unwrap_or(0.0).round() as u64),
-            ],
-            ..Default::default()
-        }
     }
 }
 
@@ -568,10 +508,7 @@ impl TcpSenderAlgo for BbrSender {
         let delivered_before = self.delivered;
         if advanced {
             self.handle_new_ack(ack, now);
-        } else if ack.dup {
-            self.dupacks += 1;
-            self.stats.dupacks += 1;
-        } else {
+        } else if !ack.dup {
             return;
         }
         // Newly SACKed segments are credited as delivered (with a rate
@@ -622,7 +559,6 @@ impl TcpSenderAlgo for BbrSender {
         obs::span(now.as_nanos(), "cc.rto_expiry", || {
             format!("algo=bbr una={} flight={}", self.snd_una, self.snd_nxt - self.snd_una)
         });
-        self.dupacks = 0;
         self.rto.backoff();
         // Everything unsacked is presumed lost and retransmits in order as
         // the window re-opens from the floor; the model (BtlBw × RTprop)
@@ -646,8 +582,12 @@ impl TcpSenderAlgo for BbrSender {
         f64::INFINITY
     }
 
-    fn name(&self) -> &'static str {
-        "BBR"
+    fn srtt(&self) -> Option<SimDuration> {
+        self.rto.srtt()
+    }
+
+    fn rto(&self) -> Option<SimDuration> {
+        Some(self.rto.rto())
     }
 
     fn in_flight(&self) -> usize {

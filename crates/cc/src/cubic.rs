@@ -74,10 +74,6 @@ pub struct CubicStats {
     pub dupacks: u64,
     /// Partial ACKs handled inside fast recovery.
     pub partial_acks: u64,
-    /// Segments acknowledged.
-    pub acked_segments: u64,
-    /// ACKs whose growth came from the TCP-friendly region (§4.2).
-    pub tcp_friendly_acks: u64,
     /// Fast-convergence `W_max` reductions taken (§4.6).
     pub fast_convergence_events: u64,
 }
@@ -101,7 +97,6 @@ pub struct CubicStats {
 pub struct CubicSender {
     cfg: CubicConfig,
     w: Window,
-    tcp_friendly_acks: u64,
     fast_convergence_events: u64,
     /// Window at the last congestion event (the cubic anchor).
     w_max: f64,
@@ -115,15 +110,7 @@ impl CubicSender {
     /// Creates a sender in slow start with `cwnd = 1`.
     pub fn new(cfg: CubicConfig) -> Self {
         let w = Window::new("cubic", cfg.max_cwnd);
-        CubicSender {
-            cfg,
-            w,
-            tcp_friendly_acks: 0,
-            fast_convergence_events: 0,
-            w_max: 0.0,
-            k: 0.0,
-            epoch_start: None,
-        }
+        CubicSender { cfg, w, fast_convergence_events: 0, w_max: 0.0, k: 0.0, epoch_start: None }
     }
 
     /// Event counters.
@@ -134,8 +121,6 @@ impl CubicSender {
             timeouts: c.timeouts,
             dupacks: c.dupacks,
             partial_acks: c.partial_acks,
-            acked_segments: c.acked_segments,
-            tcp_friendly_acks: self.tcp_friendly_acks,
             fast_convergence_events: self.fast_convergence_events,
         }
     }
@@ -143,11 +128,6 @@ impl CubicSender {
     /// The current cubic anchor `W_max`, in segments.
     pub fn w_max(&self) -> f64 {
         self.w_max
-    }
-
-    /// Smoothed RTT estimate, if sampled.
-    pub fn srtt(&self) -> Option<SimDuration> {
-        self.w.rto().srtt()
     }
 
     /// One congestion event: update `W_max` (with fast convergence), shrink
@@ -196,7 +176,6 @@ impl CubicSender {
         let friendly = w_est(t, rtt, self.w_max, BETA);
         if target < friendly {
             // TCP-friendly region: never slower than the AIMD response.
-            self.tcp_friendly_acks += 1;
             self.w.cwnd = cwnd.max(friendly);
         } else if target > cwnd {
             self.w.cwnd += (target - cwnd) / cwnd * newly as f64;
@@ -211,20 +190,6 @@ impl CubicSender {
             self.w.cwnd = (self.w.cwnd + newly as f64).min(self.cfg.max_cwnd);
         } else {
             self.cubic_growth(now, newly);
-        }
-    }
-}
-
-impl transport::telemetry::SenderTelemetry for CubicSender {
-    fn common_stats(&self) -> transport::telemetry::CommonStats {
-        transport::telemetry::CommonStats {
-            extra: vec![
-                ("partial_acks".to_owned(), self.w.counters().partial_acks),
-                ("tcp_friendly_acks".to_owned(), self.tcp_friendly_acks),
-                ("fast_convergence_events".to_owned(), self.fast_convergence_events),
-                ("w_max_segments".to_owned(), self.w_max.round() as u64),
-            ],
-            ..self.w.common_stats(self.name())
         }
     }
 }
@@ -276,8 +241,12 @@ impl TcpSenderAlgo for CubicSender {
         self.w.ssthresh
     }
 
-    fn name(&self) -> &'static str {
-        "CUBIC"
+    fn srtt(&self) -> Option<SimDuration> {
+        self.w.rto().srtt()
+    }
+
+    fn rto(&self) -> Option<SimDuration> {
+        Some(self.w.rto().rto())
     }
 
     fn in_flight(&self) -> usize {

@@ -292,32 +292,6 @@ impl TcpPrSender {
     }
 }
 
-impl transport::telemetry::SenderTelemetry for TcpPrSender {
-    fn common_stats(&self) -> transport::telemetry::CommonStats {
-        transport::telemetry::CommonStats {
-            algorithm: self.name().to_owned(),
-            acked_segments: self.stats.acked_segments,
-            // TCP-PR's only loss signal is per-packet timer expiry, so every
-            // detected drop is a timeout; it has no dupack-driven recovery.
-            timeouts: self.stats.drops_detected,
-            cwnd: self.cwnd,
-            ssthresh: self.ssthr,
-            // ewrtt/mxrtt are TCP-PR's analogues of srtt/RTO: the smoothed
-            // RTT bound and the deadline after which a packet is declared
-            // lost.
-            srtt: self.ewrtt(),
-            rto: Some(self.mxrtt()),
-            extra: vec![
-                ("window_halvings".to_owned(), self.stats.window_halvings),
-                ("memorize_drops".to_owned(), self.stats.memorize_drops),
-                ("extreme_loss_events".to_owned(), self.stats.extreme_loss_events),
-                ("backoff_doublings".to_owned(), self.stats.backoff_doublings),
-            ],
-            ..Default::default()
-        }
-    }
-}
-
 impl TcpSenderAlgo for TcpPrSender {
     fn on_start(&mut self, now: SimTime, out: &mut SenderOutput) {
         self.flush_cwnd(now, out);
@@ -389,8 +363,15 @@ impl TcpSenderAlgo for TcpPrSender {
         self.ssthr
     }
 
-    fn name(&self) -> &'static str {
-        "TCP-PR"
+    /// `ewrtt`, TCP-PR's smoothed RTT bound.
+    fn srtt(&self) -> Option<SimDuration> {
+        self.ewrtt()
+    }
+
+    /// `mxrtt`, the age at which a packet is declared lost: TCP-PR's
+    /// analogue of the RTO.
+    fn rto(&self) -> Option<SimDuration> {
+        Some(self.mxrtt())
     }
 
     fn in_flight(&self) -> usize {

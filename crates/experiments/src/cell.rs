@@ -18,6 +18,8 @@
 //! simultaneous events by sequence number, and each scheduled route
 //! change, admin action and attached agent takes the next one.
 
+use std::any::Any;
+
 use netsim::event::EventQueue;
 use netsim::ids::{AgentId, FlowId, LinkId, NodeId};
 use netsim::impair::{bandwidth_oscillation, delay_oscillation, flap_schedule, LinkAdmin};
@@ -31,7 +33,7 @@ use netsim::{derive_seed, AdminEntry, StageConfig};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::Value;
-use tcp_pr::TcpPrConfig;
+use tcp_pr::{TcpPrConfig, TcpPrSender};
 use transport::host::{attach_flow, receiver_host, sender_host, FlowHandle, FlowOptions};
 use transport::sender::TcpSenderAlgo;
 use transport::telemetry::{cwnd_probe, rto_probe, srtt_probe};
@@ -214,10 +216,7 @@ pub fn lower(
     };
     match *kind {
         ScenarioKind::Fairness { topology, n_flows, alpha, beta, .. } => {
-            assert!(
-                n_flows >= 2 && n_flows.is_multiple_of(2),
-                "need an even, positive number of flows"
-            );
+            assert!(n_flows >= 2 && n_flows % 2 == 0, "need an even, positive number of flows");
             let (topology, cross_pairs) = match topology {
                 TopologySpec::Dumbbell { bottleneck_mbps: mbps } => {
                     let cfg = DumbbellConfig::default();
@@ -1008,7 +1007,11 @@ impl Observed<'_> {
         let sc = self.scenario;
         let tx = || sender_host::<Box<dyn TcpSenderAlgo>>(self.sim, self.flow.sender);
         let rx = || receiver_host(self.sim, self.flow.receiver).receiver_stats();
-        let algo_counter = |name| tx().algo().common_stats().extra(name).unwrap_or(0);
+        // Ablation cells run TCP-PR only. Downcast the sender, not its box.
+        let pr = || {
+            let algo: &dyn Any = &**tx().algo();
+            algo.downcast_ref::<TcpPrSender>().expect("an ablation cell runs TCP-PR").stats()
+        };
         let totals = || self.sim.impair_totals();
         let goodput = |i: usize| Value::Float(mbps(self.delivered[i], self.window_s));
         let floats = |xs: Vec<f64>| Value::Array(xs.into_iter().map(Value::Float).collect());
@@ -1069,8 +1072,8 @@ impl Observed<'_> {
             Metric::ReceiverDuplicates => Value::UInt(rx().duplicates),
             Metric::QueueDrops => Value::UInt(self.sim.stats().queue_drops),
             Metric::RouteChanges => Value::UInt(self.route_changes),
-            Metric::WindowHalvings => Value::UInt(algo_counter("window_halvings")),
-            Metric::ExtremeLossEvents => Value::UInt(algo_counter("extreme_loss_events")),
+            Metric::WindowHalvings => Value::UInt(pr().window_halvings),
+            Metric::ExtremeLossEvents => Value::UInt(pr().extreme_loss_events),
             Metric::ImpairDrops => Value::UInt(totals().drops()),
             Metric::ImpairDups => Value::UInt(totals().duplicates),
             Metric::ReorderDisplacements => Value::UInt(totals().reorder_displacements()),

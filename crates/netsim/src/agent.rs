@@ -83,8 +83,10 @@ impl<'a> AgentCtx<'a> {
 /// A transport endpoint.
 ///
 /// Implementations receive packets addressed to their `(node, flow)` pair
-/// and may emit packets and timers through the [`AgentCtx`].
-pub trait Agent {
+/// and may emit packets and timers through the [`AgentCtx`]. An agent's
+/// statistics are read where they live, on its concrete type, through
+/// `as_any`.
+pub trait Agent: Any {
     /// Invoked once when the simulation starts (time zero).
     fn on_start(&mut self, ctx: &mut AgentCtx<'_>);
 
@@ -101,10 +103,12 @@ pub trait Agent {
     fn on_aux_timer(&mut self, ctx: &mut AgentCtx<'_>) {
         let _ = ctx;
     }
+}
 
-    /// Upcast for downcasting concrete agent types when reading statistics.
-    fn as_any(&self) -> &dyn Any;
-
-    /// Mutable upcast.
-    fn as_any_mut(&mut self) -> &mut dyn Any;
+impl dyn Agent {
+    /// The agent as [`Any`], to downcast to its concrete type:
+    /// `sim.agent(id).as_any().downcast_ref::<CbrSink>()`.
+    pub fn as_any(&self) -> &dyn Any {
+        self
+    }
 }

@@ -570,8 +570,8 @@ impl Simulator {
         id
     }
 
-    /// Immutable access to an agent (for reading statistics via
-    /// [`Agent::as_any`]).
+    /// Immutable access to an agent; its statistics are read on its
+    /// concrete type, through `sim.agent(id).as_any().downcast_ref::<A>()`.
     pub fn agent(&self, id: AgentId) -> &dyn Agent {
         self.agents[id.index()].as_deref().expect("agent is not re-entrantly borrowed")
     }
@@ -1010,7 +1010,6 @@ mod tests {
     use super::*;
     use crate::ids::RouteId;
     use crate::packet::{AckHeader, DataHeader, DATA_PACKET_BYTES};
-    use std::any::Any;
 
     /// Sends `count` data packets at start, records ACK arrivals.
     struct Blaster {
@@ -1040,12 +1039,6 @@ mod tests {
             }
         }
         fn on_timer(&mut self, _ctx: &mut AgentCtx<'_>) {}
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
-        }
     }
 
     /// Echoes every data packet with an ACK carrying seq+1.
@@ -1074,12 +1067,6 @@ mod tests {
             }
         }
         fn on_timer(&mut self, _ctx: &mut AgentCtx<'_>) {}
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
-        }
     }
 
     fn two_node_sim(seed: u64) -> (Simulator, AgentId, AgentId, NodeId, NodeId) {
@@ -1137,12 +1124,6 @@ mod tests {
         fn on_packet(&mut self, _p: Packet, _ctx: &mut AgentCtx<'_>) {}
         fn on_timer(&mut self, ctx: &mut AgentCtx<'_>) {
             self.step(ctx);
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
 
@@ -1576,12 +1557,6 @@ mod tests {
             fn on_timer(&mut self, _ctx: &mut AgentCtx<'_>) {
                 self.fired += 1;
             }
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
-            }
         }
         let mut b = SimBuilder::new(0);
         let a = b.add_node();
@@ -1604,12 +1579,6 @@ mod tests {
             fn on_packet(&mut self, _p: Packet, _ctx: &mut AgentCtx<'_>) {}
             fn on_timer(&mut self, _ctx: &mut AgentCtx<'_>) {
                 self.fired += 1;
-            }
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
             }
         }
         let mut b = SimBuilder::new(0);
@@ -1650,12 +1619,6 @@ mod tests {
             fn on_aux_timer(&mut self, ctx: &mut AgentCtx<'_>) {
                 self.aux_fired += 1;
                 ctx.set_aux_timer(ctx.now + SimDuration::from_millis(30));
-            }
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
             }
         }
         let mut b = SimBuilder::new(0);
@@ -1753,12 +1716,6 @@ mod tests {
         fn on_packet(&mut self, _p: Packet, _ctx: &mut AgentCtx<'_>) {}
         fn on_timer(&mut self, ctx: &mut AgentCtx<'_>) {
             self.fired.push(ctx.now);
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
 
@@ -1970,12 +1927,6 @@ mod tests {
                 self.seq += 1;
                 ctx.set_timer(ctx.now + SimDuration::from_millis(10));
             }
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
-            }
         }
         let flow = FlowId::from_raw(0);
         sim.add_agent(a, flow, Box::new(Ticker { dst: d, seq: 0 }));
@@ -2054,12 +2005,6 @@ mod tests {
         }
         fn on_aux_timer(&mut self, ctx: &mut AgentCtx<'_>) {
             self.run("aux", ctx);
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
 
@@ -2233,12 +2178,6 @@ mod tests {
             self.got.push((p.uid, p.route));
         }
         fn on_timer(&mut self, _ctx: &mut AgentCtx<'_>) {}
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
-        }
     }
 
     fn sunk(sim: &Simulator, id: AgentId) -> &[(u64, Option<RouteId>)] {
@@ -2439,12 +2378,6 @@ mod tests {
             self.drew.push(ctx.random());
         }
         fn on_timer(&mut self, _ctx: &mut AgentCtx<'_>) {}
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
-        }
     }
 
     #[test]

@@ -232,7 +232,6 @@ mod tests {
     use crate::link::LinkConfig;
     use crate::packet::{DataHeader, Packet, PacketKind, DATA_PACKET_BYTES};
     use crate::sim::SimBuilder;
-    use std::any::Any;
 
     struct Blaster {
         dst: NodeId,
@@ -256,12 +255,6 @@ mod tests {
         }
         fn on_packet(&mut self, _p: Packet, _ctx: &mut AgentCtx<'_>) {}
         fn on_timer(&mut self, _ctx: &mut AgentCtx<'_>) {}
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
-        }
     }
 
     fn burst_sim() -> (crate::sim::Simulator, LinkId) {

@@ -8,8 +8,6 @@
 //! (fixed on/off periods), which the stress suite uses so impairment
 //! scenarios aren't limited to greedy FTP-style flows.
 
-use std::any::Any;
-
 use crate::agent::{Agent, AgentCtx};
 use crate::ids::NodeId;
 use crate::packet::{DataHeader, Packet, PacketKind};
@@ -97,14 +95,6 @@ impl Agent for CbrSource {
 
     fn on_timer(&mut self, ctx: &mut AgentCtx<'_>) {
         self.emit(ctx);
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -226,14 +216,6 @@ impl Agent for OnOffSource {
     fn on_timer(&mut self, ctx: &mut AgentCtx<'_>) {
         self.tick(ctx);
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 /// Counts CBR arrivals and measures loss/reordering.
@@ -288,14 +270,6 @@ impl Agent for CbrSink {
     }
 
     fn on_timer(&mut self, _ctx: &mut AgentCtx<'_>) {}
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 #[cfg(test)]

@@ -26,7 +26,6 @@ use netsim::time::SimTime;
 
 use crate::rto::RtoEstimator;
 use crate::sender::{AckEvent, SenderOutput, INITIAL_SSTHRESH};
-use crate::telemetry::CommonStats;
 
 /// The event counters every duplicate-ACK variant reports.
 #[derive(Debug, Clone, Copy, Default)]
@@ -39,8 +38,6 @@ pub struct Counters {
     pub dupacks: u64,
     /// Holes plugged on partial ACKs inside recovery.
     pub partial_acks: u64,
-    /// Segments cumulatively acknowledged.
-    pub acked_segments: u64,
 }
 
 /// What a cumulative advance meant for the recovery episode.
@@ -168,23 +165,6 @@ impl Window {
         self.counters
     }
 
-    /// The fields of [`CommonStats`] every duplicate-ACK variant fills the
-    /// same way; `extra` is left for the caller.
-    pub fn common_stats(&self, algorithm: &str) -> CommonStats {
-        CommonStats {
-            algorithm: algorithm.to_owned(),
-            acked_segments: self.counters.acked_segments,
-            fast_retransmits: self.counters.fast_retransmits,
-            timeouts: self.counters.timeouts,
-            dupacks: self.counters.dupacks,
-            cwnd: self.cwnd,
-            ssthresh: self.ssthresh,
-            srtt: self.rto.srtt(),
-            rto: Some(self.rto.rto()),
-            ..Default::default()
-        }
-    }
-
     /// Sends until the flight fills `min(cwnd, max_cwnd)` plus any limited-
     /// transmit credit. After a timeout the refill runs from `snd_una`
     /// (go-back-N): whatever was sent before is a retransmission.
@@ -248,7 +228,6 @@ impl Window {
             return None;
         }
         let newly = ack.cum_ack - self.snd_una;
-        self.counters.acked_segments += newly;
         self.snd_una = ack.cum_ack;
         self.snd_nxt = self.snd_nxt.max(ack.cum_ack);
         self.dupacks = 0;

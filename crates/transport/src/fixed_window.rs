@@ -8,7 +8,6 @@
 use netsim::time::{SimDuration, SimTime};
 
 use crate::sender::{AckEvent, SenderOutput, TcpSenderAlgo};
-use crate::telemetry::{CommonStats, SenderTelemetry};
 
 /// A sender with a constant window and a crude go-back-N timeout.
 #[derive(Debug)]
@@ -40,18 +39,6 @@ impl FixedWindowSender {
     }
 }
 
-impl SenderTelemetry for FixedWindowSender {
-    fn common_stats(&self) -> CommonStats {
-        CommonStats {
-            algorithm: self.name().to_owned(),
-            acked_segments: self.snd_una,
-            cwnd: self.cwnd(),
-            ssthresh: self.ssthresh(),
-            ..CommonStats::default()
-        }
-    }
-}
-
 impl TcpSenderAlgo for FixedWindowSender {
     fn on_start(&mut self, now: SimTime, out: &mut SenderOutput) {
         self.fill(now, out);
@@ -80,8 +67,12 @@ impl TcpSenderAlgo for FixedWindowSender {
         f64::INFINITY
     }
 
-    fn name(&self) -> &'static str {
-        "fixed-window"
+    fn srtt(&self) -> Option<SimDuration> {
+        None
+    }
+
+    fn rto(&self) -> Option<SimDuration> {
+        Some(self.timeout)
     }
 
     fn in_flight(&self) -> usize {

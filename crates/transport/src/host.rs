@@ -4,7 +4,6 @@
 //! [`ReceiverHost`] does the same for the shared [`TcpReceiver`]. The
 //! [`attach_flow`] helper wires a sender/receiver pair onto a topology.
 
-use std::any::Any;
 use std::collections::{HashMap, VecDeque};
 
 use netsim::agent::{Agent, AgentCtx};
@@ -261,14 +260,6 @@ impl<S: TcpSenderAlgo + 'static> Agent for SenderHost<S> {
             }
         }
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 /// A receiver endpoint: hosts the shared [`TcpReceiver`] on a node.
@@ -380,14 +371,6 @@ impl Agent for ReceiverHost {
         if let Some((dst, header)) = self.pending.take() {
             self.emit(ctx, dst, header);
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -588,12 +571,6 @@ mod tests {
         rate: f64,
     }
 
-    impl crate::telemetry::SenderTelemetry for PacedFixed {
-        fn common_stats(&self) -> crate::telemetry::CommonStats {
-            self.inner.common_stats()
-        }
-    }
-
     impl TcpSenderAlgo for PacedFixed {
         fn on_start(&mut self, now: SimTime, out: &mut SenderOutput) {
             self.inner.on_start(now, out);
@@ -610,8 +587,11 @@ mod tests {
         fn ssthresh(&self) -> f64 {
             self.inner.ssthresh()
         }
-        fn name(&self) -> &'static str {
-            "paced-fixed"
+        fn srtt(&self) -> Option<SimDuration> {
+            self.inner.srtt()
+        }
+        fn rto(&self) -> Option<SimDuration> {
+            self.inner.rto()
         }
         fn in_flight(&self) -> usize {
             self.inner.in_flight()

@@ -59,4 +59,3 @@ pub use pacing::Pacer;
 pub use receiver::{AckDescriptor, ReceiverConfig, ReceiverStats, TcpReceiver};
 pub use rto::RtoEstimator;
 pub use sender::{AckEvent, SenderOutput, TcpSenderAlgo, TimerOp, Transmission};
-pub use telemetry::{CommonStats, SenderTelemetry};

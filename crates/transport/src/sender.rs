@@ -5,7 +5,9 @@
 //! deadline through a [`SenderOutput`] buffer. This keeps every congestion
 //! control algorithm free of simulator types and unit-testable in isolation.
 
-use netsim::time::SimTime;
+use std::any::Any;
+
+use netsim::time::{SimDuration, SimTime};
 
 /// Duplicate ACKs that trigger fast retransmit, and SACKed segments above a
 /// hole that mark it lost (3 in standard TCP).
@@ -115,11 +117,13 @@ impl SenderOutput {
 /// long-lived FTP flows): any segment number may be sent once the window
 /// allows. Hosts deliver events in simulation-time order.
 ///
-/// The [`SenderTelemetry`](crate::telemetry::SenderTelemetry) supertrait
-/// obliges every variant to render its counters into a shared
-/// [`CommonStats`](crate::telemetry::CommonStats) snapshot, so experiments
-/// can report any mix of variants through one interface.
-pub trait TcpSenderAlgo: std::fmt::Debug + crate::telemetry::SenderTelemetry {
+/// The trait carries the state every variant has (`cwnd`, `ssthresh`, the
+/// RTT estimate and the timeout); a variant's own counters are read where
+/// they live, on its concrete type, through `Any`:
+/// `(&**algo as &dyn Any).downcast_ref::<TcpPrSender>()` for a
+/// `Box<dyn TcpSenderAlgo>`. The box itself is `Any` too, so downcasting
+/// `algo` without the `&**` finds the box, not the sender.
+pub trait TcpSenderAlgo: std::fmt::Debug + Any {
     /// Called once when the flow starts; typically transmits the initial
     /// window and arms a timer.
     fn on_start(&mut self, now: SimTime, out: &mut SenderOutput);
@@ -136,8 +140,12 @@ pub trait TcpSenderAlgo: std::fmt::Debug + crate::telemetry::SenderTelemetry {
     /// Current slow-start threshold, in segments (`f64::INFINITY` if unset).
     fn ssthresh(&self) -> f64;
 
-    /// Short algorithm name used in reports (e.g. `"TCP-PR"`, `"TCP-SACK"`).
-    fn name(&self) -> &'static str;
+    /// Smoothed RTT estimate, if the variant has sampled one.
+    fn srtt(&self) -> Option<SimDuration>;
+
+    /// Current retransmission timeout (backoff included), if the variant
+    /// keeps one.
+    fn rto(&self) -> Option<SimDuration>;
 
     /// Number of segments currently considered in flight (diagnostic).
     fn in_flight(&self) -> usize;
@@ -167,8 +175,11 @@ impl TcpSenderAlgo for Box<dyn TcpSenderAlgo> {
     fn ssthresh(&self) -> f64 {
         (**self).ssthresh()
     }
-    fn name(&self) -> &'static str {
-        (**self).name()
+    fn srtt(&self) -> Option<SimDuration> {
+        (**self).srtt()
+    }
+    fn rto(&self) -> Option<SimDuration> {
+        (**self).rto()
     }
     fn in_flight(&self) -> usize {
         (**self).in_flight()

@@ -23,8 +23,6 @@
 //! memory per concurrent flow flat and measurable
 //! ([`ChurnSource::state_bytes`]).
 
-use std::any::Any;
-
 use netsim::agent::{Agent, AgentCtx};
 use netsim::packet::{DataHeader, Packet, PacketKind};
 use netsim::time::{SimDuration, SimTime};
@@ -256,14 +254,6 @@ impl Agent for ChurnSource {
         self.arm_emission(ctx);
         self.arm_next_arrival(ctx);
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 /// Counting sink for a churn source's packets.
@@ -291,14 +281,6 @@ impl Agent for ChurnSink {
     }
 
     fn on_timer(&mut self, _ctx: &mut AgentCtx<'_>) {}
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 #[cfg(test)]

@@ -219,7 +219,7 @@ fn link_rng(seed: u64, link_index: usize) -> SmallRng {
 }
 
 fn fat_tree(k: u32, seed: u64) -> GeneratedTopology {
-    assert!(k >= 2 && k.is_multiple_of(2), "fat-tree arity must be even and >= 2, got {k}");
+    assert!(k >= 2 && k % 2 == 0, "fat-tree arity must be even and >= 2, got {k}");
     let k = k as usize;
     let half = k / 2;
     let cores = half * half;

@@ -1,5 +1,5 @@
 //! The smoke cells' rows of the golden table (`golden/pins.rs`), one test per
-//! kind `experiments::cell` lowers, and the two forensic payloads: capture
+//! kind `experiments::cell` lowers, and the four forensic payloads: capture
 //! only reads the simulation, so the report it embeds is the plain run's.
 
 #[path = "golden/pins.rs"]

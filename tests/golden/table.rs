@@ -74,7 +74,7 @@ pub fn scenarios() -> Vec<(&'static str, String, Scenario)> {
         smoke_cells().into_iter().map(|s| (group(&s), label("smoke", &s), Scenario::Cell(s))),
     );
     let hunt = hunt_cells();
-    for spec in [&hunt[0], &hunt[7]] {
+    for spec in [&hunt[0], &hunt[3], &hunt[7], &hunt[9]] {
         rows.push(("forensic", label("forensic", spec), Scenario::Forensic(spec.clone())));
     }
     rows.extend(

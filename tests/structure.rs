@@ -42,7 +42,7 @@ const fn forbid(alternatives: &'static str) -> Check {
 /// out.
 type Rule = (&'static str, &'static str, &'static [(&'static str, Scope, Check)]);
 
-const RULES: [Rule; 10] = [
+const RULES: [Rule; 11] = [
     (
         "The packet path does not hash",
         "Agents and routes are found by index and a callback acts through its context \
@@ -219,6 +219,21 @@ const RULES: [Rule; 10] = [
                 Body("struct MeshConfig {"),
                 forbid("pub queue_packets:"),
             ),
+        ],
+    ),
+    (
+        "A sender is read where it lives",
+        "A sender's counters are its own `stats()` and an agent's its own fields, reached by \
+         downcasting through `Any` (DESIGN.md §2 \"TCP senders are pure state machines\"): the \
+         snapshot every sender copied itself into, and the upcast every agent wrote out, stay \
+         gone. `impl dyn Agent` in agent.rs holds the one `as_any`.",
+        &[
+            (
+                "crates tests examples",
+                File,
+                forbid("CommonStats|SenderTelemetry|common_stats|fn as_any_mut"),
+            ),
+            ("crates tests examples", File, OnlyIn("fn as_any(", "crates/netsim/src/agent.rs")),
         ],
     ),
 ];

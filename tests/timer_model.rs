@@ -11,7 +11,6 @@
 //! callbacks must be the reference's, and the oracle — lost timers
 //! included — must be clean whenever the run is paused.
 
-use std::any::Any;
 use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -128,12 +127,6 @@ impl Agent for Scripted {
     }
     fn on_aux_timer(&mut self, ctx: &mut AgentCtx<'_>) {
         self.callback(Some(AUX), ctx);
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
