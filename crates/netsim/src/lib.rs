@@ -54,7 +54,7 @@ pub use ids::{AgentId, FlowId, LinkId, NodeId, PacketId, RouteId};
 pub use impair::{derive_seed, AdminEntry, ImpairStats, LinkAdmin, StageConfig};
 pub use link::LinkConfig;
 pub use oracle::{Snapshot, Violation};
-pub use packet::{AckHeader, DataHeader, Packet, PacketKind, ACK_PACKET_BYTES, DATA_PACKET_BYTES};
+pub use packet::{AckEvent, DataHeader, Packet, PacketKind, ACK_PACKET_BYTES, DATA_PACKET_BYTES};
 pub use sim::{SimBuilder, SimStats, Simulator};
 pub use telemetry::{Sampler, TimeSeries};
 pub use time::{SimDuration, SimTime};

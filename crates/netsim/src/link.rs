@@ -12,7 +12,7 @@
 
 use crate::event::EventKey;
 use crate::ids::{NodeId, PacketId};
-use crate::impair::{ImpairPipeline, ImpairStats, StageConfig};
+use crate::impair::{ImpairPipeline, ImpairStats};
 use crate::queue::{LinkQueue, QueuePolicy};
 use crate::time::{SimDuration, SimTime};
 
@@ -37,9 +37,6 @@ pub struct LinkConfig {
     pub jitter: Option<LinkJitter>,
     /// Two-class DiffServ queueing; `None` (default) is a single FIFO.
     pub diffserv: Option<DiffservConfig>,
-    /// Ordered impairment stages run on each departing packet; empty
-    /// (default) disables the pipeline. See [`crate::impair`].
-    pub impair: Vec<StageConfig>,
 }
 
 /// Random extra-delay configuration; see [`LinkConfig::jitter`].
@@ -98,7 +95,6 @@ impl LinkConfig {
             random_loss: 0.0,
             jitter: None,
             diffserv: None,
-            impair: Vec::new(),
         }
     }
 
@@ -128,13 +124,6 @@ impl LinkConfig {
             assert!(hi > 0 && lo > 0, "WRR shares must be positive");
         }
         self.diffserv = Some(DiffservConfig { high_prob, scheduler });
-        self
-    }
-
-    /// Installs an impairment pipeline (builder style). Stage
-    /// probabilities are validated when the simulator builds the link.
-    pub fn with_impairments(mut self, stages: &[StageConfig]) -> Self {
-        self.impair = stages.to_vec();
         self
     }
 
@@ -169,24 +158,24 @@ pub struct Link {
     tx_memo: ((u32, u64), SimDuration),
     /// Packets handed to the wire (post-queue).
     pub transmitted: u64,
-    /// Packets dropped by the random-loss process (not queue drops).
-    pub random_losses: u64,
     /// False while the link is administratively down (see
     /// [`crate::impair::LinkAdmin`]).
     pub up: bool,
-    /// Impairment pipeline, when the config declares stages.
+    /// Impairment pipeline, once `Simulator::set_link_impairments` installs
+    /// one: the only place a link's stages are held.
     pub impair: Option<ImpairPipeline>,
     /// Counters accumulated by impairments and admin actions.
     pub impair_stats: ImpairStats,
 }
 
 impl Link {
-    /// Creates an idle link between `from` and `to`. Any impairment
-    /// stages in the config are instantiated later by the simulator,
-    /// which owns the seed (see `Simulator::set_link_impairments`).
-    // Set-up, not dispatch: at 488 bytes `SimBuilder::build` stopped inlining
-    // this by itself and copied every link once more (`mesh_reorder` `setup_s`
-    // +18 %, benchmark bound 25 %); with the hint set-up ties the parent.
+    /// Creates an idle, unimpaired link between `from` and `to`. The
+    /// simulator installs a pipeline later, because it owns the seed (see
+    /// `Simulator::set_link_impairments`).
+    // Set-up, not dispatch: a `Link` is 480 bytes on x86-64, and at 488
+    // `SimBuilder::build` stopped inlining this by itself and copied every
+    // link once more (`mesh_reorder` `setup_s` +18 %, benchmark bound 25 %);
+    // with the hint set-up ties the parent.
     #[inline]
     pub fn new(from: NodeId, to: NodeId, config: LinkConfig) -> Self {
         let queue = LinkQueue::new(config.queue_packets, config.policy.clone());
@@ -203,7 +192,6 @@ impl Link {
             last_arrival: SimTime::ZERO,
             tx_memo: ((0, 0), SimDuration::ZERO), // no rate has the bits of 0.0
             transmitted: 0,
-            random_losses: 0,
             up: true,
             impair: None,
             impair_stats: ImpairStats::default(),
@@ -316,10 +304,8 @@ mod tests {
     }
 
     #[test]
-    fn impairment_builder_records_stages_and_link_starts_up() {
-        let stages = [StageConfig::IidLoss { p: 0.01 }];
-        let cfg = LinkConfig::mbps_ms(1.0, 1, 10).with_impairments(&stages);
-        assert_eq!(cfg.impair, stages.to_vec());
+    fn a_new_link_is_up_and_unimpaired() {
+        let cfg = LinkConfig::mbps_ms(1.0, 1, 10);
         let link = Link::new(NodeId::from_raw(0), NodeId::from_raw(1), cfg);
         assert!(link.up, "links start administratively up");
         assert!(link.impair.is_none(), "pipeline is installed by the simulator");

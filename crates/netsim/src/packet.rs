@@ -33,17 +33,16 @@ pub const ACK_PACKET_BYTES: u32 = 40;
 pub struct DataHeader {
     /// Segment sequence number.
     pub seq: u64,
-    /// True if this transmission is a retransmission of `seq`.
-    pub is_retransmit: bool,
-    /// How many times `seq` has been transmitted, counting this one (1 = first).
+    /// 1 for a first transmission, 2 for a retransmission.
     pub tx_count: u32,
     /// TCP timestamp option: the sender clock at transmission time.
     pub timestamp: SimTime,
 }
 
-/// Transport-level contents of an acknowledgment.
+/// Transport-level contents of an acknowledgment: what the receiver
+/// builds, what crosses the wire and what a sender's `on_ack` reads.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AckHeader {
+pub struct AckEvent {
     /// Cumulative acknowledgment: the next segment the receiver expects.
     /// All segments `< cum_ack` have been received in order.
     pub cum_ack: u64,
@@ -56,9 +55,9 @@ pub struct AckHeader {
     pub dsack: Option<(u64, u64)>,
     /// Echo of the timestamp carried by the segment that triggered this ACK.
     pub echo_timestamp: SimTime,
-    /// Echo of that segment's transmission counter (lets the sender
-    /// distinguish ACKs of originals from ACKs of retransmissions, as the
-    /// Eifel algorithm does with its timestamp/one-bit scheme).
+    /// Echo of that segment's `tx_count`: 1 for a first transmission, 2 for
+    /// a retransmission (lets the sender tell ACKs of originals from ACKs of
+    /// retransmissions, as Eifel's one-bit scheme and Karn's rule do).
     pub echo_tx_count: u32,
     /// True if this is a duplicate acknowledgment (cumulative point did not
     /// advance).
@@ -71,7 +70,7 @@ pub enum PacketKind {
     /// A TCP data segment.
     Data(DataHeader),
     /// A TCP acknowledgment.
-    Ack(AckHeader),
+    Ack(AckEvent),
 }
 
 impl PacketKind {
@@ -84,7 +83,7 @@ impl PacketKind {
     }
 
     /// Returns the ACK header, if this is an acknowledgment.
-    pub fn as_ack(&self) -> Option<&AckHeader> {
+    pub fn as_ack(&self) -> Option<&AckEvent> {
         match self {
             PacketKind::Ack(h) => Some(h),
             PacketKind::Data(_) => None,
@@ -137,12 +136,7 @@ mod tests {
             src: NodeId::from_raw(0),
             dst: NodeId::from_raw(1),
             size_bytes: DATA_PACKET_BYTES,
-            kind: PacketKind::Data(DataHeader {
-                seq: 7,
-                is_retransmit: false,
-                tx_count: 1,
-                timestamp: SimTime::ZERO,
-            }),
+            kind: PacketKind::Data(DataHeader { seq: 7, tx_count: 1, timestamp: SimTime::ZERO }),
             to: None,
             hops: 0,
             route: None,
@@ -160,7 +154,7 @@ mod tests {
     #[test]
     fn ack_accessors() {
         let mut p = data_packet();
-        p.kind = PacketKind::Ack(AckHeader {
+        p.kind = PacketKind::Ack(AckEvent {
             cum_ack: 3,
             sack: vec![(5, 6)],
             dsack: None,

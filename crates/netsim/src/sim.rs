@@ -110,7 +110,7 @@ impl SimBuilder {
             .collect();
         let graph = Graph::new(self.node_count, &edges);
         let routing = Routing::shortest_path(&graph);
-        let mut sim = Simulator {
+        Simulator {
             now: SimTime::ZERO,
             events: EventQueue::with_lanes(links.iter().map(|l| l.to)),
             packets: Slab::default(),
@@ -126,16 +126,7 @@ impl SimBuilder {
             stats: SimStats::default(),
             started: false,
             tracer: None,
-        };
-        // Instantiate impairment pipelines declared on link configs, each
-        // with its own seed stream derived from the simulation seed.
-        for i in 0..sim.links.len() {
-            if !sim.links[i].config.impair.is_empty() {
-                let stages = sim.links[i].config.impair.clone();
-                sim.set_link_impairments(LinkId::from_raw(i as u32), &stages);
-            }
         }
-        sim
     }
 }
 
@@ -500,9 +491,7 @@ impl Simulator {
     /// Panics if `id` is out of range or a stage config is invalid.
     pub fn set_link_impairments(&mut self, id: LinkId, stages: &[StageConfig]) {
         let seed = crate::impair::derive_seed(self.seed, id.index() as u32);
-        let link = &mut self.links[id.index()];
-        link.config.impair = stages.to_vec();
-        link.impair =
+        self.links[id.index()].impair =
             if stages.is_empty() { None } else { Some(ImpairPipeline::new(stages, seed)) };
     }
 
@@ -775,7 +764,6 @@ impl Simulator {
         }
         let loss = self.links[id.index()].config.random_loss;
         if loss > 0.0 && self.rng.gen::<f64>() < loss {
-            self.links[id.index()].random_losses += 1;
             self.stats.random_losses += 1;
             obs::count("link.random_loss", 1);
             self.drop_packet(packet, TraceEventKind::RandomLoss(id));
@@ -1009,7 +997,7 @@ impl Drop for Simulator {
 mod tests {
     use super::*;
     use crate::ids::RouteId;
-    use crate::packet::{AckHeader, DataHeader, DATA_PACKET_BYTES};
+    use crate::packet::{AckEvent, DataHeader, DATA_PACKET_BYTES};
 
     /// Sends `count` data packets at start, records ACK arrivals.
     struct Blaster {
@@ -1024,12 +1012,7 @@ mod tests {
                 ctx.send(
                     self.dst,
                     DATA_PACKET_BYTES,
-                    PacketKind::Data(DataHeader {
-                        seq,
-                        is_retransmit: false,
-                        tx_count: 1,
-                        timestamp: ctx.now,
-                    }),
+                    PacketKind::Data(DataHeader { seq, tx_count: 1, timestamp: ctx.now }),
                 );
             }
         }
@@ -1055,7 +1038,7 @@ mod tests {
                 ctx.send(
                     self.peer,
                     40,
-                    PacketKind::Ack(AckHeader {
+                    PacketKind::Ack(AckEvent {
                         cum_ack: h.seq + 1,
                         sack: Vec::new(),
                         dsack: None,
@@ -1103,12 +1086,7 @@ mod tests {
                 ctx.send(
                     self.dst,
                     self.size_bytes,
-                    PacketKind::Data(DataHeader {
-                        seq,
-                        is_retransmit: false,
-                        tx_count: 1,
-                        timestamp: ctx.now,
-                    }),
+                    PacketKind::Data(DataHeader { seq, tx_count: 1, timestamp: ctx.now }),
                 );
             }
             if let Some(&t) = self.at.get(self.next) {
@@ -1359,8 +1337,9 @@ mod tests {
 
     #[test]
     fn an_impairment_drop_frees_the_packet() {
-        let lossy = fast().with_impairments(&[StageConfig::IidLoss { p: 0.5 }]);
-        let (stats, _) = drained(exit_sim(lossy, 40, 1, true));
+        let mut sim = exit_sim(fast(), 40, 1, true);
+        sim.set_link_impairments(LinkId::from_raw(0), &[StageConfig::IidLoss { p: 0.5 }]);
+        let (stats, _) = drained(sim);
         assert!(stats.impair_drops > 5 && stats.delivered > 5, "{stats:?}");
         assert_eq!(stats.impair_drops + stats.delivered, 40);
     }
@@ -1377,8 +1356,9 @@ mod tests {
 
     #[test]
     fn a_duplicate_is_a_packet_of_its_own_and_both_are_freed() {
-        let twice = fast().with_impairments(&[StageConfig::Duplicate { p: 0.5 }]);
-        let (stats, _) = drained(exit_sim(twice, 40, 1, true));
+        let mut sim = exit_sim(fast(), 40, 1, true);
+        sim.set_link_impairments(LinkId::from_raw(0), &[StageConfig::Duplicate { p: 0.5 }]);
+        let (stats, _) = drained(sim);
         assert!(stats.impair_dups > 5, "{stats:?}");
         assert_eq!(stats.delivered, 40 + stats.impair_dups);
     }
@@ -1837,8 +1817,8 @@ mod tests {
         // A 1000-byte packet (800 µs) and its copy one transmission time
         // behind it; the 40-byte packet (32 µs) sent next lands in between,
         // and so does its own copy.
-        let twice = fast().with_impairments(&[StageConfig::Duplicate { p: 1.0 }]);
-        let (mut sim, a, c) = one_link_sim(twice);
+        let (mut sim, a, c) = one_link_sim(fast());
+        sim.set_link_impairments(LinkId::from_raw(0), &[StageConfig::Duplicate { p: 1.0 }]);
         sim.enable_trace(&[], 1_000);
         let (long, short) = (FlowId::from_raw(0), FlowId::from_raw(1));
         sim.add_agent(a, long, SendAt::boxed(c, &[0]));
@@ -1919,7 +1899,6 @@ mod tests {
                     1000,
                     PacketKind::Data(crate::packet::DataHeader {
                         seq: self.seq,
-                        is_retransmit: false,
                         tx_count: 1,
                         timestamp: ctx.now,
                     }),
@@ -1942,7 +1921,7 @@ mod tests {
     /// A first transmission of segment `seq`.
     fn data(seq: u64) -> PacketKind {
         let timestamp = SimTime::ZERO;
-        PacketKind::Data(DataHeader { seq, is_retransmit: false, tx_count: 1, timestamp })
+        PacketKind::Data(DataHeader { seq, tx_count: 1, timestamp })
     }
 
     type Log = std::rc::Rc<std::cell::RefCell<Vec<String>>>;

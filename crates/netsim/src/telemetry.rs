@@ -244,12 +244,7 @@ mod tests {
                 ctx.send(
                     self.dst,
                     DATA_PACKET_BYTES,
-                    PacketKind::Data(DataHeader {
-                        seq,
-                        is_retransmit: false,
-                        tx_count: 1,
-                        timestamp: ctx.now,
-                    }),
+                    PacketKind::Data(DataHeader { seq, tx_count: 1, timestamp: ctx.now }),
                 );
             }
         }
@@ -317,11 +312,10 @@ mod tests {
         let mut b = SimBuilder::new(5);
         let a = b.add_node();
         let c = b.add_node();
-        let cfg = LinkConfig::mbps_ms(0.5, 5, 200)
-            .with_impairments(&[crate::impair::StageConfig::IidLoss { p: 1.0 }]);
-        b.add_link(a, c, cfg);
+        let lossy = b.add_link(a, c, LinkConfig::mbps_ms(0.5, 5, 200));
         b.add_link(c, a, LinkConfig::mbps_ms(0.5, 5, 200));
         let mut sim = b.build();
+        sim.set_link_impairments(lossy, &[crate::impair::StageConfig::IidLoss { p: 1.0 }]);
         sim.add_agent(a, FlowId::from_raw(0), Box::new(Blaster { dst: c, count: 10 }));
         sim.enable_trace_with(crate::trace::TraceConfig::new(&[], 8).keep_latest());
         sim.run_until(SimTime::from_secs_f64(2.0));

@@ -69,12 +69,7 @@ impl CbrSource {
         ctx.send(
             self.dst,
             self.packet_bytes,
-            PacketKind::Data(DataHeader {
-                seq: self.next_seq,
-                is_retransmit: false,
-                tx_count: 1,
-                timestamp: ctx.now,
-            }),
+            PacketKind::Data(DataHeader { seq: self.next_seq, tx_count: 1, timestamp: ctx.now }),
         );
         self.next_seq += 1;
         self.sent += 1;
@@ -187,7 +182,6 @@ impl OnOffSource {
                 self.packet_bytes,
                 PacketKind::Data(DataHeader {
                     seq: self.next_seq,
-                    is_retransmit: false,
                     tx_count: 1,
                     timestamp: ctx.now,
                 }),

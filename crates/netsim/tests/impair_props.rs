@@ -119,9 +119,10 @@ fn cbr_over_impaired_link(
     let mut b = SimBuilder::new(11);
     let src = b.add_node();
     let dst = b.add_node();
-    let fwd = b.add_link(src, dst, LinkConfig::mbps_ms(10.0, 5, 100).with_impairments(stages));
+    let fwd = b.add_link(src, dst, LinkConfig::mbps_ms(10.0, 5, 100));
     b.add_link(dst, src, LinkConfig::mbps_ms(10.0, 5, 100));
     let mut sim = b.build();
+    sim.set_link_impairments(fwd, stages);
     if let Some((period, downtime)) = flaps {
         let until = SimTime::ZERO + SimDuration::from_secs_f64(secs);
         sim.apply_admin_schedule(fwd, &flap_schedule(period, downtime, until));
@@ -204,17 +205,14 @@ fn installing_impairments_does_not_perturb_the_main_rng_stream() {
         let src = b.add_node();
         let dst = b.add_node();
         // Legacy random jitter draws from the main RNG on both runs.
-        let mut cfg =
-            LinkConfig::mbps_ms(10.0, 5, 100).with_jitter(0.5, SimDuration::from_millis(12));
-        if with_jitter_stage {
-            cfg = cfg.with_impairments(&[StageConfig::Jitter {
-                prob: 0.5,
-                max_extra: SimDuration::from_millis(2),
-            }]);
-        }
-        b.add_link(src, dst, cfg);
+        let cfg = LinkConfig::mbps_ms(10.0, 5, 100).with_jitter(0.5, SimDuration::from_millis(12));
+        let fwd = b.add_link(src, dst, cfg);
         b.add_link(dst, src, LinkConfig::mbps_ms(10.0, 5, 100));
         let mut sim = b.build();
+        if with_jitter_stage {
+            let max_extra = SimDuration::from_millis(2);
+            sim.set_link_impairments(fwd, &[StageConfig::Jitter { prob: 0.5, max_extra }]);
+        }
         let flow = FlowId::from_raw(0);
         sim.add_agent(src, flow, Box::new(CbrSource::new(dst, 2e6, 1000, SimTime::ZERO)));
         let rx = sim.add_agent(dst, flow, Box::new(CbrSink::new()));

@@ -4,19 +4,17 @@
 //! [`ReceiverHost`] does the same for the shared [`TcpReceiver`]. The
 //! [`attach_flow`] helper wires a sender/receiver pair onto a topology.
 
-use std::collections::{HashMap, VecDeque};
-
 use netsim::agent::{Agent, AgentCtx};
 use netsim::ids::{AgentId, FlowId, NodeId};
 use netsim::packet::{
-    AckHeader, DataHeader, Packet, PacketKind, ACK_PACKET_BYTES, DATA_PACKET_BYTES,
+    AckEvent, DataHeader, Packet, PacketKind, ACK_PACKET_BYTES, DATA_PACKET_BYTES,
 };
 use netsim::sim::Simulator;
-use netsim::time::SimTime;
+use netsim::time::{SimDuration, SimTime};
 
 use crate::pacing::Pacer;
 use crate::receiver::{ReceiverConfig, ReceiverStats, TcpReceiver};
-use crate::sender::{AckEvent, SenderOutput, TcpSenderAlgo, TimerOp, Transmission};
+use crate::sender::{SenderOutput, TcpSenderAlgo, TimerOp, Transmission};
 
 /// Counters a sender host keeps.
 #[derive(Debug, Clone, Copy, Default, serde::Serialize)]
@@ -27,78 +25,21 @@ pub struct SenderStats {
     pub retransmits: u64,
     /// Highest cumulative ACK seen.
     pub last_cum_ack: u64,
-    /// ACK packets processed.
-    pub acks_received: u64,
     /// Segments that went through the pacer (zero for unpaced algorithms).
     pub paced_segments: u64,
 }
 
-/// Per-flow configuration for [`attach_flow`].
-#[derive(Debug, Clone, Copy)]
+/// Per-flow configuration for [`attach_flow`]. The default starts at time
+/// zero and acknowledges every segment.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct FlowOptions {
     /// When the sender begins transmitting.
     pub start_at: SimTime,
-    /// Receiver feature switches.
-    pub receiver: ReceiverConfig,
     /// Delayed acknowledgments (RFC 1122): hold an in-order ACK for up to
     /// this long or until a second segment arrives; out-of-order arrivals
     /// are acknowledged immediately. `None` (the default, and ns-2
     /// `TCPSink`'s behaviour) acknowledges every segment.
-    pub delayed_ack: Option<netsim::time::SimDuration>,
-}
-
-impl Default for FlowOptions {
-    fn default() -> Self {
-        FlowOptions {
-            start_at: SimTime::ZERO,
-            receiver: ReceiverConfig::default(),
-            delayed_ack: None,
-        }
-    }
-}
-
-/// How many times each segment has been sent, in state bounded by the
-/// window: dense counts from the cumulative ACK upward, pruned as it
-/// advances. A pruned segment counts 1 unless `sparse` says otherwise.
-#[derive(Debug, Default)]
-struct TxCounts {
-    /// Segment `dense[0]` counts: the cumulative ACK, or one past the
-    /// highest segment sent if the ACK ran ahead of that.
-    base: u64,
-    /// Counts of `base..`; zero for a number skipped so far.
-    dense: VecDeque<u32>,
-    /// Pruned segments whose count is not 1 (retransmitted, or skipped),
-    /// and whatever is sent below `base` afterwards.
-    sparse: HashMap<u64, u32>,
-}
-
-impl TxCounts {
-    /// Counts one more transmission of `seq` and returns the new count.
-    fn bump(&mut self, seq: u64) -> u32 {
-        let count = match seq.checked_sub(self.base) {
-            Some(i) => {
-                let i = usize::try_from(i).expect("segment is within a window of the ACK point");
-                if i >= self.dense.len() {
-                    self.dense.resize(i + 1, 0);
-                }
-                &mut self.dense[i]
-            }
-            None => self.sparse.entry(seq).or_insert(1),
-        };
-        *count += 1;
-        *count
-    }
-
-    /// Forgets the segments below `cum_ack` that were sent exactly once.
-    fn prune(&mut self, cum_ack: u64) {
-        while self.base < cum_ack {
-            let Some(count) = self.dense.pop_front() else { break };
-            if count != 1 {
-                self.sparse.insert(self.base, count);
-            }
-            self.base += 1;
-        }
-    }
+    pub delayed_ack: Option<SimDuration>,
 }
 
 /// A sender endpoint: hosts a [`TcpSenderAlgo`] on a node.
@@ -108,7 +49,6 @@ pub struct SenderHost<S> {
     dst: NodeId,
     start_at: SimTime,
     started: bool,
-    tx_counts: TxCounts,
     stats: SenderStats,
     out: SenderOutput,
     pacer: Pacer,
@@ -122,7 +62,6 @@ impl<S: TcpSenderAlgo> SenderHost<S> {
             dst,
             start_at: opts.start_at,
             started: false,
-            tx_counts: TxCounts::default(),
             stats: SenderStats::default(),
             out: SenderOutput::new(),
             pacer: Pacer::new(),
@@ -194,7 +133,6 @@ impl<S: TcpSenderAlgo> SenderHost<S> {
     }
 
     fn send_segment(&mut self, ctx: &mut AgentCtx<'_>, t: Transmission) {
-        let tx_count = self.tx_counts.bump(t.seq);
         self.stats.segments_sent += 1;
         if t.is_retransmit {
             self.stats.retransmits += 1;
@@ -204,8 +142,7 @@ impl<S: TcpSenderAlgo> SenderHost<S> {
             DATA_PACKET_BYTES,
             PacketKind::Data(DataHeader {
                 seq: t.seq,
-                is_retransmit: t.is_retransmit,
-                tx_count,
+                tx_count: 1 + u32::from(t.is_retransmit),
                 timestamp: ctx.now,
             }),
         );
@@ -222,21 +159,11 @@ impl<S: TcpSenderAlgo + 'static> Agent for SenderHost<S> {
     }
 
     fn on_packet(&mut self, packet: Packet, ctx: &mut AgentCtx<'_>) {
-        let PacketKind::Ack(h) = packet.kind else { return };
+        let PacketKind::Ack(ack) = packet.kind else { return };
         if !self.started {
             return;
         }
-        self.stats.acks_received += 1;
-        self.stats.last_cum_ack = self.stats.last_cum_ack.max(h.cum_ack);
-        self.tx_counts.prune(self.stats.last_cum_ack);
-        let ack = AckEvent {
-            cum_ack: h.cum_ack,
-            sack: h.sack,
-            dsack: h.dsack,
-            echo_timestamp: h.echo_timestamp,
-            echo_tx_count: h.echo_tx_count,
-            dup: h.dup,
-        };
+        self.stats.last_cum_ack = self.stats.last_cum_ack.max(ack.cum_ack);
         self.algo.on_ack(&ack, ctx.now, &mut self.out);
         self.apply_output(ctx);
     }
@@ -267,28 +194,25 @@ impl<S: TcpSenderAlgo + 'static> Agent for SenderHost<S> {
 pub struct ReceiverHost {
     rx: TcpReceiver,
     acks_sent: u64,
-    delayed_ack: Option<netsim::time::SimDuration>,
+    delayed_ack: Option<SimDuration>,
     /// ACK held back by the delayed-ACK timer, with its destination.
-    pending: Option<(NodeId, AckHeader)>,
+    pending: Option<(NodeId, AckEvent)>,
     /// In-order segments received since the last ACK was sent.
     unacked: u32,
 }
 
 impl ReceiverHost {
-    /// Creates a receiver host that acknowledges every segment.
-    pub fn new(cfg: ReceiverConfig) -> Self {
+    /// Creates a receiver host that acknowledges every segment, or, with
+    /// `delayed_ack`, holds in-order ACKs as [`FlowOptions::delayed_ack`]
+    /// says.
+    pub fn new(delayed_ack: Option<SimDuration>) -> Self {
         ReceiverHost {
-            rx: TcpReceiver::new(cfg),
+            rx: TcpReceiver::new(ReceiverConfig::default()),
             acks_sent: 0,
-            delayed_ack: None,
+            delayed_ack,
             pending: None,
             unacked: 0,
         }
-    }
-
-    /// Creates a receiver host with delayed acknowledgments.
-    pub fn with_delayed_ack(cfg: ReceiverConfig, delay: netsim::time::SimDuration) -> Self {
-        ReceiverHost { delayed_ack: Some(delay), ..Self::new(cfg) }
     }
 
     /// In-order bytes delivered to the application so far.
@@ -323,11 +247,11 @@ impl ReceiverHost {
 }
 
 impl ReceiverHost {
-    fn emit(&mut self, ctx: &mut AgentCtx<'_>, dst: NodeId, header: AckHeader) {
+    fn emit(&mut self, ctx: &mut AgentCtx<'_>, dst: NodeId, ack: AckEvent) {
         self.acks_sent += 1;
         self.unacked = 0;
         self.pending = None;
-        ctx.send(dst, ACK_PACKET_BYTES, PacketKind::Ack(header));
+        ctx.send(dst, ACK_PACKET_BYTES, PacketKind::Ack(ack));
     }
 }
 
@@ -336,31 +260,25 @@ impl Agent for ReceiverHost {
 
     fn on_packet(&mut self, packet: Packet, ctx: &mut AgentCtx<'_>) {
         let PacketKind::Data(h) = &packet.kind else { return };
-        let ack = self.rx.on_data(h.seq);
+        let mut ack = self.rx.on_data(h.seq);
         if obs::enabled() {
             obs::observe("receiver.buffered", self.rx.buffered() as u64);
             obs::observe("receiver.runs", self.rx.runs() as u64);
         }
-        let header = AckHeader {
-            cum_ack: ack.cum_ack,
-            sack: ack.sack,
-            dsack: ack.dsack,
-            echo_timestamp: h.timestamp,
-            echo_tx_count: h.tx_count,
-            dup: ack.dup,
-        };
+        ack.echo_timestamp = h.timestamp;
+        ack.echo_tx_count = h.tx_count;
         match self.delayed_ack {
-            None => self.emit(ctx, packet.src, header),
+            None => self.emit(ctx, packet.src, ack),
             Some(delay) => {
                 // RFC 5681: out-of-order (or duplicate) arrivals are
                 // acknowledged immediately; in-order data may be delayed for
                 // up to `delay` or one extra segment.
                 self.unacked += 1;
-                if header.dup || header.dsack.is_some() || self.unacked >= 2 {
-                    self.emit(ctx, packet.src, header);
+                if ack.dup || ack.dsack.is_some() || self.unacked >= 2 {
+                    self.emit(ctx, packet.src, ack);
                     ctx.cancel_timer();
                 } else {
-                    self.pending = Some((packet.src, header));
+                    self.pending = Some((packet.src, ack));
                     ctx.set_timer(ctx.now + delay);
                 }
             }
@@ -368,8 +286,8 @@ impl Agent for ReceiverHost {
     }
 
     fn on_timer(&mut self, ctx: &mut AgentCtx<'_>) {
-        if let Some((dst, header)) = self.pending.take() {
-            self.emit(ctx, dst, header);
+        if let Some((dst, ack)) = self.pending.take() {
+            self.emit(ctx, dst, ack);
         }
     }
 }
@@ -400,11 +318,7 @@ pub fn attach_flow<S: TcpSenderAlgo + 'static>(
     opts: FlowOptions,
 ) -> FlowHandle {
     let sender = sim.add_agent(src, flow, Box::new(SenderHost::new(algo, dst, &opts)));
-    let rx_host = match opts.delayed_ack {
-        None => ReceiverHost::new(opts.receiver),
-        Some(delay) => ReceiverHost::with_delayed_ack(opts.receiver, delay),
-    };
-    let receiver = sim.add_agent(dst, flow, Box::new(rx_host));
+    let receiver = sim.add_agent(dst, flow, Box::new(ReceiverHost::new(opts.delayed_ack)));
     FlowHandle { flow, sender, receiver }
 }
 
@@ -432,7 +346,6 @@ mod tests {
     use crate::fixed_window::FixedWindowSender;
     use netsim::link::LinkConfig;
     use netsim::sim::SimBuilder;
-    use netsim::time::SimDuration;
 
     fn two_node() -> (Simulator, NodeId, NodeId) {
         let mut b = SimBuilder::new(7);
@@ -444,64 +357,6 @@ mod tests {
 
     fn fixed(window: usize) -> FixedWindowSender {
         FixedWindowSender::new(window, SimDuration::from_secs(2))
-    }
-
-    proptest::proptest! {
-        /// Every send returns what a map that never forgets would return.
-        #[test]
-        fn tx_counts_match_a_map_of_every_segment_ever_sent(
-            ops in proptest::collection::vec((0u8..10, 0u64..40), 200..1500),
-        ) {
-            let mut counts = TxCounts::default();
-            let mut reference: HashMap<u64, u32> = HashMap::new();
-            let (mut cum_ack, mut next) = (0u64, 0u64);
-            for (op, k) in ops {
-                let seq = match op {
-                    // In order, at the ACK point (a retransmission, usually),
-                    // anywhere in the window, far above it, below it.
-                    0..=3 => next,
-                    4 => cum_ack,
-                    5 => cum_ack + k % (next - cum_ack.min(next) + 1),
-                    6 => cum_ack.max(next) + k * 7,
-                    7 => cum_ack.saturating_sub(k + 1),
-                    // The ACK advances — now and then over numbers never sent.
-                    _ => {
-                        cum_ack += if k == 0 { 50 } else { k % 8 };
-                        counts.prune(cum_ack);
-                        continue;
-                    }
-                };
-                next = next.max(seq + 1);
-                let expected = reference.entry(seq).or_insert(0);
-                *expected += 1;
-                proptest::prop_assert_eq!(counts.bump(seq), *expected, "segment {}", seq);
-            }
-        }
-    }
-
-    #[test]
-    fn tx_counts_stay_bounded_by_window_and_retransmissions() {
-        let mut counts = TxCounts::default();
-        let (window, mut retransmitted) = (64u64, 0usize);
-        for seq in 0..100_000u64 {
-            assert_eq!(counts.bump(seq), 1);
-            if seq >= window {
-                let acked = seq - window;
-                // One segment in a thousand was lost and goes out again
-                // just before the ACK passes it.
-                if acked % 1000 == 0 {
-                    assert_eq!(counts.bump(acked), 2);
-                    retransmitted += 1;
-                }
-                counts.prune(acked + 1);
-            }
-            let tracked = counts.dense.len() + counts.sparse.len();
-            assert!(tracked <= window as usize + retransmitted);
-        }
-        assert_eq!((counts.dense.len(), counts.sparse.len()), (window as usize, 100));
-        // Below the ACK point a forgotten segment counts once, a
-        // remembered one what it had.
-        assert_eq!((counts.bump(1_001), counts.bump(1_000)), (2, 3));
     }
 
     #[test]

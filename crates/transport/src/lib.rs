@@ -56,6 +56,6 @@ pub use host::{
     attach_flow, receiver_host, sender_host, FlowHandle, FlowOptions, SenderHost, SenderStats,
 };
 pub use pacing::Pacer;
-pub use receiver::{AckDescriptor, ReceiverConfig, ReceiverStats, TcpReceiver};
+pub use receiver::{ReceiverConfig, ReceiverStats, TcpReceiver};
 pub use rto::RtoEstimator;
 pub use sender::{AckEvent, SenderOutput, TcpSenderAlgo, TimerOp, Transmission};

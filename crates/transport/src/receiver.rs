@@ -17,6 +17,9 @@
 
 use std::collections::BTreeMap;
 
+use netsim::packet::AckEvent;
+use netsim::time::SimTime;
+
 /// Receiver feature switches.
 #[derive(Debug, Clone, Copy)]
 pub struct ReceiverConfig {
@@ -36,19 +39,6 @@ impl Default for ReceiverConfig {
 /// Maximum SACK blocks per ACK (3 fit alongside timestamps in a real TCP
 /// option space).
 pub const MAX_SACK_BLOCKS: usize = 3;
-
-/// The acknowledgment a receiver wants transmitted in response to a segment.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AckDescriptor {
-    /// Next expected segment.
-    pub cum_ack: u64,
-    /// SACK blocks, most recent first.
-    pub sack: Vec<(u64, u64)>,
-    /// DSACK duplicate report.
-    pub dsack: Option<(u64, u64)>,
-    /// True if the cumulative point did not advance.
-    pub dup: bool,
-}
 
 /// Statistics a receiver keeps about arrivals.
 #[derive(Debug, Clone, Copy, Default, serde::Serialize)]
@@ -140,8 +130,10 @@ impl TcpReceiver {
         self.stats
     }
 
-    /// Processes data segment `seq` and returns the ACK to send.
-    pub fn on_data(&mut self, seq: u64) -> AckDescriptor {
+    /// Processes data segment `seq` and returns the ACK to send. The two
+    /// echo fields are the host's to stamp from the data header: they are
+    /// left at `SimTime::ZERO` and 0 here.
+    pub fn on_data(&mut self, seq: u64) -> AckEvent {
         self.stats.segments_received += 1;
         let old_nxt = self.rcv_nxt;
         let mut dsack = None;
@@ -188,7 +180,14 @@ impl TcpReceiver {
         }
 
         let sack = if self.cfg.sack { self.sack_blocks(hit) } else { Vec::new() };
-        AckDescriptor { cum_ack: self.rcv_nxt, sack, dsack, dup: self.rcv_nxt == old_nxt }
+        AckEvent {
+            cum_ack: self.rcv_nxt,
+            sack,
+            dsack,
+            echo_timestamp: SimTime::ZERO,
+            echo_tx_count: 0,
+            dup: self.rcv_nxt == old_nxt,
+        }
     }
 
     /// Builds SACK blocks from the out-of-order buffer: `hit`, the block

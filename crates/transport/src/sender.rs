@@ -7,6 +7,7 @@
 
 use std::any::Any;
 
+pub use netsim::packet::AckEvent;
 use netsim::time::{SimDuration, SimTime};
 
 /// Duplicate ACKs that trigger fast retransmit, and SACKed segments above a
@@ -22,30 +23,13 @@ pub const INITIAL_SSTHRESH: f64 = 128.0;
 /// limits (effectively unbounded).
 pub const MAX_CWND: f64 = 10_000.0;
 
-/// A fully-parsed acknowledgment as seen by a sender algorithm.
-#[derive(Debug, Clone)]
-pub struct AckEvent {
-    /// Cumulative ACK: the next segment the receiver expects.
-    pub cum_ack: u64,
-    /// SACK blocks `[start, end)`, most recently received first (empty if the
-    /// receiver has no out-of-order data or SACK is disabled).
-    pub sack: Vec<(u64, u64)>,
-    /// DSACK report of a duplicate arrival, per RFC 2883.
-    pub dsack: Option<(u64, u64)>,
-    /// Echo of the timestamp the corresponding data segment carried.
-    pub echo_timestamp: SimTime,
-    /// Echo of that segment's transmission count (1 = first transmission).
-    pub echo_tx_count: u32,
-    /// True if the receiver marked this a duplicate ACK.
-    pub dup: bool,
-}
-
 /// A request to put one segment on the wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Transmission {
     /// Segment to transmit.
     pub seq: u64,
-    /// True if `seq` has been transmitted before.
+    /// True if this sender has handed out `seq` before. The host puts it on
+    /// the wire as the segment's `tx_count`, which the ACK echoes back.
     pub is_retransmit: bool,
 }
 

@@ -196,12 +196,7 @@ impl ChurnSource {
         ctx.send(
             self.cfg.dst,
             self.cfg.packet_bytes,
-            PacketKind::Data(DataHeader {
-                seq: self.seq,
-                is_retransmit: false,
-                tx_count: 1,
-                timestamp: ctx.now,
-            }),
+            PacketKind::Data(DataHeader { seq: self.seq, tx_count: 1, timestamp: ctx.now }),
         );
         self.seq += 1;
         self.stats.packets_sent += 1;

@@ -163,12 +163,14 @@ fn impaired_links() -> Simulator {
         Displace { every: 7, depth: 3 },
     ];
     let (mut b, n) = network(3, 3);
-    b.add_duplex(n[0], n[1], LinkConfig::mbps_ms(10.0, 5, 30).with_impairments(&stages));
+    let (fwd, rev) = b.add_duplex(n[0], n[1], LinkConfig::mbps_ms(10.0, 5, 30));
     let lossy = LinkConfig::mbps_ms(10.0, 5, 30)
         .with_random_loss(0.02)
         .with_jitter(0.3, SimDuration::from_millis(3));
     b.add_duplex(n[1], n[2], lossy);
     let mut sim = traced(b);
+    sim.set_link_impairments(fwd, &stages);
+    sim.set_link_impairments(rev, &stages);
     cbr(&mut sim, 0, n[0], n[2], 5.0, 0);
     on_off(&mut sim, 1, n[0], n[2], 10.0, 10);
     cbr(&mut sim, 2, n[2], n[0], 2.5, 800);
@@ -215,7 +217,7 @@ fn every_packet_exit() -> Simulator {
         Duplicate { p: 0.06 },
     ];
     let (mut b, n) = network(5, 7);
-    b.add_duplex(n[0], n[1], LinkConfig::mbps_ms(10.0, 1, 20).with_impairments(&stages));
+    let (fwd, rev) = b.add_duplex(n[0], n[1], LinkConfig::mbps_ms(10.0, 1, 20));
     b.add_duplex(n[0], n[2], LinkConfig::mbps_ms(10.0, 2, 20));
     b.add_duplex(n[1], n[3], LinkConfig::mbps_ms(10.0, 1, 20));
     b.add_duplex(n[2], n[3], LinkConfig::mbps_ms(10.0, 1, 20));
@@ -224,6 +226,8 @@ fn every_packet_exit() -> Simulator {
     let (bottleneck, _) = b.add_duplex(n[3], n[4], shared);
     b.add_duplex(n[4], n[5], LinkConfig::mbps_ms(10.0, 1, 20));
     let mut sim = traced(b);
+    sim.set_link_impairments(fwd, &stages);
+    sim.set_link_impairments(rev, &stages);
     assert_eq!(sim.install_multipath(n[0], n[4], 0.5, 4), 2);
     assert_eq!(sim.install_multipath(n[4], n[0], 0.0, 4), 2);
     let (ms, until) = (SimDuration::from_millis, SimTime::from_secs_f64(0.5));

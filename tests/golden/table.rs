@@ -122,7 +122,6 @@ fn delayed_ack(ms: u64, start_ms: u64) -> FlowOptions {
     FlowOptions {
         delayed_ack: Some(SimDuration::from_millis(ms)),
         start_at: SimTime::ZERO + SimDuration::from_millis(start_ms),
-        ..FlowOptions::default()
     }
 }
 

@@ -163,18 +163,30 @@ proptest! {
         }
     }
 
-    /// Every baseline sender survives arbitrary ACK/dupack/timer
-    /// interleavings without panicking, with cwnd ≥ 1 and a sane flight.
+    /// Every sender survives arbitrary ACK/dupack/timer interleavings
+    /// without panicking, with cwnd ≥ 1 and a sane flight. And the bit the
+    /// host puts on the wire as `tx_count` is the sender's own: a
+    /// transmission is marked a retransmission exactly when this sender has
+    /// handed out its seq before.
     #[test]
     fn baseline_senders_survive_arbitrary_event_sequences(
-        variant_idx in 0usize..11,
+        variant_idx in 0usize..experiments::variants::Variant::ALL.len(),
         events in proptest::collection::vec((0u8..4, 0u64..120, 1u64..2_000), 1..200),
     ) {
         use experiments::variants::Variant;
         let variant = Variant::ALL[variant_idx];
         let mut s = variant.build();
         let mut out = SenderOutput::new();
+        let mut handed_out = std::collections::HashSet::new();
+        let mut retransmit_law = |out: &SenderOutput| -> Result<(), TestCaseError> {
+            for t in out.transmissions() {
+                let before = !handed_out.insert(t.seq);
+                prop_assert_eq!(t.is_retransmit, before, "{}: segment {}", variant, t.seq);
+            }
+            Ok(())
+        };
         s.on_start(SimTime::ZERO, &mut out);
+        retransmit_law(&out)?;
         let mut now = SimTime::ZERO;
         let mut highest_plausible = 0u64;
         // Track a very loose upper bound on what could have been sent.
@@ -203,6 +215,7 @@ proptest! {
                     s.on_ack(&a, now, &mut out);
                 }
             }
+            retransmit_law(&out)?;
             sent_bound += out.transmissions().len() as u64;
             prop_assert!(s.cwnd() >= 1.0, "{variant}: cwnd fell to {}", s.cwnd());
             prop_assert!(s.cwnd().is_finite(), "{variant}: cwnd not finite");

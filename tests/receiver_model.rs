@@ -15,9 +15,9 @@ use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 
-use transport::receiver::{
-    AckDescriptor, ReceiverConfig, ReceiverStats, TcpReceiver, MAX_SACK_BLOCKS,
-};
+use netsim::packet::AckEvent;
+use netsim::time::SimTime;
+use transport::receiver::{ReceiverConfig, ReceiverStats, TcpReceiver, MAX_SACK_BLOCKS};
 
 /// The per-segment receiver `TcpReceiver` replaced.
 struct ModelReceiver {
@@ -39,7 +39,7 @@ impl ModelReceiver {
         }
     }
 
-    fn on_data(&mut self, seq: u64) -> AckDescriptor {
+    fn on_data(&mut self, seq: u64) -> AckEvent {
         self.stats.segments_received += 1;
         let old_nxt = self.rcv_nxt;
         let mut dsack = None;
@@ -73,7 +73,14 @@ impl ModelReceiver {
         }
 
         let sack = if self.cfg.sack { self.sack_blocks(seq) } else { Vec::new() };
-        AckDescriptor { cum_ack: self.rcv_nxt, sack, dsack, dup: self.rcv_nxt == old_nxt }
+        AckEvent {
+            cum_ack: self.rcv_nxt,
+            sack,
+            dsack,
+            echo_timestamp: SimTime::ZERO,
+            echo_tx_count: 0,
+            dup: self.rcv_nxt == old_nxt,
+        }
     }
 
     fn sack_blocks(&self, trigger: u64) -> Vec<(u64, u64)> {

@@ -42,7 +42,7 @@ const fn forbid(alternatives: &'static str) -> Check {
 /// out.
 type Rule = (&'static str, &'static str, &'static [(&'static str, Scope, Check)]);
 
-const RULES: [Rule; 11] = [
+const RULES: [Rule; 12] = [
     (
         "The packet path does not hash",
         "Agents and routes are found by index and a callback acts through its context \
@@ -176,9 +176,10 @@ const RULES: [Rule; 11] = [
         "Every knob has two callers",
         "A config field stays only while two production callers set it to different values, \
          `benchmark/` reads it, or a pinned reference test needs its second value (DESIGN.md §2 \
-         \"Every knob has two callers\"). These 44 fields of the sender, receiver, search and \
-         topology configs each had one value in use; each is a named `const` beside the code \
-         that reads it, and a branch only another value reached is gone with it.",
+         \"Every knob has two callers\"). These 45 fields of the sender, receiver, flow, search \
+         and topology configs each had one value in use; each is a named `const` beside the \
+         code that reads it (a flow's receiver runs the default config), and a branch only \
+         another value reached is gone with it.",
         &[
             (
                 "crates/core/src/config.rs",
@@ -201,6 +202,7 @@ const RULES: [Rule; 11] = [
                 File,
                 forbid("pub max_sack_blocks:|pub mss:|pub trace_cwnd:|pub batch:|pub patience:"),
             ),
+            ("crates/transport/src/host.rs", Body("struct FlowOptions {"), forbid("pub receiver:")),
             (
                 "crates/experiments/src/topologies.rs",
                 File,
@@ -234,6 +236,27 @@ const RULES: [Rule; 11] = [
                 forbid("CommonStats|SenderTelemetry|common_stats|fn as_any_mut"),
             ),
             ("crates tests examples", File, OnlyIn("fn as_any(", "crates/netsim/src/agent.rs")),
+        ],
+    ),
+    (
+        "The transport glue keeps each fact once",
+        "One ACK struct goes from the receiver over the wire to `on_ack`, and a segment's \
+         `tx_count` is the sender's own retransmission bit (DESIGN.md §2 \"TCP senders are pure \
+         state machines\"): no copy of the ACK, no per-flow count of transmissions beside that \
+         bit, and no field nothing reads. A link's impairment stages live in its pipeline only.",
+        &[
+            (
+                "crates tests examples",
+                File,
+                forbid("AckDescriptor|AckHeader|TxCounts|acks_received"),
+            ),
+            ("crates tests examples", File, OnlyIn("pub struct AckEvent", "crates/netsim/src/packet.rs")),
+            ("crates/netsim/src/packet.rs", File, forbid("pub is_retransmit")),
+            (
+                "crates/netsim/src/link.rs",
+                File,
+                forbid("fn with_impairments|pub impair: Vec|random_losses"),
+            ),
         ],
     ),
 ];
