@@ -16,17 +16,17 @@
 
 use netsim::time::SimDuration;
 
-/// Approximates `α^(1/cwnd)` with Newton's method on `x^cwnd = α`,
-/// starting from `x = 1`, as in the paper's Linux implementation:
+/// Approximates `α^(1/cwnd)` with two steps of Newton's method on
+/// `x^cwnd = α` from `x = 1`, as in the paper's Linux implementation:
 ///
 /// ```text
 /// x := 1
-/// repeat n times:  x := (cwnd-1)/cwnd · x + α / (cwnd · x^(cwnd-1))
+/// repeat 2 times:  x := (cwnd-1)/cwnd · x + α / (cwnd · x^(cwnd-1))
 /// ```
 ///
 /// The first step is taken in closed form, `(cwnd-1)/cwnd + α/cwnd`: `1^y`
 /// is exactly 1 in IEEE 754 and both products by 1 are exact, so no bit of
-/// any root moves and the paper's two steps cost one `pow`, not two.
+/// any root moves and the two steps cost one `pow`, not two.
 ///
 /// # Panics
 ///
@@ -38,29 +38,22 @@ use netsim::time::SimDuration;
 /// use tcp_pr::ewrtt::alpha_root;
 ///
 /// // cwnd = 1: the root is α itself.
-/// assert!((alpha_root(0.995, 1.0, 2) - 0.995).abs() < 1e-12);
-/// // Two iterations already land within 1e-6 of the true root.
-/// let x = alpha_root(0.995, 10.0, 2);
+/// assert!((alpha_root(0.995, 1.0) - 0.995).abs() < 1e-12);
+/// // Two steps already land within 1e-6 of the true root.
+/// let x = alpha_root(0.995, 10.0);
 /// assert!((x - 0.995f64.powf(0.1)).abs() < 1e-6);
 /// ```
-pub fn alpha_root(alpha: f64, cwnd: f64, iterations: u32) -> f64 {
+pub fn alpha_root(alpha: f64, cwnd: f64) -> f64 {
     assert!(alpha > 0.0 && alpha < 1.0, "alpha must be in (0,1)");
     assert!(cwnd >= 1.0, "cwnd must be at least 1");
-    if iterations == 0 {
-        return 1.0;
-    }
-    let mut x = (cwnd - 1.0) / cwnd + alpha / cwnd;
-    for _ in 1..iterations {
-        x = (cwnd - 1.0) / cwnd * x + alpha / (cwnd * x.powf(cwnd - 1.0));
-    }
-    x
+    let x = (cwnd - 1.0) / cwnd + alpha / cwnd;
+    (cwnd - 1.0) / cwnd * x + alpha / (cwnd * x.powf(cwnd - 1.0))
 }
 
 /// Streaming `ewrtt` estimator.
 #[derive(Debug, Clone)]
 pub struct EwrttEstimator {
     alpha: f64,
-    newton_iterations: u32,
     ewrtt_secs: Option<f64>,
     /// The last `(cwnd bits, α^(1/cwnd))`: a window sitting at its cap takes
     /// the root once, not once per ACK.
@@ -72,11 +65,10 @@ impl EwrttEstimator {
     ///
     /// # Panics
     ///
-    /// Panics unless `0 < α < 1` and `newton_iterations >= 1`.
-    pub fn new(alpha: f64, newton_iterations: u32) -> Self {
+    /// Panics unless `0 < α < 1`.
+    pub fn new(alpha: f64) -> Self {
         assert!(alpha > 0.0 && alpha < 1.0, "alpha must be in (0,1)");
-        assert!(newton_iterations >= 1, "at least one Newton iteration required");
-        EwrttEstimator { alpha, newton_iterations, ewrtt_secs: None, root: (0, 1.0) }
+        EwrttEstimator { alpha, ewrtt_secs: None, root: (0, 1.0) }
     }
 
     /// Feeds one RTT sample taken while the congestion window was `cwnd`,
@@ -88,7 +80,7 @@ impl EwrttEstimator {
             Some(prev) => {
                 let cwnd = cwnd.max(1.0);
                 if self.root.0 != cwnd.to_bits() {
-                    let root = alpha_root(self.alpha, cwnd, self.newton_iterations);
+                    let root = alpha_root(self.alpha, cwnd);
                     self.root = (cwnd.to_bits(), root);
                 }
                 (self.root.1 * prev).max(s)
@@ -116,28 +108,26 @@ mod tests {
     fn newton_converges_for_typical_windows() {
         for &cwnd in &[1.0, 2.0, 5.0, 17.0, 64.0, 500.0] {
             let exact = 0.995f64.powf(1.0 / cwnd);
-            let approx = alpha_root(0.995, cwnd, 2);
+            let approx = alpha_root(0.995, cwnd);
             assert!((exact - approx).abs() < 1e-6, "cwnd={cwnd}: exact {exact} vs newton {approx}");
         }
     }
 
     #[test]
     fn newton_handles_small_alpha() {
-        // Small α (fast forgetting) is the hard case for two iterations:
-        // verify it is still a contraction towards the true root.
+        // Small α (fast forgetting) is the hard case for two steps. Newton
+        // on the convex `x^cwnd − α` approaches the root from above, so two
+        // steps from x = 1 land between the root and 1.
         for &cwnd in &[2.0, 8.0, 32.0] {
             let exact = 0.05f64.powf(1.0 / cwnd);
-            let approx = alpha_root(0.05, cwnd, 2);
-            assert!(approx > 0.0 && approx <= 1.0);
-            // Two iterations from x=1 overestimate; more iterations tighten.
-            let tighter = alpha_root(0.05, cwnd, 6);
-            assert!((tighter - exact).abs() <= (approx - exact).abs());
+            let approx = alpha_root(0.05, cwnd);
+            assert!(exact <= approx && approx <= 1.0, "cwnd={cwnd}: {exact} vs {approx}");
         }
     }
 
     #[test]
     fn first_sample_initializes() {
-        let mut e = EwrttEstimator::new(0.995, 2);
+        let mut e = EwrttEstimator::new(0.995);
         assert!(e.current().is_none());
         let v = e.on_sample(ms(100), 1.0);
         assert_eq!(v, ms(100));
@@ -145,7 +135,7 @@ mod tests {
 
     #[test]
     fn spike_dominates_immediately() {
-        let mut e = EwrttEstimator::new(0.995, 2);
+        let mut e = EwrttEstimator::new(0.995);
         e.on_sample(ms(100), 4.0);
         let v = e.on_sample(ms(400), 4.0);
         assert_eq!(v, ms(400), "a larger sample must take over instantly");
@@ -156,7 +146,7 @@ mod tests {
         // After one RTT's worth of ACKs (cwnd updates) with small samples,
         // the estimate should have decayed by ≈ α regardless of cwnd.
         for &cwnd in &[2.0f64, 8.0, 32.0] {
-            let mut e = EwrttEstimator::new(0.9, 8);
+            let mut e = EwrttEstimator::new(0.9);
             e.on_sample(SimDuration::from_secs(1), cwnd);
             for _ in 0..(cwnd as usize) {
                 e.on_sample(ms(1), cwnd);
@@ -171,7 +161,7 @@ mod tests {
 
     #[test]
     fn estimate_never_below_latest_sample() {
-        let mut e = EwrttEstimator::new(0.5, 2);
+        let mut e = EwrttEstimator::new(0.5);
         e.on_sample(ms(500), 2.0);
         for _ in 0..100 {
             let v = e.on_sample(ms(80), 2.0);
@@ -184,6 +174,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "alpha must be in (0,1)")]
     fn invalid_alpha_rejected() {
-        let _ = EwrttEstimator::new(0.0, 2);
+        let _ = EwrttEstimator::new(0.0);
     }
 }

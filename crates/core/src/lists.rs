@@ -160,16 +160,6 @@ impl PacketBook {
         (sent_at.saturating_add(mxrtt) <= now).then_some(seq)
     }
 
-    /// All outstanding packets whose drop deadline `sent_at + mxrtt` has
-    /// passed at `now`, in deadline order.
-    pub fn expired(&self, now: SimTime, mxrtt: SimDuration) -> Vec<u64> {
-        self.send_index
-            .iter()
-            .take_while(|(sent_at, _)| sent_at.saturating_add(mxrtt) <= now)
-            .map(|&(_, seq)| seq)
-            .collect()
-    }
-
     /// The earliest drop deadline among outstanding packets.
     pub fn earliest_deadline(&self, mxrtt: SimDuration) -> Option<SimTime> {
         self.send_index.front().map(|&(sent_at, _)| sent_at.saturating_add(mxrtt))
@@ -194,18 +184,9 @@ impl PacketBook {
     }
 
     /// Takes the `memorize := to-be-ack` snapshot: flags every currently
-    /// outstanding packet and restarts its drop timer from `now`.
-    ///
-    /// Re-stamping is a deliberate reproduction decision: the memorized
-    /// flight's fate only becomes known once the halving's retransmission
-    /// completes a round trip (cumulative ACKs cannot advance past the
-    /// hole before that). Without a fresh deadline the entire stale flight
-    /// expires spuriously *before* the recovery ACK arrives, which would
-    /// turn every single loss into an "extreme loss" burst. Genuinely lost
-    /// packets still expire one `mxrtt` later and are counted by `cburst`.
-    /// The memorized packets keep their original send stamps (and therefore
-    /// their original deadlines); [`PacketBook::defer_memorize`] suspends
-    /// those deadlines while a hole ahead of them is being repaired.
+    /// outstanding packet. The memorized packets keep their send stamps,
+    /// and so their deadlines; only [`PacketBook::defer_memorize`] moves
+    /// them, while a hole ahead of them is being repaired.
     pub fn snapshot_memorize(&mut self) {
         self.to_be_ack.values_mut().for_each(|record| record.in_memorize = true);
         self.memorize_count = self.outstanding();
@@ -340,9 +321,16 @@ mod tests {
         book.send_next(t(0), 3.0);
         book.send_next(t(10), 3.0);
         book.send_next(t(20), 3.0);
-        assert_eq!(book.expired(t(100), d(95)), vec![0]);
-        assert_eq!(book.expired(t(120), d(95)), vec![0, 1, 2]);
         assert_eq!(book.earliest_deadline(d(95)), Some(t(95)));
+        assert_eq!(book.first_expired(t(100), d(95)), Some(0));
+        book.mark_dropped(0);
+        assert_eq!(book.first_expired(t(100), d(95)), None);
+        let mut order = Vec::new();
+        while let Some(seq) = book.first_expired(t(120), d(95)) {
+            book.mark_dropped(seq);
+            order.push(seq);
+        }
+        assert_eq!(order, vec![1, 2]);
     }
 
     #[test]

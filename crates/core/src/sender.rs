@@ -31,10 +31,6 @@ use crate::config::TcpPrConfig;
 use crate::ewrtt::EwrttEstimator;
 use crate::lists::PacketBook;
 
-/// Newton iterations used to approximate `α^(1/cwnd)` (the paper's Linux
-/// implementation uses 2).
-const NEWTON_ITERATIONS: u32 = 2;
-
 /// Drop threshold used before the first RTT sample arrives (plays the role
 /// of TCP's 3 s initial RTO).
 const INITIAL_MXRTT: SimDuration = SimDuration::from_secs(3);
@@ -70,8 +66,6 @@ pub struct TcpPrStats {
     pub extreme_loss_events: u64,
     /// `mxrtt` doublings while in extreme-loss backoff.
     pub backoff_doublings: u64,
-    /// Data segments acknowledged.
-    pub acked_segments: u64,
 }
 
 /// The TCP-PR sender algorithm.
@@ -125,7 +119,7 @@ impl TcpPrSender {
             cwnd: 1.0,
             ssthr: f64::INFINITY,
             book: PacketBook::new(),
-            ewrtt: EwrttEstimator::new(cfg.alpha, NEWTON_ITERATIONS),
+            ewrtt: EwrttEstimator::new(cfg.alpha),
             cburst: 0,
             backoff: None,
             paused_until: None,
@@ -324,7 +318,6 @@ impl TcpSenderAlgo for TcpPrSender {
             self.ewrtt.on_sample(now.saturating_since(trigger.sent_at), self.cwnd);
         }
         for _ in 0..acked {
-            self.stats.acked_segments += 1;
             if self.mode == Mode::SlowStart && self.cwnd + 1.0 <= self.ssthr {
                 self.cwnd += 1.0;
             } else {
@@ -741,13 +734,6 @@ mod tests {
         // Now a (very late) cumulative ACK for everything arrives.
         s.on_ack(&ack(3), fire + ms(10), &mut out);
         assert_eq!(s.book().pending_retransmits(), 0, "stale retransmit cancelled");
-    }
-
-    #[test]
-    fn stats_track_acked_segments() {
-        let mut s = TcpPrSender::new(TcpPrConfig::default());
-        grow_window(&mut s, 8.0);
-        assert!(s.stats().acked_segments >= 7);
     }
 
     #[test]

@@ -42,7 +42,7 @@ const fn forbid(alternatives: &'static str) -> Check {
 /// out.
 type Rule = (&'static str, &'static str, &'static [(&'static str, Scope, Check)]);
 
-const RULES: [Rule; 12] = [
+const RULES: [Rule; 13] = [
     (
         "The packet path does not hash",
         "Agents and routes are found by index and a callback acts through its context \
@@ -257,6 +257,16 @@ const RULES: [Rule; 12] = [
                 File,
                 forbid("fn with_impairments|pub impair: Vec|random_losses"),
             ),
+        ],
+    ),
+    (
+        "One reference for TCP-PR",
+        "`TcpPrSender` is held to Table 1 transcribed in tests/table1_model.rs (DESIGN.md §2a): \
+         the models of the packet book and the root it replaced stay gone, the Newton step count \
+         is no parameter, and no counter or accessor that nothing reads comes back.",
+        &[
+            ("tests/packet_book_model.rs tests/alpha_root_model.rs", File, Absent),
+            ("crates/core/src", File, forbid("newton_iterations|acked_segments|fn expired(")),
         ],
     ),
 ];
