@@ -41,7 +41,7 @@ pub struct PacketRecord {
 
 /// The three lists of Table 1, with a time-ordered index for efficient
 /// earliest-deadline queries.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct PacketBook {
     to_be_sent: BTreeSet<u64>,
     /// Empty where a packet is declared dropped and not yet resent.

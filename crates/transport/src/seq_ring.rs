@@ -8,7 +8,7 @@ use std::collections::VecDeque;
 
 /// Records keyed by sequence number from `base` up; `None` marks a segment
 /// with no record at the moment.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct SeqRing<T> {
     base: u64,
     slots: VecDeque<Option<T>>,

@@ -6,6 +6,7 @@ use proptest::prelude::*;
 use netsim::routing::epsilon_weights;
 use netsim::time::{SimDuration, SimTime};
 use tcp_pr::ewrtt::alpha_root;
+use tcp_pr::{TcpPrConfig, TcpPrSender};
 use transport::receiver::{ReceiverConfig, TcpReceiver};
 use transport::rto::RtoEstimator;
 use transport::sender::{AckEvent, SenderOutput, TcpSenderAlgo};
@@ -105,6 +106,49 @@ proptest! {
             }
             prop_assert!(est.rto() >= SimDuration::from_secs(1));
             prop_assert!(est.rto() <= SimDuration::from_secs(60));
+        }
+    }
+
+    /// TCP-PR invariants hold under arbitrary interleavings of ACKs
+    /// (including stale and duplicate ones) and timer fires: cwnd ≥ 1,
+    /// internal bookkeeping consistent, no transmission of an
+    /// already-outstanding packet.
+    #[test]
+    fn tcp_pr_survives_arbitrary_event_sequences(
+        events in proptest::collection::vec((0u8..4, 0u64..100, 1u64..2_000), 1..250),
+    ) {
+        let mut s = TcpPrSender::new(TcpPrConfig::default());
+        let mut out = SenderOutput::new();
+        s.on_start(SimTime::ZERO, &mut out);
+        let mut now = SimTime::ZERO;
+        let mut cum_sent = 0u64;
+        for (kind, arg, dt_ms) in events {
+            now += SimDuration::from_millis(dt_ms);
+            out.clear();
+            match kind {
+                0 => {
+                    // A plausible cumulative ACK: anywhere up to snd_nxt.
+                    let cum = arg.min(s.book().snd_nxt());
+                    cum_sent = cum_sent.max(cum);
+                    s.on_ack(&ack(cum, false), now, &mut out);
+                }
+                1 => s.on_ack(&ack(cum_sent, true), now, &mut out), // dupack
+                2 => s.on_timer(now, &mut out),
+                _ => {
+                    // Stale, re-ordered ACK from the past.
+                    let cum = arg.min(cum_sent);
+                    s.on_ack(&ack(cum, true), now, &mut out);
+                }
+            }
+            prop_assert!(s.cwnd() >= 1.0, "cwnd fell below 1");
+            prop_assert!(s.cwnd() <= s.config().max_cwnd + 1e-9);
+            s.book().check_invariants();
+            // No duplicate seq among this callback's transmissions.
+            let mut seqs: Vec<u64> = out.transmissions().iter().map(|t| t.seq).collect();
+            let n = seqs.len();
+            seqs.sort_unstable();
+            seqs.dedup();
+            prop_assert_eq!(seqs.len(), n, "duplicate transmission in one callback");
         }
     }
 

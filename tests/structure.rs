@@ -262,10 +262,9 @@ const RULES: [Rule; 13] = [
     (
         "One reference for TCP-PR",
         "`TcpPrSender` is held to Table 1 transcribed in tests/table1_model.rs (DESIGN.md §2a): \
-         the models of the packet book and the root it replaced stay gone, the Newton step count \
-         is no parameter, and no counter or accessor that nothing reads comes back.",
+         the Newton step count is no parameter, and no counter or accessor that nothing reads \
+         comes back.",
         &[
-            ("tests/packet_book_model.rs tests/alpha_root_model.rs", File, Absent),
             ("crates/core/src", File, forbid("newton_iterations|acked_segments|fn expired(")),
         ],
     ),
