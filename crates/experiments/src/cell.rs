@@ -810,7 +810,8 @@ pub enum Metric {
     ReorderDisplacements,
     /// Up → down transitions of the bottleneck.
     LinkFlaps,
-    /// Invariant violations reported by `netsim::oracle::check`.
+    /// Violations reported by `netsim::oracle::check` (the simulator's
+    /// invariants) and `check_flows` (the hosted flows' laws).
     OracleViolations,
     /// Events dispatched at instants earlier than the clock.
     TimeRegressions,
@@ -1079,7 +1080,9 @@ impl Observed<'_> {
             Metric::ReorderDisplacements => Value::UInt(totals().reorder_displacements()),
             Metric::LinkFlaps => Value::UInt(totals().flaps),
             Metric::OracleViolations => {
-                Value::UInt(netsim::oracle::check(&self.sim.invariant_snapshot()).len() as u64)
+                let snap = self.sim.invariant_snapshot();
+                let flows = netsim::oracle::check_flows(&snap);
+                Value::UInt((netsim::oracle::check(&snap).len() + flows.len()) as u64)
             }
             Metric::TimeRegressions => Value::UInt(self.sim.stats().time_regressions),
         }

@@ -10,9 +10,10 @@ use std::any::Any;
 
 use rand::Rng;
 
+use crate::event::{AUX, TIMER};
 use crate::ids::{AgentId, FlowId, NodeId};
 use crate::packet::{Packet, PacketKind};
-use crate::sim::{Simulator, TimerId};
+use crate::sim::Simulator;
 use crate::time::SimTime;
 
 /// Execution context handed to agent callbacks.
@@ -45,18 +46,21 @@ impl<'a> AgentCtx<'a> {
     }
 
     /// Arms the agent's single timer to fire at `at` (replacing any pending
-    /// timer). Timers strictly in the past fire at the current instant.
+    /// timer). An instant strictly in the past fires at the current one,
+    /// and is counted (`SimStats::armed_past`, a law of
+    /// `oracle::check_flows`).
     ///
     /// Re-arming on every ACK is cheap: the deadline takes its place in the
     /// event order here, but enters the queue only if it falls before the
-    /// pop the timer already has pending (DESIGN.md §2 "One pop per timer").
+    /// pop the timer already has pending (DESIGN.md §2 "One kind of pending
+    /// source").
     pub fn set_timer(&mut self, at: SimTime) {
-        self.sim.arm_timer(self.agent_id, TimerId::Main, at);
+        self.sim.arm_timer(self.agent_id, TIMER, at);
     }
 
     /// Disarms the agent's timer.
     pub fn cancel_timer(&mut self) {
-        self.sim.cancel_timer(self.agent_id, TimerId::Main);
+        self.sim.cancel_timer(self.agent_id, TIMER);
     }
 
     /// Arms the agent's auxiliary timer to fire at `at` (replacing any
@@ -66,12 +70,12 @@ impl<'a> AgentCtx<'a> {
     /// [`Agent::on_aux_timer`]. Instants in the past fire at the current
     /// instant.
     pub fn set_aux_timer(&mut self, at: SimTime) {
-        self.sim.arm_timer(self.agent_id, TimerId::Aux, at);
+        self.sim.arm_timer(self.agent_id, AUX, at);
     }
 
     /// Disarms the agent's auxiliary timer.
     pub fn cancel_aux_timer(&mut self) {
-        self.sim.cancel_timer(self.agent_id, TimerId::Aux);
+        self.sim.cancel_timer(self.agent_id, AUX);
     }
 
     /// Draws a uniform sample from `[0, 1)` from the simulation's seeded RNG.

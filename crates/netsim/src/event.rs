@@ -1,38 +1,24 @@
-//! The discrete-event core: a time-ordered queue with deterministic
-//! tie-breaking.
+//! The discrete-event core: one order over every pending event, by instant
+//! and then by `seq`, the order events took their place in (FIFO ties), so a
+//! run never depends on heap internals.
 //!
-//! Events at the same instant are dispatched in insertion order (FIFO), which
-//! makes simulations reproducible regardless of heap internals.
+//! The heaps order 16-byte keys: one `u128` holding `at`, `seq` and the
+//! event's source, a tag over an index. Most events come from a [`Source`],
+//! a locally ordered stream with at most one key in a heap, whose event the
+//! key rebuilds: a link's end of serialization ([`LINK_READY`]), a link's
+//! arrival lane (`LANE`) and an agent's two timers ([`TIMER`], [`AUX`]). The
+//! queue holds each source's pending key; what else is pending sits in a
+//! [`Slab`] slot its key names. Timer keys wait in a heap of their own, out
+//! of the packets' sift path, and a pop takes the earlier of the two tops
+//! (DESIGN.md §2 "One kind of pending source").
 //!
-//! A `seq` may be reserved ahead of the push ([`EventQueue::reserve_seq`],
-//! then [`EventQueue::schedule_reserved`] — or never): an event needed only
-//! sometimes still holds its place in the order, so leaving it out moves no
-//! other event's [`EventKey`]. The virtual `LinkReady` is built on this.
-//!
-//! The heap orders 16-byte keys: one `u128` holding `at`, `seq` and the
-//! event's **source**, a tag over an index. A key rebuilds its event when
-//! it can: a `LinkReady` names its link, a timer pop whose `generation` is
-//! its own `seq` (every one the simulator pushes) names its agent, and a
-//! lane's head names its lane. Every other [`EventKind`] payload sits still
-//! in a [`Slab`], written once on push and read once on pop, and its key
-//! names the slot (DESIGN.md §2 "One 16-byte key").
-//!
-//! Arrivals a link delivers in the order it sent them share one heap entry:
-//! [`EventQueue::schedule_arrival`] appends to the link's **lane**, a FIFO
-//! whose head alone is in the heap — as a key naming the lane, whose head
-//! [`PacketId`] waits beside the backlog, so no payload slab is touched —
-//! and popping that key rewrites the heap's top with the lane's next.
-//! Arrivals keep their `(at, seq)` (DESIGN.md §2 "Arrivals ride their link").
-//!
-//! Agent timer pops wait in a heap of their own: a flow's retransmission
-//! timer is re-armed by every ACK and almost never fires, so its key would
-//! sit in every packet's sift path for nothing. A pop takes the earlier of
-//! the two heaps' tops — `seq` is unique, so there is never a tie — and
-//! `len` / `peak_len` / `peek_time` count both (DESIGN.md §2 "Timers wait
-//! apart").
+//! A key takes its `seq` where the event takes its place in the order, which
+//! may be before it is pushed — or never ([`EventQueue::reserve_seq`]): a
+//! deadline moved later, or the end of a serialization nothing waits for,
+//! keeps its place without a push.
 
 use std::cmp::Ordering;
-use std::collections::{binary_heap::PeekMut, BinaryHeap, VecDeque};
+use std::collections::{binary_heap::PeekMut, BinaryHeap, HashSet, VecDeque};
 use std::mem;
 
 use crate::ids::{AgentId, LinkId, NodeId, PacketId};
@@ -58,9 +44,8 @@ pub enum EventKind {
     Timer {
         /// The agent whose timer fires.
         agent: AgentId,
-        /// The tie-break `seq` this pop was reserved under when its deadline
-        /// was armed; with the instant it is the key the simulator matches
-        /// against the agent's timer slot to tell the live pop from orphans.
+        /// The `seq` of the key this pop came under, for a timer the
+        /// simulator armed.
         generation: u64,
     },
     /// An agent's auxiliary timer fires (second, independent timer slot —
@@ -68,7 +53,7 @@ pub enum EventKind {
     AuxTimer {
         /// The agent whose auxiliary timer fires.
         agent: AgentId,
-        /// Reserved `seq` of this pop, as for [`EventKind::Timer`].
+        /// As for [`EventKind::Timer`].
         generation: u64,
     },
     /// A scheduled routing change takes effect (models route flaps and
@@ -125,19 +110,19 @@ const INDEX_BITS: u32 = 21;
 
 /// Source tags. The payload is in the slab slot the index names.
 const SLOT: u32 = 0;
-/// The head of the lane the index names; its packet is [`Lane::head`].
+/// The lane of the link the index names; its first arrival's packet is [`Lane::head`].
 const LANE: u32 = 1;
 /// `EventKind::LinkReady` of the link the index names.
-const LINK_READY: u32 = 2;
+pub(crate) const LINK_READY: u32 = 2;
 /// `EventKind::Timer` of the agent the index names, `generation` = the key's `seq`.
-const TIMER: u32 = 3;
+pub(crate) const TIMER: u32 = 3;
 /// `EventKind::AuxTimer`, as for [`TIMER`].
-const AUX: u32 = 4;
+pub(crate) const AUX: u32 = 4;
 
 impl Key {
     /// Packs a key; `seq` and `index` must fit their fields, in release
     /// builds too — a truncated field would reorder or misdirect an event.
-    fn new(at: SimTime, seq: u64, tag: u32, index: u32) -> Key {
+    fn new((at, seq): EventKey, tag: u32, index: u32) -> Key {
         assert!(seq < 1 << SEQ_BITS, "event seq {seq} overflows the key: seq must be below 2^40");
         assert!(
             index < 1 << INDEX_BITS,
@@ -179,15 +164,81 @@ impl Ord for Key {
     }
 }
 
-/// The arrivals in flight on one link, in `(at, seq)` order.
+/// A locally ordered source of events with at most one key in a heap:
+/// `pending`, which the queue holds. `due` is the key of what the source
+/// has due — a timer's armed deadline, the end of a serialization a packet
+/// waits for. A key is pushed only below the one pending: a deadline moved
+/// later rides on the pop already queued and is pushed when that pop comes
+/// (`Pop::Defer`), one moved earlier orphans it. A lane's pending key is its
+/// first arrival's and its `due` its last's; the rest wait in the lane.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Source {
+    pub(crate) pending: Option<EventKey>,
+    pub(crate) due: Option<EventKey>,
+}
+
+/// What the pop of a source's key turned out to be.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Pop {
+    /// The key due: the event happens.
+    Fire,
+    /// What is due moved later while this key waited: its key is pushed.
+    Defer,
+    /// An orphan, or nothing is due any more: nothing happens.
+    Stale,
+}
+
+impl Source {
+    /// Makes `key` due; true if it must be pushed: nothing pending at or below it.
+    pub(crate) fn arm(&mut self, key: EventKey) -> bool {
+        self.due = Some(key);
+        let push = self.pending.is_none_or(|pending| key < pending);
+        if push {
+            self.pending = Some(key);
+        }
+        push
+    }
+
+    /// Moves the source past the pop of `key`; after a `Defer`, `pending`
+    /// is the key to push.
+    pub(crate) fn pop(&mut self, key: EventKey) -> Pop {
+        if self.pending != Some(key) {
+            return Pop::Stale;
+        }
+        if self.due == Some(key) {
+            *self = Source::default();
+            return Pop::Fire;
+        }
+        self.pending = self.due;
+        if self.due.is_some() {
+            Pop::Defer
+        } else {
+            Pop::Stale
+        }
+    }
+
+    /// True if the source's next event is lost: its pending key is in no
+    /// heap (and would swallow the next arm), or something is due — or, for
+    /// a link, `waiting` — with no key at or below it pending. `keyed` holds
+    /// the `seq` of every key in the heaps.
+    pub(crate) fn stranded(&self, waiting: bool, keyed: &HashSet<u64>) -> bool {
+        match self.pending {
+            Some(key) => !keyed.contains(&key.1) || self.due.is_some_and(|due| key > due),
+            None => waiting || self.due.is_some(),
+        }
+    }
+}
+
+/// The arrivals in flight on one link, in `(at, seq)` order: a [`Source`]
+/// whose pending key is the first arrival's, with its packet beside it,
+/// and whose `due` is the last arrival's.
 #[derive(Debug)]
 struct Lane {
     /// Node the link delivers to.
     to: NodeId,
-    /// The packet of the arrival the lane's key stands for, while `busy`.
+    /// The packet of the arrival the lane's pending key stands for.
     head: PacketId,
-    /// True while the lane's head is in the heap (as a [`LANE`] key).
-    busy: bool,
+    src: Source,
     /// The arrivals queued behind that head.
     backlog: VecDeque<(SimTime, u64, PacketId)>,
 }
@@ -214,6 +265,10 @@ pub struct EventQueue {
     /// The pending events no key can rebuild.
     payloads: Slab<EventKind>,
     lanes: Vec<Lane>,
+    /// Per link, its end of serialization ([`LINK_READY`]).
+    ready: Vec<Source>,
+    /// Per agent, its timer and its auxiliary timer ([`TIMER`], [`AUX`]).
+    agents: Vec<[Source; 2]>,
     /// Arrivals in lane backlogs: pending events the heap does not hold.
     waiting: usize,
     next_seq: u64,
@@ -229,8 +284,10 @@ impl EventQueue {
 
     /// An empty queue whose lane `i` delivers to node `to[i]` (the simulator's link `i`).
     pub fn with_lanes(to: impl IntoIterator<Item = NodeId>) -> Self {
-        let lane = |to| Lane { to, head: PacketId(0), busy: false, backlog: VecDeque::new() };
-        EventQueue { lanes: to.into_iter().map(lane).collect(), ..Self::default() }
+        let lane =
+            |to| Lane { to, head: PacketId(0), src: Source::default(), backlog: VecDeque::new() };
+        let lanes: Vec<Lane> = to.into_iter().map(lane).collect();
+        EventQueue { ready: vec![Source::default(); lanes.len()], lanes, ..Self::default() }
     }
 
     /// Schedules `kind` to fire at instant `at`.
@@ -247,19 +304,23 @@ impl EventQueue {
 
     /// Pushes `kind` under a key whose `seq` was reserved earlier: in the key
     /// alone if the key can rebuild it, else with a payload slot.
-    pub fn schedule_reserved(&mut self, (at, seq): EventKey, kind: EventKind) {
-        let timer = matches!(kind, EventKind::Timer { .. } | EventKind::AuxTimer { .. });
+    pub fn schedule_reserved(&mut self, key: EventKey, kind: EventKind) {
         let (tag, index) = match kind {
             EventKind::LinkReady { link } => (LINK_READY, link.0),
-            EventKind::Timer { agent, generation } if generation == seq => (TIMER, agent.0),
-            EventKind::AuxTimer { agent, generation } if generation == seq => (AUX, agent.0),
+            EventKind::Timer { agent, generation } if generation == key.1 => (TIMER, agent.0),
+            EventKind::AuxTimer { agent, generation } if generation == key.1 => (AUX, agent.0),
             kind => {
+                let timer = matches!(kind, EventKind::Timer { .. } | EventKind::AuxTimer { .. });
                 // Not `event.*`: those counters are dispatches, one per kind.
                 obs::count("payload.slotted", 1);
-                (SLOT, self.payloads.insert(kind))
+                let slot = self.payloads.insert(kind);
+                return self.push(Key::new(key, SLOT, slot), timer);
             }
         };
-        let key = Key::new(at, seq, tag, index);
+        self.push(Key::new(key, tag, index), tag >= TIMER);
+    }
+
+    fn push(&mut self, key: Key, timer: bool) {
         if timer {
             self.timers.push(key);
         } else {
@@ -268,22 +329,72 @@ impl EventQueue {
         self.peak_len = self.peak_len.max(self.len());
     }
 
-    /// Schedules `packet` to arrive at the far end of `lane` at `at`, keyed
-    /// as `schedule(at, EventKind::Arrive { .. })` would key it. `at` must not
-    /// precede the lane's previous arrival: an overtaker goes through `schedule`.
-    pub fn schedule_arrival(&mut self, lane: usize, at: SimTime, packet: PacketId) {
-        let seq = self.reserve_seq();
-        let l = &mut self.lanes[lane];
-        debug_assert!(l.backlog.back().is_none_or(|&(last, ..)| last <= at));
-        if l.busy {
-            l.backlog.push_back((at, seq, packet));
-            self.waiting += 1;
-        } else {
-            l.busy = true;
-            l.head = packet;
-            self.heap.push(Key::new(at, seq, LANE, lane as u32));
+    /// The source a [`LINK_READY`], [`TIMER`] or [`AUX`] key with `index`
+    /// comes from; an agent's appear at its first arm. (A lane moves on
+    /// inside `pop_through`.)
+    fn source(&mut self, tag: u32, index: u32) -> &mut Source {
+        let i = index as usize;
+        match tag {
+            LINK_READY => &mut self.ready[i],
+            _ => {
+                if i >= self.agents.len() {
+                    self.agents.resize(i + 1, Default::default());
+                }
+                &mut self.agents[i][(tag - TIMER) as usize]
+            }
         }
-        self.peak_len = self.peak_len.max(self.len());
+    }
+
+    /// Makes `key` due on source `(tag, index)`, pushing it unless a key at
+    /// or below it is pending.
+    pub(crate) fn arm(&mut self, tag: u32, index: u32, key: EventKey) {
+        if self.source(tag, index).arm(key) {
+            self.push(Key::new(key, tag, index), tag >= TIMER);
+        }
+    }
+
+    /// Nothing is due on source `(tag, index)` any more; a key pending
+    /// stays, to pop stale.
+    pub(crate) fn disarm(&mut self, tag: u32, index: u32) {
+        self.source(tag, index).due = None;
+    }
+
+    /// Moves source `(tag, index)` past the pop of its `key`, pushing what
+    /// is due if it moved later meanwhile.
+    pub(crate) fn advance(&mut self, tag: u32, index: u32, key: EventKey) -> Pop {
+        let source = self.source(tag, index);
+        let pop = source.pop(key);
+        if let (Pop::Defer, Some(next)) = (pop, source.pending) {
+            self.push(Key::new(next, tag, index), tag >= TIMER);
+        }
+        pop
+    }
+
+    /// Schedules `packet` to arrive at the far end of `lane` at `at`, keyed
+    /// as `schedule(at, EventKind::Arrive { .. })` would key it: down the lane
+    /// if it is due no earlier than the lane's last arrival, else as an
+    /// overtaker in a slot (jitter, an impairment's extra delay, a delay just
+    /// lowered). An empty lane takes any `at`: the simulator never schedules
+    /// one before the clock, and every arrival the lane held is past.
+    pub fn schedule_arrival(&mut self, lane: usize, at: SimTime, packet: PacketId) {
+        let key = (at, self.reserve_seq());
+        let l = &mut self.lanes[lane];
+        if l.src.due.is_some_and(|(last, _)| at < last) {
+            obs::count("arrive.overtook", 1);
+            let node = l.to;
+            return self.schedule_reserved(key, EventKind::Arrive { node, packet });
+        }
+        obs::count("arrive.laned", 1);
+        l.src.due = Some(key);
+        if l.src.pending.is_some() {
+            l.backlog.push_back((at, key.1, packet));
+            self.waiting += 1;
+            self.peak_len = self.peak_len.max(self.len());
+        } else {
+            l.src.pending = Some(key);
+            l.head = packet;
+            self.push(Key::new(key, LANE, lane as u32), false);
+        }
     }
 
     /// Removes and returns the earliest event, or `None` if empty.
@@ -315,11 +426,12 @@ impl EventQueue {
         if let Some((at, seq, next)) = lane.backlog.pop_front() {
             // The next arrival takes the top's place: one sift down from
             // there as `top` drops, where a pop and a later push are two.
-            *top = Key::new(at, seq, LANE, key.index());
+            *top = Key::new((at, seq), LANE, key.index());
             lane.head = next;
+            lane.src.pending = Some((at, seq));
             self.waiting -= 1;
         } else {
-            lane.busy = false;
+            lane.src = Source::default();
             PeekMut::pop(top);
         }
         Some((key.at(), EventKind::Arrive { node: lane.to, packet }))
@@ -391,43 +503,20 @@ impl EventQueue {
     /// conservation check in [`crate::oracle`]); O(peak pending + lanes).
     pub fn pending_arrivals(&self) -> usize {
         let heaped = self.payloads.iter().filter(|kind| matches!(kind, EventKind::Arrive { .. }));
-        self.laned_arrivals() + heaped.count()
+        let laned = self.lanes.iter().filter(|l| l.src.pending.is_some());
+        laned.count() + self.waiting + heaped.count()
     }
 
-    /// Arrivals on lanes: each busy lane's head and its backlog.
-    pub(crate) fn laned_arrivals(&self) -> usize {
-        self.lanes.iter().map(|l| usize::from(l.busy) + l.backlog.len()).sum()
-    }
-
-    /// Lanes holding arrivals with no key in the heap to deliver them (the
-    /// stranded-lane law of [`crate::oracle`]); O(heap + lanes).
-    pub fn stranded_lanes(&self) -> usize {
-        let mut keyed = vec![false; self.lanes.len()];
-        for key in self.heap.iter().filter(|key| key.tag() == LANE) {
-            keyed[key.index() as usize] = true;
-        }
-        self.lanes.iter().zip(keyed).filter(|(lane, keyed)| lane.busy && !keyed).count()
-    }
-
-    /// Links with a pending [`EventKind::LinkReady`] (for the lost-wake-up
-    /// law of [`crate::oracle`]); O(heap). A `LinkReady` always rides in
-    /// its key.
-    pub fn pending_link_ready(&self) -> impl Iterator<Item = LinkId> + '_ {
-        self.heap.iter().filter(|key| key.tag() == LINK_READY).map(|key| LinkId(key.index()))
-    }
-
-    /// The `generation` of every pending timer pop, main or auxiliary (for
-    /// the lost-timer law of [`crate::oracle`]); O(timer heap).
-    pub fn pending_timers(&self) -> impl Iterator<Item = u64> + '_ {
-        self.timers.iter().map(|key| match key.tag() {
-            SLOT => match self.payloads.get(key.index()) {
-                EventKind::Timer { generation, .. } | EventKind::AuxTimer { generation, .. } => {
-                    *generation
-                }
-                other => unreachable!("{other:?} in the timer heap"),
-            },
-            _ => key.seq(),
-        })
+    /// Sources whose next event is lost (the wake-up law of
+    /// [`crate::oracle`]); `waiting(link)` says link `link` holds packets
+    /// for an up transmitter, which its [`LINK_READY`] source must poll.
+    /// O(heaps + sources).
+    pub fn stranded(&self, waiting: impl Fn(usize) -> bool) -> usize {
+        let keyed: HashSet<u64> = self.heap.iter().chain(&self.timers).map(|k| k.seq()).collect();
+        let lanes = self.lanes.iter().filter(|l| l.src.stranded(false, &keyed)).count();
+        let ready = self.ready.iter().enumerate().filter(|(l, s)| s.stranded(waiting(*l), &keyed));
+        let timers = self.agents.iter().flatten().filter(|s| s.stranded(false, &keyed));
+        lanes + ready.count() + timers.count()
     }
 }
 
@@ -444,6 +533,21 @@ mod tests {
         /// Arrivals queued on lanes behind their lane's key in the heap.
         pub(crate) fn lane_backlog(&self) -> usize {
             self.waiting
+        }
+
+        /// Arrivals on lanes: each lane's first and its backlog.
+        pub(crate) fn laned_arrivals(&self) -> usize {
+            self.lanes.iter().filter(|l| l.src.pending.is_some()).count() + self.waiting
+        }
+
+        /// Links whose end-of-serialization source has a key pending.
+        pub(crate) fn pending_ready(&self) -> Vec<usize> {
+            (0..self.ready.len()).filter(|&l| self.ready[l].pending.is_some()).collect()
+        }
+
+        /// The instant of the last arrival on `lane`, if it holds any.
+        pub(crate) fn lane_tail(&self, lane: usize) -> Option<SimTime> {
+            self.lanes[lane].src.due.map(|(at, _)| at)
         }
 
         /// Takes every lane key out of the heap, leaving the lanes as they
@@ -578,7 +682,7 @@ mod tests {
         q.schedule_arrival(1, at(20), PacketId::from_raw(102));
         q.schedule_arrival(0, at(30), PacketId::from_raw(103));
         assert_eq!((q.len(), q.heap_len(), q.waiting, q.peak_len()), (5, 3, 2, 5));
-        assert_eq!((q.pending_arrivals(), q.stranded_lanes()), (4, 0));
+        assert_eq!((q.pending_arrivals(), q.stranded(|_| false)), (4, 0));
         assert!(q.pop_through(at(9)).is_none(), "nothing is due yet, nothing moves");
         assert_eq!((q.len(), q.last_popped_seq()), (5, 0));
         let mut order = Vec::new();
@@ -597,7 +701,10 @@ mod tests {
         assert!(matches!(q.pop(), Some((_, EventKind::Arrive { packet: PacketId(104), .. }))));
         assert!(matches!(q.pop(), Some((_, EventKind::Arrive { packet: PacketId(103), .. }))));
         assert!(q.pop().is_none() && q.is_empty());
-        assert!(q.lanes.iter().all(|lane| !lane.busy && lane.backlog.is_empty()));
+        assert!(q
+            .lanes
+            .iter()
+            .all(|lane| lane.src == Source::default() && lane.backlog.is_empty()));
         assert_eq!((q.waiting, q.pending_arrivals(), q.payloads.len(), q.peak_len()), (0, 0, 0, 5));
     }
 
@@ -619,7 +726,7 @@ mod tests {
         q.schedule(at(30), timer(4));
         q.schedule(at(20), bp());
         assert_eq!((q.len(), q.heap_len(), q.timer_len(), q.peak_len()), (6, 3, 3, 6));
-        assert_eq!(q.pending_timers().collect::<Vec<_>>(), [0, 3, 4], "payloads share the slab");
+        assert_eq!(q.payloads.len(), 2, "the three timers ride in their keys");
         assert!(q.pop_through(at(9)).is_none(), "nothing is due yet, nothing moves");
         assert_eq!((q.len(), q.heap_len(), q.timer_len(), q.last_popped_seq()), (6, 3, 3, 0));
         let mut order = Vec::new();
@@ -661,7 +768,7 @@ mod tests {
             // values (ties), anything.
             let field = |max| move |(pick, any): (u8, u64)| [0, max, any % 4, any][pick as usize];
             let (at, seq) = (field(u64::MAX), field(SEQ_MAX));
-            let key = |a, s| Key::new(SimTime::from_nanos(at(a)), seq(s), SLOT, 0);
+            let key = |a, s| Key::new((SimTime::from_nanos(at(a)), seq(s)), SLOT, 0);
             let (a, b) = (key(a_at, a_seq), key(b_at, b_seq));
             proptest::prop_assert_eq!(a.cmp(&b), (b.at(), b.seq()).cmp(&(a.at(), a.seq())));
             proptest::prop_assert_eq!(a == b, a.cmp(&b) == Ordering::Equal);
@@ -672,7 +779,7 @@ mod tests {
     fn every_tag_round_trips_at_the_fields_limits() {
         for tag in [SLOT, LANE, LINK_READY, TIMER, AUX] {
             for (at, seq, index) in [(u64::MAX, SEQ_MAX, INDEX_MAX), (0, 0, 0)] {
-                let key = Key::new(SimTime::from_nanos(at), seq, tag, index);
+                let key = Key::new((SimTime::from_nanos(at), seq), tag, index);
                 assert_eq!(
                     (key.at().as_nanos(), key.seq(), key.tag(), key.index()),
                     (at, seq, tag, index)
@@ -684,13 +791,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "seq must be below 2^40")]
     fn a_seq_past_the_key_panics() {
-        Key::new(SimTime::ZERO, SEQ_MAX + 1, TIMER, 0);
+        Key::new((SimTime::ZERO, SEQ_MAX + 1), TIMER, 0);
     }
 
     #[test]
     #[should_panic(expected = "index must be below 2^21")]
     fn an_index_past_the_key_panics() {
-        Key::new(SimTime::ZERO, 0, LINK_READY, INDEX_MAX + 1);
+        Key::new((SimTime::ZERO, 0), LINK_READY, INDEX_MAX + 1);
     }
 
     #[test]

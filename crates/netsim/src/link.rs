@@ -6,7 +6,7 @@
 //! during a serialization wait in the link's output queue — as
 //! [`PacketId`]s: a link never owns a packet, it holds a place for one.
 //! Packets on the wire wait on this link's lane of the event queue while
-//! they are due in sending order, and in its heap when one overtakes.
+//! they are due in sending order, and in a slot when one overtakes.
 //! A link carries one packet size for long runs (data one way, ACKs the
 //! other), so it remembers its last serialization time ([`Link::tx_time`]).
 
@@ -14,7 +14,7 @@ use crate::event::EventKey;
 use crate::ids::{NodeId, PacketId};
 use crate::impair::{ImpairPipeline, ImpairStats};
 use crate::queue::{LinkQueue, QueuePolicy};
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimDuration;
 
 /// Immutable configuration of a link.
 #[derive(Debug, Clone)]
@@ -152,8 +152,6 @@ pub struct Link {
     /// progress, until that poll has run — as a real event or, elided,
     /// inside [`Link::settle`]. `None` when idle.
     pub(crate) tx_end: Option<EventKey>,
-    /// Latest arrival sent down the lane; one due earlier goes to the heap.
-    pub(crate) last_arrival: SimTime,
     /// The last [`Link::tx_time`]: (size, bits of the rate) and the result.
     tx_memo: ((u32, u64), SimDuration),
     /// Packets handed to the wire (post-queue).
@@ -172,7 +170,7 @@ impl Link {
     /// Creates an idle, unimpaired link between `from` and `to`. The
     /// simulator installs a pipeline later, because it owns the seed (see
     /// `Simulator::set_link_impairments`).
-    // Set-up, not dispatch: a `Link` is 480 bytes on x86-64, and at 488
+    // Set-up, not dispatch: a `Link` is 472 bytes on x86-64, and at 488
     // `SimBuilder::build` stopped inlining this by itself and copied every
     // link once more (`mesh_reorder` `setup_s` +18 %, benchmark bound 25 %);
     // with the hint set-up ties the parent.
@@ -189,7 +187,6 @@ impl Link {
             queue_high,
             wrr_credit: 0,
             tx_end: None,
-            last_arrival: SimTime::ZERO,
             tx_memo: ((0, 0), SimDuration::ZERO), // no rate has the bits of 0.0
             transmitted: 0,
             up: true,

@@ -1,6 +1,6 @@
 //! Sim-core invariant oracle: packet conservation, no leaked or doubly
-//! held packet, event-time monotonicity and no lost wake-ups, of links,
-//! of timers or of arrival lanes.
+//! held packet, event-time monotonicity, no lost wake-up and no timer armed
+//! in the past.
 //!
 //! The simulator keeps exact counters for every way a packet can leave the
 //! system (delivery, the four drop classes) and for every way one can enter
@@ -32,18 +32,21 @@
 //! [`check`] verifies both equations plus the event core's monotonic-clock
 //! invariant (an event must never fire at an instant earlier than the
 //! current clock; the dispatch loop counts such regressions instead of
-//! panicking) and its wake-up law: a link's end-of-serialization
-//! `LinkReady` is pushed only once a packet waits for it, so between events
-//! every up link that holds packets must have one pending — otherwise the
-//! queue is never served again. Timers obey the same law: an armed deadline
-//! is pushed only if it falls below the pop its slot already has pending,
-//! so between events every armed timer must have a pop in the queue keyed
-//! at or below its deadline — otherwise the callback never runs (and a
-//! `pending` pop that is not in the queue would swallow the next arm).
-//! And arrival lanes, third: of the packets in flight on a link in sending
-//! order only the first has a key in the heap, and popping it promotes the
-//! next, so between events every lane that holds arrivals must have its key
-//! in the heap — otherwise those packets never arrive.
+//! panicking) and its wake-up law. Every link's end of serialization, every
+//! link's arrival lane and every agent timer is a source with at most one
+//! key in a heap, pushed only when it falls below the one pending; so
+//! between events a non-empty source — an up link with packets waiting, a
+//! lane with arrivals, an armed timer — must have its head in a heap, keyed
+//! at or below what is due, and a pending key must be in one. Otherwise the
+//! queue is never served again, the packets never arrive, the callback never
+//! runs (or a phantom key swallows the next arm).
+//!
+//! [`check_flows`] holds the flows a run hosts to their own laws: an agent
+//! never arms a timer for an instant already past. The simulator fires such
+//! a deadline now, as `AgentCtx::set_timer` promises any agent, so it is no
+//! invariant of the core; but a protocol sender that asks for the past has
+//! lost track of its clock. A harness that hosts protocol flows
+//! (`experiments::cell`, and so the hunt) counts both.
 //! The adversary's `oracle` objective
 //! minimizes the negated violation count, i.e. it actively searches the
 //! impairment/admin-schedule space for scenarios that break a law.
@@ -90,16 +93,11 @@ pub struct Snapshot {
     pub live_packets: u64,
     /// Events popped at an instant earlier than the clock.
     pub time_regressions: u64,
-    /// Links that are up and hold waiting packets with no `LinkReady`
-    /// pending to serve them.
-    pub stalled_links: u64,
-    /// Timer slots (main and auxiliary, every agent) that are armed with
-    /// no pop pending at or below the deadline, or whose pending pop is
-    /// not in the queue.
-    pub lost_timers: u64,
-    /// Event-queue lanes that hold arrivals with no key in the heap to
-    /// deliver them.
-    pub stranded_lanes: u64,
+    /// Timers agents armed for an instant already past.
+    pub armed_past: u64,
+    /// Sources (links' ends of serialization and arrival lanes, agents'
+    /// timers) with something due and no key for it in an event heap.
+    pub stranded: u64,
 }
 
 impl Snapshot {
@@ -144,21 +142,15 @@ pub enum Violation {
         /// How many events fired at an instant earlier than the clock.
         count: u64,
     },
-    /// A wake-up was lost: packets wait on an up link that nothing will
-    /// ever poll.
-    StalledLink {
-        /// How many links are stalled.
+    /// A wake-up was lost: a source holds something due — packets on an up
+    /// link, arrivals on a lane, an armed timer — that no key will pop.
+    LostWakeUp {
+        /// How many sources are stranded.
         count: u64,
     },
-    /// A timer's wake-up was lost: its callback will never run.
-    LostTimer {
-        /// How many timer slots lost their pop.
-        count: u64,
-    },
-    /// A lane's wake-up was lost: packets in flight on a link will never
-    /// arrive.
-    StrandedLane {
-        /// How many lanes hold arrivals with no key in the heap.
+    /// Agents armed timers for instants already past.
+    ArmedPast {
+        /// How many arms asked for the past.
         count: u64,
     },
 }
@@ -176,14 +168,11 @@ impl Violation {
             Violation::TimeRegression { count } => {
                 format!("event clock moved backwards {count} time(s)")
             }
-            Violation::StalledLink { count } => {
-                format!("{count} up link(s) hold packets with no LinkReady pending")
+            Violation::LostWakeUp { count } => {
+                format!("{count} event source(s) hold something due with no key in an event heap")
             }
-            Violation::LostTimer { count } => {
-                format!("{count} timer(s) have no pop pending at or below the armed deadline")
-            }
-            Violation::StrandedLane { count } => {
-                format!("{count} link(s) have arrivals in flight with no key in the event heap")
+            Violation::ArmedPast { count } => {
+                format!("{count} timer(s) armed for an instant already past")
             }
         }
     }
@@ -203,16 +192,17 @@ pub fn check(s: &Snapshot) -> Vec<Violation> {
     if s.time_regressions > 0 {
         violations.push(Violation::TimeRegression { count: s.time_regressions });
     }
-    if s.stalled_links > 0 {
-        violations.push(Violation::StalledLink { count: s.stalled_links });
-    }
-    if s.lost_timers > 0 {
-        violations.push(Violation::LostTimer { count: s.lost_timers });
-    }
-    if s.stranded_lanes > 0 {
-        violations.push(Violation::StrandedLane { count: s.stranded_lanes });
+    if s.stranded > 0 {
+        violations.push(Violation::LostWakeUp { count: s.stranded });
     }
     violations
+}
+
+/// Checks the laws on the flows a run hosts (see the [module docs](self));
+/// an empty vector means they all hold.
+pub fn check_flows(s: &Snapshot) -> Vec<Violation> {
+    let past = (s.armed_past > 0).then_some(Violation::ArmedPast { count: s.armed_past });
+    past.into_iter().collect()
 }
 
 #[cfg(test)]
@@ -299,11 +289,11 @@ mod tests {
         let mut sim = traffic_sim(3, &[]);
         sim.run_until(SimTime::from_secs_f64(0.35));
         let mut snap = sim.invariant_snapshot();
-        assert_eq!(snap.stalled_links, 0, "every backlogged link has its wake-up pending");
-        snap.stalled_links = 2;
+        assert_eq!(snap.stranded, 0, "every backlogged link has its wake-up pending");
+        snap.stranded = 2;
         let violations = check(&snap);
-        assert_eq!(violations, vec![Violation::StalledLink { count: 2 }]);
-        assert!(violations[0].describe().contains("no LinkReady pending"));
+        assert_eq!(violations, vec![Violation::LostWakeUp { count: 2 }]);
+        assert!(violations[0].describe().contains("no key in an event heap"));
     }
 
     #[test]

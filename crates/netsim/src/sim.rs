@@ -1,12 +1,10 @@
 //! The simulator: topology construction, event dispatch, agent hosting.
 
-use std::collections::HashSet;
-
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::agent::{Agent, AgentCtx};
-use crate::event::{EventKey, EventKind, EventQueue};
+use crate::event::{EventKey, EventKind, EventQueue, Pop, AUX, LINK_READY, TIMER};
 use crate::ids::{AgentId, FlowId, LinkId, NodeId, PacketId};
 use crate::impair::{AdminEntry, Fate, ImpairPipeline, ImpairStats, LinkAdmin, StageConfig};
 use crate::link::{Link, LinkConfig};
@@ -43,6 +41,10 @@ pub struct SimStats {
     /// zero in a healthy run; a non-zero count is an event-core invariant
     /// violation surfaced by [`crate::oracle::check`].
     pub time_regressions: u64,
+    /// Timers an agent armed for an instant already past; each fired at
+    /// the current instant instead. Zero for a well-behaved sender (a law
+    /// of [`crate::oracle::check_flows`]).
+    pub armed_past: u64,
 }
 
 /// Builds the static topology for a [`Simulator`].
@@ -130,98 +132,18 @@ impl SimBuilder {
     }
 }
 
-/// Which of an agent's two timers; indexes `AgentMeta::timers` and
-/// [`TIMER_KEYS`].
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum TimerId {
-    Main,
-    Aux,
-}
-
-/// Profiler keys per [`TimerId`]: arm lead time, then the pops that did not
-/// fire (`event.timer` / `event.aux_timer` less these two is the fires).
+/// Profiler keys per timer (`TIMER`, `AUX`): arm lead time, then the pops
+/// that did not fire (`event.timer` / `event.aux_timer` less these two is
+/// the fires).
 const TIMER_KEYS: [[&str; 3]; 2] = [
     ["timer.lead_ns", "timer.deferred", "timer.stale"],
     ["aux_timer.lead_ns", "aux_timer.deferred", "aux_timer.stale"],
 ];
 
-impl TimerId {
-    fn event(self, agent: AgentId, generation: u64) -> EventKind {
-        match self {
-            TimerId::Main => EventKind::Timer { agent, generation },
-            TimerId::Aux => EventKind::AuxTimer { agent, generation },
-        }
-    }
-}
-
-/// What a timer pop turned out to be (see [`TimerSlot::pop`]).
-#[derive(Debug, PartialEq, Eq)]
-enum TimerPop {
-    /// The armed deadline: run the callback.
-    Fire,
-    /// The deadline moved later while this pop waited: push its reserved key.
-    Defer(EventKey),
-    /// An orphan, or the pop of a cancelled timer: nothing to do.
-    Stale,
-}
-
-/// One agent timer with at most one useful pop in the queue (DESIGN.md §2
-/// "One pop per timer"). Every arm takes its key `(fire_at, seq)` exactly
-/// where an eager push would, so the callback keeps its place in the event
-/// order; the key is pushed only if it falls below the pop already waiting.
-/// Invariant between events: `armed ⇒ pending ≤ armed`, and `pending` is
-/// in the queue.
-#[derive(Debug, Default)]
-struct TimerSlot {
-    /// Key the callback is due at, if the timer is armed.
-    armed: Option<EventKey>,
-    /// Key of the pop in the queue that will look at `armed` next.
-    pending: Option<EventKey>,
-}
-
-impl TimerSlot {
-    /// Arms the timer for `key`; true if the caller must push a pop under it.
-    fn arm(&mut self, key: EventKey) -> bool {
-        self.armed = Some(key);
-        let push = self.pending.is_none_or(|pending| key < pending);
-        if push {
-            // A pop left waiting above `key` is an orphan from here on.
-            self.pending = Some(key);
-        }
-        push
-    }
-
-    /// Classifies the pop dispatched under `key` and moves the slot on.
-    fn pop(&mut self, key: EventKey) -> TimerPop {
-        if self.pending != Some(key) {
-            return TimerPop::Stale;
-        }
-        if self.armed == Some(key) {
-            *self = TimerSlot::default();
-            return TimerPop::Fire;
-        }
-        self.pending = self.armed;
-        self.armed.map_or(TimerPop::Stale, TimerPop::Defer)
-    }
-
-    /// True if the wake-up is lost; `queued` holds the `seq` of every
-    /// timer pop in the queue.
-    fn lost(&self, queued: &HashSet<u64>) -> bool {
-        match self.pending {
-            Some(pending) => {
-                !queued.contains(&pending.1) || self.armed.is_some_and(|armed| pending > armed)
-            }
-            None => self.armed.is_some(),
-        }
-    }
-}
-
 #[derive(Debug)]
 struct AgentMeta {
     node: NodeId,
     flow: FlowId,
-    /// Indexed by [`TimerId`].
-    timers: [TimerSlot; 2],
     /// The node this agent last sent to, and the agent serving its flow
     /// there (`None`: no agent does). It cannot go stale: `add_agent`
     /// refuses agents once the simulation has started, every send happens
@@ -428,13 +350,7 @@ impl Simulator {
     /// point the simulator is not mid-dispatch — i.e. whenever the caller
     /// can invoke it.
     pub fn invariant_snapshot(&self) -> crate::oracle::Snapshot {
-        let mut woken = vec![false; self.links.len()];
-        for link in self.events.pending_link_ready() {
-            woken[link.index()] = true;
-        }
-        let stalled = self.links.iter().zip(woken).filter(|(l, w)| l.up && l.queued() > 0 && !w);
-        let queued: HashSet<u64> = self.events.pending_timers().collect();
-        let lost = self.agent_meta.iter().flat_map(|m| &m.timers).filter(|t| t.lost(&queued));
+        let waiting = |l: usize| self.links[l].up && self.links[l].queued() > 0;
         crate::oracle::Snapshot {
             injected: self.stats.injected,
             duplicated: self.stats.impair_dups,
@@ -447,9 +363,8 @@ impl Simulator {
             in_flight: self.events.pending_arrivals() as u64,
             live_packets: self.packets.len() as u64,
             time_regressions: self.stats.time_regressions,
-            stalled_links: stalled.count() as u64,
-            lost_timers: lost.count() as u64,
-            stranded_lanes: self.events.stranded_lanes() as u64,
+            armed_past: self.stats.armed_past,
+            stranded: self.events.stranded(waiting) as u64,
         }
     }
 
@@ -555,7 +470,7 @@ impl Simulator {
             Err(at) => served.insert(at, (flow, id)),
         }
         self.agents.push(Some(agent));
-        self.agent_meta.push(AgentMeta { node, flow, timers: Default::default(), peer: None });
+        self.agent_meta.push(AgentMeta { node, flow, peer: None });
         id
     }
 
@@ -610,7 +525,11 @@ impl Simulator {
     /// Advances the clock to a popped event and dispatches it. Time must not
     /// go backwards: a regression is counted instead of panicking, so the
     /// invariant oracle can report it (and the adversary can hunt for it),
-    /// and the clock clamps at its current value.
+    /// and the clock clamps at its current value. With the profiler on, it
+    /// reports a per-kind counter, the pending events and how many of them
+    /// the packet heap and the timer heap hold (sim-deterministic), and the
+    /// wall-clock cost of the dispatch (non-deterministic section); off, it
+    /// costs one relaxed atomic load.
     fn step(&mut self, at: SimTime, kind: EventKind) {
         if at < self.now {
             self.stats.time_regressions += 1;
@@ -618,15 +537,6 @@ impl Simulator {
             self.now = at;
         }
         self.stats.events += 1;
-        self.dispatch_profiled(kind);
-    }
-
-    /// Dispatches one event, reporting to the profiler when it is enabled:
-    /// a per-kind counter, the pending events and how many of them the packet
-    /// heap and the timer heap hold (sim-deterministic), and the wall-clock
-    /// cost of the dispatch (non-deterministic section).
-    /// Disabled, this is one relaxed atomic load on top of `dispatch`.
-    fn dispatch_profiled(&mut self, kind: EventKind) {
         if obs::enabled() {
             obs::count(kind.profile_key(), 1);
             obs::observe("event.pending", self.events.len() as u64);
@@ -653,15 +563,13 @@ impl Simulator {
                 }
             }
             EventKind::LinkReady { link } => {
+                let fired = self.events.advance(LINK_READY, link.0, self.cursor());
+                debug_assert_eq!(fired, Pop::Fire, "a link's poll is never orphaned");
                 self.links[link.index()].tx_end = None;
                 self.link_try_transmit(link);
             }
-            EventKind::Timer { agent, generation } => {
-                self.timer_pop(agent, TimerId::Main, generation);
-            }
-            EventKind::AuxTimer { agent, generation } => {
-                self.timer_pop(agent, TimerId::Aux, generation);
-            }
+            EventKind::Timer { agent, .. } => self.timer_pop(agent, TIMER),
+            EventKind::AuxTimer { agent, .. } => self.timer_pop(agent, AUX),
             EventKind::InstallRoute { src, dst, route } => {
                 self.routing.set_multipath(src, dst, *route);
             }
@@ -803,11 +711,11 @@ impl Simulator {
         (self.now, self.events.last_popped_seq())
     }
 
-    /// Pushes the `LinkReady` ending the serialization in progress on `id`
-    /// under its reserved key — only once a packet is waiting for it.
+    /// Makes the end of the serialization in progress on `id` due on the
+    /// link's source under its reserved key — only once a packet waits.
     fn schedule_link_ready(&mut self, id: LinkId) {
         let end = self.links[id.index()].tx_end.expect("a serialization is in progress");
-        self.events.schedule_reserved(end, EventKind::LinkReady { link: id });
+        self.events.arm(LINK_READY, id.0, end);
     }
 
     fn link_try_transmit(&mut self, id: LinkId) {
@@ -847,35 +755,19 @@ impl Simulator {
                         arrival += extra;
                     }
                 }
-                self.schedule_arrival(id, arrival, packet);
+                self.events.schedule_arrival(id.index(), arrival, packet);
                 if duplicate {
                     self.stats.impair_dups += 1;
                     self.trace_packet(packet, TraceEventKind::Duplicated(id));
                     let copy = self.packets.get(packet.0).clone();
                     let copy = PacketId(self.packets.insert(copy));
                     // The copy trails the original by one transmission time.
-                    self.schedule_arrival(id, arrival + tx, copy);
+                    self.events.schedule_arrival(id.index(), arrival + tx, copy);
                 }
             }
         }
         if self.links[id.index()].queued() > 0 {
             self.schedule_link_ready(id);
-        }
-    }
-
-    /// Sends `packet` towards the far end of `id`, due at `at`: down the
-    /// link's lane of the event queue if it arrives no earlier than the
-    /// link's previous packet, as an ordinary heap event if it overtakes
-    /// (jitter, an impairment's extra delay, a delay just lowered).
-    fn schedule_arrival(&mut self, id: LinkId, at: SimTime, packet: PacketId) {
-        let link = &mut self.links[id.index()];
-        if at >= link.last_arrival {
-            link.last_arrival = at;
-            obs::count("arrive.laned", 1);
-            self.events.schedule_arrival(id.index(), at, packet);
-        } else {
-            obs::count("arrive.overtook", 1);
-            self.events.schedule(at, EventKind::Arrive { node: link.to, packet });
         }
     }
 
@@ -902,41 +794,32 @@ impl Simulator {
         }
     }
 
-    fn timer_slot(&mut self, agent: AgentId, timer: TimerId) -> &mut TimerSlot {
-        &mut self.agent_meta[agent.index()].timers[timer as usize]
+    /// Disarms agent `agent`'s `TIMER` or `AUX` timer.
+    pub(crate) fn cancel_timer(&mut self, agent: AgentId, timer: u32) {
+        self.events.disarm(timer, agent.0);
     }
 
-    pub(crate) fn cancel_timer(&mut self, agent: AgentId, timer: TimerId) {
-        self.timer_slot(agent, timer).armed = None;
-    }
-
-    pub(crate) fn arm_timer(&mut self, agent: AgentId, timer: TimerId, at: SimTime) {
+    /// Arms agent `agent`'s `TIMER` or `AUX` timer for `at`, or for now if
+    /// `at` is past. The deadline takes its place in the event order here.
+    pub(crate) fn arm_timer(&mut self, agent: AgentId, timer: u32, at: SimTime) {
         if at < self.now {
+            self.stats.armed_past += 1;
             obs::count("timer.armed_past", 1);
         }
         let fire_at = at.max(self.now);
         let lead_ns = fire_at.saturating_since(self.now).as_nanos();
-        obs::observe(TIMER_KEYS[timer as usize][0], lead_ns);
-        // The deadline takes its place in the event order here, pushed or not.
+        obs::observe(TIMER_KEYS[(timer - TIMER) as usize][0], lead_ns);
         let key = (fire_at, self.events.reserve_seq());
-        if self.timer_slot(agent, timer).arm(key) {
-            self.events.schedule_reserved(key, timer.event(agent, key.1));
-        }
+        self.events.arm(timer, agent.0, key);
     }
 
-    fn timer_pop(&mut self, agent: AgentId, timer: TimerId, seq: u64) {
-        let [_, deferred, stale] = TIMER_KEYS[timer as usize];
-        let key = (self.now, seq);
-        match self.timer_slot(agent, timer).pop(key) {
-            TimerPop::Fire => match timer {
-                TimerId::Main => self.call_agent(agent, |agent, ctx| agent.on_timer(ctx)),
-                TimerId::Aux => self.call_agent(agent, |agent, ctx| agent.on_aux_timer(ctx)),
-            },
-            TimerPop::Defer(key) => {
-                obs::count(deferred, 1);
-                self.events.schedule_reserved(key, timer.event(agent, key.1));
-            }
-            TimerPop::Stale => obs::count(stale, 1),
+    fn timer_pop(&mut self, agent: AgentId, timer: u32) {
+        let [_, deferred, stale] = TIMER_KEYS[(timer - TIMER) as usize];
+        match self.events.advance(timer, agent.0, self.cursor()) {
+            Pop::Fire if timer == TIMER => self.call_agent(agent, |a, ctx| a.on_timer(ctx)),
+            Pop::Fire => self.call_agent(agent, |a, ctx| a.on_aux_timer(ctx)),
+            Pop::Defer => obs::count(deferred, 1),
+            Pop::Stale => obs::count(stale, 1),
         }
     }
 
@@ -996,6 +879,7 @@ impl Drop for Simulator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::Source;
     use crate::ids::RouteId;
     use crate::packet::{AckEvent, DataHeader, DATA_PACKET_BYTES};
 
@@ -1105,8 +989,9 @@ mod tests {
         }
     }
 
-    fn pending_link_ready(sim: &Simulator) -> Vec<LinkId> {
-        sim.events.pending_link_ready().collect()
+    /// Links whose end of serialization has a key pending.
+    fn woken(sim: &Simulator) -> Vec<LinkId> {
+        sim.events.pending_ready().into_iter().map(|l| LinkId::from_raw(l as u32)).collect()
     }
 
     /// One 10 Mbit/s link `a → c`: a 1000-byte packet serializes in 800 µs.
@@ -1132,11 +1017,11 @@ mod tests {
         sim.add_agent(a, FlowId::from_raw(0), SendAt::boxed(c, &[0, 800]));
         sim.run_until(SimTime::from_nanos(799_999));
         assert_eq!(sim.links[0].tx_end, Some((TX_END, 0)), "key reserved at the first transmit");
-        assert!(pending_link_ready(&sim).is_empty(), "nothing waits, nothing is pushed");
+        assert!(woken(&sim).is_empty(), "nothing waits, nothing is pushed");
         sim.run_until(TX_END);
         assert_eq!(sim.links[0].transmitted, 2, "second packet went straight to the wire");
         assert_eq!(sim.stats.events, 1, "the timer alone: no LinkReady was dispatched");
-        assert!(pending_link_ready(&sim).is_empty());
+        assert!(woken(&sim).is_empty());
     }
 
     #[test]
@@ -1148,7 +1033,7 @@ mod tests {
         sim.add_agent(a, FlowId::from_raw(1), SendAt::boxed(c, &[0]));
         sim.run_until(SimTime::from_nanos(799_999));
         assert_eq!(sim.links[0].tx_end, Some((TX_END, 1)));
-        assert!(pending_link_ready(&sim).is_empty());
+        assert!(woken(&sim).is_empty());
         sim.run_until(TX_END);
         assert_eq!(sim.links[0].transmitted, 2);
         assert_eq!(sim.stats.events, 2, "the timer, then the poll its packet had pushed");
@@ -1223,7 +1108,7 @@ mod tests {
         // `on_start` cannot look finished to the sends that follow it.
         assert_eq!((sim.links[0].transmitted, sim.links[0].queued()), (1, 4));
         assert_eq!(sim.links[0].tx_end, Some((TX_END, 0)));
-        assert_eq!(pending_link_ready(&sim), vec![LinkId::from_raw(0)]);
+        assert_eq!(woken(&sim), vec![LinkId::from_raw(0)]);
         assert_eq!(violations(&sim), Vec::new());
         sim.run_until(SimTime::from_secs_f64(1.0));
         assert_eq!(sim.agent(rx).as_any().downcast_ref::<Echo>().unwrap().received.len(), 5);
@@ -1238,8 +1123,8 @@ mod tests {
         sim.start();
         // Steal the `LinkReady` four queued packets are waiting for.
         assert!(matches!(sim.events.pop(), Some((TX_END, EventKind::LinkReady { .. }))));
-        assert_eq!(sim.invariant_snapshot().stalled_links, 1);
-        assert_eq!(violations(&sim), vec![crate::oracle::Violation::StalledLink { count: 1 }]);
+        assert_eq!(sim.invariant_snapshot().stranded, 1);
+        assert_eq!(violations(&sim), vec![crate::oracle::Violation::LostWakeUp { count: 1 }]);
     }
 
     #[test]
@@ -1427,24 +1312,6 @@ mod tests {
     }
 
     #[test]
-    fn queue_overflow_drops_excess() {
-        let mut b = SimBuilder::new(3);
-        let a = b.add_node();
-        let c = b.add_node();
-        // Tiny queue: 2 packets. 50 packets blast in at t=0.
-        b.add_duplex(a, c, LinkConfig::mbps_ms(1.0, 10, 2));
-        let mut sim = b.build();
-        let flow = FlowId::from_raw(0);
-        sim.add_agent(a, flow, Box::new(Blaster { dst: c, count: 50, acked: Vec::new() }));
-        let rx = sim.add_agent(c, flow, Box::new(Echo { peer: a, received: Vec::new() }));
-        sim.run_until(SimTime::from_secs_f64(5.0));
-        let echo = sim.agent(rx).as_any().downcast_ref::<Echo>().unwrap();
-        // 1 in flight + 2 queued survive the burst.
-        assert_eq!(echo.received.len(), 3);
-        assert_eq!(sim.stats().queue_drops, 47);
-    }
-
-    #[test]
     fn random_loss_drops_packets() {
         let mut b = SimBuilder::new(11);
         let a = b.add_node();
@@ -1459,91 +1326,6 @@ mod tests {
         let got = sim.agent(rx).as_any().downcast_ref::<Echo>().unwrap().received.len();
         assert!((300..700).contains(&got), "≈50% of 1000 should survive, got {got}");
         assert_eq!(sim.stats().random_losses as usize + got, 1000);
-    }
-
-    #[test]
-    fn multipath_routes_spread_packets() {
-        // Diamond: a → {m1, m2} → d, equal delays; epsilon=0 splits evenly.
-        let mut b = SimBuilder::new(5);
-        let a = b.add_node();
-        let m1 = b.add_node();
-        let m2 = b.add_node();
-        let d = b.add_node();
-        let cfg = LinkConfig::mbps_ms(100.0, 5, 4000);
-        b.add_duplex(a, m1, cfg.clone());
-        b.add_duplex(m1, d, cfg.clone());
-        b.add_duplex(a, m2, cfg.clone());
-        b.add_duplex(m2, d, cfg.clone());
-        let mut sim = b.build();
-        let n_paths = sim.install_multipath(a, d, 0.0, 4);
-        assert_eq!(n_paths, 2);
-        let flow = FlowId::from_raw(0);
-        sim.add_agent(a, flow, Box::new(Blaster { dst: d, count: 2000, acked: Vec::new() }));
-        let rx = sim.add_agent(d, flow, Box::new(Echo { peer: a, received: Vec::new() }));
-        sim.run_until(SimTime::from_secs_f64(5.0));
-        assert_eq!(sim.agent(rx).as_any().downcast_ref::<Echo>().unwrap().received.len(), 2000);
-        // Both middle nodes should have forwarded a nontrivial share.
-        let via_m1 = sim.link(LinkId::from_raw(2)).transmitted; // m1 → d
-        let via_m2 = sim.link(LinkId::from_raw(6)).transmitted; // m2 → d
-        assert!(via_m1 > 700 && via_m2 > 700, "m1={via_m1} m2={via_m2}");
-        assert_eq!(via_m1 + via_m2, 2000);
-    }
-
-    #[test]
-    fn unequal_path_delays_reorder_packets() {
-        // Two paths with very different delays; uniform split must reorder.
-        let mut b = SimBuilder::new(9);
-        let a = b.add_node();
-        let m1 = b.add_node();
-        let m2 = b.add_node();
-        let d = b.add_node();
-        b.add_duplex(a, m1, LinkConfig::mbps_ms(100.0, 1, 1000));
-        b.add_duplex(m1, d, LinkConfig::mbps_ms(100.0, 1, 1000));
-        b.add_duplex(a, m2, LinkConfig::mbps_ms(100.0, 30, 1000));
-        b.add_duplex(m2, d, LinkConfig::mbps_ms(100.0, 30, 1000));
-        let mut sim = b.build();
-        sim.install_multipath(a, d, 0.0, 4);
-        let flow = FlowId::from_raw(0);
-        sim.add_agent(a, flow, Box::new(Blaster { dst: d, count: 200, acked: Vec::new() }));
-        let rx = sim.add_agent(d, flow, Box::new(Echo { peer: a, received: Vec::new() }));
-        sim.run_until(SimTime::from_secs_f64(5.0));
-        let received = &sim.agent(rx).as_any().downcast_ref::<Echo>().unwrap().received;
-        assert_eq!(received.len(), 200);
-        // Count late arrivals: packets whose seq is below the running max.
-        let mut max_seen = 0u64;
-        let mut late = 0usize;
-        for &s in received {
-            if s < max_seen {
-                late += 1;
-            } else {
-                max_seen = s;
-            }
-        }
-        assert!(late > 20, "expected heavy reordering, got {late} late arrivals");
-    }
-
-    #[test]
-    fn timer_generations_suppress_stale_timers() {
-        struct TimerAgent {
-            fired: u32,
-        }
-        impl Agent for TimerAgent {
-            fn on_start(&mut self, ctx: &mut AgentCtx<'_>) {
-                // Arm, then immediately re-arm: only the second may fire.
-                ctx.set_timer(ctx.now + SimDuration::from_millis(10));
-                ctx.set_timer(ctx.now + SimDuration::from_millis(20));
-            }
-            fn on_packet(&mut self, _p: Packet, _ctx: &mut AgentCtx<'_>) {}
-            fn on_timer(&mut self, _ctx: &mut AgentCtx<'_>) {
-                self.fired += 1;
-            }
-        }
-        let mut b = SimBuilder::new(0);
-        let a = b.add_node();
-        let mut sim = b.build();
-        let id = sim.add_agent(a, FlowId::from_raw(0), Box::new(TimerAgent { fired: 0 }));
-        sim.run_until(SimTime::from_secs_f64(1.0));
-        assert_eq!(sim.agent(id).as_any().downcast_ref::<TimerAgent>().unwrap().fired, 1);
     }
 
     #[test]
@@ -1620,55 +1402,56 @@ mod tests {
 
     #[test]
     fn timer_slot_pushes_only_below_the_pending_pop() {
-        let mut slot = TimerSlot::default();
+        let mut slot = Source::default();
         assert!(slot.arm(key(10, 0)), "nothing pending: push");
         assert!(!slot.arm(key(20, 1)), "later than the pending pop: ride on it");
         assert!(!slot.arm(key(10, 2)), "same instant, later seq: still above it");
-        assert_eq!((slot.armed, slot.pending), (Some(key(10, 2)), Some(key(10, 0))));
+        assert_eq!((slot.due, slot.pending), (Some(key(10, 2)), Some(key(10, 0))));
         assert!(slot.arm(key(5, 3)), "earlier: push, orphaning the old pop");
-        assert_eq!((slot.armed, slot.pending), (Some(key(5, 3)), Some(key(5, 3))));
+        assert_eq!((slot.due, slot.pending), (Some(key(5, 3)), Some(key(5, 3))));
         assert!(!slot.arm(key(5, 3)), "a pop is already pending at that very key");
     }
 
     #[test]
     fn timer_slot_pop_fires_defers_or_discards() {
-        let mut slot = TimerSlot::default();
+        let mut slot = Source::default();
         // The pending pop is the armed deadline: fire, and the slot is empty.
         slot.arm(key(10, 0));
-        assert_eq!(slot.pop(key(10, 0)), TimerPop::Fire);
-        assert_eq!((slot.armed, slot.pending), (None, None));
+        assert_eq!(slot.pop(key(10, 0)), Pop::Fire);
+        assert_eq!(slot, Source::default());
         // The deadline moved later (twice) behind the pop: one re-push, under
         // the key the last arm reserved, and that one fires.
         slot.arm(key(10, 1));
         slot.arm(key(30, 2));
         slot.arm(key(20, 3));
-        assert_eq!(slot.pop(key(10, 1)), TimerPop::Defer(key(20, 3)));
+        assert_eq!(slot.pop(key(10, 1)), Pop::Defer);
         assert_eq!(slot.pending, Some(key(20, 3)));
-        assert_eq!(slot.pop(key(20, 3)), TimerPop::Fire);
+        assert_eq!(slot.pop(key(20, 3)), Pop::Fire);
         // The deadline moved earlier: the old pop is an orphan, and leaves
         // whatever was armed since alone.
         slot.arm(key(50, 4));
         slot.arm(key(40, 5));
-        assert_eq!(slot.pop(key(40, 5)), TimerPop::Fire);
+        assert_eq!(slot.pop(key(40, 5)), Pop::Fire);
         slot.arm(key(60, 6));
-        assert_eq!(slot.pop(key(50, 4)), TimerPop::Stale);
-        assert_eq!((slot.armed, slot.pending), (Some(key(60, 6)), Some(key(60, 6))));
+        assert_eq!(slot.pop(key(50, 4)), Pop::Stale);
+        assert_eq!((slot.due, slot.pending), (Some(key(60, 6)), Some(key(60, 6))));
         // Cancelled: the pop finds nothing and clears `pending`, so the
         // next arm pushes again.
-        slot.armed = None;
-        assert_eq!(slot.pop(key(60, 6)), TimerPop::Stale);
-        assert_eq!((slot.armed, slot.pending), (None, None));
+        slot.due = None;
+        assert_eq!(slot.pop(key(60, 6)), Pop::Stale);
+        assert_eq!(slot, Source::default());
         assert!(slot.arm(key(70, 7)));
         // Cancelled and re-armed before the pop came: it rides on that pop.
-        slot.armed = None;
+        slot.due = None;
         assert!(!slot.arm(key(80, 8)));
-        assert_eq!(slot.pop(key(70, 7)), TimerPop::Defer(key(80, 8)));
+        assert_eq!(slot.pop(key(70, 7)), Pop::Defer);
+        assert_eq!(slot.pending, Some(key(80, 8)));
     }
 
     #[test]
     fn timer_slot_knows_a_lost_wake_up() {
-        let lost = |armed, pending, queued: &[u64]| {
-            TimerSlot { armed, pending }.lost(&queued.iter().copied().collect())
+        let lost = |due, pending, keyed: &[u64]| {
+            Source { pending, due }.stranded(false, &keyed.iter().copied().collect())
         };
         assert!(!lost(None, None, &[]), "idle");
         assert!(!lost(Some(key(10, 0)), Some(key(10, 0)), &[0]), "pushed");
@@ -1678,6 +1461,13 @@ mod tests {
         assert!(lost(Some(key(10, 1)), Some(key(20, 0)), &[0]), "pending above the deadline");
         assert!(lost(Some(key(20, 1)), Some(key(10, 0)), &[1]), "pending pop not queued");
         assert!(lost(None, Some(key(10, 0)), &[]), "a phantom pop would swallow an arm");
+        // A link's source: packets waiting on an up transmitter need a poll.
+        let link = |waiting, pending, keyed: &[u64]| {
+            Source { pending, due: pending }.stranded(waiting, &keyed.iter().copied().collect())
+        };
+        assert!(!link(false, None, &[]), "idle, or busy with nothing waiting");
+        assert!(!link(true, Some(key(10, 0)), &[0]), "a packet waits for the pushed poll");
+        assert!(link(true, None, &[]), "a packet waits for no poll");
     }
 
     /// Arms the main timer for each of `arm_ms` in turn from `on_start`;
@@ -1744,10 +1534,43 @@ mod tests {
         assert_eq!(violations(&sim), Vec::new(), "armed for 20 ms behind the 10 ms pop");
         // Steal the pop the armed deadline is riding on.
         assert!(matches!(sim.events.pop(), Some((_, EventKind::Timer { generation: 0, .. }))));
-        assert_eq!(sim.invariant_snapshot().lost_timers, 1);
+        assert_eq!(sim.invariant_snapshot().stranded, 1);
         let found = violations(&sim);
-        assert_eq!(found, vec![crate::oracle::Violation::LostTimer { count: 1 }]);
-        assert!(found[0].describe().contains("no pop pending"));
+        assert_eq!(found, vec![crate::oracle::Violation::LostWakeUp { count: 1 }]);
+        assert!(found[0].describe().contains("no key in an event heap"));
+    }
+
+    #[test]
+    fn oracle_reports_a_timer_armed_in_the_past() {
+        /// Fires at 1 ms, then asks for the instant before.
+        struct Backwards(u32);
+        impl Agent for Backwards {
+            fn on_start(&mut self, ctx: &mut AgentCtx<'_>) {
+                ctx.set_timer(SimTime::from_nanos(1_000_000));
+            }
+            fn on_packet(&mut self, _p: Packet, _ctx: &mut AgentCtx<'_>) {}
+            fn on_timer(&mut self, ctx: &mut AgentCtx<'_>) {
+                self.0 += 1;
+                if self.0 == 1 {
+                    ctx.set_timer(SimTime::from_nanos(ctx.now.as_nanos() - 1));
+                }
+            }
+        }
+        let mut b = SimBuilder::new(0);
+        let a = b.add_node();
+        let mut sim = b.build();
+        let id = sim.add_agent(a, FlowId::from_raw(0), Box::new(Backwards(0)));
+        sim.run_until(SimTime::from_nanos(999_999));
+        assert_eq!(crate::oracle::check_flows(&sim.invariant_snapshot()), Vec::new());
+        sim.run_to_quiescence();
+        // Clamped to the present: it fired at once, and was counted.
+        assert_eq!(sim.now(), SimTime::from_nanos(1_000_000));
+        assert_eq!(sim.agent(id).as_any().downcast_ref::<Backwards>().unwrap().0, 2);
+        assert_eq!(sim.stats.armed_past, 1);
+        assert_eq!(violations(&sim), Vec::new(), "the core is sound: it fired now");
+        let found = crate::oracle::check_flows(&sim.invariant_snapshot());
+        assert_eq!(found, vec![crate::oracle::Violation::ArmedPast { count: 1 }]);
+        assert!(found[0].describe().contains("already past"));
     }
 
     /// `(seq, µs)` of every delivery traced so far, in dispatch order.
@@ -1780,7 +1603,7 @@ mod tests {
         assert_eq!(sim.events.lane_backlog(), 2, "one key for the three");
         sim.run_until(at_us(4_500));
         assert_eq!(laned_and_overtaking(&sim), (3, 2), "both overtakers went to the heap");
-        assert_eq!(sim.links[0].last_arrival, at_us(12_800), "and left the lane's tail alone");
+        assert_eq!(sim.events.lane_tail(0), Some(at_us(12_800)), "and left the lane's tail alone");
         assert_eq!(violations(&sim), Vec::new());
         // Due at 13.8 ms, behind the 12.8 ms tail: the lane takes it again —
         // while the last of the three is still on it.
@@ -1858,10 +1681,10 @@ mod tests {
         assert_eq!(violations(&sim), Vec::new());
         // Steal the one key all three arrivals are riding on.
         sim.events.steal_lane_keys();
-        assert_eq!(sim.invariant_snapshot().stranded_lanes, 1);
+        assert_eq!(sim.invariant_snapshot().stranded, 1);
         let found = violations(&sim);
-        assert_eq!(found, vec![crate::oracle::Violation::StrandedLane { count: 1 }]);
-        assert!(found[0].describe().contains("no key in the event heap"));
+        assert_eq!(found, vec![crate::oracle::Violation::LostWakeUp { count: 1 }]);
+        assert!(found[0].describe().contains("no key in an event heap"));
     }
 
     #[test]
@@ -2075,7 +1898,7 @@ mod tests {
         A.packet4
         14800/65 arrive u11:delivered@n3
         B.packet6
-        sent 7 5 SimStats { queue_drops: 0, random_losses: 0, no_route_drops: 0, delivered: 12, injected: 12, events: 51, impair_drops: 0, impair_dups: 0, link_flaps: 0, time_regressions: 0 }";
+        sent 7 5 SimStats { queue_drops: 0, random_losses: 0, no_route_drops: 0, delivered: 12, injected: 12, events: 51, impair_drops: 0, impair_dups: 0, link_flaps: 0, time_regressions: 0, armed_past: 0 }";
 
     #[test]
     fn a_scripted_round_trip_keeps_its_recorded_order() {

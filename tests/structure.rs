@@ -42,7 +42,7 @@ const fn forbid(alternatives: &'static str) -> Check {
 /// out.
 type Rule = (&'static str, &'static str, &'static [(&'static str, Scope, Check)]);
 
-const RULES: [Rule; 13] = [
+const RULES: [Rule; 14] = [
     (
         "The packet path does not hash",
         "Agents and routes are found by index and a callback acts through its context \
@@ -267,6 +267,18 @@ const RULES: [Rule; 13] = [
         &[
             ("crates/core/src", File, forbid("newton_iterations|acked_segments|fn expired(")),
         ],
+    ),
+    (
+        "One kind of pending source",
+        "A link's end of serialization, a link's arrival lane and an agent's two timers are each \
+         one `event::Source`, whose pending key the queue holds (DESIGN.md §2 \"One kind of \
+         pending source\"): the oracle reads one wake-up law off them, and the three laws and \
+         the per-mechanism scans it replaced stay gone.",
+        &[(
+            "crates/netsim/src",
+            File,
+            forbid("StalledLink|LostTimer|StrandedLane|fn stranded_lanes|fn pending_link_ready"),
+        )],
     ),
 ];
 
