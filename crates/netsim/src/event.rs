@@ -282,7 +282,8 @@ impl EventQueue {
         Self::default()
     }
 
-    /// An empty queue whose lane `i` delivers to node `to[i]` (the simulator's link `i`).
+    /// An empty queue for the simulator's links: link `i`'s lane, which
+    /// delivers to node `to[i]`, and its end-of-serialization source.
     pub fn with_lanes(to: impl IntoIterator<Item = NodeId>) -> Self {
         let lane =
             |to| Lane { to, head: PacketId(0), src: Source::default(), backlog: VecDeque::new() };
